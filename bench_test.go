@@ -584,8 +584,11 @@ func BenchmarkAblation_AlignVsSampling(b *testing.B) {
 	})
 }
 
-// BenchmarkAblation_RationalVsFloat compares the exact and float simplex
-// backends on the same mid-size feasibility system.
+// BenchmarkAblation_RationalVsFloat compares the simplex backends on the
+// relaxation of one mid-size feasibility system, after the column presolve
+// SolveInteger applies: the exact solver on each of its two arithmetics
+// (word-sized rationals, and the math/big it restarts on after an overflow)
+// and the float64 twin.
 func BenchmarkAblation_RationalVsFloat(b *testing.B) {
 	prob := &lp.Problem{NumVars: 120}
 	hidden := make([]int64, 120)
@@ -601,20 +604,19 @@ func BenchmarkAblation_RationalVsFloat(b *testing.B) {
 		}
 		prob.AddRow(lp.Row{Entries: entries, Rel: lp.EQ, RHS: rhs, Name: "r"})
 	}
-	b.Run("Rational", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := lp.SolveInteger(prob, lp.IntOptions{Backend: lp.Rational}); err != nil {
-				b.Fatal(err)
+	prob, _ = lp.DedupColumns(prob)
+	for _, arm := range []struct {
+		name  string
+		solve func(*lp.Problem) (*lp.Solution, error)
+	}{{"Rational/word", lp.SolveRational}, {"Rational/big", lp.SolveBigRat}, {"Float", lp.SolveFloat}} {
+		b.Run(arm.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, err := arm.solve(prob); err != nil {
+					b.Fatal(err)
+				}
 			}
-		}
-	})
-	b.Run("Float", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := lp.SolveInteger(prob, lp.IntOptions{Backend: lp.Float}); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
+		})
+	}
 }
 
 // BenchmarkAblation_JointVsSequential compares the joint per-view LP

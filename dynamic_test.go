@@ -5,6 +5,7 @@ import (
 
 	hydra "github.com/dsl-repro/hydra"
 	"github.com/dsl-repro/hydra/internal/engine"
+	"github.com/dsl-repro/hydra/internal/serve"
 	"github.com/dsl-repro/hydra/internal/tuplegen"
 	"github.com/dsl-repro/hydra/internal/workload/tpcds"
 )
@@ -153,6 +154,39 @@ func TestFKSpreadPreservesJoins(t *testing.T) {
 			if a1.JoinOut[i] != a2.JoinOut[i] {
 				t.Fatalf("%s join %d: plain %d != spread %d — spreading must be volumetrically neutral", q.Name, i, a1.JoinOut[i], a2.JoinOut[i])
 			}
+		}
+	}
+}
+
+// TestRegenerateIsAFunctionOfItsInput pins the input on which the summary
+// was seen to change between identical calls: TPC-DS WLc at 56 queries,
+// where the sequential solver's separator rows used to be emitted in map
+// order and two pivot paths led to two vertices.
+func TestRegenerateIsAFunctionOfItsInput(t *testing.T) {
+	cfg := tpcds.Config{SF: 0.2, Seed: 42}
+	s := tpcds.Schema(cfg)
+	db, err := tpcds.GenerateDB(s, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w, _, err := engine.WorkloadFromQueries(db, s, "WLc", tpcds.QueriesComplex(s, cfg, 56))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var first string
+	for call := 0; call < 12; call++ {
+		res, err := hydra.Regenerate(s, w, hydra.Config{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		d, err := serve.SummaryDigest(res.Summary)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if first == "" {
+			first = d
+		} else if d != first {
+			t.Fatalf("call %d: summary digest %s, first call %s", call, d, first)
 		}
 	}
 }

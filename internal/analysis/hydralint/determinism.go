@@ -8,10 +8,13 @@ import (
 )
 
 // Determinism enforces the paper's core guarantee at the source level:
-// regenerated data is a pure function of (summary digest, seed). In
-// the packages that produce those bytes (tuplegen span arithmetic,
-// pred canonical encoding, the matgen encoders) it forbids the three
-// ways nondeterminism usually sneaks in:
+// regenerated data is a pure function of (summary digest, seed), and
+// the summary a pure function of (schema, workload). In the packages
+// that produce those bytes (tuplegen span arithmetic, pred canonical
+// encoding, the matgen encoders) and in those that decide the summary
+// (partition, the core LP formulation, the lp solver, summary
+// construction) it forbids the three ways nondeterminism usually
+// sneaks in:
 //
 //   - wall-clock reads (time.Now / time.Since / time.Until),
 //   - math/rand (either version — all randomness on the generation
@@ -33,7 +36,7 @@ var Determinism = &analysis.Analyzer{
 	Run:  runDeterminism,
 }
 
-var determinismPkgs = "internal/tuplegen,internal/pred,internal/matgen"
+var determinismPkgs = "internal/tuplegen,internal/pred,internal/matgen,internal/core,internal/lp,internal/partition,internal/summary"
 
 func init() {
 	Determinism.Flags.StringVar(&determinismPkgs, "pkgs", determinismPkgs,

@@ -64,3 +64,26 @@ func join(m map[string]string) string {
 	}
 	return s
 }
+
+type problem struct{ rows [][]int }
+
+func (p *problem) addRow(vars []int) { p.rows = append(p.rows, vars) }
+
+// Row order is pivot order: rows appended to an LP while ranging over
+// a map give a different simplex path, and vertex, on every run.
+func separatorRows(p *problem, cells map[string][]int) {
+	for _, vars := range cells { // want `range over map has nondeterministic order`
+		p.addRow(vars)
+	}
+}
+
+func separatorRowsSorted(p *problem, cells map[string][]int) {
+	var keys []string
+	for k := range cells {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	for _, k := range keys {
+		p.addRow(cells[k])
+	}
+}

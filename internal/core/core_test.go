@@ -1,6 +1,8 @@
 package core
 
 import (
+	"fmt"
+	"slices"
 	"testing"
 
 	"github.com/dsl-repro/hydra/internal/cc"
@@ -388,3 +390,76 @@ func TestSolveStrictInfeasible(t *testing.T) {
 }
 
 var _ = lp.Auto // keep the import for option literals in future edits
+
+// chainView builds a view whose CCs decompose into the chain of sub-views
+// {A,B}, {B,C}, {C,D}, with both separators cut into several atoms, so each
+// sequential group LP carries a handful of separator rows. Counts are those
+// of the full 10×10×10×10 grid, hence consistent.
+func chainView(t *testing.T) *preprocess.View {
+	t.Helper()
+	cols := []string{"A", "B", "C", "D"}
+	tab := &schema.Table{Name: "G", RowCount: 10000}
+	for _, c := range cols {
+		tab.Cols = append(tab.Cols, schema.Column{Name: c, Min: 0, Max: 9})
+	}
+	s := schema.MustNew(tab)
+	w := &cc.Workload{CCs: []cc.CC{{Root: "G", Pred: pred.True(), Count: 10000, Name: "total"}}}
+	ranges := [][4]int64{{0, 1, 2, 4}, {3, 6, 0, 3}, {2, 8, 5, 6}, {7, 9, 3, 9}, {0, 5, 7, 8}, {4, 4, 1, 5}}
+	for pair := 0; pair < 3; pair++ {
+		for i, r := range ranges {
+			w.CCs = append(w.CCs, cc.CC{
+				Root:  "G",
+				Attrs: []schema.AttrRef{{Table: "G", Col: cols[pair]}, {Table: "G", Col: cols[pair+1]}},
+				Pred: pred.DNF{Terms: []pred.Conjunct{
+					pred.NewConjunct().With(0, pred.Range(r[0], r[1])).With(1, pred.Range(r[2], r[3])),
+				}},
+				Count: (r[1] - r[0] + 1) * (r[3] - r[2] + 1) * 100,
+				Name:  fmt.Sprintf("%s%s%d", cols[pair], cols[pair+1], i),
+			})
+		}
+	}
+	views, err := preprocess.BuildViews(s, w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return views["G"]
+}
+
+// The LP of a sequential group must not depend on map iteration order: the
+// pivot path, and with it the vertex, would differ from run to run.
+func TestSolveSequentialDeterministic(t *testing.T) {
+	var first *ViewSolution
+	for call := 0; call < 8; call++ {
+		f := Formulate(chainView(t))
+		if f.Stats.SubViews < 3 {
+			t.Fatalf("sub-views = %d, want the three-clique chain", f.Stats.SubViews)
+		}
+		sol, err := f.SolveSequential(Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if sol.Stats.SequentialFallback {
+			t.Fatal("fell back to the joint LP; the test no longer exercises group LPs")
+		}
+		if first == nil {
+			first = sol
+			continue
+		}
+		if sol.Stats.Pivots != first.Stats.Pivots || sol.Stats.Nodes != first.Stats.Nodes {
+			t.Fatalf("call %d: %d pivots / %d nodes, first call %d / %d",
+				call, sol.Stats.Pivots, sol.Stats.Nodes, first.Stats.Pivots, first.Stats.Nodes)
+		}
+		for si, sv := range sol.SubViews {
+			want := first.SubViews[si].Rows
+			if len(sv.Rows) != len(want) {
+				t.Fatalf("call %d: sub-view %d has %d populated regions, first call %d", call, si, len(sv.Rows), len(want))
+			}
+			for ri, r := range sv.Rows {
+				if r.Count != want[ri].Count || !slices.Equal(r.Rep, want[ri].Rep) {
+					t.Fatalf("call %d: sub-view %d region %d = %v×%d, first call %v×%d",
+						call, si, ri, r.Rep, r.Count, want[ri].Rep, want[ri].Count)
+				}
+			}
+		}
+	}
+}

@@ -9,6 +9,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 
@@ -105,9 +106,7 @@ type Formulation struct {
 	// index of the ViewCC it encodes, or -1 for marker constraints.
 	ccBits [][]int
 	// edges lists clique-tree edges as (child, parent) positions in
-	// preorder, with the shared attributes (separator); cellKeys[i][r] is
-	// region r of sub-view i's atom-cell key over each separator it
-	// participates in, keyed by separator signature.
+	// preorder, with the shared attributes (separator) and its atom cells.
 	edges []svEdge
 	atoms map[int][]pred.Interval
 	Stats ViewStats
@@ -117,6 +116,28 @@ type Formulation struct {
 type svEdge struct {
 	child, parent int
 	sep           []int
+	cells         []sepCell // in key order, so every LP built from them is too
+}
+
+// sepCell is one atom cell of an edge's separator: the regions (indices
+// local to their sub-view) of the child and of the parent that fall in it.
+// Consistency means the two sides carry equal mass.
+type sepCell struct {
+	key           string
+	child, parent []int
+}
+
+// balance is the cell's child mass minus its parent mass as row entries,
+// given the variable id of each side's first region.
+func (c sepCell) balance(childBase, parentBase int) []lp.Entry {
+	entries := make([]lp.Entry, 0, len(c.child)+len(c.parent))
+	for _, ri := range c.child {
+		entries = append(entries, lp.Entry{Var: childBase + ri, Coef: 1})
+	}
+	for _, ri := range c.parent {
+		entries = append(entries, lp.Entry{Var: parentBase + ri, Coef: -1})
+	}
+	return entries
 }
 
 // Strategy partitions one sub-view's domain into labeled regions. Hydra
@@ -320,31 +341,11 @@ func FormulateWith(v *preprocess.View, strat Strategy) (*Formulation, error) {
 		if len(sep) == 0 {
 			continue
 		}
-		f.edges = append(f.edges, svEdge{child: childPos, parent: parentPos, sep: sep})
-		childCells := cellGroups(f, childPos, sep, atoms)
-		parentCells := cellGroups(f, parentPos, sep, atoms)
-		keys := map[string]bool{}
-		for k := range childCells {
-			keys[k] = true
-		}
-		for k := range parentCells {
-			keys[k] = true
-		}
-		sorted := make([]string, 0, len(keys))
-		for k := range keys {
-			sorted = append(sorted, k)
-		}
-		sort.Strings(sorted)
-		for _, k := range sorted {
-			var entries []lp.Entry
-			for _, vr := range childCells[k] {
-				entries = append(entries, lp.Entry{Var: vr, Coef: 1})
-			}
-			for _, vr := range parentCells[k] {
-				entries = append(entries, lp.Entry{Var: vr, Coef: -1})
-			}
-			f.Problem.AddRow(lp.Row{Entries: entries, Rel: lp.EQ, RHS: 0,
-				Name: fmt.Sprintf("cons@sv%d~sv%d:%x", childPos, parentPos, k)})
+		e := svEdge{child: childPos, parent: parentPos, sep: sep, cells: f.sepCells(childPos, parentPos, sep)}
+		f.edges = append(f.edges, e)
+		for _, c := range e.cells {
+			f.Problem.AddRow(lp.Row{Entries: c.balance(f.varBase[childPos], f.varBase[parentPos]), Rel: lp.EQ, RHS: 0,
+				Name: fmt.Sprintf("cons@sv%d~sv%d:%x", childPos, parentPos, c.key)})
 			f.Stats.ConsistencyRows++
 		}
 	}
@@ -352,24 +353,38 @@ func FormulateWith(v *preprocess.View, strat Strategy) (*Formulation, error) {
 	return f, nil
 }
 
-// cellGroups buckets sub-view si's variables by their atom-cell key over
-// the separator dims (view-attr ids).
-func cellGroups(f *Formulation, si int, sep []int, atoms map[int][]pred.Interval) map[string][]int {
-	cl := f.cliques[si]
-	local := make(map[int]int, len(cl))
-	for i, a := range cl {
-		local[a] = i
+// sepCells buckets both ends of a clique-tree edge by atom cell over sep.
+func (f *Formulation) sepCells(child, parent int, sep []int) []sepCell {
+	childCells, parentCells := f.cellGroups(child, sep), f.cellGroups(parent, sep)
+	keys := make([]string, 0, len(childCells)+len(parentCells))
+	for k := range childCells {
+		keys = append(keys, k)
 	}
+	for k := range parentCells {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	keys = slices.Compact(keys)
+	cells := make([]sepCell, len(keys))
+	for i, k := range keys {
+		cells[i] = sepCell{key: k, child: childCells[k], parent: parentCells[k]}
+	}
+	return cells
+}
+
+// cellGroups buckets sub-view si's regions (local indices) by their
+// atom-cell key over the separator dims (view-attr ids).
+func (f *Formulation) cellGroups(si int, sep []int) map[string][]int {
+	local := localIndex(f.cliques[si])
 	out := map[string][]int{}
 	for ri, r := range f.regions[si] {
 		rep := r.Rep()
 		key := make([]byte, 0, len(sep)*4)
 		for _, a := range sep {
-			v := rep[local[a]]
-			ai := atomIndex(atoms[a], v)
+			ai := atomIndex(f.atoms[a], rep[local[a]])
 			key = append(key, byte(ai), byte(ai>>8), byte(ai>>16), byte(ai>>24))
 		}
-		out[string(key)] = append(out[string(key)], f.varBase[si]+ri)
+		out[string(key)] = append(out[string(key)], ri)
 	}
 	return out
 }
@@ -509,17 +524,25 @@ func regionFloor(cliques [][]int, occur []int, atoms map[int][]pred.Interval) in
 	return total
 }
 
+// stopwatch starts timing and returns the reader of the elapsed time.
+//
+//hydra:nondeterministic feeds Stats.SolveTime and HYDRA_TRACE lines only; no count is computed from it
+func stopwatch() func() time.Duration {
+	start := time.Now()
+	return func() time.Duration { return time.Since(start) }
+}
+
 // Solve runs the integer solver over the formulation and extracts the
 // per-sub-view solutions. On infeasible or budget-exhausted systems it
 // falls back to the L1-minimal soft solution (unless disabled), recording
 // the residual so validation reports it as CC error rather than failure.
 func (f *Formulation) Solve(opts Options) (*ViewSolution, error) {
-	start := time.Now()
+	elapsed := stopwatch()
 	x, err := f.solveVector(opts)
 	if err != nil {
 		return nil, err
 	}
-	f.Stats.SolveTime = time.Since(start)
+	f.Stats.SolveTime = elapsed()
 
 	vs := &ViewSolution{View: f.View, Stats: f.Stats}
 	for si, cl := range f.cliques {

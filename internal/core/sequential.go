@@ -26,10 +26,10 @@ var traceSequential = os.Getenv("HYDRA_TRACE") != ""
 // stay tiny and wide fact views solve in milliseconds instead of minutes.
 // The trade-off is measured by BenchmarkAblation_JointVsSequential.
 func (f *Formulation) SolveSequential(opts Options) (*ViewSolution, error) {
-	start := time.Now()
+	elapsed := stopwatch()
 	n := len(f.cliques)
 	if n == 0 {
-		f.Stats.SolveTime = time.Since(start)
+		f.Stats.SolveTime = elapsed()
 		return &ViewSolution{View: f.View, Stats: f.Stats}, nil
 	}
 
@@ -86,7 +86,7 @@ func (f *Formulation) SolveSequential(opts Options) (*ViewSolution, error) {
 			if !ok {
 				continue
 			}
-			gStart := time.Now()
+			gElapsed := stopwatch()
 			sol, err := f.solveGroup(ms, parentEdge, counts, opts)
 			if traceSequential {
 				nv := 0
@@ -100,7 +100,7 @@ func (f *Formulation) SolveSequential(opts Options) (*ViewSolution, error) {
 					status = "inexact"
 				}
 				fmt.Fprintf(os.Stderr, "[hydra-trace] view=%s pass=%d group=%d members=%d vars=%d %s in %v\n",
-					f.View.Table.Name, pass, root, len(ms), nv, status, time.Since(gStart).Round(time.Millisecond))
+					f.View.Table.Name, pass, root, len(ms), nv, status, gElapsed().Round(time.Millisecond))
 			}
 			if err != nil || !sol.Exact {
 				failedAt = root
@@ -135,7 +135,7 @@ func (f *Formulation) SolveSequential(opts Options) (*ViewSolution, error) {
 		f.Stats.SequentialMerges++
 	}
 
-	f.Stats.SolveTime = time.Since(start)
+	f.Stats.SolveTime = elapsed()
 	f.Stats.Nodes = nodesTotal
 	f.Stats.Pivots = pivotsTotal
 	vs := &ViewSolution{View: f.View, Stats: f.Stats}
@@ -192,47 +192,21 @@ func (f *Formulation) solveGroup(ms []int, parentEdge map[int]svEdge, counts [][
 		if !ok {
 			continue
 		}
-		childCells := localCellGroups(f, m, e.sep)
-		if inGroup[e.parent] {
-			// Internal edge: equate marginals between the two members.
-			parentCells := localCellGroups(f, e.parent, e.sep)
-			keys := map[string]bool{}
-			for k := range childCells {
-				keys[k] = true
-			}
-			for k := range parentCells {
-				keys[k] = true
-			}
-			for k := range keys {
-				var entries []lp.Entry
-				for _, ri := range childCells[k] {
-					entries = append(entries, lp.Entry{Var: base[m] + ri, Coef: 1})
-				}
-				for _, ri := range parentCells[k] {
-					entries = append(entries, lp.Entry{Var: base[e.parent] + ri, Coef: -1})
-				}
-				prob.AddRow(lp.Row{Entries: entries, Rel: lp.EQ, RHS: 0, Name: fmt.Sprintf("cons@sv%d~sv%d", m, e.parent)})
-			}
-		} else {
-			// External edge: the parent is solved; pin the marginals.
-			parentCells := localCellGroups(f, e.parent, e.sep)
-			keys := map[string]bool{}
-			for k := range childCells {
-				keys[k] = true
-			}
-			for k := range parentCells {
-				keys[k] = true
-			}
-			for k := range keys {
+		for _, c := range e.cells {
+			if inGroup[e.parent] {
+				// Internal edge: equate marginals between the two members.
+				prob.AddRow(lp.Row{Entries: c.balance(base[m], base[e.parent]), Rel: lp.EQ, RHS: 0, Name: fmt.Sprintf("cons@sv%d~sv%d", m, e.parent)})
+			} else {
+				// External edge: the parent is solved; pin the marginals.
 				var msum int64
-				for _, ri := range parentCells[k] {
+				for _, ri := range c.parent {
 					msum += counts[e.parent][ri]
 				}
-				vars := make([]int, len(childCells[k]))
-				for i, ri := range childCells[k] {
+				vars := make([]int, len(c.child))
+				for i, ri := range c.child {
 					vars[i] = base[m] + ri
 				}
-				prob.AddEq(vars, msum, fmt.Sprintf("sep@sv%d:%x", m, k))
+				prob.AddEq(vars, msum, fmt.Sprintf("sep@sv%d:%x", m, c.key))
 			}
 		}
 	}
@@ -249,24 +223,6 @@ func (f *Formulation) solveGroup(ms []int, parentEdge map[int]svEdge, counts [][
 		maxNodes = 256
 	}
 	return lp.SolveInteger(prob, lp.IntOptions{Backend: opts.Backend, MaxNodes: maxNodes})
-}
-
-// localCellGroups buckets sub-view si's regions (local indices) by their
-// atom-cell key over the separator dims.
-func localCellGroups(f *Formulation, si int, sep []int) map[string][]int {
-	cl := f.cliques[si]
-	local := localIndex(cl)
-	out := map[string][]int{}
-	for ri, r := range f.regions[si] {
-		rep := r.Rep()
-		key := make([]byte, 0, len(sep)*4)
-		for _, a := range sep {
-			ai := atomIndex(f.atoms[a], rep[local[a]])
-			key = append(key, byte(ai), byte(ai>>8), byte(ai>>16), byte(ai>>24))
-		}
-		out[string(key)] = append(out[string(key)], ri)
-	}
-	return out
 }
 
 func localIndex(clique []int) map[int]int {

@@ -15,18 +15,22 @@ const (
 	// escalating Float results to Rational whenever exact verification
 	// fails.
 	Auto Backend = iota
-	// Rational forces exact big.Rat simplex.
+	// Rational forces the exact simplex (SolveRational).
 	Rational
 	// Float forces float64 simplex (still exactly verified on output).
 	Float
 )
 
 // autoRatCells is the tableau-size threshold (rows × columns) below which
-// Auto uses the exact rational backend directly. big.Rat pivots are three
-// to four orders of magnitude slower than float64 ones and entry bit-widths
-// grow during elimination, so exact arithmetic is reserved for genuinely
-// small systems; larger ones run in float64 and every integer answer is
-// re-verified exactly before acceptance.
+// Auto uses the exact rational backend directly. On a Hydra-shaped 0/1
+// system (BenchmarkAblation_RationalVsFloat) an exact solve on word-sized
+// rationals costs about 1.6× a float64 one, and about 27× if it has to fall
+// back to math/big; where vertices are fractional and every entry carries a
+// denominator (BenchmarkSolveExact) the word path is still about 5× faster
+// than math/big. The threshold predates the word path and is kept because
+// moving it changes which backend solves which LP, and with that the
+// vertices and every summary digest; larger systems run in float64 and
+// every integer answer is re-verified exactly before acceptance.
 const autoRatCells = 20_000
 
 // IntOptions configures SolveInteger.
@@ -175,7 +179,7 @@ func SolveInteger(p *Problem, opts IntOptions) (*IntSolution, error) {
 				// Float noise produced a near-integral vertex that does
 				// not verify: escalate this subproblem to exact
 				// arithmetic, but only when the tableau is small enough
-				// for big.Rat pivoting to stay cheap.
+				// for exact pivoting to stay cheap.
 				rsol, rerr := SolveRational(sub)
 				if rerr == nil {
 					pivots += rsol.Pivots

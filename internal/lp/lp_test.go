@@ -316,14 +316,6 @@ func TestStats(t *testing.T) {
 	}
 }
 
-func BenchmarkSolveRationalSmall(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := SolveRational(paperPerson()); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 func BenchmarkSolveIntegerMedium(b *testing.B) {
 	rng := rand.New(rand.NewSource(7))
 	p, _ := randomFeasible(rng, 120, 14)

@@ -3,9 +3,10 @@
 // feasibility oracle for systems of linear cardinality equations over
 // non-negative variables; this package provides exactly that:
 //
-//   - a dense simplex solver over exact rational arithmetic (math/big.Rat),
-//     Phase I feasibility + Phase II optimization, with Dantzig pricing and
-//     a Bland's-rule anti-cycling fallback;
+//   - a dense simplex solver over exact rational arithmetic, Phase I
+//     feasibility + Phase II optimization, with Dantzig pricing and a
+//     Bland's-rule anti-cycling fallback; it runs on word-sized rationals
+//     and restarts a solve on math/big.Rat if an intermediate overflows;
 //   - a float64 twin for large instances where exactness is not required;
 //   - a branch-and-bound layer that produces non-negative *integer*
 //     solutions (SolveInteger), the form every Hydra LP needs;

@@ -6,7 +6,7 @@ import (
 	"math/big"
 )
 
-// floatTableau mirrors ratTableau over float64 arithmetic. It trades
+// floatTableau mirrors exactTableau over float64 arithmetic. It trades
 // exactness for speed on large instances; every integer answer produced
 // through it is re-verified exactly by Problem.CheckInt before Hydra
 // accepts it.

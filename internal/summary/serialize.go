@@ -44,6 +44,8 @@ func (s *Summary) WriteTo(w io.Writer) (int64, error) {
 }
 
 // Read deserializes a summary written by WriteTo.
+//
+//hydra:nondeterministic validation only: when several relations are corrupt, map order picks which one the error names
 func Read(r io.Reader) (*Summary, error) {
 	var doc summaryJSON
 	dec := json.NewDecoder(bufio.NewReader(r))

@@ -20,6 +20,7 @@ package summary
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 	"sort"
 
 	"github.com/dsl-repro/hydra/internal/core"
@@ -130,6 +131,8 @@ func (vs *ViewSummary) append(r ViewRow) {
 
 // Build runs tasks (1)–(4) over the solved views. sols and views are keyed
 // by table name; every table in the schema must have a view solution.
+//
+//hydra:nondeterministic views are summarized independently into maps keyed by name; order picks only which failing view an error names
 func Build(s *schema.Schema, views map[string]*preprocess.View, sols map[string]*core.ViewSolution) (*Summary, error) {
 	vsums := make(map[string]*ViewSummary, len(sols))
 	stats := make(map[string]core.ViewStats, len(sols))
@@ -290,16 +293,15 @@ func buildViewSummary(v *preprocess.View, sol *core.ViewSolution) (*ViewSummary,
 			gk := key(r.vals, sharedSv)
 			groupsB[gk] = append(groupsB[gk], i)
 		}
-		keys := make([]string, 0, len(groupsA))
+		keys := make([]string, 0, len(groupsA)+len(groupsB))
 		for k := range groupsA {
 			keys = append(keys, k)
 		}
 		for k := range groupsB {
-			if _, ok := groupsA[k]; !ok {
-				keys = append(keys, k)
-			}
+			keys = append(keys, k)
 		}
 		sort.Strings(keys)
+		keys = slices.Compact(keys)
 
 		// Row splitting (§5.1.2 step 2) + position-based merge (§5.1.3):
 		// within each shared-value group, split rows so counts pair up,
@@ -441,6 +443,8 @@ func buildViewSummary(v *preprocess.View, sol *core.ViewSolution) (*ViewSummary,
 // SizeBytes estimates the serialized footprint of the summary — the
 // paper's "minuscule summary" claim (independent of data scale) is checked
 // against this in the experiments.
+//
+//hydra:nondeterministic integer sum over the relations; addition commutes
 func (s *Summary) SizeBytes() int64 {
 	var n int64
 	for _, rs := range s.Relations {
@@ -454,6 +458,8 @@ func (s *Summary) SizeBytes() int64 {
 
 // NumRows returns the total row count across relation summaries (summary
 // rows, not data tuples).
+//
+//hydra:nondeterministic integer sum over the relations; addition commutes
 func (s *Summary) NumRows() int {
 	n := 0
 	for _, rs := range s.Relations {
