@@ -21,8 +21,8 @@ type Policy struct {
 	Base time.Duration
 	// Max caps the backoff growth.
 	Max time.Duration
-	// MaxAttempts bounds total tries, the first attempt included
-	// (<= 1 means no retries).
+	// MaxAttempts bounds tries, the first included (<= 1 means no
+	// retries); under Do it bounds failures, busy waits being extra.
 	MaxAttempts int
 	// Budget, when set, must admit every retry; an exhausted budget
 	// fails the request immediately instead of sleeping out a backoff

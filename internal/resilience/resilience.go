@@ -2,16 +2,16 @@
 // implementation of "talk to a fleet of hydra serve members and keep
 // working while some of them misbehave" that every remote consumer —
 // scan.RemoteSource, serve.RemoteRunner, the remote:// sqldriver DSN —
-// builds on, replacing their previously divergent rotation loops.
-//
-// Three cooperating pieces:
+// builds on, replacing their previously divergent rotation loops: every
+// request any of them makes is one Tracker.Do call, which owns the pick
+// → attempt → classify → backoff loop over three cooperating pieces.
 //
 //   - Tracker: per-member state (healthy / draining / open-breaker) kept
 //     current by background GET /healthz probes, plus EWMAs of observed
 //     stream latency and rows/s fed by the consumers — the signals a
-//     throughput-weighted scheduler reads. Pick returns the next usable
-//     member in round-robin order, skipping draining members and members
-//     whose breaker is open.
+//     throughput-weighted scheduler reads. Do picks the next usable
+//     member in round-robin order, skipping draining members, members
+//     whose breaker is open, and members the call already failed on.
 //   - Breaker: a per-member circuit breaker. Consecutive failures open
 //     it; after a cooldown one probe (a health probe or one admitted
 //     request) re-closes it on success or re-opens it on failure.
@@ -74,10 +74,6 @@ type Options struct {
 	RetryBase time.Duration
 	// RetryMax caps the backoff growth (0 = DefaultRetryMax).
 	RetryMax time.Duration
-	// MaxAttempts bounds total tries per request, first attempt
-	// included. 0 lets each consumer pick its own default (typically
-	// scaled to fleet size).
-	MaxAttempts int
 	// RetryBudget is the sustained retries-per-request ratio the shared
 	// budget allows (0 = DefaultRetryBudget; negative = unlimited
 	// retries, no budget). The budget is what turns "every client
@@ -114,20 +110,6 @@ func (o Options) withDefaults() Options {
 		o.Registry = obs.Default
 	}
 	return o
-}
-
-// Policy builds the retry policy these options describe, sharing budget
-// with every other request through the same tracker. layer labels the
-// retry metrics ("scan", "runner", "orchestrate").
-func (o Options) policy(layer string, budget *Budget) Policy {
-	o = o.withDefaults()
-	return Policy{
-		Base:        o.RetryBase,
-		Max:         o.RetryMax,
-		MaxAttempts: o.MaxAttempts,
-		Budget:      budget,
-		m:           policyMetrics(o.Registry, layer),
-	}
 }
 
 // newBudget builds the shared retry budget the options describe (nil

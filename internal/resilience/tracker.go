@@ -4,7 +4,10 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"net/http"
+	"net/url"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -12,7 +15,7 @@ import (
 	"github.com/dsl-repro/hydra/internal/obs"
 )
 
-// ErrNoMembers is returned (wrapped) by consumers when Pick finds no
+// ErrNoMembers is returned (wrapped) by Do when its picks found no
 // usable fleet member: every breaker is open and still cooling down.
 // Failing fast here — instead of dialing members known to be down — is
 // the breaker's whole point during a fleet-wide outage.
@@ -79,9 +82,6 @@ func (m *Member) State() MemberState {
 
 // Draining reports whether the member's last probe said "draining".
 func (m *Member) Draining() bool { return m.draining.Load() }
-
-// Breaker exposes the member's breaker for outcome reporting.
-func (m *Member) Breaker() *Breaker { return m.breaker }
 
 // ReportSuccess records a request that worked: it closes the breaker
 // and, when the consumer measured them, feeds the latency (time to
@@ -172,8 +172,56 @@ type Tracker struct {
 	done   chan struct{}
 }
 
-// NewTracker builds a tracker over the fleet's base URLs (already
-// validated by the consumer). Probing does not start until Start.
+// Fleet is the part of a fleet client every consumer shares; embedding
+// it gives the consumer Servers, Tracker and Close over one started
+// tracker.
+type Fleet struct{ t *Tracker }
+
+// Connect validates and normalizes the fleet's base URLs
+// (e.g. "http://10.0.0.7:8372"), builds their tracker and starts its
+// probes.
+func Connect(servers []string, opts Options) (Fleet, error) {
+	if len(servers) == 0 {
+		return Fleet{}, errors.New("resilience: a fleet needs at least one server URL")
+	}
+	clean := make([]string, len(servers))
+	for i, raw := range servers {
+		u, err := url.Parse(strings.TrimSpace(raw))
+		if err == nil && ((u.Scheme != "http" && u.Scheme != "https") || u.Host == "") {
+			err = errors.New("want http(s)://host[:port]")
+		}
+		if err != nil {
+			return Fleet{}, fmt.Errorf("resilience: server URL %q: %w", raw, err)
+		}
+		clean[i] = strings.TrimRight(u.String(), "/")
+	}
+	t := NewTracker(clean, opts)
+	t.Start()
+	return Fleet{t}, nil
+}
+
+// Servers returns the fleet's base URLs.
+func (f Fleet) Servers() []string {
+	urls := make([]string, len(f.t.members))
+	for i, m := range f.t.members {
+		urls[i] = m.URL
+	}
+	return urls
+}
+
+// Tracker exposes the fleet tracker (member states, EWMAs) for
+// consumers that schedule over it.
+func (f Fleet) Tracker() *Tracker { return f.t }
+
+// Close stops the background health probes. The consumer stays usable
+// afterwards; member state then moves only on request outcomes.
+func (f Fleet) Close() error {
+	f.t.Close()
+	return nil
+}
+
+// NewTracker builds a tracker over the fleet's base URLs, taken as
+// given (Connect validates them). Probing does not start until Start.
 func NewTracker(urls []string, opts Options) *Tracker {
 	opts = opts.withDefaults()
 	t := &Tracker{
@@ -211,15 +259,17 @@ func NewTracker(urls []string, opts Options) *Tracker {
 	return t
 }
 
-// Policy returns the retry policy for one consumer layer, wired to the
-// tracker's shared budget; maxAttempts overrides the options' cap when
-// the options leave it zero.
-func (t *Tracker) Policy(layer string, maxAttempts int) Policy {
-	p := t.opts.policy(layer, t.budget)
-	if p.MaxAttempts == 0 {
-		p.MaxAttempts = maxAttempts
+// Policy returns the retry policy for one consumer layer ("scan",
+// "runner"), wired to the tracker's shared budget; attempts is the
+// consumer's cap on failures per call (Policy.MaxAttempts).
+func (t *Tracker) Policy(layer string, attempts int) Policy {
+	return Policy{
+		Base:        t.opts.RetryBase,
+		Max:         t.opts.RetryMax,
+		MaxAttempts: attempts,
+		Budget:      t.budget,
+		m:           policyMetrics(t.opts.Registry, layer),
 	}
-	return p
 }
 
 // Members returns the tracked members in fleet order.
@@ -231,35 +281,46 @@ func (t *Tracker) Size() int { return len(t.members) }
 // Pick returns the next usable member in round-robin order: healthy
 // members first, then — only when no healthy member's breaker admits —
 // draining members (they answer new streams with 503 + Retry-After,
-// which the caller already honors, so they are a safe last resort).
-// nil means every member's breaker refused: fail fast, the fleet is
-// down and the probes will notice recovery.
-func (t *Tracker) Pick() *Member {
+// which Do already honors, so they are a safe last resort). nil means
+// every member's breaker refused: fail fast, the fleet is down and the
+// probes will notice recovery.
+func (t *Tracker) Pick() *Member { return t.pick(nil) }
+
+// pick is Pick for one Do call: members in tried — those the call
+// already got an error from — are passed over while any other admits.
+// When none does the call starts a new lap (tried is cleared), which is
+// what lets a one-member busy fleet wait and try again.
+func (t *Tracker) pick(tried map[*Member]bool) *Member {
 	n := len(t.members)
-	if n == 0 {
-		return nil
-	}
 	start := int(t.next.Add(1) - 1)
-	var fallback *Member
-	for i := 0; i < n; i++ {
-		m := t.members[(start+i)%n]
-		if m.Draining() {
-			if fallback == nil && m.breaker.State() == BreakerClosed {
-				fallback = m
+	for {
+		var fallback *Member
+		for i := 0; i < n; i++ {
+			m := t.members[(start+i)%n]
+			if tried[m] {
+				continue
 			}
-			continue
+			if m.Draining() {
+				if fallback == nil && m.breaker.State() == BreakerClosed {
+					fallback = m
+				}
+				continue
+			}
+			if m.breaker.Allow() {
+				return m
+			}
 		}
-		if m.breaker.Allow() {
-			return m
+		// No healthy member admitted; try draining members' breakers for
+		// real (consuming half-open slots only now, not during pass 1).
+		if fallback != nil && fallback.breaker.Allow() {
+			return fallback
 		}
+		if len(tried) == 0 {
+			t.m.pickNone.Inc()
+			return nil
+		}
+		clear(tried)
 	}
-	// No healthy member admitted; try draining members' breakers for
-	// real (consuming half-open slots only now, not during pass 1).
-	if fallback != nil && fallback.breaker.Allow() {
-		return fallback
-	}
-	t.m.pickNone.Inc()
-	return nil
 }
 
 // Start launches the background probe loop (a no-op when probing is

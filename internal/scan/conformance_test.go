@@ -12,6 +12,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -20,6 +21,7 @@ import (
 	"github.com/dsl-repro/hydra/internal/scan"
 	"github.com/dsl-repro/hydra/internal/serve"
 	"github.com/dsl-repro/hydra/internal/summary"
+	"github.com/dsl-repro/hydra/internal/trace"
 )
 
 func testSummary() *summary.Summary {
@@ -202,12 +204,14 @@ func specName(s scan.Spec) string {
 	return strings.Join(parts, ",")
 }
 
-// truncatingHandler kills every Nth stream after a byte budget, forcing
-// RemoteSource to resume mid-table on the next fleet member.
+// truncatingHandler kills every other data request after a byte budget,
+// forcing RemoteSource to resume mid-table on the next fleet member.
+// Handlers run concurrently (the tracker's /healthz probes race the data
+// requests), so the count is atomic and probes are not counted.
 type truncatingHandler struct {
 	inner http.Handler
 	limit int64
-	n     int
+	n     atomic.Int64
 }
 
 type truncWriter struct {
@@ -229,8 +233,7 @@ func (w *truncWriter) Write(p []byte) (int, error) {
 }
 
 func (h *truncatingHandler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	h.n++
-	if h.n%2 == 1 && !strings.Contains(r.URL.RawQuery, "info=1") {
+	if r.URL.Path != "/healthz" && h.n.Add(1)%2 == 1 && !strings.Contains(r.URL.RawQuery, "info=1") {
 		left := h.limit
 		h.inner.ServeHTTP(&truncWriter{ResponseWriter: w, left: &left}, r)
 		return
@@ -356,6 +359,63 @@ func TestRemoteFleetExhausted(t *testing.T) {
 	if _, err := remote.Scan(context.Background(), scan.Spec{Table: "S"}); err == nil ||
 		!strings.Contains(err.Error(), "exhausted") {
 		t.Fatalf("err = %v, want fleet exhausted", err)
+	}
+}
+
+// TestRemoteMetadataBusyWait: a 503 answering a metadata call is the
+// capacity pushback it is on every other fleet call — its Retry-After
+// (0 here, clamped up to 100ms) floors the backoff, it does not consume
+// Attempts, and the trace records it as "busy", not as a "failover".
+func TestRemoteMetadataBusyWait(t *testing.T) {
+	srv, err := serve.NewServer(testSummary(), serve.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var hits atomic.Int64
+	busyOnce := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path != "/healthz" && hits.Add(1) == 1 {
+			w.Header().Set("Retry-After", "0")
+			http.Error(w, "at capacity", http.StatusServiceUnavailable)
+			return
+		}
+		srv.ServeHTTP(w, r)
+	}))
+	defer busyOnce.Close()
+	remote, err := scan.NewRemoteSource([]string{busyOnce.URL}, scan.RemoteOptions{Attempts: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer remote.Close()
+
+	ctx, root := trace.Start(context.Background(), "test.metadata-busy")
+	id := root.TraceID()
+	start := time.Now()
+	sc, err := remote.Scan(ctx, scan.Spec{Table: "S"}) // geometry only: streams open on Next
+	if err != nil {
+		t.Fatalf("a busy member cost the call its one attempt: %v", err)
+	}
+	sc.Close()
+	if waited := time.Since(start); waited < 100*time.Millisecond {
+		t.Fatalf("metadata call returned in %v; the Retry-After floor was not honored", waited)
+	}
+	if got := hits.Load(); got != 2 {
+		t.Fatalf("member hit %d times, want 2 (1 busy + 1 success)", got)
+	}
+	root.End()
+
+	events := map[string]int{}
+	for _, tr := range trace.Default.Traces() {
+		if tr.TraceID != id {
+			continue
+		}
+		for _, rec := range tr.Spans {
+			for _, ev := range rec.Events {
+				events[ev.Name]++
+			}
+		}
+	}
+	if events["busy"] != 1 || events["failover"] != 0 {
+		t.Fatalf("trace events = %v, want one busy and no failover", events)
 	}
 }
 

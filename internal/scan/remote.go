@@ -38,10 +38,10 @@ type RemoteOptions struct {
 	// (scans legitimately stream long; cancellation comes from the scan
 	// context).
 	Client *http.Client
-	// Attempts bounds consecutive failures — failed connections, error
-	// statuses, or streams that died without delivering a row — before a
-	// scan gives up; progress resets the count. 0 means twice the fleet
-	// size.
+	// Attempts bounds the failures — failed connections, error statuses
+	// other than 503 — one fleet call takes before it gives up, and how
+	// many streams in a row may die without delivering a row before the
+	// scan does. 0 means twice the fleet size.
 	Attempts int
 	// Fleet tunes the resilience substrate under the source: background
 	// /healthz probing, per-member circuit breakers, jittered retry
@@ -62,11 +62,10 @@ type RemoteOptions struct {
 // checking the member serves the same summary digest, so a mixed fleet
 // can never splice two different databases into one scan.
 type RemoteSource struct {
-	servers []string
-	opts    RemoteOptions
-	tracker *resilience.Tracker
-	policy  resilience.Policy
-	m       *backendMetrics
+	resilience.Fleet
+	opts   RemoteOptions
+	policy resilience.Policy
+	m      *backendMetrics
 }
 
 var _ Source = (*RemoteSource)(nil)
@@ -74,19 +73,9 @@ var _ Source = (*RemoteSource)(nil)
 // NewRemoteSource builds a source over the fleet's base URLs
 // (e.g. "http://10.0.0.7:8372").
 func NewRemoteSource(servers []string, opts RemoteOptions) (*RemoteSource, error) {
-	if len(servers) == 0 {
-		return nil, errors.New("scan: remote source needs at least one server URL")
-	}
-	clean := make([]string, len(servers))
-	for i, raw := range servers {
-		u, err := url.Parse(strings.TrimSpace(raw))
-		if err != nil {
-			return nil, fmt.Errorf("scan: server URL %q: %w", raw, err)
-		}
-		if (u.Scheme != "http" && u.Scheme != "https") || u.Host == "" {
-			return nil, fmt.Errorf("scan: server URL %q: want http(s)://host[:port]", raw)
-		}
-		clean[i] = strings.TrimRight(u.String(), "/")
+	fleet, err := resilience.Connect(servers, opts.Fleet)
+	if err != nil {
+		return nil, err
 	}
 	if opts.Client == nil {
 		opts.Client = &http.Client{}
@@ -94,22 +83,13 @@ func NewRemoteSource(servers []string, opts RemoteOptions) (*RemoteSource, error
 	if opts.Attempts <= 0 {
 		opts.Attempts = 2 * len(servers)
 	}
-	tracker := resilience.NewTracker(clean, opts.Fleet)
-	tracker.Start()
 	return &RemoteSource{
-		servers: clean,
-		opts:    opts,
-		tracker: tracker,
-		policy:  tracker.Policy("scan", opts.Attempts),
-		m:       metricsForBackend("remote"),
+		Fleet:  fleet,
+		opts:   opts,
+		policy: fleet.Tracker().Policy("scan", opts.Attempts),
+		m:      metricsForBackend("remote"),
 	}, nil
 }
-
-// Servers returns the fleet's base URLs.
-func (s *RemoteSource) Servers() []string { return append([]string(nil), s.servers...) }
-
-// errorBodyLimit bounds how much of an error response is read back.
-const errorBodyLimit = 4 << 10
 
 // headerDigest is serve's summary-identity header (serve.HeaderDigest;
 // not imported so a future serve-on-scan layering stays cycle-free).
@@ -118,48 +98,15 @@ const headerDigest = "X-Hydra-Summary-Digest"
 // headerFilter is serve's applied-filter echo header (serve.HeaderFilter).
 const headerFilter = "X-Hydra-Filter"
 
-// getJSON fetches one JSON document with fleet failover, returning the
+// getJSON fetches one JSON document through the fleet, returning the
 // answering server's summary digest header (empty on servers that
-// predate it). Member selection, backoff jitter, and the shared retry
-// budget come from the resilience substrate.
-func (s *RemoteSource) getJSON(ctx context.Context, path string, v any) (string, error) {
-	var lastErr error
-	a := s.policy.Begin()
-	sp := trace.FromContext(ctx)
-	for i := 0; ; i++ {
-		if i > 0 {
-			if i >= s.opts.Attempts || !a.Next(ctx, 0) {
-				break
-			}
-		}
-		m := s.tracker.Pick()
-		if m == nil {
-			// Every breaker is open: fail fast for this attempt; the
-			// jittered backoff before the next one gives a cooldown a
-			// chance to admit a half-open probe.
-			lastErr = resilience.ErrNoMembers
-			sp.Event("no-member", trace.Str("path", path))
-			continue
-		}
-		digest, err := s.getJSONOn(ctx, m, path, v)
-		if err == nil {
-			return digest, nil
-		}
-		// Client mistakes (bad table, bad spec) are the same on every
-		// server; failing over would just repeat them.
-		if errors.Is(err, ErrSpec) || ctx.Err() != nil {
-			return "", fmt.Errorf("%s: %w", m.URL, err)
-		}
-		lastErr = fmt.Errorf("%s: %w", m.URL, err)
-		sp.Event("failover", trace.Str("member", m.URL), trace.Str("error", err.Error()))
-		// 503 is capacity (or drain) signaling from a healthy member,
-		// not a failure; everything else counts against its breaker.
-		var busy *busyError
-		if !errors.As(err, &busy) {
-			m.ReportFailure()
-		}
-	}
-	return "", fmt.Errorf("scan: fleet exhausted after %d attempts, last: %w", s.opts.Attempts, lastErr)
+// predate it).
+func (s *RemoteSource) getJSON(ctx context.Context, path string, v any) (digest string, err error) {
+	err = s.Tracker().Do(ctx, s.policy, func(ctx context.Context, m *resilience.Member) (err error) {
+		digest, err = s.getJSONOn(ctx, m, path, v)
+		return err
+	})
+	return digest, err
 }
 
 // getJSONOn performs one metadata request against one member. Under a
@@ -176,30 +123,29 @@ func (s *RemoteSource) getJSONOn(ctx context.Context, m *resilience.Member, path
 	if tp := asp.Traceparent(); tp != "" {
 		req.Header.Set(trace.Header, tp)
 	}
-	t0 := time.Now()
 	resp, err := s.opts.Client.Do(req)
 	if err != nil {
 		return "", err
 	}
+	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
-		msg, _ := io.ReadAll(io.LimitReader(resp.Body, errorBodyLimit))
-		resp.Body.Close()
-		statusErr := fmt.Errorf("answered %s: %s", resp.Status, strings.TrimSpace(string(msg)))
-		switch resp.StatusCode {
-		case http.StatusBadRequest, http.StatusNotFound:
-			return "", fmt.Errorf("%w: %v", ErrSpec, statusErr)
-		case http.StatusServiceUnavailable:
-			return "", &busyError{retryAfter: busyRetryAfter(resp), msg: statusErr.Error()}
-		}
-		return "", statusErr
+		return "", statusError(resp)
 	}
-	err = json.NewDecoder(resp.Body).Decode(v)
-	resp.Body.Close()
-	if err != nil {
+	if err := json.NewDecoder(resp.Body).Decode(v); err != nil {
 		return "", err
 	}
-	m.ReportSuccess(time.Since(t0), 0)
 	return resp.Header.Get(headerDigest), nil
+}
+
+// statusError decodes a member's non-200 answer. One the fleet decoder
+// marks permanent (400, 404) is the caller's mistake — the same on every
+// member — so it reads as ErrSpec too.
+func statusError(resp *http.Response) error {
+	err := resilience.StatusError(resp)
+	if resilience.IsPermanent(err) {
+		return fmt.Errorf("%w: %w", ErrSpec, err)
+	}
+	return err
 }
 
 // Tables implements Source via GET /v1/summary.
@@ -289,17 +235,6 @@ func (s *RemoteSource) Scan(ctx context.Context, spec Spec) (*Scan, error) {
 	return newScan(ctx, r, f, s.m), nil
 }
 
-// Close implements Source: it stops the background health probes. Idle
-// HTTP connections belong to the client's transport.
-func (s *RemoteSource) Close() error {
-	s.tracker.Close()
-	return nil
-}
-
-// Tracker exposes the fleet tracker (member states, EWMAs) for
-// consumers that schedule over it.
-func (s *RemoteSource) Tracker() *resilience.Tracker { return s.tracker }
-
 // remoteFiller decodes one csv table stream into batches, reopening at
 // the current offset on another fleet member when a stream dies.
 type remoteFiller struct {
@@ -350,24 +285,13 @@ func (f *remoteFiller) fill(ctx context.Context, b *tuplegen.Batch, lo, hi int64
 					return err
 				}
 			}
-			if err := f.rr.next(f.row); err != nil {
-				// The stream died (connection, truncation, torn row) —
-				// resume at this exact row on the next fleet member.
-				mRemoteResumes.Inc()
-				if cerr := ctx.Err(); cerr != nil {
-					// The scan was canceled; the member did nothing wrong.
-					f.finishStream(false)
-					f.closeBody()
-					return cerr
-				}
-				f.finishStream(true)
-				f.closeBody()
-				if f.fails++; f.fails >= f.src.opts.Attempts {
-					return fmt.Errorf("scan: fleet exhausted after %d attempts, last: %w", f.src.opts.Attempts, err)
-				}
-				continue
+			err := f.rr.next(f.row)
+			if err == nil {
+				break
 			}
-			break
+			if err := f.streamDied(ctx, err); err != nil {
+				return err
+			}
 		}
 		f.fails = 0 // a decoded row is progress
 		f.rowsRead++
@@ -438,78 +362,52 @@ func (f *remoteFiller) readRow(ctx context.Context) error {
 			f.closeBody()
 			return nil
 		}
-		mRemoteResumes.Inc()
-		if cerr := ctx.Err(); cerr != nil {
-			f.finishStream(false)
-			f.closeBody()
-			return cerr
-		}
-		f.finishStream(true)
-		f.closeBody()
-		if f.fails++; f.fails >= f.src.opts.Attempts {
-			return fmt.Errorf("scan: fleet exhausted after %d attempts, last: %w", f.src.opts.Attempts, err)
+		if err := f.streamDied(ctx, err); err != nil {
+			return err
 		}
 	}
 }
 
-// openAt starts (or resumes) the table stream at absolute row abs,
-// picking members through the tracker (draining and open-breaker
-// members are skipped) and pacing failovers with the jittered,
-// budget-bounded retry policy.
+// streamDied settles a stream that broke mid-table (connection,
+// truncation, torn row). nil means resume: the caller reopens at its
+// exact row through openAt, on whichever member Do picks. A death is
+// not an outcome of that call, so the filler bounds them itself: the
+// scan ends once Attempts streams in a row died without a decoded row
+// (fails resets on progress), or as soon as ctx is done.
+func (f *remoteFiller) streamDied(ctx context.Context, err error) error {
+	mRemoteResumes.Inc()
+	cerr := ctx.Err()
+	f.finishStream(cerr == nil) // a canceled scan is not the member's fault
+	f.closeBody()
+	if cerr != nil {
+		return cerr
+	}
+	if f.fails++; f.fails >= f.src.opts.Attempts {
+		return fmt.Errorf("scan: fleet exhausted after %d streams died without a row, last: %w", f.fails, err)
+	}
+	return nil
+}
+
+// openAt starts (or resumes) the table stream at absolute row abs on
+// whichever member resilience.Do settles on, feeding the scan's own
+// failover and busy counters from the attempts it makes.
 func (f *remoteFiller) openAt(ctx context.Context, abs int64) error {
 	f.closeBody()
-	var lastErr error
-	a := f.src.policy.Begin()
-	sp := trace.FromContext(ctx) // the scan's span; resilience outcomes land here
-	for first := true; f.fails < f.src.opts.Attempts; first = false {
-		var floor time.Duration
-		if !first {
-			// Jittered backoff between failovers; a 503's Retry-After is
-			// the floor under the jitter.
-			var busy *busyError
-			if errors.As(lastErr, &busy) {
-				floor = busy.retryAfter
-			}
-			if !a.Next(ctx, floor) {
-				if ctx.Err() != nil {
-					return ctx.Err()
-				}
-				break // attempt cap or shared retry budget exhausted
-			}
-		}
-		m := f.src.tracker.Pick()
-		if m == nil {
-			lastErr = resilience.ErrNoMembers
-			sp.Event("no-member", trace.Int("offset", abs))
-			f.fails++
-			continue
+	opens := 0
+	err := f.src.Tracker().Do(ctx, f.src.policy, func(ctx context.Context, m *resilience.Member) error {
+		if opens++; opens > 1 {
+			mRemoteFailovers.Inc() // the open before this one failed and Do moved on
 		}
 		err := f.openOn(ctx, m, abs)
-		if err == nil {
-			f.pos = abs
-			return nil
-		}
-		if errors.Is(err, ErrSpec) || ctx.Err() != nil {
-			return err
-		}
-		lastErr = fmt.Errorf("%s: %w", m.URL, err)
-		f.fails++
-		mRemoteFailovers.Inc()
-		var busy *busyError
-		if errors.As(err, &busy) {
-			// Capacity (or drain) pushback from a healthy member: no
-			// breaker hit; the Retry-After floors the next backoff.
+		if errors.As(err, new(*resilience.Busy)) {
 			mRemoteBusy.Inc()
-			lastErr = fmt.Errorf("%s: %w", m.URL, busy)
-			sp.Event("busy", trace.Str("member", m.URL),
-				trace.Dur("retry_after", busy.retryAfter))
-		} else {
-			m.ReportFailure()
-			sp.Event("failover", trace.Str("member", m.URL),
-				trace.Str("error", err.Error()))
 		}
+		return err
+	})
+	if err == nil {
+		f.pos = abs
 	}
-	return fmt.Errorf("scan: fleet exhausted after %d attempts, last: %w", f.src.opts.Attempts, lastErr)
+	return err
 }
 
 func (f *remoteFiller) openOn(ctx context.Context, member *resilience.Member, abs int64) (err error) {
@@ -520,7 +418,6 @@ func (f *remoteFiller) openOn(ctx context.Context, member *resilience.Member, ab
 	ctx, asp := trace.Child(ctx, "scan.remote.attempt",
 		trace.Str("member", srv), trace.Int("offset", abs))
 	defer func() { asp.Fail(err); asp.End() }()
-	t0 := time.Now()
 	q := url.Values{}
 	q.Set("format", "csv")
 	cols, nread := f.spec.Columns, f.ncols
@@ -552,16 +449,8 @@ func (f *remoteFiller) openOn(ctx context.Context, member *resilience.Member, ab
 		return err
 	}
 	if resp.StatusCode != http.StatusOK {
-		msg, _ := io.ReadAll(io.LimitReader(resp.Body, errorBodyLimit))
-		resp.Body.Close()
-		errText := fmt.Sprintf("answered %s: %s", resp.Status, strings.TrimSpace(string(msg)))
-		switch resp.StatusCode {
-		case http.StatusBadRequest, http.StatusNotFound:
-			return fmt.Errorf("%w: %s", ErrSpec, errText)
-		case http.StatusServiceUnavailable:
-			return &busyError{retryAfter: busyRetryAfter(resp), msg: errText}
-		}
-		return errors.New(errText)
+		defer resp.Body.Close()
+		return statusError(resp)
 	}
 	if d := resp.Header.Get(headerDigest); d != "" {
 		if f.digest == "" {
@@ -578,7 +467,7 @@ func (f *remoteFiller) openOn(ctx context.Context, member *resilience.Member, ab
 		// rather than retried, since the whole fleet runs one binary.
 		if got := resp.Header.Get(headerFilter); got != f.filterEnc {
 			resp.Body.Close()
-			return fmt.Errorf("%w: fleet member did not apply filter %q (echoed %q); upgrade `hydra serve`", ErrSpec, f.filterEnc, got)
+			return resilience.Permanent(fmt.Errorf("%w: fleet member did not apply filter %q (echoed %q); upgrade `hydra serve`", ErrSpec, f.filterEnc, got))
 		}
 	}
 	// The stream carries the csv header line exactly when it starts at
@@ -590,11 +479,9 @@ func (f *remoteFiller) openOn(ctx context.Context, member *resilience.Member, ab
 		return err
 	}
 	f.body, f.rr = resp.Body, rr
-	// The open succeeded: close the member's breaker and record the
-	// time-to-first-byte as its latency observation. Rows/s follows when
-	// the stream ends (finishStream).
+	// Do records this open's time-to-first-byte as the member's latency
+	// observation; rows/s follows when the stream ends (finishStream).
 	f.member, f.openedAt, f.rowsRead = member, time.Now(), 0
-	member.ReportSuccess(time.Since(t0), 0)
 	return nil
 }
 
@@ -629,33 +516,4 @@ func (f *remoteFiller) close() error {
 	f.finishStream(false)
 	f.closeBody()
 	return nil
-}
-
-// busyError is a 503 capacity rejection with its Retry-After hint. It
-// deliberately mirrors (not imports) serve's client-side equivalent:
-// scan stays free of a serve dependency so serve can one day sit on
-// top of scan without a cycle, and a scanning consumer waits a shorter
-// maximum (5s vs the shard Runner's 30s) because its work unit is a
-// resumable stream, not a whole shard job.
-type busyError struct {
-	retryAfter time.Duration
-	msg        string
-}
-
-func (e *busyError) Error() string { return e.msg }
-
-// busyRetryAfter parses a 503's Retry-After seconds, clamped to
-// [100ms, 5s]; absent or malformed values mean 1s.
-func busyRetryAfter(resp *http.Response) time.Duration {
-	d := time.Second
-	if secs, err := strconv.Atoi(resp.Header.Get("Retry-After")); err == nil && secs >= 0 {
-		d = time.Duration(secs) * time.Second
-		if d < 100*time.Millisecond {
-			d = 100 * time.Millisecond
-		}
-	}
-	if d > 5*time.Second {
-		d = 5 * time.Second
-	}
-	return d
 }

@@ -11,10 +11,8 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"net/url"
 	"os"
 	"path/filepath"
-	"strconv"
 	"strings"
 	"sync"
 	"time"
@@ -32,10 +30,10 @@ type RunnerOptions struct {
 	// (shard streams legitimately run long; cancellation comes from the
 	// job context).
 	Client *http.Client
-	// Attempts is how many fleet members one Run tries before giving up
-	// (each failure moves to the next server in round-robin order);
-	// 0 means every server once. The orchestrator's own retry budget
-	// multiplies on top of this.
+	// Attempts is how many failures one Run takes before giving up (each
+	// moves the job to a member it has not failed on yet; 503s are waited
+	// out, not counted); 0 means the fleet size. The orchestrator's own
+	// retry budget multiplies on top of this.
 	Attempts int
 	// Workers overrides the encode worker count sent with each job.
 	// Zero — the default — lets every server choose its own parallelism
@@ -65,10 +63,9 @@ type RunnerOptions struct {
 // fetched file is re-hashed against the manifest the server bundled
 // before the job reports success.
 type RemoteRunner struct {
-	servers []string
-	opts    RunnerOptions
-	tracker *resilience.Tracker
-	policy  resilience.Policy
+	resilience.Fleet
+	opts   RunnerOptions
+	policy resilience.Policy
 
 	mu     sync.Mutex
 	digSum *summary.Summary // summary the cached digest was computed for
@@ -80,55 +77,28 @@ var _ orchestrate.Runner = (*RemoteRunner)(nil)
 // NewRemoteRunner builds a runner over the fleet's base URLs
 // (e.g. "http://10.0.0.7:8372").
 func NewRemoteRunner(servers []string, opts RunnerOptions) (*RemoteRunner, error) {
-	if len(servers) == 0 {
-		return nil, errors.New("serve: remote runner needs at least one server URL")
-	}
-	clean := make([]string, len(servers))
-	for i, raw := range servers {
-		u, err := url.Parse(strings.TrimSpace(raw))
-		if err != nil {
-			return nil, fmt.Errorf("serve: server URL %q: %w", raw, err)
-		}
-		if (u.Scheme != "http" && u.Scheme != "https") || u.Host == "" {
-			return nil, fmt.Errorf("serve: server URL %q: want http(s)://host[:port]", raw)
-		}
-		clean[i] = strings.TrimRight(u.String(), "/")
+	fleet, err := resilience.Connect(servers, opts.Fleet)
+	if err != nil {
+		return nil, err
 	}
 	if opts.Client == nil {
 		opts.Client = &http.Client{}
 	}
 	attempts := opts.Attempts
 	if attempts <= 0 {
-		attempts = len(clean)
+		attempts = len(servers)
 	}
-	tracker := resilience.NewTracker(clean, opts.Fleet)
-	tracker.Start()
 	return &RemoteRunner{
-		servers: clean,
-		opts:    opts,
-		tracker: tracker,
-		policy:  tracker.Policy("runner", attempts+maxBusyWaits),
+		Fleet:  fleet,
+		opts:   opts,
+		policy: fleet.Tracker().Policy("runner", attempts),
 	}, nil
-}
-
-// Servers returns the fleet's base URLs.
-func (r *RemoteRunner) Servers() []string { return append([]string(nil), r.servers...) }
-
-// Tracker exposes the fleet tracker (member states, EWMAs) for
-// consumers that schedule over it.
-func (r *RemoteRunner) Tracker() *resilience.Tracker { return r.tracker }
-
-// Close stops the background health probes. The runner stays usable
-// afterwards; member state then moves only on job outcomes.
-func (r *RemoteRunner) Close() error {
-	r.tracker.Close()
-	return nil
 }
 
 // Run implements orchestrate.Runner: ship the job to a fleet member,
 // fetch the artifact bundle into the job's output directory, verify it
 // against the bundled manifest, and fail over on any error.
-func (r *RemoteRunner) Run(ctx context.Context, sum *summary.Summary, job orchestrate.ShardJob) (_ *matgen.Report, err error) {
+func (r *RemoteRunner) Run(ctx context.Context, sum *summary.Summary, job orchestrate.ShardJob) (rep *matgen.Report, err error) {
 	// One span per shard job, child of the orchestrator's shard span
 	// when one is running; failovers and busy-waits land here as
 	// events, individual POSTs as runner.attempt child spans.
@@ -146,100 +116,18 @@ func (r *RemoteRunner) Run(ctx context.Context, sum *summary.Summary, job orches
 	if err != nil {
 		return nil, err
 	}
-	attempts := r.opts.Attempts
-	if attempts <= 0 {
-		attempts = len(r.servers)
-	}
-	var lastErr error
-	fails, busyWaits := 0, 0
-	a := r.policy.Begin()
-	for first := true; ; first = false {
-		if !first {
-			// Jittered, budget-bounded backoff between failovers; a 503's
-			// Retry-After floors the delay.
-			var floor time.Duration
-			var busy *busyError
-			if errors.As(lastErr, &busy) {
-				floor = busy.retryAfter
-			}
-			if !a.Next(ctx, floor) {
-				if ctx.Err() != nil {
-					return nil, fmt.Errorf("serve: shard %d/%d: %w", job.Shard+1, job.Opts.Shards, lastErr)
-				}
-				break // attempt cap or shared retry budget exhausted
-			}
-		}
-		m := r.tracker.Pick()
-		if m == nil {
-			// Every breaker is open: count it as a failure and let the
-			// backoff give a cooldown the chance to admit a probe.
-			lastErr = resilience.ErrNoMembers
-			sp.Event("no-member")
-			if fails++; fails >= attempts {
-				break
-			}
-			continue
-		}
-		rep, err := r.runOn(ctx, m.URL, req, job)
-		if err == nil {
+	// Failover, busy-waits and backoff are resilience.Do's; what is left
+	// here is the attempt itself and the member's rows/s observation.
+	err = r.Tracker().Do(ctx, r.policy, func(ctx context.Context, m *resilience.Member) (err error) {
+		if rep, err = r.runOn(ctx, m.URL, req, job); err == nil {
 			m.ReportSuccess(0, float64(rep.Rows)/max(rep.Elapsed.Seconds(), 1e-9))
-			return rep, nil
 		}
-		lastErr = fmt.Errorf("%s: %w", m.URL, err)
-		if ctx.Err() != nil {
-			break // canceled; failing over cannot help
-		}
-		// A 503 is capacity (or drain) signaling, not failure: the
-		// member is healthy but at -max-streams. It costs a bounded
-		// busy-wait, not a failover attempt and not a breaker hit — so a
-		// permanently saturated fleet still surfaces an error to the
-		// orchestrator's retries.
-		var busy *busyError
-		if errors.As(err, &busy) {
-			sp.Event("busy", trace.Str("member", m.URL),
-				trace.Dur("retry_after", busy.retryAfter))
-			if busyWaits++; busyWaits > maxBusyWaits {
-				break
-			}
-			continue
-		}
-		m.ReportFailure()
-		sp.Event("failover", trace.Str("member", m.URL),
-			trace.Str("error", err.Error()))
-		if fails++; fails >= attempts {
-			break
-		}
+		return err
+	})
+	if err != nil {
+		return nil, fmt.Errorf("serve: shard %d/%d: %w", job.Shard+1, job.Opts.Shards, err)
 	}
-	return nil, fmt.Errorf("serve: shard %d/%d failed on %d server(s), last: %w",
-		job.Shard+1, job.Opts.Shards, min(attempts, len(r.servers)), lastErr)
-}
-
-// maxBusyWaits bounds how many 503 capacity rejections one Run will
-// wait out before treating saturation as failure.
-const maxBusyWaits = 8
-
-// busyError is a 503 capacity rejection with its Retry-After hint.
-type busyError struct {
-	retryAfter time.Duration
-	msg        string
-}
-
-func (e *busyError) Error() string { return e.msg }
-
-// busyRetryAfter parses a 503's Retry-After seconds, clamped to
-// [100ms, 30s]; absent or malformed values mean 1s.
-func busyRetryAfter(resp *http.Response) time.Duration {
-	d := time.Second
-	if secs, err := strconv.Atoi(resp.Header.Get("Retry-After")); err == nil && secs >= 0 {
-		d = time.Duration(secs) * time.Second
-		if d < 100*time.Millisecond {
-			d = 100 * time.Millisecond
-		}
-	}
-	if d > 30*time.Second {
-		d = 30 * time.Second
-	}
-	return d
+	return rep, nil
 }
 
 // jobRequest maps the orchestrator's resolved matgen options onto the
@@ -285,9 +173,6 @@ func (r *RemoteRunner) digestFor(sum *summary.Summary) (string, error) {
 	return digest, nil
 }
 
-// errorBodyLimit bounds how much of an error response is read back.
-const errorBodyLimit = 4 << 10
-
 // runOn executes the job on one server and unpacks the bundle. The
 // download stages into a private temp dir and is renamed into the
 // output directory only after the whole bundle verified against its
@@ -316,12 +201,7 @@ func (r *RemoteRunner) runOn(ctx context.Context, srv string, req *ShardJobReque
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
-		msg, _ := io.ReadAll(io.LimitReader(resp.Body, errorBodyLimit))
-		errText := fmt.Sprintf("server answered %s: %s", resp.Status, strings.TrimSpace(string(msg)))
-		if resp.StatusCode == http.StatusServiceUnavailable {
-			return nil, &busyError{retryAfter: busyRetryAfter(resp), msg: errText}
-		}
-		return nil, errors.New(errText)
+		return nil, resilience.StatusError(resp)
 	}
 
 	dir := job.Opts.Dir

@@ -408,41 +408,6 @@ func TestShardJobReportFromManifest(t *testing.T) {
 	}
 }
 
-// TestBusyRetryAfterEdgeCases: Retry-After is advisory input from the
-// network; negative, huge, and malformed values must all collapse into
-// the clamped [100ms, 30s] window rather than being trusted.
-func TestBusyRetryAfterEdgeCases(t *testing.T) {
-	mk := func(v string, set bool) *http.Response {
-		h := http.Header{}
-		if set {
-			h.Set("Retry-After", v)
-		}
-		return &http.Response{Header: h}
-	}
-	cases := []struct {
-		name string
-		hdr  string
-		set  bool
-		want time.Duration
-	}{
-		{"absent", "", false, time.Second},
-		{"empty", "", true, time.Second},
-		{"zero floors", "0", true, 100 * time.Millisecond},
-		{"normal", "3", true, 3 * time.Second},
-		{"negative means default", "-5", true, time.Second},
-		{"huge clamps", "86400", true, 30 * time.Second},
-		{"overflow clamps", "99999999999999999999", true, time.Second},
-		{"malformed word", "soon", true, time.Second},
-		{"http-date form falls back", "Fri, 08 Aug 2026 00:00:00 GMT", true, time.Second},
-		{"fractional falls back", "1.5", true, time.Second},
-	}
-	for _, tc := range cases {
-		if got := busyRetryAfter(mk(tc.hdr, tc.set)); got != tc.want {
-			t.Errorf("%s: busyRetryAfter(%q) = %v, want %v", tc.name, tc.hdr, got, tc.want)
-		}
-	}
-}
-
 // TestRemoteRunnerBreakerReadmission: consecutive real failures open a
 // member's breaker; once the member recovers, a health probe re-admits
 // it and jobs flow again — the half-open cycle end to end, through the
