@@ -10,6 +10,7 @@ import (
 	hydra "github.com/dsl-repro/hydra"
 	"github.com/dsl-repro/hydra/internal/faultinject"
 	"github.com/dsl-repro/hydra/internal/loadgen"
+	"github.com/dsl-repro/hydra/internal/obs"
 	"github.com/dsl-repro/hydra/internal/resilience"
 	"github.com/dsl-repro/hydra/internal/scan"
 	"github.com/dsl-repro/hydra/internal/serve"
@@ -46,10 +47,22 @@ func TestChaosFleetZeroErrors(t *testing.T) {
 		{Kind: faultinject.KindRefuse},
 		{Kind: faultinject.KindStatus, Status: http.StatusInternalServerError},
 		{Kind: faultinject.KindStatus, Status: http.StatusServiceUnavailable, RetryAfter: "1"},
-		{Kind: faultinject.KindCut, AfterBytes: 256},
-		{Kind: faultinject.KindStall, AfterBytes: 128, StallFor: 200 * time.Millisecond},
-		{Kind: faultinject.KindCorrupt, AfterBytes: 512},
+		// A 500-row spans response is one to three frames of some twenty
+		// bytes; the positions below fall inside the first one, so every
+		// drawn fault tears a stream (or a metadata answer) for real.
+		{Kind: faultinject.KindCut, AfterBytes: 12},
+		{Kind: faultinject.KindStall, AfterBytes: 8, StallFor: 200 * time.Millisecond},
+		{Kind: faultinject.KindCorrupt, AfterBytes: 6},
 	}
+	injected := func(k faultinject.Kind) int64 {
+		return obs.Default.Counter("hydra_faultinject_injected_total", "", obs.L("kind", k.String())).Value()
+	}
+	resumes := obs.Default.Counter("hydra_scan_remote_resumes_total", "")
+	before := map[faultinject.Kind]int64{}
+	for _, f := range faults {
+		before[f.Kind] = injected(f.Kind)
+	}
+	resumesBefore := resumes.Value()
 	proxy, err := faultinject.New(urls[0], faultinject.Flaky(7, 0.35, faults...))
 	if err != nil {
 		t.Fatal(err)
@@ -113,6 +126,19 @@ func TestChaosFleetZeroErrors(t *testing.T) {
 				}
 			}
 		}
+	}
+
+	// The run above proves nothing unless the faults bit: every kind
+	// must have been drawn, and streams must have died mid-body and been
+	// resumed at their row (a cut, stall or inverted byte that lands
+	// beyond the end of a short body is no fault at all).
+	for _, f := range faults {
+		if injected(f.Kind) == before[f.Kind] {
+			t.Errorf("fault kind %s was never injected", f.Kind)
+		}
+	}
+	if resumes.Value() == resumesBefore {
+		t.Error("no stream died mid-body: the cut/stall/corrupt positions miss the spans bodies")
 	}
 
 	// Drain skip: put member 2 into drain mode; within one probe

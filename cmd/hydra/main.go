@@ -6,7 +6,7 @@
 //
 //	summarize   -schema s.json -workload w.json -out summary.json
 //	validate    -schema s.json -workload w.json -summary summary.json
-//	materialize -summary summary.json -dir out/ [-format heap|csv|jsonl|sql|discard]
+//	materialize -summary summary.json -dir out/ [-format heap|csv|jsonl|sql|spans|discard]
 //	            [-workers K] [-shards N] [-shard i/N] [-compress gzip] [-tables a,b] [-fkspread]
 //	orchestrate -summary summary.json -dir out/ [-shards N] [-parallel P] [-compress gzip]
 //	            [-retries R] [-runners http://a,http://b] [-verify-only] ...
@@ -107,7 +107,7 @@ func usage() {
 usage:
   hydra summarize   -schema s.json -workload w.json -out summary.json
   hydra validate    -schema s.json -workload w.json -summary summary.json
-  hydra materialize -summary summary.json -dir out/ [-format heap|csv|jsonl|sql|discard]
+  hydra materialize -summary summary.json -dir out/ [-format heap|csv|jsonl|sql|spans|discard]
                     [-workers K] [-shards N] [-shard i/N] [-compress gzip] [-tables a,b] [-fkspread]
   hydra orchestrate -summary summary.json -dir out/ [-format ...] [-shards N] [-parallel P]
                     [-workers K] [-compress gzip] [-retries R] [-tables a,b] [-fkspread]
@@ -116,7 +116,7 @@ usage:
                     [-rate-limit rows/s] [-workers K] [-debug-addr 127.0.0.1:8373] [-log-streams]
   hydra scan        -table T (-summary summary.json | -dir out/ | -remote http://a,http://b)
                     [-columns a,b] [-range A:B] [-where 'A >= 20 AND B IN (1,5)'] [-shard i/N]
-                    [-format csv|jsonl|sql|heap] [-batch N] [-rate rows/s] [-fkspread]
+                    [-format csv|jsonl|sql|heap|spans] [-batch N] [-rate rows/s] [-fkspread]
                     [-timeout d] [-o file]
   hydra loadgen     (-summary summary.json | -dir out/ | -remote http://a,http://b)
                     [-c 8] [-d 10s] [-rows-per-request 10000] [-tables a,b] [-batch N]
@@ -452,7 +452,7 @@ func cmdServe(args []string) error {
 	}
 	fmt.Printf("serving %d relations (%d rows regenerable on demand) on http://%s\n",
 		len(sum.Relations), rows, *addr)
-	fmt.Printf("  GET  http://%s/v1/tables/{table}?format=csv|jsonl|sql|heap&compress=gzip&shard=i/N&offset=K\n", *addr)
+	fmt.Printf("  GET  http://%s/v1/tables/{table}?format=csv|jsonl|sql|heap|spans&compress=gzip&shard=i/N&offset=K\n", *addr)
 	fmt.Printf("  POST http://%s/v1/shardjobs   (hydra orchestrate -runners http://%s)\n", *addr, *addr)
 	fmt.Printf("  GET  http://%s/metrics        (Prometheus text format)\n", *addr)
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
@@ -531,7 +531,7 @@ func cmdScan(args []string) error {
 	rng := fs.String("range", "", "pk range A:B, 1-based inclusive; either side may be omitted")
 	where := fs.String("where", "", "row filter: AND of column comparisons, e.g. 'A >= 20 AND B IN (1,5)'")
 	shardSpec := fs.String("shard", "", "scan only piece i/N of the range, 1-based (e.g. 2/4)")
-	format := fs.String("format", "csv", "output encoding: csv|jsonl|sql|heap")
+	format := fs.String("format", "csv", "output encoding: csv|jsonl|sql|heap|spans")
 	batch := fs.Int("batch", 0, "rows per batch (0 = default)")
 	rateLimit := fs.Float64("rate", 0, "cap the scan at rows/s (0 = unlimited)")
 	spread := fs.Bool("fkspread", false, "spread FKs round-robin within referenced spans (must match -dir materialization)")
@@ -887,12 +887,15 @@ func cmdFaultProxy(args []string) error {
 			faults = append(faults, faultinject.Fault{Kind: faultinject.KindStatus, Status: http.StatusInternalServerError})
 		case "503":
 			faults = append(faults, faultinject.Fault{Kind: faultinject.KindStatus, Status: http.StatusServiceUnavailable, RetryAfter: "1"})
+		// Byte positions sit inside the first frame of a spans body: a
+		// range scan's whole response is a few dozen bytes, so anything
+		// later would let most streams through untouched.
 		case "cut":
-			faults = append(faults, faultinject.Fault{Kind: faultinject.KindCut, AfterBytes: 4096})
+			faults = append(faults, faultinject.Fault{Kind: faultinject.KindCut, AfterBytes: 12})
 		case "stall":
-			faults = append(faults, faultinject.Fault{Kind: faultinject.KindStall, AfterBytes: 2048, StallFor: 2 * time.Second})
+			faults = append(faults, faultinject.Fault{Kind: faultinject.KindStall, AfterBytes: 8, StallFor: 2 * time.Second})
 		case "corrupt":
-			faults = append(faults, faultinject.Fault{Kind: faultinject.KindCorrupt, AfterBytes: 1024})
+			faults = append(faults, faultinject.Fault{Kind: faultinject.KindCorrupt, AfterBytes: 6})
 		default:
 			return fmt.Errorf("faultproxy: unknown fault kind %q (want refuse, 500, 503, cut, stall, corrupt)", tok)
 		}

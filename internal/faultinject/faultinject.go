@@ -56,8 +56,8 @@ const (
 	// for Fault.StallFor before severing — a hung member that holds a
 	// stream open without progress.
 	KindStall
-	// KindCorrupt forwards the response with the body byte at offset
-	// Fault.AfterBytes overwritten with NUL — torn data the client's
+	// KindCorrupt forwards the response with every bit of the body byte
+	// at offset Fault.AfterBytes inverted — torn data the client's
 	// decoder must detect rather than deliver.
 	KindCorrupt
 )
@@ -306,8 +306,11 @@ func (s *stallReader) Read(p []byte) (int, error) {
 func (s *stallReader) Close() error { return s.rc.Close() }
 
 // corruptReader passes the body through with the byte at offset at
-// overwritten by NUL — never a valid byte inside a csv of integers, so
-// the client's decoder must notice.
+// complemented. An overwrite with a fixed value would be no damage at
+// all wherever the body already holds it — NUL is an ordinary byte of a
+// binary spans frame — whereas an inverted byte always differs, and it
+// is then the frame's CRC (or, for csv, the digit parser) that must
+// notice.
 type corruptReader struct {
 	rc  io.ReadCloser
 	at  int64
@@ -317,7 +320,7 @@ type corruptReader struct {
 func (c *corruptReader) Read(p []byte) (int, error) {
 	n, err := c.rc.Read(p)
 	if n > 0 && c.at >= c.off && c.at < c.off+int64(n) {
-		p[c.at-c.off] = 0
+		p[c.at-c.off] ^= 0xff
 	}
 	c.off += int64(n)
 	return n, err

@@ -132,8 +132,8 @@ func TestCorruptFlipsOneByte(t *testing.T) {
 	if len(got) != len(body) {
 		t.Fatalf("corrupt body length %d, want %d", len(got), len(body))
 	}
-	if got[1000] != 0 {
-		t.Fatalf("byte 1000 = %#x, want NUL", got[1000])
+	if got[1000] != ^body[1000] {
+		t.Fatalf("byte 1000 = %#x, want %#x inverted", got[1000], body[1000])
 	}
 	diffs := 0
 	for i := range got {

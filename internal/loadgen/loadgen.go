@@ -140,6 +140,7 @@ func Categorize(err error) string {
 	msg := err.Error()
 	switch {
 	case strings.Contains(msg, "unexpected EOF"),
+		strings.Contains(msg, "spans frame"),
 		strings.Contains(msg, "csv row"),
 		strings.Contains(msg, "csv cell"):
 		return "truncated"

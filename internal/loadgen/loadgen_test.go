@@ -165,6 +165,7 @@ func TestCategorize(t *testing.T) {
 		"deadline":       {context.DeadlineExceeded, "timeout"},
 		"unexpected eof": {io.ErrUnexpectedEOF, "truncated"},
 		"wrapped tear":   {wrap("http://x: unexpected EOF"), "truncated"},
+		"torn frame":     {wrap("bad spans frame after row 500: crc 0badf00d, computed 600dcafe"), "truncated"},
 		"torn csv row":   {wrap("csv row has 2 of 3 columns"), "truncated"},
 		"corrupt cell":   {wrap(`csv cell 1: parsing "\x00": invalid syntax`), "truncated"},
 		"busy 503":       {wrap("http://x answered 503 Service Unavailable: at capacity"), "busy"},

@@ -120,6 +120,13 @@ func TestShardsConcatenate(t *testing.T) {
 	const shards = 3
 	for _, format := range fileFormats() {
 		t.Run(format, func(t *testing.T) {
+			if format == "spans" {
+				// A spans frame is a whole run, clipped where the table was
+				// split: parts concatenate into a valid stream of the same
+				// rows, not the same bytes (internal/scan pins the rows, in
+				// TestSpansShardsConcatenate).
+				t.Skip("spans frames are clipped at shard boundaries")
+			}
 			whole := t.TempDir()
 			if _, err := Materialize(sum, Options{Dir: whole, Format: format, Workers: 2, BatchRows: 128}); err != nil {
 				t.Fatal(err)

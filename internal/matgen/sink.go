@@ -81,6 +81,23 @@ type SpanEncoder interface {
 	AppendSpan(dst []byte, sp tuplegen.Span) []byte
 }
 
+// LayoutChecker is implemented by sinks that cannot carry every column
+// layout. The engine asks before any byte is produced, so a projection
+// the format cannot express fails the request instead of writing a file
+// no reader can open.
+type LayoutChecker interface {
+	CheckLayout(l Layout) error
+}
+
+// CheckLayout reports whether sink can carry layout l: the sink's own
+// verdict when it is a LayoutChecker, nil otherwise.
+func CheckLayout(sink Sink, l Layout) error {
+	if lc, ok := sink.(LayoutChecker); ok {
+		return lc.CheckLayout(l)
+	}
+	return nil
+}
+
 var (
 	sinkMu   sync.RWMutex
 	sinkReg  = map[string]Sink{}
@@ -129,6 +146,7 @@ func init() {
 	RegisterSink(jsonlSink{})
 	RegisterSink(heapSink{})
 	RegisterSink(sqlSink{})
+	RegisterSink(spansSink{})
 	RegisterSink(discardSink{})
 }
 

@@ -78,8 +78,8 @@ type StreamOptions struct {
 	// (the resume cursor stays meaningful); only matching rows are
 	// emitted, so a filtered stream has no predeclared row count and
 	// simply ends when its range is exhausted. Filtered streams require
-	// a row-aligned format (csv, jsonl): page- and statement-structured
-	// sinks cannot carry row gaps.
+	// an alignment-1 format (csv, jsonl, spans): page- and
+	// statement-structured sinks cannot carry row gaps.
 	Filter pred.Filter
 }
 

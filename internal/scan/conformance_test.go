@@ -7,6 +7,7 @@ package scan_test
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
@@ -17,7 +18,9 @@ import (
 	"time"
 
 	"github.com/dsl-repro/hydra/internal/matgen"
+	"github.com/dsl-repro/hydra/internal/obs"
 	"github.com/dsl-repro/hydra/internal/pred"
+	"github.com/dsl-repro/hydra/internal/resilience"
 	"github.com/dsl-repro/hydra/internal/scan"
 	"github.com/dsl-repro/hydra/internal/serve"
 	"github.com/dsl-repro/hydra/internal/summary"
@@ -165,6 +168,10 @@ func TestConformance(t *testing.T) {
 			"dir/csv+gzip": materializeDir(t, sum, "csv", "gzip", 3, spread),
 			"dir/jsonl":    materializeDir(t, sum, "jsonl", "", 2, spread),
 			"dir/heap":     materializeDir(t, sum, "heap", "", 3, spread),
+			// Frames are clipped at chunk (512-row) and shard boundaries,
+			// so these also scan across runs split mid-way.
+			"dir/spans":      materializeDir(t, sum, "spans", "", 3, spread),
+			"dir/spans+gzip": materializeDir(t, sum, "spans", "gzip", 2, spread),
 		}
 		for _, spec := range specs {
 			spec.FKSpread = spread
@@ -204,92 +211,265 @@ func specName(s scan.Spec) string {
 	return strings.Join(parts, ",")
 }
 
-// truncatingHandler kills every other data request after a byte budget,
-// forcing RemoteSource to resume mid-table on the next fleet member.
-// Handlers run concurrently (the tracker's /healthz probes race the data
-// requests), so the count is atomic and probes are not counted.
+// truncatingHandler kills two of every three table streams after a byte
+// budget, forcing RemoteSource to resume mid-table, usually on the next
+// fleet member. Handlers run concurrently (the tracker's /healthz probes
+// race the data requests), so the counts are atomic. A
+// spans body is a few hundred bytes where the csv one was a megabyte, so
+// the budget is a fraction of that — and cuts counts the streams that
+// actually reached it, because a budget larger than the body tears
+// nothing and the test would pass without testing.
 type truncatingHandler struct {
 	inner http.Handler
 	limit int64
 	n     atomic.Int64
+	cuts  atomic.Int64
 }
 
 type truncWriter struct {
 	http.ResponseWriter
-	left *int64
+	left int64
+	cuts *atomic.Int64
 }
 
 func (w *truncWriter) Write(p []byte) (int, error) {
-	if *w.left <= 0 {
+	if int64(len(p)) >= w.left {
+		// Flush what fits, so the client sees a stream that started and
+		// died rather than a connection that never answered.
+		w.ResponseWriter.Write(p[:w.left])
+		http.NewResponseController(w.ResponseWriter).Flush()
+		w.cuts.Add(1)
 		panic(http.ErrAbortHandler) // tear the connection, no clean EOF
 	}
-	if int64(len(p)) > *w.left {
-		w.ResponseWriter.Write(p[:*w.left])
-		*w.left = 0
-		panic(http.ErrAbortHandler)
-	}
-	*w.left -= int64(len(p))
+	w.left -= int64(len(p))
 	return w.ResponseWriter.Write(p)
 }
 
 func (h *truncatingHandler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	if r.URL.Path != "/healthz" && h.n.Add(1)%2 == 1 && !strings.Contains(r.URL.RawQuery, "info=1") {
-		left := h.limit
-		h.inner.ServeHTTP(&truncWriter{ResponseWriter: w, left: &left}, r)
+	stream := strings.HasPrefix(r.URL.Path, "/v1/tables/") && !strings.Contains(r.URL.RawQuery, "info=1")
+	if stream && h.n.Add(1)%3 != 0 {
+		h.inner.ServeHTTP(&truncWriter{ResponseWriter: w, left: h.limit, cuts: &h.cuts}, r)
 		return
 	}
 	h.inner.ServeHTTP(w, r)
 }
 
-// TestRemoteResumeMidTable proves resume-on-offset: with a fleet whose
-// members keep dying mid-stream, the scan still delivers the exact
-// reference batch sequence.
-func TestRemoteResumeMidTable(t *testing.T) {
-	sum := testSummary()
-	srv, err := serve.NewServer(sum, serve.Options{})
+// flakyFleet is a two-member fleet over sum that tears two of every
+// three streams after 100 bytes, whichever member they land on. The
+// server encodes in 256-row chunks so a table is dozens of frames, not
+// three.
+func flakyFleet(t *testing.T, sum *summary.Summary) (*scan.RemoteSource, *truncatingHandler) {
+	t.Helper()
+	srv, err := serve.NewServer(sum, serve.Options{BatchRows: 256})
 	if err != nil {
 		t.Fatal(err)
 	}
-	flaky := httptest.NewServer(&truncatingHandler{inner: srv, limit: 4 << 10})
-	defer flaky.Close()
-	healthy := httptest.NewServer(srv)
-	defer healthy.Close()
-
-	remote, err := scan.NewRemoteSource([]string{flaky.URL, healthy.URL}, scan.RemoteOptions{})
+	h := &truncatingHandler{inner: srv, limit: 100}
+	var urls []string
+	for i := 0; i < 2; i++ {
+		ts := httptest.NewServer(h)
+		t.Cleanup(ts.Close)
+		urls = append(urls, ts.URL)
+	}
+	remote, err := scan.NewRemoteSource(urls, scan.RemoteOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	spec := scan.Spec{Table: "S", BatchRows: 500, Columns: []string{"S_pk", "A", "B"}}
-	want := drain(t, scan.NewSummarySource(sum), spec)
-	diffBatches(t, "flaky-fleet", drain(t, remote, spec), want)
+	t.Cleanup(func() { remote.Close() })
+	return remote, h
 }
 
-// TestRemoteResumeFiltered proves pk-based resume under predicate
-// pushdown: the stream carries only matching rows, so when a member
-// dies the scan must resume at the last delivered pk, not a row count
-// — and the pk travels even when the projection leaves it out.
+// remoteResumes reads the process-wide resume counter.
+func remoteResumes() int64 {
+	return obs.Default.Counter("hydra_scan_remote_resumes_total", "").Value()
+}
+
+// TestRemoteResumeMidTable proves resume-on-offset: with a fleet whose
+// members keep dying mid-stream, the scan still delivers the exact
+// reference batch sequence — and streams did die.
+func TestRemoteResumeMidTable(t *testing.T) {
+	sum := testSummary()
+	remote, flaky := flakyFleet(t, sum)
+	spec := scan.Spec{Table: "S", BatchRows: 500, Columns: []string{"S_pk", "A", "B"}}
+	want := drain(t, scan.NewSummarySource(sum), spec)
+	before := remoteResumes()
+	diffBatches(t, "flaky-fleet", drain(t, remote, spec), want)
+	if flaky.cuts.Load() == 0 || remoteResumes() == before {
+		t.Fatalf("no stream was torn (%d cuts, %d resumes): the fixture no longer lands inside the body",
+			flaky.cuts.Load(), remoteResumes()-before)
+	}
+}
+
+// TestRemoteResumeFiltered proves resume under predicate pushdown: the
+// stream carries only matching runs, so when a member dies the scan
+// must resume after the last run it received, not at a row count — and
+// a projection that leaves the pk out changes nothing, the run's
+// position travels in the frame.
 func TestRemoteResumeFiltered(t *testing.T) {
 	sum := testSummary()
-	srv, err := serve.NewServer(sum, serve.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	flaky := httptest.NewServer(&truncatingHandler{inner: srv, limit: 4 << 10})
-	defer flaky.Close()
-	healthy := httptest.NewServer(srv)
-	defer healthy.Close()
-
-	remote, err := scan.NewRemoteSource([]string{flaky.URL, healthy.URL}, scan.RemoteOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	remote, flaky := flakyFleet(t, sum)
 	ref := scan.NewSummarySource(sum)
 	for name, spec := range map[string]scan.Spec{
 		"with-pk": {Table: "S", BatchRows: 500, Columns: []string{"S_pk", "A", "B"}, Filter: pred.Col("B").Eq(15)},
 		"no-pk":   {Table: "S", BatchRows: 500, Columns: []string{"A", "B"}, Filter: pred.Col("B").Eq(15)},
 	} {
 		t.Run(name, func(t *testing.T) {
+			cuts, resumes := flaky.cuts.Load(), remoteResumes()
 			diffBatches(t, name, drain(t, remote, spec), drain(t, ref, spec))
+			if flaky.cuts.Load() == cuts || remoteResumes() == resumes {
+				t.Fatal("no stream was torn: the fixture no longer lands inside the body")
+			}
+		})
+	}
+}
+
+// cutOnceHandler tears the next data stream at exactly cutAt bytes
+// (0 = pass through) and reports the body size of streams it let pass.
+type cutOnceHandler struct {
+	inner http.Handler
+	cutAt atomic.Int64
+	cuts  atomic.Int64
+	size  atomic.Int64
+}
+
+type sizeWriter struct {
+	http.ResponseWriter
+	n *atomic.Int64
+}
+
+func (w *sizeWriter) Write(p []byte) (int, error) {
+	w.n.Add(int64(len(p)))
+	return w.ResponseWriter.Write(p)
+}
+
+func (h *cutOnceHandler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
+	if strings.Contains(r.URL.RawQuery, "info=1") || !strings.HasPrefix(r.URL.Path, "/v1/tables/") {
+		h.inner.ServeHTTP(w, r)
+		return
+	}
+	if at := h.cutAt.Swap(0); at > 0 {
+		h.inner.ServeHTTP(&truncWriter{ResponseWriter: w, left: at, cuts: &h.cuts}, r)
+		return
+	}
+	h.size.Store(0)
+	h.inner.ServeHTTP(&sizeWriter{ResponseWriter: w, n: &h.size}, r)
+}
+
+// TestRemoteResumeAtEveryByte: a stream torn after any number of bytes
+// — on a frame boundary or inside a frame — resumes to exactly the
+// uninterrupted batch sequence, filtered or not, spread or not.
+func TestRemoteResumeAtEveryByte(t *testing.T) {
+	sum := testSummary()
+	srv, err := serve.NewServer(sum, serve.Options{BatchRows: 1024})
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := &cutOnceHandler{inner: srv}
+	ts := httptest.NewServer(h)
+	defer ts.Close()
+	remote, err := scan.NewRemoteSource([]string{ts.URL}, scan.RemoteOptions{
+		Fleet: resilience.Options{ProbeInterval: -1, BreakerThreshold: -1},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer remote.Close()
+	ref := scan.NewSummarySource(sum)
+	for name, spec := range map[string]scan.Spec{
+		"plain":    {Table: "S", BatchRows: 700, Columns: []string{"t_fk", "B"}},
+		"spread":   {Table: "S", BatchRows: 700, FKSpread: true},
+		"filtered": {Table: "S", BatchRows: 700, FKSpread: true, Filter: pred.Col("t_fk").In(100, 260)},
+	} {
+		t.Run(name, func(t *testing.T) {
+			want := drain(t, ref, spec)
+			diffBatches(t, "uninterrupted", drain(t, remote, spec), want)
+			size := h.size.Load()
+			if size < 100 {
+				t.Fatalf("body is %d bytes; expected a few hundred", size)
+			}
+			for cut := int64(1); cut < size; cut++ {
+				h.cutAt.Store(cut)
+				cuts, resumes := h.cuts.Load(), remoteResumes()
+				diffBatches(t, fmt.Sprintf("cut@%d/%d", cut, size), drain(t, remote, spec), want)
+				if h.cuts.Load() != cuts+1 || remoteResumes() != resumes+1 {
+					t.Fatalf("cut@%d: %d cuts, %d resumes, want one of each", cut, h.cuts.Load()-cuts, remoteResumes()-resumes)
+				}
+			}
+		})
+	}
+}
+
+// TestRemoteOldMemberNamed: a fleet member built before the spans
+// format answers the request with a 400; the scan fails at once, as a
+// spec error that names the upgrade — there is no csv path to fall
+// back to.
+func TestRemoteOldMemberNamed(t *testing.T) {
+	old := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Query().Get("format") == "spans" {
+			http.Error(w, `matgen: invalid stream request: matgen: unknown format "spans" (have csv, discard, heap, jsonl, sql)`, http.StatusBadRequest)
+			return
+		}
+		http.NotFound(w, r)
+	}))
+	defer old.Close()
+	remote, err := scan.NewRemoteSource([]string{old.URL}, scan.RemoteOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer remote.Close()
+	_, err = remote.Scan(context.Background(), scan.Spec{Table: "S"})
+	if !errors.Is(err, scan.ErrSpec) || !strings.Contains(err.Error(), "upgrade `hydra serve`") {
+		t.Fatalf("err = %v, want a spec error naming the upgrade", err)
+	}
+}
+
+// TestRemoteFillAllocs pins the point of shipping runs instead of rows:
+// once the stream is open and the batch has its capacity, placing runs
+// on the grid allocates nothing — no per-row, per-frame or per-batch
+// garbage — with and without a projection, spread FKs and a filter.
+func TestRemoteFillAllocs(t *testing.T) {
+	// Server chunks as small as the client's batches: every measured
+	// batch decodes at least one frame of its own.
+	srv, err := serve.NewServer(testSummary(), serve.Options{BatchRows: 16})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(srv)
+	defer ts.Close()
+	// No background probes: AllocsPerRun counts the whole process.
+	remote, err := scan.NewRemoteSource([]string{ts.URL}, scan.RemoteOptions{
+		Fleet: resilience.Options{ProbeInterval: -1},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer remote.Close()
+	for name, spec := range map[string]scan.Spec{
+		"plain":     {Table: "S", BatchRows: 16},
+		"projected": {Table: "S", BatchRows: 16, Columns: []string{"t_fk", "A"}, FKSpread: true},
+		"filtered":  {Table: "S", BatchRows: 16, FKSpread: true, Filter: pred.Col("A").Eq(20)},
+	} {
+		t.Run(name, func(t *testing.T) {
+			sc, err := remote.Scan(context.Background(), spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer sc.Close()
+			// The first batches open the stream and size the batch; the
+			// pause lets the server's handler finish writing the (few-
+			// kilobyte) body, so only this goroutine is allocating.
+			for i := 0; i < 5 && sc.Next(); i++ {
+			}
+			time.Sleep(20 * time.Millisecond)
+			const batches = 200
+			allocs := testing.AllocsPerRun(batches, func() {
+				if !sc.Next() {
+					t.Fatalf("scan ended early: %v", sc.Err())
+				}
+			})
+			if allocs != 0 {
+				t.Fatalf("%.1f allocs per batch, want 0", allocs)
+			}
 		})
 	}
 }
@@ -496,29 +676,33 @@ func TestDirPartialSplit(t *testing.T) {
 }
 
 // TestDirProjectedMaterialization: a directory materialized under a
-// projection presents the projected layout as its natural one.
+// projection presents the projected layout as its natural one — for
+// spans too, as long as the projection keeps the pk the runs are
+// anchored at (the engine re-coalesces runs from projected batches).
 func TestDirProjectedMaterialization(t *testing.T) {
 	sum := testSummary()
-	dir := t.TempDir()
-	if _, err := matgen.Materialize(sum, matgen.Options{
-		Dir: dir, Format: "csv", Workers: 2, Columns: []string{"S_pk", "A"}, Tables: []string{"S"},
-	}); err != nil {
-		t.Fatal(err)
+	for _, format := range []string{"csv", "spans"} {
+		dir := t.TempDir()
+		if _, err := matgen.Materialize(sum, matgen.Options{
+			Dir: dir, Format: format, Workers: 2, Columns: []string{"S_pk", "A"}, Tables: []string{"S"},
+		}); err != nil {
+			t.Fatal(err)
+		}
+		src, err := scan.OpenDir(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		info, err := src.Table("S")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(info.Cols) != 2 || info.Cols[0] != "S_pk" || info.Cols[1] != "A" {
+			t.Fatalf("%s: cols = %v", format, info.Cols)
+		}
+		spec := scan.Spec{Table: "S", BatchRows: 2048}
+		want := drain(t, scan.NewSummarySource(sum), scan.Spec{Table: "S", Columns: []string{"S_pk", "A"}, BatchRows: 2048})
+		diffBatches(t, "projected-dir/"+format, drain(t, src, spec), want)
 	}
-	src, err := scan.OpenDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	info, err := src.Table("S")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(info.Cols) != 2 || info.Cols[0] != "S_pk" || info.Cols[1] != "A" {
-		t.Fatalf("cols = %v", info.Cols)
-	}
-	spec := scan.Spec{Table: "S", BatchRows: 2048}
-	want := drain(t, scan.NewSummarySource(sum), scan.Spec{Table: "S", Columns: []string{"S_pk", "A"}, BatchRows: 2048})
-	diffBatches(t, "projected-dir", drain(t, src, spec), want)
 }
 
 // TestScanRateLimit: pacing is applied per batch, identically for every

@@ -2,6 +2,7 @@ package scan
 
 import (
 	"bufio"
+	"bytes"
 	"context"
 	"crypto/sha256"
 	"encoding/binary"
@@ -15,8 +16,6 @@ import (
 	"regexp"
 	"slices"
 	"sort"
-	"strconv"
-	"strings"
 
 	"github.com/dsl-repro/hydra/internal/matgen"
 	"github.com/dsl-repro/hydra/internal/pred"
@@ -26,8 +25,8 @@ import (
 
 // DirSource scans a materialized shard directory — the output of
 // Materialize or Orchestrate — by decoding the part files against their
-// manifests. Formats csv, jsonl, and heap are scannable (plus any of
-// them gzip-compressed); sql is an import artifact, not a scan target.
+// manifests. Formats csv, jsonl, heap, and spans are scannable (plus any
+// of them gzip-compressed); sql is an import artifact, not a scan target.
 //
 // Checksums are verified lazily: the first time a scan opens a part
 // file, the file is re-hashed against the manifest's SHA-256 before a
@@ -86,9 +85,9 @@ func OpenDir(dir string) (*DirSource, error) {
 	s := &DirSource{dir: dir, format: manifests[0].Format, tables: map[string]*dirTable{},
 		m: metricsForBackend("dir")}
 	switch s.format {
-	case "csv", "jsonl", "heap":
+	case "csv", "jsonl", "heap", "spans":
 	default:
-		return nil, fmt.Errorf("scan: format %q is not scannable (csv, jsonl, heap are)", s.format)
+		return nil, fmt.Errorf("scan: format %q is not scannable (csv, jsonl, heap, spans are)", s.format)
 	}
 	if s.comp, err = matgen.CompressorFor(manifests[0].Compression); err != nil {
 		return nil, err
@@ -380,7 +379,7 @@ func (f *dirFiller) openAt(ctx context.Context, abs int64) error {
 		f.closers = append(f.closers, zr)
 		r = zr
 	}
-	rr, err := newRowReader(f.src.format, r, f.t.info.Cols, p.header)
+	rr, err := newRowReader(f.src.format, r, f.t.info.Cols, p)
 	if err != nil {
 		f.close()
 		return fmt.Errorf("scan: %s: %w", p.path, err)
@@ -413,14 +412,16 @@ type rowReader interface {
 	skip(k int64) error
 }
 
-func newRowReader(format string, r io.Reader, cols []string, header bool) (rowReader, error) {
+func newRowReader(format string, r io.Reader, cols []string, p dirPart) (rowReader, error) {
 	switch format {
 	case "csv":
-		return newCSVReader(r, len(cols), header)
+		return newCSVReader(r, len(cols), p.header)
 	case "jsonl":
 		return newJSONLReader(r, cols), nil
 	case "heap":
-		return newHeapReader(r, len(cols), header)
+		return newHeapReader(r, len(cols), p.header)
+	case "spans":
+		return newSpansReader(r, len(cols), p.start, p.rows), nil
 	default:
 		return nil, fmt.Errorf("format %q is not scannable", format)
 	}
@@ -433,8 +434,14 @@ type csvReader struct {
 	ncols int
 }
 
+// maxCSVCell is the longest rendering of an int64 ("-9223372036854775808")
+// plus its separator.
+const maxCSVCell = 21
+
 func newCSVReader(r io.Reader, ncols int, header bool) (*csvReader, error) {
-	cr := &csvReader{br: bufio.NewReader(r), ncols: ncols}
+	// Rows are decoded in place from the reader's buffer, so it must hold
+	// the widest row the layout can produce; a longer line is malformed.
+	cr := &csvReader{br: bufio.NewReaderSize(r, max(4096, ncols*maxCSVCell+1)), ncols: ncols}
 	if header {
 		if err := cr.skipLine(); err != nil {
 			return nil, fmt.Errorf("reading csv header: %w", err)
@@ -464,33 +471,79 @@ func (c *csvReader) skip(k int64) error {
 	return nil
 }
 
+// next decodes one row straight out of the read buffer: no line copy, no
+// per-cell string, no allocation.
 func (c *csvReader) next(dst []int64) error {
-	line, err := c.br.ReadString('\n')
-	if err != nil && (!errors.Is(err, io.EOF) || line == "") {
-		return err
+	line, err := c.br.ReadSlice('\n')
+	if err != nil {
+		if errors.Is(err, bufio.ErrBufferFull) {
+			return fmt.Errorf("csv row longer than %d bytes", c.br.Size())
+		}
+		if !errors.Is(err, io.EOF) || len(line) == 0 {
+			return err
+		}
+		// A final row without its newline is still a row.
 	}
 	line = trimEOL(line)
 	for i := 0; i < c.ncols; i++ {
 		cell := line
 		if i < c.ncols-1 {
-			j := strings.IndexByte(line, ',')
+			j := bytes.IndexByte(line, ',')
 			if j < 0 {
 				return fmt.Errorf("csv row has %d of %d columns", i+1, c.ncols)
 			}
 			cell, line = line[:j], line[j+1:]
-		} else if strings.IndexByte(line, ',') >= 0 {
+		} else if bytes.IndexByte(line, ',') >= 0 {
 			return fmt.Errorf("csv row has more than %d columns", c.ncols)
 		}
-		v, err := strconv.ParseInt(cell, 10, 64)
+		v, err := parseInt(cell)
 		if err != nil {
-			return fmt.Errorf("csv cell %d: %w", i, err)
+			return fmt.Errorf("csv cell %d: parsing %q: %w", i, cell, err)
 		}
 		dst[i] = v
 	}
 	return nil
 }
 
-func trimEOL(s string) string {
+var (
+	errIntSyntax = errors.New("invalid syntax")
+	errIntRange  = errors.New("value out of range")
+)
+
+// parseInt is strconv.ParseInt(string(b), 10, 64) without the string:
+// an optional sign, then decimal digits only, overflow-checked.
+func parseInt(b []byte) (int64, error) {
+	neg := false
+	if len(b) > 0 && (b[0] == '-' || b[0] == '+') {
+		neg, b = b[0] == '-', b[1:]
+	}
+	if len(b) == 0 {
+		return 0, errIntSyntax
+	}
+	const minMagnitude = 1 << 63 // |math.MinInt64|
+	var u uint64
+	for _, ch := range b {
+		d := ch - '0' // wraps far above 9 for bytes below '0'
+		if d > 9 {
+			return 0, errIntSyntax
+		}
+		if u > minMagnitude/10 {
+			return 0, errIntRange
+		}
+		if u = u*10 + uint64(d); u > minMagnitude {
+			return 0, errIntRange
+		}
+	}
+	if neg {
+		return -int64(u), nil // u == 1<<63 wraps to MinInt64, as it should
+	}
+	if u == minMagnitude {
+		return 0, errIntRange
+	}
+	return int64(u), nil
+}
+
+func trimEOL(s []byte) []byte {
 	if n := len(s); n > 0 && s[n-1] == '\n' {
 		s = s[:n-1]
 	}

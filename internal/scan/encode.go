@@ -8,14 +8,16 @@ import (
 )
 
 // EncodeScan drains sc into w using the named materialization format
-// (csv, jsonl, sql, heap), producing a self-contained file of exactly
-// the scanned rows: header, body, footer, with page/statement geometry
-// computed over the scan's own row count and offsets relative to its
-// start. Because every backend yields the identical batch sequence for
-// the same spec, the encoded bytes are identical no matter where the
-// scan came from — `hydra scan -remote` output is byte-for-byte
-// `hydra scan -summary` output. A full-table, unprojected scan encodes
-// exactly the file Materialize writes for that table.
+// (csv, jsonl, sql, heap, spans), producing a self-contained file of
+// exactly the scanned rows: header, body, footer, with page/statement
+// geometry computed over the scan's own row count and offsets relative
+// to its start. Because every backend yields the identical batch
+// sequence for the same spec, the encoded bytes are identical no matter
+// where the scan came from — `hydra scan -remote` output is byte-for-
+// byte `hydra scan -summary` output. A full-table, unprojected scan
+// encodes exactly the file Materialize writes for that table (spans
+// excepted: batches carry no run structure, so its runs are re-coalesced
+// from rows — the same rows under a different framing).
 //
 // It returns the number of rows encoded; the scan is left at its end
 // (or at the failure point), with Close still the caller's job.
@@ -28,6 +30,9 @@ func EncodeScan(w io.Writer, sc *Scan, format string) (int64, error) {
 		return 0, fmt.Errorf("%w: format %q produces no byte stream", ErrSpec, format)
 	}
 	l := matgen.Layout{Table: sc.Table(), Cols: sc.Cols(), TotalRows: sc.NumRows()}
+	if err := matgen.CheckLayout(sink, l); err != nil {
+		return 0, fmt.Errorf("%w: %v", ErrSpec, err)
+	}
 	align, err := sink.Align(len(l.Cols))
 	if err != nil {
 		return 0, fmt.Errorf("%w: %v", ErrSpec, err)

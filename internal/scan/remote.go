@@ -53,12 +53,15 @@ type RemoteOptions struct {
 }
 
 // RemoteSource scans tables served by a fleet of `hydra serve` servers
-// over GET /v1/tables/{table}. Column projection is pushed down to the
-// server (columns= query parameter), so only the selected columns cross
-// the network. The stream is consumed incrementally and decoded straight
-// into batches; if a server fails mid-table the scan resumes on the next
-// fleet member at the exact row offset it had reached — the offset
-// resume the serve data plane guarantees is byte-identical — after
+// over GET /v1/tables/{table}?format=spans. What crosses the network is
+// the summary's run structure, not rows: each frame is one tuplegen.Span
+// (a few dozen bytes for thousands of rows), and batches are filled from
+// it with tuplegen.FillSpan exactly as the summary backend fills them —
+// so projection happens here, as FillSpan's index list, while a filter
+// still travels to the server, which prunes runs before any byte is
+// sent. If a server fails mid-table the scan resumes on the next fleet
+// member at the exact row it had reached (a frame names its own first
+// row, so a run clipped by the resume is still self-describing) — after
 // checking the member serves the same summary digest, so a mixed fleet
 // can never splice two different databases into one scan.
 type RemoteSource struct {
@@ -139,13 +142,17 @@ func (s *RemoteSource) getJSONOn(ctx context.Context, m *resilience.Member, path
 
 // statusError decodes a member's non-200 answer. One the fleet decoder
 // marks permanent (400, 404) is the caller's mistake — the same on every
-// member — so it reads as ErrSpec too.
+// member — so it reads as ErrSpec too; a member too old to know the
+// wire format says so in its 400, and gets named as the thing to fix.
 func statusError(resp *http.Response) error {
 	err := resilience.StatusError(resp)
-	if resilience.IsPermanent(err) {
-		return fmt.Errorf("%w: %w", ErrSpec, err)
+	if !resilience.IsPermanent(err) {
+		return err
 	}
-	return err
+	if strings.Contains(err.Error(), `unknown format "spans"`) {
+		err = fmt.Errorf("fleet member predates format=spans; upgrade `hydra serve` (%w)", err)
+	}
+	return fmt.Errorf("%w: %w", ErrSpec, err)
 }
 
 // Tables implements Source via GET /v1/summary.
@@ -168,7 +175,7 @@ func (s *RemoteSource) Table(name string) (*TableInfo, error) {
 
 func (s *RemoteSource) tableInfo(ctx context.Context, name string) (*TableInfo, string, error) {
 	var rep matgen.StreamReport
-	path := "/v1/tables/" + url.PathEscape(name) + "?format=csv&info=1"
+	path := "/v1/tables/" + url.PathEscape(name) + "?format=spans&info=1"
 	digest, err := s.getJSON(ctx, path, &rep)
 	if err != nil {
 		return nil, "", err
@@ -194,61 +201,37 @@ func (s *RemoteSource) Scan(ctx context.Context, spec Spec) (*Scan, error) {
 	// member loaded with a different database fails the scan instead of
 	// silently truncating or padding it.
 	f := &remoteFiller{
-		src: s, spec: spec, end: r.hi,
-		ncols:  len(r.cols),
+		src: s, spec: spec,
+		proj: r.proj, ncols: len(r.cols),
 		digest: digest,
-		row:    make([]int64, len(r.cols)),
+		dec:    newSpanDecoder(len(info.Cols), r.lo, r.hi, r.filtered),
 	}
 	if r.filtered {
-		// The filter travels to the server in canonical encoding and is
-		// evaluated inside the encode stream, so only matching rows cross
-		// the network. The client then needs each row's pk to place it on
-		// the batch grid and to resume a torn stream (the offset space is
-		// pre-filter, and a matching row's pk IS its position): when the
-		// projection lacks the pk column it is appended to the request
-		// and stripped before rows reach the batch.
-		f.filtered = true
+		// The filter travels to the server in canonical encoding and
+		// prunes runs inside the encode stream, so only matching runs
+		// cross the network.
 		f.filterEnc = spec.Filter.Encode()
-		f.reqCols = spec.Columns
-		f.pkIdx = -1
-		if len(spec.Columns) == 0 {
-			f.pkIdx = 0 // natural layout: pk first
-		} else {
-			for i, name := range spec.Columns {
-				if name == info.Cols[0] {
-					f.pkIdx = i
-					break
-				}
-			}
-			if f.pkIdx < 0 {
-				f.reqCols = append(append([]string(nil), spec.Columns...), info.Cols[0])
-				f.pkIdx = len(spec.Columns)
-			}
-		}
-		nread := len(r.cols)
-		if len(f.reqCols) > nread {
-			nread = len(f.reqCols)
-		}
-		f.rowFull = make([]int64, nread)
-		f.resumeAbs = r.lo
 	}
 	return newScan(ctx, r, f, s.m), nil
 }
 
-// remoteFiller decodes one csv table stream into batches, reopening at
-// the current offset on another fleet member when a stream dies.
+// remoteFiller places the runs of one spans stream on the batch grid,
+// reopening at the current row on another fleet member when a stream
+// dies. The decoder holds the scanned range and the position in it — the
+// row after the last run received — which is both where a torn stream
+// resumes and, under a filter, how far the server has already looked:
+// offsets are always pre-filter row numbers.
 type remoteFiller struct {
 	src   *RemoteSource
 	spec  Spec
-	end   int64 // absolute end of the scanned range
-	ncols int
+	proj  []int // FillSpan's index list; nil = the natural layout
+	ncols int   // output columns
 
 	body   io.ReadCloser
-	rr     *csvReader
-	pos    int64  // absolute row the open stream yields next
-	digest string // summary digest pinned by the geometry (or first) response
+	dec    *spanDecoder
+	cur    tuplegen.Span // undelivered rest of the last run received
+	digest string        // summary digest pinned by the geometry (or first) response
 	fails  int
-	row    []int64
 
 	// member is the fleet member serving the open stream; openedAt and
 	// rowsRead feed its rows/s EWMA when the stream ends well.
@@ -256,107 +239,67 @@ type remoteFiller struct {
 	openedAt time.Time
 	rowsRead int64
 
-	// Filtered mode: the server streams only matching rows, so stream
-	// position and batch position decouple. Each row carries its pk (at
-	// pkIdx of the requested layout), which places it on the batch grid
-	// and is where a torn stream resumes — the offset space is always
-	// pre-filter row numbers.
-	filtered  bool
-	filterEnc string   // canonical filter= value
-	reqCols   []string // columns requested from the server (projection + pk)
-	rowFull   []int64  // one decoded stream row, len == max(ncols, len(reqCols))
-	pkIdx     int      // pk's index in the stream layout
-	resumeAbs int64    // absolute offset to (re)open the stream at
-	havePeek  bool     // rowFull holds an undelivered row
-	exhausted bool     // server closed cleanly: no matches remain in range
+	// Filtered mode (filterEnc, the canonical filter= value, is set): the
+	// server streams only matching runs, so a grid cell may end with the
+	// next run still ahead of it (kept in cur), and a clean end of stream
+	// means no matches remain in range.
+	filterEnc string
+	exhausted bool
 }
 
+// fill places the runs (or parts of runs) that fall in [lo,hi) at the
+// front of b. Unfiltered, the decoder insists runs tile the range, so
+// the cell comes out full; filtered, it holds the cell's matches and a
+// run starting at or beyond hi waits in cur for a later cell.
 func (f *remoteFiller) fill(ctx context.Context, b *tuplegen.Batch, lo, hi int64) error {
-	if f.filtered {
-		return f.fillFiltered(ctx, b, lo, hi)
-	}
 	n := int(hi - lo)
 	cols := prepBatch(b, f.ncols, n, lo)
-	for i := 0; i < n; i++ {
-		abs := lo + int64(i)
-		for {
-			if f.rr == nil || f.pos != abs {
-				if err := f.openAt(ctx, abs); err != nil {
-					return err
-				}
-			}
-			err := f.rr.next(f.row)
-			if err == nil {
-				break
-			}
-			if err := f.streamDied(ctx, err); err != nil {
+	at := 0
+	for at < n && !f.exhausted {
+		if f.cur.N == 0 {
+			if err := f.nextSpan(ctx); err != nil {
 				return err
 			}
+			continue
 		}
-		f.fails = 0 // a decoded row is progress
-		f.rowsRead++
-		for c := range cols {
-			cols[c][i] = f.row[c]
+		first := f.cur.Start - 1
+		if first >= hi {
+			break
 		}
-		f.pos++
+		sp := f.cur
+		sp.N = min(sp.N, hi-first)
+		at = tuplegen.FillSpan(cols, at, sp, f.proj)
+		advance(&f.cur, sp.N)
 	}
+	b.N = at
 	return nil
 }
 
-// fillFiltered assigns server-delivered matching rows to the grid cell
-// [lo,hi) by their pk, holding at most one looked-ahead row that
-// belongs to a later cell. The stream is opened once for the whole
-// range and reopened (possibly on another member) at the pk of the
-// last row received if it dies; a clean end-of-stream means the server
-// delivered every matching row in the range.
-func (f *remoteFiller) fillFiltered(ctx context.Context, b *tuplegen.Batch, lo, hi int64) error {
-	n := int(hi - lo)
-	cols := prepBatch(b, f.ncols, n, lo)
-	out := 0
-	for out < n && !f.exhausted {
-		if !f.havePeek {
-			if err := f.readRow(ctx); err != nil {
-				return err
-			}
-			if f.exhausted {
-				break
-			}
-		}
-		if pk := f.rowFull[f.pkIdx]; pk-1 >= hi {
-			break // first row of a later cell; keep it as lookahead
-		}
-		for c := 0; c < f.ncols; c++ {
-			cols[c][out] = f.rowFull[c]
-		}
-		out++
-		f.havePeek = false
-	}
-	b.N = out
-	return nil
-}
-
-// readRow decodes the next matching row into rowFull, resuming or
-// failing over on stream death. A clean io.EOF — the server's chunked
+// nextSpan decodes the next run into cur, resuming or failing over on
+// stream death. Under a filter a clean io.EOF — the server's chunked
 // response ended with its terminal frame — sets exhausted instead: the
 // filtered stream has no fixed row count, so "ended cleanly" is the
 // protocol's only (and sufficient) end-of-matches signal; truncation
 // surfaces as ErrUnexpectedEOF and resumes like any other death.
-func (f *remoteFiller) readRow(ctx context.Context) error {
+func (f *remoteFiller) nextSpan(ctx context.Context) error {
 	for {
-		if f.rr == nil {
-			if err := f.openAt(ctx, f.resumeAbs); err != nil {
+		if f.dec.pos >= f.dec.end {
+			f.exhausted = true // the last run received reached the range's end
+			return nil
+		}
+		if f.body == nil {
+			if err := f.openAt(ctx, f.dec.pos); err != nil {
 				return err
 			}
 		}
-		err := f.rr.next(f.rowFull)
+		sp, err := f.dec.next()
 		if err == nil {
-			f.fails = 0
-			f.rowsRead++
-			f.havePeek = true
-			f.resumeAbs = f.rowFull[f.pkIdx] // this row's abs is pk-1; resume after it
+			f.fails = 0 // a decoded run is progress
+			f.rowsRead += sp.N
+			f.cur = sp
 			return nil
 		}
-		if errors.Is(err, io.EOF) {
+		if f.filterEnc != "" && errors.Is(err, io.EOF) {
 			f.exhausted = true
 			f.finishStream(false)
 			f.closeBody()
@@ -369,11 +312,12 @@ func (f *remoteFiller) readRow(ctx context.Context) error {
 }
 
 // streamDied settles a stream that broke mid-table (connection,
-// truncation, torn row). nil means resume: the caller reopens at its
-// exact row through openAt, on whichever member Do picks. A death is
-// not an outcome of that call, so the filler bounds them itself: the
-// scan ends once Attempts streams in a row died without a decoded row
-// (fails resets on progress), or as soon as ctx is done.
+// truncation, a frame the decoder refused). nil means resume: the
+// caller reopens at its exact row through openAt, on whichever member
+// Do picks. A death is not an outcome of that call, so the filler
+// bounds them itself: the scan ends once Attempts streams in a row died
+// without a decoded run (fails resets on progress), or as soon as ctx
+// is done.
 func (f *remoteFiller) streamDied(ctx context.Context, err error) error {
 	mRemoteResumes.Inc()
 	cerr := ctx.Err()
@@ -394,7 +338,7 @@ func (f *remoteFiller) streamDied(ctx context.Context, err error) error {
 func (f *remoteFiller) openAt(ctx context.Context, abs int64) error {
 	f.closeBody()
 	opens := 0
-	err := f.src.Tracker().Do(ctx, f.src.policy, func(ctx context.Context, m *resilience.Member) error {
+	return f.src.Tracker().Do(ctx, f.src.policy, func(ctx context.Context, m *resilience.Member) error {
 		if opens++; opens > 1 {
 			mRemoteFailovers.Inc() // the open before this one failed and Do moved on
 		}
@@ -404,10 +348,6 @@ func (f *remoteFiller) openAt(ctx context.Context, abs int64) error {
 		}
 		return err
 	})
-	if err == nil {
-		f.pos = abs
-	}
-	return err
 }
 
 func (f *remoteFiller) openOn(ctx context.Context, member *resilience.Member, abs int64) (err error) {
@@ -419,23 +359,15 @@ func (f *remoteFiller) openOn(ctx context.Context, member *resilience.Member, ab
 		trace.Str("member", srv), trace.Int("offset", abs))
 	defer func() { asp.Fail(err); asp.End() }()
 	q := url.Values{}
-	q.Set("format", "csv")
-	cols, nread := f.spec.Columns, f.ncols
-	if f.filtered {
-		cols = f.reqCols
-		nread = len(f.rowFull)
+	q.Set("format", "spans")
+	if f.filterEnc != "" {
 		q.Set("filter", f.filterEnc)
-	}
-	if len(cols) > 0 {
-		q.Set("columns", strings.Join(cols, ","))
 	}
 	if f.spec.FKSpread {
 		q.Set("fkspread", "1")
 	}
 	q.Set("offset", strconv.FormatInt(abs, 10))
-	if limit := f.end - abs; limit > 0 {
-		q.Set("limit", strconv.FormatInt(limit, 10))
-	}
+	q.Set("limit", strconv.FormatInt(f.dec.end-abs, 10))
 	u := srv + "/v1/tables/" + url.PathEscape(f.spec.Table) + "?" + q.Encode()
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, u, nil)
 	if err != nil {
@@ -460,7 +392,7 @@ func (f *remoteFiller) openOn(ctx context.Context, member *resilience.Member, ab
 			return fmt.Errorf("scan: fleet member serves summary %.12s…, scan started on %.12s… — cannot splice", d, f.digest)
 		}
 	}
-	if f.filtered {
+	if f.filterEnc != "" {
 		// A server that predates predicate pushdown ignores filter= and
 		// streams every row — silently wrong results, not an error. The
 		// echo header proves the filter was applied; its absence is fatal
@@ -470,15 +402,8 @@ func (f *remoteFiller) openOn(ctx context.Context, member *resilience.Member, ab
 			return resilience.Permanent(fmt.Errorf("%w: fleet member did not apply filter %q (echoed %q); upgrade `hydra serve`", ErrSpec, f.filterEnc, got))
 		}
 	}
-	// The stream carries the csv header line exactly when it starts at
-	// the very top of the table (server-side shard 0, offset 0 — we
-	// always request the whole table and cut our own range via offset).
-	rr, err := newCSVReader(resp.Body, nread, abs == 0)
-	if err != nil {
-		resp.Body.Close()
-		return err
-	}
-	f.body, f.rr = resp.Body, rr
+	f.body = resp.Body
+	f.dec.read(resp.Body)
 	// Do records this open's time-to-first-byte as the member's latency
 	// observation; rows/s follows when the stream ends (finishStream).
 	f.member, f.openedAt, f.rowsRead = member, time.Now(), 0
@@ -506,7 +431,7 @@ func (f *remoteFiller) finishStream(failed bool) {
 func (f *remoteFiller) closeBody() {
 	if f.body != nil {
 		f.body.Close()
-		f.body, f.rr = nil, nil
+		f.body = nil
 	}
 }
 

@@ -10,11 +10,12 @@
 //	SummarySource  generates batches straight from a loaded summary
 //	               (the in-process dynamic path, tuplegen under the hood)
 //	DirSource      reads back a materialized shard directory, decoding
-//	               csv/jsonl/heap part files against their manifests and
+//	               csv/jsonl/heap/spans part files against their manifests and
 //	               verifying checksums lazily (each part is re-hashed the
 //	               first time a scan opens it)
-//	RemoteSource   streams from a fleet of `hydra serve` servers with
-//	               projection pushdown, resume-on-offset, and failover
+//	RemoteSource   streams the summary's runs (format=spans) from a fleet
+//	               of `hydra serve` servers with filter pushdown,
+//	               resume-on-offset, and failover
 //
 // Every source answers the same Spec — table, column projection,
 // pk range, shard i/N split, batch size, rows/s rate limit — and yields
@@ -80,9 +81,8 @@ type Spec struct {
 	Table string
 	// Columns projects the scan onto a subset of columns, in the order
 	// given (nil = every column in the source's layout order). The
-	// projection is pushed down as far as the backend allows: the
-	// summary source generates only the selected columns, and the remote
-	// source asks the server to encode only them.
+	// projection is applied as early as the backend allows: the summary
+	// and remote sources fill only the selected columns from each run.
 	Columns []string
 	// StartPK and EndPK bound the scan to primary keys [StartPK, EndPK],
 	// 1-based and inclusive. Zero values mean the table's ends; EndPK is

@@ -5,8 +5,8 @@
 //
 // Server side, two endpoints over one summary:
 //
-//	GET  /v1/tables/{table}?format=csv|jsonl|sql|heap&compress=gzip
-//	     &shard=i/N&offset=K&limit=M&rate=R&columns=a,b
+//	GET  /v1/tables/{table}?format=csv|jsonl|sql|heap|spans&compress=gzip
+//	     &shard=i/N&offset=K&limit=M&rate=R&columns=a,b&filter=F
 //	     streams a resumable range scan straight from matgen's
 //	     zero-allocation encode pipeline. The bytes are exactly what a
 //	     local materialization with the same options writes (prefix/
@@ -16,6 +16,26 @@
 //	     are generated and encoded, in the order given. Backpressure is the connection
 //	     itself: a slow client stalls encoding instead of buffering the
 //	     table in memory, and closing it cancels generation mid-chunk.
+//	     format=spans (application/vnd.hydra.spans) is the run-native
+//	     wire format scan.RemoteSource reads: the body is a bare
+//	     sequence of frames, one per summary-row run clipped to the
+//	     request's range and the server's chunk grid,
+//	       uvarint(len(body)) body crc32c-LE(length bytes + body)
+//	       body = uvarint Start, N, Off; zigzag varint x (cols-1) for
+//	              the constant values then the base FKs; uvarint k and
+//	              k uvarint FK spans (k = 0, or the FK count under
+//	              fkspread=1: FK c of tuple i is base+(Off+i)%span)
+//	     — dozens of bytes for thousands of rows, alignment 1, so any
+//	     offset/limit is valid and rate= still paces by the rows a
+//	     frame stands for. A client must bound len by the column count
+//	     (never allocate from it), verify the CRC, and reject N < 1, a
+//	     Start outside the rows it asked for or not after the previous
+//	     frame's end, a run reaching past its limit, a span < 1, and
+//	     trailing bytes; EOF inside a frame is a torn stream, EOF
+//	     between frames the end. filter= is applied here (the server
+//	     omits and clips runs; the X-Hydra-Filter echo proves it), but
+//	     projection is the client's: frames describe the full layout
+//	     and columns= must keep the pk first or the request is a 400.
 //	GET  /v1/tables/{table}?...&info=1 returns the stream's geometry
 //	     (rows, alignment, chunk grid) as JSON without generating.
 //	POST /v1/shardjobs executes one full matgen ShardJob — the unit the

@@ -123,7 +123,7 @@ func (s *Server) handleTable(w http.ResponseWriter, r *http.Request) {
 	// cancels generation mid-table when the client goes away.
 	sum := sha256.New()
 	fw := &flushWriter{w: w, rc: http.NewResponseController(w), start: t0, ttfc: s.m.ttfcSec,
-		writeTimeout: s.opts.WriteTimeout, sp: sp}
+		writeTimeout: s.opts.WriteTimeout, sp: sp, lazy: opts.RateLimit == 0}
 	rep, err := plan.Run(ctx, io.MultiWriter(fw, sum))
 	if rep != nil {
 		// Stage spans carry the per-stream share of matgen's stage
@@ -275,17 +275,19 @@ func contentType(format, compression string) string {
 		return "application/x-ndjson"
 	case "sql":
 		return "application/sql; charset=utf-8"
+	case "spans":
+		return "application/vnd.hydra.spans"
 	default:
 		return "application/octet-stream"
 	}
 }
 
 // flushWriter pushes every chunk to the client as soon as it is
-// written and tracks whether anything has been committed (an error
-// before the first byte can still become a real status code). Flush
-// errors on connections that do not support it are ignored; real write
-// errors surface through Write itself. When start/ttfc are set, the
-// first write observes time-to-first-chunk.
+// written (unless lazy) and tracks whether anything has been committed
+// (an error before the first byte can still become a real status code).
+// Flush errors on connections that do not support it are ignored; real
+// write errors surface through Write itself. When start/ttfc are set,
+// the first write observes time-to-first-chunk.
 type flushWriter struct {
 	w     io.Writer
 	rc    *http.ResponseController
@@ -301,6 +303,13 @@ type flushWriter struct {
 	// sp, when set, gets a first-chunk event on the first write — the
 	// accept→first-byte gap is queueing plus first-chunk encode time.
 	sp *trace.Span
+	// lazy leaves flushing to the connection's own buffer, which sends
+	// whenever it fills and when the handler returns. A paced stream must
+	// not be lazy — each chunk is due when the limiter releases it — but
+	// an unpaced one gains nothing from a flush per chunk, and a spans
+	// chunk is a few dozen bytes: flushed singly, the syscalls and chunk
+	// headers cost more than generating the rows they stand for.
+	lazy bool
 }
 
 func (f *flushWriter) Write(p []byte) (int, error) {
@@ -317,7 +326,7 @@ func (f *flushWriter) Write(p []byte) (int, error) {
 	}
 	n, err := f.w.Write(p)
 	f.wrote += int64(n)
-	if err == nil && f.rc != nil {
+	if err == nil && f.rc != nil && !f.lazy {
 		if ferr := f.rc.Flush(); ferr != nil && !errors.Is(ferr, http.ErrNotSupported) {
 			return n, ferr
 		}
