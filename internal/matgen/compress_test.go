@@ -38,6 +38,7 @@ func TestCompressedWorkerCountDeterminism(t *testing.T) {
 	for _, format := range []string{"csv", "heap", "sql"} {
 		t.Run(format, func(t *testing.T) {
 			var got map[string][]byte
+			var manifest []byte
 			for _, workers := range []int{1, 8} {
 				dir := t.TempDir()
 				rep, err := Materialize(sum, Options{
@@ -52,8 +53,11 @@ func TestCompressedWorkerCountDeterminism(t *testing.T) {
 				}
 				files := readDirFiles(t, dir)
 				if got == nil {
-					got = files
+					got, manifest = files, manifestBytes(t, dir, rep)
 					continue
+				}
+				if m := manifestBytes(t, dir, rep); !bytes.Equal(m, manifest) {
+					t.Fatalf("workers=%d: manifest (member offsets included) differs from workers=1", workers)
 				}
 				for name, b := range files {
 					if !bytes.Equal(b, got[name]) {

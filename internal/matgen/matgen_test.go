@@ -80,6 +80,7 @@ func TestWorkerCountDeterminism(t *testing.T) {
 		for _, spread := range []bool{false, true} {
 			t.Run(fmt.Sprintf("%s/spread=%v", format, spread), func(t *testing.T) {
 				var got map[string][]byte
+				var manifest []byte
 				for _, workers := range []int{1, 8} {
 					dir := t.TempDir()
 					rep, err := Materialize(sum, Options{
@@ -97,8 +98,13 @@ func TestWorkerCountDeterminism(t *testing.T) {
 						t.Fatalf("files = %v", files)
 					}
 					if got == nil {
-						got = files
+						got, manifest = files, manifestBytes(t, dir, rep)
 						continue
+					}
+					// The manifest — chunk index included — is as
+					// worker-independent as the bytes it describes.
+					if m := manifestBytes(t, dir, rep); !bytes.Equal(m, manifest) {
+						t.Fatalf("workers=%d: manifest differs from workers=1:\n%s\nvs\n%s", workers, m, manifest)
 					}
 					for name, b := range files {
 						if !bytes.Equal(b, got[name]) {

@@ -147,11 +147,19 @@ func TestEmptyChunksStayDeterministic(t *testing.T) {
 	var got []byte
 	for _, workers := range []int{1, 8} {
 		dir := t.TempDir()
-		if _, err := Materialize(sum, Options{
+		rep, err := Materialize(sum, Options{
 			Dir: dir, Sink: sparseSink{}, Compress: "gzip",
 			Workers: workers, BatchRows: 64, NoManifest: true,
-		}); err != nil {
+		})
+		if err != nil {
 			t.Fatal(err)
+		}
+		// Chunks that wrote nothing start nowhere: no index is reported
+		// rather than one ReadManifest would refuse.
+		for _, tr := range rep.Tables {
+			if tr.ChunkRows != 0 || tr.Offsets != nil {
+				t.Fatalf("workers=%d: %s reports an index over empty chunks: %d × %v", workers, tr.Table, tr.ChunkRows, tr.Offsets)
+			}
 		}
 		b, err := os.ReadFile(filepath.Join(dir, "B.sp.gz"))
 		if err != nil {

@@ -3,6 +3,7 @@ package matgen
 import (
 	"bufio"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -89,20 +90,71 @@ func writeManifest(path string, m *Manifest) error {
 	})
 }
 
-// ReadManifest loads a manifest written by Materialize.
+// ErrManifestInconsistent marks a manifest that contradicts itself or
+// its siblings. Every reader of a directory meets it the same way:
+// orchestrate.Verify reports it under this very value, and scan.OpenDir
+// returns it from ReadManifest.
+var ErrManifestInconsistent = errors.New("shard manifests inconsistent")
+
+// ReadManifest loads a manifest written by Materialize. The file is not
+// checksummed, so what it says about positions inside a part is checked
+// here, before any reader seeks by it: see TableReport's index fields.
 func ReadManifest(path string) (*Manifest, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
 	}
 	defer f.Close()
-	var m Manifest
-	dec := json.NewDecoder(bufio.NewReader(f))
-	if err := dec.Decode(&m); err != nil {
+	m, err := decodeManifest(bufio.NewReader(f))
+	if err != nil {
 		return nil, fmt.Errorf("matgen: %s: %w", path, err)
 	}
+	return m, nil
+}
+
+func decodeManifest(r io.Reader) (*Manifest, error) {
+	var m Manifest
+	if err := json.NewDecoder(r).Decode(&m); err != nil {
+		return nil, err
+	}
 	if m.Version != manifestVersion {
-		return nil, fmt.Errorf("matgen: %s: unsupported manifest version %d", path, m.Version)
+		return nil, fmt.Errorf("unsupported manifest version %d", m.Version)
+	}
+	for i := range m.Tables {
+		if err := m.Tables[i].checkIndex(); err != nil {
+			return nil, fmt.Errorf("%w: %s: %v", ErrManifestInconsistent, m.Tables[i].Table, err)
+		}
 	}
 	return &m, nil
+}
+
+// checkIndex reports whether the report's chunk index can be sought by:
+// one offset per chunk of Rows, strictly increasing, all inside the
+// file. No index at all is the valid single-chunk case.
+func (tr *TableReport) checkIndex() error {
+	if tr.ChunkRows == 0 && len(tr.Offsets) == 0 {
+		return nil
+	}
+	if tr.ChunkRows < 1 || tr.Rows < 1 {
+		return fmt.Errorf("index of %d offsets over %d rows in chunks of %d", len(tr.Offsets), tr.Rows, tr.ChunkRows)
+	}
+	chunks := tr.Rows / tr.ChunkRows
+	if tr.Rows%tr.ChunkRows != 0 {
+		chunks++
+	}
+	if int64(len(tr.Offsets)) != chunks {
+		return fmt.Errorf("index has %d offsets, %d rows in chunks of %d need %d",
+			len(tr.Offsets), tr.Rows, tr.ChunkRows, chunks)
+	}
+	prev := int64(-1)
+	for i, off := range tr.Offsets {
+		if off <= prev {
+			return fmt.Errorf("index offset %d (%d) does not follow %d", i, off, prev)
+		}
+		prev = off
+	}
+	if prev >= tr.Bytes {
+		return fmt.Errorf("index ends at byte %d of a %d-byte file", prev, tr.Bytes)
+	}
+	return nil
 }

@@ -412,6 +412,27 @@ func TestVerifyFailureModes(t *testing.T) {
 		expectOnly(t, err, ErrStaleArtifacts)
 	})
 
+	// The chunk index a directory scan seeks by is part of what Verify
+	// vouches for: one that does not fit its part's rows or bytes is an
+	// inconsistent manifest, whichever way it is wrong.
+	for name, mutate := range map[string]func(*matgen.TableReport){
+		"index-short":      func(tr *matgen.TableReport) { tr.Offsets = tr.Offsets[1:] },
+		"index-unordered":  func(tr *matgen.TableReport) { tr.Offsets[1] = tr.Offsets[0] },
+		"index-past-bytes": func(tr *matgen.TableReport) { tr.Offsets[len(tr.Offsets)-1] = tr.Bytes },
+	} {
+		t.Run(name, func(t *testing.T) {
+			dir, sum := runVerified(t)
+			rewriteManifest(t, dir, 1, 3, func(m *matgen.Manifest) {
+				if len(m.Tables[0].Offsets) < 2 {
+					t.Fatalf("fixture has no multi-chunk index: %+v", m.Tables[0])
+				}
+				mutate(&m.Tables[0])
+			})
+			_, err := Verify(VerifyOptions{Dir: dir, Summary: sum})
+			expectOnly(t, err, ErrManifestInconsistent)
+		})
+	}
+
 	t.Run("inconsistent-width", func(t *testing.T) {
 		dir, sum := runVerified(t)
 		rewriteManifest(t, dir, 0, 3, func(m *matgen.Manifest) {

@@ -22,8 +22,11 @@ var (
 	// ErrManifestMissing: a shard of the split has no manifest in Dir.
 	ErrManifestMissing = errors.New("shard manifest missing")
 	// ErrManifestInconsistent: manifests disagree about the job (format,
-	// codec, shard count, table set, or total cardinality).
-	ErrManifestInconsistent = errors.New("shard manifests inconsistent")
+	// codec, shard count, table set, or total cardinality), or one
+	// contradicts itself — a chunk index that does not fit its own row
+	// count or file size, which matgen.ReadManifest refuses for every
+	// reader under this same value.
+	ErrManifestInconsistent = matgen.ErrManifestInconsistent
 	// ErrRangeOverlap: consecutive shards claim overlapping row ranges.
 	ErrRangeOverlap = errors.New("shard row ranges overlap")
 	// ErrRangeGap: a row range is missing between consecutive shards or

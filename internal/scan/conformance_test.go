@@ -7,12 +7,15 @@ package scan_test
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"path/filepath"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -188,6 +191,103 @@ func TestConformance(t *testing.T) {
 				diffBatches(t, "remote", drain(t, remote, spec), want)
 			})
 		}
+	}
+
+	// Positioned reads: a scan may start anywhere, and a directory scan
+	// gets there by seeking to a chunk of the manifest's index and
+	// skipping the rest. Every format × codec × split is started one row
+	// before, at, and one row after every chunk boundary it was written
+	// with, from one long-lived source, and then again with the index
+	// struck from its manifests — the one-chunk case of the same code,
+	// which is also what a directory written before the index looks like.
+	t.Run("dir/ranged", func(t *testing.T) {
+		for _, format := range []string{"csv", "jsonl", "heap", "spans"} {
+			for _, compress := range []string{"", "gzip"} {
+				for _, shards := range []int{1, 3} {
+					label := fmt.Sprintf("%s+%s/%d", format, compress, shards)
+					dir := materializeDir(t, sum, format, compress, shards, true)
+					starts := chunkEdgeRows(t, dir, "S")
+					if len(starts) < 3*8208/512 {
+						t.Fatalf("%s: only %d ranged starts; the index is missing or coarse", label, len(starts))
+					}
+					diffRanged(t, label, dir, ref, starts)
+					rewriteManifests(t, dir, func(tr *matgen.TableReport) { tr.ChunkRows, tr.Offsets = 0, nil })
+					diffRanged(t, label+"/no-index", dir, ref, starts)
+				}
+			}
+		}
+	})
+}
+
+// readManifests loads every shard manifest of dir, by path.
+func readManifests(t *testing.T, dir string) map[string]*matgen.Manifest {
+	t.Helper()
+	paths, err := filepath.Glob(filepath.Join(dir, "manifest-*.json"))
+	if err != nil || len(paths) == 0 {
+		t.Fatalf("manifests of %s: %v, %v", dir, paths, err)
+	}
+	out := map[string]*matgen.Manifest{}
+	for _, path := range paths {
+		if out[path], err = matgen.ReadManifest(path); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return out
+}
+
+// rewriteManifests applies mutate to every table report of every
+// manifest in dir and writes the manifests back.
+func rewriteManifests(t *testing.T, dir string, mutate func(*matgen.TableReport)) {
+	t.Helper()
+	for path, m := range readManifests(t, dir) {
+		for i := range m.Tables {
+			mutate(&m.Tables[i])
+		}
+		b, err := json.MarshalIndent(m, "", "  ")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, b, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// chunkEdgeRows lists, for every chunk of every part of table in dir,
+// the absolute rows one before, at, and one after the chunk's first.
+func chunkEdgeRows(t *testing.T, dir, table string) []int64 {
+	t.Helper()
+	var rows []int64
+	for _, m := range readManifests(t, dir) {
+		for _, tr := range m.Tables {
+			if tr.Table != table {
+				continue
+			}
+			for i := range tr.Offsets {
+				edge := tr.StartRow + int64(i)*tr.ChunkRows
+				for _, row := range []int64{edge - 1, edge, edge + 1} {
+					if row >= 0 && row < tr.TotalRows {
+						rows = append(rows, row)
+					}
+				}
+			}
+		}
+	}
+	return rows
+}
+
+// diffRanged scans 700 rows — past the next chunk edge, and often the
+// next part's — from each start, against the summary reference.
+func diffRanged(t *testing.T, label, dir string, ref scan.Source, starts []int64) {
+	t.Helper()
+	src, err := scan.OpenDir(dir)
+	if err != nil {
+		t.Fatalf("%s: %v", label, err)
+	}
+	defer src.Close()
+	for _, row := range starts {
+		spec := scan.Spec{Table: "S", StartPK: row + 1, EndPK: row + 700, BatchRows: 300, FKSpread: true}
+		diffBatches(t, fmt.Sprintf("%s from row %d", label, row), drain(t, src, spec), drain(t, ref, spec))
 	}
 }
 
@@ -599,48 +699,290 @@ func TestRemoteMetadataBusyWait(t *testing.T) {
 	}
 }
 
-// TestDirChecksumLazyVerify proves the lazy integrity check: corrupting
-// one byte of a part fails the scan that opens it, with the checksum
-// named; a scan that never reaches the corrupt part still succeeds.
+// dirVerifyBytes reads the process-wide count of part bytes hashed.
+func dirVerifyBytes() int64 {
+	return obs.Default.Counter("hydra_scan_dir_verify_bytes_total", "").Value()
+}
+
+// scanErr drains one scan and returns how it ended.
+func scanErr(t *testing.T, ctx context.Context, src scan.Source, spec scan.Spec) error {
+	t.Helper()
+	sc, err := src.Scan(ctx, spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sc.Close()
+	for sc.Next() {
+	}
+	return sc.Err()
+}
+
+// TestDirChecksumLazyVerify proves the integrity contract of a
+// directory source: a part is hashed before the first row the source
+// decodes from it and not again while the file stays what it was;
+// corruption — before the first touch or after it, by rewrite,
+// replacement, truncation or append — fails the next scan that opens
+// the part with the checksum named; and a scan that never reaches a bad
+// part still succeeds.
 func TestDirChecksumLazyVerify(t *testing.T) {
 	sum := testSummary()
-	dir := materializeDir(t, sum, "csv", "", 3, false)
-	src, err := scan.OpenDir(dir)
-	if err != nil {
-		t.Fatal(err)
+	ctx := context.Background()
+	wantSHA := func(t *testing.T, err error) {
+		t.Helper()
+		if err == nil || !strings.Contains(err.Error(), "sha256") {
+			t.Fatalf("err = %v, want sha256 mismatch", err)
+		}
 	}
-	// Corrupt the last shard's S part.
-	path := dir + "/S.csv.part-002-of-003"
-	b, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
+	flipByte := func(t *testing.T, path string) (orig []byte) {
+		t.Helper()
+		orig, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		bad := append([]byte(nil), orig...)
+		bad[len(bad)/2] ^= 1
+		if err := os.WriteFile(path, bad, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return orig
 	}
-	b[len(b)/2] ^= 1
-	if err := os.WriteFile(path, b, 0o644); err != nil {
-		t.Fatal(err)
+
+	t.Run("corrupt before the first touch", func(t *testing.T) {
+		dir := materializeDir(t, sum, "csv", "", 3, false)
+		src, err := scan.OpenDir(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		path := dir + "/S.csv.part-002-of-003"
+		orig := flipByte(t, path)
+		// A scan confined to earlier shards never opens the corrupt part.
+		if err := scanErr(t, ctx, src, scan.Spec{Table: "S", EndPK: 100}); err != nil {
+			t.Fatalf("scan of clean range failed: %v", err)
+		}
+		// A full scan must refuse it — every time: a failed verification
+		// is not remembered, the part is hashed again and fails again.
+		wantSHA(t, scanErr(t, ctx, src, scan.Spec{Table: "S"}))
+		before := dirVerifyBytes()
+		wantSHA(t, scanErr(t, ctx, src, scan.Spec{Table: "S", StartPK: 8000}))
+		if got := dirVerifyBytes() - before; got != int64(len(orig)) {
+			t.Fatalf("retry after a failed verification hashed %d bytes, want the part's %d", got, len(orig))
+		}
+		// And it is retried, not condemned: the right bytes back, it scans.
+		if err := os.WriteFile(path, orig, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if err := scanErr(t, ctx, src, scan.Spec{Table: "S"}); err != nil {
+			t.Fatalf("scan of the repaired part: %v", err)
+		}
+	})
+
+	t.Run("hashed once, and again when the file changes", func(t *testing.T) {
+		dir := materializeDir(t, sum, "csv", "", 1, false)
+		src, err := scan.OpenDir(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		path := dir + "/S.csv"
+		orig, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// The first scan pays the hash and says so on its span; later
+		// scans of the clean part, wherever they start, hash nothing.
+		verifyEvents := func(spec scan.Spec) (events int) {
+			tctx, root := trace.Start(ctx, "test.dir-verify")
+			id := root.TraceID()
+			if err := scanErr(t, tctx, src, spec); err != nil {
+				t.Fatal(err)
+			}
+			root.End()
+			for _, tr := range trace.Default.Traces() {
+				if tr.TraceID != id {
+					continue
+				}
+				for _, rec := range tr.Spans {
+					for _, ev := range rec.Events {
+						if rec.Name == "scan.dir" && ev.Name == "verify" {
+							events++
+						}
+					}
+				}
+			}
+			return events
+		}
+		before := dirVerifyBytes()
+		if n := verifyEvents(scan.Spec{Table: "S", StartPK: 5000, EndPK: 5010}); n != 1 {
+			t.Fatalf("first scan recorded %d verify events, want 1", n)
+		}
+		if got := dirVerifyBytes() - before; got != int64(len(orig)) {
+			t.Fatalf("first scan hashed %d bytes, want the part's %d", got, len(orig))
+		}
+		before = dirVerifyBytes()
+		for _, spec := range []scan.Spec{{Table: "S"}, {Table: "S", StartPK: 8000}} {
+			if n := verifyEvents(spec); n != 0 {
+				t.Fatalf("scan of a verified part recorded %d verify events", n)
+			}
+		}
+		if got := dirVerifyBytes() - before; got != 0 {
+			t.Fatalf("scans of a verified, unchanged part hashed %d bytes, want 0", got)
+		}
+
+		// Each way a part can stop being the bytes that were hashed is
+		// caught by the next scan; each time the original comes back (a
+		// new file again, so hashed again) the source recovers.
+		later := time.Now()
+		changes := map[string]func() error{
+			// In place, same size: only the mtime tells. It is moved by
+			// hand because a filesystem with coarse timestamps may give a
+			// write that lands within one tick of the verification the
+			// same mtime — the documented limit of a stamp.
+			"rewrite": func() error {
+				flipByte(t, path)
+				later = later.Add(time.Second)
+				return os.Chtimes(path, time.Time{}, later)
+			},
+			"truncate": func() error { return os.Truncate(path, int64(len(orig))-1) },
+			"append": func() error {
+				f, err := os.OpenFile(path, os.O_APPEND|os.O_WRONLY, 0)
+				if err != nil {
+					return err
+				}
+				defer f.Close()
+				_, err = f.WriteString("1,2,3,4\n")
+				return err
+			},
+			// Same size, and the old mtime put back: only the identity tells.
+			"replace": func() error {
+				fi, err := os.Stat(path)
+				if err != nil {
+					return err
+				}
+				bad := append([]byte(nil), orig...)
+				bad[len(bad)/2] ^= 1
+				tmp := path + ".new"
+				if err := os.WriteFile(tmp, bad, 0o644); err != nil {
+					return err
+				}
+				if err := os.Chtimes(tmp, time.Time{}, fi.ModTime()); err != nil {
+					return err
+				}
+				return os.Rename(tmp, path)
+			},
+		}
+		for _, name := range []string{"rewrite", "truncate", "append", "replace"} {
+			if err := changes[name](); err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			wantSHA(t, scanErr(t, ctx, src, scan.Spec{Table: "S", StartPK: 8000}))
+			if err := os.WriteFile(path, orig, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			later = later.Add(time.Second)
+			if err := os.Chtimes(path, time.Time{}, later); err != nil {
+				t.Fatal(err)
+			}
+			if err := scanErr(t, ctx, src, scan.Spec{Table: "S", StartPK: 8000}); err != nil {
+				t.Fatalf("after undoing %s: %v", name, err)
+			}
+		}
+	})
+
+	t.Run("concurrent first scans hash once", func(t *testing.T) {
+		dir := materializeDir(t, sum, "csv", "", 1, false)
+		src, err := scan.OpenDir(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fi, err := os.Stat(dir + "/S.csv")
+		if err != nil {
+			t.Fatal(err)
+		}
+		before := dirVerifyBytes()
+		const scans = 8
+		errs := make([]error, scans)
+		var wg sync.WaitGroup
+		gate := make(chan struct{})
+		for i := 0; i < scans; i++ {
+			wg.Add(1)
+			go func(i int) {
+				defer wg.Done()
+				<-gate
+				errs[i] = scanErr(t, ctx, src, scan.Spec{Table: "S", StartPK: int64(1 + 1000*i), EndPK: int64(1000 * (i + 1))})
+			}(i)
+		}
+		close(gate)
+		wg.Wait()
+		for i, err := range errs {
+			if err != nil {
+				t.Fatalf("scan %d: %v", i, err)
+			}
+		}
+		if got := dirVerifyBytes() - before; got != fi.Size() {
+			t.Fatalf("%d concurrent first scans hashed %d bytes, want the part's %d once", scans, got, fi.Size())
+		}
+	})
+}
+
+// TestDirIndexCheckedNotTrusted: the manifest is not checksummed, so an
+// index that passes ReadManifest's arithmetic but points at the wrong
+// bytes must fail the scan that seeks by it, naming part and offset —
+// whatever the format — and never deliver rows from the wrong place.
+func TestDirIndexCheckedNotTrusted(t *testing.T) {
+	sum := testSummary()
+	// All scans start at row 1300, in chunk 2 of S (512-row chunks).
+	spec := scan.Spec{Table: "S", StartPK: 1301, EndPK: 1400}
+	cases := []struct {
+		name, format, compress string
+		shift                  func(t *testing.T, dir string, off int64) int64
+		want                   string
+	}{
+		{"csv mid-line", "csv", "", func(*testing.T, string, int64) int64 { return 1 }, "does not point at the start of a line"},
+		{"jsonl mid-line", "jsonl", "", func(*testing.T, string, int64) int64 { return 7 }, "does not point at the start of a line"},
+		{"csv next line", "csv", "", func(t *testing.T, dir string, off int64) int64 {
+			b, err := os.ReadFile(dir + "/S.csv")
+			if err != nil {
+				t.Fatal(err)
+			}
+			return int64(strings.IndexByte(string(b[off:]), '\n') + 1)
+		}, "found pk 1302, want 1301"},
+		{"heap next page", "heap", "", func(*testing.T, string, int64) int64 { return 8192 }, "found pk"},
+		{"spans mid-frame", "spans", "", func(*testing.T, string, int64) int64 { return 1 }, "bad spans frame"},
+		{"gzip mid-member", "csv", "gzip", func(*testing.T, string, int64) int64 { return 1 }, "gzip"},
 	}
-	// A scan confined to earlier shards never opens the corrupt part.
-	sc, err := src.Scan(context.Background(), scan.Spec{Table: "S", EndPK: 100})
-	if err != nil {
-		t.Fatal(err)
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := materializeDir(t, sum, tc.format, tc.compress, 1, false)
+			var bad int64
+			rewriteManifests(t, dir, func(tr *matgen.TableReport) {
+				if tr.Table == "S" {
+					k := (spec.StartPK - 1) / tr.ChunkRows
+					tr.Offsets[k] += tc.shift(t, dir, tr.Offsets[k])
+					bad = tr.Offsets[k]
+				}
+			})
+			src, err := scan.OpenDir(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			err = scanErr(t, context.Background(), src, spec)
+			if err == nil || !strings.Contains(err.Error(), tc.want) ||
+				!strings.Contains(err.Error(), dir+"/S.") || !strings.Contains(err.Error(), fmt.Sprint(bad)) {
+				t.Fatalf("err = %v, want %q naming the part and offset %d", err, tc.want, bad)
+			}
+			// Chunks the damage did not touch still scan.
+			clean := scan.Spec{Table: "S", EndPK: 400}
+			diffBatches(t, "clean chunk", drain(t, src, clean), drain(t, scan.NewSummarySource(sum), clean))
+		})
 	}
-	for sc.Next() {
+
+	// An index that does not even fit its part never gets that far.
+	dir := materializeDir(t, sum, "csv", "", 1, false)
+	rewriteManifests(t, dir, func(tr *matgen.TableReport) {
+		tr.Offsets = tr.Offsets[:len(tr.Offsets)-1]
+	})
+	if _, err := scan.OpenDir(dir); !errors.Is(err, matgen.ErrManifestInconsistent) {
+		t.Fatalf("OpenDir with a short index: %v, want ErrManifestInconsistent", err)
 	}
-	if err := sc.Err(); err != nil {
-		t.Fatalf("scan of clean range failed: %v", err)
-	}
-	sc.Close()
-	// A full scan must refuse the corrupt part.
-	sc, err = src.Scan(context.Background(), scan.Spec{Table: "S"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for sc.Next() {
-	}
-	if err := sc.Err(); err == nil || !strings.Contains(err.Error(), "sha256") {
-		t.Fatalf("err = %v, want sha256 mismatch", err)
-	}
-	sc.Close()
 }
 
 // TestDirPartialSplit: a directory holding only some shards scans fine

@@ -16,11 +16,25 @@ import (
 	"regexp"
 	"slices"
 	"sort"
+	"sync"
+	"time"
 
 	"github.com/dsl-repro/hydra/internal/matgen"
+	"github.com/dsl-repro/hydra/internal/obs"
 	"github.com/dsl-repro/hydra/internal/pred"
 	"github.com/dsl-repro/hydra/internal/storage"
+	"github.com/dsl-repro/hydra/internal/trace"
 	"github.com/dsl-repro/hydra/internal/tuplegen"
+)
+
+// Directory-backend counters, the two costs of a scan that are not its
+// rows: bytes hashed to verify a part before reading it, and rows
+// stepped over without being delivered.
+var (
+	mDirVerifyBytes = obs.Default.Counter("hydra_scan_dir_verify_bytes_total",
+		"part-file bytes hashed against the manifest's SHA-256 before a scan read them")
+	mDirSkippedRows = obs.Default.Counter("hydra_scan_dir_skipped_rows_total",
+		"rows a directory scan decoded past without delivering: the remainder after a chunk seek, and rows a pk restriction excludes")
 )
 
 // DirSource scans a materialized shard directory — the output of
@@ -28,15 +42,34 @@ import (
 // manifests. Formats csv, jsonl, heap, and spans are scannable (plus any
 // of them gzip-compressed); sql is an import artifact, not a scan target.
 //
-// Checksums are verified lazily: the first time a scan opens a part
-// file, the file is re-hashed against the manifest's SHA-256 before a
-// single row is decoded, so a scan never silently reads a corrupted or
-// tampered part — but parts no scan touches cost nothing (contrast
-// orchestrate.Verify, which proves the whole directory up front).
+// Checksums are verified lazily, once: a part is hashed against the
+// manifest's SHA-256 before the first row this source decodes from it,
+// and again before the next row whenever the file opened has a different
+// size, mtime or identity than the one that was hashed — so a scan never
+// silently reads a corrupted, replaced or rewritten part, parts no scan
+// touches cost nothing, and a part scanned a thousand times is hashed
+// once. What that stamp cannot see is a same-size rewrite in place that
+// lands within the filesystem's timestamp granularity of the hash;
+// orchestrate.Verify, which proves the whole directory up front, remains
+// the check to run after shipping or suspecting one.
+//
+// A ranged scan does not read its way to its first row: the manifest's
+// chunk index (matgen.TableReport.Offsets) gives the byte offset of
+// every chunk the part was written in, a chunk starts a line, a heap
+// page, a spans frame and a compressed member all at once, and the scan
+// seeks to the chunk holding its start row and steps over fewer than
+// chunk_rows rows. The manifest is not checksummed, so a seek is
+// checked, not trusted: the index must fit the part's row count and
+// size (matgen.ReadManifest), a csv or jsonl offset must follow a
+// newline, and where the layout has the pk column the first row decoded
+// must be the row asked for.
 type DirSource struct {
 	dir    string
 	format string
 	comp   matgen.Compressor
+	// lines: chunks are runs of text lines read as written (csv or jsonl,
+	// uncompressed), so a chunk offset can be checked to follow a newline.
+	lines  bool
 	tables map[string]*dirTable
 	m      *backendMetrics
 }
@@ -45,6 +78,7 @@ var _ Source = (*DirSource)(nil)
 
 type dirTable struct {
 	info  TableInfo
+	pkCol int       // position of <table>_pk in info.Cols, -1 when projected out
 	parts []dirPart // sorted by start row
 }
 
@@ -53,7 +87,100 @@ type dirPart struct {
 	start    int64 // absolute 0-based offset of the part's first row
 	rows     int64
 	checksum string
-	header   bool // shard 0: csv header line / heap header page present
+	// Chunk i holds rows [start+i*chunkRows, start+(i+1)*chunkRows) and
+	// begins at byte offsets[i]. A manifest without an index is the one
+	// chunk at byte 0 — where shard 0 keeps its csv header line or heap
+	// header page, which an index points past.
+	chunkRows int64
+	offsets   []int64
+	header    bool
+	check     *partCheck
+}
+
+// partCheck remembers that a part hashed to its manifest checksum, as
+// the fstat of the descriptor that was hashed. An open whose descriptor
+// shows the same file, size and mtime reads those bytes and is not
+// hashed again; any other is. Only success is remembered, and scans
+// arriving while one is hashing wait for its verdict rather than hash
+// the part a second time.
+type partCheck struct {
+	mu      sync.Mutex
+	stamp   os.FileInfo   // nil until a descriptor has verified
+	hashing chan struct{} // non-nil while a scan hashes; closed when it is done
+}
+
+// verify hashes file against the part's checksum unless file is what a
+// previous call already hashed.
+func (p *dirPart) verify(ctx context.Context, file *os.File) error {
+	// Stat before hashing: a write that lands in between moves the mtime
+	// off the stamp, and the next open hashes again.
+	fi, err := file.Stat()
+	if err != nil {
+		return err
+	}
+	c := p.check
+	for {
+		c.mu.Lock()
+		s := c.stamp
+		if s != nil && os.SameFile(s, fi) && s.Size() == fi.Size() && s.ModTime().Equal(fi.ModTime()) {
+			c.mu.Unlock()
+			return nil
+		}
+		busy := c.hashing
+		if busy == nil {
+			c.hashing = make(chan struct{})
+		}
+		c.mu.Unlock()
+		if busy == nil {
+			break
+		}
+		select {
+		case <-busy:
+		case <-ctx.Done():
+			return ctx.Err()
+		}
+	}
+	err = p.hash(ctx, file)
+	c.mu.Lock()
+	if err == nil {
+		c.stamp = fi
+	}
+	close(c.hashing)
+	c.hashing = nil
+	c.mu.Unlock()
+	return err
+}
+
+// hash reads file to its end and compares its SHA-256 to the manifest's.
+func (p *dirPart) hash(ctx context.Context, file *os.File) error {
+	// The part can be large — read in bounded slices so a canceled scan
+	// (timeout, Ctrl-C) aborts between them instead of hashing to the end.
+	t0 := time.Now()
+	h := sha256.New()
+	buf := make([]byte, 1<<20)
+	var size int64
+	for {
+		if err := ctx.Err(); err != nil {
+			return err
+		}
+		n, err := file.Read(buf)
+		h.Write(buf[:n])
+		size += int64(n)
+		if errors.Is(err, io.EOF) {
+			break
+		}
+		if err != nil {
+			return fmt.Errorf("scan: %s: %w", p.path, err)
+		}
+	}
+	mDirVerifyBytes.Add(size)
+	trace.FromContext(ctx).Event("verify", trace.Str("part", filepath.Base(p.path)),
+		trace.Int("bytes", size), trace.Dur("seconds", time.Since(t0)))
+	if got := hex.EncodeToString(h.Sum(nil)); got != p.checksum {
+		return fmt.Errorf("scan: %s: sha256 %s does not match manifest %s — part is corrupt or tampered",
+			p.path, got, p.checksum)
+	}
+	return nil
 }
 
 var manifestNameRe = regexp.MustCompile(`^manifest-\d{3}-of-\d{3}\.json$`)
@@ -92,6 +219,7 @@ func OpenDir(dir string) (*DirSource, error) {
 	if s.comp, err = matgen.CompressorFor(manifests[0].Compression); err != nil {
 		return nil, err
 	}
+	s.lines = s.comp == nil && (s.format == "csv" || s.format == "jsonl")
 	for _, m := range manifests {
 		if m.Format != s.format || m.Compression != manifests[0].Compression {
 			return nil, fmt.Errorf("scan: %s mixes materialization runs (%s+%s vs %s+%s)",
@@ -110,7 +238,8 @@ func OpenDir(dir string) (*DirSource, error) {
 			}
 			t := s.tables[tr.Table]
 			if t == nil {
-				t = &dirTable{info: TableInfo{Table: tr.Table, Cols: tr.Cols, Rows: tr.TotalRows}}
+				t = &dirTable{info: TableInfo{Table: tr.Table, Cols: tr.Cols, Rows: tr.TotalRows},
+					pkCol: slices.Index(tr.Cols, tr.Table+"_pk")}
 				s.tables[tr.Table] = t
 			} else if t.info.Rows != tr.TotalRows || !slices.Equal(t.info.Cols, tr.Cols) {
 				// Name-and-order equality, not just width: two same-width
@@ -118,13 +247,19 @@ func OpenDir(dir string) (*DirSource, error) {
 				// positionally into swapped columns with no error.
 				return nil, fmt.Errorf("scan: %s: manifests disagree on %s's layout", dir, tr.Table)
 			}
-			t.parts = append(t.parts, dirPart{
-				path:     filepath.Join(dir, filepath.Base(tr.Path)),
-				start:    tr.StartRow,
-				rows:     tr.Rows,
-				checksum: tr.Checksum,
-				header:   m.Shard == 0,
-			})
+			p := dirPart{
+				path:      filepath.Join(dir, filepath.Base(tr.Path)),
+				start:     tr.StartRow,
+				rows:      tr.Rows,
+				checksum:  tr.Checksum,
+				chunkRows: tr.ChunkRows,
+				offsets:   tr.Offsets,
+				check:     &partCheck{},
+			}
+			if len(p.offsets) == 0 {
+				p.chunkRows, p.offsets, p.header = tr.Rows, []int64{0}, m.Shard == 0
+			}
+			t.parts = append(t.parts, p)
 		}
 	}
 	for _, t := range s.tables {
@@ -175,13 +310,8 @@ func (s *DirSource) Scan(ctx context.Context, spec Spec) (*Scan, error) {
 		// filler can jump straight to the next admissible key — and a
 		// jump past a part's end means that part is never opened, never
 		// hashed, never decoded.
-		for i, name := range t.info.Cols {
-			if name == spec.Table+"_pk" {
-				if set, ok := r.filt.Restriction(i); ok {
-					f.pkSet, f.hasPK = set, true
-				}
-				break
-			}
+		if t.pkCol >= 0 {
+			f.pkSet, f.hasPK = r.filt.Restriction(t.pkCol)
 		}
 	}
 	return newScan(ctx, r, f, s.m), nil
@@ -212,6 +342,7 @@ type dirFiller struct {
 	closers  []io.Closer
 	pos      int64 // absolute row the open reader yields next
 	partLeft int64 // rows remaining in the open part
+	landed   bool  // openAt sought by the index and the row it landed on is not yet checked
 	row      []int64
 }
 
@@ -232,13 +363,8 @@ func (f *dirFiller) fill(ctx context.Context, b *tuplegen.Batch, lo, hi int64) e
 				return err
 			}
 		}
-		abs := lo + int64(i)
-		if err := f.seek(ctx, abs); err != nil {
+		if err := f.next(ctx, lo+int64(i)); err != nil {
 			return err
-		}
-		if err := f.rr.next(f.row); err != nil {
-			p := f.t.parts[f.pi]
-			return fmt.Errorf("scan: %s: row %d: %w", p.path, abs, err)
 		}
 		if f.proj == nil {
 			for c := range cols {
@@ -249,8 +375,6 @@ func (f *dirFiller) fill(ctx context.Context, b *tuplegen.Batch, lo, hi int64) e
 				cols[c][i] = f.row[src]
 			}
 		}
-		f.pos++
-		f.partLeft--
 	}
 	return nil
 }
@@ -272,15 +396,9 @@ func (f *dirFiller) fillFiltered(ctx context.Context, b *tuplegen.Batch, cols []
 			}
 			abs = pk - 1
 		}
-		if err := f.seek(ctx, abs); err != nil {
+		if err := f.next(ctx, abs); err != nil {
 			return err
 		}
-		if err := f.rr.next(f.row); err != nil {
-			p := f.t.parts[f.pi]
-			return fmt.Errorf("scan: %s: row %d: %w", p.path, abs, err)
-		}
-		f.pos++
-		f.partLeft--
 		if !f.filt.Eval(f.row) {
 			continue
 		}
@@ -299,6 +417,38 @@ func (f *dirFiller) fillFiltered(ctx context.Context, b *tuplegen.Batch, cols []
 	return nil
 }
 
+// next decodes absolute row abs into f.row. The first row after a seek
+// by the manifest's index proves the seek: where the layout carries the
+// pk, a row that is not the one asked for is an error, never a result.
+func (f *dirFiller) next(ctx context.Context, abs int64) error {
+	if err := f.seek(ctx, abs); err != nil {
+		return err
+	}
+	if err := f.rr.next(f.row); err != nil {
+		return fmt.Errorf("scan: %s: row %d: %w", f.where(abs), abs, err)
+	}
+	if f.landed {
+		if pk := f.t.pkCol; pk >= 0 && f.row[pk] != abs+1 {
+			return fmt.Errorf("scan: %s: row %d: found pk %d, want %d — the manifest's index does not describe this part",
+				f.where(abs), abs, f.row[pk], abs+1)
+		}
+		f.landed = false
+	}
+	f.pos++
+	f.partLeft--
+	return nil
+}
+
+// where names the open part for an error about row abs — and, while the
+// seek that opened it is still unproven, the index offset it trusted.
+func (f *dirFiller) where(abs int64) string {
+	p := &f.t.parts[f.pi]
+	if !f.landed {
+		return p.path
+	}
+	return fmt.Sprintf("%s (chunk at offset %d)", p.path, p.offsets[(abs-p.start)/p.chunkRows])
+}
+
 // seek positions the filler at absolute row abs: a no-op when already
 // there, a cheap in-part skip when abs lies further inside the open
 // part, and a full openAt (locate part, verify checksum, rebuild the
@@ -307,11 +457,9 @@ func (f *dirFiller) seek(ctx context.Context, abs int64) error {
 	if f.rr != nil && f.partLeft > 0 && abs >= f.pos {
 		if end := f.t.parts[f.pi].start + f.t.parts[f.pi].rows; abs < end {
 			if abs > f.pos {
-				if err := f.rr.skip(abs - f.pos); err != nil {
-					return fmt.Errorf("scan: %s: skipping to row %d: %w", f.t.parts[f.pi].path, abs, err)
+				if err := f.skip(abs); err != nil {
+					return err
 				}
-				f.partLeft -= abs - f.pos
-				f.pos = abs
 			}
 			return nil
 		}
@@ -319,9 +467,22 @@ func (f *dirFiller) seek(ctx context.Context, abs int64) error {
 	return f.openAt(ctx, abs)
 }
 
+// skip steps the open reader over rows [f.pos, abs).
+func (f *dirFiller) skip(abs int64) error {
+	k := abs - f.pos
+	if err := f.rr.skip(k); err != nil {
+		return fmt.Errorf("scan: %s: skipping to row %d: %w", f.where(abs), abs, err)
+	}
+	mDirSkippedRows.Add(k)
+	f.partLeft -= k
+	f.pos = abs
+	return nil
+}
+
 // openAt positions the filler at absolute row abs: close the open part,
-// locate the part covering abs, verify its checksum, build the decode
-// stack, and skip to abs within it.
+// locate the part covering abs, verify its checksum unless this source
+// already has, seek to the chunk holding abs, build the decode stack
+// there, and skip the rest of the way.
 func (f *dirFiller) openAt(ctx context.Context, abs int64) error {
 	f.close()
 	pi := sort.Search(len(f.t.parts), func(i int) bool {
@@ -332,63 +493,64 @@ func (f *dirFiller) openAt(ctx context.Context, abs int64) error {
 		return fmt.Errorf("scan: %s: no part of %s covers row %d (directory holds a partial split?)",
 			f.src.dir, f.t.info.Table, abs)
 	}
-	p := f.t.parts[pi]
+	p := &f.t.parts[pi]
 	file, err := os.Open(p.path)
 	if err != nil {
 		return err
 	}
+	f.closers = append(f.closers, file)
+	fail := func(err error) error {
+		f.close()
+		return err
+	}
 	if p.checksum != "" {
-		// The lazy verification hash reads the whole part, which can be
-		// large — copy in bounded slices so a canceled scan (timeout,
-		// Ctrl-C) aborts between them instead of hashing to the end.
-		h := sha256.New()
-		buf := make([]byte, 1<<20)
-		for {
-			if err := ctx.Err(); err != nil {
-				file.Close()
-				return err
-			}
-			n, err := file.Read(buf)
-			h.Write(buf[:n])
-			if errors.Is(err, io.EOF) {
-				break
-			}
-			if err != nil {
-				file.Close()
-				return fmt.Errorf("scan: %s: %w", p.path, err)
-			}
-		}
-		if got := hex.EncodeToString(h.Sum(nil)); got != p.checksum {
-			file.Close()
-			return fmt.Errorf("scan: %s: sha256 %s does not match manifest %s — part is corrupt or tampered",
-				p.path, got, p.checksum)
-		}
-		if _, err := file.Seek(0, io.SeekStart); err != nil {
-			file.Close()
-			return err
+		if err := p.verify(ctx, file); err != nil {
+			return fail(err)
 		}
 	}
-	f.closers = append(f.closers, file)
-	var r io.Reader = bufio.NewReaderSize(file, 1<<18)
+	ci := (abs - p.start) / p.chunkRows
+	off, chunkStart := p.offsets[ci], p.start+ci*p.chunkRows
+	left := p.start + p.rows - chunkStart
+	failAt := func(err error) error {
+		return fail(fmt.Errorf("scan: %s (chunk at offset %d): %w", p.path, off, err))
+	}
+	// A chunk of lines must start right after one: land a byte early and
+	// look. (A compressed chunk is a codec member and a spans chunk a
+	// frame, whose readers check magic and CRC themselves; a heap page is
+	// left to the pk check on the first row.)
+	afterLine := f.src.lines && off > 0
+	seekTo := off
+	if afterLine {
+		seekTo--
+	}
+	if _, err := file.Seek(seekTo, io.SeekStart); err != nil {
+		return failAt(err)
+	}
+	br := bufio.NewReaderSize(file, 1<<18)
+	if afterLine {
+		if c, err := br.ReadByte(); err != nil || c != '\n' {
+			return failAt(fmt.Errorf("the manifest's index does not point at the start of a line (%q before it, %v)", c, err))
+		}
+	}
+	var r io.Reader = br
 	if f.src.comp != nil {
 		zr, err := f.src.comp.NewReader(r)
 		if err != nil {
-			f.close()
-			return fmt.Errorf("scan: %s: %w", p.path, err)
+			return failAt(err)
 		}
 		f.closers = append(f.closers, zr)
 		r = zr
 	}
-	rr, err := newRowReader(f.src.format, r, f.t.info.Cols, p)
+	rr, err := newRowReader(f.src.format, r, f.t.info.Cols, chunkStart, left, p.header)
 	if err != nil {
-		f.close()
-		return fmt.Errorf("scan: %s: %w", p.path, err)
+		return failAt(err)
 	}
-	if err := rr.skip(abs - p.start); err != nil {
-		f.close()
-		return fmt.Errorf("scan: %s: skipping to row %d: %w", p.path, abs, err)
+	f.pi, f.rr, f.pos, f.partLeft, f.landed = pi, rr, chunkStart, left, true
+	if abs > chunkStart {
+		if err := f.skip(abs); err != nil {
+			return fail(err)
+		}
 	}
-	f.pi, f.rr, f.pos, f.partLeft = pi, rr, abs, p.start+p.rows-abs
 	return nil
 }
 
@@ -412,16 +574,19 @@ type rowReader interface {
 	skip(k int64) error
 }
 
-func newRowReader(format string, r io.Reader, cols []string, p dirPart) (rowReader, error) {
+// newRowReader builds the decoder for rows [start, start+rows) of a
+// part, r positioned at the first of them — or, with header, at the csv
+// header line or heap header page before it.
+func newRowReader(format string, r io.Reader, cols []string, start, rows int64, header bool) (rowReader, error) {
 	switch format {
 	case "csv":
-		return newCSVReader(r, len(cols), p.header)
+		return newCSVReader(r, len(cols), header)
 	case "jsonl":
 		return newJSONLReader(r, cols), nil
 	case "heap":
-		return newHeapReader(r, len(cols), p.header)
+		return newHeapReader(r, len(cols), header)
 	case "spans":
-		return newSpansReader(r, len(cols), p.start, p.rows), nil
+		return newSpansReader(r, len(cols), start, rows), nil
 	default:
 		return nil, fmt.Errorf("format %q is not scannable", format)
 	}
@@ -443,33 +608,37 @@ func newCSVReader(r io.Reader, ncols int, header bool) (*csvReader, error) {
 	// the widest row the layout can produce; a longer line is malformed.
 	cr := &csvReader{br: bufio.NewReaderSize(r, max(4096, ncols*maxCSVCell+1)), ncols: ncols}
 	if header {
-		if err := cr.skipLine(); err != nil {
+		if err := skipLines(cr.br, 1); err != nil {
 			return nil, fmt.Errorf("reading csv header: %w", err)
 		}
 	}
 	return cr, nil
 }
 
-func (c *csvReader) skipLine() error {
-	for {
-		_, err := c.br.ReadSlice('\n')
-		if err == nil {
-			return nil
-		}
-		if !errors.Is(err, bufio.ErrBufferFull) {
+// skipLines discards k lines of any length — how both line formats step
+// over rows. Newlines are counted a window at a time; only the window
+// holding the k-th is walked line by line.
+func skipLines(br *bufio.Reader, k int64) error {
+	for k > 0 {
+		if _, err := br.Peek(1); err != nil { // fills an empty buffer
 			return err
 		}
-	}
-}
-
-func (c *csvReader) skip(k int64) error {
-	for ; k > 0; k-- {
-		if err := c.skipLine(); err != nil {
-			return err
+		win, _ := br.Peek(min(br.Buffered(), 4096))
+		if n := int64(bytes.Count(win, []byte{'\n'})); n < k {
+			k -= n
+			br.Discard(len(win))
+			continue
 		}
+		i := 0
+		for ; k > 0; k-- {
+			i += bytes.IndexByte(win[i:], '\n') + 1
+		}
+		br.Discard(i)
 	}
 	return nil
 }
+
+func (c *csvReader) skip(k int64) error { return skipLines(c.br, k) }
 
 // next decodes one row straight out of the read buffer: no line copy, no
 // per-cell string, no allocation.
@@ -569,20 +738,7 @@ func newJSONLReader(r io.Reader, cols []string) *jsonlReader {
 	return &jsonlReader{br: bufio.NewReader(r), keys: keys, vals: make(map[string]int64, len(cols))}
 }
 
-func (j *jsonlReader) skip(k int64) error {
-	for ; k > 0; k-- {
-		for {
-			_, err := j.br.ReadSlice('\n')
-			if err == nil {
-				break
-			}
-			if !errors.Is(err, bufio.ErrBufferFull) {
-				return err
-			}
-		}
-	}
-	return nil
-}
+func (j *jsonlReader) skip(k int64) error { return skipLines(j.br, k) }
 
 func (j *jsonlReader) next(dst []int64) error {
 	line, err := j.br.ReadBytes('\n')
@@ -648,16 +804,14 @@ func (h *heapReader) advancePage() error {
 	return nil
 }
 
+// skip is arithmetic: k rows and the padding of every page boundary
+// crossed on the way are one discard.
 func (h *heapReader) skip(k int64) error {
-	for ; k > 0; k-- {
-		if _, err := io.CopyN(io.Discard, h.r, int64(8*h.ncols)); err != nil {
-			return err
-		}
-		if err := h.advancePage(); err != nil {
-			return err
-		}
-	}
-	return nil
+	to := int64(h.inPage) + k
+	n := k*int64(8*h.ncols) + to/int64(h.perPage)*int64(h.pagePad)
+	h.inPage = int(to % int64(h.perPage))
+	_, err := io.CopyN(io.Discard, h.r, n)
+	return err
 }
 
 func (h *heapReader) next(dst []int64) error {

@@ -10,9 +10,13 @@
 //	SummarySource  generates batches straight from a loaded summary
 //	               (the in-process dynamic path, tuplegen under the hood)
 //	DirSource      reads back a materialized shard directory, decoding
-//	               csv/jsonl/heap/spans part files against their manifests and
-//	               verifying checksums lazily (each part is re-hashed the
-//	               first time a scan opens it)
+//	               csv/jsonl/heap/spans part files against their manifests,
+//	               seeking to a scan's first row by the manifest's chunk
+//	               index, and verifying checksums lazily and once (a part
+//	               is hashed before the first row the source decodes from
+//	               it, and again only when the file's size, mtime or
+//	               identity changed; orchestrate.Verify remains the
+//	               whole-directory proof)
 //	RemoteSource   streams the summary's runs (format=spans) from a fleet
 //	               of `hydra serve` servers with filter pushdown,
 //	               resume-on-offset, and failover

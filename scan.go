@@ -44,11 +44,16 @@ type (
 	// SummarySource scans a loaded summary (in-process dynamic
 	// regeneration).
 	SummarySource = scan.SummarySource
-	// DirSource scans a materialized shard directory, verifying part
-	// checksums lazily.
+	// DirSource scans a materialized shard directory. A part is hashed
+	// against its manifest's SHA-256 before the first row the source
+	// decodes from it, and again only when the file's size, mtime or
+	// identity has changed since; a ranged scan seeks to its first row
+	// by the manifest's chunk index instead of reading up to it.
 	DirSource = scan.DirSource
-	// RemoteSource scans a `hydra serve` fleet with projection pushdown,
-	// offset resume, and failover.
+	// RemoteSource scans a `hydra serve` fleet: it reads the summary's
+	// runs (format=spans) with the filter pushed to the server, projects
+	// client-side as it fills batches, resumes at the exact row on a
+	// torn stream, and fails over across members.
 	RemoteSource = scan.RemoteSource
 	// RemoteSourceOptions tunes a RemoteSource.
 	RemoteSourceOptions = scan.RemoteOptions
@@ -77,21 +82,32 @@ func NewSummarySource(s *Summary) *SummarySource { return scan.NewSummarySource(
 
 // OpenDirSource returns a Source over a materialized shard directory
 // (the output of Materialize or Orchestrate): part files are decoded
-// against their manifests, and each part is re-hashed against its
-// recorded SHA-256 the first time a scan opens it.
+// against their manifests. Integrity is checked lazily and once: a part
+// is hashed against its recorded SHA-256 before the first row this
+// source decodes from it, and re-hashed before the next row whenever
+// the file opened differs in size, mtime or identity from the one that
+// was hashed; parts no scan reaches are never read. VerifyShards remains
+// the whole-directory proof. A scan that starts mid-table seeks by the
+// manifest's chunk index (one byte offset per chunk the part was
+// written in) and skips less than a chunk; the index is validated when
+// the manifest is read and the landing checked when the scan gets
+// there, and a directory written before the index existed scans the
+// same, from each part's start.
 func OpenDirSource(dir string) (*DirSource, error) { return scan.OpenDir(dir) }
 
 // NewRemoteSource returns a Source over a fleet of regeneration servers
-// (see Serve): scans stream from the fleet with the projection executed
-// server-side, resume at the exact row offset on failure, and fail over
-// across members — which must all serve the same summary digest.
+// (see Serve): scans stream the summary's runs from the fleet
+// (format=spans; the filter is evaluated server-side, the projection
+// while filling batches client-side), resume at the exact row offset on
+// failure, and fail over across members — which must all serve the same
+// summary digest.
 func NewRemoteSource(servers []string, opts RemoteSourceOptions) (*RemoteSource, error) {
 	return scan.NewRemoteSource(servers, opts)
 }
 
 // EncodeScan drains sc into w as a self-contained file in a
-// materialization format (csv, jsonl, sql, heap) and returns the row
-// count. The bytes are identical no matter which backend produced the
+// materialization format (csv, jsonl, sql, heap, spans) and returns the
+// row count. The bytes are identical no matter which backend produced the
 // scan; a full-table, unprojected scan encodes exactly the file
 // Materialize writes. This is what `hydra scan` prints.
 func EncodeScan(w io.Writer, sc *Scan, format string) (int64, error) {
