@@ -413,7 +413,7 @@ func (f *dirFiller) fillFiltered(ctx context.Context, b *tuplegen.Batch, cols []
 		}
 		out++
 	}
-	b.N = out
+	b.Truncate(out)
 	return nil
 }
 

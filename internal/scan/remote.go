@@ -271,7 +271,7 @@ func (f *remoteFiller) fill(ctx context.Context, b *tuplegen.Batch, lo, hi int64
 		at = tuplegen.FillSpan(cols, at, sp, f.proj)
 		advance(&f.cur, sp.N)
 	}
-	b.N = at
+	b.Truncate(at)
 	return nil
 }
 

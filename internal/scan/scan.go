@@ -35,6 +35,7 @@ import (
 	"errors"
 	"fmt"
 	"sort"
+	"sync"
 	"time"
 
 	"github.com/dsl-repro/hydra/internal/obs"
@@ -165,7 +166,7 @@ type filler interface {
 //	...
 //	defer sc.Close()
 //	for sc.Next() {
-//	    b := sc.Batch() // valid until the next Next call
+//	    b := sc.Batch() // valid until the next Next or Close
 //	}
 //	err = sc.Err()
 //
@@ -252,6 +253,13 @@ func (s *Scan) Next() bool {
 				s.b.Start-1, s.b.Start-1+int64(s.b.N), s.pos, s.pos+n)
 			return false
 		}
+		// Every column holds exactly the batch's rows: the batch is
+		// recycled across scans, so anything past N would be another
+		// scan's data.
+		if err := checkShape(s.b, len(s.cols)); err != nil {
+			s.err = err
+			return false
+		}
 		s.pos += n
 		if s.b.N > 0 {
 			return true
@@ -261,21 +269,25 @@ func (s *Scan) Next() bool {
 	}
 }
 
-// Batch returns the current batch. Its buffers are reused by the next
-// Next call; consumers that retain rows must copy them.
+// Batch returns the current batch, valid until the next Next or Close:
+// Next refills its buffers, and Close hands them to a later scan, after
+// which Batch returns nil. Consumers that retain rows must copy them.
 func (s *Scan) Batch() *tuplegen.Batch { return s.b }
 
 // Err returns the error that stopped the scan, nil after a clean end.
 func (s *Scan) Err() error { return s.err }
 
 // Close releases the scan's backend resources (open files, HTTP
-// streams) and ends the scan's span. It is idempotent and does not
+// streams), recycles its batch — the last one Batch returned is invalid
+// from here on — and ends the scan's span. It is idempotent and does not
 // disturb Err.
 func (s *Scan) Close() error {
 	if s.done {
 		return nil
 	}
 	s.done = true
+	batchPool.Put(s.b)
+	s.b = nil
 	err := s.fill.close()
 	if s.sp != nil {
 		s.sp.SetAttrs(
@@ -399,12 +411,35 @@ func newScan(ctx context.Context, r *resolved, f filler, m *backendMetrics) *Sca
 	ctx, sp := trace.Child(ctx, "scan."+m.name,
 		trace.Str("table", r.info.Table),
 		trace.Int("rows", r.hi-r.lo))
+	// A recycled batch starts empty, so nothing of the scan that used it
+	// last is visible before the first Next.
+	b := batchPool.Get().(*tuplegen.Batch)
+	prepBatch(b, len(r.cols), 0, r.lo)
 	return &Scan{
 		ctx: ctx, table: r.info.Table, cols: r.cols,
 		lo: r.lo, hi: r.hi, pos: r.lo, step: r.step,
-		lim: r.lim, fill: f, m: m, b: &tuplegen.Batch{},
+		lim: r.lim, fill: f, m: m, b: b,
 		sp: sp, filtered: r.filtered,
 	}
+}
+
+// batchPool recycles batches from closed scans into new ones. Reshape
+// keeps per-column capacity across widths, so a warm scan, on any
+// backend, allocates no columns.
+var batchPool = sync.Pool{New: func() any { return new(tuplegen.Batch) }}
+
+// checkShape reports a batch whose column count is not ncols or whose
+// columns do not all hold exactly N rows.
+func checkShape(b *tuplegen.Batch, ncols int) error {
+	if len(b.Cols) != ncols {
+		return fmt.Errorf("scan: backend filled %d columns, wanted %d", len(b.Cols), ncols)
+	}
+	for c, col := range b.Cols {
+		if len(col) != b.N {
+			return fmt.Errorf("scan: backend left column %d at %d rows in a batch of %d", c, len(col), b.N)
+		}
+	}
+	return nil
 }
 
 // prepBatch shapes b for n rows of ncols columns starting at absolute

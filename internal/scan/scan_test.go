@@ -3,8 +3,10 @@ package scan
 import (
 	"context"
 	"errors"
+	"strings"
 	"testing"
 
+	"github.com/dsl-repro/hydra/internal/pred"
 	"github.com/dsl-repro/hydra/internal/summary"
 	"github.com/dsl-repro/hydra/internal/tuplegen"
 )
@@ -223,5 +225,66 @@ func TestProjectionOrderAndValues(t *testing.T) {
 	}
 	if err := sc.Err(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// raggedFiller places one row fewer than it shaped the batch for and
+// leaves the columns at the full length — the slip Batch.Truncate
+// exists to prevent, which with recycled batches would show rows of an
+// earlier scan past N.
+type raggedFiller struct{}
+
+func (raggedFiller) fill(_ context.Context, b *tuplegen.Batch, lo, hi int64) error {
+	prepBatch(b, 4, int(hi-lo), lo)
+	b.N--
+	return nil
+}
+
+func (raggedFiller) close() error { return nil }
+
+// TestScanRejectsRaggedBatch: Next's conformance guard refuses a batch
+// whose columns are longer than N, even where N itself is legal (a
+// filtered cell may hold fewer rows than it covers).
+func TestScanRejectsRaggedBatch(t *testing.T) {
+	info := &TableInfo{Table: "S", Cols: []string{"S_pk", "A", "B", "t_fk"}, Rows: 100}
+	r, err := resolve(Spec{Table: "S", Filter: pred.Col("A").Eq(20)}, info)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sc := newScan(context.Background(), r, raggedFiller{}, metricsForBackend("summary"))
+	defer sc.Close()
+	if sc.Next() {
+		t.Fatal("Next accepted a batch with rows past N")
+	}
+	if err := sc.Err(); err == nil || !strings.Contains(err.Error(), "column 0 at 100 rows in a batch of 99") {
+		t.Fatalf("Err = %v, want the ragged column named", err)
+	}
+}
+
+// TestScanBatchNilAfterClose: Close recycles the batch, so Batch stops
+// handing it out — a read after Close fails loudly instead of seeing
+// whatever scan uses the buffers next.
+func TestScanBatchNilAfterClose(t *testing.T) {
+	sc, err := NewSummarySource(testSummary()).Scan(context.Background(), Spec{Table: "S", BatchRows: 100})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if b := sc.Batch(); b == nil || b.N != 0 || len(b.Cols) != 4 {
+		t.Fatalf("before the first Next, Batch = %+v, want an empty 4-column batch", b)
+	}
+	if !sc.Next() || sc.Batch() == nil {
+		t.Fatal("no first batch")
+	}
+	if err := sc.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if b := sc.Batch(); b != nil {
+		t.Fatalf("Batch after Close = %p, want nil", b)
+	}
+	if sc.Next() {
+		t.Fatal("Next after Close = true")
+	}
+	if err := sc.Close(); err != nil {
+		t.Fatalf("second Close: %v", err)
 	}
 }

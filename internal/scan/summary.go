@@ -52,12 +52,11 @@ func (s *SummarySource) Scan(ctx context.Context, spec Spec) (*Scan, error) {
 	rs := s.sum.Relations[spec.Table]
 	g := tuplegen.New(rs)
 	g.SetFKSpread(spec.FKSpread)
-	f := &summaryFiller{g: g, proj: r.proj}
+	f := &summaryFiller{g: g, proj: r.proj, ncols: len(r.cols)}
 	if r.filtered {
 		if f.sf, err = g.BindSpanFilter(r.filt); err != nil {
 			return nil, fmt.Errorf("%w: %s: %v", ErrSpec, spec.Table, err)
 		}
-		f.filtered = true
 	}
 	return newScan(ctx, r, f, s.m), nil
 }
@@ -67,49 +66,26 @@ func (s *SummarySource) Close() error { return nil }
 
 // summaryFiller generates batches straight from the summary's run
 // structure. Because info.Cols is exactly the generator's tuple order,
-// the resolved projection indices are tuple-order indices and BatchCols
-// consumes them directly. Under a filter the fill walks the grid cell's
-// matching sub-spans instead — a span whose constant columns fail never
-// contributes a single generated value, which is where filtered scans
-// earn their near-free selectivity.
+// the resolved projection indices are tuple-order indices and FillSpan
+// consumes them directly. Every fill walks the grid cell's matching
+// sub-spans — all of its spans when there is no filter — so a span whose
+// constant columns fail never contributes a single generated value,
+// which is where filtered scans earn their near-free selectivity.
 type summaryFiller struct {
-	g        *tuplegen.Generator
-	proj     []int
-	sf       *tuplegen.SpanFilter
-	spans    []tuplegen.Span
-	filtered bool
+	g     *tuplegen.Generator
+	proj  []int
+	ncols int                  // output columns
+	sf    *tuplegen.SpanFilter // nil: every row matches
 }
 
 func (f *summaryFiller) fill(_ context.Context, b *tuplegen.Batch, lo, hi int64) error {
-	if !f.filtered {
-		f.g.BatchCols(lo+1, int(hi-lo), b, f.proj)
-		return nil
-	}
-	ncols := f.g.NumCols()
-	if f.proj != nil {
-		ncols = len(f.proj)
-	}
-	// Two passes over the (cheap, arithmetic) sub-span structure: first
-	// count the matches, then size the batch to exactly that — a highly
-	// selective scan touches kilobytes of batch memory per grid cell, not
-	// the megabyte an all-pass cell would need.
-	f.spans = f.spans[:0]
-	var n int64
-	it := f.g.FilteredSpans(lo+1, hi-lo, f.sf)
-	for {
-		sp, ok := it.Next()
-		if !ok {
-			break
-		}
-		f.spans = append(f.spans, sp)
-		n += sp.N
-	}
-	cols := b.Reshape(ncols, int(n), lo+1)
+	cols := prepBatch(b, f.ncols, int(hi-lo), lo)
 	at := 0
-	for _, sp := range f.spans {
+	it := f.g.FilteredSpans(lo+1, hi-lo, f.sf)
+	for sp, ok := it.Next(); ok; sp, ok = it.Next() {
 		at = tuplegen.FillSpan(cols, at, sp, f.proj)
 	}
-	b.N = at
+	b.Truncate(at)
 	return nil
 }
 

@@ -328,8 +328,10 @@ var _ driver.Rows = (*rows)(nil)
 // Columns implements driver.Rows.
 func (r *rows) Columns() []string { return r.sc.Cols() }
 
-// Close implements driver.Rows.
+// Close implements driver.Rows. The scan recycles its batch on Close, so
+// the rows drop their reference to it first.
 func (r *rows) Close() error {
+	r.b = nil
 	err := r.sc.Close()
 	r.sp.Fail(r.sc.Err())
 	r.sp.Fail(err)

@@ -2,7 +2,6 @@ package tuplegen
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 )
 
@@ -12,7 +11,8 @@ import (
 // batched generation cheap: within one summary row every non-key column is
 // a constant-fill and every FK column is a constant- or modular-fill, so
 // the per-tuple prefix walk and slice append of the row-at-a-time path
-// disappear entirely.
+// disappear entirely, and FillSpan writes each constant segment with
+// wide stores.
 type Batch struct {
 	// Start is the primary key of the first tuple in the block.
 	Start int64
@@ -20,6 +20,16 @@ type Batch struct {
 	N int
 	// Cols holds one slice per output column, each of length N.
 	Cols [][]int64
+}
+
+// Truncate keeps the first n rows: N becomes n and every column is
+// resliced to it, so a filler that placed fewer rows than it reshaped
+// for leaves nothing past N visible (capacity is kept for reuse).
+func (b *Batch) Truncate(n int) {
+	for i := range b.Cols {
+		b.Cols[i] = b.Cols[i][:n]
+	}
+	b.N = n
 }
 
 // Row copies tuple i (0-based within the batch) into dst, growing it as
@@ -104,150 +114,118 @@ func (g *Generator) Project(cols []string) ([]int, error) {
 
 // Batch fills b (allocating or reusing its buffers) with up to n tuples
 // starting at startPK, clamped to the relation's cardinality, and returns
-// it. Passing nil allocates a fresh batch. The prefix walk happens once per
-// summary-row span instead of once per tuple, and each column segment is
-// filled with a tight constant or arithmetic loop, which is why the
-// materialization engine reads tuples through this API rather than Row.
+// it. Passing nil allocates a fresh batch. It is Spans feeding FillSpan:
+// the prefix walk happens once per summary-row span instead of once per
+// tuple, and each column segment is written by the one fill kernel,
+// which is why the materialization engine reads tuples through this API
+// rather than Row.
 //
 // Batch is safe for concurrent use by multiple goroutines as long as each
 // uses its own *Batch: the generator itself is only read.
 func (g *Generator) Batch(startPK int64, n int, b *Batch) *Batch {
-	if b == nil {
-		b = &Batch{}
-	}
-	if startPK < 1 {
-		startPK = 1
-	}
-	if last := g.NumRows(); startPK+int64(n)-1 > last {
-		n = int(last - startPK + 1)
-		if n < 0 {
-			n = 0
-		}
-	}
-	b.Reshape(g.NumCols(), n, startPK)
-	if n == 0 {
-		return b
-	}
-	// Largest j with prefix[j] < startPK: the summary row holding startPK.
-	j := sort.Search(len(g.prefix), func(i int) bool { return g.prefix[i] >= startPK }) - 1
-	nvals := len(g.rs.Cols)
-	filled := 0
-	pk := startPK
-	for filled < n {
-		row := &g.rs.Rows[j]
-		m := int(g.prefix[j+1] - pk + 1) // tuples left in summary row j
-		if m > n-filled {
-			m = n - filled
-		}
-		pkSeg := b.Cols[0][filled : filled+m]
-		for i := range pkSeg {
-			pkSeg[i] = pk + int64(i)
-		}
-		for c := 0; c < nvals; c++ {
-			seg := b.Cols[1+c][filled : filled+m]
-			v := row.Vals[c]
-			for i := range seg {
-				seg[i] = v
-			}
-		}
-		spread := g.spread && len(row.FKSpans) == len(row.FKs)
-		for c, fk := range row.FKs {
-			seg := b.Cols[1+nvals+c][filled : filled+m]
-			if spread && row.FKSpans[c] > 1 {
-				span := row.FKSpans[c]
-				off := pk - g.prefix[j] - 1
-				for i := range seg {
-					seg[i] = fk + (off+int64(i))%span
-				}
-				continue
-			}
-			for i := range seg {
-				seg[i] = fk
-			}
-		}
-		filled += m
-		pk += int64(m)
-		j++
-	}
-	return b
+	return g.BatchCols(startPK, n, b, nil)
 }
 
 // BatchCols is Batch under a column projection: only the columns named by
 // idx (tuple-order positions from Project) are generated, in idx order.
 // A nil idx selects every column, making BatchCols(.., nil) identical to
-// Batch. The fill strategy is the same — one prefix walk per summary-row
-// span, constant/arithmetic segment loops per column — so a projected
-// scan pays for exactly the columns it reads. Out-of-range indices panic,
+// Batch. The fill is the same Spans + FillSpan walk, so a projected scan
+// pays for exactly the columns it reads. Out-of-range indices panic,
 // like Row on an out-of-range pk: projections are resolved by Project
 // before generation sits on the hot path.
 func (g *Generator) BatchCols(startPK int64, n int, b *Batch, idx []int) *Batch {
-	if idx == nil {
-		return g.Batch(startPK, n, b)
-	}
 	if b == nil {
 		b = &Batch{}
 	}
-	if startPK < 1 {
-		startPK = 1
-	}
-	if last := g.NumRows(); startPK+int64(n)-1 > last {
-		n = int(last - startPK + 1)
-		if n < 0 {
-			n = 0
-		}
-	}
 	ncols := g.NumCols()
-	for _, src := range idx {
-		if src < 0 || src >= ncols {
-			panic(fmt.Sprintf("tuplegen: projection index %d out of range [0,%d) for %s", src, ncols, g.rs.Table))
-		}
-	}
-	b.Reshape(len(idx), n, startPK)
-	if n == 0 {
-		return b
-	}
-	j := sort.Search(len(g.prefix), func(i int) bool { return g.prefix[i] >= startPK }) - 1
-	nvals := len(g.rs.Cols)
-	filled := 0
-	pk := startPK
-	for filled < n {
-		row := &g.rs.Rows[j]
-		m := int(g.prefix[j+1] - pk + 1)
-		if m > n-filled {
-			m = n - filled
-		}
-		spread := g.spread && len(row.FKSpans) == len(row.FKs)
-		for c, src := range idx {
-			seg := b.Cols[c][filled : filled+m]
-			switch {
-			case src == 0:
-				for i := range seg {
-					seg[i] = pk + int64(i)
-				}
-			case src <= nvals:
-				v := row.Vals[src-1]
-				for i := range seg {
-					seg[i] = v
-				}
-			default:
-				fc := src - 1 - nvals
-				fk := row.FKs[fc]
-				if spread && row.FKSpans[fc] > 1 {
-					span := row.FKSpans[fc]
-					off := pk - g.prefix[j] - 1
-					for i := range seg {
-						seg[i] = fk + (off+int64(i))%span
-					}
-					continue
-				}
-				for i := range seg {
-					seg[i] = fk
-				}
+	if idx != nil {
+		for _, src := range idx {
+			if src < 0 || src >= ncols {
+				panic(fmt.Sprintf("tuplegen: projection index %d out of range [0,%d) for %s", src, ncols, g.rs.Table))
 			}
 		}
-		filled += m
-		pk += int64(m)
-		j++
+		ncols = len(idx)
+	}
+	// Clamp to the relation like Spans does: no rows before pk 1 or past
+	// the last.
+	startPK = max(startPK, 1)
+	n = int(min(int64(max(n, 0)), max(g.NumRows()-startPK+1, 0)))
+	cols := b.Reshape(ncols, n, startPK)
+	at := 0
+	it := g.Spans(startPK, int64(n))
+	for sp, ok := it.Next(); ok; sp, ok = it.Next() {
+		at = FillSpan(cols, at, sp, idx)
 	}
 	return b
+}
+
+// FillSpan materializes sp's tuples into column-major storage starting
+// at row offset at, one destination column per entry of cols. idx
+// selects the source column for each destination in tuple order (0 =
+// pk, then values, then FKs); nil means the identity layout. Every
+// destination column must have capacity at+sp.N. Returns at+sp.N, the
+// next free row.
+//
+// It is the one kernel that turns summary runs into batch columns —
+// Batch, BatchCols and every scan backend fill through it. A constant
+// column (every non-key value, and every FK outside spread mode) is
+// written with wide stores: one element, then doubling copies, so
+// memmove's vector stores do the work instead of one store per value.
+//
+//hydra:hotpath
+func FillSpan(cols [][]int64, at int, sp Span, idx []int) int {
+	n := int(sp.N)
+	nvals := len(sp.Vals)
+	for c := range cols {
+		src := c
+		if idx != nil {
+			src = idx[c]
+		}
+		col := cols[c][at : at+n]
+		switch {
+		case src == 0:
+			for i := range col {
+				col[i] = sp.Start + int64(i)
+			}
+		case src <= nvals:
+			fillConst(col, sp.Vals[src-1])
+		default:
+			k := src - 1 - nvals
+			if sp.FKSpans != nil && sp.FKSpans[k] > 1 {
+				fillCycle(col, sp.FKs[k], sp.FKSpans[k], sp.Off)
+			} else {
+				fillConst(col, sp.FKs[k])
+			}
+		}
+	}
+	return at + n
+}
+
+// fillConst sets every element of col to v: one store, then each copy
+// doubles the filled prefix.
+//
+//hydra:hotpath
+func fillConst(col []int64, v int64) {
+	if len(col) == 0 {
+		return
+	}
+	col[0] = v
+	for k := 1; k < len(col); k *= 2 {
+		copy(col[k:], col[:k])
+	}
+}
+
+// fillCycle writes the spread-FK sawtooth of a run whose first tuple sits
+// at offset off of its summary row: element i is fk+(off+i)%span. The
+// phase is one division per run; after that a counter wraps at span.
+//
+//hydra:hotpath
+func fillCycle(col []int64, fk, span, off int64) {
+	p := off % span
+	for i := range col {
+		col[i] = fk + p
+		if p++; p == span {
+			p = 0
+		}
+	}
 }

@@ -1,6 +1,8 @@
 package tuplegen
 
 import (
+	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -240,5 +242,178 @@ func TestProject(t *testing.T) {
 	}
 	if _, err := g.Project([]string{"A", "A"}); err == nil {
 		t.Fatal("duplicate column accepted")
+	}
+}
+
+// TestFillSpanMatchesRow is FillSpan's property test. Runs of awkward
+// lengths — empty, one row, either side of every power of two the
+// doubling fill passes, three default batches — sit at random phases of
+// their summary row, with FK spans off, 1 and >1, under random
+// projections and at a random destination row. Every value written must
+// equal Generator.Row's, and nothing outside [at, at+N) may be touched.
+func TestFillSpanMatchesRow(t *testing.T) {
+	lengths := []int64{0, 1, 2, 3, 3 * 8192}
+	for k := 2; k <= 14; k++ {
+		lengths = append(lengths, 1<<k-1, 1<<k+1)
+	}
+	const untouched = math.MinInt64
+	rng := rand.New(rand.NewSource(27))
+	var row []int64
+	for trial := 0; trial < 4*len(lengths); trial++ {
+		n := lengths[trial%len(lengths)]
+		nvals, nfks := rng.Intn(4), rng.Intn(4)
+		spread := rng.Intn(2) == 1
+		rs := &summary.RelationSummary{Table: "R"}
+		hot := summary.RelRow{Vals: make([]int64, nvals), FKs: make([]int64, nfks)}
+		for c := range hot.Vals {
+			rs.Cols = append(rs.Cols, fmt.Sprintf("v%d", c))
+			hot.Vals[c] = rng.Int63n(2e12) - 1e12
+		}
+		for c := range hot.FKs {
+			rs.FKCols = append(rs.FKCols, fmt.Sprintf("f%d_fk", c))
+			rs.FKRefs = append(rs.FKRefs, "P")
+			hot.FKs[c] = rng.Int63n(1e9) + 1
+			if spread {
+				span := int64(1)
+				switch rng.Intn(3) {
+				case 1:
+					span = rng.Int63n(50) + 2
+				case 2:
+					span = rng.Int63n(1<<40) + 2
+				}
+				hot.FKSpans = append(hot.FKSpans, span)
+			}
+		}
+		// A summary row before the run's, so Start and Off differ, and a
+		// tail after the run inside its own row.
+		pre := rng.Int63n(1000) + 1
+		off := rng.Int63n(1 << 20)
+		if rng.Intn(4) == 0 {
+			off = rng.Int63n(1 << 40)
+		}
+		hot.Count = off + n + rng.Int63n(3)
+		if hot.Count == 0 {
+			hot.Count = 1
+		}
+		lead := summary.RelRow{Vals: make([]int64, nvals), FKs: make([]int64, nfks), FKSpans: hot.FKSpans, Count: pre}
+		rs.Rows = []summary.RelRow{lead, hot}
+		rs.Total = pre + hot.Count
+		g := New(rs)
+		g.SetFKSpread(spread)
+
+		sp := Span{Start: pre + off + 1, N: n, Vals: hot.Vals, FKs: hot.FKs, Off: off}
+		if spread {
+			sp.FKSpans = hot.FKSpans
+		}
+		if n > 0 {
+			it := g.Spans(sp.Start, n)
+			if got, _ := it.Next(); got.Start != sp.Start || got.N != n || got.Off != off || (got.FKSpans == nil) != (sp.FKSpans == nil) {
+				t.Fatalf("trial %d: the fixture's span %+v is not what Spans yields (%+v)", trial, sp, got)
+			}
+		}
+		ncols := g.NumCols()
+		var idx []int
+		if rng.Intn(3) > 0 {
+			idx = rng.Perm(ncols)[:rng.Intn(ncols)+1]
+		}
+		width := ncols
+		if idx != nil {
+			width = len(idx)
+		}
+		at := rng.Intn(5)
+		cols := make([][]int64, width)
+		for c := range cols {
+			cols[c] = make([]int64, at+int(n)+3)
+			for i := range cols[c] {
+				cols[c][i] = untouched
+			}
+		}
+		if next := FillSpan(cols, at, sp, idx); next != at+int(n) {
+			t.Fatalf("trial %d: FillSpan returned %d, want %d", trial, next, at+int(n))
+		}
+		for i := range cols[0] {
+			inRun := i >= at && i < at+int(n)
+			if inRun {
+				row = g.Row(sp.Start+int64(i-at), row)
+			}
+			for c := range cols {
+				src := c
+				if idx != nil {
+					src = idx[c]
+				}
+				switch got := cols[c][i]; {
+				case !inRun && got != untouched:
+					t.Fatalf("trial %d (N=%d at=%d): row %d col %d written outside the run: %d", trial, n, at, i, c, got)
+				case inRun && got != row[src]:
+					t.Fatalf("trial %d (N=%d off=%d spans=%v idx=%v): pk %d col %d = %d, Row says %d",
+						trial, n, off, sp.FKSpans, idx, sp.Start+int64(i-at), src, got, row[src])
+				}
+			}
+		}
+	}
+}
+
+// TestBatchEveryPKMatchesRow: Batch and BatchCols over a whole
+// multi-row summary, into one batch reused across both shapes, agree
+// with Row at every pk, and every column holds exactly N rows.
+func TestBatchEveryPKMatchesRow(t *testing.T) {
+	idx := []int{3, 0, 2}
+	for _, spread := range []bool{false, true} {
+		g := New(spreadRS())
+		g.SetFKSpread(spread)
+		n := int(g.NumRows())
+		var b *Batch
+		var row []int64
+		for _, proj := range [][]int{idx, nil, idx} {
+			b = g.BatchCols(1, n, b, proj)
+			if b.N != n || b.Start != 1 {
+				t.Fatalf("spread=%v idx=%v: N=%d Start=%d, want %d rows from 1", spread, proj, b.N, b.Start, n)
+			}
+			for c, col := range b.Cols {
+				if len(col) != n {
+					t.Fatalf("spread=%v idx=%v: column %d has %d rows, want %d", spread, proj, c, len(col), n)
+				}
+			}
+			for i := 0; i < n; i++ {
+				row = g.Row(int64(i+1), row)
+				for c, col := range b.Cols {
+					src := c
+					if proj != nil {
+						src = proj[c]
+					}
+					if col[i] != row[src] {
+						t.Fatalf("spread=%v idx=%v pk %d col %d = %d, Row says %d", spread, proj, i+1, src, col[i], row[src])
+					}
+				}
+			}
+		}
+	}
+}
+
+// BenchmarkFillSpan measures the fill kernel alone on one 8 192-row run
+// of a 15-column layout (pk, twelve values, two FKs), the width of the
+// widest benchmark relations: const is every column but the pk a
+// constant fill, spread has both FKs cycling.
+func BenchmarkFillSpan(b *testing.B) {
+	const rows = 8192
+	vals := make([]int64, 12)
+	for i := range vals {
+		vals[i] = int64(1000 + i)
+	}
+	cols := make([][]int64, 15)
+	for c := range cols {
+		cols[c] = make([]int64, rows)
+	}
+	for _, tc := range []struct {
+		name    string
+		fkSpans []int64
+	}{{"const", nil}, {"spread", []int64{7, 1000}}} {
+		sp := Span{Start: 1, N: rows, Vals: vals, FKs: []int64{5, 9}, FKSpans: tc.fkSpans, Off: 3}
+		b.Run(tc.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				FillSpan(cols, 0, sp, nil)
+			}
+			b.ReportMetric(float64(rows)*float64(b.N)/b.Elapsed().Seconds(), "rows/s")
+		})
 	}
 }

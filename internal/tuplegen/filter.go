@@ -182,48 +182,3 @@ func (it *FilteredSpanIter) Next() (Span, bool) {
 		it.i = 0
 	}
 }
-
-// FillSpan materializes sp's tuples into column-major storage starting
-// at row offset at, one destination column per entry of cols. idx
-// selects the source column for each destination in tuple order (0 =
-// pk, then values, then FKs); nil means the identity layout. Every
-// destination column must have capacity at+sp.N. Returns at+sp.N, the
-// next free row.
-//
-//hydra:hotpath
-func FillSpan(cols [][]int64, at int, sp Span, idx []int) int {
-	n := int(sp.N)
-	nvals := len(sp.Vals)
-	for c := range cols {
-		src := c
-		if idx != nil {
-			src = idx[c]
-		}
-		col := cols[c][at : at+n]
-		switch {
-		case src == 0:
-			for i := range col {
-				col[i] = sp.Start + int64(i)
-			}
-		case src <= nvals:
-			v := sp.Vals[src-1]
-			for i := range col {
-				col[i] = v
-			}
-		default:
-			k := src - 1 - nvals
-			fk := sp.FKs[k]
-			if sp.FKSpans != nil && sp.FKSpans[k] > 1 {
-				span := sp.FKSpans[k]
-				for i := range col {
-					col[i] = fk + (sp.Off+int64(i))%span
-				}
-			} else {
-				for i := range col {
-					col[i] = fk
-				}
-			}
-		}
-	}
-	return at + n
-}

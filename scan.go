@@ -18,7 +18,7 @@ import (
 //	...
 //	defer sc.Close()
 //	for sc.Next() {
-//	    b := sc.Batch() // column-major; valid until the next Next
+//	    b := sc.Batch() // column-major; valid until the next Next or Close
 //	}
 //	err = sc.Err()
 //
