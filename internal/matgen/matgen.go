@@ -675,7 +675,7 @@ func encodeFilteredChunk(t *tableTask, enc Encoder, se SpanEncoder, b *tuplegen.
 	cols := b.Reshape(len(t.l.Cols), int(hi-lo), lo+1)
 	at := 0
 	for sp, ok := it.Next(); ok; sp, ok = it.Next() {
-		at = tuplegen.FillSpan(cols, at, sp, t.proj)
+		at = tuplegen.FillSpan(cols, at, &sp, t.proj)
 	}
 	b.Truncate(at)
 	if at == 0 {

@@ -6,7 +6,10 @@
 package scan_test
 
 import (
+	"bytes"
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -14,6 +17,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -1020,33 +1024,151 @@ func TestDirPartialSplit(t *testing.T) {
 	sc.Close()
 }
 
+// dirParsedRows reads the process-wide count of rows directory scans
+// parsed cell by cell: one per run.
+func dirParsedRows() int64 {
+	return obs.Default.Counter("hydra_scan_dir_parsed_rows_total", "").Value()
+}
+
 // TestDirProjectedMaterialization: a directory materialized under a
 // projection presents the projected layout as its natural one — for
 // spans too, as long as the projection keeps the pk the runs are
-// anchored at (the engine re-coalesces runs from projected batches).
+// anchored at (the engine re-coalesces runs from projected batches). The
+// pk may sit anywhere in the layout, or be absent: runs are still read
+// as runs (a handful of parsed rows for the whole table), and projected
+// and filtered scans of them agree with the summary.
 func TestDirProjectedMaterialization(t *testing.T) {
 	sum := testSummary()
-	for _, format := range []string{"csv", "spans"} {
-		dir := t.TempDir()
-		if _, err := matgen.Materialize(sum, matgen.Options{
-			Dir: dir, Format: format, Workers: 2, Columns: []string{"S_pk", "A"}, Tables: []string{"S"},
-		}); err != nil {
+	ref := scan.NewSummarySource(sum)
+	cases := []struct {
+		layout  []string
+		formats []string
+	}{
+		{[]string{"S_pk", "A"}, []string{"csv", "spans"}},
+		{[]string{"A", "S_pk", "B"}, []string{"csv", "jsonl", "heap"}}, // pk in the middle
+		{[]string{"B", "A"}, []string{"csv", "jsonl", "heap"}},         // no pk
+	}
+	for _, tc := range cases {
+		for _, format := range tc.formats {
+			label := format + "/" + strings.Join(tc.layout, "+")
+			dir := t.TempDir()
+			if _, err := matgen.Materialize(sum, matgen.Options{
+				Dir: dir, Format: format, Workers: 2, Columns: tc.layout, Tables: []string{"S"},
+			}); err != nil {
+				t.Fatal(err)
+			}
+			src, err := scan.OpenDir(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			info, err := src.Table("S")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !slices.Equal(info.Cols, tc.layout) {
+				t.Fatalf("%s: cols = %v", label, info.Cols)
+			}
+			before := dirParsedRows()
+			spec := scan.Spec{Table: "S", BatchRows: 2048}
+			want := drain(t, ref, scan.Spec{Table: "S", Columns: tc.layout, BatchRows: 2048})
+			diffBatches(t, "projected-dir/"+label, drain(t, src, spec), want)
+			if parsed := dirParsedRows() - before; format != "spans" && (parsed < 3 || parsed > 16) {
+				t.Fatalf("%s: a full scan parsed %d rows of 8208, want a few per run", label, parsed)
+			}
+			for _, spec := range []scan.Spec{
+				{Table: "S", Columns: []string{"B"}, StartPK: 2990, EndPK: 6100, Filter: pred.Col("A").Eq(20), BatchRows: 700},
+				{Table: "S", Columns: tc.layout[len(tc.layout)-1:], Filter: pred.Col("B").In(10, 20), BatchRows: 999},
+				{Table: "S", Filter: pred.Col("A").Eq(61).And(pred.Col("S_pk").In(5000, 5600)), BatchRows: 640},
+			} {
+				if slices.ContainsFunc(append(spec.Filter.Cols(), spec.Columns...), func(c string) bool {
+					return !slices.Contains(tc.layout, c)
+				}) {
+					continue // names a column the layout lacks
+				}
+				cols := spec.Columns
+				if cols == nil {
+					cols = tc.layout
+				}
+				refSpec := spec
+				refSpec.Columns = cols
+				diffBatches(t, fmt.Sprintf("projected-dir/%s/%s", label, specName(spec)), drain(t, src, spec), drain(t, ref, refSpec))
+			}
+		}
+	}
+}
+
+// TestDirRunsCrossChunks: a run is read as one across the chunks (and
+// gzip members, and heap pages) it was written in, and ends only where
+// the summary's run, the batch cell or the part does — so a full scan
+// parses one row per piece. A spread-FK part changes its FKs every row and reads
+// row by row; a spans part parses nothing.
+func TestDirRunsCrossChunks(t *testing.T) {
+	sum := testSummary()
+	ref := scan.NewSummarySource(sum)
+	cases := []struct {
+		format, compress string
+		shards           int
+		spread           bool
+		table            string
+		parsed           int64
+	}{
+		{"csv", "", 1, false, "T", 2}, // runs of 900 and 613 rows, in 512-row chunks
+		{"csv", "", 3, false, "T", 4}, // parts split at 504 and 1008
+		{"csv", "gzip", 3, false, "T", 4},
+		{"jsonl", "", 1, false, "T", 2},
+		{"heap", "", 1, false, "T", 2},
+		{"csv", "", 1, false, "S", 4}, // three runs, the last split by the 8192-row batch
+		{"csv", "", 1, true, "S", 8208},
+		{"spans", "", 3, false, "T", 0},
+	}
+	for _, tc := range cases {
+		label := fmt.Sprintf("%s+%s/%d/spread=%v/%s", tc.format, tc.compress, tc.shards, tc.spread, tc.table)
+		src, err := scan.OpenDir(materializeDir(t, sum, tc.format, tc.compress, tc.shards, tc.spread))
+		if err != nil {
 			t.Fatal(err)
 		}
+		spec := scan.Spec{Table: tc.table, FKSpread: tc.spread}
+		before := dirParsedRows()
+		got := drain(t, src, spec)
+		if parsed := dirParsedRows() - before; parsed != tc.parsed {
+			t.Errorf("%s: parsed %d rows, want %d", label, parsed, tc.parsed)
+		}
+		diffBatches(t, label, got, drain(t, ref, spec))
+	}
+}
+
+// TestDirJSONLRefusesNonIntegers: a jsonl value the encoder never writes
+// — null, a fraction, an exponent, a string — fails the scan naming the
+// part and the row, where a decode into int64 once read null as 0.
+func TestDirJSONLRefusesNonIntegers(t *testing.T) {
+	sum := testSummary()
+	for _, bad := range []string{"null", "1.50", "1e10", `"12"`} {
+		dir := materializeDir(t, sum, "jsonl", "", 1, false)
+		path := dir + "/T.jsonl"
+		b, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Same length, so the manifest's chunk index still holds.
+		b = bytes.Replace(b, []byte(`"T_pk":1234,`), []byte(`"T_pk":`+bad+`,`), 1)
+		if err := os.WriteFile(path, b, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		sum256 := sha256.Sum256(b)
+		rewriteManifests(t, dir, func(tr *matgen.TableReport) {
+			if tr.Table == "T" {
+				tr.Checksum = hex.EncodeToString(sum256[:])
+			}
+		})
 		src, err := scan.OpenDir(dir)
 		if err != nil {
 			t.Fatal(err)
 		}
-		info, err := src.Table("S")
-		if err != nil {
-			t.Fatal(err)
+		err = scanErr(t, context.Background(), src, scan.Spec{Table: "T"})
+		want := fmt.Sprintf(`scan: %s: row 1233: jsonl column "T_pk" holds %s, not an int64`, path, bad)
+		if err == nil || err.Error() != want {
+			t.Errorf("value %s: err = %v, want %q", bad, err, want)
 		}
-		if len(info.Cols) != 2 || info.Cols[0] != "S_pk" || info.Cols[1] != "A" {
-			t.Fatalf("%s: cols = %v", format, info.Cols)
-		}
-		spec := scan.Spec{Table: "S", BatchRows: 2048}
-		want := drain(t, scan.NewSummarySource(sum), scan.Spec{Table: "S", Columns: []string{"S_pk", "A"}, BatchRows: 2048})
-		diffBatches(t, "projected-dir/"+format, drain(t, src, spec), want)
 	}
 }
 

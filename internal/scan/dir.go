@@ -11,11 +11,13 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"path/filepath"
 	"regexp"
 	"slices"
 	"sort"
+	"strconv"
 	"sync"
 	"time"
 
@@ -27,14 +29,18 @@ import (
 	"github.com/dsl-repro/hydra/internal/tuplegen"
 )
 
-// Directory-backend counters, the two costs of a scan that are not its
-// rows: bytes hashed to verify a part before reading it, and rows
-// stepped over without being delivered.
+// Directory-backend counters: the two costs of a scan that are not its
+// rows — bytes hashed to verify a part before reading it, and rows
+// stepped over without being delivered — and the rows that cost a full
+// parse, whose share of hydra_scan_rows_total{backend="dir"} is the
+// run prediction's miss rate.
 var (
 	mDirVerifyBytes = obs.Default.Counter("hydra_scan_dir_verify_bytes_total",
 		"part-file bytes hashed against the manifest's SHA-256 before a scan read them")
 	mDirSkippedRows = obs.Default.Counter("hydra_scan_dir_skipped_rows_total",
 		"rows a directory scan decoded past without delivering: the remainder after a chunk seek, and rows a pk restriction excludes")
+	mDirParsedRows = obs.Default.Counter("hydra_scan_dir_parsed_rows_total",
+		"rows a directory scan parsed cell by cell — the first row of each run and every row the prediction missed")
 )
 
 // DirSource scans a materialized shard directory — the output of
@@ -63,6 +69,23 @@ var (
 // size (matgen.ReadManifest), a csv or jsonl offset must follow a
 // newline, and where the layout has the pk column the first row decoded
 // must be the row asked for.
+//
+// Rows are read a run at a time, the mirror image of how every encoder
+// writes a summary run: a constant tail stamped with an incrementing pk.
+// A run's first row is parsed cell by cell; the reader then knows the
+// bytes the encoder writes for the next row — the pk plus one, in
+// canonical decimal (little-endian for heap), with the same tail — and
+// accepts each following row with one compare against them, stepping
+// the predicted digits in place. Any byte that differs ends the run, and
+// that row is parsed in full as the first of the next. A row is accepted
+// only when it is byte-identical to what a full parse reads as (pk + n,
+// the first row's other columns), so the result is exactly a row-at-a-time
+// decode. Runs are placed with tuplegen.FillSpan, as the summary and
+// remote backends place theirs; a spans part's frames are its runs. A
+// layout without the pk forms runs of byte-identical rows only. A
+// spread-FK part, whose FKs change every row, reads as runs of one: after
+// a few predictions in a row miss, the reader parses up to 63 rows
+// before it predicts again, so such a part costs what parsing it costs.
 type DirSource struct {
 	dir    string
 	format string
@@ -301,10 +324,27 @@ func (s *DirSource) Scan(ctx context.Context, spec Spec) (*Scan, error) {
 	if err != nil {
 		return nil, err
 	}
-	f := &dirFiller{src: s, t: t, proj: r.proj, ncolsOut: len(r.cols), pi: -1,
-		row: make([]int64, len(t.info.Cols))}
+	f := &dirFiller{src: s, t: t, ncolsOut: len(r.cols), pi: -1, idx: r.proj, parsing: s.format != "spans"}
+	// Runs come in span order (pk first, then the other columns in file
+	// order); a layout whose first column is not the pk maps onto it.
+	if t.pkCol != 0 {
+		f.idx = make([]int, len(r.cols))
+		for c, name := range r.cols {
+			f.idx[c] = spanCol(slices.Index(t.info.Cols, name), t.pkCol)
+		}
+	}
 	if r.filtered {
-		f.filtered, f.filt = true, r.filt
+		toSpan := make(map[int]int, len(t.info.Cols))
+		for c := range t.info.Cols {
+			toSpan[c] = spanCol(c, t.pkCol)
+		}
+		ntail := len(t.info.Cols) - 1
+		if t.pkCol < 0 {
+			ntail++
+		}
+		if f.sf, err = tuplegen.NewSpanFilter(r.filt.Remap(toSpan), ntail, 0); err != nil {
+			return nil, fmt.Errorf("%w: %s: %v", ErrSpec, spec.Table, err)
+		}
 		// A restriction on the pk column doubles as a seek accelerator:
 		// decoded layouts store pk abs+1 at absolute row abs, so the
 		// filler can jump straight to the next admissible key — and a
@@ -321,73 +361,49 @@ func (s *DirSource) Scan(ctx context.Context, spec Spec) (*Scan, error) {
 // source.
 func (s *DirSource) Close() error { return nil }
 
-// dirFiller sequentially decodes a table's part files. Under a filter
-// it decodes every candidate row into the full file layout, evaluates
-// the bound conjunct, and keeps only the matches — except rows a pk
-// restriction excludes, which are skipped (cheap line/page skips within
-// a part, whole parts never even opened when the next admissible key
-// lies beyond them).
+// dirFiller places a table's rows on the batch grid a run at a time:
+// seek to the run's first row, read the run (capped at the grid cell and
+// the part), clip it under a filter, and fill it with tuplegen.FillSpan —
+// the kernel the summary and remote backends fill through. Under a
+// filter the conjunct is evaluated once per run, and a pk restriction
+// clips the run by arithmetic and doubles as a seek accelerator: rows it
+// excludes are skipped (cheap line/page skips within a part, whole parts
+// never even opened when the next admissible key lies beyond them).
 type dirFiller struct {
 	src      *DirSource
 	t        *dirTable
-	proj     []int
+	idx      []int // FillSpan's index list, into span order; nil = identity
 	ncolsOut int
-	filtered bool
-	filt     pred.Conjunct
+	sf       *tuplegen.SpanFilter // nil: every row matches
+	clip     []tuplegen.Span      // scratch: the passing pieces of one run
 	pkSet    pred.Set
 	hasPK    bool
+	parsing  bool // the reader parses each run's first row (every format but spans)
 
 	pi       int // index of the open part, -1 before the first open
-	rr       rowReader
+	rr       runReader
 	closers  []io.Closer
-	pos      int64 // absolute row the open reader yields next
-	partLeft int64 // rows remaining in the open part
-	landed   bool  // openAt sought by the index and the row it landed on is not yet checked
-	row      []int64
+	bufs     []*bufio.Reader // the open part's read buffers, from readerPool
+	pos      int64           // absolute row the open reader yields next
+	partLeft int64           // rows remaining in the open part
+	landed   bool            // openAt sought by the index and the row it landed on is not yet checked
 }
 
-// fillCheckRows is how often the dir decode loop polls the context: a
-// few thousand rows decode in well under a millisecond, so cancellation
-// stays prompt without a per-row atomic load.
+// fillCheckRows is how often the fill loop polls the context: a few
+// thousand rows decode in well under a millisecond, so cancellation
+// stays prompt without an atomic load per run — which, for a part of
+// 1-row runs, would be one per row.
 const fillCheckRows = 4096
 
 func (f *dirFiller) fill(ctx context.Context, b *tuplegen.Batch, lo, hi int64) error {
-	n := int(hi - lo)
-	cols := prepBatch(b, f.ncolsOut, n, lo)
-	if f.filtered {
-		return f.fillFiltered(ctx, b, cols, lo, hi)
-	}
-	for i := 0; i < n; i++ {
-		if i%fillCheckRows == 0 {
+	cols := prepBatch(b, f.ncolsOut, int(hi-lo), lo)
+	at, runs := 0, int64(0)
+	for abs, poll := lo, lo; abs < hi; {
+		if abs >= poll {
 			if err := ctx.Err(); err != nil {
 				return err
 			}
-		}
-		if err := f.next(ctx, lo+int64(i)); err != nil {
-			return err
-		}
-		if f.proj == nil {
-			for c := range cols {
-				cols[c][i] = f.row[c]
-			}
-		} else {
-			for c, src := range f.proj {
-				cols[c][i] = f.row[src]
-			}
-		}
-	}
-	return nil
-}
-
-// fillFiltered decodes the cell's candidate rows and keeps the matches;
-// a pk restriction turns candidates into jumps.
-func (f *dirFiller) fillFiltered(ctx context.Context, b *tuplegen.Batch, cols [][]int64, lo, hi int64) error {
-	out := 0
-	for i, abs := 0, lo; abs < hi; i, abs = i+1, abs+1 {
-		if i%fillCheckRows == 0 {
-			if err := ctx.Err(); err != nil {
-				return err
-			}
+			poll = abs + fillCheckRows
 		}
 		if f.hasPK {
 			pk, ok := f.pkSet.Next(abs + 1)
@@ -396,46 +412,42 @@ func (f *dirFiller) fillFiltered(ctx context.Context, b *tuplegen.Batch, cols []
 			}
 			abs = pk - 1
 		}
-		if err := f.next(ctx, abs); err != nil {
-			return err
+		if f.rr == nil || abs != f.pos || f.partLeft == 0 {
+			if err := f.seek(ctx, abs); err != nil {
+				return err
+			}
 		}
-		if !f.filt.Eval(f.row) {
+		sp, err := f.rr.run(min(hi-abs, f.partLeft))
+		if err != nil {
+			return fmt.Errorf("scan: %s: row %d: %w", f.where(abs), abs, err)
+		}
+		// The first row after a seek by the manifest's index proves the
+		// seek: where the layout carries the pk, a row that is not the one
+		// asked for is an error, never a result.
+		if f.landed {
+			if f.t.pkCol >= 0 && sp.Start != abs+1 {
+				return fmt.Errorf("scan: %s: row %d: found pk %d, want %d — the manifest's index does not describe this part",
+					f.where(abs), abs, sp.Start, abs+1)
+			}
+			f.landed = false
+		}
+		abs += sp.N
+		f.pos += sp.N
+		f.partLeft -= sp.N
+		runs++
+		if f.sf == nil {
+			at = tuplegen.FillSpan(cols, at, sp, f.idx)
 			continue
 		}
-		if f.proj == nil {
-			for c := range cols {
-				cols[c][out] = f.row[c]
-			}
-		} else {
-			for c, src := range f.proj {
-				cols[c][out] = f.row[src]
-			}
+		f.clip = f.sf.Clip(f.clip[:0], *sp)
+		for i := range f.clip {
+			at = tuplegen.FillSpan(cols, at, &f.clip[i], f.idx)
 		}
-		out++
 	}
-	b.Truncate(out)
-	return nil
-}
-
-// next decodes absolute row abs into f.row. The first row after a seek
-// by the manifest's index proves the seek: where the layout carries the
-// pk, a row that is not the one asked for is an error, never a result.
-func (f *dirFiller) next(ctx context.Context, abs int64) error {
-	if err := f.seek(ctx, abs); err != nil {
-		return err
+	if f.parsing {
+		mDirParsedRows.Add(runs)
 	}
-	if err := f.rr.next(f.row); err != nil {
-		return fmt.Errorf("scan: %s: row %d: %w", f.where(abs), abs, err)
-	}
-	if f.landed {
-		if pk := f.t.pkCol; pk >= 0 && f.row[pk] != abs+1 {
-			return fmt.Errorf("scan: %s: row %d: found pk %d, want %d — the manifest's index does not describe this part",
-				f.where(abs), abs, f.row[pk], abs+1)
-		}
-		f.landed = false
-	}
-	f.pos++
-	f.partLeft--
+	b.Truncate(at)
 	return nil
 }
 
@@ -477,6 +489,19 @@ func (f *dirFiller) skip(abs int64) error {
 	f.partLeft -= k
 	f.pos = abs
 	return nil
+}
+
+// readerPool recycles the read buffers of closed directory scans: a
+// ranged scan reads a few kilobytes, and a fresh buffer per open would
+// be most of what it allocates.
+var readerPool = sync.Pool{New: func() any { return bufio.NewReaderSize(nil, 1<<18) }}
+
+// buffer takes a pooled read buffer over r for the open part.
+func (f *dirFiller) buffer(r io.Reader) *bufio.Reader {
+	br := readerPool.Get().(*bufio.Reader)
+	br.Reset(r)
+	f.bufs = append(f.bufs, br)
+	return br
 }
 
 // openAt positions the filler at absolute row abs: close the open part,
@@ -526,22 +551,21 @@ func (f *dirFiller) openAt(ctx context.Context, abs int64) error {
 	if _, err := file.Seek(seekTo, io.SeekStart); err != nil {
 		return failAt(err)
 	}
-	br := bufio.NewReaderSize(file, 1<<18)
+	br := f.buffer(file)
 	if afterLine {
 		if c, err := br.ReadByte(); err != nil || c != '\n' {
 			return failAt(fmt.Errorf("the manifest's index does not point at the start of a line (%q before it, %v)", c, err))
 		}
 	}
-	var r io.Reader = br
 	if f.src.comp != nil {
-		zr, err := f.src.comp.NewReader(r)
+		zr, err := f.src.comp.NewReader(br)
 		if err != nil {
 			return failAt(err)
 		}
 		f.closers = append(f.closers, zr)
-		r = zr
+		br = f.buffer(zr)
 	}
-	rr, err := newRowReader(f.src.format, r, f.t.info.Cols, chunkStart, left, p.header)
+	rr, err := newRunReader(f.src.format, br, f.t.info.Cols, f.t.pkCol, chunkStart, left, p.header)
 	if err != nil {
 		return failAt(err)
 	}
@@ -562,58 +586,196 @@ func (f *dirFiller) close() error {
 		}
 	}
 	f.closers = f.closers[:0]
+	for _, br := range f.bufs {
+		br.Reset(nil)
+		readerPool.Put(br)
+	}
+	f.bufs = f.bufs[:0]
 	f.rr = nil
 	return first
 }
 
-// rowReader decodes one part file's rows sequentially. next fills dst
-// (one value per file-layout column); skip discards k rows, cheaper
-// than decoding them where the format allows.
-type rowReader interface {
-	next(dst []int64) error
+// runReader reads one part file's rows a run at a time. run returns the
+// next rows, at most max (≥ 1) of them, as one span in span order: the
+// pk first (as Start; a layout without one leaves it 0), then the
+// layout's other columns in file order, as Vals — so the pk need not be
+// the file's first column. The span is the reader's own, valid until
+// the next call. skip steps over k rows without producing them, cheaper
+// than reading them where the format allows.
+type runReader interface {
+	run(max int64) (*tuplegen.Span, error)
 	skip(k int64) error
 }
 
-// newRowReader builds the decoder for rows [start, start+rows) of a
-// part, r positioned at the first of them — or, with header, at the csv
-// header line or heap header page before it.
-func newRowReader(format string, r io.Reader, cols []string, start, rows int64, header bool) (rowReader, error) {
+// newRunReader builds the reader for rows [start, start+rows) of a part,
+// br positioned at the first of them — or, with header, at the csv
+// header line or heap header page before it. pkCol is the pk's position
+// in cols, -1 when the layout has none.
+func newRunReader(format string, br *bufio.Reader, cols []string, pkCol int, start, rows int64, header bool) (runReader, error) {
 	switch format {
-	case "csv":
-		return newCSVReader(r, len(cols), header)
-	case "jsonl":
-		return newJSONLReader(r, cols), nil
+	case "csv", "jsonl":
+		l := &lineRuns{runTemplate: newRunTemplate(len(cols), pkCol), br: br, format: format}
+		if format == "jsonl" {
+			l.json = newJSONLRow(cols)
+		} else if header {
+			if err := skipLines(br, 1); err != nil {
+				return nil, fmt.Errorf("reading csv header: %w", err)
+			}
+		}
+		return l, nil
 	case "heap":
-		return newHeapReader(r, len(cols), header)
+		return newHeapRuns(br, len(cols), pkCol, header)
 	case "spans":
-		return newSpansReader(r, len(cols), start, rows), nil
+		dec := newSpanDecoder(len(cols), start, start+rows, false)
+		dec.br = br
+		return &spansRuns{dec: dec}, nil
 	default:
 		return nil, fmt.Errorf("format %q is not scannable", format)
 	}
 }
 
-// --- csv ---
-
-type csvReader struct {
-	br    *bufio.Reader
-	ncols int
-}
-
-// maxCSVCell is the longest rendering of an int64 ("-9223372036854775808")
-// plus its separator.
-const maxCSVCell = 21
-
-func newCSVReader(r io.Reader, ncols int, header bool) (*csvReader, error) {
-	// Rows are decoded in place from the reader's buffer, so it must hold
-	// the widest row the layout can produce; a longer line is malformed.
-	cr := &csvReader{br: bufio.NewReaderSize(r, max(4096, ncols*maxCSVCell+1)), ncols: ncols}
-	if header {
-		if err := skipLines(cr.br, 1); err != nil {
-			return nil, fmt.Errorf("reading csv header: %w", err)
-		}
+// spanCol is file column c's position in span order: the pk first, then
+// the layout's other columns in file order.
+func spanCol(c, pkCol int) int {
+	switch {
+	case c == pkCol:
+		return 0
+	case pkCol < 0 || c < pkCol:
+		return c + 1
 	}
-	return cr, nil
+	return c
 }
+
+// pacer spares a reader the prediction on parts where it keeps missing.
+// After the k-th run in a row that ended at its first row, the next
+// 2^k-1 rows (63 at most) are parsed without a prediction, and a run of
+// more rows starts over: a part of single-row runs — a spread-FK part,
+// whose FKs change every row — costs what parsing it costs, while a
+// stray single-row run among long ones costs one more parsed row.
+type pacer struct{ misses, rest int }
+
+// try reports whether to predict after the row just parsed.
+func (p *pacer) try() bool {
+	if p.rest > 0 {
+		p.rest--
+		return false
+	}
+	return true
+}
+
+// record takes the length of a run that was predicted.
+func (p *pacer) record(n int64) {
+	if n > 1 {
+		p.misses = 0
+		return
+	}
+	p.misses = min(p.misses+1, 6)
+	p.rest = 1<<p.misses - 1
+}
+
+// runTemplate is the row a run starts with, as parsed (file order), and
+// the run in span order, whose Vals alias the row unless the pk sits
+// between other columns.
+type runTemplate struct {
+	row   []int64
+	sp    tuplegen.Span
+	pkCol int
+}
+
+func newRunTemplate(ncols, pkCol int) runTemplate {
+	t := runTemplate{row: make([]int64, ncols), pkCol: pkCol}
+	switch pkCol {
+	case -1:
+		t.sp.Vals = t.row
+	case 0:
+		t.sp.Vals = t.row[1:]
+	default:
+		t.sp.Vals = make([]int64, ncols-1)
+	}
+	return t
+}
+
+// span presents the run of n rows that starts with t.row in span order.
+func (t *runTemplate) span(n int64) *tuplegen.Span {
+	if t.pkCol > 0 {
+		copy(t.sp.Vals[copy(t.sp.Vals, t.row[:t.pkCol]):], t.row[t.pkCol+1:])
+	}
+	if t.pkCol >= 0 {
+		t.sp.Start = t.row[t.pkCol]
+	}
+	t.sp.N = n
+	return &t.sp
+}
+
+// --- csv and jsonl ---
+
+// lineRuns reads a csv or jsonl part a run at a time. A run's first row
+// is parsed cell by cell; every row after it is accepted with one
+// compare against pred, the line the encoder writes next in a run. The
+// first byte that differs ends the run, and that line is parsed in full
+// as the first row of the next one (pace decides when a part of
+// single-row runs is worth predicting again).
+type lineRuns struct {
+	runTemplate
+	br     *bufio.Reader
+	format string
+	json   *jsonlRow // nil: csv
+	pred   predicted
+	pace   pacer
+}
+
+func (l *lineRuns) run(max int64) (*tuplegen.Span, error) {
+	line, err := l.br.ReadSlice('\n')
+	if err != nil {
+		if errors.Is(err, bufio.ErrBufferFull) {
+			return nil, fmt.Errorf("%s row longer than %d bytes", l.format, l.br.Size())
+		}
+		if !errors.Is(err, io.EOF) || len(line) == 0 {
+			return nil, err
+		}
+		// A final row without its newline is still a row.
+	}
+	lo, hi := -1, -1
+	if l.json != nil {
+		line, lo, hi, err = l.json.parse(line, &l.runTemplate)
+	} else {
+		lo, hi, err = l.parseCSV(line)
+	}
+	if err != nil {
+		return nil, err
+	}
+	return l.span(l.extend(line, lo, hi, max)), nil
+}
+
+// extend accepts the lines after a run's first, line (its pk's digits at
+// line[lo:hi], lo < 0 without a pk), that are byte for byte what the
+// encoder writes next, one compare each, and returns the run's length:
+// at most max rows in all.
+//
+//hydra:hotpath
+func (l *lineRuns) extend(line []byte, lo, hi int, max int64) int64 {
+	if max == 1 || !l.pace.try() {
+		return 1
+	}
+	var pk int64
+	if lo >= 0 {
+		pk = l.row[l.pkCol]
+	}
+	l.pred.set(line, lo, hi, pk)
+	n := int64(1)
+	for n < max && l.pred.step() {
+		b, err := l.br.Peek(len(l.pred.b))
+		if err != nil || !bytes.Equal(b, l.pred.b) {
+			break
+		}
+		l.br.Discard(len(b))
+		n++
+	}
+	l.pace.record(n)
+	return n
+}
+
+func (l *lineRuns) skip(k int64) error { return skipLines(l.br, k) }
 
 // skipLines discards k lines of any length — how both line formats step
 // over rows. Newlines are counted a window at a time; only the window
@@ -638,40 +800,117 @@ func skipLines(br *bufio.Reader, k int64) error {
 	return nil
 }
 
-func (c *csvReader) skip(k int64) error { return skipLines(c.br, k) }
+// predicted is the line an encoder writes after the last one a run
+// accepted: the pk in canonical decimal between the other cells, its
+// digits stepped in place the way matgen's pkWriter stamps a run —
+// never re-formatted per row.
+type predicted struct {
+	b      []byte // the line
+	lo, hi int    // b[lo:hi] are the pk's digits; lo < 0: no pk, the line repeats as is
+	pk     int64  // the value b[lo:hi] spells
+}
 
-// next decodes one row straight out of the read buffer: no line copy, no
-// per-cell string, no allocation.
-func (c *csvReader) next(dst []int64) error {
-	line, err := c.br.ReadSlice('\n')
-	if err != nil {
-		if errors.Is(err, bufio.ErrBufferFull) {
-			return fmt.Errorf("csv row longer than %d bytes", c.br.Size())
-		}
-		if !errors.Is(err, io.EOF) || len(line) == 0 {
-			return err
-		}
-		// A final row without its newline is still a row.
+// set predicts the lines after line, whose pk, parsed from line[lo:hi],
+// is pk: the same bytes with the pk stepped by one per line — or, when
+// lo < 0, line itself again and again (in a layout without a pk a run
+// is a run of identical lines). A pk not spelled in canonical decimal
+// ("+7", "007") is re-spelled first.
+func (p *predicted) set(line []byte, lo, hi int, pk int64) {
+	p.lo, p.hi, p.pk = lo, hi, pk
+	if lo < 0 || canonical(line[lo:hi]) {
+		p.b = append(p.b[:0], line...)
+		return
 	}
-	line = trimEOL(line)
-	for i := 0; i < c.ncols; i++ {
-		cell := line
-		if i < c.ncols-1 {
-			j := bytes.IndexByte(line, ',')
-			if j < 0 {
-				return fmt.Errorf("csv row has %d of %d columns", i+1, c.ncols)
-			}
-			cell, line = line[:j], line[j+1:]
-		} else if bytes.IndexByte(line, ',') >= 0 {
-			return fmt.Errorf("csv row has more than %d columns", c.ncols)
+	p.b = strconv.AppendInt(append(p.b[:0], line[:lo]...), pk, 10)
+	p.hi = len(p.b)
+	p.b = append(p.b, line[hi:]...)
+}
+
+// canonical reports whether the digits of a parsed integer are how
+// strconv spells it: no sign, no leading zero.
+func canonical(cell []byte) bool {
+	return cell[0] != '+' && cell[0] != '-' && (cell[0] != '0' || len(cell) == 1)
+}
+
+// step advances the prediction by one row, reporting false when there
+// is no next pk to predict: after a negative one (whose decimal does not
+// step in place) or the largest.
+//
+//hydra:hotpath
+func (p *predicted) step() bool {
+	if p.lo < 0 {
+		return true
+	}
+	if p.pk < 0 || p.pk == math.MaxInt64 {
+		return false
+	}
+	p.pk++
+	for i := p.hi - 1; i >= p.lo; i-- {
+		if p.b[i] != '9' {
+			p.b[i]++
+			return true
 		}
-		v, err := parseInt(cell)
-		if err != nil {
+		p.b[i] = '0'
+	}
+	// Every digit carried: the pk gains one, a 1 before the zeros.
+	p.b = append(p.b, 0)
+	copy(p.b[p.lo+1:], p.b[p.lo:])
+	p.b[p.lo] = '1'
+	p.hi++
+	return true
+}
+
+// parseCSV decodes one line straight out of the read buffer — no line
+// copy, no per-cell string, no allocation, one pass over the bytes — and
+// returns where the pk's digits lie in it (-1 without a pk). The line
+// after it is predicted from its own bytes, the same cells around the
+// pk's, so a run whose lines end in \r\n reads as fast as one whose
+// lines end in \n.
+func (l *lineRuns) parseCSV(line []byte) (lo, hi int, err error) {
+	lo, hi = -1, -1
+	body := trimEOL(line)
+	for i, at := 0, 0; i < len(l.row); i++ {
+		// Up to 18 digits cannot overflow; anything else — a sign, more
+		// digits, none — takes the general parser.
+		u, end := digits(body, at)
+		v := int64(u)
+		if end == at || end-at > 18 {
+			w, n, perr := parseIntPrefix(body[at:])
+			if perr != nil {
+				return lo, hi, csvRowError(body, len(l.row))
+			}
+			v, end = w, at+n
+		}
+		if last := i == len(l.row)-1; last != (end == len(body)) || !last && body[end] != ',' {
+			return lo, hi, csvRowError(body, len(l.row))
+		}
+		l.row[i] = v
+		if i == l.pkCol {
+			lo, hi = at, end
+		}
+		at = end + 1
+	}
+	return lo, hi, nil
+}
+
+// csvRowError names what is wrong with a csv line parseCSV refused,
+// walking it cell by cell.
+func csvRowError(body []byte, ncols int) error {
+	for i := 0; i < ncols; i++ {
+		cell := body
+		if j := bytes.IndexByte(body, ','); i < ncols-1 {
+			if j < 0 {
+				return fmt.Errorf("csv row has %d of %d columns", i+1, ncols)
+			}
+			cell, body = body[:j], body[j+1:]
+		} else if j >= 0 {
+			return fmt.Errorf("csv row has more than %d columns", ncols)
+		}
+		if _, err := parseInt(cell); err != nil {
 			return fmt.Errorf("csv cell %d: parsing %q: %w", i, cell, err)
 		}
-		dst[i] = v
 	}
-	return nil
+	return errors.New("csv row refused") // unreachable: parseCSV and this walk accept the same lines
 }
 
 var (
@@ -682,34 +921,54 @@ var (
 // parseInt is strconv.ParseInt(string(b), 10, 64) without the string:
 // an optional sign, then decimal digits only, overflow-checked.
 func parseInt(b []byte) (int64, error) {
-	neg := false
-	if len(b) > 0 && (b[0] == '-' || b[0] == '+') {
-		neg, b = b[0] == '-', b[1:]
-	}
-	if len(b) == 0 {
+	v, n, err := parseIntPrefix(b)
+	if err == nil && n < len(b) {
 		return 0, errIntSyntax
+	}
+	return v, err
+}
+
+// digits reads the decimal digits b holds from at on: their value,
+// exact for up to 19 of them, and where they end.
+func digits(b []byte, at int) (uint64, int) {
+	var u uint64
+	for ; at < len(b) && b[at]-'0' <= 9; at++ {
+		u = u*10 + uint64(b[at]-'0')
+	}
+	return u, at
+}
+
+// parseIntPrefix parses the integer b starts with — an optional sign,
+// then decimal digits — and returns the number of bytes it spans.
+func parseIntPrefix(b []byte) (int64, int, error) {
+	i, neg := 0, false
+	if len(b) > 0 && (b[0] == '-' || b[0] == '+') {
+		i, neg = 1, b[0] == '-'
 	}
 	const minMagnitude = 1 << 63 // |math.MinInt64|
 	var u uint64
-	for _, ch := range b {
-		d := ch - '0' // wraps far above 9 for bytes below '0'
+	start := i
+	for ; i < len(b); i++ {
+		d := b[i] - '0' // wraps far above 9 for bytes below '0'
 		if d > 9 {
-			return 0, errIntSyntax
+			break
 		}
 		if u > minMagnitude/10 {
-			return 0, errIntRange
+			return 0, i, errIntRange
 		}
 		if u = u*10 + uint64(d); u > minMagnitude {
-			return 0, errIntRange
+			return 0, i, errIntRange
 		}
 	}
-	if neg {
-		return -int64(u), nil // u == 1<<63 wraps to MinInt64, as it should
+	switch {
+	case i == start:
+		return 0, i, errIntSyntax
+	case neg:
+		return -int64(u), i, nil // u == 1<<63 wraps to MinInt64, as it should
+	case u == minMagnitude:
+		return 0, i, errIntRange
 	}
-	if u == minMagnitude {
-		return 0, errIntRange
-	}
-	return int64(u), nil
+	return int64(u), i, nil
 }
 
 func trimEOL(s []byte) []byte {
@@ -722,104 +981,172 @@ func trimEOL(s []byte) []byte {
 	return s
 }
 
-// --- jsonl ---
-
-type jsonlReader struct {
-	br   *bufio.Reader
-	keys map[string]int // column name → file-layout position
-	vals map[string]int64
+// jsonlRow parses jsonl lines: one object holding every column once,
+// each value a JSON integer. null, fractions, exponents and strings are
+// refused — the encoder writes none of them.
+type jsonlRow struct {
+	cols []string
+	keys [][]byte // the encoder's quoted keys, each with its ':'
+	raw  map[string]json.RawMessage
+	line []byte // scratch: the canonical rendering of the parsed row
 }
 
-func newJSONLReader(r io.Reader, cols []string) *jsonlReader {
-	keys := make(map[string]int, len(cols))
-	for i, name := range cols {
-		keys[name] = i
+func newJSONLRow(cols []string) *jsonlRow {
+	j := &jsonlRow{cols: cols, keys: make([][]byte, len(cols)), raw: make(map[string]json.RawMessage, len(cols))}
+	for c, name := range cols {
+		q, _ := json.Marshal(name)
+		j.keys[c] = append(q, ':')
 	}
-	return &jsonlReader{br: bufio.NewReader(r), keys: keys, vals: make(map[string]int64, len(cols))}
+	return j
 }
 
-func (j *jsonlReader) skip(k int64) error { return skipLines(j.br, k) }
-
-func (j *jsonlReader) next(dst []int64) error {
-	line, err := j.br.ReadBytes('\n')
-	if err != nil && (!errors.Is(err, io.EOF) || len(line) == 0) {
-		return err
+// parse decodes line into t.row and returns the line a run of it is
+// predicted from — how the jsonl encoder writes the row — with the pk's
+// digits at [lo, hi) (-1 without a pk). Any other spelling of a row
+// (spacing, key order, escapes) is read the same and just does not
+// extend a run.
+func (j *jsonlRow) parse(line []byte, t *runTemplate) (canon []byte, lo, hi int, err error) {
+	clear(j.raw)
+	if err := json.Unmarshal(line, &j.raw); err != nil {
+		return nil, 0, 0, fmt.Errorf("jsonl row: %w", err)
 	}
-	clear(j.vals)
-	if err := json.Unmarshal(line, &j.vals); err != nil {
-		return fmt.Errorf("jsonl row: %w", err)
+	if len(j.raw) != len(j.cols) {
+		return nil, 0, 0, fmt.Errorf("jsonl row has %d of %d columns", len(j.raw), len(j.cols))
 	}
-	if len(j.vals) != len(dst) {
-		return fmt.Errorf("jsonl row has %d of %d columns", len(j.vals), len(dst))
-	}
-	for name, v := range j.vals {
-		i, ok := j.keys[name]
+	for c, name := range j.cols {
+		raw, ok := j.raw[name]
 		if !ok {
-			return fmt.Errorf("jsonl row has unknown column %q", name)
+			return nil, 0, 0, fmt.Errorf("jsonl row lacks column %q", name)
 		}
-		dst[i] = v
+		v, err := parseInt(raw)
+		if err != nil {
+			return nil, 0, 0, fmt.Errorf("jsonl column %q holds %s, not an int64", name, raw)
+		}
+		t.row[c] = v
 	}
-	return nil
+	b := append(j.line[:0], '{')
+	lo, hi = -1, -1
+	for c, v := range t.row {
+		if c > 0 {
+			b = append(b, ',')
+		}
+		b = append(b, j.keys[c]...)
+		if c == t.pkCol {
+			lo = len(b)
+		}
+		b = strconv.AppendInt(b, v, 10)
+		if c == t.pkCol {
+			hi = len(b)
+		}
+	}
+	j.line = append(b, '}', '\n')
+	return j.line, lo, hi, nil
 }
 
 // --- heap (internal/storage page format) ---
 
-type heapReader struct {
-	r       io.Reader
-	ncols   int
+// heapRuns reads a heap part a run at a time: a run's first row is
+// decoded, and every row after it accepted with one compare against the
+// same bytes with the pk slot stepped — the slot the heap encoder
+// patches per row.
+type heapRuns struct {
+	runTemplate
+	br      *bufio.Reader
+	width   int // bytes per row
 	perPage int
 	pagePad int
 	inPage  int
-	buf     []byte
+	pred    []byte
+	pace    pacer
 }
 
-func newHeapReader(r io.Reader, ncols int, header bool) (*heapReader, error) {
+func newHeapRuns(br *bufio.Reader, ncols, pkCol int, header bool) (*heapRuns, error) {
 	perPage, err := storage.RowsPerPage(ncols)
 	if err != nil {
 		return nil, err
 	}
-	h := &heapReader{
-		r: r, ncols: ncols, perPage: perPage,
-		pagePad: storage.PageSize - perPage*8*ncols,
-		buf:     make([]byte, 8*ncols),
-	}
 	if header {
 		// Shard 0 starts with the header page; its contents were already
 		// interpreted via the manifest, so it is skipped, not parsed.
-		if _, err := io.CopyN(io.Discard, r, storage.PageSize); err != nil {
+		if _, err := br.Discard(storage.PageSize); err != nil {
 			return nil, fmt.Errorf("skipping heap header page: %w", err)
 		}
 	}
-	return h, nil
+	return &heapRuns{
+		runTemplate: newRunTemplate(ncols, pkCol), br: br,
+		width: 8 * ncols, perPage: perPage, pagePad: storage.PageSize - perPage*8*ncols,
+	}, nil
 }
 
-func (h *heapReader) advancePage() error {
-	h.inPage++
-	if h.inPage == h.perPage {
-		if _, err := io.CopyN(io.Discard, h.r, int64(h.pagePad)); err != nil {
-			return err
+func (h *heapRuns) run(max int64) (*tuplegen.Span, error) {
+	b, err := h.br.Peek(h.width)
+	if err != nil {
+		if len(b) > 0 && errors.Is(err, io.EOF) {
+			err = io.ErrUnexpectedEOF
 		}
-		h.inPage = 0
+		return nil, err
 	}
-	return nil
+	for i := range h.row {
+		h.row[i] = int64(binary.LittleEndian.Uint64(b[8*i:]))
+	}
+	n, err := h.extend(b, max)
+	if err != nil {
+		return nil, err
+	}
+	return h.span(n), nil
+}
+
+// extend consumes the run's first row, first, and accepts the rows
+// after it that are byte for byte the prediction, stepping over page
+// padding as it comes, and returns the run's length: at most max rows in
+// all.
+//
+//hydra:hotpath
+func (h *heapRuns) extend(first []byte, max int64) (int64, error) {
+	predict := max > 1 && h.pace.try()
+	if predict {
+		h.pred = append(h.pred[:0], first...)
+	}
+	for n := int64(1); ; n++ {
+		h.br.Discard(h.width)
+		if h.inPage++; h.inPage == h.perPage {
+			h.inPage = 0
+			if _, err := h.br.Discard(h.pagePad); err != nil {
+				return n, err
+			}
+		}
+		if !predict {
+			return n, nil
+		}
+		if n == max || !h.predict(n) {
+			h.pace.record(n)
+			return n, nil
+		}
+	}
+}
+
+// predict reports whether the next row is the one after the run's
+// n-th: the first row's bytes with the pk slot stepped n times.
+//
+//hydra:hotpath
+func (h *heapRuns) predict(n int64) bool {
+	if h.pkCol >= 0 {
+		pk := h.row[h.pkCol] + n - 1 // the last accepted row's
+		if pk == math.MaxInt64 {
+			return false
+		}
+		binary.LittleEndian.PutUint64(h.pred[8*h.pkCol:], uint64(pk+1))
+	}
+	b, err := h.br.Peek(h.width)
+	return err == nil && bytes.Equal(b, h.pred)
 }
 
 // skip is arithmetic: k rows and the padding of every page boundary
 // crossed on the way are one discard.
-func (h *heapReader) skip(k int64) error {
+func (h *heapRuns) skip(k int64) error {
 	to := int64(h.inPage) + k
-	n := k*int64(8*h.ncols) + to/int64(h.perPage)*int64(h.pagePad)
+	n := k*int64(h.width) + to/int64(h.perPage)*int64(h.pagePad)
 	h.inPage = int(to % int64(h.perPage))
-	_, err := io.CopyN(io.Discard, h.r, n)
+	_, err := h.br.Discard(int(n))
 	return err
-}
-
-func (h *heapReader) next(dst []int64) error {
-	if _, err := io.ReadFull(h.r, h.buf); err != nil {
-		return err
-	}
-	for i := 0; i < h.ncols; i++ {
-		dst[i] = int64(binary.LittleEndian.Uint64(h.buf[8*i:]))
-	}
-	return h.advancePage()
 }

@@ -1,13 +1,180 @@
 package scan
 
 import (
+	"bufio"
+	"bytes"
+	"encoding/binary"
+	"encoding/json"
 	"errors"
+	"fmt"
 	"io"
 	"math"
+	"os"
+	"path/filepath"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
+
+	"github.com/dsl-repro/hydra/internal/matgen"
+	"github.com/dsl-repro/hydra/internal/storage"
+	"github.com/dsl-repro/hydra/internal/summary"
+	"github.com/dsl-repro/hydra/internal/tuplegen"
 )
+
+// fileRows expands a run into its rows in file order — the inverse of
+// the span order a runReader presents.
+func fileRows(sp tuplegen.Span, ncols, pkCol int) [][]int64 {
+	out := make([][]int64, sp.N)
+	for i := range out {
+		row := make([]int64, ncols)
+		for c := range row {
+			if s := spanCol(c, pkCol); s == 0 {
+				row[c] = sp.Start + int64(i)
+			} else {
+				row[c] = sp.Vals[s-1]
+			}
+		}
+		out[i] = row
+	}
+	return out
+}
+
+// readRuns drains a run reader over data with a read buffer of size
+// bytes, asking for at most maxRun rows a call: every row in file order,
+// every run's length, and the error that ended it (io.EOF at a clean
+// end). A reader that yields more rows than data has bytes is broken.
+func readRuns(format string, data []byte, cols []string, pkCol, size int, header bool, maxRun int64) (rows [][]int64, runs []int64, err error) {
+	rr, err := newRunReader(format, bufio.NewReaderSize(bytes.NewReader(data), size), cols, pkCol, 0, 0, header)
+	if err != nil {
+		return nil, nil, fmt.Errorf("no reader: %v", err) // not a clean end, even at EOF
+	}
+	for {
+		sp, err := rr.run(maxRun)
+		if err != nil {
+			return rows, runs, err
+		}
+		if sp.N < 1 || sp.N > maxRun || int64(len(rows))+sp.N > int64(len(data)) {
+			return rows, runs, fmt.Errorf("run of %d rows (asked for at most %d) after %d rows of %d bytes", sp.N, maxRun, len(rows), len(data))
+		}
+		runs = append(runs, sp.N)
+		rows = append(rows, fileRows(*sp, len(cols), pkCol)...)
+	}
+}
+
+// refDecode is the row-at-a-time decode the run readers must agree
+// with, written apart from them: strings and strconv for csv, a json
+// Decoder for jsonl, encoding/binary for heap. It returns the rows and
+// io.EOF at a clean end, or the rows before the first it refuses and
+// why.
+func refDecode(format string, data []byte, cols []string, header bool) ([][]int64, error) {
+	var rows [][]int64
+	if format == "heap" {
+		perPage, err := storage.RowsPerPage(len(cols))
+		if err != nil {
+			return nil, err
+		}
+		width, pad := 8*len(cols), storage.PageSize-perPage*8*len(cols)
+		if header {
+			if len(data) < storage.PageSize {
+				return nil, errors.New("short header page")
+			}
+			data = data[storage.PageSize:]
+		}
+		for inPage := 0; len(data) > 0; {
+			if len(data) < width {
+				return rows, io.ErrUnexpectedEOF
+			}
+			row := make([]int64, len(cols))
+			for c := range row {
+				row[c] = int64(binary.LittleEndian.Uint64(data[8*c:]))
+			}
+			rows, data = append(rows, row), data[width:]
+			if inPage++; inPage == perPage {
+				if len(data) < pad {
+					return rows, errors.New("short page padding")
+				}
+				inPage, data = 0, data[pad:]
+			}
+		}
+		return rows, io.EOF
+	}
+	if header && format == "csv" {
+		i := bytes.IndexByte(data, '\n')
+		if i < 0 {
+			return nil, errors.New("no header line")
+		}
+		data = data[i+1:]
+	}
+	for len(data) > 0 {
+		line := data
+		if i := bytes.IndexByte(data, '\n'); i >= 0 {
+			line = data[:i+1]
+		}
+		data = data[len(line):]
+		row, err := refRow(format, line, cols)
+		if err != nil {
+			return rows, err
+		}
+		rows = append(rows, row)
+	}
+	return rows, io.EOF
+}
+
+func refRow(format string, line []byte, cols []string) ([]int64, error) {
+	row := make([]int64, len(cols))
+	if format == "csv" {
+		s := strings.TrimSuffix(strings.TrimSuffix(string(line), "\n"), "\r")
+		cells := strings.Split(s, ",")
+		if len(cells) != len(cols) {
+			return nil, fmt.Errorf("%d cells", len(cells))
+		}
+		for c, cell := range cells {
+			v, err := strconv.ParseInt(cell, 10, 64)
+			if err != nil {
+				return nil, err
+			}
+			row[c] = v
+		}
+		return row, nil
+	}
+	dec := json.NewDecoder(bytes.NewReader(line))
+	dec.UseNumber()
+	var m map[string]any
+	if err := dec.Decode(&m); err != nil {
+		return nil, fmt.Errorf("decode: %v", err) // a blank line is io.EOF to a Decoder
+	}
+	if rest := bytes.TrimLeft(line[dec.InputOffset():], " \t\r\n"); len(rest) > 0 {
+		return nil, fmt.Errorf("%q after the object", rest)
+	}
+	if len(m) != len(cols) {
+		return nil, fmt.Errorf("%d members", len(m))
+	}
+	for c, name := range cols {
+		num, ok := m[name].(json.Number)
+		if !ok {
+			return nil, fmt.Errorf("member %q is %T", name, m[name])
+		}
+		v, err := strconv.ParseInt(string(num), 10, 64)
+		if err != nil {
+			return nil, err
+		}
+		row[c] = v
+	}
+	return row, nil
+}
+
+// testCols names n columns, the pk (if any) at pkCol.
+func testCols(n, pkCol int) []string {
+	cols := make([]string, n)
+	for c := range cols {
+		cols[c] = fmt.Sprintf("c%d", c)
+	}
+	if pkCol >= 0 {
+		cols[pkCol] = "T_pk"
+	}
+	return cols
+}
 
 // TestCSVReaderRows: the in-place row decoder accepts what the csv sink
 // writes (and the line-ending variants a file can pick up on the way)
@@ -34,26 +201,16 @@ func TestCSVReaderRows(t *testing.T) {
 		{"above int64", "9223372036854775808,2,3\n", nil, "csv cell 0: parsing \"9223372036854775808\": value out of range"},
 		{"below int64", "1,-9223372036854775809,3\n", nil, "csv cell 1: parsing \"-9223372036854775809\": value out of range"},
 		{"far out of range", "1,2,99999999999999999999999\n", nil, "csv cell 2: parsing \"99999999999999999999999\": value out of range"},
+		{"pk past the largest", "9223372036854775807,5,6\n9223372036854775808,5,6\n", [][]int64{{math.MaxInt64, 5, 6}},
+			"csv cell 0: parsing \"9223372036854775808\": value out of range"},
 		{"line longer than the buffer", "1,2," + long + "\n", nil, "csv row longer than 4096 bytes"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			cr, err := newCSVReader(strings.NewReader(tc.in), 3, false)
-			if err != nil {
-				t.Fatal(err)
+			rows, _, err := readRuns("csv", []byte(tc.in), testCols(3, 0), 0, 4096, false, math.MaxInt64)
+			if len(rows) != len(tc.want) || (len(rows) > 0 && !slices.EqualFunc(rows, tc.want, slices.Equal)) {
+				t.Fatalf("rows = %v, want %v", rows, tc.want)
 			}
-			row := make([]int64, 3)
-			for i, want := range tc.want {
-				if err := cr.next(row); err != nil {
-					t.Fatalf("row %d: %v", i, err)
-				}
-				for c := range want {
-					if row[c] != want[c] {
-						t.Fatalf("row %d = %v, want %v", i, row, want)
-					}
-				}
-			}
-			err = cr.next(row)
 			switch {
 			case tc.err == "" && !errors.Is(err, io.EOF):
 				t.Fatalf("after the rows: %v, want io.EOF", err)
@@ -64,13 +221,9 @@ func TestCSVReaderRows(t *testing.T) {
 	}
 
 	// The header is one skipped line, with or without a carriage return.
-	cr, err := newCSVReader(strings.NewReader("a,b\r\n7,8\n"), 2, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	row := make([]int64, 2)
-	if err := cr.next(row); err != nil || row[0] != 7 || row[1] != 8 {
-		t.Fatalf("row after header = %v, %v", row, err)
+	rows, _, err := readRuns("csv", []byte("a,b\r\n7,8\n"), testCols(2, 0), 0, 4096, true, math.MaxInt64)
+	if !errors.Is(err, io.EOF) || len(rows) != 1 || rows[0][0] != 7 || rows[0][1] != 8 {
+		t.Fatalf("rows after header = %v, %v", rows, err)
 	}
 }
 
@@ -94,24 +247,302 @@ func TestParseIntMatchesStrconv(t *testing.T) {
 	}
 }
 
-// TestCSVReaderAllocs pins the decode loop at zero allocations per row.
+// TestCSVReaderAllocs pins the decoder at zero allocations per accepted
+// row and per run: a part of 50-row runs, one of 1-row runs (each row
+// its own tail, as in a spread-FK part), and one whose pk sits between
+// other columns.
 func TestCSVReaderAllocs(t *testing.T) {
-	const rows = 2000
+	const runs, per = 400, 50
+	cases := []struct {
+		name  string
+		pkCol int
+		per   int64
+		line  func(pk, run int) string
+	}{
+		{"runs", 0, per, func(pk, run int) string { return fmt.Sprintf("%d,-8,9007199254740993,%d\n", pk, run) }},
+		{"1-row runs", 0, 1, func(pk, _ int) string { return fmt.Sprintf("%d,-8,9007199254740993,%d\n", pk, pk%7) }},
+		{"pk in the middle", 2, per, func(pk, run int) string { return fmt.Sprintf("-8,%d,%d,701\n", run, pk) }},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			var sb strings.Builder
+			for pk := 1; pk <= runs*int(tc.per); pk++ {
+				sb.WriteString(tc.line(pk, (pk-1)/int(tc.per)))
+			}
+			rr, err := newRunReader("csv", bufio.NewReaderSize(strings.NewReader(sb.String()), 1<<16), testCols(4, tc.pkCol), tc.pkCol, 0, 0, false)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var last *tuplegen.Span
+			allocs := testing.AllocsPerRun(runs-1, func() {
+				if last, err = rr.run(math.MaxInt64); err != nil {
+					t.Fatal(err)
+				}
+				if last.N != tc.per {
+					t.Fatalf("run of %d rows, want %d", last.N, tc.per)
+				}
+			})
+			if allocs != 0 || last.Start+last.N-1 != runs*tc.per {
+				t.Fatalf("%.1f allocs per run (last pk %d), want 0", allocs, last.Start+last.N-1)
+			}
+		})
+	}
+}
+
+// TestDirRuns: the decoders do form runs — one compare per row where
+// the bytes are what the encoder writes next, including across a pk
+// that gains a digit and across the read buffer's edge — and every
+// other spelling of a row reads correctly as a run of its own.
+func TestDirRuns(t *testing.T) {
+	seq := func(from, to int, line string) string {
+		var sb strings.Builder
+		for pk := from; pk <= to; pk++ {
+			sb.WriteString(fmt.Sprintf(line, pk))
+		}
+		return sb.String()
+	}
+	heapRows := func(ncols, pkCol int, rows ...int64) string {
+		perPage, _ := storage.RowsPerPage(ncols)
+		var b []byte
+		for i, pk := range rows {
+			for c := 0; c < ncols; c++ {
+				v := int64(40 + c)
+				if c == pkCol {
+					v = pk
+				}
+				b = binary.LittleEndian.AppendUint64(b, uint64(v))
+			}
+			if (i+1)%perPage == 0 {
+				b = append(b, make([]byte, storage.PageSize-perPage*8*ncols)...)
+			}
+		}
+		return string(b)
+	}
+	cases := []struct {
+		name, format, in string
+		ncols, pkCol     int
+		size             int
+		runs             []int64
+	}{
+		{"rollover 9 to 10", "csv", seq(7, 12, "%d,5\n"), 2, 0, 4096, []int64{6}},
+		{"rollover 999 to 1000", "csv", seq(997, 1002, "%d,5\n"), 2, 0, 4096, []int64{6}},
+		{"rollover 99999 to 100000", "csv", seq(99997, 100002, "%d,5\n"), 2, 0, 4096, []int64{6}},
+		{"crlf", "csv", seq(1, 5, "%d,5\r\n"), 2, 0, 4096, []int64{5}},
+		{"final line without newline", "csv", "1,5\n2,5\n3,5", 2, 0, 4096, []int64{2, 1}},
+		{"plus sign starts a run", "csv", "+7,5\n8,5\n9,5\n", 2, 0, 4096, []int64{3}},
+		{"leading zeros start a run", "csv", "007,5\n8,5\n", 2, 0, 4096, []int64{2}},
+		{"minus zero starts a run", "csv", "-0,5\n1,5\n", 2, 0, 4096, []int64{2}},
+		// A row the prediction missed is parsed, and so is the row after
+		// it, before the next prediction.
+		{"plus sign inside a run", "csv", "7,5\n+8,5\n9,5\n10,5\n", 2, 0, 4096, []int64{1, 1, 2}},
+		{"leading zero inside a run", "csv", "7,5\n08,5\n", 2, 0, 4096, []int64{1, 1}},
+		{"negative pks", "csv", "-3,5\n-2,5\n", 2, 0, 4096, []int64{1, 1}},
+		{"largest pk", "csv", "9223372036854775806,5\n9223372036854775807,5\n", 2, 0, 4096, []int64{2}},
+		{"one-byte tail difference", "csv", "1,5\n2,5\n3,6\n4,6\n", 2, 0, 4096, []int64{2, 2}},
+		{"pk skips", "csv", "1,5\n3,5\n4,5\n5,5\n", 2, 0, 4096, []int64{1, 1, 2}},
+		{"buffer edge", "csv", seq(1, 300, "%d,5,6\n"), 3, 0, 16, []int64{300}},
+		{"pk in the middle", "csv", seq(8, 12, "5,%d,6\n"), 3, 1, 4096, []int64{5}},
+		{"no pk", "csv", "5,6\n5,6\n5,6\n5,7\n", 2, -1, 4096, []int64{3, 1}},
+		{"jsonl", "jsonl", seq(8, 12, `{"T_pk":%d,"c1":5}`+"\n"), 2, 0, 4096, []int64{5}},
+		{"jsonl pk in the middle", "jsonl", seq(98, 102, `{"c0":-1,"T_pk":%d,"c2":5}`+"\n"), 3, 1, 4096, []int64{5}},
+		{"jsonl spaced row reads alone", "jsonl", `{"T_pk":1,"c1":5}` + "\n" + `{"T_pk": 2, "c1": 5}` + "\n" + seq(3, 5, `{"T_pk":%d,"c1":5}`+"\n"), 2, 0, 4096, []int64{1, 1, 3}},
+		{"jsonl no pk", "jsonl", `{"c0":1,"c1":5}` + "\n" + `{"c0":1,"c1":5}` + "\n", 2, -1, 4096, []int64{2}},
+		{"heap", "heap", heapRows(3, 0, 1, 2, 3, 5, 6, 7), 3, 0, 4096, []int64{3, 3}},
+		{"heap pk in the middle", "heap", heapRows(3, 1, 1, 2, 3), 3, 1, 4096, []int64{3}},
+		// 341 three-column rows fill a page, 8 bytes of padding end it;
+		// the run carries on past it.
+		{"heap across a page", "heap", heapRows(3, 0, seqInts(1, 701)...), 3, 0, 4096, []int64{700}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			cols := testCols(tc.ncols, tc.pkCol)
+			rows, runs, err := readRuns(tc.format, []byte(tc.in), cols, tc.pkCol, tc.size, false, math.MaxInt64)
+			want, werr := refDecode(tc.format, []byte(tc.in), cols, false)
+			if !errors.Is(err, io.EOF) || !errors.Is(werr, io.EOF) {
+				t.Fatalf("ended with %v; the row-at-a-time decode with %v", err, werr)
+			}
+			if !slices.EqualFunc(rows, want, slices.Equal) {
+				t.Fatalf("rows = %v, want %v", rows, want)
+			}
+			if !slices.Equal(runs, tc.runs) {
+				t.Fatalf("runs = %v, want %v", runs, tc.runs)
+			}
+			// Asked for fewer rows at a time, the reader ends its runs
+			// there and yields the same rows.
+			capped, _, err := readRuns(tc.format, []byte(tc.in), cols, tc.pkCol, tc.size, false, 2)
+			if !errors.Is(err, io.EOF) || !slices.EqualFunc(capped, want, slices.Equal) {
+				t.Fatalf("two rows at a time: %v, %v; want %v", capped, err, want)
+			}
+		})
+	}
+}
+
+// TestPacer: over rows that never continue a run, predictions thin out
+// to one in 64 rows; a run of two rows brings them back at once.
+func TestPacer(t *testing.T) {
+	var p pacer
+	tries, last := 0, 0
+	for row := 0; row < 6400; row++ {
+		if p.try() {
+			if row-last > 64 {
+				t.Fatalf("rows %d to %d parsed without a prediction", last, row)
+			}
+			tries, last = tries+1, row
+			p.record(1)
+		}
+	}
+	if tries > 6+6400/64 {
+		t.Fatalf("%d predictions over 6400 single-row runs", tries)
+	}
+	for p.rest > 0 {
+		p.try()
+	}
+	if p.record(2); !p.try() {
+		t.Fatal("a run of two rows did not bring predictions back")
+	}
+	if p.record(1); p.try() {
+		t.Fatal("the first miss after a run rests no row")
+	}
+}
+
+func seqInts(from, to int64) []int64 {
+	var out []int64
+	for v := from; v < to; v++ {
+		out = append(out, v)
+	}
+	return out
+}
+
+// TestJSONLRefusesNonIntegers: a jsonl value the encoder never writes is
+// an error, not a zero.
+func TestJSONLRefusesNonIntegers(t *testing.T) {
+	for _, v := range []string{"null", "1.5", "1e3", `"7"`, "true", "[1]", "{}"} {
+		in := `{"T_pk":1,"c1":5}` + "\n" + `{"T_pk":2,"c1":` + v + "}\n"
+		rows, _, err := readRuns("jsonl", []byte(in), testCols(2, 0), 0, 4096, false, math.MaxInt64)
+		if len(rows) != 1 || err == nil || !strings.Contains(err.Error(), `jsonl column "c1" holds `+v+`, not an int64`) {
+			t.Errorf("value %s: rows %v, err %v", v, rows, err)
+		}
+	}
+	long := `{"T_pk":1,"c1":` + strings.Repeat("1", 5000) + "}\n"
+	if _, _, err := readRuns("jsonl", []byte(long), testCols(2, 0), 0, 4096, false, math.MaxInt64); err == nil || !strings.Contains(err.Error(), "jsonl row longer than 4096 bytes") {
+		t.Errorf("a line longer than the buffer: %v", err)
+	}
+}
+
+// dirDecodeSeed is one FuzzDirDecode input: format 0/1/2 = csv/jsonl/heap,
+// pkCol = pk%(ncols+1)-1 over 1+ncols%4 columns, a read buffer of
+// 16+buf%4096 bytes, runs capped at maxRun rows (0 = uncapped).
+type dirDecodeSeed struct {
+	data                      []byte
+	format, pk, ncols, maxRun uint8
+	header                    bool
+	buf                       uint16
+}
+
+// dirDecodeSeeds are the table cases of TestDirRuns plus parts the
+// encoders wrote, in which a run crosses a chunk boundary.
+func dirDecodeSeeds(t testing.TB) []dirDecodeSeed {
+	seeds := []dirDecodeSeed{
+		{data: []byte("7,5\n8,5\n9,5\n10,5\n11,5\n"), pk: 1, ncols: 1},
+		{data: []byte("998,5\n999,5\n1000,5\n1001,5\n"), pk: 1, ncols: 1},
+		{data: []byte("99998,5\n99999,5\n100000,5\n100001,5\n"), pk: 1, ncols: 1},
+		{data: []byte("1,5\r\n2,5\r\n3,5\r\n"), pk: 1, ncols: 1},
+		{data: []byte("1,5\n2,5\n3,5"), pk: 1, ncols: 1},
+		{data: []byte("+7,5\n8,5\n007,5\n8,5\n-0,5\n1,5\n"), pk: 1, ncols: 1},
+		{data: []byte("1,5\n2,5\n3,6\n4,6\n"), pk: 1, ncols: 1},
+		{data: []byte("1,5\n3,5\n4,5\n"), pk: 1, ncols: 1},
+		{data: []byte(strings.Repeat("5,6\n", 40)), pk: 0, ncols: 1, maxRun: 7},
+		{data: []byte("5,8,6\n5,9,6\n5,10,6\n"), pk: 2, ncols: 2},
+		{data: []byte("c0,T_pk\n5,8\n5,9\n"), pk: 2, ncols: 1, header: true},
+		{data: []byte(`{"T_pk":9,"c1":5}` + "\n" + `{"T_pk":10,"c1":5}` + "\n" + `{"T_pk":11,"c1":null}` + "\n"), format: 1, pk: 1, ncols: 1},
+		{data: []byte(`{"c0":-1,"T_pk":99,"c2":5}` + "\n" + `{"c0":-1,"T_pk":100,"c2":5}` + "\r\n"), format: 1, pk: 2, ncols: 2},
+	}
 	var sb strings.Builder
-	for i := 0; i < rows; i++ {
-		sb.WriteString(strconv.Itoa(i+1) + ",-8,9007199254740993,701\n")
+	for pk := 1; pk <= 300; pk++ {
+		fmt.Fprintf(&sb, "%d,5,6\n", pk)
 	}
-	cr, err := newCSVReader(strings.NewReader(sb.String()), 4, false)
-	if err != nil {
-		t.Fatal(err)
+	seeds = append(seeds, dirDecodeSeed{data: []byte(sb.String()), pk: 1, ncols: 2, buf: 0})
+
+	// A layout of three columns leaves padding at the end of every heap page.
+	perPage, _ := storage.RowsPerPage(3)
+	var heap []byte
+	for pk := int64(1); pk <= int64(perPage)+5; pk++ {
+		for _, v := range []int64{pk, 5, 6} {
+			heap = binary.LittleEndian.AppendUint64(heap, uint64(v))
+		}
+		if pk == int64(perPage) {
+			heap = append(heap, make([]byte, storage.PageSize-perPage*24)...)
+		}
 	}
-	row := make([]int64, 4)
-	allocs := testing.AllocsPerRun(rows-1, func() {
-		if err := cr.next(row); err != nil {
+	seeds = append(seeds, dirDecodeSeed{data: heap, format: 2, pk: 1, ncols: 2})
+
+	// Parts the encoders wrote: a 70-row relation of two runs in 32-row
+	// chunks, its column named the way the fuzz names a layout's.
+	sum := &summary.Summary{Relations: map[string]*summary.RelationSummary{"T": {
+		Table: "T", Cols: []string{"c1"}, Total: 70,
+		Rows: []summary.RelRow{{Vals: []int64{2}, Count: 40}, {Vals: []int64{7}, Count: 30}},
+	}}}
+	dir := t.TempDir()
+	for code, format := range []string{"csv", "jsonl", "heap"} {
+		if _, err := matgen.Materialize(sum, matgen.Options{Dir: dir, Format: format, Workers: 2, BatchRows: 32}); err != nil {
 			t.Fatal(err)
 		}
-	})
-	if allocs != 0 || row[0] != rows {
-		t.Fatalf("%.1f allocs per row (last pk %d), want 0", allocs, row[0])
+		data, err := os.ReadFile(filepath.Join(dir, "T."+format))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if format == "heap" {
+			data = data[storage.PageSize : storage.PageSize+70*16] // the rows, without the header and footer pages
+		}
+		seeds = append(seeds, dirDecodeSeed{data: data, format: uint8(code), pk: 1, ncols: 1, header: format == "csv", buf: 100})
 	}
+	return seeds
+}
+
+// FuzzDirDecode is the differential check of the run decoders: over
+// arbitrary part bytes, in csv, jsonl and heap, with and without a
+// header, with the pk first, in the middle or absent, through read
+// buffers of every size and runs capped anywhere, they yield exactly the
+// rows a row-at-a-time decode does, or both fail — and never panic.
+// Lines longer than the read buffer are refused rather than grown into:
+// there the decoder must fail no later than the reference, and on the
+// same rows.
+func FuzzDirDecode(f *testing.F) {
+	for _, s := range dirDecodeSeeds(f) {
+		f.Add(s.data, s.format, s.pk, s.ncols, s.maxRun, s.header, s.buf)
+	}
+	f.Fuzz(func(t *testing.T, data []byte, format, pk, ncols, maxRun uint8, header bool, buf uint16) {
+		fm := []string{"csv", "jsonl", "heap"}[format%3]
+		n := 1 + int(ncols)%4
+		pkCol := int(pk)%(n+1) - 1
+		cols := testCols(n, pkCol)
+		size := 16 + int(buf)%4096
+		fits := true
+		if fm == "heap" {
+			size = max(size, 8*n)
+		} else {
+			for _, line := range bytes.SplitAfter(data, []byte{'\n'}) {
+				fits = fits && len(line) < size
+			}
+		}
+		runCap := int64(math.MaxInt64)
+		if maxRun > 0 {
+			runCap = int64(maxRun)
+		}
+		want, werr := refDecode(fm, data, cols, header)
+		got, _, gerr := readRuns(fm, data, cols, pkCol, size, header, runCap)
+		if len(got) > len(want) || !slices.EqualFunc(got, want[:len(got)], slices.Equal) {
+			t.Fatalf("%s rows diverge from the row-at-a-time decode:\n got %v (%v)\nwant %v (%v)", fm, got, gerr, want, werr)
+		}
+		switch {
+		case errors.Is(gerr, io.EOF) && !errors.Is(werr, io.EOF):
+			t.Fatalf("%s decoder accepted what the reference refuses (%v)", fm, werr)
+		case errors.Is(gerr, io.EOF) && len(got) != len(want):
+			t.Fatalf("%s decoder ended cleanly after %d of %d rows", fm, len(got), len(want))
+		case fits && errors.Is(werr, io.EOF) && !errors.Is(gerr, io.EOF):
+			t.Fatalf("%s decoder refused what the reference accepts: %v", fm, gerr)
+		case fits && fm != "heap" && len(got) != len(want):
+			t.Fatalf("%s decoder failed after %d rows, the reference after %d: %v / %v", fm, len(got), len(want), gerr, werr)
+		}
+	})
 }

@@ -268,7 +268,7 @@ func (f *remoteFiller) fill(ctx context.Context, b *tuplegen.Batch, lo, hi int64
 		}
 		sp := f.cur
 		sp.N = min(sp.N, hi-first)
-		at = tuplegen.FillSpan(cols, at, sp, f.proj)
+		at = tuplegen.FillSpan(cols, at, &sp, f.proj)
 		advance(&f.cur, sp.N)
 	}
 	b.Truncate(at)

@@ -10,8 +10,13 @@
 //	SummarySource  generates batches straight from a loaded summary
 //	               (the in-process dynamic path, tuplegen under the hood)
 //	DirSource      reads back a materialized shard directory, decoding
-//	               csv/jsonl/heap/spans part files against their manifests,
-//	               seeking to a scan's first row by the manifest's chunk
+//	               csv/jsonl/heap/spans part files against their manifests
+//	               a run at a time (a run's first row is parsed, each row
+//	               after it accepted with one compare against the bytes the
+//	               encoder writes next, and a row that differs parsed in
+//	               full as the first of the next run), filling batches with
+//	               tuplegen.FillSpan like the other two backends, seeking
+//	               to a scan's first row by the manifest's chunk
 //	               index, and verifying checksums lazily and once (a part
 //	               is hashed before the first row the source decodes from
 //	               it, and again only when the file's size, mtime or

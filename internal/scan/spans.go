@@ -45,7 +45,6 @@ func newSpanDecoder(ncols int, pos, end int64, gaps bool) *spanDecoder {
 	// value and one span per non-pk column, each a varint; then the CRC.
 	fields := 5 + 2*(ncols-1)
 	return &spanDecoder{
-		br:  bufio.NewReaderSize(nil, 4096),
 		pos: pos, end: end, gaps: gaps,
 		buf:  make([]byte, fields*binary.MaxVarintLen64+crc32.Size),
 		tail: make([]int64, ncols-1),
@@ -54,8 +53,15 @@ func newSpanDecoder(ncols int, pos, end int64, gaps bool) *spanDecoder {
 }
 
 // read points the decoder at a stream that starts (or, after a torn
-// one, continues) at row pos.
-func (d *spanDecoder) read(r io.Reader) { d.br.Reset(r) }
+// one, continues) at row pos. The first call sizes the decoder's read
+// buffer; a caller that already buffers sets br instead.
+func (d *spanDecoder) read(r io.Reader) {
+	if d.br == nil {
+		d.br = bufio.NewReaderSize(r, 4096)
+		return
+	}
+	d.br.Reset(r)
+}
 
 // next decodes one frame. The span's slices are the decoder's own and
 // are overwritten by the following call.
@@ -153,46 +159,34 @@ func advance(sp *tuplegen.Span, k int64) {
 	sp.Start, sp.Off, sp.N = sp.Start+k, sp.Off+k, sp.N-k
 }
 
-// spansReader is DirSource's rowReader over a spans part: the row-at-a-
-// time peer of the csv, jsonl and heap readers. Skipping is arithmetic —
-// whole runs are stepped over without producing a row.
-type spansReader struct {
+// spansRuns is DirSource's runReader over a spans part: it hands out
+// the decoded frames themselves, clipped to what the caller asked for,
+// and skips by arithmetic — whole runs are stepped over without
+// producing a row.
+type spansRuns struct {
 	dec *spanDecoder
 	cur tuplegen.Span // undelivered rest of the last decoded run
+	out tuplegen.Span // what run returned last
 }
 
-// newSpansReader reads a part holding rows [start, start+rows).
-func newSpansReader(r io.Reader, ncols int, start, rows int64) *spansReader {
-	dec := newSpanDecoder(ncols, start, start+rows, false)
-	dec.read(r)
-	return &spansReader{dec: dec}
-}
-
-func (s *spansReader) load() (err error) {
+func (s *spansRuns) load() (err error) {
 	if s.cur.N == 0 {
 		s.cur, err = s.dec.next()
 	}
 	return err
 }
 
-func (s *spansReader) next(dst []int64) error {
+func (s *spansRuns) run(max int64) (*tuplegen.Span, error) {
 	if err := s.load(); err != nil {
-		return err
+		return nil, err
 	}
-	sp := &s.cur
-	dst[0] = sp.Start
-	fks := dst[1+copy(dst[1:], sp.Vals):]
-	for c, fk := range sp.FKs {
-		if sp.FKSpans != nil && sp.FKSpans[c] > 1 {
-			fk += sp.Off % sp.FKSpans[c]
-		}
-		fks[c] = fk
-	}
-	advance(sp, 1)
-	return nil
+	s.out = s.cur
+	s.out.N = min(s.out.N, max)
+	advance(&s.cur, s.out.N)
+	return &s.out, nil
 }
 
-func (s *spansReader) skip(k int64) error {
+func (s *spansRuns) skip(k int64) error {
 	for k > 0 {
 		if err := s.load(); err != nil {
 			return err

@@ -58,7 +58,7 @@ func spanRows(sp tuplegen.Span) [][]int64 {
 	for c := range cols {
 		cols[c] = make([]int64, sp.N)
 	}
-	tuplegen.FillSpan(cols, 0, sp, nil)
+	tuplegen.FillSpan(cols, 0, &sp, nil)
 	rows := make([][]int64, sp.N)
 	for i := range rows {
 		rows[i] = make([]int64, ncols)

@@ -83,7 +83,7 @@ func (f *summaryFiller) fill(_ context.Context, b *tuplegen.Batch, lo, hi int64)
 	at := 0
 	it := f.g.FilteredSpans(lo+1, hi-lo, f.sf)
 	for sp, ok := it.Next(); ok; sp, ok = it.Next() {
-		at = tuplegen.FillSpan(cols, at, sp, f.proj)
+		at = tuplegen.FillSpan(cols, at, &sp, f.proj)
 	}
 	b.Truncate(at)
 	return nil

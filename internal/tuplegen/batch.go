@@ -154,7 +154,7 @@ func (g *Generator) BatchCols(startPK int64, n int, b *Batch, idx []int) *Batch 
 	at := 0
 	it := g.Spans(startPK, int64(n))
 	for sp, ok := it.Next(); ok; sp, ok = it.Next() {
-		at = FillSpan(cols, at, sp, idx)
+		at = FillSpan(cols, at, &sp, idx)
 	}
 	return b
 }
@@ -164,7 +164,8 @@ func (g *Generator) BatchCols(startPK int64, n int, b *Batch, idx []int) *Batch 
 // selects the source column for each destination in tuple order (0 =
 // pk, then values, then FKs); nil means the identity layout. Every
 // destination column must have capacity at+sp.N. Returns at+sp.N, the
-// next free row.
+// next free row. sp is only read: passing it by pointer spares a
+// run-sized copy per call, which a reader of short runs would notice.
 //
 // It is the one kernel that turns summary runs into batch columns —
 // Batch, BatchCols and every scan backend fill through it. A constant
@@ -173,7 +174,7 @@ func (g *Generator) BatchCols(startPK int64, n int, b *Batch, idx []int) *Batch 
 // memmove's vector stores do the work instead of one store per value.
 //
 //hydra:hotpath
-func FillSpan(cols [][]int64, at int, sp Span, idx []int) int {
+func FillSpan(cols [][]int64, at int, sp *Span, idx []int) int {
 	n := int(sp.N)
 	nvals := len(sp.Vals)
 	for c := range cols {

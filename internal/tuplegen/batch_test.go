@@ -328,7 +328,7 @@ func TestFillSpanMatchesRow(t *testing.T) {
 				cols[c][i] = untouched
 			}
 		}
-		if next := FillSpan(cols, at, sp, idx); next != at+int(n) {
+		if next := FillSpan(cols, at, &sp, idx); next != at+int(n) {
 			t.Fatalf("trial %d: FillSpan returned %d, want %d", trial, next, at+int(n))
 		}
 		for i := range cols[0] {
@@ -411,7 +411,7 @@ func BenchmarkFillSpan(b *testing.B) {
 		sp := Span{Start: 1, N: rows, Vals: vals, FKs: []int64{5, 9}, FKSpans: tc.fkSpans, Off: 3}
 		b.Run(tc.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				FillSpan(cols, 0, sp, nil)
+				FillSpan(cols, 0, &sp, nil)
 			}
 			b.ReportMetric(float64(rows)*float64(b.N)/b.Elapsed().Seconds(), "rows/s")
 		})

@@ -14,11 +14,15 @@ import (
 // spread-FK columns — the one per-row varying case — fall back to
 // per-row evaluation, re-coalesced into maximal passing runs. This is
 // the pushdown primitive every read-path backend shares.
+//
+// Non-key columns are addressed by their position in a span's tail,
+// Vals followed by FKs, wherever the span splits the two: a span a
+// reader rebuilt from stored bytes, which cannot tell a value from a
+// constant FK, is clipped exactly like the span the generator produced.
 type SpanFilter struct {
 	pk    pred.Set
 	hasPK bool
-	vals  []colSet // indexed like Span.Vals
-	fks   []colSet // indexed like Span.FKs
+	tail  []colSet // indexed like Vals ++ FKs
 }
 
 type colSet struct {
@@ -37,16 +41,14 @@ func NewSpanFilter(c pred.Conjunct, nvals, nfks int) (*SpanFilter, error) {
 	if len(attrs) == 0 {
 		return nil, nil
 	}
-	f := &SpanFilter{vals: make([]colSet, nvals), fks: make([]colSet, nfks)}
+	f := &SpanFilter{tail: make([]colSet, nvals+nfks)}
 	for _, a := range attrs {
 		s, _ := c.Restriction(a)
 		switch {
 		case a == 0:
 			f.pk, f.hasPK = s, true
-		case a <= nvals:
-			f.vals[a-1] = colSet{set: s, ok: true}
 		case a <= nvals+nfks:
-			f.fks[a-1-nvals] = colSet{set: s, ok: true}
+			f.tail[a-1] = colSet{set: s, ok: true}
 		default:
 			return nil, fmt.Errorf("tuplegen: filter attribute %d outside layout (1 pk + %d vals + %d fks)", a, nvals, nfks)
 		}
@@ -60,24 +62,30 @@ func (g *Generator) BindSpanFilter(c pred.Conjunct) (*SpanFilter, error) {
 	return NewSpanFilter(c, len(g.rs.Cols), len(g.rs.FKCols))
 }
 
-// subSpans appends to dst the maximal sub-spans of sp whose rows all
-// satisfy the filter, in pk order.
-func (f *SpanFilter) subSpans(dst []Span, sp Span) []Span {
-	for c := range f.vals {
-		if f.vals[c].ok && !f.vals[c].set.Contains(sp.Vals[c]) {
-			return dst
-		}
+// spreads reports whether tail column c of sp varies across the run.
+func spreads(sp Span, c int) bool {
+	k := c - len(sp.Vals)
+	return k >= 0 && sp.FKSpans != nil && sp.FKSpans[k] > 1
+}
+
+// tailAt is tail column c of sp's first tuple.
+func tailAt(sp Span, c int) int64 {
+	if c < len(sp.Vals) {
+		return sp.Vals[c]
 	}
+	return sp.FKs[c-len(sp.Vals)]
+}
+
+// Clip appends to dst the maximal sub-spans of sp whose rows all
+// satisfy the filter, in pk order.
+func (f *SpanFilter) Clip(dst []Span, sp Span) []Span {
 	perRow := false
-	for c := range f.fks {
-		if !f.fks[c].ok {
-			continue
-		}
-		if sp.FKSpans != nil && sp.FKSpans[c] > 1 {
+	for c, cs := range f.tail {
+		switch {
+		case !cs.ok:
+		case spreads(sp, c):
 			perRow = true // varies across the run; checked row by row
-			continue
-		}
-		if !f.fks[c].set.Contains(sp.FKs[c]) {
+		case !cs.set.Contains(tailAt(sp, c)):
 			return dst
 		}
 	}
@@ -116,15 +124,12 @@ func (f *SpanFilter) emit(dst []Span, sp Span, a, b int64, perRow bool) []Span {
 	runStart := int64(-1)
 	for i := int64(0); i < sub.N; i++ {
 		pass := true
-		for c := range f.fks {
-			if !f.fks[c].ok {
-				continue
-			}
-			span := sp.FKSpans[c]
-			if span <= 1 {
+		for c, cs := range f.tail {
+			if !cs.ok || !spreads(sp, c) {
 				continue // constant; already checked
 			}
-			if !f.fks[c].set.Contains(sp.FKs[c] + (sub.Off+i)%span) {
+			k := c - len(sp.Vals)
+			if !cs.set.Contains(sp.FKs[k] + (sub.Off+i)%sp.FKSpans[k]) {
 				pass = false
 				break
 			}
@@ -178,7 +183,7 @@ func (it *FilteredSpanIter) Next() (Span, bool) {
 		if !ok {
 			return Span{}, false
 		}
-		it.buf = it.f.subSpans(it.buf[:0], sp)
+		it.buf = it.f.Clip(it.buf[:0], sp)
 		it.i = 0
 	}
 }

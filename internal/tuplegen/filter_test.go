@@ -69,7 +69,7 @@ func TestFilteredSpansMatchBruteForce(t *testing.T) {
 				for i := range cols {
 					cols[i] = make([]int64, sp.N)
 				}
-				FillSpan(cols, 0, sp, nil)
+				FillSpan(cols, 0, &sp, nil)
 				for i := 0; i < int(sp.N); i++ {
 					pk := cols[0][i]
 					if len(gotPKs) > 0 && pk <= gotPKs[len(gotPKs)-1] {
@@ -115,7 +115,7 @@ func TestFillSpanProjection(t *testing.T) {
 			break
 		}
 		cols := [][]int64{make([]int64, sp.N), make([]int64, sp.N)}
-		FillSpan(cols, 0, sp, idx)
+		FillSpan(cols, 0, &sp, idx)
 		for i := 0; i < int(sp.N); i++ {
 			pk := sp.Start + int64(i)
 			row = g.Row(pk, row)
