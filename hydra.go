@@ -176,24 +176,6 @@ func (r *Result) Evaluate(w *Workload) ([]CCReport, error) {
 	return summary.Evaluate(r.Summary, r.Views, w)
 }
 
-// NewGenerator returns the dynamic tuple generator for one relation of the
-// summary — the raw row-at-a-time engine primitive.
-//
-// Deprecated: use the Source/Scan read path instead —
-// NewSummarySource(s).Scan(ctx, ScanSpec{Table: table}) — which wraps
-// the same generator in columnar batches and adds projection, pk
-// ranges, filter predicates (ScanSpec.Filter), shard splits, rate
-// limiting, and cancellation, and works identically over materialized
-// directories and serve fleets. NewGenerator remains for engine-level
-// integrations that need raw row access.
-func NewGenerator(s *Summary, table string) (*Generator, error) {
-	rs, ok := s.Relations[table]
-	if !ok {
-		return nil, fmt.Errorf("hydra: summary has no relation %q", table)
-	}
-	return tuplegen.New(rs), nil
-}
-
 // ErrorCDF computes the percentage of CCs within each |relative error|
 // threshold, the presentation used by the paper's Fig. 10.
 func ErrorCDF(reports []CCReport, thresholds []float64) []float64 {

@@ -51,29 +51,17 @@ const DefaultBuckets = 32
 func Capture(db *engine.Database, s *schema.Schema) (*Metadata, error) {
 	md := &Metadata{Tables: map[string]TableStats{}}
 	for _, t := range s.Tables {
-		rel, err := db.Rel(t.Name)
+		info, err := db.Table(t.Name)
 		if err != nil {
 			return nil, err
 		}
-		ts := TableStats{RowCount: rel.NumRows(), Cols: map[string]ColumnStats{}}
-		// Collect per-column values; column c of the schema sits at
-		// engine-tuple index c+1.
-		vals := make([][]int64, len(t.Cols))
-		it := rel.Scan()
-		for {
-			row, ok := it.Next()
-			if !ok {
-				break
+		ts := TableStats{RowCount: info.Rows, Cols: map[string]ColumnStats{}}
+		for _, col := range t.Cols {
+			vals, err := db.Columns(t.Name, []string{col.Name})
+			if err != nil {
+				return nil, err
 			}
-			for c := range t.Cols {
-				vals[c] = append(vals[c], row[c+1])
-			}
-		}
-		if err := it.Close(); err != nil {
-			return nil, err
-		}
-		for c, col := range t.Cols {
-			ts.Cols[col.Name] = buildColumnStats(vals[c])
+			ts.Cols[col.Name] = buildColumnStats(vals[0])
 		}
 		md.Tables[t.Name] = ts
 	}

@@ -6,6 +6,7 @@ import (
 
 	"github.com/dsl-repro/hydra/internal/engine"
 	"github.com/dsl-repro/hydra/internal/pred"
+	"github.com/dsl-repro/hydra/internal/scan"
 	"github.com/dsl-repro/hydra/internal/schema"
 )
 
@@ -16,19 +17,22 @@ func statsSchema() *schema.Schema {
 	})
 }
 
-func statsDB(s *schema.Schema, n int) *engine.Database {
-	db := engine.NewDatabase()
-	rel := engine.NewMemRelation("P", engine.ColLayout(s.MustTable("P")))
-	for i := 1; i <= n; i++ {
-		rel.Append([]int64{int64(i), int64(i % 1000)})
+func statsDB(t *testing.T, n int) *engine.Database {
+	t.Helper()
+	pk, v := make([]int64, n), make([]int64, n)
+	for i := range n {
+		pk[i], v[i] = int64(i+1), int64((i+1)%1000)
 	}
-	db.Add(rel)
-	return db
+	src, err := scan.NewMemSource(scan.MemTable{Name: "P", Cols: []string{"P_pk", "v"}, Data: [][]int64{pk, v}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return engine.NewDatabase(src)
 }
 
 func TestCaptureBasics(t *testing.T) {
 	s := statsSchema()
-	db := statsDB(s, 5000)
+	db := statsDB(t, 5000)
 	md, err := Capture(db, s)
 	if err != nil {
 		t.Fatal(err)
@@ -52,7 +56,7 @@ func TestCaptureBasics(t *testing.T) {
 
 func TestSelectivityUniform(t *testing.T) {
 	s := statsSchema()
-	db := statsDB(s, 10000)
+	db := statsDB(t, 10000)
 	md, _ := Capture(db, s)
 	// v in [0,499] covers half of a uniform domain.
 	p := pred.DNF{Terms: []pred.Conjunct{pred.NewConjunct().With(0, pred.Range(0, 499))}}
@@ -68,7 +72,7 @@ func TestSelectivityUniform(t *testing.T) {
 
 func TestSelectivityDisjunctionCapped(t *testing.T) {
 	s := statsSchema()
-	db := statsDB(s, 1000)
+	db := statsDB(t, 1000)
 	md, _ := Capture(db, s)
 	// Two disjuncts covering everything must cap at 1.
 	p := pred.DNF{Terms: []pred.Conjunct{
@@ -82,7 +86,7 @@ func TestSelectivityDisjunctionCapped(t *testing.T) {
 
 func TestScalePreservesShape(t *testing.T) {
 	s := statsSchema()
-	db := statsDB(s, 1000)
+	db := statsDB(t, 1000)
 	md, _ := Capture(db, s)
 	// Exabyte modeling: scale row counts by 10^12 (§7.4).
 	big := md.Scale(1_000_000_000_000)
@@ -105,7 +109,7 @@ func TestScalePreservesShape(t *testing.T) {
 
 func TestMatch(t *testing.T) {
 	s := statsSchema()
-	db := statsDB(s, 1000)
+	db := statsDB(t, 1000)
 	md1, _ := Capture(db, s)
 	md2, _ := Capture(db, s)
 	if err := Match(md1, md2); err != nil {
@@ -119,7 +123,7 @@ func TestMatch(t *testing.T) {
 
 func TestEstimatorCallback(t *testing.T) {
 	s := statsSchema()
-	db := statsDB(s, 1000)
+	db := statsDB(t, 1000)
 	md, _ := Capture(db, s)
 	filters := map[string]pred.DNF{
 		"P": {Terms: []pred.Conjunct{pred.NewConjunct().With(0, pred.Range(0, 99))}},
@@ -135,9 +139,7 @@ func TestEstimatorCallback(t *testing.T) {
 
 func TestCaptureEmptyTable(t *testing.T) {
 	s := statsSchema()
-	db := engine.NewDatabase()
-	db.Add(engine.NewMemRelation("P", engine.ColLayout(s.MustTable("P"))))
-	md, err := Capture(db, s)
+	md, err := Capture(statsDB(t, 0), s)
 	if err != nil {
 		t.Fatal(err)
 	}

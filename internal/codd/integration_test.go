@@ -6,8 +6,32 @@ import (
 	"github.com/dsl-repro/hydra/internal/codd"
 	"github.com/dsl-repro/hydra/internal/engine"
 	"github.com/dsl-repro/hydra/internal/pred"
+	"github.com/dsl-repro/hydra/internal/scan"
 	"github.com/dsl-repro/hydra/internal/schema"
 )
+
+// columnsDB serves every table of s at its RowCount, row i (1-based) of
+// column c holding val(table, c, i).
+func columnsDB(t *testing.T, s *schema.Schema, val func(table string, c int, i int64) int64) *engine.Database {
+	t.Helper()
+	var tables []scan.MemTable
+	for _, tab := range s.Tables {
+		mt := scan.MemTable{Name: tab.Name, Cols: engine.ColLayout(tab)}
+		for c := range mt.Cols {
+			col := make([]int64, tab.RowCount)
+			for i := range col {
+				col[i] = val(tab.Name, c, int64(i+1))
+			}
+			mt.Data = append(mt.Data, col)
+		}
+		tables = append(tables, mt)
+	}
+	src, err := scan.NewMemSource(tables...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return engine.NewDatabase(src)
+}
 
 // TestMetadataMatchingForcesSamePlan exercises the CODD flow of §3.2/§7.4:
 // the client optimizes against captured metadata; the vendor optimizes
@@ -21,21 +45,17 @@ func TestMetadataMatchingForcesSamePlan(t *testing.T) {
 			{FKCol: "d1_fk", Ref: "d1"}, {FKCol: "d2_fk", Ref: "d2"},
 		}, RowCount: 5000},
 	)
-	db := engine.NewDatabase()
-	mk := func(name string, rows int64, mod int64) {
-		rel := engine.NewMemRelation(name, engine.ColLayout(s.MustTable(name)))
-		for i := int64(1); i <= rows; i++ {
-			rel.Append([]int64{i, i % mod})
+	db := columnsDB(t, s, func(table string, c int, i int64) int64 {
+		switch {
+		case c == 0:
+			return i
+		case table != "f":
+			return i % 1000
+		case c == 1:
+			return i%500 + 1
 		}
-		db.Add(rel)
-	}
-	mk("d1", 500, 1000)
-	mk("d2", 500, 1000)
-	f := engine.NewMemRelation("f", engine.ColLayout(s.MustTable("f")))
-	for i := int64(1); i <= 5000; i++ {
-		f.Append([]int64{i, i%500 + 1, (i*7)%500 + 1})
-	}
-	db.Add(f)
+		return (i*7)%500 + 1
+	})
 
 	md, err := codd.Capture(db, s)
 	if err != nil {
@@ -85,17 +105,15 @@ func TestAQPSameOnForcedPlan(t *testing.T) {
 		&schema.Table{Name: "d", Cols: []schema.Column{{Name: "a", Min: 0, Max: 9}}, RowCount: 10},
 		&schema.Table{Name: "f", FKs: []schema.ForeignKey{{FKCol: "d_fk", Ref: "d"}}, RowCount: 100},
 	)
-	db := engine.NewDatabase()
-	d := engine.NewMemRelation("d", engine.ColLayout(s.MustTable("d")))
-	for i := int64(1); i <= 10; i++ {
-		d.Append([]int64{i, i % 10})
-	}
-	fr := engine.NewMemRelation("f", engine.ColLayout(s.MustTable("f")))
-	for i := int64(1); i <= 100; i++ {
-		fr.Append([]int64{i, i%10 + 1})
-	}
-	db.Add(d)
-	db.Add(fr)
+	db := columnsDB(t, s, func(table string, c int, i int64) int64 {
+		switch {
+		case c == 0:
+			return i
+		case table == "d":
+			return i % 10
+		}
+		return i%10 + 1
+	})
 	q := &engine.Query{
 		Name:  "q",
 		Root:  "f",

@@ -1,13 +1,21 @@
 package engine
 
 import (
+	"context"
+	"maps"
 	"math/rand"
+	"os"
 	"path/filepath"
+	"slices"
+	"strings"
 	"testing"
 	"testing/quick"
 
+	"github.com/dsl-repro/hydra/internal/matgen"
 	"github.com/dsl-repro/hydra/internal/pred"
+	"github.com/dsl-repro/hydra/internal/scan"
 	"github.com/dsl-repro/hydra/internal/schema"
+	"github.com/dsl-repro/hydra/internal/summary"
 )
 
 // toySchema is the Figure 1 layout: R → S, R → T.
@@ -20,27 +28,42 @@ func toySchema(t testing.TB) *schema.Schema {
 	)
 }
 
-// toyDB builds a small deterministic client database on the toy schema.
-func toyDB(t testing.TB, s *schema.Schema, nS, nT, nR int, seed int64) *Database {
-	t.Helper()
+// toyRows builds a small deterministic client database on the toy
+// schema, as rows in ColLayout order.
+func toyRows(s *schema.Schema, nS, nT, nR int, seed int64) map[string][][]int64 {
 	rng := rand.New(rand.NewSource(seed))
-	db := NewDatabase()
-	sRel := NewMemRelation("S", ColLayout(s.MustTable("S")))
+	rows := map[string][][]int64{}
 	for i := 1; i <= nS; i++ {
-		sRel.Append([]int64{int64(i), int64(rng.Intn(101)), int64(rng.Intn(51))})
+		rows["S"] = append(rows["S"], []int64{int64(i), int64(rng.Intn(101)), int64(rng.Intn(51))})
 	}
-	tRel := NewMemRelation("T", ColLayout(s.MustTable("T")))
 	for i := 1; i <= nT; i++ {
-		tRel.Append([]int64{int64(i), int64(rng.Intn(11))})
+		rows["T"] = append(rows["T"], []int64{int64(i), int64(rng.Intn(11))})
 	}
-	rRel := NewMemRelation("R", ColLayout(s.MustTable("R")))
 	for i := 1; i <= nR; i++ {
-		rRel.Append([]int64{int64(i), int64(1 + rng.Intn(nS)), int64(1 + rng.Intn(nT))})
+		rows["R"] = append(rows["R"], []int64{int64(i), int64(1 + rng.Intn(nS)), int64(1 + rng.Intn(nT))})
 	}
-	db.Add(sRel)
-	db.Add(tRel)
-	db.Add(rRel)
-	return db
+	return rows
+}
+
+// rowsDB serves rows (ColLayout order) from memory.
+func rowsDB(t testing.TB, s *schema.Schema, rows map[string][][]int64) *Database {
+	t.Helper()
+	var tables []scan.MemTable
+	for _, tab := range s.Tables {
+		mt := scan.MemTable{Name: tab.Name, Cols: ColLayout(tab)}
+		mt.Data = make([][]int64, len(mt.Cols))
+		for _, row := range rows[tab.Name] {
+			for c, v := range row {
+				mt.Data[c] = append(mt.Data[c], v)
+			}
+		}
+		tables = append(tables, mt)
+	}
+	src, err := scan.NewMemSource(tables...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return NewDatabase(src)
 }
 
 func toyQuery() *Query {
@@ -58,29 +81,24 @@ func toyQuery() *Query {
 	}
 }
 
-// bruteForce recomputes the query result size by nested loops.
-func bruteForce(db *Database, q *Query, s *schema.Schema) (selS, selT, joinRS, joinRST int64) {
-	sRel := db.Rels["S"].(*MemRelation)
-	tRel := db.Rels["T"].(*MemRelation)
-	rRel := db.Rels["R"].(*MemRelation)
+// bruteForce recomputes the query result size by nested loops; an FK
+// naming no row joins nothing.
+func bruteForce(rows map[string][][]int64) (selS, selT, joinRS, joinRST int64) {
 	sOK := map[int64]bool{}
-	for i := 0; i < int(sRel.NumRows()); i++ {
-		row := sRel.Row(i)
+	for _, row := range rows["S"] {
 		if row[1] >= 20 && row[1] < 60 {
 			sOK[row[0]] = true
 			selS++
 		}
 	}
 	tOK := map[int64]bool{}
-	for i := 0; i < int(tRel.NumRows()); i++ {
-		row := tRel.Row(i)
+	for _, row := range rows["T"] {
 		if row[1] == 2 {
 			tOK[row[0]] = true
 			selT++
 		}
 	}
-	for i := 0; i < int(rRel.NumRows()); i++ {
-		row := rRel.Row(i)
+	for _, row := range rows["R"] {
 		if sOK[row[1]] {
 			joinRS++
 			if tOK[row[2]] {
@@ -93,13 +111,12 @@ func bruteForce(db *Database, q *Query, s *schema.Schema) (selS, selT, joinRS, j
 
 func TestExecuteMatchesBruteForce(t *testing.T) {
 	s := toySchema(t)
-	db := toyDB(t, s, 50, 10, 2000, 42)
-	q := toyQuery()
-	aqp, err := Execute(db, s, q)
+	rows := toyRows(s, 50, 10, 2000, 42)
+	aqp, err := Execute(rowsDB(t, s, rows), s, toyQuery())
 	if err != nil {
 		t.Fatal(err)
 	}
-	selS, selT, joinRS, joinRST := bruteForce(db, q, s)
+	selS, selT, joinRS, joinRST := bruteForce(rows)
 	if aqp.FilterOut["S"] != selS || aqp.FilterOut["T"] != selT {
 		t.Fatalf("filters: got S=%d T=%d, want S=%d T=%d", aqp.FilterOut["S"], aqp.FilterOut["T"], selS, selT)
 	}
@@ -116,12 +133,12 @@ func TestExecuteMatchesBruteForce(t *testing.T) {
 func TestQuickExecuteEqualsBruteForce(t *testing.T) {
 	s := toySchema(t)
 	f := func(seed int64) bool {
-		db := toyDB(t, s, 20, 5, 300, seed)
-		aqp, err := Execute(db, s, toyQuery())
+		rows := toyRows(s, 20, 5, 300, seed)
+		aqp, err := Execute(rowsDB(t, s, rows), s, toyQuery())
 		if err != nil {
 			return false
 		}
-		selS, selT, joinRS, joinRST := bruteForce(db, toyQuery(), s)
+		selS, selT, joinRS, joinRST := bruteForce(rows)
 		return aqp.FilterOut["S"] == selS && aqp.FilterOut["T"] == selT &&
 			aqp.JoinOut[0] == joinRS && aqp.JoinOut[1] == joinRST
 	}
@@ -132,8 +149,7 @@ func TestQuickExecuteEqualsBruteForce(t *testing.T) {
 
 func TestToCCsShape(t *testing.T) {
 	s := toySchema(t)
-	db := toyDB(t, s, 50, 10, 2000, 7)
-	aqp, err := Execute(db, s, toyQuery())
+	aqp, err := Execute(rowsDB(t, s, toyRows(s, 50, 10, 2000, 7)), s, toyQuery())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,20 +177,14 @@ func TestSnowflakeJoinVia(t *testing.T) {
 		&schema.Table{Name: "B", Cols: []schema.Column{{Name: "y", Min: 0, Max: 9}}, FKs: []schema.ForeignKey{{FKCol: "a_fk", Ref: "A"}}},
 		&schema.Table{Name: "C", FKs: []schema.ForeignKey{{FKCol: "b_fk", Ref: "B"}}},
 	)
-	db := NewDatabase()
-	a := NewMemRelation("A", ColLayout(s.MustTable("A")))
-	a.Append([]int64{1, 3})
-	a.Append([]int64{2, 7})
-	b := NewMemRelation("B", ColLayout(s.MustTable("B")))
-	b.Append([]int64{1, 5, 1}) // y=5 → A1 (x=3)
-	b.Append([]int64{2, 5, 2}) // y=5 → A2 (x=7)
-	c := NewMemRelation("C", ColLayout(s.MustTable("C")))
-	c.Append([]int64{1, 1})
-	c.Append([]int64{2, 2})
-	c.Append([]int64{3, 2})
-	db.Add(a)
-	db.Add(b)
-	db.Add(c)
+	db := rowsDB(t, s, map[string][][]int64{
+		"A": {{1, 3}, {2, 7}},
+		"B": {
+			{1, 5, 1}, // y=5 → A1 (x=3)
+			{2, 5, 2}, // y=5 → A2 (x=7)
+		},
+		"C": {{1, 1}, {2, 2}, {3, 2}},
+	})
 	q := &Query{
 		Name: "snow",
 		Root: "C",
@@ -218,7 +228,7 @@ func TestQueryValidateRejectsBadJoins(t *testing.T) {
 
 func TestWorkloadFromQueriesDedupes(t *testing.T) {
 	s := toySchema(t)
-	db := toyDB(t, s, 50, 10, 2000, 3)
+	db := rowsDB(t, s, toyRows(s, 50, 10, 2000, 3))
 	// Two identical queries: size CCs must be deduplicated.
 	w, aqps, err := WorkloadFromQueries(db, s, "wl", []*Query{toyQuery(), toyQuery()})
 	if err != nil {
@@ -268,52 +278,153 @@ func TestOptimizeRespectsVia(t *testing.T) {
 	}
 }
 
-func TestAggregateScan(t *testing.T) {
-	m := NewMemRelation("x", []string{"x_pk", "v"})
-	m.Append([]int64{1, 10})
-	m.Append([]int64{2, 20})
-	count, sum, err := AggregateScan(m, 1)
-	if err != nil || count != 2 || sum != 30 {
-		t.Fatalf("count=%d sum=%d err=%v", count, sum, err)
+// TestExecuteDropsDanglingFKs: an FK of 0 or past the referenced table's
+// last pk joins nothing, on the first step and on a snowflake arm alike.
+func TestExecuteDropsDanglingFKs(t *testing.T) {
+	s := toySchema(t)
+	rows := toyRows(s, 50, 10, 200, 11)
+	for i, fk := range []int64{0, 51, 1, 50, 0, 51} {
+		rows["R"][i][1] = fk
+	}
+	rows["R"][10][2], rows["R"][11][2] = 0, 11
+	aqp, err := Execute(rowsDB(t, s, rows), s, toyQuery())
+	if err != nil {
+		t.Fatal(err)
+	}
+	selS, selT, joinRS, joinRST := bruteForce(rows)
+	if aqp.FilterOut["S"] != selS || aqp.FilterOut["T"] != selT ||
+		aqp.JoinOut[0] != joinRS || aqp.JoinOut[1] != joinRST {
+		t.Fatalf("AQP %v %v, want filters S=%d T=%d, joins [%d %d]",
+			aqp.FilterOut, aqp.JoinOut, selS, selT, joinRS, joinRST)
+	}
+	// Unfiltered, the dangling rows are the only ones that drop.
+	q := &Query{Name: "all", Root: "R", Joins: []JoinStep{{Table: "S", Via: "R"}, {Table: "T", Via: "R"}}}
+	aqp, err = Execute(rowsDB(t, s, rows), s, q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if aqp.JoinOut[0] != 200-4 || aqp.JoinOut[1] != 200-4-2 {
+		t.Fatalf("unfiltered joins %v, want [196 194]", aqp.JoinOut)
 	}
 }
 
+func TestAggregateScan(t *testing.T) {
+	s := schema.MustNew(&schema.Table{Name: "x", Cols: []schema.Column{{Name: "v", Min: 0, Max: 100}}})
+	db := rowsDB(t, s, map[string][][]int64{"x": {{1, 10}, {2, 20}}})
+	count, sum, err := AggregateScan(db, "x", "v")
+	if err != nil || count != 2 || sum != 30 {
+		t.Fatalf("count=%d sum=%d err=%v", count, sum, err)
+	}
+	if _, _, err := AggregateScan(db, "x", "nope"); err == nil {
+		t.Fatal("an unknown column must be an error")
+	}
+}
+
+// toySummary is a regenerated database on the toy schema.
+func toySummary() *summary.Summary {
+	return &summary.Summary{Relations: map[string]*summary.RelationSummary{
+		"S": {Table: "S", Cols: []string{"A", "B"}, Total: 50, Rows: []summary.RelRow{
+			{Vals: []int64{30, 5}, Count: 30}, {Vals: []int64{70, 20}, Count: 20},
+		}},
+		"T": {Table: "T", Cols: []string{"C"}, Total: 10, Rows: []summary.RelRow{
+			{Vals: []int64{2}, Count: 4}, {Vals: []int64{9}, Count: 6},
+		}},
+		"R": {Table: "R", FKCols: []string{"S_fk", "T_fk"}, FKRefs: []string{"S", "T"}, Total: 5000, Rows: []summary.RelRow{
+			{FKs: []int64{1, 1}, Count: 3100}, {FKs: []int64{31, 5}, Count: 1900},
+		}},
+	}}
+}
+
+// heapDir materializes sum as a heap directory.
+func heapDir(t *testing.T, sum *summary.Summary) string {
+	t.Helper()
+	dir := t.TempDir()
+	if _, err := matgen.Materialize(sum, matgen.Options{Dir: dir, Format: "heap", Workers: 2, BatchRows: 700}); err != nil {
+		t.Fatal(err)
+	}
+	return dir
+}
+
+// TestMaterializeAndDiskRoundTrip: a relation read back from its heap
+// file is the relation the summary generates, row for row.
 func TestMaterializeAndDiskRoundTrip(t *testing.T) {
-	m := NewMemRelation("x", []string{"x_pk", "v", "w"})
-	for i := 1; i <= 5000; i++ {
-		m.Append([]int64{int64(i), int64(i % 7), int64(i % 13)})
-	}
-	path := filepath.Join(t.TempDir(), "x.heap")
-	d, err := MaterializeToDisk(m, path)
+	sum := toySummary()
+	disk, err := scan.OpenDir(heapDir(t, sum))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d.NumRows() != 5000 {
-		t.Fatalf("disk rows = %d", d.NumRows())
-	}
-	count, sum, err := AggregateScan(d, 1)
+	dyn := scan.NewSummarySource(sum)
+	count, total, err := AggregateScan(disk, "R", "S_fk")
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantCount, wantSum, _ := AggregateScan(m, 1)
-	if count != wantCount || sum != wantSum {
-		t.Fatalf("disk scan (%d,%d) != mem scan (%d,%d)", count, sum, wantCount, wantSum)
+	wantCount, wantTotal, err := AggregateScan(dyn, "R", "S_fk")
+	if err != nil || count != 5000 || count != wantCount || total != wantTotal {
+		t.Fatalf("disk scan (%d,%d) != dynamic scan (%d,%d), err %v", count, total, wantCount, wantTotal, err)
 	}
-	// Row-exact comparison.
-	mi, di := m.Scan(), d.Scan()
-	for {
-		a, okA := mi.Next()
-		b, okB := di.Next()
-		if okA != okB {
-			t.Fatal("length mismatch")
+	for _, tab := range []string{"R", "S", "T"} {
+		if got, want := drainRows(t, disk, tab), drainRows(t, dyn, tab); !slices.EqualFunc(got, want, slices.Equal) {
+			t.Fatalf("%s: disk rows differ from generated rows", tab)
 		}
-		if !okA {
-			break
+	}
+}
+
+// drainRows reads a whole relation as rows.
+func drainRows(t *testing.T, src scan.Source, table string) [][]int64 {
+	t.Helper()
+	sc, err := src.Scan(context.Background(), scan.Spec{Table: table})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sc.Close()
+	var rows [][]int64
+	for sc.Next() {
+		b := sc.Batch()
+		for i := 0; i < b.N; i++ {
+			rows = append(rows, b.Row(nil, i))
 		}
-		for i := range a {
-			if a[i] != b[i] {
-				t.Fatalf("row mismatch: %v vs %v", a, b)
-			}
-		}
+	}
+	if err := sc.Err(); err != nil {
+		t.Fatal(err)
+	}
+	return rows
+}
+
+// TestExecuteReportsReadErrors: a relation that cannot be read is an
+// error naming its part, never a smaller count. The part is truncated
+// after the source first verified it.
+func TestExecuteReportsReadErrors(t *testing.T) {
+	s := toySchema(t)
+	sum := toySummary()
+	dir := heapDir(t, sum)
+	disk, err := scan.OpenDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	db := NewDatabase(disk)
+	want, err := Execute(FromSummary(sum), s, toyQuery())
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := Execute(db, s, toyQuery())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(got.JoinOut, want.JoinOut) || !maps.Equal(got.FilterOut, want.FilterOut) {
+		t.Fatalf("heap AQP %v %v != summary AQP %v %v", got.FilterOut, got.JoinOut, want.FilterOut, want.JoinOut)
+	}
+	part := filepath.Join(dir, "R.heap")
+	fi, err := os.Stat(part)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Truncate(part, fi.Size()/2); err != nil {
+		t.Fatal(err)
+	}
+	if aqp, err := Execute(db, s, toyQuery()); err == nil || !strings.Contains(err.Error(), part) {
+		t.Fatalf("Execute over a truncated part: AQP %v, err %v; want an error naming %s", aqp, err, part)
+	}
+	if n, _, err := AggregateScan(db, "R", "S_fk"); err == nil || !strings.Contains(err.Error(), part) {
+		t.Fatalf("AggregateScan over a truncated part: %d rows, err %v; want an error naming %s", n, err, part)
 	}
 }

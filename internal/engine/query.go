@@ -1,10 +1,13 @@
 package engine
 
 import (
+	"context"
 	"fmt"
+	"slices"
 
 	"github.com/dsl-repro/hydra/internal/cc"
 	"github.com/dsl-repro/hydra/internal/pred"
+	"github.com/dsl-repro/hydra/internal/scan"
 	"github.com/dsl-repro/hydra/internal/schema"
 )
 
@@ -92,21 +95,12 @@ type AQP struct {
 	JoinOut []int64
 }
 
-// fkColIndex returns the engine-tuple index of via's FK column targeting
-// ref.
-func fkColIndex(via *schema.Table, ref string) int {
-	for i, fk := range via.FKs {
-		if fk.Ref == ref {
-			return 1 + len(via.Cols) + i
-		}
-	}
-	return -1
-}
-
 // Execute runs the query with the plan shape given by the join order (the
-// "forced plan" of the paper's methodology) and returns the AQP. The
-// execution strategy builds a filtered hash table per joined table keyed by
-// primary key and pipelines root tuples through the probes.
+// "forced plan" of the paper's methodology) and returns the AQP. Each
+// joined table is read once, indexed by pk (a Source's rows are pk 1..N
+// in order), and root batches are pipelined through the probes; an FK
+// outside 1..N joins nothing. Scans read only the columns the plan
+// needs, and a joined table it needs none of is not scanned.
 func Execute(db *Database, s *schema.Schema, q *Query) (*AQP, error) {
 	if err := q.Validate(s); err != nil {
 		return nil, err
@@ -117,121 +111,152 @@ func Execute(db *Database, s *schema.Schema, q *Query) (*AQP, error) {
 		FilterOut: map[string]int64{},
 		JoinOut:   make([]int64, len(q.Joins)),
 	}
-	// Build per-dim hash tables.
-	type dimTable struct {
-		rows map[int64][]int64
-	}
-	dims := make([]dimTable, len(q.Joins))
-	for i, j := range q.Joins {
-		rel, err := db.Rel(j.Table)
+	reads := map[string]*read{}
+	for _, tab := range q.Tables() {
+		info, err := db.Table(tab)
 		if err != nil {
 			return nil, err
 		}
-		aqp.Base[j.Table] = rel.NumRows()
-		filter, hasFilter := q.Filters[j.Table]
-		dims[i].rows = make(map[int64][]int64)
-		it := rel.Scan()
-		var passed int64
-		for {
-			row, ok := it.Next()
-			if !ok {
+		filter, ok := q.Filters[tab]
+		reads[tab] = newRead(s.MustTable(tab), info.Rows, filter, ok)
+		aqp.Base[tab] = info.Rows
+	}
+	// Step i probes read column fkAt[i] of its Via table: the root's
+	// batch, or on a snowflake arm the row step viaStep[i] matched.
+	fkAt, viaStep := make([]int, len(q.Joins)), make([]int, len(q.Joins))
+	stepOf := map[string]int{q.Root: -1}
+	for i, j := range q.Joins {
+		for _, fk := range s.MustTable(j.Via).FKs {
+			if fk.Ref == j.Table {
+				fkAt[i] = reads[j.Via].col(fk.FKCol)
 				break
 			}
-			if hasFilter && !evalOwnFilter(filter, row) {
-				continue
-			}
-			passed++
-			cp := append([]int64(nil), row...)
-			dims[i].rows[cp[0]] = cp
 		}
-		if err := it.Close(); err != nil {
+		viaStep[i], stepOf[j.Table] = stepOf[j.Via], i
+	}
+	dims := make([]*read, len(q.Joins))
+	for i, j := range q.Joins {
+		dims[i] = reads[j.Table]
+		passed, err := dims[i].index(db)
+		if err != nil {
 			return nil, err
 		}
 		aqp.FilterOut[j.Table] = passed
 	}
-	// Probe pipeline from the root.
-	rootRel, err := db.Rel(q.Root)
+	root := reads[q.Root]
+	sc, err := db.Scan(context.Background(), scan.Spec{Table: q.Root, Columns: root.cols})
 	if err != nil {
 		return nil, err
 	}
-	aqp.Base[q.Root] = rootRel.NumRows()
-	rootTab := s.MustTable(q.Root)
-	rootFilter, hasRootFilter := q.Filters[q.Root]
-
-	// Precompute probe metadata: for each step, which table's row carries
-	// the FK and at which index.
-	type probe struct {
-		viaIdx int // -1 for root, else index of the earlier join step
-		fkIdx  int
-	}
-	stepOf := map[string]int{}
-	probes := make([]probe, len(q.Joins))
-	for i, j := range q.Joins {
-		var via *schema.Table
-		var viaIdx int
-		if j.Via == q.Root {
-			via, viaIdx = rootTab, -1
-		} else {
-			via, viaIdx = s.MustTable(j.Via), stepOf[j.Via]
-		}
-		probes[i] = probe{viaIdx: viaIdx, fkIdx: fkColIndex(via, j.Table)}
-		stepOf[j.Table] = i
-	}
-
-	it := rootRel.Scan()
-	joined := make([][]int64, len(q.Joins))
-	var rootPassed int64
-	for {
-		row, ok := it.Next()
-		if !ok {
-			break
-		}
-		if hasRootFilter && !evalOwnFilter(rootFilter, row) {
-			continue
-		}
-		rootPassed++
-		alive := true
-		for i := range q.Joins {
-			if !alive {
-				break
+	defer sc.Close()
+	var passed int64
+	joined := make([]int64, len(q.Joins)) // the pk step k matched
+	for sc.Next() {
+		b := sc.Batch()
+	rows:
+		for i := 0; i < b.N; i++ {
+			if !root.match(b.Cols, i) {
+				continue
 			}
-			var src []int64
-			if probes[i].viaIdx == -1 {
-				src = row
-			} else {
-				src = joined[probes[i].viaIdx]
+			passed++
+			for k, d := range dims {
+				var fk int64
+				if v := viaStep[k]; v < 0 {
+					fk = b.Cols[fkAt[k]][i]
+				} else {
+					fk = dims[v].kept[fkAt[k]][joined[v]-1]
+				}
+				if fk < 1 || fk > d.rows || d.pass != nil && !d.pass[fk-1] {
+					continue rows
+				}
+				joined[k] = fk
+				aqp.JoinOut[k]++
 			}
-			fkVal := src[probes[i].fkIdx]
-			dimRow, ok := dims[i].rows[fkVal]
-			if !ok {
-				alive = false
-				break
-			}
-			joined[i] = dimRow
-			aqp.JoinOut[i]++
 		}
 	}
-	if err := it.Close(); err != nil {
-		return nil, err
+	if err := sc.Err(); err != nil {
+		return nil, fmt.Errorf("engine: %s: %w", q.Root, err)
 	}
-	aqp.FilterOut[q.Root] = rootPassed
+	aqp.FilterOut[q.Root] = passed
 	return aqp, nil
 }
 
-// evalOwnFilter evaluates a per-table DNF (over non-key column ids)
-// against an engine tuple (pk at index 0, so column id c lives at c+1).
-func evalOwnFilter(p pred.DNF, row []int64) bool {
-	for _, t := range p.Terms {
-		ok := true
-		for c, set := range t.Cols {
-			if !set.Contains(row[c+1]) {
-				ok = false
-				break
+// read is what a plan reads of one table: the columns its filter
+// constrains, then the FK columns later steps probe through, with the
+// filter bound to those positions. A joined table keeps, indexed by
+// pk − 1, the columns read and which rows passed.
+type read struct {
+	table string
+	rows  int64
+	cols  []string
+	terms [][]cond  // the filter's conjuncts; nil when the table has none
+	kept  [][]int64 // kept[c][pk-1] holds row pk's cols[c]
+	pass  []bool    // nil: every row passed
+}
+
+// cond restricts one read column to a set.
+type cond struct {
+	col int
+	set pred.Set
+}
+
+// newRead binds a table's filter, if it has one: a DNF over the table's
+// non-key column ids.
+func newRead(t *schema.Table, rows int64, filter pred.DNF, filtered bool) *read {
+	r := &read{table: t.Name, rows: rows}
+	if filtered {
+		r.terms = make([][]cond, len(filter.Terms))
+		for k, term := range filter.Terms {
+			for _, a := range term.Attrs() {
+				r.terms[k] = append(r.terms[k], cond{col: r.col(t.Cols[a].Name), set: term.Cols[a]})
 			}
 		}
-		if ok {
-			return true
+	}
+	return r
+}
+
+// col returns name's position among the read columns, adding it if new.
+func (r *read) col(name string) int {
+	if c := slices.Index(r.cols, name); c >= 0 {
+		return c
+	}
+	r.cols = append(r.cols, name)
+	return len(r.cols) - 1
+}
+
+// index reads a joined table into kept and pass, and returns how many
+// rows passed. A table the plan reads no column of is not scanned.
+func (r *read) index(db *Database) (passed int64, err error) {
+	if len(r.cols) > 0 {
+		if r.kept, err = db.Columns(r.table, r.cols); err != nil {
+			return 0, err
 		}
+	}
+	if r.terms == nil {
+		return r.rows, nil
+	}
+	r.pass = make([]bool, r.rows)
+	for i := range r.pass {
+		if r.pass[i] = r.match(r.kept, i); r.pass[i] {
+			passed++
+		}
+	}
+	return passed, nil
+}
+
+// match reports whether row i of the read columns passes the filter.
+func (r *read) match(cols [][]int64, i int) bool {
+	if r.terms == nil {
+		return true
+	}
+terms:
+	for _, term := range r.terms {
+		for _, c := range term {
+			if !c.set.Contains(cols[c.col][i]) {
+				continue terms
+			}
+		}
+		return true
 	}
 	return false
 }
@@ -340,33 +365,28 @@ func WorkloadFromQueries(db *Database, s *schema.Schema, name string, queries []
 }
 
 // AggregateScan runs the Fig. 15 style probe query "SELECT count(*),
-// sum(col) FROM rel": it forces every tuple to be produced (from disk or
-// from the dynamic generator) and touched.
-func AggregateScan(rel Relation, colIdx int) (count int64, sum int64, err error) {
-	it := rel.Scan()
-	defer it.Close()
-	for {
-		row, ok := it.Next()
-		if !ok {
-			return count, sum, nil
-		}
-		count++
-		if colIdx < len(row) {
-			sum += row[colIdx]
+// sum(col) FROM table" over src: it forces every tuple to be produced —
+// every column of every row, from disk or from the dynamic generator —
+// and touches one column of each.
+func AggregateScan(src scan.Source, table, col string) (count, sum int64, err error) {
+	sc, err := src.Scan(context.Background(), scan.Spec{Table: table})
+	if err != nil {
+		return 0, 0, err
+	}
+	defer sc.Close()
+	c := slices.Index(sc.Cols(), col)
+	if c < 0 {
+		return 0, 0, fmt.Errorf("engine: %s has no column %q", table, col)
+	}
+	for sc.Next() {
+		b := sc.Batch()
+		count += int64(b.N)
+		for _, v := range b.Cols[c] {
+			sum += v
 		}
 	}
-}
-
-// Materialize drains a relation into an in-memory copy.
-func Materialize(rel Relation) (*MemRelation, error) {
-	out := NewMemRelation(rel.Name(), append([]string(nil), rel.Cols()...))
-	it := rel.Scan()
-	defer it.Close()
-	for {
-		row, ok := it.Next()
-		if !ok {
-			return out, nil
-		}
-		out.Append(append([]int64(nil), row...))
+	if err := sc.Err(); err != nil {
+		return 0, 0, fmt.Errorf("engine: %s: %w", table, err)
 	}
+	return count, sum, nil
 }

@@ -24,7 +24,6 @@ import (
 	"io"
 	"sort"
 	"strings"
-	"time"
 
 	"github.com/dsl-repro/hydra/internal/cc"
 	"github.com/dsl-repro/hydra/internal/engine"
@@ -131,7 +130,6 @@ type Env struct {
 type tpcdsEnv struct {
 	Cfg      tpcds.Config
 	Schema   *schema.Schema
-	DB       *engine.Database
 	QueriesC []*engine.Query
 	QueriesS []*engine.Query
 	WLc, WLs *cc.Workload
@@ -140,7 +138,6 @@ type tpcdsEnv struct {
 type jobEnv struct {
 	Cfg     job.Config
 	Schema  *schema.Schema
-	DB      *engine.Database
 	Queries []*engine.Query
 	WL      *cc.Workload
 }
@@ -149,7 +146,6 @@ type jobEnv struct {
 // lazily by the experiments that need it).
 func NewEnv(cfg Config) (*Env, error) {
 	cfg = cfg.withDefaults()
-	start := time.Now()
 	tcfg := tpcds.Config{SF: cfg.SF, Seed: cfg.Seed}
 	s := tpcds.Schema(tcfg)
 	db, err := tpcds.GenerateDB(s, tcfg)
@@ -166,11 +162,10 @@ func NewEnv(cfg Config) (*Env, error) {
 	if err != nil {
 		return nil, err
 	}
-	_ = start
 	return &Env{
 		Cfg: cfg,
 		TPCDS: &tpcdsEnv{
-			Cfg: tcfg, Schema: s, DB: db,
+			Cfg: tcfg, Schema: s,
 			QueriesC: qc, QueriesS: qs,
 			WLc: wlc, WLs: wls,
 		},
@@ -193,7 +188,7 @@ func (e *Env) JOB() (*jobEnv, error) {
 	if err != nil {
 		return nil, err
 	}
-	e.builtJOB = &jobEnv{Cfg: jcfg, Schema: s, DB: db, Queries: qs, WL: wl}
+	e.builtJOB = &jobEnv{Cfg: jcfg, Schema: s, Queries: qs, WL: wl}
 	return e.builtJOB, nil
 }
 

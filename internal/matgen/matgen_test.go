@@ -8,9 +8,7 @@ import (
 	"strings"
 	"testing"
 
-	"github.com/dsl-repro/hydra/internal/storage"
 	"github.com/dsl-repro/hydra/internal/summary"
-	"github.com/dsl-repro/hydra/internal/tuplegen"
 )
 
 // testSummary is a two-relation summary with FK spans, sized so that
@@ -164,63 +162,6 @@ func TestShardsConcatenate(t *testing.T) {
 				}
 			}
 		})
-	}
-}
-
-// TestHeapMatchesSequentialWriter pins the heap sink to the storage
-// package's own Writer: the parallel engine must emit the exact bytes a
-// row-at-a-time storage.Writer produces, and storage.Open must read them.
-func TestHeapMatchesSequentialWriter(t *testing.T) {
-	sum := testSummary()
-	dir := t.TempDir()
-	if _, err := Materialize(sum, Options{Dir: dir, Format: "heap", Workers: 4, BatchRows: 100}); err != nil {
-		t.Fatal(err)
-	}
-	for name, rs := range sum.Relations {
-		g := tuplegen.New(rs)
-		ref := filepath.Join(dir, name+".ref")
-		w, err := storage.Create(ref, name, g.ColNames())
-		if err != nil {
-			t.Fatal(err)
-		}
-		var row []int64
-		for pk := int64(1); pk <= g.NumRows(); pk++ {
-			row = g.Row(pk, row)
-			if err := w.Write(row); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if err := w.Close(); err != nil {
-			t.Fatal(err)
-		}
-		want, _ := os.ReadFile(ref)
-		got, _ := os.ReadFile(filepath.Join(dir, name+".heap"))
-		if !bytes.Equal(got, want) {
-			t.Fatalf("%s: matgen heap (%d bytes) != storage.Writer heap (%d bytes)", name, len(got), len(want))
-		}
-		d, err := storage.Open(filepath.Join(dir, name+".heap"))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if d.NumRows() != g.NumRows() {
-			t.Fatalf("%s: reopened rows = %d, want %d", name, d.NumRows(), g.NumRows())
-		}
-		it := d.Scan()
-		var n int64
-		for {
-			r, ok := it.Next()
-			if !ok {
-				break
-			}
-			if n == 0 && r[0] != 1 {
-				t.Fatalf("%s: first pk = %d", name, r[0])
-			}
-			n++
-		}
-		it.Close()
-		if n != g.NumRows() {
-			t.Fatalf("%s: scanned %d rows, want %d", name, n, g.NumRows())
-		}
 	}
 }
 

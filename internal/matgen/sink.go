@@ -349,11 +349,11 @@ func (e *jsonlEncoder) AppendSpan(dst []byte, sp tuplegen.Span) []byte {
 
 // --- heap (internal/storage) ---
 
-// heapSink emits the paged heap-file format of internal/storage,
-// byte-identical to a sequential storage.Writer and readable by
-// storage.Open. Alignment is the page's row capacity so every chunk and
-// shard starts at a page boundary; the header page carries the exact row
-// count, which the summary provides before generation starts.
+// heapSink emits the paged heap-file format of internal/storage, which
+// internal/scan's DirSource reads. Alignment is the page's row capacity
+// so every chunk and shard starts at a page boundary; the header page
+// carries the exact row count, which the summary provides before
+// generation starts.
 type heapSink struct{}
 
 var zeroPage [storage.PageSize]byte

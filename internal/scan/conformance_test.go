@@ -1,8 +1,8 @@
-// Cross-backend conformance: for any Spec, SummarySource, DirSource,
-// and RemoteSource must yield the identical sequence of batches — same
-// boundaries, same values, same order. This suite is the contract named
-// in the package comment; every backend bug is a diff against the
-// summary reference.
+// Cross-backend conformance: for any Spec, SummarySource, MemSource,
+// DirSource, and RemoteSource must yield the identical sequence of
+// batches — same boundaries, same values, same order. This suite is the
+// contract named in the package comment; every backend bug is a diff
+// against the summary reference.
 package scan_test
 
 import (
@@ -111,6 +111,38 @@ func diffBatches(t *testing.T, name string, got, want []capturedBatch) {
 	}
 }
 
+// memCopy reads every relation of src into memory.
+func memCopy(t *testing.T, src scan.Source) *scan.MemSource {
+	t.Helper()
+	names, err := src.Tables()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var tables []scan.MemTable
+	for _, name := range names {
+		mt := scan.MemTable{Name: name}
+		for _, b := range drain(t, src, scan.Spec{Table: name}) {
+			if mt.Data == nil {
+				mt.Data = make([][]int64, len(b.cols))
+			}
+			for c, col := range b.cols {
+				mt.Data[c] = append(mt.Data[c], col...)
+			}
+		}
+		info, err := src.Table(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		mt.Cols = info.Cols
+		tables = append(tables, mt)
+	}
+	mem, err := scan.NewMemSource(tables...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return mem
+}
+
 // materializeDir produces one scannable directory.
 func materializeDir(t *testing.T, sum *summary.Summary, format, compress string, shards int, spread bool) string {
 	t.Helper()
@@ -180,6 +212,18 @@ func TestConformance(t *testing.T) {
 			"dir/spans":      materializeDir(t, sum, "spans", "", 3, spread),
 			"dir/spans+gzip": materializeDir(t, sum, "spans", "gzip", 2, spread),
 		}
+		// The in-memory copy holds whatever FKs the source it was read
+		// from served: the summary's first-row ones, or a spread directory's.
+		var mem *scan.MemSource
+		if spread {
+			heap, err := scan.OpenDir(dirs["dir/heap"])
+			if err != nil {
+				t.Fatal(err)
+			}
+			mem = memCopy(t, heap)
+		} else {
+			mem = memCopy(t, ref)
+		}
 		for _, spec := range specs {
 			spec.FKSpread = spread
 			want := drain(t, ref, spec)
@@ -193,6 +237,7 @@ func TestConformance(t *testing.T) {
 					diffBatches(t, label, drain(t, src, spec), want)
 				}
 				diffBatches(t, "remote", drain(t, remote, spec), want)
+				diffBatches(t, "mem", drain(t, mem, spec), want)
 			})
 		}
 	}

@@ -5,10 +5,13 @@
 // a materialized database (§2's "datagen" scan operator). After the
 // materialization engine (internal/matgen) and the HTTP data plane
 // (internal/serve), the same logical relation exists in three physical
-// forms; this package makes all of them one thing to consume:
+// forms, and a client database in a fourth; this package makes all of
+// them one thing to consume:
 //
 //	SummarySource  generates batches straight from a loaded summary
 //	               (the in-process dynamic path, tuplegen under the hood)
+//	MemSource      copies batches out of columns held in memory (the
+//	               client database the engine's workloads run on)
 //	DirSource      reads back a materialized shard directory, decoding
 //	               csv/jsonl/heap/spans part files against their manifests
 //	               a run at a time (a run's first row is parsed, each row
@@ -29,10 +32,10 @@
 // Every source answers the same Spec — table, column projection,
 // pk range, shard i/N split, batch size, rows/s rate limit — and yields
 // the identical sequence of column-major batches: same batch boundaries,
-// same values, same order. That conformance is the contract that lets a
-// query engine, a benchmark driver, or a future columnar sink bind to
-// Source once and run against any backend, and it is pinned by this
-// package's cross-backend conformance tests.
+// same values, same order. That conformance is the contract that lets
+// the query engine (internal/engine), a benchmark driver, or a future
+// columnar sink bind to Source once and run against any backend, and it
+// is pinned by this package's cross-backend conformance tests.
 package scan
 
 import (

@@ -1,3 +1,8 @@
+// Package storage is the paged heap-file layout behind the "disk scan"
+// side of the paper's Fig. 15: a JSON header page, then fixed-size pages
+// of densely packed little-endian int64 rows, zero-padded past the last
+// whole row. internal/matgen's heap sink writes it and internal/scan's
+// DirSource reads it; this is the geometry and header encoding they share.
 package storage
 
 import (
@@ -5,12 +10,19 @@ import (
 	"fmt"
 )
 
-// The heap-file layout is deliberately simple enough to produce without a
-// Writer: a header page followed by fixed-size pages of densely packed
-// rows. These helpers expose the layout constants so the parallel
-// materialization engine (internal/matgen) can encode page runs for
-// disjoint row ranges on independent workers and still produce files that
-// are byte-identical to a sequential Writer's output and readable by Open.
+// PageSize is the heap file page size. 8 KiB matches PostgreSQL's default
+// block size, keeping scan behaviour comparable to the paper's host engine.
+const PageSize = 8192
+
+const magic = "HYDRAHF1"
+
+// header is the first page's JSON payload.
+type header struct {
+	Magic   string   `json:"magic"`
+	Name    string   `json:"name"`
+	Cols    []string `json:"cols"`
+	NumRows int64    `json:"num_rows"`
+}
 
 // RowsPerPage returns how many ncols-wide rows fit in one page, or an
 // error when a single row exceeds the page size.
@@ -26,9 +38,9 @@ func RowsPerPage(ncols int) (int, error) {
 }
 
 // EncodeHeaderPage builds the header page for a heap file holding numRows
-// rows — byte-identical to the page Writer.Close rewrites, which is what
-// lets shard 0 of a parallel materialization emit the header up front
-// (the row count is known exactly from the summary before generation).
+// rows: the JSON header, zero-padded to a page. Shard 0 of a parallel
+// materialization emits it up front, since the summary gives the row
+// count exactly before generation starts.
 func EncodeHeaderPage(name string, cols []string, numRows int64) ([]byte, error) {
 	h := header{Magic: magic, Name: name, Cols: cols, NumRows: numRows}
 	hb, err := json.Marshal(&h)

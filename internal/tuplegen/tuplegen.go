@@ -43,9 +43,6 @@ func New(rs *summary.RelationSummary) *Generator {
 	return g
 }
 
-// Relation returns the underlying summary.
-func (g *Generator) Relation() *summary.RelationSummary { return g.rs }
-
 // NumRows returns the relation's cardinality.
 func (g *Generator) NumRows() int64 { return g.prefix[len(g.prefix)-1] }
 
@@ -112,35 +109,3 @@ func (g *Generator) RowLinear(pk int64, dst []int64) []int64 {
 	}
 	panic("tuplegen: inconsistent prefix state")
 }
-
-// Iter is a sequential scan over the generated relation.
-type Iter struct {
-	g   *Generator
-	pk  int64
-	j   int // current summary row
-	buf []int64
-}
-
-// Scan returns a fresh sequential iterator positioned before the first
-// tuple.
-func (g *Generator) Scan() *Iter {
-	return &Iter{g: g, pk: 0, j: 0, buf: make([]int64, 0, g.NumCols())}
-}
-
-// Next returns the next tuple and true, or nil and false at the end. The
-// returned slice is reused between calls; callers that retain tuples must
-// copy them.
-func (it *Iter) Next() ([]int64, bool) {
-	it.pk++
-	if it.pk > it.g.NumRows() {
-		return nil, false
-	}
-	for it.g.prefix[it.j+1] < it.pk {
-		it.j++
-	}
-	it.buf = it.g.fill(it.buf, it.pk, it.j)
-	return it.buf, true
-}
-
-// Reset rewinds the iterator.
-func (it *Iter) Reset() { it.pk, it.j = 0, 0 }

@@ -91,39 +91,26 @@ func TestLinearMatchesBinary(t *testing.T) {
 
 func TestScanVisitsEveryRowOnce(t *testing.T) {
 	g := New(sampleRS())
-	it := g.Scan()
-	var n, prevPk int64
-	for {
-		row, ok := it.Next()
-		if !ok {
-			break
-		}
-		n++
-		if row[0] != prevPk+1 {
-			t.Fatalf("pk out of order: %d after %d", row[0], prevPk)
-		}
-		prevPk = row[0]
+	b := g.Batch(1, int(g.NumRows()), nil)
+	if b.N != 700 {
+		t.Fatalf("scanned %d rows, want 700", b.N)
 	}
-	if n != 700 {
-		t.Fatalf("scanned %d rows, want 700", n)
-	}
-	it.Reset()
-	if row, ok := it.Next(); !ok || row[0] != 1 {
-		t.Fatal("Reset broken")
+	for i, pk := range b.Cols[0] {
+		if pk != int64(i)+1 {
+			t.Fatalf("row %d has pk %d", i, pk)
+		}
 	}
 }
 
 func TestScanAgreesWithRandomAccess(t *testing.T) {
 	g := New(sampleRS())
-	it := g.Scan()
-	for {
-		row, ok := it.Next()
-		if !ok {
-			break
-		}
+	b := g.Batch(1, int(g.NumRows()), nil)
+	var row []int64
+	for i := 0; i < b.N; i++ {
+		row = b.Row(row, i)
 		direct := g.Row(row[0], nil)
-		for i := range row {
-			if row[i] != direct[i] {
+		for c := range row {
+			if row[c] != direct[c] {
 				t.Fatalf("pk %d: scan %v != direct %v", row[0], row, direct)
 			}
 		}
@@ -146,13 +133,8 @@ func TestQuickGenerationMatchesCounts(t *testing.T) {
 		}
 		g := New(rs)
 		got := map[int64]int64{}
-		it := g.Scan()
-		for {
-			row, ok := it.Next()
-			if !ok {
-				break
-			}
-			got[row[1]]++
+		for _, v := range g.Batch(1, int(g.NumRows()), nil).Cols[1] {
+			got[v]++
 		}
 		want := map[int64]int64{}
 		for _, r := range rs.Rows {
@@ -178,8 +160,8 @@ func TestEmptyRelation(t *testing.T) {
 	if g.NumRows() != 0 {
 		t.Fatal("empty relation should have 0 rows")
 	}
-	if _, ok := g.Scan().Next(); ok {
-		t.Fatal("scan of empty relation should end immediately")
+	if b := g.Batch(1, 10, nil); b.N != 0 {
+		t.Fatalf("scan of empty relation produced %d rows", b.N)
 	}
 }
 
@@ -198,19 +180,6 @@ func BenchmarkRowLinear(b *testing.B) {
 	var buf []int64
 	for i := 0; i < b.N; i++ {
 		buf = g.RowLinear(int64(i%int(g.NumRows()))+1, buf)
-	}
-}
-
-func BenchmarkSequentialScan(b *testing.B) {
-	g := bigGen(2000)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		it := g.Scan()
-		for {
-			if _, ok := it.Next(); !ok {
-				break
-			}
-		}
 	}
 }
 

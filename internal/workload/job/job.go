@@ -143,49 +143,24 @@ func Schema(cfg Config) *schema.Schema {
 
 // GenerateDB populates the client database with skew-heavy distributions.
 func GenerateDB(s *schema.Schema, cfg Config) (*engine.Database, error) {
-	g := workload.NewGen(cfg.Seed)
-	db := engine.NewDatabase()
-	order, err := s.TopoOrder()
-	if err != nil {
-		return nil, err
-	}
 	defByName := map[string]tabDef{}
 	for _, d := range defs {
 		defByName[d.name] = d
 	}
-	for _, t := range order {
-		d, ok := defByName[t.Name]
-		if !ok {
+	for _, t := range s.Tables {
+		if _, ok := defByName[t.Name]; !ok {
 			return nil, fmt.Errorf("job: unknown table %s", t.Name)
 		}
-		rel := engine.NewMemRelation(t.Name, engine.ColLayout(t))
-		for pk := int64(1); pk <= t.RowCount; pk++ {
-			row := make([]int64, 0, 1+len(t.Cols)+len(t.FKs))
-			row = append(row, pk)
-			for ci, c := range t.Cols {
-				cd := d.cols[ci]
-				var v int64
-				switch cd.dist {
-				case 'z':
-					v = g.Zipf(c.Min, c.Max, cd.p)
-				case 'n':
-					v = g.Normalish((c.Min+c.Max)/2, (c.Max-c.Min)/6, c.Min, c.Max)
-				default:
-					v = g.Uniform(c.Min, c.Max)
-				}
-				row = append(row, v)
-			}
-			for _, fkDef := range t.FKs {
-				ref := s.MustTable(fkDef.Ref)
-				// Skewed FK fan-in: popular movies/people dominate, as
-				// in the real IMDB data.
-				row = append(row, 1+g.Zipf(0, ref.RowCount-1, 0.4))
-			}
-			rel.Append(row)
-		}
-		db.Add(rel)
 	}
-	return db, nil
+	g := workload.NewGen(cfg.Seed)
+	return workload.Populate(s, func(t *schema.Table, c int) int64 {
+		cd := defByName[t.Name].cols[c]
+		return g.Draw(cd.dist, cd.p, t.Cols[c].Min, t.Cols[c].Max)
+	}, func(ref *schema.Table) int64 {
+		// Skewed FK fan-in: popular movies/people dominate, as in the
+		// real IMDB data.
+		return 1 + g.Zipf(0, ref.RowCount-1, 0.4)
+	})
 }
 
 // Queries generates the 260-query JOB-like workload: chains rooted at a

@@ -220,47 +220,18 @@ func Schema(cfg Config) *schema.Schema {
 // declared distribution and every FK lands uniformly on a valid referenced
 // pk, so the client database satisfies referential integrity exactly.
 func GenerateDB(s *schema.Schema, cfg Config) (*engine.Database, error) {
-	g := workload.NewGen(cfg.Seed)
-	db := engine.NewDatabase()
-	order, err := s.TopoOrder()
-	if err != nil {
-		return nil, err
-	}
 	defByName := map[string]tabDef{}
 	for _, d := range defs {
 		defByName[d.name] = d
 	}
-	for _, t := range order {
-		d, ok := defByName[t.Name]
-		if !ok {
+	for _, t := range s.Tables {
+		if _, ok := defByName[t.Name]; !ok {
 			return nil, fmt.Errorf("tpcds: unknown table %s", t.Name)
 		}
-		rel := engine.NewMemRelation(t.Name, engine.ColLayout(t))
-		for pk := int64(1); pk <= t.RowCount; pk++ {
-			row := make([]int64, 0, 1+len(t.Cols)+len(t.FKs))
-			row = append(row, pk)
-			for ci, c := range t.Cols {
-				cd := d.cols[ci]
-				var v int64
-				switch cd.dist {
-				case 'z':
-					v = g.Zipf(c.Min, c.Max, cd.p)
-				case 'n':
-					mean := (c.Min + c.Max) / 2
-					stddev := (c.Max - c.Min) / 6
-					v = g.Normalish(mean, stddev, c.Min, c.Max)
-				default:
-					v = g.Uniform(c.Min, c.Max)
-				}
-				row = append(row, v)
-			}
-			for _, fkDef := range t.FKs {
-				ref := s.MustTable(fkDef.Ref)
-				row = append(row, g.Uniform(1, ref.RowCount))
-			}
-			rel.Append(row)
-		}
-		db.Add(rel)
 	}
-	return db, nil
+	g := workload.NewGen(cfg.Seed)
+	return workload.Populate(s, func(t *schema.Table, c int) int64 {
+		cd := defByName[t.Name].cols[c]
+		return g.Draw(cd.dist, cd.p, t.Cols[c].Min, t.Cols[c].Max)
+	}, func(ref *schema.Table) int64 { return g.Uniform(1, ref.RowCount) })
 }

@@ -1,16 +1,19 @@
 // Package workload provides the shared machinery of Hydra's benchmark
 // substrates (the TPC-DS-like and JOB-like environments of §7): seeded
 // value distributions with controlled skew and correlation for client data
-// generation, and helpers for synthesizing filter predicates with a wide
-// spread of selectivities — the property behind the paper's Figures 9 and
-// 16 (CC cardinalities ranging from a few tuples to a billion).
+// generation, the in-memory client database they populate, and helpers
+// for synthesizing filter predicates with a wide spread of selectivities
+// — the property behind the paper's Figures 9 and 16 (CC cardinalities
+// ranging from a few tuples to a billion).
 package workload
 
 import (
 	"math"
 	"math/rand"
 
+	"github.com/dsl-repro/hydra/internal/engine"
 	"github.com/dsl-repro/hydra/internal/pred"
+	"github.com/dsl-repro/hydra/internal/scan"
 	"github.com/dsl-repro/hydra/internal/schema"
 )
 
@@ -117,6 +120,54 @@ func (g *Gen) Normalish(mean, stddev, lo, hi int64) int64 {
 		v = hi
 	}
 	return v
+}
+
+// Draw draws from [lo, hi] under dist: 'z' is Zipf with exponent p, 'n'
+// Normalish around the midpoint with a sixth of the range as standard
+// deviation, and anything else Uniform.
+func (g *Gen) Draw(dist byte, p float64, lo, hi int64) int64 {
+	switch dist {
+	case 'z':
+		return g.Zipf(lo, hi, p)
+	case 'n':
+		return g.Normalish((lo+hi)/2, (hi-lo)/6, lo, hi)
+	}
+	return g.Uniform(lo, hi)
+}
+
+// Populate builds a client database over s, held in memory: tables in
+// topological order, rows in pk order, each row's non-key columns drawn
+// by col(t, c), then its FKs by fk(ref), in declaration order — a fixed
+// order, so a seeded Gen behind the two makes the data a function of the
+// seed.
+func Populate(s *schema.Schema, col func(t *schema.Table, c int) int64, fk func(ref *schema.Table) int64) (*engine.Database, error) {
+	order, err := s.TopoOrder()
+	if err != nil {
+		return nil, err
+	}
+	tables := make([]scan.MemTable, 0, len(order))
+	for _, t := range order {
+		mt := scan.MemTable{Name: t.Name, Cols: engine.ColLayout(t)}
+		for range mt.Cols {
+			mt.Data = append(mt.Data, make([]int64, t.RowCount))
+		}
+		fks := mt.Data[1+len(t.Cols):]
+		for r := range t.RowCount {
+			mt.Data[0][r] = r + 1
+			for c := range t.Cols {
+				mt.Data[1+c][r] = col(t, c)
+			}
+			for i, f := range t.FKs {
+				fks[i][r] = fk(s.MustTable(f.Ref))
+			}
+		}
+		tables = append(tables, mt)
+	}
+	src, err := scan.NewMemSource(tables...)
+	if err != nil {
+		return nil, err
+	}
+	return engine.NewDatabase(src), nil
 }
 
 // RangeFilter builds a single-attribute range predicate over column col of

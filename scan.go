@@ -24,9 +24,7 @@ import (
 //
 // For any given ScanSpec all three backends yield the identical batch
 // sequence — same boundaries, same values — so consumers bind to Source
-// once and run against any of them. This is the migration target for
-// direct NewGenerator use: a Source scan adds projection, pk ranges,
-// shard splits, rate limiting, and cancellation over the same generator.
+// once and run against any of them.
 type (
 	// Source is a handle on regenerated data, wherever it lives.
 	Source = scan.Source
