@@ -182,7 +182,7 @@ func cmdSummarize(args []string) error {
 	}
 	fmt.Printf("summary: %d relations, %d rows, ~%d bytes\n",
 		len(res.Summary.Relations), res.Summary.NumRows(), res.Summary.SizeBytes())
-	fmt.Printf("build time %v (LP %v, %d variables)\n",
+	fmt.Printf("build time %v (LP %v summed over views, %d variables)\n",
 		res.BuildTime.Round(time.Millisecond), res.SolveTime.Round(time.Millisecond), res.TotalVars)
 	fmt.Printf("wrote %s\n", *out)
 	return nil

@@ -296,3 +296,75 @@ func TestRegenerateIsAFunctionOfItsInput(t *testing.T) {
 		}
 	}
 }
+
+// scaleBy multiplies every relation's row count and every CC's count by
+// k: §7.4's exabyte recipe, which leaves the LP's structure alone.
+func scaleBy(s *hydra.Schema, w *cc.Workload, k int64) (*hydra.Schema, *cc.Workload) {
+	tabs := make([]*hydra.Table, len(s.Tables))
+	for i, t := range s.Tables {
+		nt := *t
+		nt.RowCount = t.RowCount * k
+		tabs[i] = &nt
+	}
+	nw := &cc.Workload{Name: w.Name, CCs: append([]cc.CC(nil), w.CCs...)}
+	for i := range nw.CCs {
+		nw.CCs[i].Count *= k
+	}
+	return hydra.MustSchema(tabs...), nw
+}
+
+// TestRegeneratePinnedDigests pins the summary digest of the benchmark's
+// four summarize inputs (SF 0.2, seed 42). Views are solved concurrently
+// on GOMAXPROCS workers, so running this under -cpu 1,2,4 checks that the
+// summary does not depend on the worker count or on which view finishes
+// first.
+func TestRegeneratePinnedDigests(t *testing.T) {
+	cfg := tpcds.Config{SF: 0.2, Seed: 42}
+	s := tpcds.Schema(cfg)
+	db, err := tpcds.GenerateDB(s, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wls, _, err := engine.WorkloadFromQueries(db, s, "WLs", tpcds.QueriesSimple(s, cfg, 90))
+	if err != nil {
+		t.Fatal(err)
+	}
+	wlc, _, err := engine.WorkloadFromQueries(db, s, "WLc", tpcds.QueriesComplex(s, cfg, 55))
+	if err != nil {
+		t.Fatal(err)
+	}
+	bigS, bigW := scaleBy(s, wlc, 100_000_000_000)
+	jcfg := job.Config{SF: 0.2, Seed: 42}
+	js := job.Schema(jcfg)
+	jdb, err := job.GenerateDB(js, jcfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	jw, _, err := engine.WorkloadFromQueries(jdb, js, "JOB", job.Queries(js, jcfg, 30))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, in := range []struct {
+		name   string
+		s      *hydra.Schema
+		w      *cc.Workload
+		digest string
+	}{
+		{"WLs-90", s, wls, "b8e8bbd620696cb5e5c8edc2836a17ab4c71ebe9b9e95a91b0750e6742b09806"},
+		{"WLc-55", s, wlc, "83511813cbbe0d98d30cd03350a377696c88b9a61ef1ebdd10628e9e6148befa"},
+		{"WLc-55-x1e11", bigS, bigW, "a69559ff7edb0d42d5472975fb1ebb112978383148e8c93a786db708ba465f9b"},
+		{"JOB-30", js, jw, "644500ae9d269d939a7b5503ead5484421b0d5fcc20deeb29b17e986c449df6a"},
+	} {
+		res, err := hydra.Regenerate(in.s, in.w, hydra.Config{})
+		if err != nil {
+			t.Fatalf("%s: %v", in.name, err)
+		}
+		d, err := serve.SummaryDigest(res.Summary)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if d != in.digest {
+			t.Errorf("%s: summary digest %s, want %s", in.name, d, in.digest)
+		}
+	}
+}

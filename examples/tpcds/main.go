@@ -67,7 +67,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("vendor: summary built in %v (LP: %d vars across views, solve %v)\n",
+	fmt.Printf("vendor: summary built in %v (LP: %d vars across views, solve %v summed over views)\n",
 		res.BuildTime.Round(time.Millisecond), res.TotalVars, res.SolveTime.Round(time.Millisecond))
 	fmt.Printf("vendor: summary holds %d rows (~%d bytes) for a %d-tuple database\n\n",
 		res.Summary.NumRows(), res.Summary.SizeBytes(), rows)

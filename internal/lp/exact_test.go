@@ -80,7 +80,7 @@ func TestWordMatchesBigRat(t *testing.T) {
 	for i := 0; i < 600; i++ {
 		p := randomMixed(rng, i%3 != 0)
 		word := &wordArith{}
-		got, gotErr := solveExact[wordRat](p, word)
+		got, gotErr := solveExact(p, word, new([]wordRat))
 		if word.overflow {
 			t.Fatalf("problem %d: single-digit coefficients overflowed the word arithmetic", i)
 		}
@@ -142,7 +142,7 @@ func overflowProblems() map[string]*Problem {
 func TestOverflowFallsBackToBigRat(t *testing.T) {
 	for name, p := range overflowProblems() {
 		word := &wordArith{}
-		if _, err := solveExact[wordRat](p, word); !word.overflow {
+		if _, err := solveExact(p, word, new([]wordRat)); !word.overflow {
 			t.Errorf("%s: word arithmetic did not overflow (err %v)", name, err)
 		}
 		got, gotErr := SolveRational(p)
@@ -282,12 +282,9 @@ func problemFromBytes(data []byte) *Problem {
 // FuzzSolveExact asserts that SolveRational — word arithmetic, falling back
 // on overflow — is indistinguishable from the pure math/big solve.
 func FuzzSolveExact(f *testing.F) {
-	f.Add([]byte{})
-	f.Add([]byte{3, 3, 0, 0, 0, 10, 1, 1, 0, 0, 0, 20, 0, 1, 1, 0, 0, 80, 1, 1, 1, 1})
-	f.Add([]byte{2, 3, 0, 1, 1, 0, 2, 3, 1, 0, 1, 5, 1, 0, 0, 7, 1, 1})
-	f.Add([]byte{1, 2, 0, 0, 0, 10, 1, 1, 0, 20, 1, 0}) // infeasible
-	f.Add([]byte{4, 5, 61, 1, 3, 1, 4, 1, 5, 0, 9, 2, 6, 5, 3, 5, 1, 0x80, 7, 9, 3, 2, 2, 0x85, 3, 8, 4, 6, 0, 26, 4, 3, 3, 8, 1, 0x7f, 9, 5, 0, 2})
-	f.Add([]byte{7, 6, 40, 0, 0, 100, 3, 5, 7, 11, 13, 2, 4, 6, 0, 99, 7, 3, 5, 2, 9, 1, 8, 4, 0, 50, 1, 2, 3, 4, 5, 6, 7, 8, 0, 60, 9, 7, 5, 3, 1, 2, 4, 6})
+	for _, seed := range solveExactSeeds {
+		f.Add(seed)
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		p := problemFromBytes(data)
 		got, gotErr := SolveRational(p)

@@ -71,11 +71,31 @@ func relaxBackend(p *Problem, b Backend) Backend {
 	return Float
 }
 
-func solveRelaxation(p *Problem, b Backend) (*Solution, error) {
+func solveRelaxation(p *Problem, b Backend, ws *workspace) (*Solution, error) {
 	if b == Rational {
-		return SolveRational(p)
+		return solveRational(p, ws)
 	}
-	return SolveFloat(p)
+	return solveFloat(p, ws)
+}
+
+// workspace is the tableau memory the relaxations of one SolveInteger call
+// share: each node's tableau is built in the cells the previous node's
+// left behind, so branch and bound allocates about one tableau per call
+// rather than one per node. It lives no longer than the call, so nothing
+// holds the memory afterwards.
+type workspace struct {
+	floats []float64
+	words  []wordRat
+}
+
+// reuse returns n cells backed by *buf, growing it when it is too short.
+// The cells' contents are unspecified.
+func reuse[T any](buf *[]T, n int) []T {
+	if cap(*buf) < n {
+		*buf = make([]T, n)
+	}
+	*buf = (*buf)[:n]
+	return *buf
 }
 
 // fractionalVar returns the index of a fractional component and its value,
@@ -148,6 +168,7 @@ func SolveInteger(p *Problem, opts IntOptions) (*IntSolution, error) {
 	stack := [][]Row{nil}
 	nodes, pivots := 0, 0
 	var lastRounded []int64
+	ws := new(workspace)
 
 	for len(stack) > 0 && nodes < maxNodes {
 		extra := stack[len(stack)-1]
@@ -159,7 +180,7 @@ func SolveInteger(p *Problem, opts IntOptions) (*IntSolution, error) {
 		sub.Rows = append(sub.Rows, p.Rows...)
 		sub.Rows = append(sub.Rows, extra...)
 
-		sol, err := solveRelaxation(sub, backend)
+		sol, err := solveRelaxation(sub, backend, ws)
 		if err != nil {
 			var inf *Infeasible
 			if errors.As(err, &inf) {
@@ -180,7 +201,7 @@ func SolveInteger(p *Problem, opts IntOptions) (*IntSolution, error) {
 				// not verify: escalate this subproblem to exact
 				// arithmetic, but only when the tableau is small enough
 				// for exact pivoting to stay cheap.
-				rsol, rerr := SolveRational(sub)
+				rsol, rerr := solveRational(sub, ws)
 				if rerr == nil {
 					pivots += rsol.Pivots
 					if ridx, rval := fractionalVar(rsol.X); ridx == -1 {
@@ -273,7 +294,7 @@ func SolveSoft(p *Problem, backend Backend) (*SoftResult, error) {
 	aug.NumVars = next
 	aug.Objective = obj
 
-	sol, err := solveRelaxation(aug, relaxBackend(aug, backend))
+	sol, err := solveRelaxation(aug, relaxBackend(aug, backend), new(workspace))
 	if err != nil {
 		return nil, err
 	}

@@ -1,7 +1,7 @@
 package lp
 
 import (
-	"sort"
+	"slices"
 )
 
 // DedupColumns merges variables whose constraint columns (and objective
@@ -19,42 +19,7 @@ import (
 // original solution folds onto the reduced problem by summation. expand
 // maps a reduced solution vector back to original coordinates.
 func DedupColumns(p *Problem) (reduced *Problem, expand func([]int64) []int64) {
-	type entry struct {
-		row  int
-		coef int64
-	}
-	cols := make([][]entry, p.NumVars)
-	for ri, r := range p.Rows {
-		for _, e := range r.Entries {
-			cols[e.Var] = append(cols[e.Var], entry{row: ri, coef: e.Coef})
-		}
-	}
-	for _, e := range p.Objective {
-		cols[e.Var] = append(cols[e.Var], entry{row: -1, coef: e.Coef})
-	}
-	sig := func(c []entry) string {
-		sort.Slice(c, func(i, j int) bool { return c[i].row < c[j].row })
-		buf := make([]byte, 0, len(c)*12)
-		for _, e := range c {
-			buf = appendVarint(buf, int64(e.row))
-			buf = appendVarint(buf, e.coef)
-		}
-		return string(buf)
-	}
-	classOf := make([]int, p.NumVars) // original var → reduced var
-	rep := make([]int, 0, p.NumVars)  // reduced var → representative original
-	seen := map[string]int{}
-	for v := 0; v < p.NumVars; v++ {
-		s := sig(cols[v])
-		if c, ok := seen[s]; ok {
-			classOf[v] = c
-			continue
-		}
-		c := len(rep)
-		seen[s] = c
-		classOf[v] = c
-		rep = append(rep, v)
-	}
+	classOf, rep := columnClasses(p)
 	if len(rep) == p.NumVars {
 		// Nothing to merge.
 		return p, func(x []int64) []int64 { return x }
@@ -66,7 +31,7 @@ func DedupColumns(p *Problem) (reduced *Problem, expand func([]int64) []int64) {
 	for _, r := range rep {
 		isRep[r] = true
 	}
-	reduced = &Problem{NumVars: len(rep)}
+	reduced = &Problem{NumVars: len(rep), Rows: make([]Row, 0, len(p.Rows))}
 	for _, r := range p.Rows {
 		nr := Row{Rel: r.Rel, RHS: r.RHS, Name: r.Name}
 		for _, e := range r.Entries {
@@ -91,9 +56,94 @@ func DedupColumns(p *Problem) (reduced *Problem, expand func([]int64) []int64) {
 	return reduced, expand
 }
 
-func appendVarint(buf []byte, v int64) []byte {
-	u := uint64(v)
-	return append(buf,
-		byte(u), byte(u>>8), byte(u>>16), byte(u>>24),
-		byte(u>>32), byte(u>>40), byte(u>>48), byte(u>>56))
+// columnClasses groups p's variables by identical column: classOf maps a
+// variable to its class, and rep lists each class's first variable, in
+// order of first appearance.
+func columnClasses(p *Problem) (classOf, rep []int) {
+	cols := columns(p)
+	classOf = make([]int, p.NumVars)
+	rep = make([]int, 0, p.NumVars)
+	// Classes are found by hashing each column: newest[h]-1 is the latest
+	// class whose column hashes to h (-1 for none), and older[c] the class
+	// before c with the same hash.
+	newest := make(map[uint64]int, p.NumVars)
+	older := make([]int, 0, p.NumVars)
+	for v := range p.NumVars {
+		col := cols.of(v)
+		h := col.hash()
+		c := newest[h] - 1
+		for c >= 0 && !slices.Equal(cols.of(rep[c]), col) {
+			c = older[c]
+		}
+		if c < 0 {
+			c = len(rep)
+			older = append(older, newest[h]-1)
+			newest[h] = c + 1
+			rep = append(rep, v)
+		}
+		classOf[v] = c
+	}
+	return classOf, rep
+}
+
+// colEntry is one non-zero of a column: its row (-1 for the objective)
+// and coefficient.
+type colEntry struct {
+	row  int
+	coef int64
+}
+
+// column is one variable's non-zeros, objective first, then by row.
+type column []colEntry
+
+// hash is FNV-1a over the column's rows and coefficients, a word at a time.
+func (c column) hash() uint64 {
+	h := uint64(14695981039346656037)
+	for _, e := range c {
+		h = (h ^ uint64(e.row)) * 1099511628211
+		h = (h ^ uint64(e.coef)) * 1099511628211
+	}
+	return h
+}
+
+// columnSet holds every column of a problem in one array: column v is
+// entries[start[v]:start[v+1]].
+type columnSet struct {
+	entries []colEntry
+	start   []int
+}
+
+func (s columnSet) of(v int) column { return s.entries[s.start[v]:s.start[v+1]] }
+
+// columns transposes p into its columns. Each column lists the objective's
+// entries, then the rows' in row order: the order a sort by row leaves them
+// in, since Hydra's rows and objectives never name a variable twice.
+func columns(p *Problem) columnSet {
+	start := make([]int, p.NumVars+1)
+	for _, e := range p.Objective {
+		start[e.Var+1]++
+	}
+	for _, r := range p.Rows {
+		for _, e := range r.Entries {
+			start[e.Var+1]++
+		}
+	}
+	for v := range p.NumVars {
+		start[v+1] += start[v]
+	}
+	s := columnSet{entries: make([]colEntry, start[p.NumVars]), start: start}
+	next := slices.Clone(start[:p.NumVars])
+	put := func(v, row int, coef int64) {
+		s.entries[next[v]] = colEntry{row, coef}
+		next[v]++
+	}
+	for _, e := range p.Objective {
+		put(e.Var, -1, e.Coef)
+	}
+	for ri, r := range p.Rows {
+		for _, e := range r.Entries {
+			put(e.Var, ri, e.Coef)
+		}
+	}
+	return s
 }

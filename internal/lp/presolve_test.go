@@ -1,7 +1,10 @@
 package lp
 
 import (
+	"fmt"
 	"math/rand"
+	"slices"
+	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -71,6 +74,82 @@ func TestQuickDedupEquivalence(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// classesBySortedSignature classes columns as DedupColumns first did: each
+// column's entries sorted by row and serialized into a string key, the
+// first variable with a key representing its class.
+func classesBySortedSignature(p *Problem) (classOf, rep []int) {
+	type entry struct {
+		row  int
+		coef int64
+	}
+	cols := make([][]entry, p.NumVars)
+	for ri, r := range p.Rows {
+		for _, e := range r.Entries {
+			cols[e.Var] = append(cols[e.Var], entry{ri, e.Coef})
+		}
+	}
+	for _, e := range p.Objective {
+		cols[e.Var] = append(cols[e.Var], entry{-1, e.Coef})
+	}
+	classOf = make([]int, p.NumVars)
+	seen := map[string]int{}
+	for v, c := range cols {
+		sort.Slice(c, func(i, j int) bool { return c[i].row < c[j].row })
+		key := fmt.Sprint(c)
+		k, ok := seen[key]
+		if !ok {
+			k = len(rep)
+			seen[key] = k
+			rep = append(rep, v)
+		}
+		classOf[v] = k
+	}
+	return classOf, rep
+}
+
+// TestColumnClassesMatchSortedSignatures: the flat, hashed classing finds
+// the classes and representatives the sorted-signature one does, on random
+// problems built from a few column patterns (so most variables have twins),
+// some with an objective and some with empty columns.
+func TestColumnClassesMatchSortedSignatures(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	merged := 0
+	for i := 0; i < 400; i++ {
+		n, m := 1+rng.Intn(120), rng.Intn(12)
+		patterns := make([][]int64, 1+rng.Intn(8)) // per pattern: coefficient per row, then objective
+		for k := range patterns {
+			patterns[k] = make([]int64, m+1)
+			for r := range patterns[k] {
+				if rng.Intn(3) == 0 {
+					patterns[k][r] = int64(rng.Intn(5) - 2)
+				}
+			}
+		}
+		withObjective := rng.Intn(2) == 0
+		p := &Problem{NumVars: n, Rows: make([]Row, m)}
+		for v := 0; v < n; v++ {
+			pat := patterns[rng.Intn(len(patterns))]
+			for r := 0; r < m; r++ {
+				if pat[r] != 0 {
+					p.Rows[r].Entries = append(p.Rows[r].Entries, Entry{Var: v, Coef: pat[r]})
+				}
+			}
+			if withObjective && pat[m] != 0 {
+				p.Objective = append(p.Objective, Entry{Var: v, Coef: pat[m]})
+			}
+		}
+		gotClass, gotRep := columnClasses(p)
+		wantClass, wantRep := classesBySortedSignature(p)
+		if !slices.Equal(gotClass, wantClass) || !slices.Equal(gotRep, wantRep) {
+			t.Fatalf("problem %d: classes %v reps %v, sorted signatures give %v %v", i, gotClass, gotRep, wantClass, wantRep)
+		}
+		merged += n - len(gotRep)
+	}
+	if merged < 1000 {
+		t.Fatalf("only %d twins merged: the generator makes too few", merged)
 	}
 }
 

@@ -28,10 +28,10 @@ type exactTableau[T any] struct {
 // errOverflow aborts a solve whose arithmetic has overflowed.
 var errOverflow = errors.New("lp: exact arithmetic overflowed its word size")
 
-// newExactTableau builds the Phase-I tableau for p. Rows are normalized to
-// non-negative RHS; LE rows receive slacks (basic when possible), GE rows a
-// surplus plus artificial, EQ rows an artificial.
-func newExactTableau[T any](p *Problem, ar exactArith[T]) *exactTableau[T] {
+// newExactTableau builds the Phase-I tableau for p in cells backed by *buf.
+// Rows are normalized to non-negative RHS; LE rows receive slacks (basic
+// when possible), GE rows a surplus plus artificial, EQ rows an artificial.
+func newExactTableau[T any](p *Problem, ar exactArith[T], buf *[]T) *exactTableau[T] {
 	m := len(p.Rows)
 	rels := make([]Rel, m) // relation of each row once its RHS is non-negative
 	slacks, arts := 0, 0
@@ -58,7 +58,7 @@ func newExactTableau[T any](p *Problem, ar exactArith[T]) *exactTableau[T] {
 		rows:     make([][]T, m),
 	}
 	width := t.cols + 1
-	cells := make([]T, (m+1)*width) // one backing array: obj, then the rows
+	cells := reuse(buf, (m+1)*width) // one backing array: obj, then the rows
 	for i := range cells {
 		cells[i] = t.zero
 	}
@@ -278,10 +278,11 @@ func (t *exactTableau[T]) extract() []*big.Rat {
 	return x
 }
 
-// solveExact runs the two-phase simplex on p over ar. The result is valid
-// only if ar has not overflowed by the time it returns.
-func solveExact[T any](p *Problem, ar exactArith[T]) (*Solution, error) {
-	t := newExactTableau(p, ar)
+// solveExact runs the two-phase simplex on p over ar, with its tableau in
+// cells backed by *buf. The result is valid only if ar has not overflowed
+// by the time it returns.
+func solveExact[T any](p *Problem, ar exactArith[T], buf *[]T) (*Solution, error) {
+	t := newExactTableau(p, ar, buf)
 	if err := t.optimize(true); err != nil {
 		return nil, err
 	}
@@ -310,13 +311,18 @@ func solveExact[T any](p *Problem, ar exactArith[T]) (*Solution, error) {
 // are exact, so the pivot sequence and the vertex do not depend on which
 // one finished.
 func SolveRational(p *Problem) (*Solution, error) {
+	return solveRational(p, new(workspace))
+}
+
+// solveRational is SolveRational with its word-sized tableau in ws.
+func solveRational(p *Problem, ws *workspace) (*Solution, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
 	word := &wordArith{}
-	sol, err := solveExact[wordRat](p, word)
+	sol, err := solveExact[wordRat](p, word, &ws.words)
 	if word.overflow {
-		return solveExact[*big.Rat](p, bigArith{})
+		return solveExact(p, bigArith{}, new([]*big.Rat))
 	}
 	return sol, err
 }
@@ -327,5 +333,5 @@ func SolveBigRat(p *Problem) (*Solution, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
-	return solveExact[*big.Rat](p, bigArith{})
+	return solveExact(p, bigArith{}, new([]*big.Rat))
 }

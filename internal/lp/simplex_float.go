@@ -18,6 +18,7 @@ type floatTableau struct {
 	cols     int
 	artStart int
 	pivots   int
+	nzBuf    []int // scratch behind pivot's non-zero column list
 }
 
 const (
@@ -26,71 +27,60 @@ const (
 	fRoundTol = 1e-6 // integrality tolerance
 )
 
-func newFloatTableau(p *Problem) *floatTableau {
+// newFloatTableau builds the Phase-I tableau for p, with the column layout
+// of newExactTableau, in cells backed by *buf.
+func newFloatTableau(p *Problem, buf *[]float64) *floatTableau {
 	m := len(p.Rows)
-	slacks := 0
-	for _, r := range p.Rows {
-		if r.Rel != EQ {
+	rels := make([]Rel, m) // relation of each row once its RHS is non-negative
+	slacks, arts := 0, 0
+	for i, r := range p.Rows {
+		rels[i] = r.Rel
+		if r.RHS < 0 && r.Rel != EQ {
+			rels[i] = LE + GE - r.Rel // negating a row swaps LE and GE
+		}
+		if rels[i] != EQ {
 			slacks++
+		}
+		if rels[i] != LE {
+			arts++
 		}
 	}
 	t := &floatTableau{
 		n:        p.NumVars,
 		artStart: p.NumVars + slacks,
-		cols:     p.NumVars + slacks + m,
+		cols:     p.NumVars + slacks + arts,
 		basis:    make([]int, m),
+		rows:     make([][]float64, m),
 	}
-	t.rows = make([][]float64, m)
-	slackIdx := p.NumVars
-	artIdx := t.artStart
-	numArt := 0
+	width := t.cols + 1
+	cells := reuse(buf, (m+1)*width) // one backing array: obj, then the rows
+	clear(cells)
+	t.obj = cells[:width:width]
+	slackIdx, artIdx := p.NumVars, t.artStart
 	for i, r := range p.Rows {
-		row := make([]float64, t.cols+1)
+		row := cells[(i+1)*width : (i+2)*width : (i+2)*width]
 		sign := 1.0
-		rel := r.Rel
 		if r.RHS < 0 {
 			sign = -1
-			switch rel {
-			case LE:
-				rel = GE
-			case GE:
-				rel = LE
-			}
 		}
 		for _, e := range r.Entries {
 			row[e.Var] += sign * float64(e.Coef)
 		}
 		row[t.cols] = sign * float64(r.RHS)
-		switch rel {
+		switch rels[i] {
 		case LE:
-			row[slackIdx] = 1
-			t.basis[i] = slackIdx
+			row[slackIdx], t.basis[i] = 1, slackIdx
 			slackIdx++
 		case GE:
 			row[slackIdx] = -1
 			slackIdx++
-			row[artIdx] = 1
-			t.basis[i] = artIdx
-			artIdx++
-			numArt++
+			fallthrough
 		case EQ:
-			row[artIdx] = 1
-			t.basis[i] = artIdx
+			row[artIdx], t.basis[i] = 1, artIdx
 			artIdx++
-			numArt++
 		}
 		t.rows[i] = row
 	}
-	used := t.artStart + numArt
-	if used < t.cols {
-		for i := range t.rows {
-			rhs := t.rows[i][t.cols]
-			t.rows[i] = t.rows[i][:used+1]
-			t.rows[i][used] = rhs
-		}
-		t.cols = used
-	}
-	t.obj = make([]float64, t.cols+1)
 	for j := t.artStart; j < t.cols; j++ {
 		t.obj[j] = 1
 	}
@@ -104,37 +94,47 @@ func newFloatTableau(p *Problem) *floatTableau {
 	return t
 }
 
+// pivot performs the simplex pivot on (row r, column jc). Elimination runs
+// over the pivot row's non-zero columns only, as exactTableau.pivot does:
+// where pr[j] is zero, row[j] − f·pr[j] is row[j] up to the sign of a
+// zero, and nothing downstream tells the two zeros apart.
 func (t *floatTableau) pivot(r, jc int) {
 	pr := t.rows[r]
-	pv := pr[jc]
-	if pv != 1 {
+	if pv := pr[jc]; pv != 1 {
 		inv := 1 / pv
-		for j := 0; j <= t.cols; j++ {
+		for j := range pr {
 			pr[j] *= inv
 		}
 	}
 	pr[jc] = 1
+	nz := t.nzBuf[:0]
+	for j, v := range pr {
+		if v != 0 {
+			nz = append(nz, j)
+		}
+	}
+	t.nzBuf = nz
 	for i, row := range t.rows {
-		if i == r {
-			continue
+		if i != r {
+			eliminateFloat(row, pr, nz, jc)
 		}
-		f := row[jc]
-		if f == 0 {
-			continue
-		}
-		for j := 0; j <= t.cols; j++ {
-			row[j] -= f * pr[j]
-		}
-		row[jc] = 0
 	}
-	if f := t.obj[jc]; f != 0 {
-		for j := 0; j <= t.cols; j++ {
-			t.obj[j] -= f * pr[j]
-		}
-		t.obj[jc] = 0
-	}
+	eliminateFloat(t.obj, pr, nz, jc)
 	t.basis[r] = jc
 	t.pivots++
+}
+
+// eliminateFloat subtracts row[jc]·pr from row, where pr[jc] = 1 and nz
+// lists pr's non-zero columns, and clears row[jc] exactly.
+func eliminateFloat(row, pr []float64, nz []int, jc int) {
+	f := row[jc]
+	if f == 0 {
+		return
+	}
+	for _, j := range nz {
+		row[j] -= f * pr[j]
+	}
+	row[jc] = 0
 }
 
 // ratioTestRow picks the leaving row. During Dantzig pricing, ties break
@@ -181,24 +181,8 @@ func (t *floatTableau) optimize(allowArtificial bool) error {
 		if t.pivots > maxPivots {
 			return fmt.Errorf("lp: pivot limit exceeded (%d pivots)", t.pivots)
 		}
-		jc := -1
 		bland := iter >= blandAfter
-		if !bland {
-			best := -fEps
-			for j := 0; j < limit; j++ {
-				if t.obj[j] < best {
-					best = t.obj[j]
-					jc = j
-				}
-			}
-		} else {
-			for j := 0; j < limit; j++ {
-				if t.obj[j] < -fEps {
-					jc = j
-					break
-				}
-			}
-		}
+		jc := t.entering(limit, bland)
 		if jc == -1 {
 			return nil
 		}
@@ -208,6 +192,29 @@ func (t *floatTableau) optimize(allowArtificial bool) error {
 		}
 		t.pivot(r, jc)
 	}
+}
+
+// entering picks the entering column among the first limit, or -1 at the
+// optimum: the most negative reduced cost (Dantzig), or under Bland's rule
+// the first negative one.
+func (t *floatTableau) entering(limit int, bland bool) int {
+	jc := -1
+	if !bland {
+		best := -fEps
+		for j := 0; j < limit; j++ {
+			if t.obj[j] < best {
+				best = t.obj[j]
+				jc = j
+			}
+		}
+		return jc
+	}
+	for j := 0; j < limit; j++ {
+		if t.obj[j] < -fEps {
+			return j
+		}
+	}
+	return -1
 }
 
 func (t *floatTableau) driveOutArtificials() {
@@ -239,7 +246,8 @@ func (t *floatTableau) driveOutArtificials() {
 }
 
 func (t *floatTableau) setObjective(obj []Entry) {
-	c := make([]float64, t.cols+1)
+	c := t.obj
+	clear(c)
 	for _, e := range obj {
 		c[e.Var] += float64(e.Coef)
 	}
@@ -253,7 +261,6 @@ func (t *floatTableau) setObjective(obj []Entry) {
 		}
 		c[b] = 0
 	}
-	t.obj = c
 }
 
 func (t *floatTableau) extract() []float64 {
@@ -270,10 +277,15 @@ func (t *floatTableau) extract() []float64 {
 // is set. The caller is responsible for exact verification of any integer
 // rounding of the result.
 func SolveFloat(p *Problem) (*Solution, error) {
+	return solveFloat(p, new(workspace))
+}
+
+// solveFloat is SolveFloat with its tableau in ws.
+func solveFloat(p *Problem, ws *workspace) (*Solution, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
-	t := newFloatTableau(p)
+	t := newFloatTableau(p, &ws.floats)
 	if err := t.optimize(true); err != nil {
 		return nil, err
 	}

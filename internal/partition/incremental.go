@@ -1,8 +1,6 @@
 package partition
 
 import (
-	"sort"
-
 	"github.com/dsl-repro/hydra/internal/pred"
 )
 
@@ -34,7 +32,7 @@ func OptimalIncremental(space []pred.Set, cons []pred.DNF, maxBlocks int) ([]Reg
 	regions := []Region{{Blocks: []Block{root}, Label: newLabel(len(cons))}}
 	totalBlocks := 1
 	for j, c := range cons {
-		next := regions[:0:0]
+		next := make([]Region, 0, 2*len(regions)) // each region splits in at most two
 		totalBlocks = 0
 		for _, r := range regions {
 			in, out := splitBlocks(r.Blocks, c.Terms)
@@ -60,15 +58,7 @@ func OptimalIncremental(space []pred.Set, cons []pred.DNF, maxBlocks int) ([]Reg
 		}
 		regions = next
 	}
-	sort.Slice(regions, func(i, j int) bool {
-		a, b := regions[i].Rep(), regions[j].Rep()
-		for x := range a {
-			if a[x] != b[x] {
-				return a[x] < b[x]
-			}
-		}
-		return false
-	})
+	sortByRep(regions)
 	return regions, nil
 }
 

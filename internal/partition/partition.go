@@ -17,6 +17,7 @@ package partition
 import (
 	"fmt"
 	"math/big"
+	"slices"
 	"sort"
 
 	"github.com/dsl-repro/hydra/internal/pred"
@@ -94,12 +95,13 @@ type Region struct {
 func (r Region) Rep() []int64 {
 	best := r.Blocks[0].Rep()
 	for _, b := range r.Blocks[1:] {
-		p := b.Rep()
-		for i := range p {
-			if p[i] < best[i] {
-				best = p
-				break
-			} else if p[i] > best[i] {
+		for i, s := range b.Dims {
+			if v := s.Min(); v != best[i] {
+				if v < best[i] { // b's corner is smaller: take the rest of it
+					for k := i; k < len(best); k++ {
+						best[k] = b.Dims[k].Min()
+					}
+				}
 				break
 			}
 		}
@@ -239,22 +241,32 @@ func OptimalCapped(space []pred.Set, cons []pred.DNF, maxBlocks int) ([]Region, 
 			order = append(order, k)
 		}
 	}
-	// Deterministic output order: sort merged regions by their
-	// representative point (stable across runs and platforms).
 	out := make([]Region, 0, len(order))
 	for _, k := range order {
 		out = append(out, *byLabel[k])
 	}
-	sort.Slice(out, func(i, j int) bool {
-		a, b := out[i].Rep(), out[j].Rep()
-		for x := range a {
-			if a[x] != b[x] {
-				return a[x] < b[x]
-			}
-		}
-		return false
-	})
+	sortByRep(out)
 	return out, nil
+}
+
+// sortByRep puts regions in the deterministic output order: ascending by
+// representative point, compared lexicographically (stable across runs and
+// platforms). Regions are disjoint, so no two share a representative and
+// the order is total. Each representative is computed once, not once per
+// comparison.
+func sortByRep(regions []Region) {
+	type keyed struct {
+		rep []int64
+		r   Region
+	}
+	ks := make([]keyed, len(regions))
+	for i, r := range regions {
+		ks[i] = keyed{r.Rep(), r}
+	}
+	slices.SortFunc(ks, func(a, b keyed) int { return slices.Compare(a.rep, b.rep) })
+	for i, k := range ks {
+		regions[i] = k.r
+	}
 }
 
 // Atoms computes the atomic intervals ("split points" union, §4.1

@@ -5,9 +5,15 @@ import (
 	"context"
 	"errors"
 	"net/http/httptest"
+	"runtime"
+	"strings"
+	"sync"
 	"testing"
+	"time"
 
 	hydra "github.com/dsl-repro/hydra"
+	"github.com/dsl-repro/hydra/internal/engine"
+	"github.com/dsl-repro/hydra/internal/workload/tpcds"
 )
 
 // startFleetMember serves the summary on a loopback server and returns
@@ -77,6 +83,83 @@ func TestRegenerateContextCancel(t *testing.T) {
 	_, err := hydra.RegenerateContext(ctx, figure1Schema(t), figure1Workload(), hydra.Config{})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+}
+
+// cancelAfterFirstView is a context that is cancelled by the first Err
+// poll after one has returned nil. Views are taken after a poll, so
+// exactly one view starts before the cancellation.
+type cancelAfterFirstView struct {
+	context.Context
+	cancel context.CancelFunc
+	mu     sync.Mutex
+	passed int // polls that returned nil
+}
+
+func (c *cancelAfterFirstView) Err() error {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.passed > 0 {
+		c.cancel()
+	}
+	if err := c.Context.Err(); err != nil {
+		return err
+	}
+	c.passed++
+	return nil
+}
+
+// TestRegenerateCancelledMidSolve: a context cancelled once the first view
+// has started aborts the concurrent solve with the context's error, no
+// view after it is taken, and every worker has exited when
+// RegenerateContext returns.
+func TestRegenerateCancelledMidSolve(t *testing.T) {
+	cfg := tpcds.Config{SF: 0.02, Seed: 5}
+	s := tpcds.Schema(cfg)
+	db, err := tpcds.GenerateDB(s, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w, _, err := engine.WorkloadFromQueries(db, s, "wl", tpcds.QueriesComplex(s, cfg, 12))
+	if err != nil {
+		t.Fatal(err)
+	}
+	baseline := runtime.NumGoroutine()
+	parent, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	ctx := &cancelAfterFirstView{Context: parent, cancel: cancel}
+	if _, err := hydra.RegenerateContext(ctx, s, w, hydra.Config{}); !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+	if ctx.passed != 1 {
+		t.Fatalf("%d of %d views started, want 1", ctx.passed, len(s.Tables))
+	}
+	// A worker that has signalled its WaitGroup may not have exited yet.
+	for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > baseline; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines after RegenerateContext returned, %d before", runtime.NumGoroutine(), baseline)
+		}
+	}
+}
+
+// TestRegenerateStrictReportsFirstFailingView: with two views infeasible,
+// the error names the first of them in topological order at any worker
+// count, although the later one has more CCs and so is dispatched first.
+func TestRegenerateStrictReportsFirstFailingView(t *testing.T) {
+	w := figure1Workload()
+	for i, c := range w.CCs {
+		switch c.Name {
+		case "selS": // 800 of S's 700 rows
+			w.CCs[i].Count = 800
+		case "joinRS": // 90 000 of R's 80 000 rows
+			w.CCs[i].Count = 90_000
+		}
+	}
+	for call := 0; call < 8; call++ {
+		_, err := hydra.Regenerate(figure1Schema(t), w, hydra.Config{Strict: true})
+		if err == nil || !strings.Contains(err.Error(), "view S:") || strings.Contains(err.Error(), "view R:") {
+			t.Fatalf("call %d: err = %v, want view S's infeasibility (S precedes R)", call, err)
+		}
 	}
 }
 
