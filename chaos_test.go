@@ -142,7 +142,7 @@ func TestChaosFleetZeroErrors(t *testing.T) {
 	}
 
 	// Drain skip: put member 2 into drain mode; within one probe
-	// interval the tracker must see it and Pick must stop returning it.
+	// interval the tracker must see it and Do must stop picking it.
 	members[2].BeginDrain()
 	deadline := time.Now().Add(2 * time.Second)
 	var drained *resilience.Member
@@ -157,9 +157,17 @@ func TestChaosFleetZeroErrors(t *testing.T) {
 	if drained == nil {
 		t.Fatal("tracker never marked the drained member draining")
 	}
+	pol := src.Tracker().Policy("scan", 1)
 	for i := 0; i < 12; i++ {
-		if m := src.Tracker().Pick(); m != nil && m.URL == urls[2] {
-			t.Fatal("Pick returned a draining member while healthy members remain")
+		var got string
+		if err := src.Tracker().Do(context.Background(), pol, func(_ context.Context, m *resilience.Member) error {
+			got = m.URL
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+		if got == urls[2] {
+			t.Fatal("Do picked a draining member while healthy members remain")
 		}
 	}
 }

@@ -1,6 +1,7 @@
 // Command hydra-bench reproduces the paper's evaluation section: one
-// experiment per table/figure of §7 (see DESIGN.md for the index), printed
-// as aligned text tables or markdown for EXPERIMENTS.md.
+// experiment per table/figure of §7 (the index is package exp's doc
+// comment, internal/exp/exp.go), printed as aligned text tables or as
+// markdown.
 //
 // Usage:
 //

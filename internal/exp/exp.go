@@ -5,7 +5,7 @@
 // the shape of the paper's result (who wins, by roughly what factor, where
 // behaviour changes).
 //
-// Experiment index (see DESIGN.md for the full mapping):
+// Experiment index, by the -exp id hydra-bench takes:
 //
 //	fig9   CC cardinality distribution, WLc
 //	fig10  volumetric similarity CDF, Hydra vs DataSynth (WLs)

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math/bits"
 	"os"
 	"path/filepath"
 
@@ -29,15 +30,25 @@ func (r Range) Rows() int64 { return r.Hi - r.Lo }
 // which is what lets K machines generate pieces that concatenate, in
 // shard order, into byte-identical whole-table output.
 func shardRange(total int64, shard, n, align int) Range {
-	lo := alignDown(total*int64(shard)/int64(n), align)
+	lo := alignDown(SplitPoint(total, shard, n), align)
 	hi := total
 	if shard != n-1 {
-		hi = alignDown(total*int64(shard+1)/int64(n), align)
+		hi = alignDown(SplitPoint(total, shard+1, n), align)
 	}
 	if hi < lo {
 		hi = lo
 	}
 	return Range{Lo: lo, Hi: hi}
+}
+
+// SplitPoint is ⌊total·i/n⌋, where piece i of an n-way split of total
+// rows starts (0 ≤ i ≤ n, total ≥ 0). The product is taken in 128 bits:
+// in 64 it overflows once total·i passes 2^63, and a split of a few
+// thousand rows into 2^62 pieces would hand one piece every row.
+func SplitPoint(total int64, i, n int) int64 {
+	hi, lo := bits.Mul64(uint64(total), uint64(i))
+	q, _ := bits.Div64(hi, lo, uint64(n))
+	return int64(q)
 }
 
 func alignDown(x int64, a int) int64 { return x - x%int64(a) }

@@ -33,7 +33,7 @@ const (
 	// MemberHealthy members take new streams.
 	MemberHealthy MemberState = iota
 	// MemberDraining members answered /healthz with status "draining":
-	// they finish in-flight streams but refuse new ones, so Pick skips
+	// they finish in-flight streams but refuse new ones, so pick skips
 	// them (using one as a last resort only when nothing else admits).
 	MemberDraining
 	// MemberOpen members have an open (or probing half-open) breaker.
@@ -278,18 +278,15 @@ func (t *Tracker) Members() []*Member { return t.members }
 // Size returns the fleet size.
 func (t *Tracker) Size() int { return len(t.members) }
 
-// Pick returns the next usable member in round-robin order: healthy
-// members first, then — only when no healthy member's breaker admits —
-// draining members (they answer new streams with 503 + Retry-After,
-// which Do already honors, so they are a safe last resort). nil means
-// every member's breaker refused: fail fast, the fleet is down and the
-// probes will notice recovery.
-func (t *Tracker) Pick() *Member { return t.pick(nil) }
-
-// pick is Pick for one Do call: members in tried — those the call
-// already got an error from — are passed over while any other admits.
-// When none does the call starts a new lap (tried is cleared), which is
-// what lets a one-member busy fleet wait and try again.
+// pick returns the next usable member for one Do call, in round-robin
+// order: healthy members first, then — only when no healthy member's
+// breaker admits — draining members (they answer new streams with 503 +
+// Retry-After, which Do already honors, so they are a safe last resort).
+// Members in tried — those the call already got an error from — are
+// passed over while any other admits. When none does the call starts a
+// new lap (tried is cleared), which is what lets a one-member busy fleet
+// wait and try again. nil means every member's breaker refused: fail
+// fast, the fleet is down and the probes will notice recovery.
 func (t *Tracker) pick(tried map[*Member]bool) *Member {
 	n := len(t.members)
 	start := int(t.next.Add(1) - 1)

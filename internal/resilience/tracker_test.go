@@ -87,11 +87,11 @@ func TestTrackerDetectsDrainWithinOneProbeInterval(t *testing.T) {
 		return tr.Members()[0].State() == MemberDraining
 	})
 
-	// Pick must now return only B.
+	// pick must now return only B.
 	for i := 0; i < 10; i++ {
-		m := tr.Pick()
+		m := tr.pick(nil)
 		if m == nil || m.URL != b.ts.URL {
-			t.Fatalf("Pick returned %v, want the non-draining member", m)
+			t.Fatalf("pick returned %v, want the non-draining member", m)
 		}
 	}
 
@@ -115,8 +115,8 @@ func TestTrackerProbesOpenBreakerOnDeadMember(t *testing.T) {
 		return tr.Members()[0].State() == MemberOpen
 	})
 	for i := 0; i < 10; i++ {
-		if m := tr.Pick(); m == nil || m.URL != b.ts.URL {
-			t.Fatalf("Pick returned %v, want the healthy member", m)
+		if m := tr.pick(nil); m == nil || m.URL != b.ts.URL {
+			t.Fatalf("pick returned %v, want the healthy member", m)
 		}
 	}
 
@@ -138,8 +138,8 @@ func TestPickFailsFastWhenAllOpen(t *testing.T) {
 	for _, m := range tr.Members() {
 		m.ReportFailure()
 	}
-	if m := tr.Pick(); m != nil {
-		t.Fatalf("Pick = %v, want nil when every breaker is open", m)
+	if m := tr.pick(nil); m != nil {
+		t.Fatalf("pick = %v, want nil when every breaker is open", m)
 	}
 }
 
@@ -153,9 +153,9 @@ func TestPickFallsBackToDrainingMember(t *testing.T) {
 	ms := tr.Members()
 	ms[0].ReportFailure()      // A: breaker open
 	ms[1].draining.Store(true) // B: draining but alive
-	m := tr.Pick()
+	m := tr.pick(nil)
 	if m == nil || m.URL != "http://b.invalid" {
-		t.Fatalf("Pick = %v, want the draining member as last resort", m)
+		t.Fatalf("pick = %v, want the draining member as last resort", m)
 	}
 }
 

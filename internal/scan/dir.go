@@ -72,20 +72,14 @@ var (
 //
 // Rows are read a run at a time, the mirror image of how every encoder
 // writes a summary run: a constant tail stamped with an incrementing pk.
-// A run's first row is parsed cell by cell; the reader then knows the
-// bytes the encoder writes for the next row — the pk plus one, in
-// canonical decimal (little-endian for heap), with the same tail — and
-// accepts each following row with one compare against them, stepping
-// the predicted digits in place. Any byte that differs ends the run, and
-// that row is parsed in full as the first of the next. A row is accepted
-// only when it is byte-identical to what a full parse reads as (pk + n,
-// the first row's other columns), so the result is exactly a row-at-a-time
-// decode. Runs are placed with tuplegen.FillSpan, as the summary and
-// remote backends place theirs; a spans part's frames are its runs. A
-// layout without the pk forms runs of byte-identical rows only. A
-// spread-FK part, whose FKs change every row, reads as runs of one: after
-// a few predictions in a row miss, the reader parses up to 63 rows
-// before it predicts again, so such a part costs what parsing it costs.
+// A run's first row is parsed cell by cell; each following row is
+// accepted with one compare against the bytes the encoder writes next
+// (the pk plus one, in canonical decimal or little-endian for heap, and
+// the same tail), so the result is exactly a row-at-a-time decode, and a
+// row that differs is parsed in full as the first of the next run. A
+// layout without the pk forms runs of byte-identical rows only; a spans
+// part's frames are its runs. A spread-FK part, whose FKs change every
+// row, reads as runs of one, at what parsing it costs (see pacer).
 type DirSource struct {
 	dir    string
 	format string
@@ -324,15 +318,17 @@ func (s *DirSource) Scan(ctx context.Context, spec Spec) (*Scan, error) {
 	if err != nil {
 		return nil, err
 	}
-	f := &dirFiller{src: s, t: t, ncolsOut: len(r.cols), pi: -1, idx: r.proj, parsing: s.format != "spans"}
+	f := &dirRuns{src: s, t: t, pi: -1, pos: r.lo, end: r.hi, noPK: t.pkCol < 0}
 	// Runs come in span order (pk first, then the other columns in file
 	// order); a layout whose first column is not the pk maps onto it.
+	idx := r.proj
 	if t.pkCol != 0 {
-		f.idx = make([]int, len(r.cols))
+		idx = make([]int, len(r.cols))
 		for c, name := range r.cols {
-			f.idx[c] = spanCol(slices.Index(t.info.Cols, name), t.pkCol)
+			idx[c] = spanCol(slices.Index(t.info.Cols, name), t.pkCol)
 		}
 	}
+	var sf *tuplegen.SpanFilter
 	if r.filtered {
 		toSpan := make(map[int]int, len(t.info.Cols))
 		for c := range t.info.Cols {
@@ -342,118 +338,99 @@ func (s *DirSource) Scan(ctx context.Context, spec Spec) (*Scan, error) {
 		if t.pkCol < 0 {
 			ntail++
 		}
-		if f.sf, err = tuplegen.NewSpanFilter(r.filt.Remap(toSpan), ntail, 0); err != nil {
+		if sf, err = tuplegen.NewSpanFilter(r.filt.Remap(toSpan), ntail, 0); err != nil {
 			return nil, fmt.Errorf("%w: %s: %v", ErrSpec, spec.Table, err)
 		}
 		// A restriction on the pk column doubles as a seek accelerator:
 		// decoded layouts store pk abs+1 at absolute row abs, so the
-		// filler can jump straight to the next admissible key — and a
+		// reader can jump straight to the next admissible key — and a
 		// jump past a part's end means that part is never opened, never
 		// hashed, never decoded.
 		if t.pkCol >= 0 {
 			f.pkSet, f.hasPK = r.filt.Restriction(t.pkCol)
 		}
 	}
-	return newScan(ctx, r, f, s.m), nil
+	return newScan(ctx, r, runs(r, f, sf, idx), s.m), nil
 }
 
 // Close implements Source; open part files belong to scans, not the
 // source.
 func (s *DirSource) Close() error { return nil }
 
-// dirFiller places a table's rows on the batch grid a run at a time:
-// seek to the run's first row, read the run (capped at the grid cell and
-// the part), clip it under a filter, and fill it with tuplegen.FillSpan —
-// the kernel the summary and remote backends fill through. Under a
-// filter the conjunct is evaluated once per run, and a pk restriction
-// clips the run by arithmetic and doubles as a seek accelerator: rows it
-// excludes are skipped (cheap line/page skips within a part, whole parts
-// never even opened when the next admissible key lies beyond them).
-type dirFiller struct {
-	src      *DirSource
-	t        *dirTable
-	idx      []int // FillSpan's index list, into span order; nil = identity
-	ncolsOut int
-	sf       *tuplegen.SpanFilter // nil: every row matches
-	clip     []tuplegen.Span      // scratch: the passing pieces of one run
-	pkSet    pred.Set
-	hasPK    bool
-	parsing  bool // the reader parses each run's first row (every format but spans)
+// dirRuns reads a table's runs from its parts: seek to the next row the
+// scan needs and read the run there, capped at what the caller can place
+// and at the part's end. A pk restriction doubles as a seek accelerator:
+// rows it excludes are skipped (cheap line/page skips within a part,
+// whole parts never even opened when the next admissible key lies
+// beyond them).
+type dirRuns struct {
+	src    *DirSource
+	t      *dirTable
+	end    int64 // the scan's range ends at row end
+	pkSet  pred.Set
+	hasPK  bool
+	noPK   bool  // the layout has no pk column: a run's Start is where it was read
+	parsed int64 // runs read since the counter was last added to: parsed, but for spans
 
-	pi       int // index of the open part, -1 before the first open
-	rr       runReader
-	closers  []io.Closer
-	bufs     []*bufio.Reader // the open part's read buffers, from readerPool
-	pos      int64           // absolute row the open reader yields next
-	partLeft int64           // rows remaining in the open part
-	landed   bool            // openAt sought by the index and the row it landed on is not yet checked
+	pi      int // index of the open part, -1 before the first open
+	rr      runReader
+	closers []io.Closer
+	bufs    []*bufio.Reader // the open part's read buffers, from readerPool
+	pos     int64           // absolute row the scan reads next, and the open reader yields next
+	partEnd int64           // the open part ends at row partEnd
+	landed  bool            // openAt sought by the index and the row it landed on is not yet checked
 }
 
-// fillCheckRows is how often the fill loop polls the context: a few
-// thousand rows decode in well under a millisecond, so cancellation
-// stays prompt without an atomic load per run — which, for a part of
-// 1-row runs, would be one per row.
-const fillCheckRows = 4096
+func (f *dirRuns) run(ctx context.Context, max int64) (*tuplegen.Span, error) {
+	if f.hasPK || f.rr == nil || f.pos >= f.partEnd {
+		if err := f.seek(ctx); err != nil {
+			return nil, err
+		}
+	}
+	abs := f.pos
+	sp, err := f.rr.run(min(max, f.partEnd-abs))
+	if err != nil {
+		return nil, fmt.Errorf("scan: %s: row %d: %w", f.where(abs), abs, err)
+	}
+	// The first row after a seek by the manifest's index proves the seek:
+	// where the layout carries the pk, a row that is not the one asked for
+	// is an error, never a result.
+	if f.landed {
+		if f.t.pkCol >= 0 && sp.Start != abs+1 {
+			return nil, fmt.Errorf("scan: %s: row %d: found pk %d, want %d — the manifest's index does not describe this part",
+				f.where(abs), abs, sp.Start, abs+1)
+		}
+		f.landed = false
+	}
+	if f.noPK {
+		sp.Start = abs + 1 // the run is where it was read
+	}
+	f.pos += sp.N
+	f.parsed++
+	return sp, nil
+}
 
-func (f *dirFiller) fill(ctx context.Context, b *tuplegen.Batch, lo, hi int64) error {
-	cols := prepBatch(b, f.ncolsOut, int(hi-lo), lo)
-	at, runs := 0, int64(0)
-	for abs, poll := lo, lo; abs < hi; {
-		if abs >= poll {
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-			poll = abs + fillCheckRows
+// seek moves to the next row the scan needs — under a pk restriction the
+// next admissible one, io.EOF when none is left: a step within the open
+// part, an openAt anywhere else.
+func (f *dirRuns) seek(ctx context.Context) error {
+	abs := f.pos
+	if f.hasPK {
+		pk, ok := f.pkSet.Next(abs + 1)
+		if !ok || pk > f.end {
+			return io.EOF
 		}
-		if f.hasPK {
-			pk, ok := f.pkSet.Next(abs + 1)
-			if !ok || pk > hi {
-				break // no admissible key left in this cell
-			}
-			abs = pk - 1
-		}
-		if f.rr == nil || abs != f.pos || f.partLeft == 0 {
-			if err := f.seek(ctx, abs); err != nil {
-				return err
-			}
-		}
-		sp, err := f.rr.run(min(hi-abs, f.partLeft))
-		if err != nil {
-			return fmt.Errorf("scan: %s: row %d: %w", f.where(abs), abs, err)
-		}
-		// The first row after a seek by the manifest's index proves the
-		// seek: where the layout carries the pk, a row that is not the one
-		// asked for is an error, never a result.
-		if f.landed {
-			if f.t.pkCol >= 0 && sp.Start != abs+1 {
-				return fmt.Errorf("scan: %s: row %d: found pk %d, want %d — the manifest's index does not describe this part",
-					f.where(abs), abs, sp.Start, abs+1)
-			}
-			f.landed = false
-		}
-		abs += sp.N
-		f.pos += sp.N
-		f.partLeft -= sp.N
-		runs++
-		if f.sf == nil {
-			at = tuplegen.FillSpan(cols, at, sp, f.idx)
-			continue
-		}
-		f.clip = f.sf.Clip(f.clip[:0], *sp)
-		for i := range f.clip {
-			at = tuplegen.FillSpan(cols, at, &f.clip[i], f.idx)
-		}
+		abs = pk - 1
 	}
-	if f.parsing {
-		mDirParsedRows.Add(runs)
+	if f.rr == nil || abs >= f.partEnd {
+		return f.openAt(ctx, abs)
 	}
-	b.Truncate(at)
-	return nil
+	return f.skip(abs)
 }
 
 // where names the open part for an error about row abs — and, while the
 // seek that opened it is still unproven, the index offset it trusted.
-func (f *dirFiller) where(abs int64) string {
+func (f *dirRuns) where(abs int64) string {
 	p := &f.t.parts[f.pi]
 	if !f.landed {
 		return p.path
@@ -461,32 +438,16 @@ func (f *dirFiller) where(abs int64) string {
 	return fmt.Sprintf("%s (chunk at offset %d)", p.path, p.offsets[(abs-p.start)/p.chunkRows])
 }
 
-// seek positions the filler at absolute row abs: a no-op when already
-// there, a cheap in-part skip when abs lies further inside the open
-// part, and a full openAt (locate part, verify checksum, rebuild the
-// decode stack) otherwise.
-func (f *dirFiller) seek(ctx context.Context, abs int64) error {
-	if f.rr != nil && f.partLeft > 0 && abs >= f.pos {
-		if end := f.t.parts[f.pi].start + f.t.parts[f.pi].rows; abs < end {
-			if abs > f.pos {
-				if err := f.skip(abs); err != nil {
-					return err
-				}
-			}
-			return nil
-		}
-	}
-	return f.openAt(ctx, abs)
-}
-
 // skip steps the open reader over rows [f.pos, abs).
-func (f *dirFiller) skip(abs int64) error {
+func (f *dirRuns) skip(abs int64) error {
 	k := abs - f.pos
+	if k == 0 {
+		return nil
+	}
 	if err := f.rr.skip(k); err != nil {
 		return fmt.Errorf("scan: %s: skipping to row %d: %w", f.where(abs), abs, err)
 	}
 	mDirSkippedRows.Add(k)
-	f.partLeft -= k
 	f.pos = abs
 	return nil
 }
@@ -497,18 +458,18 @@ func (f *dirFiller) skip(abs int64) error {
 var readerPool = sync.Pool{New: func() any { return bufio.NewReaderSize(nil, 1<<18) }}
 
 // buffer takes a pooled read buffer over r for the open part.
-func (f *dirFiller) buffer(r io.Reader) *bufio.Reader {
+func (f *dirRuns) buffer(r io.Reader) *bufio.Reader {
 	br := readerPool.Get().(*bufio.Reader)
 	br.Reset(r)
 	f.bufs = append(f.bufs, br)
 	return br
 }
 
-// openAt positions the filler at absolute row abs: close the open part,
+// openAt positions the reader at absolute row abs: close the open part,
 // locate the part covering abs, verify its checksum unless this source
 // already has, seek to the chunk holding abs, build the decode stack
 // there, and skip the rest of the way.
-func (f *dirFiller) openAt(ctx context.Context, abs int64) error {
+func (f *dirRuns) openAt(ctx context.Context, abs int64) error {
 	f.close()
 	pi := sort.Search(len(f.t.parts), func(i int) bool {
 		p := f.t.parts[i]
@@ -534,8 +495,7 @@ func (f *dirFiller) openAt(ctx context.Context, abs int64) error {
 		}
 	}
 	ci := (abs - p.start) / p.chunkRows
-	off, chunkStart := p.offsets[ci], p.start+ci*p.chunkRows
-	left := p.start + p.rows - chunkStart
+	off, chunkStart, end := p.offsets[ci], p.start+ci*p.chunkRows, p.start+p.rows
 	failAt := func(err error) error {
 		return fail(fmt.Errorf("scan: %s (chunk at offset %d): %w", p.path, off, err))
 	}
@@ -565,20 +525,24 @@ func (f *dirFiller) openAt(ctx context.Context, abs int64) error {
 		f.closers = append(f.closers, zr)
 		br = f.buffer(zr)
 	}
-	rr, err := newRunReader(f.src.format, br, f.t.info.Cols, f.t.pkCol, chunkStart, left, p.header)
+	rr, err := newRunReader(f.src.format, br, f.t.info.Cols, f.t.pkCol, chunkStart, end-chunkStart, p.header)
 	if err != nil {
 		return failAt(err)
 	}
-	f.pi, f.rr, f.pos, f.partLeft, f.landed = pi, rr, chunkStart, left, true
-	if abs > chunkStart {
-		if err := f.skip(abs); err != nil {
-			return fail(err)
-		}
+	f.pi, f.rr, f.pos, f.partEnd, f.landed = pi, rr, chunkStart, end, true
+	if err := f.skip(abs); err != nil {
+		return fail(err)
 	}
 	return nil
 }
 
-func (f *dirFiller) close() error {
+// close closes the open part and adds the runs parsed from it to the
+// parsed-rows counter: once per part opened, not once per run.
+func (f *dirRuns) close() error {
+	if f.src.format != "spans" {
+		mDirParsedRows.Add(f.parsed)
+	}
+	f.parsed = 0
 	var first error
 	for i := len(f.closers) - 1; i >= 0; i-- {
 		if err := f.closers[i].Close(); first == nil {
@@ -596,12 +560,14 @@ func (f *dirFiller) close() error {
 }
 
 // runReader reads one part file's rows a run at a time. run returns the
-// next rows, at most max (≥ 1) of them, as one span in span order: the
-// pk first (as Start; a layout without one leaves it 0), then the
+// next rows, at most max (≥ 1) of them — a spans part's frame is already
+// decoded and comes whole — as one span in span order: the pk first (as
+// Start; a layout without one leaves it to the caller), then the
 // layout's other columns in file order, as Vals — so the pk need not be
 // the file's first column. The span is the reader's own, valid until
-// the next call. skip steps over k rows without producing them, cheaper
-// than reading them where the format allows.
+// the next call, and the caller may advance it in place. skip steps over
+// k rows without producing them, cheaper than reading them where the
+// format allows.
 type runReader interface {
 	run(max int64) (*tuplegen.Span, error)
 	skip(k int64) error

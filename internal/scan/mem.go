@@ -115,7 +115,9 @@ func (s *MemSource) Scan(ctx context.Context, spec Spec) (*Scan, error) {
 func (s *MemSource) Close() error { return nil }
 
 // memFiller copies rows [lo, hi) of its columns into a batch, keeping
-// the rows every condition admits.
+// the rows every condition admits — the one backend that fills batches
+// itself: as runs of one, each row would cost a FillSpan call where a
+// copy moves a whole column segment.
 type memFiller struct {
 	cols  [][]int64 // source column of each output column
 	conds []memCond // nil: every row matches
@@ -127,7 +129,7 @@ type memCond struct {
 }
 
 func (f *memFiller) fill(_ context.Context, b *tuplegen.Batch, lo, hi int64) error {
-	out := prepBatch(b, len(f.cols), int(hi-lo), lo)
+	out := b.Reshape(len(f.cols), int(hi-lo), lo+1)
 	if f.conds == nil {
 		for c, src := range f.cols {
 			copy(out[c], src[lo:hi])

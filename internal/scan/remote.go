@@ -55,15 +55,15 @@ type RemoteOptions struct {
 // RemoteSource scans tables served by a fleet of `hydra serve` servers
 // over GET /v1/tables/{table}?format=spans. What crosses the network is
 // the summary's run structure, not rows: each frame is one tuplegen.Span
-// (a few dozen bytes for thousands of rows), and batches are filled from
-// it with tuplegen.FillSpan exactly as the summary backend fills them —
-// so projection happens here, as FillSpan's index list, while a filter
-// still travels to the server, which prunes runs before any byte is
-// sent. If a server fails mid-table the scan resumes on the next fleet
-// member at the exact row it had reached (a frame names its own first
-// row, so a run clipped by the resume is still self-describing) — after
-// checking the member serves the same summary digest, so a mixed fleet
-// can never splice two different databases into one scan.
+// (a few dozen bytes for thousands of rows), placed on the batch grid
+// exactly as the summary backend's runs are — so projection happens
+// here, while a filter travels to the server, which prunes runs before
+// any byte is sent. If a server fails mid-table the scan resumes on the
+// next fleet member at the exact row it had reached (a frame names its
+// own first row, so a run clipped by the resume is still
+// self-describing) — after checking the member serves the same summary
+// digest, so a mixed fleet can never splice two different databases
+// into one scan.
 type RemoteSource struct {
 	resilience.Fleet
 	opts   RemoteOptions
@@ -200,37 +200,33 @@ func (s *RemoteSource) Scan(ctx context.Context, spec Spec) (*Scan, error) {
 	// streams are pinned to the geometry's summary digest: a fleet
 	// member loaded with a different database fails the scan instead of
 	// silently truncating or padding it.
-	f := &remoteFiller{
+	f := &remoteRuns{
 		src: s, spec: spec,
-		proj: r.proj, ncols: len(r.cols),
 		digest: digest,
 		dec:    newSpanDecoder(len(info.Cols), r.lo, r.hi, r.filtered),
 	}
 	if r.filtered {
 		// The filter travels to the server in canonical encoding and
 		// prunes runs inside the encode stream, so only matching runs
-		// cross the network.
+		// cross the network and there is nothing left to clip here.
 		f.filterEnc = spec.Filter.Encode()
 	}
-	return newScan(ctx, r, f, s.m), nil
+	return newScan(ctx, r, runs(r, f, nil, r.proj), s.m), nil
 }
 
-// remoteFiller places the runs of one spans stream on the batch grid,
-// reopening at the current row on another fleet member when a stream
-// dies. The decoder holds the scanned range and the position in it — the
-// row after the last run received — which is both where a torn stream
-// resumes and, under a filter, how far the server has already looked:
-// offsets are always pre-filter row numbers.
-type remoteFiller struct {
-	src   *RemoteSource
-	spec  Spec
-	proj  []int // FillSpan's index list; nil = the natural layout
-	ncols int   // output columns
+// remoteRuns reads the runs of one spans stream, reopening at the
+// current row on another fleet member when a stream dies. The decoder
+// holds the scanned range and the position in it — the row after the
+// last run received — which is both where a torn stream resumes and,
+// under a filter, how far the server has already looked: offsets are
+// always pre-filter row numbers.
+type remoteRuns struct {
+	src  *RemoteSource
+	spec Spec
 
 	body   io.ReadCloser
 	dec    *spanDecoder
-	cur    tuplegen.Span // undelivered rest of the last run received
-	digest string        // summary digest pinned by the geometry (or first) response
+	digest string // summary digest pinned by the geometry (or first) response
 	fails  int
 
 	// member is the fleet member serving the open stream; openedAt and
@@ -239,74 +235,36 @@ type remoteFiller struct {
 	openedAt time.Time
 	rowsRead int64
 
-	// Filtered mode (filterEnc, the canonical filter= value, is set): the
-	// server streams only matching runs, so a grid cell may end with the
-	// next run still ahead of it (kept in cur), and a clean end of stream
-	// means no matches remain in range.
-	filterEnc string
-	exhausted bool
+	filterEnc string // the canonical filter= value of a filtered scan
 }
 
-// fill places the runs (or parts of runs) that fall in [lo,hi) at the
-// front of b. Unfiltered, the decoder insists runs tile the range, so
-// the cell comes out full; filtered, it holds the cell's matches and a
-// run starting at or beyond hi waits in cur for a later cell.
-func (f *remoteFiller) fill(ctx context.Context, b *tuplegen.Batch, lo, hi int64) error {
-	n := int(hi - lo)
-	cols := prepBatch(b, f.ncols, n, lo)
-	at := 0
-	for at < n && !f.exhausted {
-		if f.cur.N == 0 {
-			if err := f.nextSpan(ctx); err != nil {
-				return err
-			}
-			continue
-		}
-		first := f.cur.Start - 1
-		if first >= hi {
-			break
-		}
-		sp := f.cur
-		sp.N = min(sp.N, hi-first)
-		at = tuplegen.FillSpan(cols, at, &sp, f.proj)
-		advance(&f.cur, sp.N)
-	}
-	b.Truncate(at)
-	return nil
-}
-
-// nextSpan decodes the next run into cur, resuming or failing over on
-// stream death. Under a filter a clean io.EOF — the server's chunked
-// response ended with its terminal frame — sets exhausted instead: the
-// filtered stream has no fixed row count, so "ended cleanly" is the
-// protocol's only (and sufficient) end-of-matches signal; truncation
-// surfaces as ErrUnexpectedEOF and resumes like any other death.
-func (f *remoteFiller) nextSpan(ctx context.Context) error {
+// run decodes the next frame, resuming or failing over on stream death;
+// a frame is a whole run, so max caps nothing. A filtered stream has no
+// fixed row count, so its clean end — the terminal frame arrived — is
+// the protocol's only (and sufficient) end-of-matches signal;
+// truncation surfaces as ErrUnexpectedEOF and resumes like any death.
+func (f *remoteRuns) run(ctx context.Context, _ int64) (*tuplegen.Span, error) {
 	for {
 		if f.dec.pos >= f.dec.end {
-			f.exhausted = true // the last run received reached the range's end
-			return nil
+			return nil, io.EOF // the last run received reached the range's end
 		}
 		if f.body == nil {
 			if err := f.openAt(ctx, f.dec.pos); err != nil {
-				return err
+				return nil, err
 			}
 		}
 		sp, err := f.dec.next()
 		if err == nil {
 			f.fails = 0 // a decoded run is progress
 			f.rowsRead += sp.N
-			f.cur = sp
-			return nil
+			return sp, nil
 		}
 		if f.filterEnc != "" && errors.Is(err, io.EOF) {
-			f.exhausted = true
-			f.finishStream(false)
-			f.closeBody()
-			return nil
+			f.endStream(false)
+			return nil, io.EOF
 		}
 		if err := f.streamDied(ctx, err); err != nil {
-			return err
+			return nil, err
 		}
 	}
 }
@@ -314,15 +272,14 @@ func (f *remoteFiller) nextSpan(ctx context.Context) error {
 // streamDied settles a stream that broke mid-table (connection,
 // truncation, a frame the decoder refused). nil means resume: the
 // caller reopens at its exact row through openAt, on whichever member
-// Do picks. A death is not an outcome of that call, so the filler
+// Do picks. A death is not an outcome of that call, so the backend
 // bounds them itself: the scan ends once Attempts streams in a row died
 // without a decoded run (fails resets on progress), or as soon as ctx
 // is done.
-func (f *remoteFiller) streamDied(ctx context.Context, err error) error {
+func (f *remoteRuns) streamDied(ctx context.Context, err error) error {
 	mRemoteResumes.Inc()
 	cerr := ctx.Err()
-	f.finishStream(cerr == nil) // a canceled scan is not the member's fault
-	f.closeBody()
+	f.endStream(cerr == nil) // a canceled scan is not the member's fault
 	if cerr != nil {
 		return cerr
 	}
@@ -335,8 +292,7 @@ func (f *remoteFiller) streamDied(ctx context.Context, err error) error {
 // openAt starts (or resumes) the table stream at absolute row abs on
 // whichever member resilience.Do settles on, feeding the scan's own
 // failover and busy counters from the attempts it makes.
-func (f *remoteFiller) openAt(ctx context.Context, abs int64) error {
-	f.closeBody()
+func (f *remoteRuns) openAt(ctx context.Context, abs int64) error {
 	opens := 0
 	return f.src.Tracker().Do(ctx, f.src.policy, func(ctx context.Context, m *resilience.Member) error {
 		if opens++; opens > 1 {
@@ -350,7 +306,7 @@ func (f *remoteFiller) openAt(ctx context.Context, abs int64) error {
 	})
 }
 
-func (f *remoteFiller) openOn(ctx context.Context, member *resilience.Member, abs int64) (err error) {
+func (f *remoteRuns) openOn(ctx context.Context, member *resilience.Member, abs int64) (err error) {
 	srv := member.URL
 	// One child span per HTTP attempt: its duration is the
 	// time-to-first-byte of the stream open, its error the reason the
@@ -405,20 +361,21 @@ func (f *remoteFiller) openOn(ctx context.Context, member *resilience.Member, ab
 	f.body = resp.Body
 	f.dec.read(resp.Body)
 	// Do records this open's time-to-first-byte as the member's latency
-	// observation; rows/s follows when the stream ends (finishStream).
+	// observation; rows/s follows when the stream ends (endStream).
 	f.member, f.openedAt, f.rowsRead = member, time.Now(), 0
 	return nil
 }
 
-// finishStream settles the open stream's member accounting: a failed
-// stream counts against the member's breaker; a stream that delivered
-// rows and ended well feeds its rows/s EWMA.
-func (f *remoteFiller) finishStream(failed bool) {
+// endStream closes the open stream, if any, and settles its member's
+// accounting: a failed stream counts against the member's breaker; a
+// stream that delivered rows and ended well feeds its rows/s EWMA.
+func (f *remoteRuns) endStream(failed bool) {
 	m := f.member
 	if m == nil {
 		return
 	}
-	f.member = nil
+	f.body.Close()
+	f.body, f.member = nil, nil
 	if failed {
 		m.ReportFailure()
 		return
@@ -428,17 +385,9 @@ func (f *remoteFiller) finishStream(failed bool) {
 	}
 }
 
-func (f *remoteFiller) closeBody() {
-	if f.body != nil {
-		f.body.Close()
-		f.body = nil
-	}
-}
-
-func (f *remoteFiller) close() error {
+func (f *remoteRuns) close() error {
 	// A scan closed with its stream still open read everything it
 	// needed: that is a well-ended stream for EWMA purposes.
-	f.finishStream(false)
-	f.closeBody()
+	f.endStream(false)
 	return nil
 }

@@ -8,26 +8,27 @@
 // forms, and a client database in a fourth; this package makes all of
 // them one thing to consume:
 //
-//	SummarySource  generates batches straight from a loaded summary
-//	               (the in-process dynamic path, tuplegen under the hood)
+//	SummarySource  generates runs straight from a loaded summary (the
+//	               in-process dynamic path, tuplegen under the hood)
 //	MemSource      copies batches out of columns held in memory (the
 //	               client database the engine's workloads run on)
 //	DirSource      reads back a materialized shard directory, decoding
-//	               csv/jsonl/heap/spans part files against their manifests
-//	               a run at a time (a run's first row is parsed, each row
-//	               after it accepted with one compare against the bytes the
-//	               encoder writes next, and a row that differs parsed in
-//	               full as the first of the next run), filling batches with
-//	               tuplegen.FillSpan like the other two backends, seeking
-//	               to a scan's first row by the manifest's chunk
-//	               index, and verifying checksums lazily and once (a part
-//	               is hashed before the first row the source decodes from
-//	               it, and again only when the file's size, mtime or
-//	               identity changed; orchestrate.Verify remains the
-//	               whole-directory proof)
+//	               csv/jsonl/heap/spans part files a run at a time against
+//	               their manifests, seeking by the manifest's chunk index
+//	               and verifying each part's checksum lazily and once
 //	RemoteSource   streams the summary's runs (format=spans) from a fleet
 //	               of `hydra serve` servers with filter pushdown,
 //	               resume-on-offset, and failover
+//
+// Regenerated data is a sequence of runs — consecutive rows with an
+// incrementing pk and a constant (or, for a spread FK, cycling) tail —
+// and the summary, directory and remote backends say only that: each
+// yields the next run of the scanned range. One fill loop places those
+// runs on the batch grid for all three, clipping them under a filter and
+// writing columns with tuplegen.FillSpan, and checks that they never go
+// backwards and, unfiltered, tile the range. MemSource is the one
+// exception: its columns are batches already, so it copies them; as
+// runs its rows would be runs of one.
 //
 // Every source answers the same Spec — table, column projection,
 // pk range, shard i/N split, batch size, rows/s rate limit — and yields
@@ -42,10 +43,12 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io"
 	"sort"
 	"sync"
 	"time"
 
+	"github.com/dsl-repro/hydra/internal/matgen"
 	"github.com/dsl-repro/hydra/internal/obs"
 	"github.com/dsl-repro/hydra/internal/pred"
 	"github.com/dsl-repro/hydra/internal/rate"
@@ -159,13 +162,136 @@ type Source interface {
 	Close() error
 }
 
-// filler is the backend seam: it fills b with rows [lo, hi) (absolute
-// 0-based offsets; row r holds primary key r+1). The scan core calls it
-// with contiguous, monotonically increasing ranges on the batch grid.
+// filler is the seam between Scan and a backend: it fills b with rows
+// [lo, hi) (absolute 0-based offsets; row r holds primary key r+1). The
+// scan core calls it with contiguous, monotonically increasing ranges on
+// the batch grid. It is runFill for every backend but MemSource.
 type filler interface {
 	fill(ctx context.Context, b *tuplegen.Batch, lo, hi int64) error
 	close() error
 }
+
+// runSource is a backend of regenerated data: the relation as the
+// sequence of runs it is. run returns the next run in pk order over the
+// scan's range, in span order (pk as Start, then the other columns), or
+// a bare io.EOF when none is left; it is not called again after that or
+// an error. Unfiltered, runs tile the range; under a filter they may skip
+// rows it excludes. max (≥ 1) is how many rows the caller can place
+// before it calls again: a decoding reader stops a run there rather than
+// read ahead, any other run comes whole. The span is the backend's own,
+// valid until the next call; the caller advances it in place.
+type runSource interface {
+	run(ctx context.Context, max int64) (*tuplegen.Span, error)
+	close() error
+}
+
+// fillCheckRows is how often runFill polls the context: often enough to
+// cancel promptly, without an atomic load per run — per row, on a part
+// of 1-row runs.
+const fillCheckRows = 4096
+
+// runFill is the one fill loop of the run backends. It places each run
+// on the batch grid — the part of it in the cell, clipped by the filter
+// where there is one, through tuplegen.FillSpan — and keeps the rest of
+// the run pending for the next cell. It checks what it is given: runs
+// never go backwards, start inside the scan's range and, unfiltered,
+// tile it; a run may end past the range (a spans part's frame is read
+// whole), and what lies past it is never placed.
+type runFill struct {
+	src   runSource
+	sf    *tuplegen.SpanFilter // span order; nil: every run matches, or the backend filtered
+	idx   []int                // FillSpan's index list into span order; nil = identity
+	ncols int
+	gaps  bool  // filtered scan: runs may skip rows
+	lo    int64 // the scan's range [lo, end)
+	end   int64
+	pos   int64           // rows [lo, pos) are accounted for; end once the runs are over
+	cur   *tuplegen.Span  // the pending rest of the last run; nil when placed
+	poll  int64           // pos at which the next run polls the context
+	clip  []tuplegen.Span // scratch: the passing pieces of one run in one cell
+}
+
+// runs wraps a run backend for a resolved scan.
+func runs(r *resolved, src runSource, sf *tuplegen.SpanFilter, idx []int) *runFill {
+	return &runFill{src: src, sf: sf, idx: idx, ncols: len(r.cols), gaps: r.filtered,
+		lo: r.lo, end: r.hi, pos: r.lo, poll: r.lo}
+}
+
+func (f *runFill) fill(ctx context.Context, b *tuplegen.Batch, lo, hi int64) error {
+	cols := b.Reshape(f.ncols, int(hi-lo), lo+1)
+	at, sp := 0, f.cur
+	for {
+		if sp == nil {
+			if f.pos >= hi {
+				break
+			}
+			if f.pos >= f.poll {
+				if err := ctx.Err(); err != nil {
+					return err
+				}
+				f.poll = f.pos + fillCheckRows
+			}
+			var err error
+			if sp, err = f.src.run(ctx, hi-f.pos); err != nil || sp.Start-1 != f.pos || sp.N < 1 {
+				if sp, err = f.admit(sp, err); sp == nil {
+					if err != nil {
+						return err
+					}
+					break
+				}
+			}
+			f.pos = sp.Start - 1 + sp.N
+		}
+		n := hi + 1 - sp.Start // the rows of the cell from the run's first on
+		if n <= 0 {
+			break // a filtered run that starts in a later cell
+		}
+		rest := sp.N
+		if rest > n {
+			sp.N = n
+		}
+		if f.sf == nil {
+			at = tuplegen.FillSpan(cols, at, sp, f.idx)
+		} else {
+			f.clip = f.sf.Clip(f.clip[:0], *sp)
+			for i := range f.clip {
+				at = tuplegen.FillSpan(cols, at, &f.clip[i], f.idx)
+			}
+		}
+		if rest <= n {
+			sp = nil
+			continue
+		}
+		sp.Start, sp.Off, sp.N = sp.Start+n, sp.Off+n, rest-n
+		break // the run goes on past the cell
+	}
+	f.cur = sp
+	b.Truncate(at)
+	return nil
+}
+
+// admit settles a backend's answer that is not simply the next rows: the
+// end of its runs (nil, nil), a gap, legal only under a filter, or a
+// broken contract.
+func (f *runFill) admit(sp *tuplegen.Span, err error) (*tuplegen.Span, error) {
+	switch {
+	case err == nil:
+	case !errors.Is(err, io.EOF) || errors.Unwrap(err) != nil:
+		return nil, err // only a bare io.EOF ends the runs, not a part cut short
+	case f.gaps:
+		f.pos = f.end
+		return nil, nil
+	default:
+		return nil, fmt.Errorf("scan: backend ran out of runs at row %d of [%d,%d)", f.pos, f.lo, f.end)
+	}
+	if first := sp.Start - 1; sp.N < 1 || first < f.pos || first >= f.end || !f.gaps {
+		return nil, fmt.Errorf("scan: backend returned rows [%d,%d) after row %d of [%d,%d)",
+			first, first+sp.N, f.pos, f.lo, f.end)
+	}
+	return sp, nil
+}
+
+func (f *runFill) close() error { return f.src.close() }
 
 // Scan is a pull-based iterator of column-major row batches — the
 // "datagen scan" operator's cursor. Usage follows database/sql.Rows:
@@ -376,8 +502,8 @@ func resolve(spec Spec, info *TableInfo) (*resolved, error) {
 	// Shard split of the restricted range: pure arithmetic, alignment 1,
 	// so every backend computes the identical piece.
 	n := hi0 - lo0
-	lo := lo0 + n*int64(spec.Shard)/int64(shards)
-	hi := lo0 + n*int64(spec.Shard+1)/int64(shards)
+	lo := lo0 + matgen.SplitPoint(n, spec.Shard, shards)
+	hi := lo0 + matgen.SplitPoint(n, spec.Shard+1, shards)
 	r := &resolved{
 		info: *info, cols: cols, proj: proj,
 		lo: lo, hi: hi, step: int64(batch), lim: lim,
@@ -422,7 +548,7 @@ func newScan(ctx context.Context, r *resolved, f filler, m *backendMetrics) *Sca
 	// A recycled batch starts empty, so nothing of the scan that used it
 	// last is visible before the first Next.
 	b := batchPool.Get().(*tuplegen.Batch)
-	prepBatch(b, len(r.cols), 0, r.lo)
+	b.Reshape(len(r.cols), 0, r.lo+1)
 	return &Scan{
 		ctx: ctx, table: r.info.Table, cols: r.cols,
 		lo: r.lo, hi: r.hi, pos: r.lo, step: r.step,
@@ -448,12 +574,6 @@ func checkShape(b *tuplegen.Batch, ncols int) error {
 		}
 	}
 	return nil
-}
-
-// prepBatch shapes b for n rows of ncols columns starting at absolute
-// row lo — tuplegen's one batch-reuse policy, pk-indexed.
-func prepBatch(b *tuplegen.Batch, ncols, n int, lo int64) [][]int64 {
-	return b.Reshape(ncols, n, lo+1)
 }
 
 // sortedNames returns the map's keys, sorted — the Tables() order every

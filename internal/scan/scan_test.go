@@ -3,6 +3,8 @@ package scan
 import (
 	"context"
 	"errors"
+	"io"
+	"math"
 	"strings"
 	"testing"
 
@@ -93,6 +95,41 @@ func TestResolveShardsTile(t *testing.T) {
 		}
 		if pos != 5000 {
 			t.Fatalf("shards=%d cover [99,%d), want [99,5000)", n, pos)
+		}
+	}
+}
+
+// TestResolveShardsOfHugeN: a split into far more pieces than rows, up
+// to 2^62 of them and beyond, still tiles the range — pieces are
+// monotone, each ends where the next starts, none holds more than its
+// share, and together they run from the range's first row to its last.
+// A 64-bit product of rows and piece index overflows long before that.
+func TestResolveShardsOfHugeN(t *testing.T) {
+	const lo, hi = 99, 5000 // StartPK 100, EndPK 5000
+	info := &TableInfo{Table: "S", Cols: []string{"S_pk"}, Rows: 8208}
+	piece := func(i, n int) (int64, int64) {
+		r, err := resolve(Spec{Table: "S", StartPK: lo + 1, EndPK: hi, Shards: n, Shard: i}, info)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return r.lo, r.hi
+	}
+	for _, n := range []int{3 * (hi - lo), 1 << 31, 1<<62 - 1, 1 << 62, math.MaxInt} {
+		pos := int64(lo)
+		for _, i := range []int{0, 1, 2, n/3 - 1, n / 3, n/2 - 1, n / 2, n - 3, n - 2, n - 1} {
+			a, b := piece(i, n)
+			if a < pos || b < a || b-a > 1 {
+				t.Fatalf("n=%d: piece %d is [%d,%d), after row %d", n, i, a, b, pos)
+			}
+			if i+1 < n {
+				if next, _ := piece(i+1, n); next != b {
+					t.Fatalf("n=%d: piece %d ends at %d, piece %d starts at %d", n, i, b, i+1, next)
+				}
+			}
+			pos = b
+		}
+		if first, _ := piece(0, n); first != lo || pos != hi {
+			t.Fatalf("n=%d: pieces run from %d to %d, want [%d,%d)", n, first, pos, lo, hi)
 		}
 	}
 }
@@ -235,7 +272,7 @@ func TestProjectionOrderAndValues(t *testing.T) {
 type raggedFiller struct{}
 
 func (raggedFiller) fill(_ context.Context, b *tuplegen.Batch, lo, hi int64) error {
-	prepBatch(b, 4, int(hi-lo), lo)
+	b.Reshape(4, int(hi-lo), lo+1)
 	b.N--
 	return nil
 }
@@ -258,6 +295,64 @@ func TestScanRejectsRaggedBatch(t *testing.T) {
 	}
 	if err := sc.Err(); err == nil || !strings.Contains(err.Error(), "column 0 at 100 rows in a batch of 99") {
 		t.Fatalf("Err = %v, want the ragged column named", err)
+	}
+}
+
+// fakeRuns is a run backend that hands out the runs it is given, then
+// io.EOF — whatever they are, so a test can break the run contract.
+type fakeRuns []tuplegen.Span
+
+func (f *fakeRuns) run(context.Context, int64) (*tuplegen.Span, error) {
+	if len(*f) == 0 {
+		return nil, io.EOF
+	}
+	sp := &(*f)[0]
+	*f = (*f)[1:]
+	return sp, nil
+}
+
+func (f *fakeRuns) close() error { return nil }
+
+// TestScanRejectsBadRuns: the fill loop checks the runs a backend hands
+// it. A run that starts before the scan's position, or, unfiltered, a
+// gap or an early end, fails Next naming the rows; under a filter gaps
+// are legal.
+func TestScanRejectsBadRuns(t *testing.T) {
+	info := &TableInfo{Table: "S", Cols: []string{"S_pk", "A"}, Rows: 100}
+	a := []int64{7}
+	run := func(start, n int64) tuplegen.Span { return tuplegen.Span{Start: start, N: n, Vals: a} }
+	filter := pred.Col("A").Eq(7)
+	for _, tc := range []struct {
+		name   string
+		filter pred.Filter
+		runs   fakeRuns
+		want   string // "" = the scan succeeds
+	}{
+		{"tiles", pred.Filter{}, fakeRuns{run(1, 40), run(41, 60)}, ""},
+		{"backwards", pred.Filter{}, fakeRuns{run(1, 40), run(31, 70)}, "rows [30,100) after row 40 of [0,100)"},
+		{"backwards filtered", filter, fakeRuns{run(1, 40), run(31, 70)}, "rows [30,100) after row 40 of [0,100)"},
+		{"gap", pred.Filter{}, fakeRuns{run(1, 40), run(51, 50)}, "rows [50,100) after row 40 of [0,100)"},
+		{"gap filtered", filter, fakeRuns{run(1, 40), run(51, 50)}, ""},
+		{"empty run", filter, fakeRuns{run(1, 0)}, "rows [0,0) after row 0 of [0,100)"},
+		{"ends early", pred.Filter{}, fakeRuns{run(1, 40)}, "ran out of runs at row 40 of [0,100)"},
+		{"ends early filtered", filter, fakeRuns{run(1, 40)}, ""},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			r, err := resolve(Spec{Table: "S", BatchRows: 64, Filter: tc.filter}, info)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sc := newScan(context.Background(), r, runs(r, &tc.runs, nil, nil), metricsForBackend("summary"))
+			defer sc.Close()
+			for sc.Next() {
+			}
+			switch err := sc.Err(); {
+			case tc.want == "" && err != nil:
+				t.Fatalf("Err = %v", err)
+			case tc.want != "" && (err == nil || !strings.Contains(err.Error(), tc.want)):
+				t.Fatalf("Err = %v, want one naming %q", err, tc.want)
+			}
+		})
 	}
 }
 

@@ -34,8 +34,9 @@ type spanDecoder struct {
 	end  int64 // pk of the last row the stream may carry
 	gaps bool  // filtered stream: runs may skip rows; otherwise they must tile
 	buf  []byte
-	tail []int64 // Vals ++ FKs of the last decoded span, which aliases it
-	fks  []int64 // FKSpans of the last decoded span, ditto
+	sp   tuplegen.Span // the last decoded run
+	tail []int64       // its Vals ++ FKs, which alias this
+	fks  []int64       // its FKSpans, ditto
 }
 
 // newSpanDecoder sizes a decoder for streams of ncols columns that carry
@@ -63,9 +64,9 @@ func (d *spanDecoder) read(r io.Reader) {
 	d.br.Reset(r)
 }
 
-// next decodes one frame. The span's slices are the decoder's own and
-// are overwritten by the following call.
-func (d *spanDecoder) next() (tuplegen.Span, error) {
+// next decodes one frame. The span is the decoder's own and is
+// overwritten by the following call.
+func (d *spanDecoder) next() (*tuplegen.Span, error) {
 	// The whole frame — length, body, CRC — lands in d.buf, so the CRC is
 	// one pass over one slice.
 	nlen := 0
@@ -75,60 +76,61 @@ func (d *spanDecoder) next() (tuplegen.Span, error) {
 			if nlen > 0 && errors.Is(err, io.EOF) {
 				err = io.ErrUnexpectedEOF
 			}
-			return tuplegen.Span{}, err
+			return nil, err
 		}
 		if nlen == binary.MaxVarintLen64 {
-			return tuplegen.Span{}, d.bad("length overflows")
+			return nil, d.bad("length overflows")
 		}
 		d.buf[nlen], more = c, c >= 0x80
 	}
 	size, n := binary.Uvarint(d.buf[:nlen])
 	if maxBody := len(d.buf) - binary.MaxVarintLen64 - crc32.Size; n <= 0 || size == 0 || size > uint64(maxBody) {
-		return tuplegen.Span{}, d.bad("length outside (0, %d]", maxBody)
+		return nil, d.bad("length outside (0, %d]", maxBody)
 	}
 	end := nlen + int(size)
 	if _, err := io.ReadFull(d.br, d.buf[nlen:end+crc32.Size]); err != nil {
 		if errors.Is(err, io.EOF) {
 			err = io.ErrUnexpectedEOF
 		}
-		return tuplegen.Span{}, err
+		return nil, err
 	}
 	body := d.buf[nlen:end]
 	if got, sum := binary.LittleEndian.Uint32(d.buf[end:]), crc32.Checksum(d.buf[:end], castagnoli); got != sum {
-		return tuplegen.Span{}, d.bad("crc %08x, computed %08x", got, sum)
+		return nil, d.bad("crc %08x, computed %08x", got, sum)
 	}
 
 	var hdr [3]int64 // Start, N, Off
 	for i := range hdr {
 		v, n := binary.Uvarint(body)
 		if n <= 0 || v > math.MaxInt64 {
-			return tuplegen.Span{}, d.bad("header field %d overflows", i)
+			return nil, d.bad("header field %d overflows", i)
 		}
 		hdr[i], body = int64(v), body[n:]
 	}
-	sp := tuplegen.Span{Start: hdr[0], N: hdr[1], Off: hdr[2]}
+	sp := &d.sp
+	*sp = tuplegen.Span{Start: hdr[0], N: hdr[1], Off: hdr[2]}
 	switch {
 	case sp.N <= 0:
-		return tuplegen.Span{}, d.bad("run of %d rows", sp.N)
+		return nil, d.bad("run of %d rows", sp.N)
 	case sp.Start <= d.pos || sp.Start > d.end:
-		return tuplegen.Span{}, d.bad("run starts at pk %d, outside [%d, %d]", sp.Start, d.pos+1, d.end)
+		return nil, d.bad("run starts at pk %d, outside [%d, %d]", sp.Start, d.pos+1, d.end)
 	case !d.gaps && sp.Start != d.pos+1:
-		return tuplegen.Span{}, d.bad("run starts at pk %d, want %d", sp.Start, d.pos+1)
+		return nil, d.bad("run starts at pk %d, want %d", sp.Start, d.pos+1)
 	case sp.N > d.end-(sp.Start-1):
-		return tuplegen.Span{}, d.bad("run [%d, +%d) ends past pk %d", sp.Start, sp.N, d.end)
+		return nil, d.bad("run [%d, +%d) ends past pk %d", sp.Start, sp.N, d.end)
 	case sp.Off > math.MaxInt64-sp.N:
-		return tuplegen.Span{}, d.bad("offset %d overflows", sp.Off)
+		return nil, d.bad("offset %d overflows", sp.Off)
 	}
 	for i := range d.tail {
 		v, n := binary.Varint(body)
 		if n <= 0 {
-			return tuplegen.Span{}, d.bad("value %d truncated or overflowing", i)
+			return nil, d.bad("value %d truncated or overflowing", i)
 		}
 		d.tail[i], body = v, body[n:]
 	}
 	k, n := binary.Uvarint(body)
 	if n <= 0 || k > uint64(len(d.tail)) {
-		return tuplegen.Span{}, d.bad("spread count outside [0, %d]", len(d.tail))
+		return nil, d.bad("spread count outside [0, %d]", len(d.tail))
 	}
 	body = body[n:]
 	nvals := len(d.tail) - int(k)
@@ -138,13 +140,13 @@ func (d *spanDecoder) next() (tuplegen.Span, error) {
 		for i := range sp.FKSpans {
 			v, n := binary.Uvarint(body)
 			if n <= 0 || v < 1 || v > math.MaxInt64 {
-				return tuplegen.Span{}, d.bad("FK span %d outside [1, MaxInt64]", i)
+				return nil, d.bad("FK span %d outside [1, MaxInt64]", i)
 			}
 			sp.FKSpans[i], body = int64(v), body[n:]
 		}
 	}
 	if len(body) != 0 {
-		return tuplegen.Span{}, d.bad("%d trailing bytes", len(body))
+		return nil, d.bad("%d trailing bytes", len(body))
 	}
 	d.pos = sp.Start - 1 + sp.N
 	return sp, nil
@@ -154,46 +156,36 @@ func (d *spanDecoder) bad(format string, args ...any) error {
 	return fmt.Errorf("%w after row %d: %s", errSpanFrame, d.pos, fmt.Sprintf(format, args...))
 }
 
-// advance drops the first k tuples of sp.
-func advance(sp *tuplegen.Span, k int64) {
-	sp.Start, sp.Off, sp.N = sp.Start+k, sp.Off+k, sp.N-k
-}
-
-// spansRuns is DirSource's runReader over a spans part: it hands out
-// the decoded frames themselves, clipped to what the caller asked for,
-// and skips by arithmetic — whole runs are stepped over without
-// producing a row.
+// spansRuns is DirSource's runReader over a spans part: its runs are
+// the decoded frames themselves, whole (a frame never crosses the part's
+// end), and it skips by arithmetic — whole frames are stepped over
+// without producing a row. A skip that ends inside a frame holds the
+// rest of it for the next run.
 type spansRuns struct {
-	dec *spanDecoder
-	cur tuplegen.Span // undelivered rest of the last decoded run
-	out tuplegen.Span // what run returned last
+	dec  *spanDecoder
+	held bool // dec.sp is the rest of a frame a skip ended inside
 }
 
-func (s *spansRuns) load() (err error) {
-	if s.cur.N == 0 {
-		s.cur, err = s.dec.next()
+func (s *spansRuns) run(int64) (*tuplegen.Span, error) {
+	if s.held {
+		s.held = false
+		return &s.dec.sp, nil
 	}
-	return err
-}
-
-func (s *spansRuns) run(max int64) (*tuplegen.Span, error) {
-	if err := s.load(); err != nil {
-		return nil, err
-	}
-	s.out = s.cur
-	s.out.N = min(s.out.N, max)
-	advance(&s.cur, s.out.N)
-	return &s.out, nil
+	return s.dec.next()
 }
 
 func (s *spansRuns) skip(k int64) error {
 	for k > 0 {
-		if err := s.load(); err != nil {
+		sp, err := s.run(k)
+		if err != nil {
 			return err
 		}
-		m := min(k, s.cur.N)
-		advance(&s.cur, m)
-		k -= m
+		if sp.N > k {
+			sp.Start, sp.Off, sp.N = sp.Start+k, sp.Off+k, sp.N-k
+			s.held = true
+			return nil
+		}
+		k -= sp.N
 	}
 	return nil
 }

@@ -82,7 +82,7 @@ func decodeAll(t *testing.T, d *spanDecoder) [][]int64 {
 		if err != nil {
 			t.Fatal(err)
 		}
-		rows = append(rows, spanRows(sp)...)
+		rows = append(rows, spanRows(*sp)...)
 	}
 }
 
@@ -263,11 +263,11 @@ func FuzzSpanFrames(f *testing.F) {
 		if err != nil {
 			t.Fatalf("decoding the encoder's own frame for %+v: %v", sp, err)
 		}
-		if again := enc.AppendSpan(nil, got); !bytes.Equal(again, wire) {
+		if again := enc.AppendSpan(nil, *got); !bytes.Equal(again, wire) {
 			t.Fatalf("not a fixed point: %+v → %x → %+v → %x", sp, wire, got, again)
 		}
 		sp.N, got.N = min(n, 64), min(n, 64)
-		if !slices.EqualFunc(spanRows(sp), spanRows(got), slices.Equal[[]int64]) {
+		if !slices.EqualFunc(spanRows(sp), spanRows(*got), slices.Equal[[]int64]) {
 			t.Fatalf("%+v decoded to %+v: rows differ", sp, got)
 		}
 		if _, err := d.next(); err != io.EOF {

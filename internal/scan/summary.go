@@ -3,12 +3,13 @@ package scan
 import (
 	"context"
 	"fmt"
+	"io"
 
 	"github.com/dsl-repro/hydra/internal/summary"
 	"github.com/dsl-repro/hydra/internal/tuplegen"
 )
 
-// SummarySource scans a loaded database summary directly: batches are
+// SummarySource scans a loaded database summary directly: runs are
 // generated on demand by tuplegen — the in-process dynamic regeneration
 // path, no bytes materialized anywhere. It is the reference backend the
 // other sources must agree with.
@@ -49,44 +50,34 @@ func (s *SummarySource) Scan(ctx context.Context, spec Spec) (*Scan, error) {
 	if err != nil {
 		return nil, err
 	}
-	rs := s.sum.Relations[spec.Table]
-	g := tuplegen.New(rs)
+	g := tuplegen.New(s.sum.Relations[spec.Table])
 	g.SetFKSpread(spec.FKSpread)
-	f := &summaryFiller{g: g, proj: r.proj, ncols: len(r.cols)}
-	if r.filtered {
-		if f.sf, err = g.BindSpanFilter(r.filt); err != nil {
-			return nil, fmt.Errorf("%w: %s: %v", ErrSpec, spec.Table, err)
-		}
+	// info.Cols is the generator's tuple order, which is span order, so the
+	// resolved projection and the bound filter (nil unfiltered) index runs
+	// directly.
+	sf, err := g.BindSpanFilter(r.filt)
+	if err != nil {
+		return nil, fmt.Errorf("%w: %s: %v", ErrSpec, spec.Table, err)
 	}
-	return newScan(ctx, r, f, s.m), nil
+	return newScan(ctx, r, runs(r, &summaryRuns{it: g.Spans(r.lo+1, r.hi-r.lo)}, sf, r.proj), s.m), nil
 }
 
 // Close implements Source; a summary source holds no resources.
 func (s *SummarySource) Close() error { return nil }
 
-// summaryFiller generates batches straight from the summary's run
-// structure. Because info.Cols is exactly the generator's tuple order,
-// the resolved projection indices are tuple-order indices and FillSpan
-// consumes them directly. Every fill walks the grid cell's matching
-// sub-spans — all of its spans when there is no filter — so a span whose
-// constant columns fail never contributes a single generated value,
-// which is where filtered scans earn their near-free selectivity.
-type summaryFiller struct {
-	g     *tuplegen.Generator
-	proj  []int
-	ncols int                  // output columns
-	sf    *tuplegen.SpanFilter // nil: every row matches
+// summaryRuns hands out the summary rows' runs over the scan's range,
+// one iterator per scan.
+type summaryRuns struct {
+	it tuplegen.SpanIter
+	sp tuplegen.Span
 }
 
-func (f *summaryFiller) fill(_ context.Context, b *tuplegen.Batch, lo, hi int64) error {
-	cols := prepBatch(b, f.ncols, int(hi-lo), lo)
-	at := 0
-	it := f.g.FilteredSpans(lo+1, hi-lo, f.sf)
-	for sp, ok := it.Next(); ok; sp, ok = it.Next() {
-		at = tuplegen.FillSpan(cols, at, &sp, f.proj)
+func (r *summaryRuns) run(context.Context, int64) (*tuplegen.Span, error) {
+	var ok bool
+	if r.sp, ok = r.it.Next(); !ok {
+		return nil, io.EOF
 	}
-	b.Truncate(at)
-	return nil
+	return &r.sp, nil
 }
 
-func (f *summaryFiller) close() error { return nil }
+func (r *summaryRuns) close() error { return nil }

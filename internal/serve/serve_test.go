@@ -222,12 +222,36 @@ func TestTableStreamErrors(t *testing.T) {
 		"Inf rate":          {"/v1/tables/S?rate=%2BInf", http.StatusBadRequest},
 		"denormal rate":     {"/v1/tables/S?rate=1e-300", http.StatusBadRequest},
 		"bad batch":         {"/v1/tables/S?batch=0", http.StatusBadRequest},
+		"batch too large":   {"/v1/tables/S?batch=65537", http.StatusBadRequest},
 		"wrong method":      {"/v1/shardjobs", http.StatusMethodNotAllowed},
 	}
 	for name, tc := range cases {
 		resp, body := get(t, ts.URL+tc.path)
 		if resp.StatusCode != tc.code {
 			t.Errorf("%s: GET %s = %s (%s), want %d", name, tc.path, resp.Status, body, tc.code)
+		}
+	}
+}
+
+// TestTableStreamShardOfHugeN: split into 2^62 pieces, the 8 208-row S
+// is almost all empty pieces. The first holds no row (only the csv
+// header shard 0 writes), and the last exactly the table's last row —
+// not, as a 64-bit product of rows and piece index once made it, every
+// row.
+func TestTableStreamShardOfHugeN(t *testing.T) {
+	ts := newTestServer(t, testSummary(), Options{})
+	const n = "4611686018427387904" // 2^62
+	for shard, want := range map[string]string{
+		"1/" + n:    "S_pk,A,B,t_fk\n",
+		"2/" + n:    "",
+		n + "/" + n: "8208,61,15,1\n",
+	} {
+		resp, body := get(t, ts.URL+"/v1/tables/S?format=csv&shard="+shard)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("shard=%s: %s (%s)", shard, resp.Status, body)
+		}
+		if string(body) != want {
+			t.Errorf("shard=%s: got %d bytes %.60q, want %q", shard, len(body), body, want)
 		}
 	}
 }

@@ -42,6 +42,12 @@ const (
 	TrailerSha256 = "X-Hydra-Sha256"
 )
 
+// maxQueryBatchRows bounds batch= on a table stream, at 8× the default
+// batch: a stream buffers a whole chunk of that many rows before its
+// first write, so an unbounded value would let one request claim a
+// member's memory.
+const maxQueryBatchRows = 8 * matgen.DefaultBatchRows
+
 // handleTable serves GET /v1/tables/{table}: a resumable, rate-limited
 // range scan streamed straight from the zero-allocation encode pipeline.
 // With info=1 it answers the stream's geometry as JSON instead — how a
@@ -252,8 +258,8 @@ func streamOptionsFromQuery(r *http.Request) (*matgen.StreamOptions, error) {
 	}
 	if v := q.Get("batch"); v != "" {
 		n, err := strconv.Atoi(v)
-		if err != nil || n < 1 {
-			return nil, fmt.Errorf("batch wants a positive row count, got %q", v)
+		if err != nil || n < 1 || n > maxQueryBatchRows {
+			return nil, fmt.Errorf("batch wants a row count in [1, %d], got %q", maxQueryBatchRows, v)
 		}
 		opts.BatchRows = n
 	}

@@ -59,6 +59,40 @@ func TestParseTraceparentRejectsMalformed(t *testing.T) {
 	}
 }
 
+// FuzzParseTraceparent holds the parser of a header no one here wrote to
+// three things: it never panics; what it accepts names lowercase-hex,
+// non-zero ids; and those ids render back through Traceparent and parse
+// again to themselves.
+func FuzzParseTraceparent(f *testing.F) {
+	valid := "00-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01"
+	for _, s := range []string{
+		valid, "cc" + valid[2:] + "-extra", valid + "-extra", "ff" + valid[2:],
+		strings.ToUpper(valid), valid[:54], "",
+		"00-" + strings.Repeat("0", 32) + "-00f067aa0ba902b7-01",
+	} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		sc, ok := ParseTraceparent(s)
+		if !ok {
+			if sc != (SpanContext{}) {
+				t.Fatalf("ParseTraceparent(%q) refused it but returned %+v", s, sc)
+			}
+			return
+		}
+		if !sc.Valid() || !isHex(s[3:35]) || !isHex(s[36:52]) {
+			t.Fatalf("ParseTraceparent(%q) accepted %+v", s, sc)
+		}
+		hdr := sc.Traceparent()
+		if hdr[3:35] != s[3:35] || hdr[36:52] != s[36:52] {
+			t.Fatalf("ParseTraceparent(%q) renders as %q: the ids moved", s, hdr)
+		}
+		if again, ok := ParseTraceparent(hdr); !ok || again != sc {
+			t.Fatalf("%q parses to %+v, renders as %q, which parses to %+v, %v", s, sc, hdr, again, ok)
+		}
+	})
+}
+
 func TestSpanTreeAssembly(t *testing.T) {
 	tr := newTestTracer(Options{SampleRate: -1})
 	ctx, root := tr.Start(context.Background(), "root", Str("table", "orders"))
