@@ -7,8 +7,11 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
 	"time"
+
+	"github.com/dsl-repro/hydra/internal/summary"
 )
 
 // streamBytes runs one Stream call and returns its output.
@@ -205,6 +208,41 @@ func TestStreamValidation(t *testing.T) {
 		if _, err := StreamInfo(sum, opts); !errors.Is(err, ErrStream) {
 			t.Errorf("%s: StreamInfo err = %v, want ErrStream", name, err)
 		}
+	}
+}
+
+// TestPlanStreamCostIndependentOfRows: a stream plan builds no part
+// path and no chunk index — only Materialize writes files — so planning
+// a stream over a 2^20-row relation allocates no more than over a
+// 2^10-row one, even on a one-row chunk grid.
+func TestPlanStreamCostIndependentOfRows(t *testing.T) {
+	bytesPerPlan := func(rows int64) uint64 {
+		rel := &summary.RelationSummary{
+			Table: "R", Cols: []string{"A"},
+			Rows: []summary.RelRow{
+				{Vals: []int64{1}, Count: rows / 2},
+				{Vals: []int64{2}, Count: rows - rows/2},
+			},
+			Total: rows,
+		}
+		sum := &summary.Summary{Relations: map[string]*summary.RelationSummary{"R": rel}}
+		opts := StreamOptions{Table: "R", Format: "csv", BatchRows: 1}
+		const plans = 20
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < plans; i++ {
+			if _, err := PlanStream(sum, opts); err != nil {
+				t.Fatal(err)
+			}
+		}
+		runtime.ReadMemStats(&after)
+		return (after.TotalAlloc - before.TotalAlloc) / plans
+	}
+	small, big := bytesPerPlan(1<<10), bytesPerPlan(1<<20)
+	// The slack absorbs a stray allocation elsewhere in the process; a
+	// chunk index for 2^20 one-row chunks is 8 MiB.
+	if big > small+1024 {
+		t.Fatalf("planning a 2^20-row stream allocates %d B, a 2^10-row one %d B", big, small)
 	}
 }
 

@@ -662,14 +662,9 @@ func TestRemoteFilterEchoRequired(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sc, err := remote.Scan(context.Background(), scan.Spec{Table: "S", Filter: pred.Col("A").Eq(20)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sc.Close()
-	for sc.Next() {
-	}
-	if err := sc.Err(); err == nil || !strings.Contains(err.Error(), "did not apply filter") {
+	// The stream opens inside Scan, so that is where the guard fires.
+	_, err = remote.Scan(context.Background(), scan.Spec{Table: "S", Filter: pred.Col("A").Eq(20)})
+	if err == nil || !strings.Contains(err.Error(), "did not apply filter") {
 		t.Fatalf("err = %v, want filter-echo failure", err)
 	}
 }
@@ -719,7 +714,7 @@ func TestRemoteMetadataBusyWait(t *testing.T) {
 	ctx, root := trace.Start(context.Background(), "test.metadata-busy")
 	id := root.TraceID()
 	start := time.Now()
-	sc, err := remote.Scan(ctx, scan.Spec{Table: "S"}) // geometry only: streams open on Next
+	sc, err := remote.Scan(ctx, scan.Spec{Table: "S"}) // a cold table: geometry, then the stream
 	if err != nil {
 		t.Fatalf("a busy member cost the call its one attempt: %v", err)
 	}
@@ -727,8 +722,8 @@ func TestRemoteMetadataBusyWait(t *testing.T) {
 	if waited := time.Since(start); waited < 100*time.Millisecond {
 		t.Fatalf("metadata call returned in %v; the Retry-After floor was not honored", waited)
 	}
-	if got := hits.Load(); got != 2 {
-		t.Fatalf("member hit %d times, want 2 (1 busy + 1 success)", got)
+	if got := hits.Load(); got != 3 {
+		t.Fatalf("member hit %d times, want 3 (1 busy + geometry + stream)", got)
 	}
 	root.End()
 
@@ -1243,11 +1238,13 @@ func TestScanRateLimit(t *testing.T) {
 }
 
 // TestRemoteMixedFleetNeverSplices: a fleet whose members serve
-// different summaries must never splice them into one scan. The data
-// streams are pinned to the summary digest of the geometry (info=1)
-// response, so members loaded with a different database are refused and
-// the scan either completes entirely against the geometry's database or
-// fails — a result mixing the two is the one forbidden outcome.
+// different summaries must never splice them into one scan. A scan's
+// streams are pinned to the summary digest of the geometry it was
+// planned from — remembered from an earlier answer, which the first
+// stream confirms or finds stale, or fetched afresh — so members loaded
+// with a different database are refused and the scan either completes
+// entirely against the geometry's database or fails — a result mixing
+// the two is the one forbidden outcome.
 func TestRemoteMixedFleetNeverSplices(t *testing.T) {
 	sumA := testSummary()
 	sumB := testSummary()
@@ -1266,9 +1263,10 @@ func TestRemoteMixedFleetNeverSplices(t *testing.T) {
 	tsB := httptest.NewServer(srvB)
 	defer tsB.Close()
 
-	// Round-robin guarantees the geometry request and the first data
-	// stream land on different members, so every trial exercises the
-	// cross-server path the digest pin guards.
+	// Round-robin sends consecutive requests to different members, so
+	// the member a geometry came from and the one a stream opens on keep
+	// differing: every trial exercises the cross-server path the digest
+	// pin guards.
 	remote, err := scan.NewRemoteSource([]string{tsA.URL, tsB.URL}, scan.RemoteOptions{})
 	if err != nil {
 		t.Fatal(err)

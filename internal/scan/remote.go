@@ -8,8 +8,10 @@ import (
 	"io"
 	"net/http"
 	"net/url"
+	"slices"
 	"strconv"
 	"strings"
+	"sync"
 	"time"
 
 	"github.com/dsl-repro/hydra/internal/matgen"
@@ -22,7 +24,9 @@ import (
 // Fleet-client observability: how often streams died and resumed, how
 // often the scan had to fail over to another member, and how often the
 // fleet pushed back with 503 — the retry counters a capacity planner
-// reads next to the server-side stream metrics.
+// reads next to the server-side stream metrics — and where each scan's
+// geometry came from: the remembered share is the share of scans that
+// were one request.
 var (
 	mRemoteResumes = obs.Default.Counter("hydra_scan_remote_resumes_total",
 		"table streams that died mid-scan and were resumed at their row offset")
@@ -30,6 +34,12 @@ var (
 		"failed stream opens that moved the scan to the next fleet member")
 	mRemoteBusy = obs.Default.Counter("hydra_scan_remote_busy_total",
 		"503 capacity rejections observed while opening streams")
+	mRemotePlansRemembered = obs.Default.Counter("hydra_scan_remote_plans_total",
+		"remote scans by where their table geometry came from: remembered, or fetched with info=1",
+		obs.L("geometry", "remembered"))
+	mRemotePlansFetched = obs.Default.Counter("hydra_scan_remote_plans_total",
+		"remote scans by where their table geometry came from: remembered, or fetched with info=1",
+		obs.L("geometry", "fetched"))
 )
 
 // RemoteOptions tunes a RemoteSource.
@@ -64,17 +74,42 @@ type RemoteOptions struct {
 // self-describing) — after checking the member serves the same summary
 // digest, so a mixed fleet can never splice two different databases
 // into one scan.
+//
+// A table's geometry — its columns and row count — is a function of the
+// table and the summary digest, so the source remembers, per table, the
+// geometry and digest of the last info=1 answer (from Table, or from a
+// scan of a table it had not seen) and plans later scans from it: a warm
+// scan is one request, the stream. The stream's summary digest checks
+// the remembered geometry. When the fleet has moved to another summary,
+// the scan drops that stream, fetches the geometry again and reopens
+// pinned to the new digest — the two requests of a cold table; a member
+// that refuses the remembered range (the table shrank) is read the same
+// way. A range the remembered row count empties opens no stream to check
+// it, so it is fetched again too; only a range no geometry can fill (an
+// inverted pk range, an unsatisfiable filter) asks nothing.
 type RemoteSource struct {
 	resilience.Fleet
 	opts   RemoteOptions
 	policy resilience.Policy
 	m      *backendMetrics
+
+	mu  sync.Mutex
+	geo map[string]geometry // by table: its last info=1 answer that named a digest
+}
+
+// geometry is one info=1 answer: a table's natural layout and the digest
+// of the summary the answering member serves.
+type geometry struct {
+	info   TableInfo
+	digest string
 }
 
 var _ Source = (*RemoteSource)(nil)
 
 // NewRemoteSource builds a source over the fleet's base URLs
-// (e.g. "http://10.0.0.7:8372").
+// (e.g. "http://10.0.0.7:8372"). It remembers each table's geometry
+// from the fleet's last answer for it, and checks it against the
+// summary digest of every scan's stream.
 func NewRemoteSource(servers []string, opts RemoteOptions) (*RemoteSource, error) {
 	fleet, err := resilience.Connect(servers, opts.Fleet)
 	if err != nil {
@@ -91,6 +126,7 @@ func NewRemoteSource(servers []string, opts RemoteOptions) (*RemoteSource, error
 		opts:   opts,
 		policy: fleet.Tracker().Policy("scan", opts.Attempts),
 		m:      metricsForBackend("remote"),
+		geo:    map[string]geometry{},
 	}, nil
 }
 
@@ -167,51 +203,127 @@ func (s *RemoteSource) Tables() ([]string, error) {
 }
 
 // Table implements Source via the tables endpoint's info=1 geometry
-// answer, which generates nothing server-side.
+// answer, which generates nothing server-side; later scans of the table
+// plan from it.
 func (s *RemoteSource) Table(name string) (*TableInfo, error) {
-	info, _, err := s.tableInfo(context.Background(), name)
-	return info, err
+	g, err := s.fetchGeometry(context.Background(), name)
+	if err != nil {
+		return nil, err
+	}
+	info := g.info
+	info.Cols = slices.Clone(info.Cols) // the remembered slice is shared by scans
+	return &info, nil
 }
 
-func (s *RemoteSource) tableInfo(ctx context.Context, name string) (*TableInfo, string, error) {
+// fetchGeometry asks the fleet for a table's geometry and remembers an
+// answer that names its summary: without a digest, no stream could tell
+// the geometry had gone stale.
+func (s *RemoteSource) fetchGeometry(ctx context.Context, name string) (geometry, error) {
 	var rep matgen.StreamReport
 	path := "/v1/tables/" + url.PathEscape(name) + "?format=spans&info=1"
 	digest, err := s.getJSON(ctx, path, &rep)
 	if err != nil {
-		return nil, "", err
+		return geometry{}, err
 	}
 	if len(rep.Cols) == 0 {
-		return nil, "", fmt.Errorf("scan: fleet server predates column reporting; upgrade `hydra serve`")
+		return geometry{}, fmt.Errorf("scan: fleet server predates column reporting; upgrade `hydra serve`")
 	}
-	return &TableInfo{Table: name, Cols: rep.Cols, Rows: rep.TotalRows}, digest, nil
+	g := geometry{info: TableInfo{Table: name, Cols: rep.Cols, Rows: rep.TotalRows}, digest: digest}
+	if digest != "" {
+		s.mu.Lock()
+		s.geo[name] = g
+		s.mu.Unlock()
+	}
+	return g, nil
 }
 
-// Scan implements Source.
+// Scan implements Source. The stream of a non-empty range is open when
+// Scan returns, so a scan planned from remembered geometry is one
+// request.
 func (s *RemoteSource) Scan(ctx context.Context, spec Spec) (*Scan, error) {
-	info, digest, err := s.tableInfo(ctx, spec.Table)
+	if ctx == nil {
+		ctx = context.Background()
+	}
+	// The span starts before the plan, so the geometry request and the
+	// stream's open sit inside it.
+	ctx, sp := trace.Child(ctx, "scan."+s.m.name, trace.Str("table", spec.Table))
+	r, f, err := s.plan(ctx, spec)
 	if err != nil {
+		sp.Fail(err)
+		sp.End()
 		return nil, err
 	}
-	r, err := resolve(spec, info)
-	if err != nil {
-		return nil, err
+	sp.SetAttrs(trace.Int("rows", r.hi-r.lo))
+	return spannedScan(ctx, sp, r, runs(r, f, nil, r.proj), s.m), nil
+}
+
+// plan resolves spec against the table's geometry and opens the stream.
+// A remembered geometry is fetched again when spec does not resolve
+// against it — the fleet's summary may have the column it lacks — when
+// its row count empties the range, or when the stream's digest or the
+// member's refusal of the range says it is stale.
+func (s *RemoteSource) plan(ctx context.Context, spec Spec) (*resolved, *remoteRuns, error) {
+	s.mu.Lock()
+	g, remembered := s.geo[spec.Table]
+	s.mu.Unlock()
+	for {
+		if !remembered {
+			var err error
+			if g, err = s.fetchGeometry(ctx, spec.Table); err != nil {
+				return nil, nil, err
+			}
+		}
+		r, err := resolve(spec, &g.info)
+		if err != nil {
+			if remembered {
+				remembered = false
+				continue
+			}
+			return nil, nil, err
+		}
+		if remembered && r.lo == r.hi && !emptyEverywhere(spec) {
+			// No stream would check the row count that emptied the range,
+			// and the table may have grown since.
+			remembered = false
+			continue
+		}
+		// The scan's row range was computed from this geometry, so the data
+		// streams are pinned to the geometry's summary digest: a fleet
+		// member loaded with a different database fails the scan instead of
+		// silently truncating or padding it.
+		f := &remoteRuns{
+			src: s, spec: spec,
+			digest: g.digest, unconfirmed: remembered,
+			dec: newSpanDecoder(len(g.info.Cols), r.lo, r.hi, r.filtered),
+		}
+		if r.filtered {
+			// The filter travels to the server in canonical encoding and
+			// prunes runs inside the encode stream, so only matching runs
+			// cross the network and there is nothing left to clip here.
+			f.filterEnc = spec.Filter.Encode()
+		}
+		if r.lo < r.hi {
+			if err := f.openAt(ctx, r.lo); err != nil {
+				return nil, nil, err
+			}
+			if f.stale {
+				remembered = false
+				continue
+			}
+		}
+		if remembered {
+			mRemotePlansRemembered.Inc()
+		} else {
+			mRemotePlansFetched.Inc()
+		}
+		return r, f, nil
 	}
-	// The scan's row range was computed from this geometry, so the data
-	// streams are pinned to the geometry's summary digest: a fleet
-	// member loaded with a different database fails the scan instead of
-	// silently truncating or padding it.
-	f := &remoteRuns{
-		src: s, spec: spec,
-		digest: digest,
-		dec:    newSpanDecoder(len(info.Cols), r.lo, r.hi, r.filtered),
-	}
-	if r.filtered {
-		// The filter travels to the server in canonical encoding and
-		// prunes runs inside the encode stream, so only matching runs
-		// cross the network and there is nothing left to clip here.
-		f.filterEnc = spec.Filter.Encode()
-	}
-	return newScan(ctx, r, runs(r, f, nil, r.proj), s.m), nil
+}
+
+// emptyEverywhere reports whether spec selects no row of any geometry:
+// an inverted pk range, or a filter no row can match.
+func emptyEverywhere(spec Spec) bool {
+	return spec.EndPK != 0 && spec.EndPK < spec.StartPK || spec.Filter.Unsatisfiable()
 }
 
 // remoteRuns reads the runs of one spans stream, reopening at the
@@ -226,8 +338,12 @@ type remoteRuns struct {
 
 	body   io.ReadCloser
 	dec    *spanDecoder
-	digest string // summary digest pinned by the geometry (or first) response
+	digest string // summary digest of the scan's geometry, which every stream must carry
 	fails  int
+	// unconfirmed holds while the geometry is a remembered one whose
+	// digest no stream has carried yet; stale records that the first
+	// stream carried another digest instead, or the member refused it.
+	unconfirmed, stale bool
 
 	// member is the fleet member serving the open stream; openedAt and
 	// rowsRead feed its rows/s EWMA when the stream ends well.
@@ -338,16 +454,34 @@ func (f *remoteRuns) openOn(ctx context.Context, member *resilience.Member, abs 
 	}
 	if resp.StatusCode != http.StatusOK {
 		defer resp.Body.Close()
-		return statusError(resp)
+		err := statusError(resp)
+		if f.unconfirmed && errors.Is(err, ErrSpec) {
+			// The member refused the range or table the remembered geometry
+			// asked for — say the table shrank. That is the memory's fault
+			// until the fleet's own geometry says otherwise: the scan plans
+			// again, and the fetched plan reports any error that stays.
+			f.stale = true
+			return nil
+		}
+		return err
 	}
-	if d := resp.Header.Get(headerDigest); d != "" {
-		if f.digest == "" {
-			f.digest = d
-		} else if f.digest != d {
+	if d := resp.Header.Get(headerDigest); d != "" && d != f.digest {
+		switch {
+		case f.digest == "":
+			f.digest = d // the geometry named no summary: the first stream pins one
+		case f.unconfirmed:
+			// The member answered well, for another summary than the
+			// remembered geometry's: the memory is stale, not the member
+			// at fault. The scan plans again.
+			resp.Body.Close()
+			f.stale = true
+			return nil
+		default:
 			resp.Body.Close()
 			return fmt.Errorf("scan: fleet member serves summary %.12s…, scan started on %.12s… — cannot splice", d, f.digest)
 		}
 	}
+	f.unconfirmed = false
 	if f.filterEnc != "" {
 		// A server that predates predicate pushdown ignores filter= and
 		// streams every row — silently wrong results, not an error. The

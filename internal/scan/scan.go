@@ -545,6 +545,12 @@ func newScan(ctx context.Context, r *resolved, f filler, m *backendMetrics) *Sca
 	ctx, sp := trace.Child(ctx, "scan."+m.name,
 		trace.Str("table", r.info.Table),
 		trace.Int("rows", r.hi-r.lo))
+	return spannedScan(ctx, sp, r, f, m)
+}
+
+// spannedScan is newScan for a backend that started the scan's span
+// itself, before its geometry was settled; ctx carries sp.
+func spannedScan(ctx context.Context, sp *trace.Span, r *resolved, f filler, m *backendMetrics) *Scan {
 	// A recycled batch starts empty, so nothing of the scan that used it
 	// last is visible before the first Next.
 	b := batchPool.Get().(*tuplegen.Batch)

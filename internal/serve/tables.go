@@ -8,6 +8,7 @@ import (
 	"io"
 	"log/slog"
 	"net/http"
+	"net/url"
 	"strconv"
 	"strings"
 	"time"
@@ -53,7 +54,8 @@ const maxQueryBatchRows = 8 * matgen.DefaultBatchRows
 // With info=1 it answers the stream's geometry as JSON instead — how a
 // client plans resume offsets without generating anything.
 func (s *Server) handleTable(w http.ResponseWriter, r *http.Request) {
-	opts, err := streamOptionsFromQuery(r)
+	q := r.URL.Query()
+	opts, err := streamOptionsFromQuery(r.PathValue("table"), q)
 	if err != nil {
 		if errors.Is(err, matgen.ErrFilter) {
 			s.rejectFilter(w, err)
@@ -90,7 +92,7 @@ func (s *Server) handleTable(w http.ResponseWriter, r *http.Request) {
 	if !opts.Filter.Empty() {
 		w.Header().Set(HeaderFilter, opts.Filter.Encode())
 	}
-	if r.URL.Query().Get("info") == "1" {
+	if q.Get("info") == "1" {
 		writeJSON(w, http.StatusOK, info)
 		return
 	}
@@ -199,13 +201,12 @@ func (s *Server) logStream(r *http.Request, info *matgen.StreamReport, bytes int
 	s.opts.Logger.Info("stream complete", attrs...)
 }
 
-// streamOptionsFromQuery maps the endpoint's query parameters onto
-// matgen.StreamOptions. Validation beyond syntax lives in matgen, which
-// tags client mistakes with ErrStream.
-func streamOptionsFromQuery(r *http.Request) (*matgen.StreamOptions, error) {
-	q := r.URL.Query()
+// streamOptionsFromQuery maps the endpoint's table and query parameters
+// onto matgen.StreamOptions. Validation beyond syntax lives in matgen,
+// which tags client mistakes with ErrStream.
+func streamOptionsFromQuery(table string, q url.Values) (*matgen.StreamOptions, error) {
 	opts := &matgen.StreamOptions{
-		Table:    r.PathValue("table"),
+		Table:    table,
 		Format:   q.Get("format"),
 		Compress: q.Get("compress"),
 		FKSpread: q.Get("fkspread") == "1",
@@ -236,10 +237,15 @@ func streamOptionsFromQuery(r *http.Request) (*matgen.StreamOptions, error) {
 	if opts.Shard, opts.Shards, err = parseShard(q.Get("shard")); err != nil {
 		return nil, err
 	}
-	for name, dst := range map[string]*int64{"offset": &opts.Offset, "limit": &opts.Limit} {
-		if v := q.Get(name); v != "" {
-			if *dst, err = strconv.ParseInt(v, 10, 64); err != nil {
-				return nil, fmt.Errorf("%s: %v", name, err)
+	// In a fixed order, so a query with both malformed always gets the
+	// same answer.
+	for _, p := range [...]struct {
+		name string
+		dst  *int64
+	}{{"offset", &opts.Offset}, {"limit", &opts.Limit}} {
+		if v := q.Get(p.name); v != "" {
+			if *p.dst, err = strconv.ParseInt(v, 10, 64); err != nil {
+				return nil, fmt.Errorf("%s: %v", p.name, err)
 			}
 		}
 	}

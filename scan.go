@@ -51,7 +51,9 @@ type (
 	// RemoteSource scans a `hydra serve` fleet: it reads the summary's
 	// runs (format=spans) with the filter pushed to the server, projects
 	// client-side as it fills batches, resumes at the exact row on a
-	// torn stream, and fails over across members.
+	// torn stream, and fails over across members. It remembers each
+	// table's geometry and checks it against the summary digest every
+	// stream carries, so a scan of a table it has seen is one request.
 	RemoteSource = scan.RemoteSource
 	// RemoteSourceOptions tunes a RemoteSource.
 	RemoteSourceOptions = scan.RemoteOptions
@@ -98,7 +100,10 @@ func OpenDirSource(dir string) (*DirSource, error) { return scan.OpenDir(dir) }
 // (format=spans; the filter is evaluated server-side, the projection
 // while filling batches client-side), resume at the exact row offset on
 // failure, and fail over across members — which must all serve the same
-// summary digest.
+// summary digest. A table's geometry (columns, row count) is remembered
+// from the fleet's last answer for it and checked against the digest of
+// each scan's stream; when the fleet has moved to another summary, the
+// scan fetches the geometry again before it reads a row.
 func NewRemoteSource(servers []string, opts RemoteSourceOptions) (*RemoteSource, error) {
 	return scan.NewRemoteSource(servers, opts)
 }
