@@ -23,6 +23,8 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"runtime"
 	"sync"
 	"testing"
@@ -328,7 +330,9 @@ func BenchmarkServeStream(b *testing.B) {
 // checksum is verified by the first scan only), and a loopback serve
 // fleet (stream + decode). rows/s is the
 // figure of merit; the summary backend is the ceiling the readers are
-// chasing.
+// chasing. dir-read is the layer below dir: the same csv part read
+// whole with no decode, the ceiling any decoder of it could reach, so
+// dir ÷ dir-read is the decoder's ratio to its I/O.
 func BenchmarkScan(b *testing.B) {
 	e := getEnv(b)
 	res, err := hydra.Regenerate(e.schema, e.wls, hydra.Config{})
@@ -400,6 +404,42 @@ func BenchmarkScan(b *testing.B) {
 			b.ReportMetric(float64(tc.want)*float64(b.N)/b.Elapsed().Seconds(), "rows/s")
 		})
 	}
+
+	// A sequential read(2) of the part dir decodes, into one reused
+	// buffer the size of the dir backend's read buffer (256 KiB); rows/s
+	// counts the part's rows.
+	b.Run("dir-read", func(b *testing.B) {
+		part := filepath.Join(dir, table+".csv")
+		st, err := os.Stat(part)
+		if err != nil {
+			b.Fatal(err)
+		}
+		buf := make([]byte, 1<<18)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			f, err := os.Open(part)
+			if err != nil {
+				b.Fatal(err)
+			}
+			var got int64
+			for {
+				n, err := f.Read(buf)
+				got += int64(n)
+				if err == io.EOF {
+					break
+				}
+				if err != nil {
+					b.Fatal(err)
+				}
+			}
+			f.Close()
+			if got != st.Size() {
+				b.Fatalf("read %d bytes of a %d-byte part", got, st.Size())
+			}
+		}
+		b.ReportMetric(float64(rows)*float64(b.N)/b.Elapsed().Seconds(), "rows/s")
+	})
 
 	// Predicate pushdown's payoff: a ~0.1%-selectivity pk-range filter
 	// over the summary backend. The span filter slices the range by

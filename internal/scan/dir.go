@@ -72,10 +72,11 @@ var (
 //
 // Rows are read a run at a time, the mirror image of how every encoder
 // writes a summary run: a constant tail stamped with an incrementing pk.
-// A run's first row is parsed cell by cell; each following row is
-// accepted with one compare against the bytes the encoder writes next
+// A run's first row is parsed cell by cell; the following rows are
+// accepted by comparing them with the bytes the encoder writes next
 // (the pk plus one, in canonical decimal or little-endian for heap, and
-// the same tail), so the result is exactly a row-at-a-time decode, and a
+// the same tail) — csv and jsonl ten lines per compare once a run is
+// under way — so the result is exactly a row-at-a-time decode, and a
 // row that differs is parsed in full as the first of the next run. A
 // layout without the pk forms runs of byte-identical rows only; a spans
 // part's frames are its runs. A spread-FK part, whose FKs change every
@@ -676,10 +677,13 @@ func (t *runTemplate) span(n int64) *tuplegen.Span {
 // --- csv and jsonl ---
 
 // lineRuns reads a csv or jsonl part a run at a time. A run's first row
-// is parsed cell by cell; every row after it is accepted with one
-// compare against pred, the line the encoder writes next in a run. The
-// first byte that differs ends the run, and that line is parsed in full
-// as the first row of the next one (pace decides when a part of
+// is parsed cell by cell; the rows after it are accepted against pred,
+// the lines the encoder writes next in a run, straight out of the read
+// buffer's window: one line per compare until the run has accepted one,
+// then, from each pk that ends in 0, ten lines per compare. The first
+// byte that differs ends the run — a block that differs is walked again
+// a line at a time to find the exact last row — and that line is parsed
+// in full as the first row of the next run (pace decides when a part of
 // single-row runs is worth predicting again).
 type lineRuns struct {
 	runTemplate
@@ -715,8 +719,9 @@ func (l *lineRuns) run(max int64) (*tuplegen.Span, error) {
 
 // extend accepts the lines after a run's first, line (its pk's digits at
 // line[lo:hi], lo < 0 without a pk), that are byte for byte what the
-// encoder writes next, one compare each, and returns the run's length:
-// at most max rows in all.
+// encoder writes next, and returns the run's length: at most max rows in
+// all. It walks the read buffer's window in place and hands the accepted
+// bytes back once per refill and once at the end.
 //
 //hydra:hotpath
 func (l *lineRuns) extend(line []byte, lo, hi int, max int64) int64 {
@@ -728,15 +733,36 @@ func (l *lineRuns) extend(line []byte, lo, hi int, max int64) int64 {
 		pk = l.row[l.pkCol]
 	}
 	l.pred.set(line, lo, hi, pk)
-	n := int64(1)
+	win, _ := l.br.Peek(l.br.Buffered())
+	off, n := 0, int64(1)
 	for n < max && l.pred.step() {
-		b, err := l.br.Peek(len(l.pred.b))
-		if err != nil || !bytes.Equal(b, l.pred.b) {
+		b := l.pred.b
+		// Past the run's first predicted line, ten lines at once where
+		// all ten fit the cap and the window.
+		if n > 1 && max-n >= blockRows && len(win)-off >= blockRows*len(b) && l.pred.blockStart() {
+			if blk := l.pred.block(); bytes.Equal(win[off:off+len(blk)], blk) {
+				off += len(blk)
+				n += blockRows
+				l.pred.endBlock()
+				continue
+			}
+			// One of the ten differs: the lines below find which.
+		}
+		if len(win)-off < len(b) {
+			l.br.Discard(off)
+			off = 0
+			if _, err := l.br.Peek(len(b)); err != nil {
+				break
+			}
+			win, _ = l.br.Peek(l.br.Buffered())
+		}
+		if !bytes.Equal(win[off:off+len(b)], b) {
 			break
 		}
-		l.br.Discard(len(b))
+		off += len(b)
 		n++
 	}
+	l.br.Discard(off)
 	l.pace.record(n)
 	return n
 }
@@ -766,14 +792,22 @@ func skipLines(br *bufio.Reader, k int64) error {
 	return nil
 }
 
+// blockRows is how many predicted lines extend checks with one compare.
+const blockRows = 10
+
 // predicted is the line an encoder writes after the last one a run
 // accepted: the pk in canonical decimal between the other cells, its
 // digits stepped in place the way matgen's pkWriter stamps a run —
-// never re-formatted per row.
+// never re-formatted per row — and, built the first time a run reaches
+// a pk that ends in 0, the block of that line and the nine after it.
 type predicted struct {
 	b      []byte // the line
 	lo, hi int    // b[lo:hi] are the pk's digits; lo < 0: no pk, the line repeats as is
 	pk     int64  // the value b[lo:hi] spells
+	// blk is blockRows lines from a pk ending in 0 on (the last digit
+	// 0 to 9), empty until this run needs it; between blocks of a run only
+	// the pk's leading digits are patched. It is allocated with b.
+	blk []byte
 }
 
 // set predicts the lines after line, whose pk, parsed from line[lo:hi],
@@ -783,6 +817,15 @@ type predicted struct {
 // ("+7", "007") is re-spelled first.
 func (p *predicted) set(line []byte, lo, hi int, pk int64) {
 	p.lo, p.hi, p.pk = lo, hi, pk
+	// A fresh allocation holds the line, room for its pk to grow to the
+	// longest int64, and the block; the canonical spelling is never
+	// longer than the parsed one.
+	if cap(p.b) < len(line) {
+		w := len(line) + len("9223372036854775807")
+		mem := make([]byte, (1+blockRows)*w)
+		p.b, p.blk = mem[:0:w], mem[w:w]
+	}
+	p.blk = p.blk[:0]
 	if lo < 0 || canonical(line[lo:hi]) {
 		p.b = append(p.b[:0], line...)
 		return
@@ -824,6 +867,50 @@ func (p *predicted) step() bool {
 	p.b[p.lo] = '1'
 	p.hi++
 	return true
+}
+
+// blockStart reports whether b starts a block: in a layout without a pk
+// always, otherwise when the pk ends in 0 and the block's last pk does
+// not pass math.MaxInt64.
+func (p *predicted) blockStart() bool {
+	return p.lo < 0 || p.b[p.hi-1] == '0' && p.pk <= math.MaxInt64-(blockRows-1)
+}
+
+// block returns b and the blockRows-1 lines after it, as one slice: built
+// once per run and again when the pk gains a digit, otherwise patched
+// from the first pk digit that changed since the last block.
+//
+//hydra:hotpath
+func (p *predicted) block() []byte {
+	w := len(p.b)
+	if len(p.blk) != blockRows*w {
+		p.blk = p.blk[:0]
+		for i := range blockRows {
+			p.blk = append(p.blk, p.b...)
+			if p.lo >= 0 {
+				p.blk[i*w+p.hi-1] = '0' + byte(i)
+			}
+		}
+		return p.blk
+	}
+	for k := p.lo; k >= 0 && k < p.hi-1; k++ { // lo < 0: nothing to patch
+		if p.blk[k] != p.b[k] {
+			for at := 0; at < len(p.blk); at += w {
+				copy(p.blk[at+k:at+p.hi-1], p.b[k:p.hi-1])
+			}
+			break
+		}
+	}
+	return p.blk
+}
+
+// endBlock moves the prediction to the block's last line, as if step
+// had been called blockRows-1 times.
+func (p *predicted) endBlock() {
+	if p.lo >= 0 {
+		p.b[p.hi-1] = '0' + blockRows - 1
+		p.pk += blockRows - 1
+	}
 }
 
 // parseCSV decodes one line straight out of the read buffer — no line

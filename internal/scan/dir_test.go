@@ -289,10 +289,12 @@ func TestCSVReaderAllocs(t *testing.T) {
 	}
 }
 
-// TestDirRuns: the decoders do form runs — one compare per row where
-// the bytes are what the encoder writes next, including across a pk
-// that gains a digit and across the read buffer's edge — and every
-// other spelling of a row reads correctly as a run of its own.
+// TestDirRuns: the decoders do form runs — accepting the rows whose
+// bytes are what the encoder writes next, a line per compare and, for
+// csv and jsonl once a run is under way, ten from each pk that ends in
+// 0, including across a pk that gains a digit and across the read
+// buffer's edge — and every other spelling of a row reads correctly as
+// a run of its own.
 func TestDirRuns(t *testing.T) {
 	seq := func(from, to int, line string) string {
 		var sb strings.Builder
@@ -341,6 +343,14 @@ func TestDirRuns(t *testing.T) {
 		{"one-byte tail difference", "csv", "1,5\n2,5\n3,6\n4,6\n", 2, 0, 4096, []int64{2, 2}},
 		{"pk skips", "csv", "1,5\n3,5\n4,5\n5,5\n", 2, 0, 4096, []int64{1, 1, 2}},
 		{"buffer edge", "csv", seq(1, 300, "%d,5,6\n"), 3, 0, 16, []int64{300}},
+		// Ten lines per compare from each pk ending in 0: across new pk
+		// digits and the window's edge, and a block that repeats the
+		// last one in place of the next ends the run where a line would.
+		{"ten lines per compare", "csv", seq(1, 1005, "%d,5,6\n"), 3, 0, 4096, []int64{1005}},
+		{"a block where the next should be", "csv", seq(1, 19, "%d,5\n") + seq(10, 19, "%d,5\n"), 2, 0, 4096, []int64{19, 10}},
+		{"largest pks", "csv", largestPKs("%d,5\n", 25), 2, 0, 4096, []int64{26}},
+		{"no pk, ten lines per compare", "csv", strings.Repeat("5,6\n", 45) + "5,7\n", 2, -1, 4096, []int64{45, 1}},
+		{"jsonl ten lines per compare", "jsonl", seq(95, 130, `{"c0":-1,"T_pk":%d,"c2":5}`+"\n"), 3, 1, 4096, []int64{36}},
 		{"pk in the middle", "csv", seq(8, 12, "5,%d,6\n"), 3, 1, 4096, []int64{5}},
 		{"no pk", "csv", "5,6\n5,6\n5,6\n5,7\n", 2, -1, 4096, []int64{3, 1}},
 		{"jsonl", "jsonl", seq(8, 12, `{"T_pk":%d,"c1":5}`+"\n"), 2, 0, 4096, []int64{5}},
@@ -405,6 +415,15 @@ func TestPacer(t *testing.T) {
 	}
 }
 
+// largestPKs formats line for the k+1 pks up to math.MaxInt64.
+func largestPKs(line string, k int64) string {
+	var sb strings.Builder
+	for pk := math.MaxInt64 - k; pk > 0; pk++ { // stops where pk wraps
+		fmt.Fprintf(&sb, line, pk)
+	}
+	return sb.String()
+}
+
 func seqInts(from, to int64) []int64 {
 	var out []int64
 	for v := from; v < to; v++ {
@@ -463,6 +482,8 @@ func dirDecodeSeeds(t testing.TB) []dirDecodeSeed {
 	}
 	seeds = append(seeds, dirDecodeSeed{data: []byte(sb.String()), pk: 1, ncols: 2, buf: 0})
 
+	seeds = append(seeds, blockEdgeSeeds()...)
+
 	// A layout of three columns leaves padding at the end of every heap page.
 	perPage, _ := storage.RowsPerPage(3)
 	var heap []byte
@@ -496,6 +517,70 @@ func dirDecodeSeeds(t testing.TB) []dirDecodeSeed {
 		}
 		seeds = append(seeds, dirDecodeSeed{data: data, format: uint8(code), pk: 1, ncols: 1, header: format == "csv", buf: 100})
 	}
+	return seeds
+}
+
+// blockEdgeSeeds are runs long enough for the line decoders to check
+// ten lines per compare, in csv and jsonl with the pk first and in the
+// middle of three columns: runs across 9→10, 99→100 and 9 999→10 000
+// whole; each with one byte flipped in the first, middle or last line
+// of a block (the block just past the pk's new digit), on the pk's last
+// digit or on the newline; capped at 9, 10, 11, 19 and 20 rows a run;
+// and read through buffers shorter than ten lines, and than twenty.
+// The rest read through a 4 KiB buffer, room for many blocks.
+func blockEdgeSeeds() []dirDecodeSeed {
+	var seeds []dirDecodeSeed
+	for format, lines := range [][2]string{
+		{"%d,5,-6\n", "5,%d,-6\n"},
+		{`{"T_pk":%d,"c1":5,"c2":-6}` + "\n", `{"c0":5,"T_pk":%d,"c2":-6}` + "\n"},
+	} {
+		for pkCol, line := range lines {
+			for _, r := range []struct{ from, to, block int }{{1, 65, 10}, {85, 150, 100}, {9985, 10050, 10000}} {
+				var data []byte
+				at := map[int]int{} // pk → offset of its line
+				for pk := r.from; pk <= r.to; pk++ {
+					at[pk] = len(data)
+					data = fmt.Appendf(data, line, pk)
+				}
+				seed := dirDecodeSeed{data: data, format: uint8(format), pk: uint8(pkCol + 1), ncols: 2, buf: 4080}
+				seeds = append(seeds, seed)
+				for _, maxRun := range []uint8{9, 10, 11, 19, 20} {
+					capped := seed
+					capped.maxRun = maxRun
+					seeds = append(seeds, capped)
+				}
+				for _, buf := range []uint16{40, 150} {
+					short := seed
+					short.buf = buf
+					seeds = append(seeds, short)
+				}
+				for _, pk := range []int{r.block, r.block + 5, r.block + 9} {
+					digits := strconv.Itoa(pk)
+					lineAt := at[pk]
+					for _, i := range []int{
+						lineAt + bytes.Index(data[lineAt:], []byte(digits)) + len(digits) - 1, // the pk's last digit
+						lineAt + bytes.IndexByte(data[lineAt:], '\n'),
+					} {
+						flipped := seed
+						flipped.data = slices.Clone(data)
+						flipped.data[i] ^= 1
+						seeds = append(seeds, flipped)
+					}
+				}
+			}
+		}
+	}
+	// A block repeated where the next belongs, and a block that would
+	// run past math.MaxInt64 into lines the reference refuses.
+	var repeated []byte
+	for _, r := range [][2]int{{1, 19}, {10, 19}, {30, 45}} {
+		for pk := r[0]; pk <= r[1]; pk++ {
+			repeated = fmt.Appendf(repeated, "%d,5\n", pk)
+		}
+	}
+	seeds = append(seeds,
+		dirDecodeSeed{data: repeated, pk: 1, ncols: 1, buf: 4080},
+		dirDecodeSeed{data: []byte(largestPKs("%d,5\n", 35) + "9223372036854775808,5\n9223372036854775809,5\n"), pk: 1, ncols: 1, buf: 4080})
 	return seeds
 }
 
