@@ -65,7 +65,40 @@ func (*wordArith) sign(a wordRat) int         { return cmp.Compare(a.num, 0) }
 func (k *wordArith) add(a, b wordRat) wordRat { return k.addSub(a, b, addOK) }
 func (k *wordArith) sub(a, b wordRat) wordRat { return k.addSub(a, b, subOK) }
 
-func (k *wordArith) subMul(a, f, p wordRat) wordRat { return k.addSub(a, k.mul(f, p), subOK) }
+// smallBound bounds the operands of subMul's unchecked path: every
+// numerator in [-smallBound, smallBound] and every denominator in
+// [1, smallBound). Then each of the triple products a.num·f.den·p.den,
+// f.num·p.num·a.den and a.den·f.den·p.den is at most 2²⁰·2²⁰·2²⁰ = 2⁶⁰ in
+// magnitude, their difference at most 2⁶¹, and nothing overflows int64.
+const smallBound = 1 << 20
+
+// mag is |v| for v ≥ 0 and |v|−1 for v < 0: one's-complement magnitude,
+// so mag(v) < smallBound iff -smallBound ≤ v < smallBound.
+func mag(v int64) uint64 { return uint64(v ^ v>>63) }
+
+// subMul is a − f·p. Operands within smallBound (nearly all of them on
+// Hydra's 0/1 systems) are combined over the common denominator with plain
+// multiplies and reduced by one gcd, which yields the same lowest-terms
+// result as the checked path that everything else takes.
+//
+//hydra:hotpath
+func (k *wordArith) subMul(a, f, p wordRat) wordRat {
+	if mag(a.num)|mag(f.num)|mag(p.num)|uint64(a.den|f.den|p.den) >= smallBound {
+		return k.addSub(a, k.mul(f, p), subOK)
+	}
+	if a.den|f.den|p.den == 1 {
+		return wordRat{a.num - f.num*p.num, 1}
+	}
+	n := a.num*f.den*p.den - f.num*p.num*a.den
+	if n == 0 {
+		return wordRat{0, 1}
+	}
+	d := a.den * f.den * p.den
+	if g := int64(gcd64(abs64(n), uint64(d))); g != 1 {
+		n, d = n/g, d/g
+	}
+	return wordRat{n, d}
+}
 
 // addSub computes a op b for op ∈ {addOK, subOK} over the common
 // denominator lcm(a.den, b.den).

@@ -74,30 +74,53 @@ func randomMixed(rng *rand.Rand, feasible bool) *Problem {
 	return p
 }
 
-func TestWordMatchesBigRat(t *testing.T) {
-	rng := rand.New(rand.NewSource(14))
-	verdicts := map[string]int{}
-	for i := 0; i < 600; i++ {
-		p := randomMixed(rng, i%3 != 0)
-		word := &wordArith{}
-		got, gotErr := solveExact(p, word, new([]wordRat))
-		if word.overflow {
-			t.Fatalf("problem %d: single-digit coefficients overflowed the word arithmetic", i)
+// scaleRows multiplies each row of p, right-hand side included, by its own
+// factor in [smallBound, 2·smallBound): the same polytope, but a tableau
+// whose unpivoted rows and reduced costs are past subMul's small path.
+func scaleRows(rng *rand.Rand, p *Problem) {
+	for i := range p.Rows {
+		s := smallBound + rng.Int63n(smallBound)
+		for j := range p.Rows[i].Entries {
+			p.Rows[i].Entries[j].Coef *= s
 		}
-		want, wantErr := SolveBigRat(p)
-		sameOutcome(t, fmt.Sprintf("problem %d", i), got, gotErr, want, wantErr)
-		var inf *Infeasible
-		switch {
-		case wantErr == nil:
-			verdicts["solved"]++
-		case errors.As(wantErr, &inf):
-			verdicts["infeasible"]++
-		default:
-			verdicts["unbounded"]++
-		}
+		p.Rows[i].RHS *= s
 	}
-	if verdicts["solved"] < 100 || verdicts["infeasible"] < 100 {
-		t.Fatalf("generator is lopsided: %v", verdicts)
+}
+
+func TestWordMatchesBigRat(t *testing.T) {
+	for _, arm := range []struct {
+		name   string
+		scaled bool
+	}{{"single-digit", false}, {"rows scaled past the small path", true}} {
+		t.Run(arm.name, func(t *testing.T) {
+			rng := rand.New(rand.NewSource(14))
+			verdicts := map[string]int{}
+			for i := 0; i < 600; i++ {
+				p := randomMixed(rng, i%3 != 0)
+				if arm.scaled {
+					scaleRows(rng, p)
+				}
+				word := &wordArith{}
+				got, gotErr := solveExact(p, word, new([]wordRat))
+				if word.overflow {
+					t.Fatalf("problem %d overflowed the word arithmetic", i)
+				}
+				want, wantErr := SolveBigRat(p)
+				sameOutcome(t, fmt.Sprintf("problem %d", i), got, gotErr, want, wantErr)
+				var inf *Infeasible
+				switch {
+				case wantErr == nil:
+					verdicts["solved"]++
+				case errors.As(wantErr, &inf):
+					verdicts["infeasible"]++
+				default:
+					verdicts["unbounded"]++
+				}
+			}
+			if verdicts["solved"] < 100 || verdicts["infeasible"] < 100 {
+				t.Fatalf("generator is lopsided: %v", verdicts)
+			}
+		})
 	}
 }
 
@@ -237,6 +260,88 @@ func TestWordArithEdges(t *testing.T) {
 	if k.overflow {
 		t.Error("cmp latched overflow")
 	}
+}
+
+// wordOf converts r to a wordRat, reporting false when a part does not fit
+// int64.
+func wordOf(r *big.Rat) (wordRat, bool) {
+	if !r.Num().IsInt64() || !r.Denom().IsInt64() {
+		return wordRat{}, false
+	}
+	return wordRat{r.Num().Int64(), r.Denom().Int64()}, true
+}
+
+// FuzzWordArith checks each wordArith operation against math/big: the
+// result is the exact rational in lowest terms, or overflow is latched. It
+// also checks that subMul's small path returns what the checked path it
+// bypasses returns, overflow included. An input is three (num, den) pairs,
+// normalized to lowest terms with den > 0 (den 0 reads as 1); a pair that
+// does not fit a wordRat then (MinInt64/-1) is skipped.
+func FuzzWordArith(f *testing.F) {
+	const b, min, max = smallBound, math.MinInt64, math.MaxInt64
+	for _, s := range [][6]int64{
+		{b - 1, 1, b - 1, 1, b - 1, 1}, // integers at the small path's edge
+		{-b, 1, -b, 1, -b, 1},          // -B still takes the small path
+		{-(b - 1), 1, b - 1, 1, -(b - 1), 1},
+		{b, 1, 1, 1, 1, 1}, // +B takes the checked path
+		{1, 1, -b - 1, 1, 1, 1},
+		{1, b - 1, 1, b - 1, -1, b - 1}, // largest small denominators
+		{b - 1, b - 2, -(b - 3), b - 1, b - 5, b - 2},
+		{1, b, 1, 1, 1, 1}, // denominator B: checked
+		{1, 3, 1, 2, 1, b},
+		{6, 35, 2, 5, 3, 7},         // cancels to 0 on the small path
+		{6 * b, 35, 2 * b, 5, 3, 7}, // cancels to 0 on the checked path
+		{1, 6, 1, 2, 1, 3},          // cancels to 0 over a common denominator
+		{min, 1, 1, 1, 1, 1},
+		{min + 1, 1, -1, 1, 1, 1},
+		{min, 1, min, -1, 1, 1}, // MinInt64/-1 does not fit: skipped
+		{max, 1, -1, 1, 1, 1},
+		{max, 1, 1, max, max, 1},
+		{1, max, 1, max - 1, 1, max - 2},
+		{min + 1, max, max, min + 1, max - 1, 1},
+		{0, 0, 0, 0, 0, 0},
+	} {
+		f.Add(s[0], s[1], s[2], s[3], s[4], s[5])
+	}
+	f.Fuzz(func(t *testing.T, an, ad, fn, fd, pn, pd int64) {
+		var w [3]wordRat
+		var r [3]*big.Rat
+		for i, nd := range [3][2]int64{{an, ad}, {fn, fd}, {pn, pd}} {
+			if nd[1] == 0 {
+				nd[1] = 1
+			}
+			r[i] = big.NewRat(nd[0], nd[1])
+			var ok bool
+			if w[i], ok = wordOf(r[i]); !ok {
+				t.Skip()
+			}
+		}
+		a, fr, p := w[0], w[1], w[2]
+		check := func(name string, op func(k *wordArith) wordRat, want *big.Rat) {
+			k := &wordArith{}
+			got := op(k)
+			if k.overflow {
+				return
+			}
+			if ww, ok := wordOf(want); !ok || got != ww {
+				t.Fatalf("%s(%v, %v, %v) = %v, want %v", name, a, fr, p, got, want)
+			}
+		}
+		prod := new(big.Rat).Mul(r[1], r[2])
+		check("subMul", func(k *wordArith) wordRat { return k.subMul(a, fr, p) }, prod.Sub(r[0], prod))
+		check("add", func(k *wordArith) wordRat { return k.add(a, fr) }, new(big.Rat).Add(r[0], r[1]))
+		check("sub", func(k *wordArith) wordRat { return k.sub(a, fr) }, new(big.Rat).Sub(r[0], r[1]))
+		check("mul", func(k *wordArith) wordRat { return k.mul(a, fr) }, new(big.Rat).Mul(r[0], r[1]))
+		if fr.num != 0 {
+			check("quo", func(k *wordArith) wordRat { return k.quo(a, fr) }, new(big.Rat).Quo(r[0], r[1]))
+		}
+		small, checked := &wordArith{}, &wordArith{}
+		got, want := small.subMul(a, fr, p), checked.addSub(a, checked.mul(fr, p), subOK)
+		if got != want || small.overflow != checked.overflow {
+			t.Fatalf("subMul(%v, %v, %v) = %v overflow=%v, checked path %v overflow=%v",
+				a, fr, p, got, small.overflow, want, checked.overflow)
+		}
+	})
 }
 
 // problemFromBytes decodes fuzzer input into a small problem: a header of

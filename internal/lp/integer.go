@@ -24,13 +24,14 @@ const (
 // autoRatCells is the tableau-size threshold (rows × columns) below which
 // Auto uses the exact rational backend directly. On a Hydra-shaped 0/1
 // system (BenchmarkAblation_RationalVsFloat) an exact solve on word-sized
-// rationals costs about 1.6× a float64 one, and about 27× if it has to fall
-// back to math/big; where vertices are fractional and every entry carries a
-// denominator (BenchmarkSolveExact) the word path is still about 5× faster
-// than math/big. The threshold predates the word path and is kept because
-// moving it changes which backend solves which LP, and with that the
-// vertices and every summary digest; larger systems run in float64 and
-// every integer answer is re-verified exactly before acceptance.
+// rationals costs about 2.2× a float64 one, and about 17× that if it has
+// to fall back to math/big; where vertices are fractional and every entry
+// carries a denominator (BenchmarkSolveExact) the word path is about 20×
+// faster than math/big (medians of five runs on a 2-vCPU x86-64 VM). The
+// threshold predates the word path and is kept because moving it changes
+// which backend solves which LP, and with that the vertices and every
+// summary digest; larger systems run in float64 and every integer answer
+// is re-verified exactly before acceptance.
 const autoRatCells = 20_000
 
 // IntOptions configures SolveInteger.
@@ -124,6 +125,19 @@ func fractionalVar(x []*big.Rat) (int, *big.Rat) {
 	return bestIdx, x[bestIdx]
 }
 
+// firstFraction returns the first component of an exact vertex that is not
+// an integer, or -1. fractionalVar misses fractions below float64's
+// resolution (any fraction of a value past 2⁵³); an exact vertex that
+// fails to round into a solution branches on one of those instead.
+func firstFraction(x []*big.Rat) (int, *big.Rat) {
+	for i, v := range x {
+		if !v.IsInt() {
+			return i, v
+		}
+	}
+	return -1, nil
+}
+
 // RoundSolution rounds a rational vector to the nearest non-negative
 // integers.
 func RoundSolution(x []*big.Rat) []int64 {
@@ -204,20 +218,26 @@ func SolveInteger(p *Problem, opts IntOptions) (*IntSolution, error) {
 				rsol, rerr := solveRational(sub, ws)
 				if rerr == nil {
 					pivots += rsol.Pivots
-					if ridx, rval := fractionalVar(rsol.X); ridx == -1 {
+					ridx, rval := fractionalVar(rsol.X)
+					if ridx == -1 {
 						rx := RoundSolution(rsol.X)
 						if p.CheckInt(rx) == "" {
 							full := expand(rx)
 							return &IntSolution{X: full, Nodes: nodes, Pivots: pivots, Exact: orig.CheckInt(full) == ""}, nil
 						}
-					} else {
+						ridx, rval = firstFraction(rsol.X)
+					}
+					if ridx != -1 {
 						stack = pushBranches(stack, extra, ridx, rval)
 						continue
 					}
 				}
 				lastRounded = x
 				continue
-			} else {
+			} else if idx, val = firstFraction(sol.X); backend != Rational || idx == -1 {
+				// An exact vertex that does not round has a fraction
+				// too small for fractionalVar: branch on it below. A
+				// float vertex's fractions are noise.
 				lastRounded = x
 				continue
 			}

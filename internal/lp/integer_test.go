@@ -69,3 +69,22 @@ func TestSolveIntegerRandomPinned(t *testing.T) {
 		t.Errorf("outcome digest %s, want %s", got, want)
 	}
 }
+
+// TestSolveIntegerBranchesBelowFloatResolution solves 2x0 + 2x1 + x2 =
+// 4·10¹⁷ + 1, whose relaxation puts the merged twin column at 2·10¹⁷ + ½:
+// a fraction float64 cannot see. The exact solve (directly, or as the
+// float backend's escalation) must branch on it rather than drop the node.
+func TestSolveIntegerBranchesBelowFloatResolution(t *testing.T) {
+	const rhs = 4e17 + 1
+	p := &Problem{NumVars: 3}
+	p.AddRow(Row{Entries: []Entry{{0, 2}, {1, 2}, {2, 1}}, Rel: EQ, RHS: rhs, Name: "r"})
+	for _, b := range []Backend{Auto, Rational, Float} {
+		sol, err := SolveInteger(p, IntOptions{Backend: b})
+		if err != nil {
+			t.Fatalf("backend %d: %s", b, intOutcome(sol, err))
+		}
+		if !sol.Exact || 2*sol.X[0]+2*sol.X[1]+sol.X[2] != rhs {
+			t.Fatalf("backend %d: %s", b, intOutcome(sol, err))
+		}
+	}
+}
