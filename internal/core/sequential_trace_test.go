@@ -1,0 +1,32 @@
+package core
+
+import (
+	"errors"
+	"testing"
+	"time"
+
+	"github.com/dsl-repro/hydra/internal/lp"
+)
+
+// TestGroupTrace: a HYDRA_TRACE group line carries the group's
+// branch-and-bound nodes and pivots and its time to the microsecond, so
+// a sub-millisecond solve does not read as 0s.
+func TestGroupTrace(t *testing.T) {
+	for _, tc := range []struct {
+		sol  *lp.IntSolution
+		err  error
+		d    time.Duration
+		want string
+	}{
+		{&lp.IntSolution{Exact: true, Nodes: 3, Pivots: 41}, nil, 532*time.Microsecond + 400,
+			"[hydra-trace] view=R pass=1 group=2 members=3 vars=40 nodes=3 pivots=41 ok in 532µs"},
+		{&lp.IntSolution{Nodes: 4000, Pivots: 9}, nil, 2*time.Second + 1400,
+			"[hydra-trace] view=R pass=1 group=2 members=3 vars=40 nodes=4000 pivots=9 inexact in 2.000001s"},
+		{nil, errors.New("infeasible"), 0,
+			"[hydra-trace] view=R pass=1 group=2 members=3 vars=40 nodes=0 pivots=0 err:infeasible in 0s"},
+	} {
+		if got := groupTrace("R", 1, 2, 3, 40, tc.sol, tc.err, tc.d); got != tc.want {
+			t.Errorf("got  %s\nwant %s", got, tc.want)
+		}
+	}
+}

@@ -277,18 +277,3 @@ func TestReportRawBytes(t *testing.T) {
 		t.Fatalf("manifest RawBytes %d != report %d", m.RawBytes, packed.RawBytes)
 	}
 }
-
-// TestPkWriter exercises the incrementing-decimal writer across digit
-// growth and carry chains.
-func TestPkWriter(t *testing.T) {
-	var p pkWriter
-	for _, start := range []int64{1, 7, 9, 42, 99, 100, 987, 999999999999999998} {
-		p.set(start)
-		for v := start; v < start+1200 && v > 0; v++ {
-			if got := string(p.digits()); got != fmt.Sprint(v) {
-				t.Fatalf("pkWriter at %d = %q", v, got)
-			}
-			p.inc()
-		}
-	}
-}

@@ -150,42 +150,6 @@ func init() {
 	RegisterSink(discardSink{})
 }
 
-// pkWriter emits consecutive decimal integers without per-value strconv:
-// the digits of the current value are kept right-aligned in a small
-// buffer and incremented in place, so stamping a run's primary keys
-// costs one buffer copy plus one digit increment per row.
-type pkWriter struct {
-	buf [20]byte // max int64 has 19 digits; one spare for the carry
-	n   int      // digit count of the current value
-}
-
-//hydra:hotpath
-func (p *pkWriter) set(v int64) {
-	var tmp [20]byte
-	s := strconv.AppendInt(tmp[:0], v, 10)
-	p.n = len(s)
-	// Zero the prefix so a carry past the current width lands on '0'+1.
-	for i := 0; i < len(p.buf)-p.n; i++ {
-		p.buf[i] = '0'
-	}
-	copy(p.buf[len(p.buf)-p.n:], s)
-}
-
-func (p *pkWriter) digits() []byte { return p.buf[len(p.buf)-p.n:] }
-
-//hydra:hotpath
-func (p *pkWriter) inc() {
-	i := len(p.buf) - 1
-	for p.buf[i] == '9' {
-		p.buf[i] = '0'
-		i--
-	}
-	p.buf[i]++
-	if w := len(p.buf) - i; w > p.n {
-		p.n = w
-	}
-}
-
 // --- CSV ---
 
 type csvSink struct{}
@@ -202,8 +166,8 @@ func (csvSink) Header(l Layout) ([]byte, error) {
 func (csvSink) NewEncoder(Layout) Encoder { return &csvEncoder{} }
 
 type csvEncoder struct {
-	pk   pkWriter
-	tail []byte // scratch for the current span's constant column tail
+	lines RunLines
+	tail  []byte // scratch for the current span's constant column tail
 }
 
 func (e *csvEncoder) AppendBatch(dst []byte, b *tuplegen.Batch, _ int64) []byte {
@@ -219,6 +183,9 @@ func (e *csvEncoder) AppendBatch(dst []byte, b *tuplegen.Batch, _ int64) []byte 
 	return dst
 }
 
+// AppendSpan writes a constant-FK run as RunLines' lines, a block of
+// them per append; a spread-FK run steps the same line, the pk and the
+// constant columns, and appends each row's FKs to it.
 func (e *csvEncoder) AppendSpan(dst []byte, sp tuplegen.Span) []byte {
 	t := e.tail[:0]
 	for _, v := range sp.Vals {
@@ -232,19 +199,13 @@ func (e *csvEncoder) AppendSpan(dst []byte, sp tuplegen.Span) []byte {
 		}
 		t = append(t, '\n')
 		e.tail = t
-		e.pk.set(sp.Start)
-		for i := int64(0); i < sp.N; i++ {
-			dst = append(dst, e.pk.digits()...)
-			dst = append(dst, t...)
-			e.pk.inc()
-		}
-		return dst
+		e.lines.Reset(nil, sp.Start, t)
+		return e.lines.AppendRun(dst, sp.N)
 	}
 	e.tail = t
-	e.pk.set(sp.Start)
+	e.lines.Reset(nil, sp.Start, t)
 	for i := int64(0); i < sp.N; i++ {
-		dst = append(dst, e.pk.digits()...)
-		dst = append(dst, t...)
+		dst = append(dst, e.lines.Line()...)
 		for c, fk := range sp.FKs {
 			if span := sp.FKSpans[c]; span > 1 {
 				fk += (sp.Off + i) % span
@@ -253,7 +214,7 @@ func (e *csvEncoder) AppendSpan(dst []byte, sp tuplegen.Span) []byte {
 			dst = strconv.AppendInt(dst, fk, 10)
 		}
 		dst = append(dst, '\n')
-		e.pk.inc()
+		e.lines.Step()
 	}
 	return dst
 }
@@ -276,13 +237,17 @@ func (jsonlSink) NewEncoder(l Layout) Encoder {
 		q, _ := json.Marshal(name)
 		e.keys[c] = append(q, ':')
 	}
+	if len(e.keys) > 0 {
+		e.head = append([]byte{'{'}, e.keys[0]...)
+	}
 	return e
 }
 
 type jsonlEncoder struct {
-	keys [][]byte // quoted column names, each with the trailing ':'
-	pk   pkWriter
-	tail []byte
+	keys  [][]byte // quoted column names, each with the trailing ':'
+	head  []byte   // '{' and the pk's key: what a span's lines start with
+	lines RunLines
+	tail  []byte
 }
 
 func (e *jsonlEncoder) AppendBatch(dst []byte, b *tuplegen.Batch, _ int64) []byte {
@@ -300,6 +265,8 @@ func (e *jsonlEncoder) AppendBatch(dst []byte, b *tuplegen.Batch, _ int64) []byt
 	return dst
 }
 
+// AppendSpan writes a run the way csvEncoder.AppendSpan does, each line
+// an object whose first member is the pk.
 func (e *jsonlEncoder) AppendSpan(dst []byte, sp tuplegen.Span) []byte {
 	t := e.tail[:0]
 	for c, v := range sp.Vals {
@@ -316,23 +283,13 @@ func (e *jsonlEncoder) AppendSpan(dst []byte, sp tuplegen.Span) []byte {
 		}
 		t = append(t, '}', '\n')
 		e.tail = t
-		e.pk.set(sp.Start)
-		for i := int64(0); i < sp.N; i++ {
-			dst = append(dst, '{')
-			dst = append(dst, e.keys[0]...)
-			dst = append(dst, e.pk.digits()...)
-			dst = append(dst, t...)
-			e.pk.inc()
-		}
-		return dst
+		e.lines.Reset(e.head, sp.Start, t)
+		return e.lines.AppendRun(dst, sp.N)
 	}
 	e.tail = t
-	e.pk.set(sp.Start)
+	e.lines.Reset(e.head, sp.Start, t)
 	for i := int64(0); i < sp.N; i++ {
-		dst = append(dst, '{')
-		dst = append(dst, e.keys[0]...)
-		dst = append(dst, e.pk.digits()...)
-		dst = append(dst, t...)
+		dst = append(dst, e.lines.Line()...)
 		for c, fk := range sp.FKs {
 			if span := sp.FKSpans[c]; span > 1 {
 				fk += (sp.Off + i) % span
@@ -342,7 +299,7 @@ func (e *jsonlEncoder) AppendSpan(dst []byte, sp tuplegen.Span) []byte {
 			dst = strconv.AppendInt(dst, fk, 10)
 		}
 		dst = append(dst, '}', '\n')
-		e.pk.inc()
+		e.lines.Step()
 	}
 	return dst
 }
@@ -490,7 +447,7 @@ func (sqlSink) NewEncoder(l Layout) Encoder {
 type sqlEncoder struct {
 	prologue []byte
 	total    int64
-	pk       pkWriter
+	lines    RunLines
 	tail     []byte
 }
 
@@ -521,6 +478,9 @@ func (e *sqlEncoder) AppendBatch(dst []byte, b *tuplegen.Batch, rowOff int64) []
 	return dst
 }
 
+// AppendSpan steps one RunLines line per row — '(', the pk and the
+// constant columns — and appends the row's FKs where they are spread and
+// its terminator.
 func (e *sqlEncoder) AppendSpan(dst []byte, sp tuplegen.Span) []byte {
 	t := e.tail[:0]
 	for _, v := range sp.Vals {
@@ -535,16 +495,14 @@ func (e *sqlEncoder) AppendSpan(dst []byte, sp tuplegen.Span) []byte {
 		}
 	}
 	e.tail = t
-	e.pk.set(sp.Start)
+	e.lines.Reset(sqlOpen, sp.Start, t)
 	rowOff := sp.Start - 1
 	for i := int64(0); i < sp.N; i++ {
 		abs := rowOff + i
 		if abs%sqlRowsPerStmt == 0 {
 			dst = append(dst, e.prologue...)
 		}
-		dst = append(dst, '(')
-		dst = append(dst, e.pk.digits()...)
-		dst = append(dst, t...)
+		dst = append(dst, e.lines.Line()...)
 		if !constFK {
 			for c, fk := range sp.FKs {
 				if span := sp.FKSpans[c]; span > 1 {
@@ -555,10 +513,13 @@ func (e *sqlEncoder) AppendSpan(dst []byte, sp tuplegen.Span) []byte {
 			}
 		}
 		dst = e.appendTerm(dst, abs)
-		e.pk.inc()
+		e.lines.Step()
 	}
 	return dst
 }
+
+// sqlOpen is what every VALUES row starts with.
+var sqlOpen = []byte{'('}
 
 // --- discard ---
 

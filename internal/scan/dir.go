@@ -75,9 +75,11 @@ var (
 // A run's first row is parsed cell by cell; the following rows are
 // accepted by comparing them with the bytes the encoder writes next
 // (the pk plus one, in canonical decimal or little-endian for heap, and
-// the same tail) — csv and jsonl ten lines per compare once a run is
-// under way — so the result is exactly a row-at-a-time decode, and a
-// row that differs is parsed in full as the first of the next run. A
+// the same tail) — csv and jsonl through matgen.RunLines, the type their
+// encoders write runs with, ten lines per compare once a run is under
+// way and a hundred once it is long — so the result is exactly a
+// row-at-a-time decode, and a row that differs is parsed in full as the
+// first of the next run. A
 // layout without the pk forms runs of byte-identical rows only; a spans
 // part's frames are its runs. A spread-FK part, whose FKs change every
 // row, reads as runs of one, at what parsing it costs (see pacer).
@@ -556,6 +558,9 @@ func (f *dirRuns) close() error {
 		readerPool.Put(br)
 	}
 	f.bufs = f.bufs[:0]
+	if l, ok := f.rr.(*lineRuns); ok {
+		runLinesPool.Put(l.pred)
+	}
 	f.rr = nil
 	return first
 }
@@ -581,7 +586,8 @@ type runReader interface {
 func newRunReader(format string, br *bufio.Reader, cols []string, pkCol int, start, rows int64, header bool) (runReader, error) {
 	switch format {
 	case "csv", "jsonl":
-		l := &lineRuns{runTemplate: newRunTemplate(len(cols), pkCol), br: br, format: format}
+		l := &lineRuns{runTemplate: newRunTemplate(len(cols), pkCol), br: br, format: format,
+			pred: runLinesPool.Get().(*matgen.RunLines)}
 		if format == "jsonl" {
 			l.json = newJSONLRow(cols)
 		} else if header {
@@ -678,21 +684,28 @@ func (t *runTemplate) span(n int64) *tuplegen.Span {
 
 // lineRuns reads a csv or jsonl part a run at a time. A run's first row
 // is parsed cell by cell; the rows after it are accepted against pred,
-// the lines the encoder writes next in a run, straight out of the read
-// buffer's window: one line per compare until the run has accepted one,
-// then, from each pk that ends in 0, ten lines per compare. The first
-// byte that differs ends the run — a block that differs is walked again
-// a line at a time to find the exact last row — and that line is parsed
-// in full as the first row of the next run (pace decides when a part of
-// single-row runs is worth predicting again).
+// the lines the encoder writes next in a run (matgen.RunLines, the type
+// the encoders write them with), straight out of the read buffer's
+// window: one line per compare until the run has accepted one, then ten
+// from each pk that ends in 0 and, once the run has had 400 lines, a
+// hundred from each pk that ends in 00. The first byte that differs ends
+// the run — a block that differs is walked again a line at a time to
+// find the exact last row — and that line is parsed in full as the first
+// row of the next run (pace decides when a part of single-row runs is
+// worth predicting again).
 type lineRuns struct {
 	runTemplate
 	br     *bufio.Reader
 	format string
 	json   *jsonlRow // nil: csv
-	pred   predicted
+	pred   *matgen.RunLines
 	pace   pacer
 }
+
+// runLinesPool recycles the predicted lines of closed line readers: a
+// block is a hundred lines, and a fresh one per open would be most of
+// what a ranged scan allocates.
+var runLinesPool = sync.Pool{New: func() any { return new(matgen.RunLines) }}
 
 func (l *lineRuns) run(max int64) (*tuplegen.Span, error) {
 	line, err := l.br.ReadSlice('\n')
@@ -728,26 +741,33 @@ func (l *lineRuns) extend(line []byte, lo, hi int, max int64) int64 {
 	if max == 1 || !l.pace.try() {
 		return 1
 	}
-	var pk int64
-	if lo >= 0 {
-		pk = l.row[l.pkCol]
+	p := l.pred
+	if lo < 0 {
+		p.Repeat(line)
+	} else {
+		p.ResetLine(line, lo, hi, l.row[l.pkCol])
 	}
-	l.pred.set(line, lo, hi, pk)
 	win, _ := l.br.Peek(l.br.Buffered())
 	off, n := 0, int64(1)
-	for n < max && l.pred.step() {
-		b := l.pred.b
-		// Past the run's first predicted line, ten lines at once where
-		// all ten fit the cap and the window.
-		if n > 1 && max-n >= blockRows && len(win)-off >= blockRows*len(b) && l.pred.blockStart() {
-			if blk := l.pred.block(); bytes.Equal(win[off:off+len(blk)], blk) {
+	for n < max && p.Step() {
+		// A block of lines at once where the run has one, refilling the
+		// window for it.
+		if blk := p.Block(max - n); blk != nil {
+			if len(win)-off < len(blk) && len(blk) <= l.br.Size() {
+				l.br.Discard(off)
+				off = 0
+				_, _ = l.br.Peek(len(blk)) // short only where the part ends, which the lines below find
+				win, _ = l.br.Peek(l.br.Buffered())
+			}
+			if len(win)-off >= len(blk) && bytes.Equal(win[off:off+len(blk)], blk) {
 				off += len(blk)
-				n += blockRows
-				l.pred.endBlock()
+				n += p.EndBlock(blk)
 				continue
 			}
-			// One of the ten differs: the lines below find which.
+			// One of its lines differs, or the part ends first: the lines
+			// below find where.
 		}
+		b := p.Line()
 		if len(win)-off < len(b) {
 			l.br.Discard(off)
 			off = 0
@@ -790,127 +810,6 @@ func skipLines(br *bufio.Reader, k int64) error {
 		br.Discard(i)
 	}
 	return nil
-}
-
-// blockRows is how many predicted lines extend checks with one compare.
-const blockRows = 10
-
-// predicted is the line an encoder writes after the last one a run
-// accepted: the pk in canonical decimal between the other cells, its
-// digits stepped in place the way matgen's pkWriter stamps a run —
-// never re-formatted per row — and, built the first time a run reaches
-// a pk that ends in 0, the block of that line and the nine after it.
-type predicted struct {
-	b      []byte // the line
-	lo, hi int    // b[lo:hi] are the pk's digits; lo < 0: no pk, the line repeats as is
-	pk     int64  // the value b[lo:hi] spells
-	// blk is blockRows lines from a pk ending in 0 on (the last digit
-	// 0 to 9), empty until this run needs it; between blocks of a run only
-	// the pk's leading digits are patched. It is allocated with b.
-	blk []byte
-}
-
-// set predicts the lines after line, whose pk, parsed from line[lo:hi],
-// is pk: the same bytes with the pk stepped by one per line — or, when
-// lo < 0, line itself again and again (in a layout without a pk a run
-// is a run of identical lines). A pk not spelled in canonical decimal
-// ("+7", "007") is re-spelled first.
-func (p *predicted) set(line []byte, lo, hi int, pk int64) {
-	p.lo, p.hi, p.pk = lo, hi, pk
-	// A fresh allocation holds the line, room for its pk to grow to the
-	// longest int64, and the block; the canonical spelling is never
-	// longer than the parsed one.
-	if cap(p.b) < len(line) {
-		w := len(line) + len("9223372036854775807")
-		mem := make([]byte, (1+blockRows)*w)
-		p.b, p.blk = mem[:0:w], mem[w:w]
-	}
-	p.blk = p.blk[:0]
-	if lo < 0 || canonical(line[lo:hi]) {
-		p.b = append(p.b[:0], line...)
-		return
-	}
-	p.b = strconv.AppendInt(append(p.b[:0], line[:lo]...), pk, 10)
-	p.hi = len(p.b)
-	p.b = append(p.b, line[hi:]...)
-}
-
-// canonical reports whether the digits of a parsed integer are how
-// strconv spells it: no sign, no leading zero.
-func canonical(cell []byte) bool {
-	return cell[0] != '+' && cell[0] != '-' && (cell[0] != '0' || len(cell) == 1)
-}
-
-// step advances the prediction by one row, reporting false when there
-// is no next pk to predict: after a negative one (whose decimal does not
-// step in place) or the largest.
-//
-//hydra:hotpath
-func (p *predicted) step() bool {
-	if p.lo < 0 {
-		return true
-	}
-	if p.pk < 0 || p.pk == math.MaxInt64 {
-		return false
-	}
-	p.pk++
-	for i := p.hi - 1; i >= p.lo; i-- {
-		if p.b[i] != '9' {
-			p.b[i]++
-			return true
-		}
-		p.b[i] = '0'
-	}
-	// Every digit carried: the pk gains one, a 1 before the zeros.
-	p.b = append(p.b, 0)
-	copy(p.b[p.lo+1:], p.b[p.lo:])
-	p.b[p.lo] = '1'
-	p.hi++
-	return true
-}
-
-// blockStart reports whether b starts a block: in a layout without a pk
-// always, otherwise when the pk ends in 0 and the block's last pk does
-// not pass math.MaxInt64.
-func (p *predicted) blockStart() bool {
-	return p.lo < 0 || p.b[p.hi-1] == '0' && p.pk <= math.MaxInt64-(blockRows-1)
-}
-
-// block returns b and the blockRows-1 lines after it, as one slice: built
-// once per run and again when the pk gains a digit, otherwise patched
-// from the first pk digit that changed since the last block.
-//
-//hydra:hotpath
-func (p *predicted) block() []byte {
-	w := len(p.b)
-	if len(p.blk) != blockRows*w {
-		p.blk = p.blk[:0]
-		for i := range blockRows {
-			p.blk = append(p.blk, p.b...)
-			if p.lo >= 0 {
-				p.blk[i*w+p.hi-1] = '0' + byte(i)
-			}
-		}
-		return p.blk
-	}
-	for k := p.lo; k >= 0 && k < p.hi-1; k++ { // lo < 0: nothing to patch
-		if p.blk[k] != p.b[k] {
-			for at := 0; at < len(p.blk); at += w {
-				copy(p.blk[at+k:at+p.hi-1], p.b[k:p.hi-1])
-			}
-			break
-		}
-	}
-	return p.blk
-}
-
-// endBlock moves the prediction to the block's last line, as if step
-// had been called blockRows-1 times.
-func (p *predicted) endBlock() {
-	if p.lo >= 0 {
-		p.b[p.hi-1] = '0' + blockRows - 1
-		p.pk += blockRows - 1
-	}
 }
 
 // parseCSV decodes one line straight out of the read buffer — no line

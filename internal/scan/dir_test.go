@@ -291,10 +291,10 @@ func TestCSVReaderAllocs(t *testing.T) {
 
 // TestDirRuns: the decoders do form runs — accepting the rows whose
 // bytes are what the encoder writes next, a line per compare and, for
-// csv and jsonl once a run is under way, ten from each pk that ends in
-// 0, including across a pk that gains a digit and across the read
-// buffer's edge — and every other spelling of a row reads correctly as
-// a run of its own.
+// csv and jsonl once a run is under way, a hundred from each pk that
+// ends in 00, including across a pk that gains a digit and across the
+// read buffer's edge — and every other spelling of a row reads correctly
+// as a run of its own.
 func TestDirRuns(t *testing.T) {
 	seq := func(from, to int, line string) string {
 		var sb strings.Builder
@@ -351,6 +351,14 @@ func TestDirRuns(t *testing.T) {
 		{"largest pks", "csv", largestPKs("%d,5\n", 25), 2, 0, 4096, []int64{26}},
 		{"no pk, ten lines per compare", "csv", strings.Repeat("5,6\n", 45) + "5,7\n", 2, -1, 4096, []int64{45, 1}},
 		{"jsonl ten lines per compare", "jsonl", seq(95, 130, `{"c0":-1,"T_pk":%d,"c2":5}`+"\n"), 3, 1, 4096, []int64{36}},
+		// A hundred per compare from each pk ending in 00 once a run has
+		// had 400 lines: the same edges, and a hundred repeated in place
+		// of the next, differing only in the hundreds digit.
+		{"a hundred lines per compare", "csv", seq(1, 2345, "%d,5,6\n"), 3, 0, 4096, []int64{2345}},
+		{"a hundred where the next should be", "csv", seq(1, 599, "%d,5\n") + seq(500, 599, "%d,5\n"), 2, 0, 4096, []int64{599, 100}},
+		{"largest pks, a hundred at a time", "csv", largestPKs("%d,5\n", 650), 2, 0, 4096, []int64{651}},
+		{"no pk, a hundred lines per compare", "csv", strings.Repeat("5,6\n", 745) + "5,7\n", 2, -1, 4096, []int64{745, 1}},
+		{"jsonl a hundred lines per compare", "jsonl", seq(95, 930, `{"c0":-1,"T_pk":%d,"c2":5}`+"\n"), 3, 1, 16384, []int64{836}},
 		{"pk in the middle", "csv", seq(8, 12, "5,%d,6\n"), 3, 1, 4096, []int64{5}},
 		{"no pk", "csv", "5,6\n5,6\n5,6\n5,7\n", 2, -1, 4096, []int64{3, 1}},
 		{"jsonl", "jsonl", seq(8, 12, `{"T_pk":%d,"c1":5}`+"\n"), 2, 0, 4096, []int64{5}},
@@ -520,14 +528,15 @@ func dirDecodeSeeds(t testing.TB) []dirDecodeSeed {
 	return seeds
 }
 
-// blockEdgeSeeds are runs long enough for the line decoders to check
-// ten lines per compare, in csv and jsonl with the pk first and in the
-// middle of three columns: runs across 9→10, 99→100 and 9 999→10 000
-// whole; each with one byte flipped in the first, middle or last line
-// of a block (the block just past the pk's new digit), on the pk's last
-// digit or on the newline; capped at 9, 10, 11, 19 and 20 rows a run;
-// and read through buffers shorter than ten lines, and than twenty.
-// The rest read through a 4 KiB buffer, room for many blocks.
+// blockEdgeSeeds are the edges of the line decoders' prediction: runs
+// in csv and jsonl with the pk first and in the middle of three columns
+// across 9→10, 99→100 and 9 999→10 000, whole and each with one byte
+// flipped in the first, middle or last line of a group of ten past the
+// pk's new digit, on the pk's last digit or on the newline; capped at 9,
+// 10, 11, 19 and 20 rows a run; and read through buffers shorter than
+// ten lines, and than twenty. The rest read through a 4 KiB buffer. Then
+// centuryFlips, where blocks of a hundred lines are compared, and a
+// block repeated, and one near math.MaxInt64.
 func blockEdgeSeeds() []dirDecodeSeed {
 	var seeds []dirDecodeSeed
 	for format, lines := range [][2]string{
@@ -581,7 +590,126 @@ func blockEdgeSeeds() []dirDecodeSeed {
 	seeds = append(seeds,
 		dirDecodeSeed{data: repeated, pk: 1, ncols: 1, buf: 4080},
 		dirDecodeSeed{data: []byte(largestPKs("%d,5\n", 35) + "9223372036854775808,5\n9223372036854775809,5\n"), pk: 1, ncols: 1, buf: 4080})
+
+	for _, c := range centuryFlips() {
+		seeds = append(seeds, c.seed)
+	}
+	// Whole runs across a century, capped at 99, 100, 101, 199 and 200
+	// rows a run and read through buffers shorter than one line, than a
+	// block and than two; the same hundred repeated with another
+	// hundreds digit; and blocks up to math.MaxInt64 and past it.
+	var century []byte
+	for pk := 150; pk <= 520; pk++ {
+		century = fmt.Appendf(century, "%d,5,-6\n", pk)
+	}
+	for _, maxRun := range []uint8{99, 100, 101, 199, 200} {
+		seeds = append(seeds, dirDecodeSeed{data: century, pk: 1, ncols: 2, maxRun: maxRun, buf: 4080})
+	}
+	for _, buf := range []uint16{4, 700, 1500} {
+		seeds = append(seeds, dirDecodeSeed{data: century, pk: 1, ncols: 2, buf: buf})
+	}
+	var hundred []byte
+	for _, r := range [][2]int{{1, 199}, {100, 199}, {300, 450}} {
+		for pk := r[0]; pk <= r[1]; pk++ {
+			hundred = fmt.Appendf(hundred, "%d,5\n", pk)
+		}
+	}
+	// A run whose block of ten was built at four digits, then one with
+	// another tail that reaches a pk ending in 0 a digit shorter, grows to
+	// four digits and goes on in the first run's lines: the block kept
+	// from the first run must not pass for the second's.
+	var stale []byte
+	for _, r := range []struct {
+		from, to int
+		tail     string
+	}{{990, 1010, "5"}, {989, 999, "6"}, {1000, 1015, "5"}} {
+		for pk := r.from; pk <= r.to; pk++ {
+			stale = fmt.Appendf(stale, "%d,%s\n", pk, r.tail)
+		}
+	}
+	// A part that ends with a block but for its last newline.
+	var unended []byte
+	for pk := 1; pk <= 999; pk++ {
+		unended = fmt.Appendf(unended, "%d,5\n", pk)
+	}
+	seeds = append(seeds,
+		dirDecodeSeed{data: unended[:len(unended)-1], pk: 1, ncols: 1, buf: 4080},
+		dirDecodeSeed{data: stale, pk: 1, ncols: 1, buf: 4080},
+		dirDecodeSeed{data: hundred, pk: 1, ncols: 1, buf: 4080},
+		dirDecodeSeed{data: []byte(largestPKs("%d,5\n", 250) + "9223372036854775808,5\n9223372036854775809,5\n"), pk: 1, ncols: 1, buf: 4080})
 	return seeds
+}
+
+// centuryFlip is a part whose first run crosses a century — a pk that
+// ends in 00, where a block starts — and has one byte flipped on the
+// line of pk flip, so that the run ends on the line before it.
+type centuryFlip struct {
+	seed       dirDecodeSeed
+	from, flip int
+}
+
+// centuryFlips are runs long enough for the line decoders to check a
+// hundred lines per compare, in csv and jsonl with the pk first and in
+// the middle of three columns — across 199→200, 999→1 000 and
+// 99 999→100 000 — each with one byte flipped in the first, a middle or
+// the last line of the block just past the century: the pk's hundreds
+// digit, its last digit, a byte of the tail or the newline.
+func centuryFlips() []centuryFlip {
+	var out []centuryFlip
+	for format, lines := range [][2]string{
+		{"%d,5,-6\n", "5,%d,-6\n"},
+		{`{"T_pk":%d,"c1":5,"c2":-6}` + "\n", `{"c0":5,"T_pk":%d,"c2":-6}` + "\n"},
+	} {
+		for pkCol, line := range lines {
+			for _, r := range []struct{ from, to, block int }{{150, 420, 200}, {950, 1230, 1000}, {99950, 100230, 100000}} {
+				var data []byte
+				at := map[int]int{} // pk → offset of its line
+				for pk := r.from; pk <= r.to; pk++ {
+					at[pk] = len(data)
+					data = fmt.Appendf(data, line, pk)
+				}
+				for _, pk := range []int{r.block, r.block + 50, r.block + 99} {
+					digits := strconv.Itoa(pk)
+					lineAt := at[pk]
+					last := lineAt + bytes.Index(data[lineAt:], []byte(digits)) + len(digits) - 1
+					for _, i := range []int{
+						last - 2, // the hundreds digit
+						last,
+						lineAt + bytes.Index(data[lineAt:], []byte("-6")) + 1,
+						lineAt + bytes.IndexByte(data[lineAt:], '\n'),
+					} {
+						flipped := slices.Clone(data)
+						flipped[i] ^= 1
+						out = append(out, centuryFlip{
+							seed: dirDecodeSeed{data: flipped, format: uint8(format), pk: uint8(pkCol + 1), ncols: 2, buf: 4080},
+							from: r.from, flip: pk,
+						})
+					}
+				}
+			}
+		}
+	}
+	return out
+}
+
+// TestDirRunsEndBeforeFlip: a byte flipped inside a block ends the run
+// on the line before it — the block's lines before the flip are walked
+// again a line at a time — and everything reads as the row-at-a-time
+// decode does.
+func TestDirRunsEndBeforeFlip(t *testing.T) {
+	for _, c := range centuryFlips() {
+		fm := []string{"csv", "jsonl"}[c.seed.format]
+		pkCol := int(c.seed.pk) - 1
+		cols := testCols(3, pkCol)
+		rows, runs, err := readRuns(fm, c.seed.data, cols, pkCol, 16+int(c.seed.buf), false, math.MaxInt64)
+		want, werr := refDecode(fm, c.seed.data, cols, false)
+		if errors.Is(err, io.EOF) != errors.Is(werr, io.EOF) || !slices.EqualFunc(rows, want, slices.Equal) {
+			t.Fatalf("%s, pk %d flipped: rows %d (%v), the row-at-a-time decode %d (%v)", fm, c.flip, len(rows), err, len(want), werr)
+		}
+		if len(runs) == 0 || runs[0] != int64(c.flip-c.from) {
+			t.Fatalf("%s, pk %d flipped: runs %v, want the first to end at pk %d", fm, c.flip, runs, c.flip-1)
+		}
+	}
 }
 
 // FuzzDirDecode is the differential check of the run decoders: over
