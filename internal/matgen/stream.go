@@ -122,15 +122,11 @@ type StreamReport struct {
 	WriteSeconds    float64 `json:"write_s,omitempty"`
 }
 
-// streamPlan is a resolved, validated stream request.
+// streamPlan is a resolved, validated stream request: the table task,
+// whose header and footer are narrowed to the range, and the rows.
 type streamPlan struct {
 	t          *tableTask
-	sink       Sink
-	comp       Compressor
-	align      int
-	start, end int64 // absolute row range to encode
-	header     bool
-	footer     bool
+	start, end int64                // absolute row range to encode
 	filt       *tuplegen.SpanFilter // nil = unfiltered
 }
 
@@ -179,28 +175,24 @@ func planStream(sum *summary.Summary, opts StreamOptions) (*streamPlan, error) {
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrStream, err)
 	}
-	align, err := sink.Align(len(t.l.Cols))
-	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrStream, err)
-	}
-	p := &streamPlan{t: t, sink: sink, comp: comp, align: align}
+	align := int64(t.align)
 	switch {
 	case opts.Offset < 0 || opts.Offset > t.rng.Rows():
 		return nil, fmt.Errorf("%w: offset %d outside shard rows [0, %d]", ErrStream, opts.Offset, t.rng.Rows())
-	case opts.Offset%int64(align) != 0:
+	case opts.Offset%align != 0:
 		return nil, fmt.Errorf("%w: offset %d not a multiple of the %s alignment %d", ErrStream, opts.Offset, sink.Name(), align)
 	case opts.Limit < 0:
 		return nil, fmt.Errorf("%w: limit %d out of range", ErrStream, opts.Limit)
 	}
-	p.start, p.end = t.rng.Lo+opts.Offset, t.rng.Hi
+	p := &streamPlan{t: t, start: t.rng.Lo + opts.Offset, end: t.rng.Hi}
 	if opts.Limit > 0 && p.start+opts.Limit < t.rng.Hi {
-		if opts.Limit%int64(align) != 0 {
+		if opts.Limit%align != 0 {
 			return nil, fmt.Errorf("%w: limit %d not a multiple of the %s alignment %d", ErrStream, opts.Limit, sink.Name(), align)
 		}
 		p.end = p.start + opts.Limit
 	}
-	p.header = opts.Shard == 0 && opts.Offset == 0
-	p.footer = opts.Shard == opts.Shards-1 && p.end == t.rng.Hi
+	t.header = t.header && opts.Offset == 0
+	t.footer = t.footer && p.end == t.rng.Hi
 	if !opts.Filter.Empty() {
 		if align != 1 {
 			return nil, fmt.Errorf("%w: format %q (alignment %d) cannot carry filtered row streams", ErrFilter, sink.Name(), align)
@@ -226,15 +218,16 @@ func (p *streamPlan) report(opts StreamOptions) *StreamReport {
 	if shards == 0 {
 		shards = 1
 	}
+	t := p.t
 	rep := &StreamReport{
-		Table: p.t.l.Table, Format: p.sink.Name(),
+		Table: t.l.Table, Format: t.sink.Name(),
 		Shard: opts.Shard, Shards: shards,
-		StartRow: p.start, Rows: p.end - p.start, TotalRows: p.t.l.TotalRows,
-		Cols:  append([]string(nil), p.t.l.Cols...),
-		Align: p.align, ChunkRows: p.t.cRows,
+		StartRow: p.start, Rows: p.end - p.start, TotalRows: t.l.TotalRows,
+		Cols:  append([]string(nil), t.l.Cols...),
+		Align: t.align, ChunkRows: t.cRows,
 	}
-	if p.comp != nil {
-		rep.Compression = p.comp.Name()
+	if t.comp != nil {
+		rep.Compression = t.comp.Name()
 	}
 	return rep
 }
@@ -296,29 +289,21 @@ func (sp *StreamPlan) Run(ctx context.Context, w io.Writer) (*StreamReport, erro
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	p, opts := sp.p, sp.opts
-	var lim *rate.Limiter
-	if opts.RateLimit > 0 {
-		var err error
-		if lim, err = rate.NewLimiter(opts.RateLimit, 0); err != nil {
-			return nil, fmt.Errorf("%w: %v", ErrStream, err)
-		}
+	p, t := sp.p, sp.p.t
+	lim, err := newRunLimiter(sp.opts.RateLimit)
+	if err != nil {
+		return nil, fmt.Errorf("%w: %v", ErrStream, err)
 	}
-	rep := p.report(opts)
-	cw := &countingWriter{w: w}
-	t := p.t
-	if p.header {
-		hdr, err := p.sink.Header(t.l)
-		if err != nil {
-			return rep, err
-		}
-		rep.RawBytes += int64(len(hdr))
-		if err := rep.writeFramed(cw, p.comp, hdr); err != nil {
-			return rep, err
-		}
+	rep := p.report(sp.opts)
+	fw := &frameWriter{w: w, comp: t.comp}
+	defer func() {
+		rep.CompressSeconds, rep.WriteSeconds = fw.compress.Seconds(), fw.write.Seconds()
+	}()
+	if rep.RawBytes, err = t.writeEdge(fw, false); err != nil {
+		return rep, err
 	}
 	if p.start < p.end {
-		enc := p.sink.NewEncoder(t.l)
+		enc := t.sink.NewEncoder(t.l)
 		se, _ := enc.(SpanEncoder)
 		b := batchPool.Get().(*tuplegen.Batch)
 		defer batchPool.Put(b)
@@ -329,50 +314,29 @@ func (sp *StreamPlan) Run(ctx context.Context, w io.Writer) (*StreamReport, erro
 			// range's start, exactly where Materialize puts them, so a
 			// resumed stream re-joins the original chunk (and compressed
 			// member) structure instead of shifting it.
-			hi := t.rng.Lo + ((lo-t.rng.Lo)/t.cRows+1)*t.cRows
-			if hi > p.end {
-				hi = p.end
-			}
+			hi := min(t.rng.Lo+((lo-t.rng.Lo)/t.cRows+1)*t.cRows, p.end)
 			if err := lim.WaitN(ctx, hi-lo); err != nil {
 				return rep, err
 			}
 			t0 := time.Now()
-			if p.filt != nil {
-				*buf = encodeFilteredChunk(t, enc, se, b, (*buf)[:0], lo, hi, p.filt)
-			} else {
-				*buf = encodeChunk(t, enc, se, b, (*buf)[:0], lo, hi)
-			}
+			*buf = encodeChunk(t, enc, se, b, (*buf)[:0], lo, hi, p.filt)
 			enc0 := time.Since(t0)
 			mEncodeSeconds.AddDuration(enc0)
 			rep.EncodeSeconds += enc0.Seconds()
 			t.m.rows.Add(hi - lo)
 			t.m.chunks.Inc()
 			rep.RawBytes += int64(len(*buf))
-			if err := rep.writeFramed(cw, p.comp, *buf); err != nil {
+			if err := fw.frame(*buf); err != nil {
 				return rep, err
 			}
 			lo = hi
 		}
 	}
-	if p.footer {
-		ftr, err := p.sink.Footer(t.l)
-		if err != nil {
-			return rep, err
-		}
-		rep.RawBytes += int64(len(ftr))
-		if err := rep.writeFramed(cw, p.comp, ftr); err != nil {
-			return rep, err
-		}
+	n, err := t.writeEdge(fw, true)
+	rep.RawBytes += n
+	if err != nil {
+		return rep, err
 	}
-	rep.Bytes = cw.n
+	rep.Bytes = fw.n
 	return rep, nil
-}
-
-// writeFramed frames one buffer onto the stream, folding the stage
-// durations into the report's per-stream totals.
-func (rep *StreamReport) writeFramed(w io.Writer, comp Compressor, p []byte) error {
-	c, wr, err := writeFramedTimed(w, comp, p)
-	rep.CompressSeconds += c.Seconds()
-	rep.WriteSeconds += wr.Seconds()
-	return err
 }

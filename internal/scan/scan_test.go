@@ -1,6 +1,7 @@
 package scan
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"io"
@@ -8,6 +9,7 @@ import (
 	"strings"
 	"testing"
 
+	"github.com/dsl-repro/hydra/internal/matgen"
 	"github.com/dsl-repro/hydra/internal/pred"
 	"github.com/dsl-repro/hydra/internal/summary"
 	"github.com/dsl-repro/hydra/internal/tuplegen"
@@ -262,6 +264,50 @@ func TestProjectionOrderAndValues(t *testing.T) {
 	}
 	if err := sc.Err(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestStreamProjectedFilteredMatchesEncodeScan checks matgen's projected,
+// filtered stream against an encoder fed by another path: EncodeScan
+// over a SummarySource scan of the same spec, which fills batches through
+// runFill instead of matgen's chunk loop. The filter cuts rows out of
+// both summary-row kinds (constant A, spread t_fk) and binds a column the
+// projection drops.
+func TestStreamProjectedFilteredMatchesEncodeScan(t *testing.T) {
+	sum := testSummary()
+	filter := pred.Col("A").Eq(20).And(pred.Col("t_fk").In(100, 700))
+	for _, tc := range []struct {
+		format string
+		cols   []string
+	}{
+		{"csv", []string{"t_fk", "S_pk", "B"}},
+		{"jsonl", []string{"B", "t_fk"}},
+	} {
+		for _, limit := range []int64{0, 5000} {
+			var stream bytes.Buffer
+			if _, err := matgen.Stream(context.Background(), sum, matgen.StreamOptions{
+				Table: "S", Format: tc.format, Columns: tc.cols, Filter: filter,
+				Limit: limit, FKSpread: true, BatchRows: 300,
+			}, &stream); err != nil {
+				t.Fatal(err)
+			}
+			sc, err := NewSummarySource(sum).Scan(context.Background(), Spec{
+				Table: "S", Columns: tc.cols, Filter: filter, EndPK: limit, FKSpread: true,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			var enc bytes.Buffer
+			rows, err := EncodeScan(&enc, sc, tc.format)
+			sc.Close()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if rows == 0 || !bytes.Equal(stream.Bytes(), enc.Bytes()) {
+				t.Fatalf("%s limit %d: stream (%d bytes) != EncodeScan (%d bytes, %d rows)",
+					tc.format, limit, stream.Len(), enc.Len(), rows)
+			}
+		}
 	}
 }
 

@@ -103,24 +103,15 @@ func (t *Tracer) keepSlowLocked(tr *Trace) bool {
 	return true
 }
 
-// Traces returns the recorder's retained traces, newest first. A trace
-// appears once even if it qualified under several rules.
+// Traces returns the recorder's retained traces, newest first. offer
+// keeps each trace in exactly one place, ring or slowest-N list, so
+// nothing is listed twice; fragments of one distributed trace recorded
+// in this process (a client root and a StartRemote root) share a
+// TraceID and are each listed.
 func (t *Tracer) Traces() []*Trace {
 	t.mu.Lock()
 	out := make([]*Trace, 0, len(t.ring)+len(t.slow))
-	seen := make(map[string]bool, cap(out))
-	for _, tr := range t.ring {
-		if tr != nil && !seen[tr.TraceID] {
-			seen[tr.TraceID] = true
-			out = append(out, tr)
-		}
-	}
-	for _, tr := range t.slow {
-		if tr != nil && !seen[tr.TraceID] {
-			seen[tr.TraceID] = true
-			out = append(out, tr)
-		}
-	}
+	out = append(append(out, t.ring...), t.slow...)
 	t.mu.Unlock()
 	sort.Slice(out, func(i, j int) bool { return out[i].Start.After(out[j].Start) })
 	return out

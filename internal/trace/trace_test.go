@@ -233,6 +233,27 @@ func TestKeepRules(t *testing.T) {
 	}
 }
 
+// TestTracesListsEveryFragment: two root fragments of one distributed
+// trace (a client's root and a server's StartRemote root in the same
+// process) share a trace id; both are retained, one as errored and one
+// as slow, so both must be listed.
+func TestTracesListsEveryFragment(t *testing.T) {
+	tr := newTestTracer(Options{SlowN: 2, SampleRate: -1})
+	client := synthetic(9, 2.0, "")
+	server := synthetic(9, 0.1, "boom")
+	server.Root = "server"
+	tr.offer(client)
+	tr.offer(server)
+	got := tr.Traces()
+	if len(got) != 2 {
+		t.Fatalf("listed %d traces, want both fragments", len(got))
+	}
+	keeps := map[string]bool{got[0].Keep: true, got[1].Keep: true}
+	if !keeps[KeepSlow] || !keeps[KeepError] {
+		t.Fatalf("listed keeps %q and %q, want slow and error", got[0].Keep, got[1].Keep)
+	}
+}
+
 func TestRingBounded(t *testing.T) {
 	tr := newTestTracer(Options{RingSize: 4, SlowN: -1, SampleRate: -1})
 	for i := 0; i < 20; i++ {

@@ -47,7 +47,8 @@ func (b *Batch) Row(dst []int64, i int) []int64 {
 // reused, and the column count changes without dropping per-column
 // allocations — a batch recycled across relations of different widths
 // (engines pool them) keeps its capacity. Every filler of batches
-// (Batch, BatchCols, the scan backends) shares this one reuse policy.
+// (Batch, matgen's chunk encoder, the scan backends) shares this one
+// reuse policy.
 func (b *Batch) Reshape(ncols, n int, startPK int64) [][]int64 {
 	if len(b.Cols) != ncols {
 		if cap(b.Cols) < ncols {
@@ -71,7 +72,7 @@ func (b *Batch) Reshape(ncols, n int, startPK int64) [][]int64 {
 // ProjectCols resolves a column projection against a layout: the
 // returned indices map each wanted column onto its position in have, in
 // the order requested. A nil or empty want selects every column (nil
-// indices, the "no projection" signal BatchCols and every scan backend
+// indices, the "no projection" signal FillSpan and every scan backend
 // understand). Unknown and duplicate names are errors — a projection
 // that silently dropped or doubled a column would corrupt every
 // downstream consumer.
@@ -116,45 +117,25 @@ func (g *Generator) Project(cols []string) ([]int, error) {
 // starting at startPK, clamped to the relation's cardinality, and returns
 // it. Passing nil allocates a fresh batch. It is Spans feeding FillSpan:
 // the prefix walk happens once per summary-row span instead of once per
-// tuple, and each column segment is written by the one fill kernel,
-// which is why the materialization engine reads tuples through this API
-// rather than Row.
+// tuple, and each column segment is written by the one fill kernel. A
+// projected or filtered fill calls FillSpan itself, with the projection's
+// idx.
 //
 // Batch is safe for concurrent use by multiple goroutines as long as each
 // uses its own *Batch: the generator itself is only read.
 func (g *Generator) Batch(startPK int64, n int, b *Batch) *Batch {
-	return g.BatchCols(startPK, n, b, nil)
-}
-
-// BatchCols is Batch under a column projection: only the columns named by
-// idx (tuple-order positions from Project) are generated, in idx order.
-// A nil idx selects every column, making BatchCols(.., nil) identical to
-// Batch. The fill is the same Spans + FillSpan walk, so a projected scan
-// pays for exactly the columns it reads. Out-of-range indices panic,
-// like Row on an out-of-range pk: projections are resolved by Project
-// before generation sits on the hot path.
-func (g *Generator) BatchCols(startPK int64, n int, b *Batch, idx []int) *Batch {
 	if b == nil {
 		b = &Batch{}
-	}
-	ncols := g.NumCols()
-	if idx != nil {
-		for _, src := range idx {
-			if src < 0 || src >= ncols {
-				panic(fmt.Sprintf("tuplegen: projection index %d out of range [0,%d) for %s", src, ncols, g.rs.Table))
-			}
-		}
-		ncols = len(idx)
 	}
 	// Clamp to the relation like Spans does: no rows before pk 1 or past
 	// the last.
 	startPK = max(startPK, 1)
 	n = int(min(int64(max(n, 0)), max(g.NumRows()-startPK+1, 0)))
-	cols := b.Reshape(ncols, n, startPK)
+	cols := b.Reshape(g.NumCols(), n, startPK)
 	at := 0
 	it := g.Spans(startPK, int64(n))
 	for sp, ok := it.Next(); ok; sp, ok = it.Next() {
-		at = FillSpan(cols, at, &sp, idx)
+		at = FillSpan(cols, at, &sp, nil)
 	}
 	return b
 }
@@ -168,7 +149,7 @@ func (g *Generator) BatchCols(startPK int64, n int, b *Batch, idx []int) *Batch 
 // run-sized copy per call, which a reader of short runs would notice.
 //
 // It is the one kernel that turns summary runs into batch columns —
-// Batch, BatchCols and every scan backend fill through it. A constant
+// Batch, matgen's chunk encoder and every scan backend fill through it. A constant
 // column (every non-key value, and every FK outside spread mode) is
 // written with wide stores: one element, then doubling copies, so
 // memmove's vector stores do the work instead of one store per value.

@@ -174,10 +174,31 @@ func TestBatchSpreadPreservesJoinCardinalities(t *testing.T) {
 	}
 }
 
-// TestBatchColsMatchesBatch: for random projections, ranges, and both
-// FK-spread settings, BatchCols must produce exactly the projected
-// columns of the full batch, in projection order.
-func TestBatchColsMatchesBatch(t *testing.T) {
+// fillProjected packs rows [start, start+n) into b under the projection
+// idx, the way matgen's chunk encoder packs a chunk: Reshape to the
+// projected width, then FillSpan each span of the range.
+func fillProjected(g *Generator, start int64, n int, b *Batch, idx []int) *Batch {
+	if b == nil {
+		b = &Batch{}
+	}
+	ncols := g.NumCols()
+	if idx != nil {
+		ncols = len(idx)
+	}
+	cols := b.Reshape(ncols, n, start)
+	at := 0
+	it := g.Spans(start, int64(n))
+	for sp, ok := it.Next(); ok; sp, ok = it.Next() {
+		at = FillSpan(cols, at, &sp, idx)
+	}
+	b.Truncate(at)
+	return b
+}
+
+// TestFillSpanProjectionMatchesBatch: for random projections, ranges,
+// and both FK-spread settings, FillSpan under idx must produce exactly
+// the projected columns of the full batch, in projection order.
+func TestFillSpanProjectionMatchesBatch(t *testing.T) {
 	for _, spread := range []bool{false, true} {
 		g := New(spreadRS())
 		g.SetFKSpread(spread)
@@ -190,9 +211,9 @@ func TestBatchColsMatchesBatch(t *testing.T) {
 			perm := rng.Perm(g.NumCols())
 			idx := perm[:rng.Intn(g.NumCols())+1]
 			full = g.Batch(start, n, full)
-			proj = g.BatchCols(start, n, proj, idx)
+			proj = fillProjected(g, start, full.N, proj, idx)
 			if proj.N != full.N || proj.Start != full.Start || len(proj.Cols) != len(idx) {
-				t.Fatalf("spread=%v BatchCols(%d,%d,%v): N=%d Start=%d cols=%d",
+				t.Fatalf("spread=%v fill(%d,%d,%v): N=%d Start=%d cols=%d",
 					spread, start, n, idx, proj.N, proj.Start, len(proj.Cols))
 			}
 			for c, src := range idx {
@@ -207,18 +228,26 @@ func TestBatchColsMatchesBatch(t *testing.T) {
 	}
 }
 
-// TestBatchColsNilIsBatch: a nil projection is the identity.
-func TestBatchColsNilIsBatch(t *testing.T) {
+// TestFillSpanNilProjectionIsIdentity: a nil idx fills exactly what the
+// identity projection does, which is Batch.
+func TestFillSpanNilProjectionIsIdentity(t *testing.T) {
 	g := New(spreadRS())
-	full := g.Batch(10, 100, nil)
-	same := g.BatchCols(10, 100, nil, nil)
-	if len(same.Cols) != len(full.Cols) || same.N != full.N {
-		t.Fatalf("nil projection reshaped the batch")
+	g.SetFKSpread(true)
+	identity := make([]int, g.NumCols())
+	for i := range identity {
+		identity[i] = i
 	}
-	for c := range full.Cols {
-		for i := 0; i < full.N; i++ {
-			if same.Cols[c][i] != full.Cols[c][i] {
-				t.Fatalf("col %d row %d differs", c, i)
+	full := g.Batch(10, 100, nil)
+	for _, idx := range [][]int{nil, identity} {
+		same := fillProjected(g, 10, 100, nil, idx)
+		if len(same.Cols) != len(full.Cols) || same.N != full.N {
+			t.Fatalf("idx %v reshaped the batch", idx)
+		}
+		for c := range full.Cols {
+			for i := 0; i < full.N; i++ {
+				if same.Cols[c][i] != full.Cols[c][i] {
+					t.Fatalf("idx %v: col %d row %d differs", idx, c, i)
+				}
 			}
 		}
 	}
@@ -353,9 +382,9 @@ func TestFillSpanMatchesRow(t *testing.T) {
 	}
 }
 
-// TestBatchEveryPKMatchesRow: Batch and BatchCols over a whole
-// multi-row summary, into one batch reused across both shapes, agree
-// with Row at every pk, and every column holds exactly N rows.
+// TestBatchEveryPKMatchesRow: Batch and projected FillSpan fills over a
+// whole multi-row summary, into one batch reused across both shapes,
+// agree with Row at every pk, and every column holds exactly N rows.
 func TestBatchEveryPKMatchesRow(t *testing.T) {
 	idx := []int{3, 0, 2}
 	for _, spread := range []bool{false, true} {
@@ -365,7 +394,11 @@ func TestBatchEveryPKMatchesRow(t *testing.T) {
 		var b *Batch
 		var row []int64
 		for _, proj := range [][]int{idx, nil, idx} {
-			b = g.BatchCols(1, n, b, proj)
+			if proj == nil {
+				b = g.Batch(1, n, b)
+			} else {
+				b = fillProjected(g, 1, n, b, proj)
+			}
 			if b.N != n || b.Start != 1 {
 				t.Fatalf("spread=%v idx=%v: N=%d Start=%d, want %d rows from 1", spread, proj, b.N, b.Start, n)
 			}
