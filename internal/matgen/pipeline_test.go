@@ -129,11 +129,9 @@ func (sparseSink) NewEncoder(Layout) Encoder     { return sparseEncoder{} }
 
 type sparseEncoder struct{}
 
-func (sparseEncoder) AppendBatch(dst []byte, b *tuplegen.Batch, rowOff int64) []byte {
-	for i := 0; i < b.N; i++ {
-		if rowOff+int64(i) < 128 {
-			dst = append(dst, fmt.Sprintf("%d\n", b.Cols[0][i])...)
-		}
+func (sparseEncoder) AppendSpan(dst []byte, sp tuplegen.Span) []byte {
+	for pk := sp.Start; pk < sp.Start+sp.N && pk <= 128; pk++ {
+		dst = append(dst, fmt.Sprintf("%d\n", pk)...)
 	}
 	return dst
 }
@@ -192,58 +190,46 @@ func TestEmptyChunksStayDeterministic(t *testing.T) {
 }
 
 // TestEncoderSteadyStateAllocs pins the zero-allocation property of the
-// hot encode path: after a warmup call sizes the scratch buffers, both
-// the span path and the batch path of every built-in encoder must
-// allocate nothing.
+// hot encode path: after a warmup call sizes the scratch buffers, every
+// built-in encoder must allocate nothing per chunk, in every reference
+// layout — all columns, the pk in the middle, no pk, a spread FK ahead of
+// the pk — with FKs spread and not.
 func TestEncoderSteadyStateAllocs(t *testing.T) {
 	sum := testSummary()
 	rs := sum.Relations["S"]
-	for _, spread := range []bool{false, true} {
-		g := tuplegen.New(rs)
-		g.SetFKSpread(spread)
-		l := Layout{Table: rs.Table, Cols: g.ColNames(), TotalRows: g.NumRows()}
-		for _, name := range SinkNames() {
-			s, err := sinkFor(name)
+	for _, cols := range referenceLayouts["S"] {
+		for _, spread := range []bool{false, true} {
+			g := tuplegen.New(rs)
+			g.SetFKSpread(spread)
+			proj, err := g.Project(cols)
 			if err != nil {
 				t.Fatal(err)
 			}
-			enc := s.NewEncoder(l)
-			var dst []byte
-			if se, ok := enc.(SpanEncoder); ok {
+			if cols == nil {
+				cols = g.ColNames()
+			}
+			l := Layout{Table: rs.Table, Cols: cols, TotalRows: g.NumRows(), Idx: proj}
+			for _, name := range SinkNames() {
+				s, err := sinkFor(name)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if CheckLayout(s, l) != nil {
+					continue // spans without the pk first
+				}
+				enc := s.NewEncoder(l)
+				var dst []byte
 				allocs := testing.AllocsPerRun(50, func() {
 					dst = dst[:0]
 					it := g.Spans(1, 4096)
 					for sp, ok := it.Next(); ok; sp, ok = it.Next() {
-						dst = se.AppendSpan(dst, sp)
+						dst = enc.AppendSpan(dst, sp)
 					}
 				})
 				if allocs != 0 {
-					t.Errorf("%s/spread=%v: AppendSpan path allocates %.1f per chunk, want 0", name, spread, allocs)
+					t.Errorf("%s %v spread=%v: allocates %.1f per chunk, want 0", name, cols, spread, allocs)
 				}
 			}
-			b := g.Batch(1, 4096, nil)
-			dst = dst[:0]
-			allocs := testing.AllocsPerRun(50, func() {
-				dst = dst[:0]
-				dst = enc.AppendBatch(dst, b, 0)
-			})
-			if allocs != 0 {
-				t.Errorf("%s/spread=%v: AppendBatch path allocates %.1f per chunk, want 0", name, spread, allocs)
-			}
-		}
-	}
-}
-
-// TestSpanEncodersCoverFileSinks pins the design decision that every
-// file sink takes the run-aware path while discard deliberately keeps
-// materializing batches (it measures generation).
-func TestSpanEncodersCoverFileSinks(t *testing.T) {
-	l := Layout{Table: "T", Cols: []string{"T_pk", "c"}, TotalRows: 10}
-	for _, name := range SinkNames() {
-		s, _ := sinkFor(name)
-		_, spanAware := s.NewEncoder(l).(SpanEncoder)
-		if want := s.Ext() != ""; spanAware != want {
-			t.Errorf("%s: span-aware = %v, want %v", name, spanAware, want)
 		}
 	}
 }

@@ -8,8 +8,6 @@ import (
 	"strconv"
 	"strings"
 	"testing"
-
-	"github.com/dsl-repro/hydra/internal/tuplegen"
 )
 
 // TestRunLinesStep steps a line a pk at a time across digit growth and
@@ -161,46 +159,4 @@ func FuzzRunLines(f *testing.F) {
 			t.Fatalf("%d repeated lines: got %q", rows, got)
 		}
 	})
-}
-
-// TestSpanPathMatchesBatchPath: the encoders that write runs as
-// RunLines — csv and jsonl a block at a time where the FKs are constant,
-// a line at a time where they spread, sql always a line at a time —
-// write the bytes their value-by-value batch path writes, over runs of
-// thousands of rows (long enough for blocks of a hundred, which the
-// golden fixture's 256-row chunks never reach) cut at chunk boundaries
-// of every phase.
-func TestSpanPathMatchesBatchPath(t *testing.T) {
-	sum := testSummary()
-	for _, table := range []string{"S", "T"} {
-		for _, spread := range []bool{false, true} {
-			g := tuplegen.New(sum.Relations[table])
-			g.SetFKSpread(spread)
-			n := g.NumRows()
-			l := Layout{Table: table, Cols: g.ColNames(), TotalRows: n}
-			for _, name := range []string{"csv", "jsonl", "sql"} {
-				s, err := sinkFor(name)
-				if err != nil {
-					t.Fatal(err)
-				}
-				enc := s.NewEncoder(l)
-				se := enc.(SpanEncoder)
-				for _, chunk := range []int64{n, 1000, 500} {
-					var spans, batch []byte
-					for lo := int64(0); lo < n; lo += chunk {
-						hi := min(lo+chunk, n)
-						it := g.Spans(lo+1, hi-lo)
-						for sp, ok := it.Next(); ok; sp, ok = it.Next() {
-							spans = se.AppendSpan(spans, sp)
-						}
-						batch = enc.AppendBatch(batch, g.Batch(lo+1, int(hi-lo), nil), lo)
-					}
-					if !bytes.Equal(spans, batch) {
-						t.Fatalf("%s %s spread=%v in chunks of %d: span path differs from the batch path at byte %d",
-							name, table, spread, chunk, diffOffset(spans, batch))
-					}
-				}
-			}
-		}
-	}
 }

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -14,12 +15,32 @@ import (
 )
 
 // Layout describes one relation's output stream: the table name, the
-// column names in tuple order (pk first), and the full-relation
-// cardinality, which every shard knows up front from the summary.
+// column names in output order, the full-relation cardinality, which
+// every shard knows up front from the summary, and where each output
+// column and row come from.
 type Layout struct {
 	Table     string
 	Cols      []string
 	TotalRows int64
+	// Idx is the span-order column (0 = pk, then Vals, then FKs; see
+	// tuplegen.Span.At) each of Cols is read from; nil means span order
+	// itself, the convention of tuplegen.FillSpan's idx.
+	Idx []int
+	// StartRow is the 0-based row heap pages and sql statements count
+	// from: 0 for a table, the first scanned row for a scan's own file.
+	StartRow int64
+}
+
+// cols returns l.Idx, or span order as a slice when it is nil.
+func (l Layout) cols() []int {
+	if l.Idx != nil {
+		return l.Idx
+	}
+	idx := make([]int, len(l.Cols))
+	for c := range idx {
+		idx[c] = c
+	}
+	return idx
 }
 
 // Sink describes one output format and manufactures its encoders. The
@@ -56,28 +77,18 @@ type Sink interface {
 	Footer(l Layout) ([]byte, error)
 }
 
-// Encoder turns tuple batches into one table's byte stream. Encoders are
-// not safe for concurrent use; the engine builds one per worker.
+// Encoder turns runs of one table's rows into its byte stream: every
+// writer — Materialize, Stream and a scan's EncodeScan — hands it
+// tuplegen.Spans, and it renders a run's constant columns once and
+// stamps them per row. Encoders are not safe for concurrent use; the
+// engine builds one per worker.
 type Encoder interface {
-	// AppendBatch appends the encoding of b to dst and returns it. rowOff
-	// is the absolute 0-based row offset of b's first tuple (row r holds
-	// primary key r+1); position-dependent formats derive page and
-	// statement boundaries from it.
-	AppendBatch(dst []byte, b *tuplegen.Batch, rowOff int64) []byte
-}
-
-// SpanEncoder is implemented by encoders that can render a summary-row
-// run directly from its span structure, without materializing a
-// column-major batch first. The engine prefers this path: a run's
-// constant column tail is rendered once and stamped per row with an
-// incrementing primary key, turning O(rows x cols) value encodings into
-// O(rows + spans x cols).
-type SpanEncoder interface {
-	Encoder
-	// AppendSpan appends the encoding of the span's sp.N tuples to dst
-	// and returns it. The absolute 0-based row offset of the first tuple
-	// is sp.Start-1. The span is passed by value so iteration stays
-	// allocation-free across the interface boundary.
+	// AppendSpan appends the encoding of the span's sp.N tuples, laid out
+	// by the Layout's Idx, to dst and returns it. The first tuple is
+	// absolute 0-based row sp.Start-1; position-dependent formats count
+	// page and statement boundaries from the Layout's StartRow. The span
+	// is passed by value so iteration stays allocation-free across the
+	// interface boundary.
 	AppendSpan(dst []byte, sp tuplegen.Span) []byte
 }
 
@@ -150,7 +161,7 @@ func init() {
 	RegisterSink(discardSink{})
 }
 
-// --- CSV ---
+// --- CSV, JSONL and SQL: one line encoder ---
 
 type csvSink struct{}
 
@@ -163,63 +174,9 @@ func (csvSink) Header(l Layout) ([]byte, error) {
 	return []byte(strings.Join(l.Cols, ",") + "\n"), nil
 }
 
-func (csvSink) NewEncoder(Layout) Encoder { return &csvEncoder{} }
-
-type csvEncoder struct {
-	lines RunLines
-	tail  []byte // scratch for the current span's constant column tail
+func (csvSink) NewEncoder(l Layout) Encoder {
+	return newLineEncoder(l, "", false, "\n")
 }
-
-func (e *csvEncoder) AppendBatch(dst []byte, b *tuplegen.Batch, _ int64) []byte {
-	for i := 0; i < b.N; i++ {
-		for c, col := range b.Cols {
-			if c > 0 {
-				dst = append(dst, ',')
-			}
-			dst = strconv.AppendInt(dst, col[i], 10)
-		}
-		dst = append(dst, '\n')
-	}
-	return dst
-}
-
-// AppendSpan writes a constant-FK run as RunLines' lines, a block of
-// them per append; a spread-FK run steps the same line, the pk and the
-// constant columns, and appends each row's FKs to it.
-func (e *csvEncoder) AppendSpan(dst []byte, sp tuplegen.Span) []byte {
-	t := e.tail[:0]
-	for _, v := range sp.Vals {
-		t = append(t, ',')
-		t = strconv.AppendInt(t, v, 10)
-	}
-	if sp.ConstFKs() {
-		for _, fk := range sp.FKs {
-			t = append(t, ',')
-			t = strconv.AppendInt(t, fk, 10)
-		}
-		t = append(t, '\n')
-		e.tail = t
-		e.lines.Reset(nil, sp.Start, t)
-		return e.lines.AppendRun(dst, sp.N)
-	}
-	e.tail = t
-	e.lines.Reset(nil, sp.Start, t)
-	for i := int64(0); i < sp.N; i++ {
-		dst = append(dst, e.lines.Line()...)
-		for c, fk := range sp.FKs {
-			if span := sp.FKSpans[c]; span > 1 {
-				fk += (sp.Off + i) % span
-			}
-			dst = append(dst, ',')
-			dst = strconv.AppendInt(dst, fk, 10)
-		}
-		dst = append(dst, '\n')
-		e.lines.Step()
-	}
-	return dst
-}
-
-// --- JSONL ---
 
 type jsonlSink struct{}
 
@@ -232,74 +189,158 @@ func (jsonlSink) Footer(Layout) ([]byte, error) { return nil, nil }
 // NewEncoder quotes the column names through the JSON encoder once per
 // table; the per-row path only copies the precomputed `"name":` bytes.
 func (jsonlSink) NewEncoder(l Layout) Encoder {
-	e := &jsonlEncoder{keys: make([][]byte, len(l.Cols))}
+	return newLineEncoder(l, "{", true, "}\n")
+}
+
+// sqlRowsPerStmt groups this many tuples per INSERT statement. Statement
+// boundaries fall on absolute row offsets, so the alignment guarantees
+// every shard and chunk begins exactly at a statement start.
+const sqlRowsPerStmt = 500
+
+type sqlSink struct{}
+
+func (sqlSink) Name() string           { return "sql" }
+func (sqlSink) Ext() string            { return ".sql" }
+func (sqlSink) Align(int) (int, error) { return sqlRowsPerStmt, nil }
+
+func (sqlSink) Header(l Layout) ([]byte, error) {
+	return []byte(fmt.Sprintf("-- hydra materialization of %s (%d rows)\nBEGIN;\n",
+		l.Table, l.TotalRows)), nil
+}
+
+func (sqlSink) Footer(Layout) ([]byte, error) { return []byte("COMMIT;\n"), nil }
+
+// NewEncoder builds the INSERT prologue string once per table. Every
+// VALUES row ends in "),": lineEncoder.endStatement turns the ',' into
+// ';' where a statement ends.
+func (sqlSink) NewEncoder(l Layout) Encoder {
+	e := newLineEncoder(l, "(", false, "),\n")
+	e.prologue = []byte("INSERT INTO " + l.Table + " (" + strings.Join(l.Cols, ",") + ") VALUES\n")
+	return e
+}
+
+// lineEncoder writes the rows of the three text formats, each a line:
+// open, then every laid-out column's value behind its prefix, then close
+// — a comma-separated row, a JSON object, or an sql VALUES row, whose
+// statements (prologue) and terminators also depend on the row's place.
+//
+// A run's first row is rendered once, up to the first laid-out column
+// that spreads, and its line becomes a RunLines line for the rows after
+// it: stepped at the pk where the layout has one, repeated where it has
+// not. Where no column spreads, the line is the whole row, and the run
+// is written by RunLines.AppendRun, a block of lines per append, up to
+// each sql statement's end; otherwise each row steps the line and
+// renders the columns after it.
+type lineEncoder struct {
+	open     []byte
+	pre      [][]byte // what goes before each column's value: separator, key
+	close    []byte
+	prologue []byte // sql: what each statement starts with; nil otherwise
+	idx      []int  // span-order column of each laid-out one
+	total    int64  // rows the statements are grouped over
+	startRow int64
+	lines    RunLines
+}
+
+// newLineEncoder builds the encoder of a format whose rows are open,
+// then the columns, comma-separated, each value behind its JSON-quoted
+// name and a ':' where keyed, then end.
+func newLineEncoder(l Layout, open string, keyed bool, end string) *lineEncoder {
+	e := &lineEncoder{open: []byte(open), close: []byte(end), idx: l.cols(),
+		pre: make([][]byte, len(l.Cols)), total: l.TotalRows, startRow: l.StartRow}
 	for c, name := range l.Cols {
-		q, _ := json.Marshal(name)
-		e.keys[c] = append(q, ':')
-	}
-	if len(e.keys) > 0 {
-		e.head = append([]byte{'{'}, e.keys[0]...)
+		if c > 0 {
+			e.pre[c] = append(e.pre[c], ',')
+		}
+		if keyed {
+			q, _ := json.Marshal(name)
+			e.pre[c] = append(append(e.pre[c], q...), ':')
+		}
 	}
 	return e
 }
 
-type jsonlEncoder struct {
-	keys  [][]byte // quoted column names, each with the trailing ':'
-	head  []byte   // '{' and the pk's key: what a span's lines start with
-	lines RunLines
-	tail  []byte
+//hydra:hotpath
+func (e *lineEncoder) AppendSpan(dst []byte, sp tuplegen.Span) []byte {
+	k := slices.IndexFunc(e.idx, sp.Spreads) // the first column that spreads
+	whole := k < 0
+	if whole {
+		k = len(e.idx)
+	}
+	row := sp.Start - 1 - e.startRow
+	dst = e.appendFirst(e.appendPrologue(dst, row), &sp, k, whole)
+	for i := int64(0); ; {
+		// Row i's line is written: finish it, or write the rows after it
+		// that its statement holds.
+		n := int64(1)
+		if whole {
+			n = sp.N - i
+			if e.prologue != nil {
+				n = min(n, sqlRowsPerStmt-(row+i)%sqlRowsPerStmt)
+			}
+			if n > 1 {
+				e.lines.Step()
+				dst = e.lines.AppendRun(dst, n-1)
+			}
+		} else {
+			for c := k; c < len(e.idx); c++ {
+				dst = append(dst, e.pre[c]...)
+				dst = strconv.AppendInt(dst, sp.At(e.idx[c], i), 10)
+			}
+			dst = append(dst, e.close...)
+		}
+		i += n
+		dst = e.endStatement(dst, row+i-1)
+		if i == sp.N {
+			return dst
+		}
+		e.lines.Step()
+		dst = append(e.appendPrologue(dst, row+i), e.lines.Line()...)
+	}
 }
 
-func (e *jsonlEncoder) AppendBatch(dst []byte, b *tuplegen.Batch, _ int64) []byte {
-	for i := 0; i < b.N; i++ {
-		dst = append(dst, '{')
-		for c, col := range b.Cols {
-			if c > 0 {
-				dst = append(dst, ',')
-			}
-			dst = append(dst, e.keys[c]...)
-			dst = strconv.AppendInt(dst, col[i], 10)
-		}
-		dst = append(dst, '}', '\n')
+// appendPrologue starts an sql statement where row is the first of one.
+func (e *lineEncoder) appendPrologue(dst []byte, row int64) []byte {
+	if e.prologue != nil && row%sqlRowsPerStmt == 0 {
+		return append(dst, e.prologue...)
 	}
 	return dst
 }
 
-// AppendSpan writes a run the way csvEncoder.AppendSpan does, each line
-// an object whose first member is the pk.
-func (e *jsonlEncoder) AppendSpan(dst []byte, sp tuplegen.Span) []byte {
-	t := e.tail[:0]
-	for c, v := range sp.Vals {
-		t = append(t, ',')
-		t = append(t, e.keys[1+c]...)
-		t = strconv.AppendInt(t, v, 10)
+// endStatement ends an sql statement where row, the row dst ends with,
+// is the last of one or of the table: its "),\n" becomes ");\n".
+func (e *lineEncoder) endStatement(dst []byte, row int64) []byte {
+	if e.prologue != nil && (row+1 == e.total || (row+1)%sqlRowsPerStmt == 0) {
+		dst[len(dst)-2] = ';'
 	}
-	nvals := len(sp.Vals)
-	if sp.ConstFKs() {
-		for c, fk := range sp.FKs {
-			t = append(t, ',')
-			t = append(t, e.keys[1+nvals+c]...)
-			t = strconv.AppendInt(t, fk, 10)
+	return dst
+}
+
+// appendFirst renders the line of the run's first row into dst — open
+// and the columns before k, and close where the line is the whole row —
+// and makes it the run's RunLines line when the run has more rows.
+func (e *lineEncoder) appendFirst(dst []byte, sp *tuplegen.Span, k int, whole bool) []byte {
+	at, lo, hi := len(dst), -1, -1
+	dst = append(dst, e.open...)
+	for c, src := range e.idx[:k] {
+		dst = append(dst, e.pre[c]...)
+		if src == 0 {
+			lo = len(dst) - at
 		}
-		t = append(t, '}', '\n')
-		e.tail = t
-		e.lines.Reset(e.head, sp.Start, t)
-		return e.lines.AppendRun(dst, sp.N)
+		dst = strconv.AppendInt(dst, sp.At(src, 0), 10)
+		if src == 0 {
+			hi = len(dst) - at
+		}
 	}
-	e.tail = t
-	e.lines.Reset(e.head, sp.Start, t)
-	for i := int64(0); i < sp.N; i++ {
-		dst = append(dst, e.lines.Line()...)
-		for c, fk := range sp.FKs {
-			if span := sp.FKSpans[c]; span > 1 {
-				fk += (sp.Off + i) % span
-			}
-			dst = append(dst, ',')
-			dst = append(dst, e.keys[1+nvals+c]...)
-			dst = strconv.AppendInt(dst, fk, 10)
-		}
-		dst = append(dst, '}', '\n')
-		e.lines.Step()
+	if whole {
+		dst = append(dst, e.close...)
+	}
+	switch {
+	case sp.N == 1:
+	case lo >= 0:
+		e.lines.ResetLine(dst[at:], lo, hi, sp.Start)
+	default:
+		e.lines.Repeat(dst[at:])
 	}
 	return dst
 }
@@ -348,186 +389,66 @@ func (heapSink) NewEncoder(l Layout) Encoder {
 		panic("matgen: heap encoder built for a layout Align rejected: " + err.Error())
 	}
 	return &heapEncoder{
-		perPage: perPage,
-		pagePad: storage.PageSize - perPage*8*ncols,
+		perPage:  perPage,
+		pagePad:  storage.PageSize - perPage*8*ncols,
+		idx:      l.cols(),
+		startRow: l.StartRow,
 	}
 }
 
 type heapEncoder struct {
-	perPage int
-	pagePad int
-	row     []byte // scratch: one encoded row, the span template
+	perPage  int
+	pagePad  int
+	idx      []int // span-order column of each laid-out one
+	startRow int64
 }
 
-func (e *heapEncoder) AppendBatch(dst []byte, b *tuplegen.Batch, rowOff int64) []byte {
-	inPage := int(rowOff % int64(e.perPage))
-	var tmp [8]byte
-	for i := 0; i < b.N; i++ {
-		for _, col := range b.Cols {
-			binary.LittleEndian.PutUint64(tmp[:], uint64(col[i]))
-			dst = append(dst, tmp[:]...)
-		}
-		inPage++
-		if inPage == e.perPage {
-			dst = append(dst, zeroPage[:e.pagePad]...)
-			inPage = 0
-		}
-	}
-	return dst
-}
-
-// AppendSpan renders the run's constant columns into a one-row template
-// once, then per row copies the template and patches the pk (and any
-// spread FK columns) in place.
+// AppendSpan renders the first row of each page's stretch of the run in
+// place, as the stretch's template, fills the stretch with copies of it
+// — doubling copies, so memmove does the work in a few wide calls — and
+// patches the columns that vary, the pk and any spreading FK, one
+// column at a time.
+//
+//hydra:hotpath
 func (e *heapEncoder) AppendSpan(dst []byte, sp tuplegen.Span) []byte {
-	t := e.row[:0]
-	var tmp [8]byte // pk placeholder, patched per row
-	t = append(t, tmp[:]...)
-	for _, v := range sp.Vals {
-		binary.LittleEndian.PutUint64(tmp[:], uint64(v))
-		t = append(t, tmp[:]...)
-	}
-	for _, fk := range sp.FKs {
-		binary.LittleEndian.PutUint64(tmp[:], uint64(fk))
-		t = append(t, tmp[:]...)
-	}
-	e.row = t
-	constFK := sp.ConstFKs()
-	fkBase := 8 * (1 + len(sp.Vals))
-	inPage := int((sp.Start - 1) % int64(e.perPage))
-	for i := int64(0); i < sp.N; i++ {
+	w := 8 * len(e.idx)
+	inPage := int((sp.Start - 1 - e.startRow) % int64(e.perPage))
+	for i := int64(0); i < sp.N; {
+		m := int(min(sp.N-i, int64(e.perPage-inPage))) // rows to the page's end
 		at := len(dst)
-		dst = append(dst, t...)
-		binary.LittleEndian.PutUint64(dst[at:], uint64(sp.Start+i))
-		if !constFK {
-			for c, fk := range sp.FKs {
-				if span := sp.FKSpans[c]; span > 1 {
-					fk += (sp.Off + i) % span
-					binary.LittleEndian.PutUint64(dst[at+fkBase+8*c:], uint64(fk))
+		dst = slices.Grow(dst, m*w)[:at+m*w]
+		for c, src := range e.idx {
+			binary.LittleEndian.PutUint64(dst[at+8*c:], uint64(sp.At(src, i)))
+		}
+		for k := w; k < m*w; k *= 2 {
+			copy(dst[at+k:], dst[at:at+k])
+		}
+		for c, src := range e.idx {
+			switch {
+			case src == 0:
+				for r := 1; r < m; r++ {
+					binary.LittleEndian.PutUint64(dst[at+r*w+8*c:], uint64(sp.Start+i+int64(r)))
+				}
+			case sp.Spreads(src):
+				for r := 1; r < m; r++ {
+					binary.LittleEndian.PutUint64(dst[at+r*w+8*c:], uint64(sp.At(src, i+int64(r))))
 				}
 			}
 		}
-		inPage++
-		if inPage == e.perPage {
+		i += int64(m)
+		if inPage += m; inPage == e.perPage {
 			dst = append(dst, zeroPage[:e.pagePad]...)
 			inPage = 0
 		}
 	}
 	return dst
 }
-
-// --- SQL INSERT ---
-
-// sqlRowsPerStmt groups this many tuples per INSERT statement. Statement
-// boundaries fall on absolute row offsets, so the alignment guarantees
-// every shard and chunk begins exactly at a statement start.
-const sqlRowsPerStmt = 500
-
-type sqlSink struct{}
-
-func (sqlSink) Name() string           { return "sql" }
-func (sqlSink) Ext() string            { return ".sql" }
-func (sqlSink) Align(int) (int, error) { return sqlRowsPerStmt, nil }
-
-func (sqlSink) Header(l Layout) ([]byte, error) {
-	return []byte(fmt.Sprintf("-- hydra materialization of %s (%d rows)\nBEGIN;\n",
-		l.Table, l.TotalRows)), nil
-}
-
-func (sqlSink) Footer(Layout) ([]byte, error) { return []byte("COMMIT;\n"), nil }
-
-// NewEncoder builds the INSERT prologue string once per table.
-func (sqlSink) NewEncoder(l Layout) Encoder {
-	return &sqlEncoder{
-		prologue: []byte("INSERT INTO " + l.Table + " (" + strings.Join(l.Cols, ",") + ") VALUES\n"),
-		total:    l.TotalRows,
-	}
-}
-
-type sqlEncoder struct {
-	prologue []byte
-	total    int64
-	lines    RunLines
-	tail     []byte
-}
-
-// appendTerm closes one VALUES row: ';' at statement and table ends,
-// ',' otherwise.
-func (e *sqlEncoder) appendTerm(dst []byte, abs int64) []byte {
-	if abs+1 == e.total || (abs+1)%sqlRowsPerStmt == 0 {
-		return append(dst, ')', ';', '\n')
-	}
-	return append(dst, ')', ',', '\n')
-}
-
-func (e *sqlEncoder) AppendBatch(dst []byte, b *tuplegen.Batch, rowOff int64) []byte {
-	for i := 0; i < b.N; i++ {
-		abs := rowOff + int64(i)
-		if abs%sqlRowsPerStmt == 0 {
-			dst = append(dst, e.prologue...)
-		}
-		dst = append(dst, '(')
-		for c, col := range b.Cols {
-			if c > 0 {
-				dst = append(dst, ',')
-			}
-			dst = strconv.AppendInt(dst, col[i], 10)
-		}
-		dst = e.appendTerm(dst, abs)
-	}
-	return dst
-}
-
-// AppendSpan steps one RunLines line per row — '(', the pk and the
-// constant columns — and appends the row's FKs where they are spread and
-// its terminator.
-func (e *sqlEncoder) AppendSpan(dst []byte, sp tuplegen.Span) []byte {
-	t := e.tail[:0]
-	for _, v := range sp.Vals {
-		t = append(t, ',')
-		t = strconv.AppendInt(t, v, 10)
-	}
-	constFK := sp.ConstFKs()
-	if constFK {
-		for _, fk := range sp.FKs {
-			t = append(t, ',')
-			t = strconv.AppendInt(t, fk, 10)
-		}
-	}
-	e.tail = t
-	e.lines.Reset(sqlOpen, sp.Start, t)
-	rowOff := sp.Start - 1
-	for i := int64(0); i < sp.N; i++ {
-		abs := rowOff + i
-		if abs%sqlRowsPerStmt == 0 {
-			dst = append(dst, e.prologue...)
-		}
-		dst = append(dst, e.lines.Line()...)
-		if !constFK {
-			for c, fk := range sp.FKs {
-				if span := sp.FKSpans[c]; span > 1 {
-					fk += (sp.Off + i) % span
-				}
-				dst = append(dst, ',')
-				dst = strconv.AppendInt(dst, fk, 10)
-			}
-		}
-		dst = e.appendTerm(dst, abs)
-		e.lines.Step()
-	}
-	return dst
-}
-
-// sqlOpen is what every VALUES row starts with.
-var sqlOpen = []byte{'('}
 
 // --- discard ---
 
-// discardSink drops every batch after generation: the throughput-
-// measurement sink, isolating the generator and worker-pool cost from
-// encoding and disk. Its encoder deliberately does not implement
-// SpanEncoder — the point is to measure batch generation, so the engine
-// must take the materializing path.
+// discardSink drops every run after generation: the throughput-
+// measurement sink, isolating span iteration and the worker pool from
+// encoding and disk.
 type discardSink struct{}
 
 func (discardSink) Name() string                  { return "discard" }
@@ -539,4 +460,4 @@ func (discardSink) NewEncoder(Layout) Encoder     { return discardEncoder{} }
 
 type discardEncoder struct{}
 
-func (discardEncoder) AppendBatch(dst []byte, _ *tuplegen.Batch, _ int64) []byte { return dst }
+func (discardEncoder) AppendSpan(dst []byte, _ tuplegen.Span) []byte { return dst }

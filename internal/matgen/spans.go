@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
+	"slices"
 	"strings"
 
 	"github.com/dsl-repro/hydra/internal/tuplegen"
@@ -42,13 +43,13 @@ func (spansSink) Ext() string                   { return ".spans" }
 func (spansSink) Align(int) (int, error)        { return 1, nil }
 func (spansSink) Header(Layout) ([]byte, error) { return nil, nil }
 func (spansSink) Footer(Layout) ([]byte, error) { return nil, nil }
-func (spansSink) NewEncoder(Layout) Encoder     { return &spansEncoder{} }
+func (spansSink) NewEncoder(l Layout) Encoder   { return &spansEncoder{idx: l.Idx} }
 
 // CheckLayout implements LayoutChecker: a frame anchors its run at the
 // primary key, which therefore has to be the layout's first column.
 // Projections are the reader's job for this format (the idx argument of
 // tuplegen.FillSpan); one that keeps the pk first is still encodable,
-// row runs being re-coalesced from the projected batches.
+// as frames of the laid-out tail.
 func (spansSink) CheckLayout(l Layout) error {
 	if len(l.Cols) > 0 {
 		if table, ok := strings.CutSuffix(l.Cols[0], "_pk"); ok && table == l.Table {
@@ -61,50 +62,36 @@ func (spansSink) CheckLayout(l Layout) error {
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
 type spansEncoder struct {
+	idx  []int   // Layout.Idx: nil, or the pk then the laid-out tail
 	body []byte  // scratch: the frame under construction
-	vals []int64 // scratch: one batch row's tail
+	vals []int64 // scratch: a projected frame's tail
 }
 
+// AppendSpan writes the span's own frame. Under a projection it writes
+// the laid-out tail instead: one frame for the run, or one per row where
+// a laid-out FK spreads. Runs that the projection makes equal are not
+// merged, so projected frame boundaries are the summary's.
 func (e *spansEncoder) AppendSpan(dst []byte, sp tuplegen.Span) []byte {
-	fkSpans := sp.FKSpans
-	if sp.ConstFKs() {
-		fkSpans = nil
+	if e.idx == nil {
+		fkSpans := sp.FKSpans // written only where some FK spreads
+		if !slices.ContainsFunc(fkSpans, func(s int64) bool { return s > 1 }) {
+			fkSpans = nil
+		}
+		return e.appendFrame(dst, sp.Start, sp.N, sp.Off, sp.Vals, sp.FKs, fkSpans)
 	}
-	return e.appendFrame(dst, sp.Start, sp.N, sp.Off, sp.Vals, sp.FKs, fkSpans)
-}
-
-// AppendBatch re-coalesces the batch into runs: consecutive rows whose
-// pk (column 0) increments while every other column repeats become one
-// frame. A batch carries no run structure, so spread FKs come out as
-// short runs — correct, just not compact; the engine only comes here
-// for projected layouts.
-func (e *spansEncoder) AppendBatch(dst []byte, b *tuplegen.Batch, _ int64) []byte {
-	for i := 0; i < b.N; {
-		j := i + 1
-		for j < b.N && continuesRun(b, j) {
-			j++
-		}
+	tail := e.idx[1:]
+	frames, n := int64(1), sp.N
+	if slices.ContainsFunc(tail, sp.Spreads) {
+		frames, n = sp.N, 1
+	}
+	for i := range frames {
 		e.vals = e.vals[:0]
-		for _, col := range b.Cols[1:] {
-			e.vals = append(e.vals, col[i])
+		for _, src := range tail {
+			e.vals = append(e.vals, sp.At(src, i))
 		}
-		dst = e.appendFrame(dst, b.Cols[0][i], int64(j-i), 0, e.vals, nil, nil)
-		i = j
+		dst = e.appendFrame(dst, sp.Start+i, n, 0, e.vals, nil, nil)
 	}
 	return dst
-}
-
-// continuesRun reports whether row j of b extends the run row j-1 is in.
-func continuesRun(b *tuplegen.Batch, j int) bool {
-	if b.Cols[0][j] != b.Cols[0][j-1]+1 {
-		return false
-	}
-	for _, col := range b.Cols[1:] {
-		if col[j] != col[j-1] {
-			return false
-		}
-	}
-	return true
 }
 
 //hydra:hotpath

@@ -304,9 +304,6 @@ func (sp *StreamPlan) Run(ctx context.Context, w io.Writer) (*StreamReport, erro
 	}
 	if p.start < p.end {
 		enc := t.sink.NewEncoder(t.l)
-		se, _ := enc.(SpanEncoder)
-		b := batchPool.Get().(*tuplegen.Batch)
-		defer batchPool.Put(b)
 		buf := getChunkBuf()
 		defer putChunkBuf(buf)
 		for lo := p.start; lo < p.end; {
@@ -319,7 +316,7 @@ func (sp *StreamPlan) Run(ctx context.Context, w io.Writer) (*StreamReport, erro
 				return rep, err
 			}
 			t0 := time.Now()
-			*buf = encodeChunk(t, enc, se, b, (*buf)[:0], lo, hi, p.filt)
+			*buf = encodeChunk(t, enc, (*buf)[:0], lo, hi, p.filt)
 			enc0 := time.Since(t0)
 			mEncodeSeconds.AddDuration(enc0)
 			rep.EncodeSeconds += enc0.Seconds()

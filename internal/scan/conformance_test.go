@@ -1073,7 +1073,7 @@ func dirParsedRows() int64 {
 // TestDirProjectedMaterialization: a directory materialized under a
 // projection presents the projected layout as its natural one — for
 // spans too, as long as the projection keeps the pk the runs are
-// anchored at (the engine re-coalesces runs from projected batches). The
+// anchored at (the engine writes the runs' projected tails). The
 // pk may sit anywhere in the layout, or be absent: runs are still read
 // as runs (a handful of parsed rows for the whole table), and projected
 // and filtered scans of them agree with the summary.

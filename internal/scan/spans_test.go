@@ -17,13 +17,13 @@ import (
 	"github.com/dsl-repro/hydra/internal/tuplegen"
 )
 
-func spansEncoder(t testing.TB) matgen.SpanEncoder {
+func spansEncoder(t testing.TB) matgen.Encoder {
 	t.Helper()
 	sink, err := matgen.SinkFor("spans")
 	if err != nil {
 		t.Fatal(err)
 	}
-	return sink.NewEncoder(matgen.Layout{}).(matgen.SpanEncoder)
+	return sink.NewEncoder(matgen.Layout{})
 }
 
 // rawFrame wraps body the way the spans sink does — length prefix and a

@@ -47,8 +47,7 @@ func (b *Batch) Row(dst []int64, i int) []int64 {
 // reused, and the column count changes without dropping per-column
 // allocations — a batch recycled across relations of different widths
 // (engines pool them) keeps its capacity. Every filler of batches
-// (Batch, matgen's chunk encoder, the scan backends) shares this one
-// reuse policy.
+// (Batch, the scan backends) shares this one reuse policy.
 func (b *Batch) Reshape(ncols, n int, startPK int64) [][]int64 {
 	if len(b.Cols) != ncols {
 		if cap(b.Cols) < ncols {
@@ -149,10 +148,10 @@ func (g *Generator) Batch(startPK int64, n int, b *Batch) *Batch {
 // run-sized copy per call, which a reader of short runs would notice.
 //
 // It is the one kernel that turns summary runs into batch columns —
-// Batch, matgen's chunk encoder and every scan backend fill through it. A constant
-// column (every non-key value, and every FK outside spread mode) is
-// written with wide stores: one element, then doubling copies, so
-// memmove's vector stores do the work instead of one store per value.
+// Batch and every scan backend fill through it. A constant column (every
+// non-key value, and every FK outside spread mode) is written with wide
+// stores: one element, then doubling copies, so memmove's vector stores
+// do the work instead of one store per value.
 //
 //hydra:hotpath
 func FillSpan(cols [][]int64, at int, sp *Span, idx []int) int {

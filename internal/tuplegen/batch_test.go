@@ -175,8 +175,8 @@ func TestBatchSpreadPreservesJoinCardinalities(t *testing.T) {
 }
 
 // fillProjected packs rows [start, start+n) into b under the projection
-// idx, the way matgen's chunk encoder packs a chunk: Reshape to the
-// projected width, then FillSpan each span of the range.
+// idx, the way a projected scan fills a batch: Reshape to the projected
+// width, then FillSpan each span of the range.
 func fillProjected(g *Generator, start int64, n int, b *Batch, idx []int) *Batch {
 	if b == nil {
 		b = &Batch{}

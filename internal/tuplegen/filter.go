@@ -62,20 +62,6 @@ func (g *Generator) BindSpanFilter(c pred.Conjunct) (*SpanFilter, error) {
 	return NewSpanFilter(c, len(g.rs.Cols), len(g.rs.FKCols))
 }
 
-// spreads reports whether tail column c of sp varies across the run.
-func spreads(sp Span, c int) bool {
-	k := c - len(sp.Vals)
-	return k >= 0 && sp.FKSpans != nil && sp.FKSpans[k] > 1
-}
-
-// tailAt is tail column c of sp's first tuple.
-func tailAt(sp Span, c int) int64 {
-	if c < len(sp.Vals) {
-		return sp.Vals[c]
-	}
-	return sp.FKs[c-len(sp.Vals)]
-}
-
 // Clip appends to dst the maximal sub-spans of sp whose rows all
 // satisfy the filter, in pk order.
 func (f *SpanFilter) Clip(dst []Span, sp Span) []Span {
@@ -83,9 +69,9 @@ func (f *SpanFilter) Clip(dst []Span, sp Span) []Span {
 	for c, cs := range f.tail {
 		switch {
 		case !cs.ok:
-		case spreads(sp, c):
+		case sp.Spreads(c + 1):
 			perRow = true // varies across the run; checked row by row
-		case !cs.set.Contains(tailAt(sp, c)):
+		case !cs.set.Contains(sp.At(c+1, 0)):
 			return dst
 		}
 	}
@@ -125,11 +111,10 @@ func (f *SpanFilter) emit(dst []Span, sp Span, a, b int64, perRow bool) []Span {
 	for i := int64(0); i < sub.N; i++ {
 		pass := true
 		for c, cs := range f.tail {
-			if !cs.ok || !spreads(sp, c) {
+			if !cs.ok || !sp.Spreads(c+1) {
 				continue // constant; already checked
 			}
-			k := c - len(sp.Vals)
-			if !cs.set.Contains(sp.FKs[k] + (sub.Off+i)%sp.FKSpans[k]) {
+			if !cs.set.Contains(sub.At(c+1, i)) {
 				pass = false
 				break
 			}

@@ -30,16 +30,30 @@ type Span struct {
 	Off int64
 }
 
-// ConstFKs reports whether every foreign-key column is constant across
-// the run, i.e. whether the whole post-pk column tail of every tuple in
-// the run is one identical byte string.
-func (sp Span) ConstFKs() bool {
-	for _, s := range sp.FKSpans {
-		if s > 1 {
-			return false
-		}
+// At returns column c of the run's tuple i (0-based within the run), in
+// span order: 0 is the pk, then Vals, then FKs — the order FillSpan's
+// idx selects from.
+//
+//hydra:hotpath
+func (sp *Span) At(c int, i int64) int64 {
+	switch k := c - 1 - len(sp.Vals); {
+	case c == 0:
+		return sp.Start + i
+	case k < 0:
+		return sp.Vals[c-1]
+	case sp.Spreads(c):
+		return sp.FKs[k] + (sp.Off+i)%sp.FKSpans[k]
+	default:
+		return sp.FKs[k]
 	}
-	return true
+}
+
+// Spreads reports whether span-order column c is a spread FK, varying
+// across the run as a modular fill. Every other column but the pk is the
+// same on every tuple of the run.
+func (sp *Span) Spreads(c int) bool {
+	k := c - 1 - len(sp.Vals)
+	return k >= 0 && sp.FKSpans != nil && sp.FKSpans[k] > 1
 }
 
 // SpanIter walks the summary-row spans covering a pk range. It is a
@@ -55,9 +69,8 @@ type SpanIter struct {
 
 // Spans returns an iterator over the summary-row spans covering up to n
 // tuples starting at startPK, clamped to the relation's cardinality —
-// the run-structure view of the same range Batch materializes. The
-// clamping rules match Batch exactly, so engines can switch between the
-// two per chunk without changing coverage.
+// the run-structure view of the same range Batch materializes, under
+// the same clamping rules.
 func (g *Generator) Spans(startPK, n int64) SpanIter {
 	if startPK < 1 {
 		startPK = 1

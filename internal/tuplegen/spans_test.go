@@ -11,23 +11,18 @@ func iterEmpty(it *SpanIter) bool {
 	return !ok
 }
 
-// spanTuple reconstructs tuple i of a span the way an encoder would.
+// spanTuple reconstructs tuple i of a span through At, column by column.
 func spanTuple(sp Span, i int64, dst []int64) []int64 {
 	dst = dst[:0]
-	dst = append(dst, sp.Start+i)
-	dst = append(dst, sp.Vals...)
-	for c, fk := range sp.FKs {
-		if sp.FKSpans != nil && sp.FKSpans[c] > 1 {
-			fk += (sp.Off + i) % sp.FKSpans[c]
-		}
-		dst = append(dst, fk)
+	for c := range 1 + len(sp.Vals) + len(sp.FKs) {
+		dst = append(dst, sp.At(c, i))
 	}
 	return dst
 }
 
 // TestSpansMatchRow is the core contract: for any (startPK, n) and both
-// FK-spread settings, reconstructing every tuple of every span must
-// produce exactly what Row produces, with spans tiling the range.
+// FK-spread settings, reconstructing every tuple of every span through
+// At must produce exactly what Row produces, with spans tiling the range.
 func TestSpansMatchRow(t *testing.T) {
 	for _, spread := range []bool{false, true} {
 		g := New(spreadRS())
@@ -56,6 +51,11 @@ func TestSpansMatchRow(t *testing.T) {
 					for c := range want {
 						if got[c] != want[c] {
 							t.Fatalf("spread=%v pk %d col %d: span %v, row %v", spread, sp.Start+i, c, got, want)
+						}
+						// Spreads names exactly the columns that change
+						// from one tuple to the next, the pk aside.
+						if c > 0 && i > 0 && (got[c] != sp.At(c, i-1)) != sp.Spreads(c) {
+							t.Fatalf("spread=%v pk %d col %d: Spreads %v, but %d after %d", spread, sp.Start+i, c, sp.Spreads(c), got[c], sp.At(c, i-1))
 						}
 					}
 				}
@@ -94,7 +94,7 @@ func TestSpansMaximal(t *testing.T) {
 	if !ok || sp.Off != 499 || sp.N != 10 {
 		t.Fatalf("mid-row span = %+v", sp)
 	}
-	if !sp.ConstFKs() {
+	if sp.Spreads(1 + len(sp.Vals)) {
 		// spreadRS row 0 has spans {4, 1}: s_fk varies, t_fk constant.
 		var got []int64
 		got = spanTuple(sp, 0, got)

@@ -23,13 +23,11 @@ type (
 	// manufactures one MaterializeEncoder per worker per table.
 	MaterializeSink = matgen.Sink
 	// MaterializeEncoder is the per-worker encoder a sink builds with
-	// NewEncoder: it carries layout-derived constants and scratch buffers
-	// so the steady-state encode path allocates nothing.
+	// NewEncoder: it takes summary-row runs (AppendSpan), renders each
+	// run's constant columns once and stamps them per row, and carries
+	// layout-derived constants and scratch buffers so the steady-state
+	// encode path allocates nothing.
 	MaterializeEncoder = matgen.Encoder
-	// MaterializeSpanEncoder is the optional run-aware fast path: encoders
-	// implementing it render each summary-row span's constant column tail
-	// once and stamp it per row with an incrementing primary key.
-	MaterializeSpanEncoder = matgen.SpanEncoder
 )
 
 // Materialize generates the summary's relations into the configured sink
