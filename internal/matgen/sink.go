@@ -24,7 +24,7 @@ type Layout struct {
 	TotalRows int64
 	// Idx is the span-order column (0 = pk, then Vals, then FKs; see
 	// tuplegen.Span.At) each of Cols is read from; nil means span order
-	// itself, the convention of tuplegen.FillSpan's idx.
+	// itself, the convention of tuplegen.Batch.FillSpan's idx.
 	Idx []int
 	// StartRow is the 0-based row heap pages and sql statements count
 	// from: 0 for a table, the first scanned row for a scan's own file.

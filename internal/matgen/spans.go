@@ -15,7 +15,7 @@ import (
 // spansSink is the run-native format: where every other sink renders a
 // summary-row run into its N tuples, this one writes the run itself, so
 // thousands of rows cost a few dozen bytes and a reader rebuilds them
-// with tuplegen.FillSpan — the one format only a summary-based
+// with tuplegen.Batch.FillSpan — the one format only a summary-based
 // generator can offer. A stream is a bare sequence of frames (no
 // header, no footer, alignment 1), one per tuplegen.Span:
 //
@@ -48,7 +48,7 @@ func (spansSink) NewEncoder(l Layout) Encoder   { return &spansEncoder{idx: l.Id
 // CheckLayout implements LayoutChecker: a frame anchors its run at the
 // primary key, which therefore has to be the layout's first column.
 // Projections are the reader's job for this format (the idx argument of
-// tuplegen.FillSpan); one that keeps the pk first is still encodable,
+// tuplegen.Batch.FillSpan); one that keeps the pk first is still encodable,
 // as frames of the laid-out tail.
 func (spansSink) CheckLayout(l Layout) error {
 	if len(l.Cols) > 0 {

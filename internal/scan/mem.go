@@ -130,6 +130,7 @@ type memCond struct {
 
 func (f *memFiller) fill(_ context.Context, b *tuplegen.Batch, lo, hi int64) error {
 	out := b.Reshape(len(f.cols), int(hi-lo), lo+1)
+	b.Forget() // the copies below overwrite what FillSpan recorded
 	if f.conds == nil {
 		for c, src := range f.cols {
 			copy(out[c], src[lo:hi])

@@ -165,3 +165,90 @@ func TestScanConcurrentRecycling(t *testing.T) {
 	}
 	wg.Wait()
 }
+
+// TestPooledBatchHandOff passes one batch through four scans in turn,
+// twice over: a summary scan of the wide table W, a MemSource scan of W
+// holding other values, a summary scan of the narrower S, and a summary
+// scan of W projected so that most columns sit where the full scan put
+// them. Each scan must show its own rows, whatever the batch's memory
+// held and its filler recorded before — in particular the MemSource
+// fill, which copies columns without FillSpan.
+func TestPooledBatchHandOff(t *testing.T) {
+	sum := wideSummary()
+	ctx := context.Background()
+	summ := scan.NewSummarySource(sum)
+	info, err := summ.Table("W")
+	if err != nil {
+		t.Fatal(err)
+	}
+	data := make([][]int64, len(info.Cols))
+	for c := range data {
+		data[c] = make([]int64, info.Rows)
+		for r := range data[c] {
+			data[c][r] = -int64(1000*c + r%7)
+			if c == 0 {
+				data[c][r] = int64(r) + 1
+			}
+		}
+	}
+	mem, err := scan.NewMemSource(scan.MemTable{Name: "W", Cols: info.Cols, Data: data})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// W's columns with the first two values swapped and t_fk dropped.
+	proj := append([]string{"W_pk", "v2", "v1"}, info.Cols[3:len(info.Cols)-1]...)
+	projIdx, err := tuplegen.ProjectCols(info.Cols, proj)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gW, gS := tuplegen.New(sum.Relations["W"]), tuplegen.New(sum.Relations["S"])
+	var row []int64
+	generated := func(g *tuplegen.Generator, idx []int) func(pk int64, c int) int64 {
+		return func(pk int64, c int) int64 {
+			if row = g.Row(pk, row); idx != nil {
+				return row[idx[c]]
+			}
+			return row[c]
+		}
+	}
+	steps := []struct {
+		name string
+		src  scan.Source
+		spec scan.Spec
+		want func(pk int64, c int) int64
+	}{
+		{"summary W", summ, scan.Spec{Table: "W", EndPK: 20000}, generated(gW, nil)},
+		{"mem W", mem, scan.Spec{Table: "W", EndPK: 20000}, func(pk int64, c int) int64 { return data[c][pk-1] }},
+		{"summary S", summ, scan.Spec{Table: "S"}, generated(gS, nil)},
+		{"projected W", summ, scan.Spec{Table: "W", Columns: proj, EndPK: 20000}, generated(gW, projIdx)},
+	}
+	b := new(tuplegen.Batch)
+	for round := 0; round < 2; round++ {
+		for _, st := range steps {
+			sc, err := st.src.Scan(ctx, st.spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			scan.HandBatch(sc, b)
+			var rows int64
+			for sc.Next() {
+				bt := sc.Batch()
+				for c, col := range bt.Cols {
+					for i, v := range col {
+						if pk := bt.Start + int64(i); v != st.want(pk, c) {
+							t.Fatalf("round %d, %s: pk %d col %d = %d, want %d", round, st.name, pk, c, v, st.want(pk, c))
+						}
+					}
+				}
+				rows += int64(bt.N)
+			}
+			if err := sc.Err(); err != nil {
+				t.Fatalf("round %d, %s: %v", round, st.name, err)
+			}
+			sc.Close()
+			if rows != sc.NumRows() {
+				t.Fatalf("round %d, %s: %d rows, want %d", round, st.name, rows, sc.NumRows())
+			}
+		}
+	}
+}

@@ -25,7 +25,7 @@
 // and the summary, directory and remote backends say only that: each
 // yields the next run of the scanned range. One fill loop places those
 // runs on the batch grid for all three, clipping them under a filter and
-// writing columns with tuplegen.FillSpan, and checks that they never go
+// writing columns with Batch.FillSpan, and checks that they never go
 // backwards and, unfiltered, tile the range. MemSource is the one
 // exception: its columns are batches already, so it copies them; as
 // runs its rows would be runs of one.
@@ -192,7 +192,7 @@ const fillCheckRows = 4096
 
 // runFill is the one fill loop of the run backends. It places each run
 // on the batch grid — the part of it in the cell, clipped by the filter
-// where there is one, through tuplegen.FillSpan — and keeps the rest of
+// where there is one, through Batch.FillSpan — and keeps the rest of
 // the run pending for the next cell. It checks what it is given: runs
 // never go backwards, start inside the scan's range and, unfiltered,
 // tile it; a run may end past the range (a spans part's frame is read
@@ -218,7 +218,7 @@ func runs(r *resolved, src runSource, sf *tuplegen.SpanFilter, idx []int) *runFi
 }
 
 func (f *runFill) fill(ctx context.Context, b *tuplegen.Batch, lo, hi int64) error {
-	cols := b.Reshape(f.ncols, int(hi-lo), lo+1)
+	b.Reshape(f.ncols, int(hi-lo), lo+1)
 	at, sp := 0, f.cur
 	for {
 		if sp == nil {
@@ -251,11 +251,11 @@ func (f *runFill) fill(ctx context.Context, b *tuplegen.Batch, lo, hi int64) err
 			sp.N = n
 		}
 		if f.sf == nil {
-			at = tuplegen.FillSpan(cols, at, sp, f.idx)
+			at = b.FillSpan(at, sp, f.idx)
 		} else {
 			f.clip = f.sf.Clip(f.clip[:0], *sp)
 			for i := range f.clip {
-				at = tuplegen.FillSpan(cols, at, &f.clip[i], f.idx)
+				at = b.FillSpan(at, &f.clip[i], f.idx)
 			}
 		}
 		if rest <= n {
@@ -406,6 +406,8 @@ func (s *Scan) Next() bool {
 // Batch returns the current batch, valid until the next Next or Close:
 // Next refills its buffers, and Close hands them to a later scan, after
 // which Batch returns nil. Consumers that retain rows must copy them.
+// The batch is read-only: a refill skips the values its memory is known
+// to hold already, so a write into it would show in later batches.
 func (s *Scan) Batch() *tuplegen.Batch { return s.b }
 
 // Err returns the error that stopped the scan, nil after a clean end.

@@ -54,11 +54,9 @@ func rawBody(start, n, off uint64, tail []int64, fkSpans []uint64) []byte {
 // way every consumer of a decoded frame does.
 func spanRows(sp tuplegen.Span) [][]int64 {
 	ncols := 1 + len(sp.Vals) + len(sp.FKs)
-	cols := make([][]int64, ncols)
-	for c := range cols {
-		cols[c] = make([]int64, sp.N)
-	}
-	tuplegen.FillSpan(cols, 0, &sp, nil)
+	var b tuplegen.Batch
+	cols := b.Reshape(ncols, int(sp.N), sp.Start)
+	b.FillSpan(0, &sp, nil)
 	rows := make([][]int64, sp.N)
 	for i := range rows {
 		rows[i] = make([]int64, ncols)

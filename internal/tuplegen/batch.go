@@ -12,7 +12,14 @@ import (
 // a constant-fill and every FK column is a constant- or modular-fill, so
 // the per-tuple prefix walk and slice append of the row-at-a-time path
 // disappear entirely, and FillSpan writes each constant segment with
-// wide stores.
+// wide stores — once per run: a batch remembers, per column, the stretch
+// of its memory that already holds one value, and a refill with that
+// value stores only what lies outside it.
+//
+// The columns are read-only to everyone but the batch's filler: a scan
+// hands the same batch (and the values its memory holds) from one fill to
+// the next. A caller that writes into a batch's columns, or fills them by
+// any means but FillSpan, must call Forget before the next FillSpan.
 type Batch struct {
 	// Start is the primary key of the first tuple in the block.
 	Start int64
@@ -20,6 +27,18 @@ type Batch struct {
 	N int
 	// Cols holds one slice per output column, each of length N.
 	Cols [][]int64
+	// held[c] is what column c's backing array is known to hold, kept
+	// for every column Reshape keeps, in use at this width or not.
+	held []held
+}
+
+// held records that a column's backing array holds v at every index in
+// [lo, hi); lo == hi records nothing. It is a fact about memory, not
+// about a table, so it outlives a scan, a width change or a projection
+// for as long as the array does.
+type held struct {
+	v      int64
+	lo, hi int
 }
 
 // Truncate keeps the first n rows: N becomes n and every column is
@@ -46,26 +65,37 @@ func (b *Batch) Row(dst []int64, i int) []int64 {
 // startPK and returns the column slices ready to fill. Buffers are
 // reused, and the column count changes without dropping per-column
 // allocations — a batch recycled across relations of different widths
-// (engines pool them) keeps its capacity. Every filler of batches
-// (Batch, the scan backends) shares this one reuse policy.
+// (engines pool them) keeps its capacity, and what each kept column's
+// memory holds. Every filler of batches (Batch, the scan backends) shares
+// this one reuse policy.
 func (b *Batch) Reshape(ncols, n int, startPK int64) [][]int64 {
-	if len(b.Cols) != ncols {
-		if cap(b.Cols) < ncols {
-			cols := make([][]int64, ncols)
-			copy(cols, b.Cols[:cap(b.Cols)])
-			b.Cols = cols
-		} else {
-			b.Cols = b.Cols[:ncols]
-		}
+	if cap(b.Cols) < ncols {
+		cols := make([][]int64, ncols)
+		copy(cols, b.Cols[:cap(b.Cols)])
+		b.Cols = cols
 	}
+	if cap(b.held) < ncols {
+		held := make([]held, ncols)
+		copy(held, b.held[:cap(b.held)])
+		b.held = held
+	}
+	b.Cols, b.held = b.Cols[:ncols], b.held[:ncols]
 	for i := range b.Cols {
 		if cap(b.Cols[i]) < n {
 			b.Cols[i] = make([]int64, n)
+			b.held[i] = held{}
 		}
 		b.Cols[i] = b.Cols[i][:n]
 	}
 	b.Start, b.N = startPK, n
 	return b.Cols
+}
+
+// Forget drops what the batch knows its columns' memory holds, so the
+// next FillSpan stores every value. A filler that writes columns without
+// FillSpan calls it after Reshape.
+func (b *Batch) Forget() {
+	clear(b.held[:cap(b.held)])
 }
 
 // ProjectCols resolves a column projection against a layout: the
@@ -130,56 +160,115 @@ func (g *Generator) Batch(startPK int64, n int, b *Batch) *Batch {
 	// the last.
 	startPK = max(startPK, 1)
 	n = int(min(int64(max(n, 0)), max(g.NumRows()-startPK+1, 0)))
-	cols := b.Reshape(g.NumCols(), n, startPK)
+	b.Reshape(g.NumCols(), n, startPK)
 	at := 0
 	it := g.Spans(startPK, int64(n))
 	for sp, ok := it.Next(); ok; sp, ok = it.Next() {
-		at = FillSpan(cols, at, &sp, nil)
+		at = b.FillSpan(at, &sp, nil)
 	}
 	return b
 }
 
-// FillSpan materializes sp's tuples into column-major storage starting
-// at row offset at, one destination column per entry of cols. idx
-// selects the source column for each destination in tuple order (0 =
-// pk, then values, then FKs); nil means the identity layout. Every
-// destination column must have capacity at+sp.N. Returns at+sp.N, the
-// next free row. sp is only read: passing it by pointer spares a
-// run-sized copy per call, which a reader of short runs would notice.
+// FillSpan materializes sp's tuples into the batch's columns starting at
+// row offset at. idx selects the source column for each column of the
+// batch in tuple order (0 = pk, then values, then FKs); nil means the
+// identity layout. The batch must be shaped by Reshape for at least
+// at+sp.N rows. Returns at+sp.N, the next free row. sp is only read:
+// passing it by pointer spares a run-sized copy per call, which a reader
+// of short runs would notice.
 //
 // It is the one kernel that turns summary runs into batch columns —
 // Batch and every scan backend fill through it. A constant column (every
-// non-key value, and every FK outside spread mode) is written with wide
-// stores: one element, then doubling copies, so memmove's vector stores
-// do the work instead of one store per value.
+// non-key value, and every FK outside spread mode) is stored only where
+// the column's memory is not already known to hold its value, so a run
+// that goes on through a recycled batch's cells is stored once; what is
+// stored goes with wide stores: one element, then doubling copies, so
+// memmove's vector stores do the work instead of one store per value.
 //
 //hydra:hotpath
-func FillSpan(cols [][]int64, at int, sp *Span, idx []int) int {
-	n := int(sp.N)
+func (b *Batch) FillSpan(at int, sp *Span, idx []int) int {
+	hi := at + int(sp.N)
 	nvals := len(sp.Vals)
-	for c := range cols {
+	held := b.held[:len(b.Cols)]
+	for c, col := range b.Cols {
 		src := c
 		if idx != nil {
 			src = idx[c]
 		}
-		col := cols[c][at : at+n]
-		switch {
+		h := &held[c]
+		var v int64
+		switch k := src - 1 - nvals; {
 		case src == 0:
-			for i := range col {
-				col[i] = sp.Start + int64(i)
-			}
-		case src <= nvals:
-			fillConst(col, sp.Vals[src-1])
+			fillPK(col[at:hi], sp.Start)
+			h.cut(at, hi)
+			continue
+		case k < 0:
+			v = sp.Vals[src-1]
+		case sp.FKSpans != nil && sp.FKSpans[k] > 1:
+			fillCycle(col[at:hi], sp.FKs[k], sp.FKSpans[k], sp.Off)
+			h.cut(at, hi)
+			continue
 		default:
-			k := src - 1 - nvals
-			if sp.FKSpans != nil && sp.FKSpans[k] > 1 {
-				fillCycle(col, sp.FKs[k], sp.FKSpans[k], sp.Off)
-			} else {
-				fillConst(col, sp.FKs[k])
-			}
+			v = sp.FKs[k]
+		}
+		if h.v != v || at < h.lo || h.hi < at {
+			h.fill(col, at, hi, v)
+		} else if hi > h.hi {
+			// The record reaches the range: store what lies past it.
+			fillConst(col[h.hi:hi], v)
+			h.hi = hi
 		}
 	}
-	return at + n
+	return hi
+}
+
+// fill is FillSpan's store of v over [lo, hi) when the record does not
+// reach lo. A record of v that starts inside the range grows to cover
+// it, and only the range's parts outside the record are stored; any
+// other record is replaced by the range, stored whole.
+//
+//hydra:hotpath
+func (h *held) fill(col []int64, lo, hi int, v int64) {
+	if h.v != v || hi < h.lo || h.hi < lo {
+		fillConst(col[lo:hi], v)
+		*h = held{v: v, lo: lo, hi: hi}
+		return
+	}
+	fillConst(col[lo:h.lo], v)
+	h.lo = lo
+	if hi > h.hi {
+		fillConst(col[h.hi:hi], v)
+		h.hi = hi
+	}
+}
+
+// cut drops [lo, hi), which other values were just stored over, from the
+// record; of what is left on either side, the longer part is kept.
+//
+//hydra:hotpath
+func (h *held) cut(lo, hi int) {
+	if lo >= hi || hi <= h.lo || h.hi <= lo {
+		return
+	}
+	switch left, right := lo-h.lo, h.hi-hi; {
+	case left <= 0 && right <= 0:
+		*h = held{}
+	case left >= right:
+		h.hi = lo
+	default:
+		h.lo = hi
+	}
+}
+
+// fillPK writes the pks start, start+1, ... into col. start comes by
+// value so the loop keeps it in a register instead of reloading it from
+// the span on every store.
+//
+//hydra:hotpath
+func fillPK(col []int64, start int64) {
+	for i := range col {
+		col[i] = start + int64(i)
+	}
 }
 
 // fillConst sets every element of col to v: one store, then each copy

@@ -185,11 +185,11 @@ func fillProjected(g *Generator, start int64, n int, b *Batch, idx []int) *Batch
 	if idx != nil {
 		ncols = len(idx)
 	}
-	cols := b.Reshape(ncols, n, start)
+	b.Reshape(ncols, n, start)
 	at := 0
 	it := g.Spans(start, int64(n))
 	for sp, ok := it.Next(); ok; sp, ok = it.Next() {
-		at = FillSpan(cols, at, &sp, idx)
+		at = b.FillSpan(at, &sp, idx)
 	}
 	b.Truncate(at)
 	return b
@@ -350,14 +350,14 @@ func TestFillSpanMatchesRow(t *testing.T) {
 			width = len(idx)
 		}
 		at := rng.Intn(5)
-		cols := make([][]int64, width)
+		var b Batch
+		cols := b.Reshape(width, at+int(n)+3, 1)
 		for c := range cols {
-			cols[c] = make([]int64, at+int(n)+3)
 			for i := range cols[c] {
 				cols[c][i] = untouched
 			}
 		}
-		if next := FillSpan(cols, at, &sp, idx); next != at+int(n) {
+		if next := b.FillSpan(at, &sp, idx); next != at+int(n) {
 			t.Fatalf("trial %d: FillSpan returned %d, want %d", trial, next, at+int(n))
 		}
 		for i := range cols[0] {
@@ -423,19 +423,24 @@ func TestBatchEveryPKMatchesRow(t *testing.T) {
 	}
 }
 
-// BenchmarkFillSpan measures the fill kernel alone on one 8 192-row run
-// of a 15-column layout (pk, twelve values, two FKs), the width of the
-// widest benchmark relations: const is every column but the pk a
-// constant fill, spread has both FKs cycling.
+// BenchmarkFillSpan measures the fill kernel alone on 8 192-row
+// batches of a 15-column layout (pk, twelve values, two FKs), the width
+// of the widest benchmark relations. const (every column but the pk a
+// constant) and spread (both FKs cycling) fill one run into a batch that
+// remembers nothing, so every value is stored; recycled continues one
+// run through batch after batch, as a scan of a long run does, so only
+// the pk is; short fills 8 192 one-row runs whose FKs change every row,
+// where remembering what a column holds cannot pay.
 func BenchmarkFillSpan(b *testing.B) {
 	const rows = 8192
 	vals := make([]int64, 12)
 	for i := range vals {
 		vals[i] = int64(1000 + i)
 	}
-	cols := make([][]int64, 15)
-	for c := range cols {
-		cols[c] = make([]int64, rows)
+	var bt Batch
+	bt.Reshape(15, rows, 1)
+	report := func(b *testing.B) {
+		b.ReportMetric(float64(rows)*float64(b.N)/b.Elapsed().Seconds(), "rows/s")
 	}
 	for _, tc := range []struct {
 		name    string
@@ -444,9 +449,34 @@ func BenchmarkFillSpan(b *testing.B) {
 		sp := Span{Start: 1, N: rows, Vals: vals, FKs: []int64{5, 9}, FKSpans: tc.fkSpans, Off: 3}
 		b.Run(tc.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				FillSpan(cols, 0, &sp, nil)
+				bt.Forget()
+				bt.FillSpan(0, &sp, nil)
 			}
-			b.ReportMetric(float64(rows)*float64(b.N)/b.Elapsed().Seconds(), "rows/s")
+			report(b)
 		})
 	}
+	b.Run("recycled", func(b *testing.B) {
+		sp := Span{Start: 1, N: rows, Vals: vals, FKs: []int64{5, 9}}
+		bt.Forget()
+		for i := 0; i < b.N; i++ {
+			bt.FillSpan(0, &sp, nil)
+			sp.Start += rows
+			sp.Off += rows
+		}
+		report(b)
+	})
+	b.Run("short", func(b *testing.B) {
+		spans := make([]Span, rows)
+		for r := range spans {
+			spans[r] = Span{Start: int64(r + 1), N: 1, Vals: vals, FKs: []int64{int64(r%7 + 1), int64(r%5 + 1)}}
+		}
+		bt.Forget()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			for r := range spans {
+				bt.FillSpan(r, &spans[r], nil)
+			}
+		}
+		report(b)
+	})
 }

@@ -58,7 +58,7 @@ func TestFilteredSpansMatchBruteForce(t *testing.T) {
 				}
 			}
 			// Filtered spans, materialized through FillSpan.
-			cols := make([][]int64, layoutLen)
+			var b Batch
 			var gotPKs []int64
 			it := g.FilteredSpans(1, g.NumRows(), sf)
 			for {
@@ -66,10 +66,8 @@ func TestFilteredSpansMatchBruteForce(t *testing.T) {
 				if !ok {
 					break
 				}
-				for i := range cols {
-					cols[i] = make([]int64, sp.N)
-				}
-				FillSpan(cols, 0, &sp, nil)
+				cols := b.Reshape(layoutLen, int(sp.N), sp.Start)
+				b.FillSpan(0, &sp, nil)
 				for i := 0; i < int(sp.N); i++ {
 					pk := cols[0][i]
 					if len(gotPKs) > 0 && pk <= gotPKs[len(gotPKs)-1] {
@@ -114,8 +112,9 @@ func TestFillSpanProjection(t *testing.T) {
 		if !ok {
 			break
 		}
-		cols := [][]int64{make([]int64, sp.N), make([]int64, sp.N)}
-		FillSpan(cols, 0, &sp, idx)
+		var b Batch
+		cols := b.Reshape(len(idx), int(sp.N), sp.Start)
+		b.FillSpan(0, &sp, idx)
 		for i := 0; i < int(sp.N); i++ {
 			pk := sp.Start + int64(i)
 			row = g.Row(pk, row)

@@ -18,7 +18,7 @@ import (
 //	...
 //	defer sc.Close()
 //	for sc.Next() {
-//	    b := sc.Batch() // column-major; valid until the next Next or Close
+//	    b := sc.Batch() // column-major and read-only; valid until the next Next or Close
 //	}
 //	err = sc.Err()
 //
@@ -37,7 +37,10 @@ type (
 	// ScanTableInfo describes one scannable relation.
 	ScanTableInfo = scan.TableInfo
 	// RowBatch is a column-major block of consecutive rows — the unit
-	// every Scan yields and tuplegen generates.
+	// every Scan yields and tuplegen generates. Its columns are
+	// read-only: a batch is refilled in place, skipping the values its
+	// memory already holds, so a write into it would show in later
+	// batches. Copy what you need to change.
 	RowBatch = tuplegen.Batch
 	// SummarySource scans a loaded summary (in-process dynamic
 	// regeneration).
