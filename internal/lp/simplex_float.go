@@ -64,7 +64,7 @@ func newFloatTableau(p *Problem, buf *[]float64) *floatTableau {
 			sign = -1
 		}
 		for _, e := range r.Entries {
-			row[e.Var] += sign * float64(e.Coef)
+			row[e.Var] += float64(sign * float64(e.Coef)) // no FMA: see eliminateFloat
 		}
 		row[t.cols] = sign * float64(r.RHS)
 		switch rels[i] {
@@ -126,13 +126,18 @@ func (t *floatTableau) pivot(r, jc int) {
 
 // eliminateFloat subtracts row[jc]·pr from row, where pr[jc] = 1 and nz
 // lists pr's non-zero columns, and clears row[jc] exactly.
+//
+// The explicit float64(…) around each product here and in the tableau's
+// other updates rounds the product before the add: Go may otherwise fuse
+// x -= y*z into one FMA instruction on arm64, ppc64le, s390x and riscv64,
+// and a fused pivot can pick another vertex than it does on amd64.
 func eliminateFloat(row, pr []float64, nz []int, jc int) {
 	f := row[jc]
 	if f == 0 {
 		return
 	}
 	for _, j := range nz {
-		row[j] -= f * pr[j]
+		row[j] -= float64(f * pr[j])
 	}
 	row[jc] = 0
 }
@@ -257,7 +262,7 @@ func (t *floatTableau) setObjective(obj []Entry) {
 		}
 		cb := c[b]
 		for j := 0; j <= t.cols; j++ {
-			c[j] -= cb * t.rows[i][j]
+			c[j] -= float64(cb * t.rows[i][j]) // no FMA: see eliminateFloat
 		}
 		c[b] = 0
 	}

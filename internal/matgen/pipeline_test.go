@@ -2,13 +2,16 @@ package matgen
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"errors"
 	"fmt"
 	"io"
 	"os"
 	"path/filepath"
+	"runtime"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"github.com/dsl-repro/hydra/internal/summary"
 	"github.com/dsl-repro/hydra/internal/tuplegen"
@@ -87,31 +90,213 @@ func TestErrorStopsPipelinePromptly(t *testing.T) {
 	}
 }
 
+// manyRelations is a summary of n relations of rows rows each (two
+// summary rows apiece), named R00, R01, …: enough tables that a
+// per-table chunk window would hold many times the pool-wide budget.
+func manyRelations(n int, rows int64) *summary.Summary {
+	sum := &summary.Summary{Relations: map[string]*summary.RelationSummary{}}
+	for i := range n {
+		name := fmt.Sprintf("R%02d", i)
+		sum.Relations[name] = &summary.RelationSummary{
+			Table: name, Cols: []string{"C"},
+			Rows: []summary.RelRow{
+				{Vals: []int64{int64(i)}, Count: rows / 2},
+				{Vals: []int64{int64(i + 1)}, Count: rows - rows/2},
+			},
+			Total: rows,
+		}
+	}
+	return sum
+}
+
+// Chunk geometry of the many-relation tests: 32 relations of 16 chunks.
+const (
+	manyTables    = 32
+	manyChunks    = 16
+	manyBatchRows = 64
+)
+
+// waitGoroutines fails the test unless the goroutine count falls back
+// to want: a leaked dispatcher, worker or collector keeps it above.
+func waitGoroutines(t *testing.T, want int) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > want {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines left running, %d before the run", runtime.NumGoroutine(), want)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// dirHashes returns the SHA-256 of every file in dir, by name.
+func dirHashes(t *testing.T, dir string) map[string][sha256.Size]byte {
+	t.Helper()
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := make(map[string][sha256.Size]byte, len(entries))
+	for _, e := range entries {
+		b, err := os.ReadFile(filepath.Join(dir, e.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		out[e.Name()] = sha256.Sum256(b)
+	}
+	return out
+}
+
+// TestInFlightChunksBoundedByWorkers: the pool's chunk budget is shared
+// by every table, so at most 2×workers chunks are taken by a worker and
+// not yet written, however many relations the summary holds. A rate
+// limit keeps the collectors behind the encoders, so every dispatcher
+// would run ahead as far as it is let.
+func TestInFlightChunksBoundedByWorkers(t *testing.T) {
+	sum := manyRelations(manyTables, manyChunks*manyBatchRows)
+	var want map[string][sha256.Size]byte
+	for _, workers := range []int{1, 2, 4} {
+		dir := t.TempDir()
+		var err error
+		high := inFlightHighWater(func() {
+			_, err = Materialize(sum, Options{
+				Dir: dir, Format: "csv", Workers: workers, BatchRows: manyBatchRows,
+				NoManifest: true, RateLimit: 400_000,
+			})
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if high < 1 || high > int64(2*workers) {
+			t.Errorf("workers=%d: %d chunks in flight at once, want 1..%d", workers, high, 2*workers)
+		}
+		got := dirHashes(t, dir)
+		if len(got) != manyTables {
+			t.Fatalf("workers=%d: %d files, want %d", workers, len(got), manyTables)
+		}
+		if want == nil {
+			want = got
+			continue
+		}
+		for name, h := range want {
+			if got[name] != h {
+				t.Errorf("workers=%d: %s differs from workers=1", workers, name)
+			}
+		}
+	}
+}
+
+// TestBudgetGrantOrder: a freed slot goes to a table holding fewer than
+// two slots before one holding more, then to the most rows left, then to
+// the first to ask.
+func TestBudgetGrantOrder(t *testing.T) {
+	full := &slotHolder{held: 2, left: 1000, grant: make(chan struct{}, 1)}
+	small := &slotHolder{held: 0, left: 10, grant: make(chan struct{}, 1)}
+	big := &slotHolder{held: 1, left: 500, grant: make(chan struct{}, 1)}
+	twin := &slotHolder{held: 0, left: 500, grant: make(chan struct{}, 1)}
+	b := &budget{size: 8, waiting: []*slotHolder{full, small, big, twin}}
+	for _, want := range []*slotHolder{big, twin, small, full} {
+		b.mu.Lock()
+		b.free++
+		b.handOut()
+		b.mu.Unlock()
+		select {
+		case <-want.grant:
+		default:
+			t.Fatalf("slot went elsewhere; want the holder with held %d, left %d", want.held-1, want.left)
+		}
+	}
+	if b.free != 0 || len(b.waiting) != 0 {
+		t.Fatalf("free %d, %d waiting after every grant", b.free, len(b.waiting))
+	}
+}
+
+// TestBudgetTakeWhenDone: a take the run's end interrupts holds nothing
+// more, whether or not a slot was granted to it in the same instant.
+func TestBudgetTakeWhenDone(t *testing.T) {
+	done := make(chan struct{})
+	close(done)
+	b := newBudget(1)
+	h := newSlotHolder()
+	if !b.take(h, 1, make(chan struct{})) {
+		t.Fatal("first take failed with a free slot")
+	}
+	if b.take(h, 1, done) {
+		t.Fatal("take succeeded with no slot free")
+	}
+	b.give(h)
+	// With a slot free and the run over, take may win either way; what it
+	// reports must match what it holds.
+	var got [2]int
+	for range 200 {
+		ok := b.take(h, 1, done)
+		if ok {
+			b.give(h)
+			got[1]++
+		} else {
+			got[0]++
+		}
+		if h.held != 0 || b.free != 1 || len(b.waiting) != 0 {
+			t.Fatalf("after take = %v: held %d, free %d, %d waiting", ok, h.held, b.free, len(b.waiting))
+		}
+	}
+	if got[0] == 0 || got[1] == 0 {
+		t.Fatalf("outcomes %v: both the grant and the stop should win sometimes", got)
+	}
+}
+
 // TestErrorCancelsSiblingTables: a failure in one table must cancel the
-// others, remove their partial output, and report the failing table.
+// others promptly, remove their partial output, report the failing
+// table, and leave no dispatcher, worker or collector running — with two
+// tables, and with many tables sharing the pool's chunk budget.
 func TestErrorCancelsSiblingTables(t *testing.T) {
-	sum := bigSummary(100_000)
-	sum.Relations["A2"] = &summary.RelationSummary{
+	two := bigSummary(100_000)
+	two.Relations["A2"] = &summary.RelationSummary{
 		Table: "A2", Cols: []string{"D"},
 		Rows:  []summary.RelRow{{Vals: []int64{9}, Count: 100_000}},
 		Total: 100_000,
 	}
-	failComp.calls.Store(0)
-	failComp.failAt = 1 // every frame fails, whichever table gets there first
-	dir := t.TempDir()
-	_, err := Materialize(sum, Options{
-		Dir: dir, Format: "csv", Compress: "testfail",
-		Workers: 4, BatchRows: 64,
-	})
-	if err == nil {
-		t.Fatal("expected failure")
-	}
-	entries, readErr := os.ReadDir(dir)
-	if readErr != nil {
-		t.Fatal(readErr)
-	}
-	for _, e := range entries {
-		t.Errorf("failed run left %s behind", e.Name())
+	const manyFrames = manyTables * (manyChunks + 1) // chunks and headers
+	for _, tc := range []struct {
+		prefix         string
+		sum            *summary.Summary
+		frames, failAt int64
+	}{
+		// Every frame fails, whichever table gets there first.
+		{"", two, 2 * (100_000/manyBatchRows + 2), 1},
+		// The failure strikes mid-run, with chunks of many tables in flight.
+		{"many-tables/", manyRelations(manyTables, manyChunks*manyBatchRows), manyFrames, manyFrames / 4},
+	} {
+		for _, workers := range []int{1, 4} {
+			t.Run(fmt.Sprintf("%sworkers=%d", tc.prefix, workers), func(t *testing.T) {
+				before := runtime.NumGoroutine()
+				failComp.calls.Store(0)
+				failComp.failAt = tc.failAt
+				dir := t.TempDir()
+				start := time.Now()
+				_, err := Materialize(tc.sum, Options{
+					Dir: dir, Format: "csv", Compress: "testfail",
+					Workers: workers, BatchRows: manyBatchRows,
+				})
+				if err == nil {
+					t.Fatal("expected failure")
+				}
+				if waited := time.Since(start); waited > 5*time.Second {
+					t.Fatalf("failure took %v to surface", waited)
+				}
+				if attempted := failComp.calls.Load(); attempted >= tc.frames/2 {
+					t.Errorf("pipeline attempted %d of %d frames; want a prompt stop", attempted, tc.frames)
+				}
+				entries, readErr := os.ReadDir(dir)
+				if readErr != nil {
+					t.Fatal(readErr)
+				}
+				for _, e := range entries {
+					t.Errorf("failed run left %s behind", e.Name())
+				}
+				waitGoroutines(t, before)
+			})
+		}
 	}
 }
 

@@ -329,37 +329,49 @@ func TestMaterializeRateLimit(t *testing.T) {
 	}
 }
 
-// TestMaterializeContextCancel: cancellation aborts both engine paths
-// promptly, reports the context's error, and removes partial output.
+// TestMaterializeContextCancel: cancellation aborts the run promptly,
+// reports the context's error, removes the output, and leaves no
+// dispatcher, worker or collector running — with two tables, and with
+// many tables sharing the pool's chunk budget.
 func TestMaterializeContextCancel(t *testing.T) {
-	sum := testSummary()
-	for _, workers := range []int{1, 4} {
-		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
-			dir := t.TempDir()
-			ctx, cancel := context.WithCancel(context.Background())
-			go func() {
-				time.Sleep(50 * time.Millisecond)
-				cancel()
-			}()
-			start := time.Now()
-			// A tight rate limit keeps the run alive long enough that the
-			// cancellation strikes mid-flight.
-			_, err := MaterializeContext(ctx, sum, Options{
-				Dir: dir, Format: "csv", Workers: workers, BatchRows: 128, RateLimit: 500,
+	for _, tc := range []struct {
+		prefix    string
+		sum       *summary.Summary
+		batchRows int
+	}{
+		{"", testSummary(), 128},
+		{"many-tables/", manyRelations(manyTables, manyChunks*manyBatchRows), manyBatchRows},
+	} {
+		for _, workers := range []int{1, 4} {
+			t.Run(fmt.Sprintf("%sworkers=%d", tc.prefix, workers), func(t *testing.T) {
+				before := runtime.NumGoroutine()
+				dir := t.TempDir()
+				ctx, cancel := context.WithCancel(context.Background())
+				go func() {
+					time.Sleep(50 * time.Millisecond)
+					cancel()
+				}()
+				start := time.Now()
+				// A tight rate limit keeps the run alive long enough that the
+				// cancellation strikes mid-flight.
+				_, err := MaterializeContext(ctx, tc.sum, Options{
+					Dir: dir, Format: "csv", Workers: workers, BatchRows: tc.batchRows, RateLimit: 500,
+				})
+				if !errors.Is(err, context.Canceled) {
+					t.Fatalf("err = %v, want context.Canceled", err)
+				}
+				if waited := time.Since(start); waited > 5*time.Second {
+					t.Fatalf("cancellation took %v", waited)
+				}
+				entries, err := os.ReadDir(dir)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, e := range entries {
+					t.Errorf("partial artifact left behind: %s", e.Name())
+				}
+				waitGoroutines(t, before)
 			})
-			if !errors.Is(err, context.Canceled) {
-				t.Fatalf("err = %v, want context.Canceled", err)
-			}
-			if waited := time.Since(start); waited > 5*time.Second {
-				t.Fatalf("cancellation took %v", waited)
-			}
-			entries, err := os.ReadDir(dir)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, e := range entries {
-				t.Errorf("partial artifact left behind: %s", e.Name())
-			}
-		})
+		}
 	}
 }
