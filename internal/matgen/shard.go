@@ -9,6 +9,7 @@ import (
 	"math/bits"
 	"os"
 	"path/filepath"
+	"strconv"
 
 	"github.com/dsl-repro/hydra/internal/fsx"
 )
@@ -90,7 +91,16 @@ const manifestVersion = 1
 
 // ManifestPath returns the manifest file name for one shard under dir.
 func ManifestPath(dir string, shard, shards int) string {
-	return filepath.Join(dir, fmt.Sprintf("manifest-%03d-of-%03d.json", shard, shards))
+	return filepath.Join(dir, "manifest-"+splitName(shard, shards)+".json")
+}
+
+// splitName is "<shard>-of-<shards>", both padded to the digits of the
+// last shard's index and to three at least, so that a split's names sort
+// in shard order at any width and splits under 1 000 shards keep their
+// three-digit names.
+func splitName(shard, shards int) string {
+	w := max(3, len(strconv.Itoa(shards-1)))
+	return fmt.Sprintf("%0*d-of-%0*d", w, shard, w, shards)
 }
 
 func writeManifest(path string, m *Manifest) error {
@@ -103,8 +113,9 @@ func writeManifest(path string, m *Manifest) error {
 
 // ErrManifestInconsistent marks a manifest that contradicts itself or
 // its siblings. Every reader of a directory meets it the same way:
-// orchestrate.Verify reports it under this very value, and scan.OpenDir
-// returns it from ReadManifest.
+// ReadManifest returns it, and scan's DirSource, the one reader of a
+// shard directory (orchestrate.Verify included), reports it under this
+// very value.
 var ErrManifestInconsistent = errors.New("shard manifests inconsistent")
 
 // ReadManifest loads a manifest written by Materialize. The file is not

@@ -11,7 +11,9 @@
 // The verification side is deliberately independent of the generation
 // side: Verify needs only a directory of part files and manifests, so a
 // multi-machine run can ship every machine's artifacts to one place and
-// prove the assembly there before loading it anywhere.
+// prove the assembly there before loading it anywhere. It reads that
+// directory the way a scan does, through internal/scan's DirSource,
+// which owns the directory contract and its failure sentinels.
 package orchestrate
 
 import (
@@ -83,8 +85,6 @@ type Options struct {
 	RetryBackoff time.Duration
 	// Runner executes shard jobs; nil means the in-process LocalRunner.
 	Runner Runner
-	// SkipVerify suppresses the post-run manifest verification.
-	SkipVerify bool
 }
 
 // DefaultRetries is how often a failed shard is re-run when
@@ -146,7 +146,7 @@ type ShardResult struct {
 type Result struct {
 	Plan   *Plan
 	Shards []ShardResult
-	// Verification is the post-run manifest check, nil when skipped.
+	// Verification is the post-run manifest check.
 	Verification *VerifyReport
 	Rows         int64
 	Bytes        int64
@@ -282,14 +282,9 @@ func Run(ctx context.Context, sum *summary.Summary, opts Options) (*Result, erro
 	if firstErr != nil {
 		return res, firstErr
 	}
-	if !opts.SkipVerify {
-		vr, err := Verify(VerifyOptions{Dir: opts.Dir, Shards: plan.Shards, Summary: sum, Tables: opts.Tables})
-		res.Verification = vr
-		if err != nil {
-			return res, err
-		}
-	}
-	return res, nil
+	vr, err := Verify(VerifyOptions{Dir: opts.Dir, Shards: plan.Shards, Summary: sum, Tables: opts.Tables})
+	res.Verification = vr
+	return res, err
 }
 
 // runShard runs one job with retries, pausing a jittered backoff

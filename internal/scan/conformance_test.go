@@ -766,15 +766,16 @@ func scanErr(t *testing.T, ctx context.Context, src scan.Source, spec scan.Spec)
 // decodes from it and not again while the file stays what it was;
 // corruption — before the first touch or after it, by rewrite,
 // replacement, truncation or append — fails the next scan that opens
-// the part with the checksum named; and a scan that never reaches a bad
-// part still succeeds.
+// the part with the sentinel Verify would report (ErrChecksum for other
+// bytes, ErrTruncated for another size); and a scan that never reaches a
+// bad part still succeeds.
 func TestDirChecksumLazyVerify(t *testing.T) {
 	sum := testSummary()
 	ctx := context.Background()
-	wantSHA := func(t *testing.T, err error) {
+	wantErr := func(t *testing.T, err, want error) {
 		t.Helper()
-		if err == nil || !strings.Contains(err.Error(), "sha256") {
-			t.Fatalf("err = %v, want sha256 mismatch", err)
+		if !errors.Is(err, want) {
+			t.Fatalf("err = %v, want %v", err, want)
 		}
 	}
 	flipByte := func(t *testing.T, path string) (orig []byte) {
@@ -805,9 +806,9 @@ func TestDirChecksumLazyVerify(t *testing.T) {
 		}
 		// A full scan must refuse it — every time: a failed verification
 		// is not remembered, the part is hashed again and fails again.
-		wantSHA(t, scanErr(t, ctx, src, scan.Spec{Table: "S"}))
+		wantErr(t, scanErr(t, ctx, src, scan.Spec{Table: "S"}), scan.ErrChecksum)
 		before := dirVerifyBytes()
-		wantSHA(t, scanErr(t, ctx, src, scan.Spec{Table: "S", StartPK: 8000}))
+		wantErr(t, scanErr(t, ctx, src, scan.Spec{Table: "S", StartPK: 8000}), scan.ErrChecksum)
 		if got := dirVerifyBytes() - before; got != int64(len(orig)) {
 			t.Fatalf("retry after a failed verification hashed %d bytes, want the part's %d", got, len(orig))
 		}
@@ -916,11 +917,18 @@ func TestDirChecksumLazyVerify(t *testing.T) {
 				return os.Rename(tmp, path)
 			},
 		}
-		for _, name := range []string{"rewrite", "truncate", "append", "replace"} {
+		for _, change := range []struct {
+			name string
+			want error
+		}{
+			{"rewrite", scan.ErrChecksum}, {"truncate", scan.ErrTruncated},
+			{"append", scan.ErrTruncated}, {"replace", scan.ErrChecksum},
+		} {
+			name := change.name
 			if err := changes[name](); err != nil {
 				t.Fatalf("%s: %v", name, err)
 			}
-			wantSHA(t, scanErr(t, ctx, src, scan.Spec{Table: "S", StartPK: 8000}))
+			wantErr(t, scanErr(t, ctx, src, scan.Spec{Table: "S", StartPK: 8000}), change.want)
 			if err := os.WriteFile(path, orig, 0o644); err != nil {
 				t.Fatal(err)
 			}
@@ -1308,25 +1316,148 @@ func matchesBatches(got, want []capturedBatch) bool {
 	return true
 }
 
-// TestDirMixedProjectionRefused: shards materialized under different
-// same-width projections must be refused at OpenDir — decoding them
-// positionally against one layout would silently swap column values.
+// dirSentinels are the shard-directory failure classes; a directory
+// fault must wrap exactly one of them.
+var dirSentinels = []error{scan.ErrManifestMissing, matgen.ErrManifestInconsistent, scan.ErrRangeOverlap,
+	scan.ErrRangeGap, scan.ErrRowCount, scan.ErrTruncated, scan.ErrChecksum, scan.ErrStaleArtifacts}
+
+// expectOnly fails t unless err wraps want and no other directory
+// sentinel.
+func expectOnly(t *testing.T, err, want error) {
+	t.Helper()
+	if err == nil {
+		t.Fatalf("err = nil, want %v", want)
+	}
+	for _, s := range dirSentinels {
+		if errors.Is(err, s) != (s == want) {
+			t.Fatalf("err %v: errors.Is(%v) = %v", err, s, s != want)
+		}
+	}
+}
+
+// TestDirMixedProjectionRefused: OpenDir refuses a directory that is not
+// one run with the sentinel that names why. Shards materialized under
+// different same-width projections must be refused — decoding them
+// positionally against one layout would silently swap column values —
+// and so must an empty directory and two split widths side by side.
 func TestDirMixedProjectionRefused(t *testing.T) {
 	sum := testSummary()
-	dir := t.TempDir()
-	if _, err := matgen.Materialize(sum, matgen.Options{
-		Dir: dir, Format: "csv", Shards: 2, Shard: 0, Tables: []string{"S"},
-		Columns: []string{"S_pk", "A"},
-	}); err != nil {
+	materialize := func(t *testing.T, dir string, shard, shards int, cols []string) {
+		t.Helper()
+		if _, err := matgen.Materialize(sum, matgen.Options{
+			Dir: dir, Format: "csv", Shards: shards, Shard: shard, Tables: []string{"S"}, Columns: cols,
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	t.Run("mixed projections", func(t *testing.T) {
+		dir := t.TempDir()
+		materialize(t, dir, 0, 2, []string{"S_pk", "A"})
+		materialize(t, dir, 1, 2, []string{"A", "S_pk"}) // same width, different order
+		_, err := scan.OpenDir(dir)
+		expectOnly(t, err, matgen.ErrManifestInconsistent)
+		if !strings.Contains(err.Error(), "disagree") {
+			t.Fatalf("err = %v, want layout disagreement", err)
+		}
+	})
+	t.Run("no manifests", func(t *testing.T) {
+		_, err := scan.OpenDir(t.TempDir())
+		expectOnly(t, err, scan.ErrManifestMissing)
+	})
+	t.Run("mixed split widths", func(t *testing.T) {
+		dir := t.TempDir()
+		materialize(t, dir, 0, 2, nil)
+		materialize(t, dir, 0, 3, nil)
+		_, err := scan.OpenDir(dir)
+		expectOnly(t, err, scan.ErrStaleArtifacts)
+	})
+}
+
+// TestDirVerifyStampsParts: Verify hashes every part whatever was hashed
+// before and stamps what it hashed, so Verify and then a full scan of
+// every table on one source hash each part exactly once, and a second
+// Verify hashes them all again. A part rewritten in place behind its
+// stamp (same file, size and mtime) fails the next Verify, and the
+// scans after that hash it again and fail too.
+func TestDirVerifyStampsParts(t *testing.T) {
+	sum := testSummary()
+	ctx := context.Background()
+	dir := materializeDir(t, sum, "csv", "gzip", 3, false)
+	src, err := scan.OpenDir(dir)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := matgen.Materialize(sum, matgen.Options{
-		Dir: dir, Format: "csv", Shards: 2, Shard: 1, Tables: []string{"S"},
-		Columns: []string{"A", "S_pk"}, // same width, different order
-	}); err != nil {
+	var partBytes int64
+	for _, m := range readManifests(t, dir) {
+		for _, tr := range m.Tables {
+			partBytes += tr.Bytes
+		}
+	}
+	verify := func() {
+		t.Helper()
+		before := dirVerifyBytes()
+		rep, err := src.Verify(ctx, sum, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := dirVerifyBytes() - before; got != partBytes || rep.BytesHashed != partBytes || rep.FilesHashed != 6 {
+			t.Fatalf("Verify hashed %d bytes (report: %d in %d files), want every part's %d in 6",
+				got, rep.BytesHashed, rep.FilesHashed, partBytes)
+		}
+	}
+	verify()
+	before := dirVerifyBytes()
+	for _, table := range []string{"S", "T"} {
+		if err := scanErr(t, ctx, src, scan.Spec{Table: table}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := dirVerifyBytes() - before; got != 0 {
+		t.Fatalf("full scans after Verify hashed %d bytes, want 0", got)
+	}
+	verify()
+
+	path := dir + "/T.csv.part-001-of-003.gz"
+	fi, err := os.Stat(path)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := scan.OpenDir(dir); err == nil || !strings.Contains(err.Error(), "disagree") {
-		t.Fatalf("err = %v, want layout disagreement", err)
+	b, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b[len(b)/2] ^= 1
+	if err := os.WriteFile(path, b, 0o644); err != nil { // in place: the same file
+		t.Fatal(err)
+	}
+	if err := os.Chtimes(path, time.Time{}, fi.ModTime()); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := src.Verify(ctx, sum, nil); !errors.Is(err, scan.ErrChecksum) {
+		t.Fatalf("Verify of a part rewritten behind its stamp: err = %v, want ErrChecksum", err)
+	}
+	if err := scanErr(t, ctx, src, scan.Spec{Table: "T"}); !errors.Is(err, scan.ErrChecksum) {
+		t.Fatalf("scan after a failed Verify: err = %v, want ErrChecksum", err)
+	}
+}
+
+// TestDirSQLVerifiedNotScanned: an sql directory opens and verifies like
+// any other, and its Scan is refused as a spec error: sql parts are
+// written to be loaded, never read back.
+func TestDirSQLVerifiedNotScanned(t *testing.T) {
+	sum := testSummary()
+	src, err := scan.OpenDir(materializeDir(t, sum, "sql", "", 2, false))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := src.Verify(context.Background(), sum, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Format != "sql" || rep.Shards != 2 || rep.FilesHashed != 4 {
+		t.Fatalf("report = %+v", rep)
+	}
+	if _, err := src.Scan(context.Background(), scan.Spec{Table: "S"}); !errors.Is(err, scan.ErrSpec) {
+		t.Fatalf("scan of an sql directory: err = %v, want ErrSpec", err)
 	}
 }

@@ -3,6 +3,7 @@ package scan
 import (
 	"bufio"
 	"bytes"
+	"cmp"
 	"context"
 	"crypto/sha256"
 	"encoding/binary"
@@ -25,39 +26,67 @@ import (
 	"github.com/dsl-repro/hydra/internal/obs"
 	"github.com/dsl-repro/hydra/internal/pred"
 	"github.com/dsl-repro/hydra/internal/storage"
+	"github.com/dsl-repro/hydra/internal/summary"
 	"github.com/dsl-repro/hydra/internal/trace"
 	"github.com/dsl-repro/hydra/internal/tuplegen"
 )
 
 // Directory-backend counters: the two costs of a scan that are not its
-// rows — bytes hashed to verify a part before reading it, and rows
-// stepped over without being delivered — and the rows that cost a full
-// parse, whose share of hydra_scan_rows_total{backend="dir"} is the
-// run prediction's miss rate.
+// rows — bytes hashed to verify a part, and rows stepped over without
+// being delivered — and the rows that cost a full parse, whose share of
+// hydra_scan_rows_total{backend="dir"} is the run prediction's miss rate.
 var (
 	mDirVerifyBytes = obs.Default.Counter("hydra_scan_dir_verify_bytes_total",
-		"part-file bytes hashed against the manifest's SHA-256 before a scan read them")
+		"part-file bytes hashed against the manifest's SHA-256, by a scan before it read them or by a whole-directory Verify")
 	mDirSkippedRows = obs.Default.Counter("hydra_scan_dir_skipped_rows_total",
 		"rows a directory scan decoded past without delivering: the remainder after a chunk seek, and rows a pk restriction excludes")
 	mDirParsedRows = obs.Default.Counter("hydra_scan_dir_parsed_rows_total",
 		"rows a directory scan parsed cell by cell — the first row of each run and every row the prediction missed")
 )
 
+// Shard-directory failure classes. Everything OpenDir and Verify find
+// wrong with a directory's manifests or parts wraps exactly one of these
+// or matgen.ErrManifestInconsistent (manifests that disagree about the
+// run, or contradict themselves or their file names), so a caller tells
+// a torn copy from bit rot from a mis-planned split with errors.Is, and
+// a scan that meets a bad part says what Verify says.
+var (
+	// ErrManifestMissing: no manifest at all, or none for a shard of the split.
+	ErrManifestMissing = errors.New("shard manifest missing")
+	// ErrRangeOverlap: two shards claim overlapping rows of a table.
+	ErrRangeOverlap = errors.New("shard row ranges overlap")
+	// ErrRangeGap: rows of a table no shard covers.
+	ErrRangeGap = errors.New("shard row ranges leave a gap")
+	// ErrRowCount: a table's rows differ from the summary's cardinality.
+	ErrRowCount = errors.New("row counts do not match summary cardinality")
+	// ErrTruncated: a part's size is not the bytes its manifest recorded
+	// (a torn copy or partial ship).
+	ErrTruncated = errors.New("shard file truncated or resized")
+	// ErrChecksum: a part's SHA-256 is not the one its manifest recorded
+	// (bit rot or a wrong file).
+	ErrChecksum = errors.New("shard file checksum mismatch")
+	// ErrStaleArtifacts: manifests or part files of another split width,
+	// which a `cat *.part-*` glob would mix in.
+	ErrStaleArtifacts = errors.New("stale artifacts from a different shard split")
+)
+
 // DirSource scans a materialized shard directory — the output of
 // Materialize or Orchestrate — by decoding the part files against their
-// manifests. Formats csv, jsonl, heap, and spans are scannable (plus any
-// of them gzip-compressed); sql is an import artifact, not a scan target.
+// manifests, and Verify proves such a directory whole: it is the one
+// reader of what the directory means. Formats csv, jsonl, heap, and
+// spans scan (plus any of them gzip-compressed); sql is verified, never
+// scanned (see scannable).
 //
 // Checksums are verified lazily, once: a part is hashed against the
-// manifest's SHA-256 before the first row this source decodes from it,
-// and again before the next row whenever the file opened has a different
-// size, mtime or identity than the one that was hashed — so a scan never
-// silently reads a corrupted, replaced or rewritten part, parts no scan
-// touches cost nothing, and a part scanned a thousand times is hashed
-// once. What that stamp cannot see is a same-size rewrite in place that
-// lands within the filesystem's timestamp granularity of the hash;
-// orchestrate.Verify, which proves the whole directory up front, remains
-// the check to run after shipping or suspecting one.
+// manifest's size and SHA-256 before the first row this source decodes
+// from it, and again before the next row whenever the file opened has a
+// different size, mtime or identity than the one that was hashed — so a
+// scan never silently reads a corrupted, replaced or rewritten part,
+// parts no scan touches cost nothing, and a part scanned a thousand
+// times is hashed once. What that stamp cannot see is a same-size
+// rewrite in place that lands within the filesystem's timestamp
+// granularity of the hash; Verify, which hashes every part, remains the
+// check to run after shipping or suspecting one.
 //
 // A ranged scan does not read its way to its first row: the manifest's
 // chunk index (matgen.TableReport.Offsets) gives the byte offset of
@@ -90,6 +119,9 @@ type DirSource struct {
 	// lines: chunks are runs of text lines read as written (csv or jsonl,
 	// uncompressed), so a chunk offset can be checked to follow a newline.
 	lines  bool
+	shards int          // the split's width
+	held   map[int]bool // the shards whose manifests the directory holds
+	stale  error        // a part file of another split width: only Verify minds
 	tables map[string]*dirTable
 	m      *backendMetrics
 }
@@ -99,13 +131,16 @@ var _ Source = (*DirSource)(nil)
 type dirTable struct {
 	info  TableInfo
 	pkCol int       // position of <table>_pk in info.Cols, -1 when projected out
-	parts []dirPart // sorted by start row
+	parts []dirPart // one per manifest reporting the table, by start row
 }
 
 type dirPart struct {
 	path     string
+	shard    int
 	start    int64 // absolute 0-based offset of the part's first row
 	rows     int64
+	bytes    int64 // the file's size as written
+	raw      int64 // its encoded size before compression
 	checksum string
 	// Chunk i holds rows [start+i*chunkRows, start+(i+1)*chunkRows) and
 	// begins at byte offsets[i]. A manifest without an index is the one
@@ -120,18 +155,19 @@ type dirPart struct {
 // partCheck remembers that a part hashed to its manifest checksum, as
 // the fstat of the descriptor that was hashed. An open whose descriptor
 // shows the same file, size and mtime reads those bytes and is not
-// hashed again; any other is. Only success is remembered, and scans
-// arriving while one is hashing wait for its verdict rather than hash
-// the part a second time.
+// hashed again; any other is. Only success is remembered — a failure
+// forgets what was — and scans arriving while one is hashing wait for
+// its verdict rather than hash the part a second time.
 type partCheck struct {
 	mu      sync.Mutex
 	stamp   os.FileInfo   // nil until a descriptor has verified
 	hashing chan struct{} // non-nil while a scan hashes; closed when it is done
 }
 
-// verify hashes file against the part's checksum unless file is what a
-// previous call already hashed.
-func (p *dirPart) verify(ctx context.Context, file *os.File) error {
+// verify hashes file against the part's manifest entry unless file is
+// what a previous call already hashed and force is false — Verify forces
+// it. A clean hash stamps the part.
+func (p *dirPart) verify(ctx context.Context, file *os.File, force bool) error {
 	// Stat before hashing: a write that lands in between moves the mtime
 	// off the stamp, and the next open hashes again.
 	fi, err := file.Stat()
@@ -142,7 +178,7 @@ func (p *dirPart) verify(ctx context.Context, file *os.File) error {
 	for {
 		c.mu.Lock()
 		s := c.stamp
-		if s != nil && os.SameFile(s, fi) && s.Size() == fi.Size() && s.ModTime().Equal(fi.ModTime()) {
+		if !force && s != nil && os.SameFile(s, fi) && s.Size() == fi.Size() && s.ModTime().Equal(fi.ModTime()) {
 			c.mu.Unlock()
 			return nil
 		}
@@ -160,8 +196,11 @@ func (p *dirPart) verify(ctx context.Context, file *os.File) error {
 			return ctx.Err()
 		}
 	}
-	err = p.hash(ctx, file)
+	err = p.hash(ctx, file, fi)
 	c.mu.Lock()
+	// A failed hash drops the stamp too: a forced one may have found the
+	// stamped file rewritten behind its stamp.
+	c.stamp = nil
 	if err == nil {
 		c.stamp = fi
 	}
@@ -171,19 +210,28 @@ func (p *dirPart) verify(ctx context.Context, file *os.File) error {
 	return err
 }
 
-// hash reads file to its end and compares its SHA-256 to the manifest's.
-func (p *dirPart) hash(ctx context.Context, file *os.File) error {
+// hashBufs recycles hash's read buffers: a Verify hashes part after part.
+var hashBufs = sync.Pool{New: func() any { return new([1 << 20]byte) }}
+
+// hash checks file, whose fstat is fi, against the part's manifest entry:
+// its size first, then, reading it to its end, its SHA-256.
+func (p *dirPart) hash(ctx context.Context, file *os.File, fi os.FileInfo) error {
+	if fi.Size() != p.bytes {
+		return fmt.Errorf("scan: %w: %s: %d bytes on disk, manifest recorded %d",
+			ErrTruncated, p.path, fi.Size(), p.bytes)
+	}
 	// The part can be large — read in bounded slices so a canceled scan
 	// (timeout, Ctrl-C) aborts between them instead of hashing to the end.
 	t0 := time.Now()
 	h := sha256.New()
-	buf := make([]byte, 1<<20)
+	buf := hashBufs.Get().(*[1 << 20]byte)
+	defer hashBufs.Put(buf)
 	var size int64
 	for {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		n, err := file.Read(buf)
+		n, err := file.Read(buf[:])
 		h.Write(buf[:n])
 		size += int64(n)
 		if errors.Is(err, io.EOF) {
@@ -196,63 +244,72 @@ func (p *dirPart) hash(ctx context.Context, file *os.File) error {
 	mDirVerifyBytes.Add(size)
 	trace.FromContext(ctx).Event("verify", trace.Str("part", filepath.Base(p.path)),
 		trace.Int("bytes", size), trace.Dur("seconds", time.Since(t0)))
-	if got := hex.EncodeToString(h.Sum(nil)); got != p.checksum {
-		return fmt.Errorf("scan: %s: sha256 %s does not match manifest %s — part is corrupt or tampered",
-			p.path, got, p.checksum)
+	if got := hex.EncodeToString(h.Sum(nil)); p.checksum != "" && got != p.checksum {
+		return fmt.Errorf("scan: %w: %s: sha256 %s, manifest recorded %s — part is corrupt or tampered",
+			ErrChecksum, p.path, got, p.checksum)
 	}
 	return nil
 }
 
-var manifestNameRe = regexp.MustCompile(`^manifest-\d{3}-of-\d{3}\.json$`)
+// splitNameRe matches the names matgen gives the files of a split —
+// manifest-<i>-of-<n>.json, and <table>.<ext>.part-<i>-of-<n> with any
+// codec extension after it — and captures the width n. Both numbers
+// have three digits at least, more from 1 001 shards on.
+var splitNameRe = regexp.MustCompile(`^(manifest|.+\.part)-\d{3,}-of-(\d{3,})(\..+)?$`)
 
-// OpenDir opens a materialized directory for scanning: it reads every
-// shard manifest present, checks they describe one consistent run
-// (format, codec, split width), and indexes each table's parts. The
-// directory may hold any subset of a split's shards; scans fail only if
-// they reach a row no present part covers.
+// OpenDir opens a materialized directory: from one listing of it, it
+// reads every shard manifest present, checks they describe one
+// consistent run (format, codec, split width, each table's layout —
+// else matgen.ErrManifestInconsistent, or ErrStaleArtifacts for two widths),
+// and indexes each table's parts. The directory may hold any subset of
+// a split's shards; scans fail only if they reach a row no present part
+// covers, and Verify demands the whole split.
 func OpenDir(dir string) (*DirSource, error) {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
 		return nil, err
 	}
 	var manifests []*matgen.Manifest
+	var parts [][]string // splitNameRe's matches of part file names
 	for _, e := range entries {
-		if e.IsDir() || !manifestNameRe.MatchString(e.Name()) {
-			continue
+		name := e.Name()
+		match := splitNameRe.FindStringSubmatch(name)
+		switch {
+		case e.IsDir() || match == nil:
+		case match[1] != "manifest":
+			parts = append(parts, match)
+		case match[3] == ".json":
+			m, err := matgen.ReadManifest(filepath.Join(dir, name))
+			if err != nil {
+				return nil, err
+			}
+			if m.Shard < 0 || m.Shard >= m.Shards || name != filepath.Base(matgen.ManifestPath("", m.Shard, m.Shards)) {
+				return nil, fmt.Errorf("scan: %w: %s claims shard %d of %d", matgen.ErrManifestInconsistent, name, m.Shard, m.Shards)
+			}
+			manifests = append(manifests, m)
 		}
-		m, err := matgen.ReadManifest(filepath.Join(dir, e.Name()))
-		if err != nil {
-			return nil, err
-		}
-		manifests = append(manifests, m)
 	}
 	if len(manifests) == 0 {
-		return nil, fmt.Errorf("scan: %s holds no shard manifests; materialize first", dir)
+		return nil, fmt.Errorf("scan: %w: %s holds no shard manifests; materialize first", ErrManifestMissing, dir)
 	}
-	s := &DirSource{dir: dir, format: manifests[0].Format, tables: map[string]*dirTable{},
-		m: metricsForBackend("dir")}
-	switch s.format {
-	case "csv", "jsonl", "heap", "spans":
-	default:
-		return nil, fmt.Errorf("scan: format %q is not scannable (csv, jsonl, heap, spans are)", s.format)
-	}
-	if s.comp, err = matgen.CompressorFor(manifests[0].Compression); err != nil {
+	first := manifests[0]
+	s := &DirSource{dir: dir, format: first.Format, shards: first.Shards, held: map[int]bool{},
+		tables: map[string]*dirTable{}, m: metricsForBackend("dir")}
+	if s.comp, err = matgen.CompressorFor(first.Compression); err != nil {
 		return nil, err
 	}
 	s.lines = s.comp == nil && (s.format == "csv" || s.format == "jsonl")
 	for _, m := range manifests {
-		if m.Format != s.format || m.Compression != manifests[0].Compression {
-			return nil, fmt.Errorf("scan: %s mixes materialization runs (%s+%s vs %s+%s)",
-				dir, m.Format, m.Compression, s.format, manifests[0].Compression)
+		if m.Shards != first.Shards {
+			return nil, fmt.Errorf("scan: %w: %s mixes split widths %d and %d", ErrStaleArtifacts, dir, m.Shards, first.Shards)
 		}
-		if m.Shards != manifests[0].Shards {
-			return nil, fmt.Errorf("scan: %s mixes split widths %d and %d", dir, m.Shards, manifests[0].Shards)
+		if m.Format != s.format || m.Compression != first.Compression {
+			return nil, fmt.Errorf("scan: %w: %s mixes materialization runs (%s+%s vs %s+%s)",
+				matgen.ErrManifestInconsistent, dir, m.Format, m.Compression, s.format, first.Compression)
 		}
+		s.held[m.Shard] = true
 		for _, tr := range m.Tables {
-			if tr.Path == "" || tr.Rows == 0 {
-				continue
-			}
-			if len(tr.Cols) == 0 {
+			if tr.Rows > 0 && len(tr.Cols) == 0 {
 				return nil, fmt.Errorf("scan: %s: manifest for %s records no column layout; re-materialize with a current build",
 					dir, tr.Table)
 			}
@@ -265,12 +322,15 @@ func OpenDir(dir string) (*DirSource, error) {
 				// Name-and-order equality, not just width: two same-width
 				// projections of the same table would otherwise decode
 				// positionally into swapped columns with no error.
-				return nil, fmt.Errorf("scan: %s: manifests disagree on %s's layout", dir, tr.Table)
+				return nil, fmt.Errorf("scan: %w: %s: manifests disagree on %s's layout", matgen.ErrManifestInconsistent, dir, tr.Table)
 			}
 			p := dirPart{
 				path:      filepath.Join(dir, filepath.Base(tr.Path)),
+				shard:     m.Shard,
 				start:     tr.StartRow,
 				rows:      tr.Rows,
+				bytes:     tr.Bytes,
+				raw:       cmp.Or(tr.RawBytes, tr.Bytes),
 				checksum:  tr.Checksum,
 				chunkRows: tr.ChunkRows,
 				offsets:   tr.Offsets,
@@ -282,17 +342,145 @@ func OpenDir(dir string) (*DirSource, error) {
 			t.parts = append(t.parts, p)
 		}
 	}
+	for _, match := range parts {
+		if w, _ := strconv.Atoi(match[2]); w != first.Shards {
+			s.stale = fmt.Errorf("scan: %w: %s belongs to a %d-shard split, the manifests to a %d-shard one",
+				ErrStaleArtifacts, match[0], w, first.Shards)
+			break
+		}
+	}
 	for _, t := range s.tables {
-		sort.Slice(t.parts, func(i, j int) bool { return t.parts[i].start < t.parts[j].start })
+		slices.SortStableFunc(t.parts, func(a, b dirPart) int { return cmp.Compare(a.start, b.start) })
 	}
 	return s, nil
 }
 
-// Dir returns the directory being scanned.
-func (s *DirSource) Dir() string { return s.dir }
+// VerifyReport summarizes a successful Verify.
+type VerifyReport struct {
+	Shards      int
+	Format      string
+	Compression string
+	Tables      []TableCheck
+	// RawBytes is the directory's total encoded size before compression,
+	// summed from the manifests.
+	RawBytes int64
+	// FilesHashed and BytesHashed count the re-hash work performed.
+	FilesHashed int
+	BytesHashed int64
+}
 
-// Format returns the materialization format the directory holds.
-func (s *DirSource) Format() string { return s.format }
+// TableCheck is one verified table.
+type TableCheck struct {
+	Table string
+	Rows  int64
+	Bytes int64
+	// RawBytes is the table's encoded size before compression, summed
+	// from the manifests (equal to Bytes for uncompressed output).
+	RawBytes int64
+	Parts    int
+}
+
+// Verify proves the directory whole: no part file of another split
+// width, a manifest for every shard of the split, every table reported
+// by every shard with ranges that tile [0, TotalRows) — tables without a
+// row included — and every part file, hashed now whatever was hashed
+// before, the size and SHA-256 its manifest recorded. sum, when set,
+// anchors the check: the directory holds exactly the relations of
+// tables (nil: all of sum's), each with sum's cardinality. Parts that
+// hash clean are stamped as a scan stamps them, so the scans after a
+// Verify hash nothing it read. The first failure is returned wrapped
+// around its sentinel.
+func (s *DirSource) Verify(ctx context.Context, sum *summary.Summary, tables []string) (*VerifyReport, error) {
+	if s.stale != nil {
+		return nil, s.stale
+	}
+	for i := 0; i < s.shards; i++ {
+		if !s.held[i] {
+			return nil, fmt.Errorf("scan: %w: shard %d of %d (%s)",
+				ErrManifestMissing, i, s.shards, matgen.ManifestPath(s.dir, i, s.shards))
+		}
+	}
+	names := sortedNames(s.tables)
+	if sum != nil {
+		// The caller's subset may repeat names, as matgen allows.
+		want := slices.Compact(slices.Sorted(slices.Values(tables)))
+		if tables == nil {
+			want = sortedNames(sum.Relations)
+		}
+		for _, name := range want {
+			t, rs := s.tables[name], sum.Relations[name]
+			switch {
+			case t == nil || rs == nil:
+				return nil, fmt.Errorf("scan: %w: relation %q absent from the manifests or the summary", matgen.ErrManifestInconsistent, name)
+			case t.info.Rows != rs.Total:
+				return nil, fmt.Errorf("scan: %w: %s: the manifests count %d rows, the summary %d", ErrRowCount, name, t.info.Rows, rs.Total)
+			}
+		}
+		if len(names) != len(want) {
+			return nil, fmt.Errorf("scan: %w: the manifests carry %d tables, expected %d", matgen.ErrManifestInconsistent, len(names), len(want))
+		}
+	}
+	rep := &VerifyReport{Shards: s.shards, Format: s.format}
+	if s.comp != nil {
+		rep.Compression = s.comp.Name()
+	}
+	for _, name := range names {
+		t := s.tables[name]
+		check, err := t.tile(s.shards)
+		if err != nil {
+			return nil, err
+		}
+		rep.Tables = append(rep.Tables, check)
+		rep.RawBytes += check.RawBytes
+		for i := range t.parts {
+			p := &t.parts[i]
+			file, err := os.Open(p.path)
+			if err != nil {
+				return nil, err
+			}
+			err = p.verify(ctx, file, true)
+			file.Close()
+			if err != nil {
+				return nil, err
+			}
+			rep.FilesHashed++
+			rep.BytesHashed += p.bytes
+		}
+	}
+	return rep, nil
+}
+
+// tile checks that t's parts, one per shard of the split, cover
+// [0, TotalRows) with neither gap nor overlap.
+func (t *dirTable) tile(shards int) (TableCheck, error) {
+	name := t.info.Table
+	check := TableCheck{Table: name, Parts: len(t.parts)}
+	if len(t.parts) != shards {
+		return check, fmt.Errorf("scan: %w: %s is reported by %d manifests of a %d-shard split",
+			matgen.ErrManifestInconsistent, name, len(t.parts), shards)
+	}
+	var end int64 // next expected start row
+	for _, p := range t.parts {
+		switch {
+		case p.start < end:
+			return check, fmt.Errorf("scan: %w: %s: shard %d starts at row %d, already covered through %d",
+				ErrRangeOverlap, name, p.shard, p.start, end)
+		case p.start > end:
+			return check, fmt.Errorf("scan: %w: %s: rows [%d, %d) covered by no shard", ErrRangeGap, name, end, p.start)
+		}
+		end = p.start + p.rows
+		check.Rows += p.rows
+		check.Bytes += p.bytes
+		check.RawBytes += p.raw
+	}
+	if end != t.info.Rows {
+		return check, fmt.Errorf("scan: %w: %s: rows [%d, %d) covered by no shard", ErrRangeGap, name, end, t.info.Rows)
+	}
+	return check, nil
+}
+
+// Shards returns the split width the directory's manifests describe.
+func (s *DirSource) Shards() int { return s.shards }
 
 // Tables implements Source.
 func (s *DirSource) Tables() ([]string, error) { return sortedNames(s.tables), nil }
@@ -313,6 +501,9 @@ func (s *DirSource) Table(name string) (*TableInfo, error) {
 // conforming scan requires the spec to match how the directory was
 // generated.
 func (s *DirSource) Scan(ctx context.Context, spec Spec) (*Scan, error) {
+	if !scannable[s.format] {
+		return nil, fmt.Errorf("%w: %s holds %s parts, which are written to be loaded, not scanned", ErrSpec, s.dir, s.format)
+	}
 	t, ok := s.tables[spec.Table]
 	if !ok {
 		return nil, fmt.Errorf("%w: %s holds no relation %q", ErrSpec, s.dir, spec.Table)
@@ -493,7 +684,7 @@ func (f *dirRuns) openAt(ctx context.Context, abs int64) error {
 		return err
 	}
 	if p.checksum != "" {
-		if err := p.verify(ctx, file); err != nil {
+		if err := p.verify(ctx, file, false); err != nil {
 			return fail(err)
 		}
 	}
@@ -579,6 +770,11 @@ type runReader interface {
 	skip(k int64) error
 }
 
+// scannable holds the formats newRunReader reads. sql has no reader: its
+// parts are statements to load into a database, which OpenDir opens and
+// Verify proves like any other, and Scan refuses.
+var scannable = map[string]bool{"csv": true, "jsonl": true, "heap": true, "spans": true}
+
 // newRunReader builds the reader for rows [start, start+rows) of a part,
 // br positioned at the first of them — or, with header, at the csv
 // header line or heap header page before it. pkCol is the pk's position
@@ -602,9 +798,8 @@ func newRunReader(format string, br *bufio.Reader, cols []string, pkCol int, sta
 		dec := newSpanDecoder(len(cols), start, start+rows, false)
 		dec.br = br
 		return &spansRuns{dec: dec}, nil
-	default:
-		return nil, fmt.Errorf("format %q is not scannable", format)
 	}
+	return nil, fmt.Errorf("%w: format %q is not scannable", ErrSpec, format)
 }
 
 // spanCol is file column c's position in span order: the pk first, then

@@ -37,10 +37,11 @@ func Orchestrate(ctx context.Context, s *Summary, opts OrchestrateOptions) (*Orc
 }
 
 // VerifyShards re-verifies a directory of shard outputs and manifests
-// (for example after shipping every machine's artifacts to one place).
-// A zero Shards infers the split width from the manifests; a nil
-// Summary skips the cardinality anchor and checks internal consistency
-// only.
+// (for example after shipping every machine's artifacts to one place):
+// it is OpenDirSource followed by the source's Verify method, which
+// hashes every part. A zero Shards takes the split width from the
+// manifests; a nil Summary skips the cardinality anchor and checks
+// internal consistency only.
 func VerifyShards(opts ShardVerifyOptions) (*ShardVerifyReport, error) {
 	return orchestrate.Verify(opts)
 }

@@ -46,10 +46,11 @@ type (
 	// regeneration).
 	SummarySource = scan.SummarySource
 	// DirSource scans a materialized shard directory. A part is hashed
-	// against its manifest's SHA-256 before the first row the source
-	// decodes from it, and again only when the file's size, mtime or
-	// identity has changed since; a ranged scan seeks to its first row
-	// by the manifest's chunk index instead of reading up to it.
+	// against its manifest's size and SHA-256 before the first row the
+	// source decodes from it, and again only when the file's size, mtime
+	// or identity has changed since; a ranged scan seeks to its first row
+	// by the manifest's chunk index instead of reading up to it. Its
+	// Verify method proves the whole directory and hashes every part.
 	DirSource = scan.DirSource
 	// RemoteSource scans a `hydra serve` fleet: it reads the summary's
 	// runs (format=spans) with the filter pushed to the server, projects
@@ -86,11 +87,14 @@ func NewSummarySource(s *Summary) *SummarySource { return scan.NewSummarySource(
 // OpenDirSource returns a Source over a materialized shard directory
 // (the output of Materialize or Orchestrate): part files are decoded
 // against their manifests. Integrity is checked lazily and once: a part
-// is hashed against its recorded SHA-256 before the first row this
-// source decodes from it, and re-hashed before the next row whenever
-// the file opened differs in size, mtime or identity from the one that
-// was hashed; parts no scan reaches are never read. VerifyShards remains
-// the whole-directory proof. A scan that starts mid-table seeks by the
+// is hashed against its recorded size and SHA-256 before the first row
+// this source decodes from it, and re-hashed before the next row
+// whenever the file opened differs in size, mtime or identity from the
+// one that was hashed; parts no scan reaches are never read. The
+// source's Verify method, which VerifyShards calls, is the
+// whole-directory proof: it hashes every part, and scans after it do
+// not hash the parts it found clean again. An sql directory opens and
+// verifies, but does not scan. A scan that starts mid-table seeks by the
 // manifest's chunk index (one byte offset per chunk the part was
 // written in) and skips less than a chunk; the index is validated when
 // the manifest is read and the landing checked when the scan gets
