@@ -1,6 +1,7 @@
 package hydra_test
 
 import (
+	"context"
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
@@ -8,11 +9,14 @@ import (
 	"slices"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
 
 	hydra "github.com/dsl-repro/hydra"
 	"github.com/dsl-repro/hydra/internal/cc"
+	"github.com/dsl-repro/hydra/internal/core"
 	"github.com/dsl-repro/hydra/internal/engine"
+	"github.com/dsl-repro/hydra/internal/preprocess"
 	"github.com/dsl-repro/hydra/internal/scan"
 	"github.com/dsl-repro/hydra/internal/serve"
 	"github.com/dsl-repro/hydra/internal/workload/job"
@@ -313,48 +317,135 @@ func scaleBy(s *hydra.Schema, w *cc.Workload, k int64) (*hydra.Schema, *cc.Workl
 	return hydra.MustSchema(tabs...), nw
 }
 
-// TestRegeneratePinnedDigests pins the summary digest of the benchmark's
-// four summarize inputs (SF 0.2, seed 42). Views are solved concurrently
-// on GOMAXPROCS workers, so running this under -cpu 1,2,4 checks that the
-// summary does not depend on the worker count or on which view finishes
-// first.
-func TestRegeneratePinnedDigests(t *testing.T) {
+// pinnedInput is one of the benchmark's four summarize inputs.
+type pinnedInput struct {
+	name string
+	s    *hydra.Schema
+	w    *cc.Workload
+}
+
+var pinned struct {
+	once   sync.Once
+	inputs []pinnedInput
+	err    error
+}
+
+// pinnedInputs builds the benchmark's four summarize inputs (SF 0.2, seed
+// 42) once per test binary.
+func pinnedInputs(t testing.TB) []pinnedInput {
+	t.Helper()
+	pinned.once.Do(func() { pinned.inputs, pinned.err = buildPinnedInputs() })
+	if pinned.err != nil {
+		t.Fatal(pinned.err)
+	}
+	return pinned.inputs
+}
+
+func buildPinnedInputs() ([]pinnedInput, error) {
 	cfg := tpcds.Config{SF: 0.2, Seed: 42}
 	s := tpcds.Schema(cfg)
 	db, err := tpcds.GenerateDB(s, cfg)
 	if err != nil {
-		t.Fatal(err)
+		return nil, err
 	}
 	wls, _, err := engine.WorkloadFromQueries(db, s, "WLs", tpcds.QueriesSimple(s, cfg, 90))
 	if err != nil {
-		t.Fatal(err)
+		return nil, err
 	}
 	wlc, _, err := engine.WorkloadFromQueries(db, s, "WLc", tpcds.QueriesComplex(s, cfg, 55))
 	if err != nil {
-		t.Fatal(err)
+		return nil, err
 	}
 	bigS, bigW := scaleBy(s, wlc, 100_000_000_000)
 	jcfg := job.Config{SF: 0.2, Seed: 42}
 	js := job.Schema(jcfg)
 	jdb, err := job.GenerateDB(js, jcfg)
 	if err != nil {
-		t.Fatal(err)
+		return nil, err
 	}
 	jw, _, err := engine.WorkloadFromQueries(jdb, js, "JOB", job.Queries(js, jcfg, 30))
 	if err != nil {
+		return nil, err
+	}
+	return []pinnedInput{
+		{"WLs-90", s, wls},
+		{"WLc-55", s, wlc},
+		{"WLc-55-x1e11", bigS, bigW},
+		{"JOB-30", js, jw},
+	}, nil
+}
+
+// solverPath is what solving every view of an input took, summed over
+// its views: simplex pivots, branch-and-bound nodes, LP variables and LP
+// rows.
+type solverPath struct{ pivots, nodes, vars, rows int }
+
+// solveViews runs the views of in through core.SolveViews, as Regenerate
+// does, and sums their solver stats.
+func solveViews(t testing.TB, in pinnedInput) solverPath {
+	t.Helper()
+	views, err := preprocess.BuildViews(in.s, in.w)
+	if err != nil {
 		t.Fatal(err)
 	}
-	for _, in := range []struct {
-		name   string
-		s      *hydra.Schema
-		w      *cc.Workload
-		digest string
-	}{
-		{"WLs-90", s, wls, "b8e8bbd620696cb5e5c8edc2836a17ab4c71ebe9b9e95a91b0750e6742b09806"},
-		{"WLc-55", s, wlc, "83511813cbbe0d98d30cd03350a377696c88b9a61ef1ebdd10628e9e6148befa"},
-		{"WLc-55-x1e11", bigS, bigW, "a69559ff7edb0d42d5472975fb1ebb112978383148e8c93a786db708ba465f9b"},
-		{"JOB-30", js, jw, "644500ae9d269d939a7b5503ead5484421b0d5fcc20deeb29b17e986c449df6a"},
-	} {
+	order, err := in.s.TopoOrder()
+	if err != nil {
+		t.Fatal(err)
+	}
+	ordered := make([]*preprocess.View, len(order))
+	for i, tab := range order {
+		ordered[i] = views[tab.Name]
+	}
+	sols, err := core.SolveViews(context.Background(), ordered, core.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sp solverPath
+	for _, sol := range sols {
+		sp.pivots += sol.Stats.Pivots
+		sp.nodes += sol.Stats.Nodes
+		sp.vars += sol.Stats.Vars
+		sp.rows += sol.Stats.Rows
+	}
+	return sp
+}
+
+// TestSolverPathPinned pins, next to the digests, how each of the four
+// summarize inputs is solved: Σ pivots, Σ branch-and-bound nodes, LP
+// variables and LP rows over its views. A change that keeps every vertex
+// keeps these too; run under -cpu 1,2,4 it also checks that the tableau
+// memory views share does not depend on which worker solves which view.
+func TestSolverPathPinned(t *testing.T) {
+	// Cut before the vertex decisions of branch and bound left *big.Rat
+	// and tableau memory outlived one SolveInteger call; the sums are the
+	// benchmark's traced counts (lp.pivots 4 385, lp.bb_nodes 678,
+	// core.lp_vars 7 566, core.lp_rows 2 681).
+	want := map[string]solverPath{
+		"WLs-90":       {pivots: 760, nodes: 250, vars: 651, rows: 551},
+		"WLc-55":       {pivots: 1345, nodes: 186, vars: 2189, rows: 819},
+		"WLc-55-x1e11": {pivots: 1229, nodes: 184, vars: 2189, rows: 819},
+		"JOB-30":       {pivots: 1051, nodes: 58, vars: 2537, rows: 492},
+	}
+	for _, in := range pinnedInputs(t) {
+		if got := solveViews(t, in); got != want[in.name] {
+			t.Errorf("%s: solver path %+v, want %+v", in.name, got, want[in.name])
+		}
+	}
+}
+
+// TestRegeneratePinnedDigests pins the summary digest of the benchmark's
+// four summarize inputs (SF 0.2, seed 42). Views are solved concurrently
+// on GOMAXPROCS workers, so running this under -cpu 1,2,4 checks that the
+// summary does not depend on the worker count or on which view finishes
+// first.
+func TestRegeneratePinnedDigests(t *testing.T) {
+	digests := map[string]string{
+		"WLs-90":       "b8e8bbd620696cb5e5c8edc2836a17ab4c71ebe9b9e95a91b0750e6742b09806",
+		"WLc-55":       "83511813cbbe0d98d30cd03350a377696c88b9a61ef1ebdd10628e9e6148befa",
+		"WLc-55-x1e11": "a69559ff7edb0d42d5472975fb1ebb112978383148e8c93a786db708ba465f9b",
+		"JOB-30":       "644500ae9d269d939a7b5503ead5484421b0d5fcc20deeb29b17e986c449df6a",
+	}
+	for _, in := range pinnedInputs(t) {
 		res, err := hydra.Regenerate(in.s, in.w, hydra.Config{})
 		if err != nil {
 			t.Fatalf("%s: %v", in.name, err)
@@ -363,8 +454,8 @@ func TestRegeneratePinnedDigests(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if d != in.digest {
-			t.Errorf("%s: summary digest %s, want %s", in.name, d, in.digest)
+		if d != digests[in.name] {
+			t.Errorf("%s: summary digest %s, want %s", in.name, d, digests[in.name])
 		}
 	}
 }

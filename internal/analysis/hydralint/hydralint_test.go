@@ -49,10 +49,15 @@ func TestErrCmp(t *testing.T) {
 	analysistest.Run(t, "testdata", hydralint.ErrCmp, "errcmp")
 }
 
+func TestFloatFMA(t *testing.T) {
+	setScope(t, hydralint.FloatFMA, "floatfma")
+	analysistest.Run(t, "testdata", hydralint.FloatFMA, "floatfma")
+}
+
 func TestSuiteComplete(t *testing.T) {
 	suite := hydralint.Suite()
-	if len(suite) < 6 {
-		t.Fatalf("suite has %d analyzers, want at least 6", len(suite))
+	if len(suite) < 7 {
+		t.Fatalf("suite has %d analyzers, want at least 7", len(suite))
 	}
 	seen := map[string]bool{}
 	for _, a := range suite {

@@ -1,8 +1,9 @@
-// Package hydralint is Hydra's static-analysis suite: six analyzers
+// Package hydralint is Hydra's static-analysis suite: seven analyzers
 // that turn the repo's load-bearing conventions — determinism of the
 // regeneration path, allocation-free hot loops, Prometheus naming,
-// span lifecycle, context discipline, sentinel-error hygiene — into
-// compile-time checks. The golden-file and conformance tests catch a
+// span lifecycle, context discipline, sentinel-error hygiene, float
+// products that round the same on every machine — into compile-time
+// checks. The golden-file and conformance tests catch a
 // violated invariant after the bytes diverge; hydralint names the
 // offending line before the change ships.
 //
@@ -35,6 +36,7 @@ func Suite() []*analysis.Analyzer {
 		SpanEnd,
 		CtxFirst,
 		ErrCmp,
+		FloatFMA,
 	}
 }
 

@@ -11,6 +11,7 @@ import (
 	"fmt"
 	"slices"
 	"sort"
+	"sync"
 	"time"
 
 	"github.com/dsl-repro/hydra/internal/lp"
@@ -34,6 +35,27 @@ type Options struct {
 	// joint-vs-sequential ablation; results are equivalent, the joint
 	// solve is just slower on wide views.
 	Joint bool
+
+	// ws is the tableau memory of a SolveViews worker, lent to each view
+	// it solves; nil has a solve take one from workspaces.
+	ws *lp.Workspace
+}
+
+// workspaces hold the tableau memory of finished solves. A solve, or a
+// SolveViews worker, takes one for all its LPs and puts it back when done,
+// so concurrent solves each have their own, and each builds its tableaus
+// in the cells an earlier one left behind: a tableau is allocated once
+// per size it grows to, not once per LP, view and call.
+var workspaces = sync.Pool{New: func() any { return new(lp.Workspace) }}
+
+// workspace returns the tableau memory a solve under opts uses, and the
+// function that gives it back.
+func (opts Options) workspace() (*lp.Workspace, func()) {
+	if opts.ws != nil {
+		return opts.ws, func() {}
+	}
+	ws := workspaces.Get().(*lp.Workspace)
+	return ws, func() { workspaces.Put(ws) }
 }
 
 // RegionCount is one populated region of a sub-view solution.
@@ -211,8 +233,10 @@ func SubViewInputs(v *preprocess.View) []SubViewInput {
 func subViewInputs(v *preprocess.View) ([]SubViewInput, decomposed, map[int][]pred.Interval) {
 	n := len(v.Attrs)
 	g := viewgraph.New(n)
-	for _, vcc := range v.CCs {
-		g.AddClique(vcc.Pred.Attrs())
+	ccAttrs := make([][]int, len(v.CCs)) // each CC's attributes, sorted
+	for ci, vcc := range v.CCs {
+		ccAttrs[ci] = vcc.Pred.Attrs()
+		g.AddClique(ccAttrs[ci])
 	}
 	tree := vgDecompose(g)
 
@@ -239,7 +263,7 @@ func subViewInputs(v *preprocess.View) ([]SubViewInput, decomposed, map[int][]pr
 			if budget > partition.DefaultMaxBlocks {
 				budget = partition.DefaultMaxBlocks
 			}
-			if mergedComponentsViable(v, comps, budget) {
+			if mergedComponentsViable(v, ccAttrs, comps, budget) {
 				tree = forestDecomposed(comps)
 				cliques = comps
 				occur, atoms = sharedAtoms(v, cliques)
@@ -257,7 +281,7 @@ func subViewInputs(v *preprocess.View) ([]SubViewInput, decomposed, map[int][]pr
 			in.Space[i] = v.Domains[a]
 		}
 		for ci, vcc := range v.CCs {
-			if coveredBy(vcc.Pred.Attrs(), cl) {
+			if coveredBy(ccAttrs[ci], cl) {
 				in.Cons = append(in.Cons, vcc.Pred.Remap(local))
 				in.CCIdx = append(in.CCIdx, ci)
 			}
@@ -367,24 +391,37 @@ func (f *Formulation) sepCells(child, parent int, sep []int) []sepCell {
 	keys = slices.Compact(keys)
 	cells := make([]sepCell, len(keys))
 	for i, k := range keys {
-		cells[i] = sepCell{key: k, child: childCells[k], parent: parentCells[k]}
+		cells[i] = sepCell{key: k}
+		if c, ok := childCells[k]; ok {
+			cells[i].child = *c
+		}
+		if c, ok := parentCells[k]; ok {
+			cells[i].parent = *c
+		}
 	}
 	return cells
 }
 
 // cellGroups buckets sub-view si's regions (local indices) by their
-// atom-cell key over the separator dims (view-attr ids).
-func (f *Formulation) cellGroups(si int, sep []int) map[string][]int {
+// atom-cell key over the separator dims (view-attr ids). Cells are held
+// by pointer so that adding a region to a known cell is a lookup, which
+// does not copy the key.
+func (f *Formulation) cellGroups(si int, sep []int) map[string]*[]int {
 	local := localIndex(f.cliques[si])
-	out := map[string][]int{}
+	out := map[string]*[]int{}
+	key := make([]byte, 0, len(sep)*4)
 	for ri, r := range f.regions[si] {
-		rep := r.Rep()
-		key := make([]byte, 0, len(sep)*4)
+		rep := r.RepBlock()
+		key = key[:0]
 		for _, a := range sep {
-			ai := atomIndex(f.atoms[a], rep[local[a]])
+			ai := atomIndex(f.atoms[a], rep.Dims[local[a]].Min())
 			key = append(key, byte(ai), byte(ai>>8), byte(ai>>16), byte(ai>>24))
 		}
-		out[string(key)] = append(out[string(key)], ri)
+		if cell, ok := out[string(key)]; ok {
+			*cell = append(*cell, ri)
+		} else {
+			out[string(key)] = &[]int{ri}
+		}
 	}
 	return out
 }
@@ -476,7 +513,7 @@ func sharedAtoms(v *preprocess.View, cliques [][]int) ([]int, map[int][]pred.Int
 // stays within it. The trial duplicates the later real partitioning work,
 // but only on views whose clique decomposition is already known to be
 // expensive.
-func mergedComponentsViable(v *preprocess.View, comps [][]int, budget int) bool {
+func mergedComponentsViable(v *preprocess.View, ccAttrs, comps [][]int, budget int) bool {
 	for _, comp := range comps {
 		local := make(map[int]int, len(comp))
 		space := make([]pred.Set, len(comp))
@@ -485,8 +522,8 @@ func mergedComponentsViable(v *preprocess.View, comps [][]int, budget int) bool 
 			space[i] = v.Domains[a]
 		}
 		var cons []pred.DNF
-		for _, vcc := range v.CCs {
-			if coveredBy(vcc.Pred.Attrs(), comp) {
+		for ci, vcc := range v.CCs {
+			if coveredBy(ccAttrs[ci], comp) {
 				cons = append(cons, vcc.Pred.Remap(local))
 			}
 		}
@@ -561,7 +598,9 @@ func (f *Formulation) Solve(opts Options) (*ViewSolution, error) {
 }
 
 func (f *Formulation) solveVector(opts Options) ([]int64, error) {
-	sol, err := lp.SolveInteger(f.Problem, lp.IntOptions{Backend: opts.Backend, MaxNodes: opts.MaxNodes})
+	ws, done := opts.workspace()
+	sol, err := lp.SolveInteger(f.Problem, lp.IntOptions{Backend: opts.Backend, MaxNodes: opts.MaxNodes, Workspace: ws})
+	done()
 	if err == nil {
 		f.Stats.Nodes, f.Stats.Pivots = sol.Nodes, sol.Pivots
 		return sol.X, nil

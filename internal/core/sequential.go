@@ -62,6 +62,9 @@ func (f *Formulation) SolveSequential(opts Options) (*ViewSolution, error) {
 
 	nodesTotal, pivotsTotal := 0, 0
 	counts := make([][]int64, n)
+	// One tableau memory for every group and merge pass of the view.
+	ws, done := opts.workspace()
+	defer done()
 
 	const maxPasses = 64 // ≥ n merges can never be needed; belt and braces
 	for pass := 0; ; pass++ {
@@ -87,7 +90,7 @@ func (f *Formulation) SolveSequential(opts Options) (*ViewSolution, error) {
 				continue
 			}
 			gElapsed := stopwatch()
-			sol, err := f.solveGroup(ms, parentEdge, counts, opts)
+			sol, err := f.solveGroup(ms, parentEdge, counts, opts, ws)
 			if traceSequential {
 				nv := 0
 				for _, m := range ms {
@@ -149,7 +152,7 @@ func (f *Formulation) SolveSequential(opts Options) (*ViewSolution, error) {
 // and totals, internal consistency rows for tree edges within the group,
 // pinned separator marginals for edges whose parent lies outside (always
 // already solved, by preorder).
-func (f *Formulation) solveGroup(ms []int, parentEdge map[int]svEdge, counts [][]int64, opts Options) (*lp.IntSolution, error) {
+func (f *Formulation) solveGroup(ms []int, parentEdge map[int]svEdge, counts [][]int64, opts Options, ws *lp.Workspace) (*lp.IntSolution, error) {
 	inGroup := make(map[int]bool, len(ms))
 	base := make(map[int]int, len(ms))
 	nv := 0
@@ -215,7 +218,7 @@ func (f *Formulation) solveGroup(ms []int, parentEdge map[int]svEdge, counts [][
 		// search deeper.
 		maxNodes = 256
 	}
-	return lp.SolveInteger(prob, lp.IntOptions{Backend: opts.Backend, MaxNodes: maxNodes})
+	return lp.SolveInteger(prob, lp.IntOptions{Backend: opts.Backend, MaxNodes: maxNodes, Workspace: ws})
 }
 
 func localIndex(clique []int) map[int]int {
@@ -227,19 +230,23 @@ func localIndex(clique []int) map[int]int {
 }
 
 // groupTrace is the HYDRA_TRACE line of one solved group: its size, the
-// branch-and-bound nodes and simplex pivots its solve took, how it ended
-// and how long it took to the microsecond — most groups solve in well
-// under a millisecond.
+// columns left once twin variables merge, the arithmetic its relaxations
+// ran in, the branch-and-bound nodes and simplex pivots its solve took,
+// how many exact relaxations restarted on math/big after a word overflow
+// and how many float ones escalated to exact arithmetic, how it ended and
+// how long it took to the microsecond — most groups solve in well under a
+// millisecond.
 func groupTrace(view string, pass, root, members, vars int, sol *lp.IntSolution, err error, d time.Duration) string {
-	status, nodes, pivots := "ok", 0, 0
+	status := "ok"
+	var s lp.IntSolution
 	if sol != nil {
-		nodes, pivots = sol.Nodes, sol.Pivots
+		s = *sol
 	}
 	if err != nil {
 		status = "err:" + err.Error()
 	} else if !sol.Exact {
 		status = "inexact"
 	}
-	return fmt.Sprintf("[hydra-trace] view=%s pass=%d group=%d members=%d vars=%d nodes=%d pivots=%d %s in %v",
-		view, pass, root, members, vars, nodes, pivots, status, d.Round(time.Microsecond))
+	return fmt.Sprintf("[hydra-trace] view=%s pass=%d group=%d members=%d vars=%d cols=%d arith=%s nodes=%d pivots=%d restarts=%d escalations=%d %s in %v",
+		view, pass, root, members, vars, s.Cols, s.Arith, s.Nodes, s.Pivots, s.Restarts, s.Escalations, status, d.Round(time.Microsecond))
 }

@@ -8,9 +8,10 @@ import (
 	"github.com/dsl-repro/hydra/internal/lp"
 )
 
-// TestGroupTrace: a HYDRA_TRACE group line carries the group's
-// branch-and-bound nodes and pivots and its time to the microsecond, so
-// a sub-millisecond solve does not read as 0s.
+// TestGroupTrace: a HYDRA_TRACE group line carries the group's columns
+// after twin merging, its arithmetic, branch-and-bound nodes, pivots,
+// math/big restarts and exact escalations, and its time to the
+// microsecond, so a sub-millisecond solve does not read as 0s.
 func TestGroupTrace(t *testing.T) {
 	for _, tc := range []struct {
 		sol  *lp.IntSolution
@@ -18,12 +19,12 @@ func TestGroupTrace(t *testing.T) {
 		d    time.Duration
 		want string
 	}{
-		{&lp.IntSolution{Exact: true, Nodes: 3, Pivots: 41}, nil, 532*time.Microsecond + 400,
-			"[hydra-trace] view=R pass=1 group=2 members=3 vars=40 nodes=3 pivots=41 ok in 532µs"},
-		{&lp.IntSolution{Nodes: 4000, Pivots: 9}, nil, 2*time.Second + 1400,
-			"[hydra-trace] view=R pass=1 group=2 members=3 vars=40 nodes=4000 pivots=9 inexact in 2.000001s"},
+		{&lp.IntSolution{Exact: true, Nodes: 3, Pivots: 41, Cols: 17, Arith: lp.Rational, Restarts: 1}, nil, 532*time.Microsecond + 400,
+			"[hydra-trace] view=R pass=1 group=2 members=3 vars=40 cols=17 arith=rational nodes=3 pivots=41 restarts=1 escalations=0 ok in 532µs"},
+		{&lp.IntSolution{Nodes: 4000, Pivots: 9, Cols: 40, Arith: lp.Float, Escalations: 2}, nil, 2*time.Second + 1400,
+			"[hydra-trace] view=R pass=1 group=2 members=3 vars=40 cols=40 arith=float nodes=4000 pivots=9 restarts=0 escalations=2 inexact in 2.000001s"},
 		{nil, errors.New("infeasible"), 0,
-			"[hydra-trace] view=R pass=1 group=2 members=3 vars=40 nodes=0 pivots=0 err:infeasible in 0s"},
+			"[hydra-trace] view=R pass=1 group=2 members=3 vars=40 cols=0 arith=auto nodes=0 pivots=0 restarts=0 escalations=0 err:infeasible in 0s"},
 	} {
 		if got := groupTrace("R", 1, 2, 3, 40, tc.sol, tc.err, tc.d); got != tc.want {
 			t.Errorf("got  %s\nwant %s", got, tc.want)

@@ -8,6 +8,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"github.com/dsl-repro/hydra/internal/lp"
 	"github.com/dsl-repro/hydra/internal/preprocess"
 )
 
@@ -38,6 +39,9 @@ func SolveViews(ctx context.Context, views []*preprocess.View, opts Options) ([]
 	var firstFailed atomic.Int64
 	firstFailed.Store(int64(len(views)))
 	work := func() {
+		opts := opts
+		opts.ws = workspaces.Get().(*lp.Workspace)
+		defer workspaces.Put(opts.ws)
 		for ctx.Err() == nil {
 			k := int(next.Add(1) - 1)
 			if k >= len(order) {

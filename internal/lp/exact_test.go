@@ -101,7 +101,11 @@ func TestWordMatchesBigRat(t *testing.T) {
 					scaleRows(rng, p)
 				}
 				word := &wordArith{}
-				got, gotErr := solveExact(p, word, new([]wordRat))
+				var got *Solution
+				tab, gotErr := solveExact(p, word, new([]wordRat), new(Workspace))
+				if gotErr == nil {
+					got = tab.solution(p)
+				}
 				if word.overflow {
 					t.Fatalf("problem %d overflowed the word arithmetic", i)
 				}
@@ -165,7 +169,7 @@ func overflowProblems() map[string]*Problem {
 func TestOverflowFallsBackToBigRat(t *testing.T) {
 	for name, p := range overflowProblems() {
 		word := &wordArith{}
-		if _, err := solveExact(p, word, new([]wordRat)); !word.overflow {
+		if _, err := solveExact(p, word, new([]wordRat), new(Workspace)); !word.overflow {
 			t.Errorf("%s: word arithmetic did not overflow (err %v)", name, err)
 		}
 		got, gotErr := SolveRational(p)

@@ -38,6 +38,9 @@ const autoRatCells = 20_000
 type IntOptions struct {
 	Backend  Backend
 	MaxNodes int // branch-and-bound node budget; 0 means DefaultMaxNodes
+	// Workspace, if set, holds the tableau memory across calls (see
+	// Workspace); nil gives the call a fresh one.
+	Workspace *Workspace
 }
 
 // DefaultMaxNodes bounds the branch-and-bound search. Hydra's constraint
@@ -59,6 +62,29 @@ type IntSolution struct {
 	// Exact reports whether X satisfies every row exactly (verified with
 	// integer arithmetic).
 	Exact bool
+	// Cols is the number of columns the relaxations had once
+	// DedupColumns merged twin variables.
+	Cols int
+	// Arith is the arithmetic the relaxations ran in: Rational or Float.
+	Arith Backend
+	// Restarts counts exact relaxations whose word-sized arithmetic
+	// overflowed and that were solved again on math/big.
+	Restarts int
+	// Escalations counts float relaxations whose near-integral vertex did
+	// not verify and were solved again in exact arithmetic.
+	Escalations int
+}
+
+func (b Backend) String() string {
+	switch b {
+	case Auto:
+		return "auto"
+	case Rational:
+		return "rational"
+	case Float:
+		return "float"
+	}
+	return fmt.Sprintf("Backend(%d)", int(b))
 }
 
 func relaxBackend(p *Problem, b Backend) Backend {
@@ -72,43 +98,169 @@ func relaxBackend(p *Problem, b Backend) Backend {
 	return Float
 }
 
-func solveRelaxation(p *Problem, b Backend, ws *workspace) (*Solution, error) {
-	if b == Rational {
-		return solveRational(p, ws)
-	}
-	return solveFloat(p, ws)
+// relaxation is one LP relaxation's outcome: its vertex in the arithmetic
+// that solved it, the pivots that took, and whether a word-sized exact
+// solve overflowed and was redone on math/big.
+type relaxation struct {
+	x       vertex
+	pivots  int
+	restart bool
 }
 
-// workspace is the tableau memory the relaxations of one SolveInteger call
-// share: each node's tableau is built in the cells the previous node's
-// left behind, so branch and bound allocates about one tableau per call
-// rather than one per node. It lives no longer than the call, so nothing
-// holds the memory afterwards.
-type workspace struct {
-	floats []float64
-	words  []wordRat
+func relax(p *Problem, b Backend, ws *Workspace) (relaxation, error) {
+	if b == Rational {
+		return relaxRational(p, ws)
+	}
+	return relaxFloat(p, ws)
+}
+
+// Workspace is the memory the simplex relaxations of a sequence of
+// SolveInteger calls share: each relaxation builds its tableau in the
+// cells the previous one left behind, so the sequence allocates about one
+// tableau, the largest, rather than one per call and node. The memory
+// stays held for as long as the caller holds the Workspace. The zero value
+// is ready to use; a Workspace must not be used by two calls at once.
+type Workspace struct {
+	floats    []float64
+	floatRows [][]float64
+	words     []wordRat
+	basis     []int
+	rels      []Rel
+	nz        []int
+	cols      []int
+	// mark[j] == gen when structColumns has listed column j for the
+	// current row.
+	mark []uint32
+	gen  uint32
+	// The vertex of the latest float and word-sized relaxation.
+	xf []float64
+	xw []wordRat
+	// Rows of the current branch-and-bound node.
+	rows []Row
 }
 
 // reuse returns n cells backed by *buf, growing it when it is too short.
-// The cells' contents are unspecified.
+// The cells' contents are unspecified. It grows by at least a quarter, so a
+// dive whose tableau gains a row per node regrows it a few times, not once
+// per node.
 func reuse[T any](buf *[]T, n int) []T {
-	if cap(*buf) < n {
-		*buf = make([]T, n)
+	if c := cap(*buf); c < n {
+		*buf = make([]T, n, max(n, c+c/4))
 	}
 	*buf = (*buf)[:n]
 	return *buf
 }
 
-// fractionalVar returns the index of a fractional component and its value,
-// or -1 when the solution is integral (within tolerance for float-derived
-// rationals, exactly for rational ones).
-func fractionalVar(x []*big.Rat) (int, *big.Rat) {
+// vertex is a relaxation's solution in the arithmetic that produced it.
+// Branch and bound decides on these values directly; each method agrees
+// with what the same decision computes on the value as a *big.Rat.
+type vertex interface {
+	len() int
+	isInt(i int) bool
+	// round is RoundSolution's value of component i.
+	round(i int) int64
+	// float is a component that is not an integer as Rat.Float64 rounds
+	// it, and floor is its ⌊xᵢ⌋.
+	float(i int) float64
+	floor(i int) int64
+}
+
+// floatVertex is a float64 relaxation's vertex; every float64 is a
+// rational, so each value is exact.
+type floatVertex []float64
+
+func (x floatVertex) len() int            { return len(x) }
+func (x floatVertex) isInt(i int) bool    { return x[i] == math.Trunc(x[i]) }
+func (x floatVertex) float(i int) float64 { return x[i] }
+func (x floatVertex) floor(i int) int64   { return int64(math.Floor(x[i])) } // a fraction is below 2⁵²
+func (x floatVertex) round(i int) int64 {
+	v := x[i]
+	switch {
+	case v <= -1<<62 || v >= 1<<62:
+		// Rat rounding past int64's range: keep big.Int.Int64's result.
+		return roundRat(new(big.Rat).SetFloat64(v))
+	case v < 0:
+		return 0 // ⌊v+½⌋ truncated toward zero is at most 0
+	}
+	f := math.Floor(v)
+	n := int64(f)
+	if v-f >= 0.5 { // v−⌊v⌋ is exact (Sterbenz)
+		n++
+	}
+	return n
+}
+
+// wordVertex is a word-sized exact relaxation's vertex.
+type wordVertex []wordRat
+
+func (x wordVertex) len() int         { return len(x) }
+func (x wordVertex) isInt(i int) bool { return x[i].den == 1 }
+
+func (x wordVertex) float(i int) float64 {
+	const exact = 1 << 53 // every integer of magnitude up to 2⁵³ is a float64
+	if v := x[i]; mag(v.num) < exact && v.den <= exact {
+		return float64(v.num) / float64(v.den) // one correctly rounded division
+	}
+	f, _ := big.NewRat(x[i].num, x[i].den).Float64()
+	return f
+}
+
+func (x wordVertex) round(i int) int64 {
+	v := x[i]
+	if v.num < 0 {
+		return 0
+	}
+	q, r := v.num/v.den, v.num%v.den
+	if r >= v.den-r { // ⌊v+½⌋ = q+1 iff 2r ≥ den
+		q++
+	}
+	return q
+}
+
+func (x wordVertex) floor(i int) int64 {
+	v := x[i]
+	q := v.num / v.den // truncates toward zero
+	if v.num < 0 && v.num%v.den != 0 {
+		q--
+	}
+	return q
+}
+
+// ratVertex is a math/big relaxation's vertex.
+type ratVertex []*big.Rat
+
+func (x ratVertex) len() int            { return len(x) }
+func (x ratVertex) isInt(i int) bool    { return x[i].IsInt() }
+func (x ratVertex) round(i int) int64   { return roundRat(x[i]) }
+func (x ratVertex) float(i int) float64 { f, _ := x[i].Float64(); return f }
+
+func (x ratVertex) floor(i int) int64 {
+	v := x[i]
+	floor := new(big.Int).Quo(v.Num(), v.Denom()).Int64()
+	if v.Sign() < 0 && !v.IsInt() {
+		floor-- // Quo truncates toward zero; emulate mathematical floor
+	}
+	return floor
+}
+
+// roundRat is v rounded to the nearest integer, halves up, and clamped
+// at zero.
+func roundRat(v *big.Rat) int64 {
+	tmp := new(big.Rat).Add(v, big.NewRat(1, 2))
+	n := new(big.Int).Quo(tmp.Num(), tmp.Denom()).Int64()
+	return max(n, 0)
+}
+
+// fractionalVar returns the index of a fractional component, or -1 when
+// the solution is integral (within tolerance for float-derived values,
+// exactly for rational ones).
+func fractionalVar(x vertex) int {
 	bestIdx, bestDist := -1, 0.0
-	for i, v := range x {
-		if v.IsInt() {
+	for i := range x.len() {
+		if x.isInt(i) {
 			continue
 		}
-		f, _ := v.Float64()
+		f := x.float(i)
 		dist := math.Abs(f - math.Round(f))
 		if dist <= fRoundTol {
 			continue // float noise; rounding will fix it
@@ -119,41 +271,35 @@ func fractionalVar(x []*big.Rat) (int, *big.Rat) {
 			bestDist, bestIdx = dist, i
 		}
 	}
-	if bestIdx == -1 {
-		return -1, nil
-	}
-	return bestIdx, x[bestIdx]
+	return bestIdx
 }
 
 // firstFraction returns the first component of an exact vertex that is not
 // an integer, or -1. fractionalVar misses fractions below float64's
 // resolution (any fraction of a value past 2⁵³); an exact vertex that
 // fails to round into a solution branches on one of those instead.
-func firstFraction(x []*big.Rat) (int, *big.Rat) {
-	for i, v := range x {
-		if !v.IsInt() {
-			return i, v
+func firstFraction(x vertex) int {
+	for i := range x.len() {
+		if !x.isInt(i) {
+			return i
 		}
 	}
-	return -1, nil
+	return -1
+}
+
+// roundVertex rounds every component of x as RoundSolution does.
+func roundVertex(x vertex) []int64 {
+	out := make([]int64, x.len())
+	for i := range out {
+		out[i] = x.round(i)
+	}
+	return out
 }
 
 // RoundSolution rounds a rational vector to the nearest non-negative
 // integers.
 func RoundSolution(x []*big.Rat) []int64 {
-	out := make([]int64, len(x))
-	half := big.NewRat(1, 2)
-	tmp := new(big.Rat)
-	for i, v := range x {
-		tmp.Add(v, half)
-		q := new(big.Int).Quo(tmp.Num(), tmp.Denom())
-		n := q.Int64()
-		if n < 0 {
-			n = 0
-		}
-		out[i] = n
-	}
-	return out
+	return roundVertex(ratVertex(x))
 }
 
 // SolveInteger finds a non-negative integer solution of p via depth-first
@@ -162,6 +308,10 @@ func RoundSolution(x []*big.Rat) []int64 {
 // immediately). The returned solution is exactly verified; if the node
 // budget runs out, the best-effort rounded relaxation is returned together
 // with ErrNodeLimit and Exact=false.
+//
+// Each relaxation's vertex is decided on in the arithmetic that solved it
+// (float64, word-sized rationals, or math/big after an overflow), with
+// the same outcome as on its *big.Rat value.
 func SolveInteger(p *Problem, opts IntOptions) (*IntSolution, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
@@ -170,6 +320,10 @@ func SolveInteger(p *Problem, opts IntOptions) (*IntSolution, error) {
 	if maxNodes == 0 {
 		maxNodes = DefaultMaxNodes
 	}
+	ws := opts.Workspace
+	if ws == nil {
+		ws = new(Workspace)
+	}
 	// Presolve: merge identical columns. Hydra's region LPs contain
 	// thousands of twin variables (regions distinguished only by rows this
 	// problem does not contain); deduplication both shrinks the tableau
@@ -177,24 +331,30 @@ func SolveInteger(p *Problem, opts IntOptions) (*IntSolution, error) {
 	orig := p
 	p, expand := DedupColumns(p)
 	backend := relaxBackend(p, opts.Backend)
+	res := &IntSolution{Cols: p.NumVars, Arith: backend}
+	done := func(x []int64) *IntSolution {
+		res.X = expand(x)
+		res.Exact = orig.CheckInt(res.X) == ""
+		return res
+	}
 
 	// Each stack entry is the set of extra branching rows of one node.
 	stack := [][]Row{nil}
-	nodes, pivots := 0, 0
 	var lastRounded []int64
-	ws := new(workspace)
+	sub := &Problem{NumVars: p.NumVars, Objective: p.Objective}
 
-	for len(stack) > 0 && nodes < maxNodes {
+	for len(stack) > 0 && res.Nodes < maxNodes {
 		extra := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		nodes++
+		res.Nodes++
 
-		sub := &Problem{NumVars: p.NumVars, Objective: p.Objective}
-		sub.Rows = make([]Row, 0, len(p.Rows)+len(extra))
-		sub.Rows = append(sub.Rows, p.Rows...)
-		sub.Rows = append(sub.Rows, extra...)
+		sub.Rows = append(append(ws.rows[:0], p.Rows...), extra...)
+		ws.rows = sub.Rows
 
-		sol, err := solveRelaxation(sub, backend, ws)
+		sol, err := relax(sub, backend, ws)
+		if sol.restart {
+			res.Restarts++
+		}
 		if err != nil {
 			var inf *Infeasible
 			if errors.As(err, &inf) {
@@ -202,39 +362,41 @@ func SolveInteger(p *Problem, opts IntOptions) (*IntSolution, error) {
 			}
 			return nil, err
 		}
-		pivots += sol.Pivots
+		res.Pivots += sol.pivots
 
-		idx, val := fractionalVar(sol.X)
+		idx := fractionalVar(sol.x)
 		if idx == -1 {
-			x := RoundSolution(sol.X)
+			x := roundVertex(sol.x)
 			if viol := p.CheckInt(x); viol == "" {
-				full := expand(x)
-				return &IntSolution{X: full, Nodes: nodes, Pivots: pivots, Exact: orig.CheckInt(full) == ""}, nil
+				return done(x), nil
 			} else if backend == Float && relaxBackend(sub, Auto) == Rational {
 				// Float noise produced a near-integral vertex that does
 				// not verify: escalate this subproblem to exact
 				// arithmetic, but only when the tableau is small enough
 				// for exact pivoting to stay cheap.
-				rsol, rerr := solveRational(sub, ws)
+				res.Escalations++
+				rsol, rerr := relaxRational(sub, ws)
+				if rsol.restart {
+					res.Restarts++
+				}
 				if rerr == nil {
-					pivots += rsol.Pivots
-					ridx, rval := fractionalVar(rsol.X)
+					res.Pivots += rsol.pivots
+					ridx := fractionalVar(rsol.x)
 					if ridx == -1 {
-						rx := RoundSolution(rsol.X)
+						rx := roundVertex(rsol.x)
 						if p.CheckInt(rx) == "" {
-							full := expand(rx)
-							return &IntSolution{X: full, Nodes: nodes, Pivots: pivots, Exact: orig.CheckInt(full) == ""}, nil
+							return done(rx), nil
 						}
-						ridx, rval = firstFraction(rsol.X)
+						ridx = firstFraction(rsol.x)
 					}
 					if ridx != -1 {
-						stack = pushBranches(stack, extra, ridx, rval)
+						stack = pushBranches(stack, extra, ridx, rsol.x.floor(ridx))
 						continue
 					}
 				}
 				lastRounded = x
 				continue
-			} else if idx, val = firstFraction(sol.X); backend != Rational || idx == -1 {
+			} else if idx = firstFraction(sol.x); backend != Rational || idx == -1 {
 				// An exact vertex that does not round has a fraction
 				// too small for fractionalVar: branch on it below. A
 				// float vertex's fractions are noise.
@@ -242,8 +404,8 @@ func SolveInteger(p *Problem, opts IntOptions) (*IntSolution, error) {
 				continue
 			}
 		}
-		lastRounded = RoundSolution(sol.X)
-		stack = pushBranches(stack, extra, idx, val)
+		lastRounded = roundVertex(sol.x)
+		stack = pushBranches(stack, extra, idx, sol.x.floor(idx))
 	}
 
 	if len(stack) == 0 && lastRounded == nil {
@@ -252,18 +414,12 @@ func SolveInteger(p *Problem, opts IntOptions) (*IntSolution, error) {
 	if lastRounded == nil {
 		lastRounded = make([]int64, p.NumVars)
 	}
-	full := expand(lastRounded)
-	return &IntSolution{X: full, Nodes: nodes, Pivots: pivots, Exact: orig.CheckInt(full) == ""},
-		fmt.Errorf("%w after %d nodes", ErrNodeLimit, nodes)
+	return done(lastRounded), fmt.Errorf("%w after %d nodes", ErrNodeLimit, res.Nodes)
 }
 
 // pushBranches pushes the ceil branch then the floor branch so the floor
 // branch is explored first (LIFO).
-func pushBranches(stack [][]Row, base []Row, idx int, val *big.Rat) [][]Row {
-	floor := new(big.Int).Quo(val.Num(), val.Denom()).Int64()
-	if val.Sign() < 0 && !val.IsInt() {
-		floor-- // Quo truncates toward zero; emulate mathematical floor
-	}
+func pushBranches(stack [][]Row, base []Row, idx int, floor int64) [][]Row {
 	mk := func(rel Rel, rhs int64) []Row {
 		out := make([]Row, 0, len(base)+1)
 		out = append(out, base...)
@@ -314,11 +470,11 @@ func SolveSoft(p *Problem, backend Backend) (*SoftResult, error) {
 	aug.NumVars = next
 	aug.Objective = obj
 
-	sol, err := solveRelaxation(aug, relaxBackend(aug, backend), new(workspace))
+	sol, err := relax(aug, relaxBackend(aug, backend), new(Workspace))
 	if err != nil {
 		return nil, err
 	}
-	rounded := RoundSolution(sol.X)
+	rounded := roundVertex(sol.x)
 	x := expand(rounded[:p.NumVars])
 	res := &SoftResult{X: x, Residuals: make([]int64, len(orig.Rows))}
 	for i, r := range orig.Rows {

@@ -4,6 +4,8 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
+	"math"
+	"math/big"
 	"math/rand"
 	"testing"
 )
@@ -87,4 +89,148 @@ func TestSolveIntegerBranchesBelowFloatResolution(t *testing.T) {
 			t.Fatalf("backend %d: %s", b, intOutcome(sol, err))
 		}
 	}
+}
+
+// TestSolveIntegerAllocsPerNode: once a Workspace holds tableau memory,
+// branch and bound allocates a bounded number of objects per node (the
+// node's branching rows and names, its rounded vertex, the tableau's row
+// headers), whatever the number of variables. Deciding on the vertex
+// through *big.Rat took at least one object per variable per node: more
+// than 110 here.
+func TestSolveIntegerAllocsPerNode(t *testing.T) {
+	if testing.CoverMode() != "" {
+		t.Skip("coverage counters allocate")
+	}
+	p, _ := randomFeasible(rand.New(rand.NewSource(9)), 120, 10)
+	for _, b := range []Backend{Rational, Float} {
+		ws := new(Workspace)
+		sol, err := SolveInteger(p, IntOptions{Backend: b, Workspace: ws})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if sol.Nodes < 40 || sol.Cols < 100 {
+			t.Fatalf("%v: %d nodes over %d columns; the problem no longer dives", b, sol.Nodes, sol.Cols)
+		}
+		allocs := testing.AllocsPerRun(3, func() {
+			if _, err := SolveInteger(p, IntOptions{Backend: b, Workspace: ws}); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if perNode := allocs / float64(sol.Nodes); perNode > 16 {
+			t.Errorf("%v: %.0f objects over %d nodes, %.1f per node; want at most 16", b, allocs, sol.Nodes, perNode)
+		}
+	}
+}
+
+// TestIntSolutionCounters: the solver-path counters HYDRA_TRACE prints.
+// Below float64's resolution a float vertex rounds to integers that do
+// not verify, so both nodes escalate to exact arithmetic; chained
+// denominators overflow every node's word-sized solve, which restarts on
+// math/big; twin columns merge before any relaxation.
+func TestIntSolutionCounters(t *testing.T) {
+	below := &Problem{NumVars: 3}
+	below.AddRow(Row{Entries: []Entry{{0, 2}, {1, 2}, {2, 1}}, Rel: EQ, RHS: 4e17 + 1, Name: "r"})
+	for _, tc := range []struct {
+		name string
+		p    *Problem
+		b    Backend
+		want IntSolution
+	}{
+		{"below float resolution", below, Float, IntSolution{Nodes: 2, Pivots: 5, Exact: true, Cols: 2, Arith: Float, Escalations: 2}},
+		{"below float resolution", below, Auto, IntSolution{Nodes: 2, Pivots: 3, Exact: true, Cols: 2, Arith: Rational}},
+		{"chained denominators", overflowProblems()["chained denominators"], Rational, IntSolution{Nodes: 3, Pivots: 6, Cols: 6, Arith: Rational, Restarts: 3}},
+	} {
+		sol, _ := SolveInteger(tc.p, IntOptions{Backend: tc.b})
+		if sol == nil {
+			t.Fatalf("%s, %v: no solution", tc.name, tc.b)
+		}
+		got := *sol
+		got.X = nil
+		if fmt.Sprintf("%+v", got) != fmt.Sprintf("%+v", tc.want) {
+			t.Errorf("%s, %v: %+v, want %+v", tc.name, tc.b, got, tc.want)
+		}
+	}
+}
+
+// sameDecisions requires x's vertex decisions to equal ref's, where ref
+// holds the same values as *big.Rat: integrality, the float64 that
+// fractionalVar measures, RoundSolution's value and the branching floor.
+func sameDecisions(t *testing.T, x vertex, ref ratVertex) {
+	t.Helper()
+	for i := range ref {
+		what := fmt.Sprintf("%T %s", x, ref[i].RatString())
+		if got, want := x.isInt(i), ref.isInt(i); got != want {
+			t.Fatalf("%s: isInt %v, big.Rat %v", what, got, want)
+		}
+		if got, want := x.round(i), ref.round(i); got != want {
+			t.Fatalf("%s: round %d, big.Rat %d", what, got, want)
+		}
+		if !ref.isInt(i) {
+			if got, want := x.float(i), ref.float(i); math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("%s: float %v, big.Rat %v", what, got, want)
+			}
+			if got, want := x.floor(i), ref.floor(i); got != want {
+				t.Fatalf("%s: floor %d, big.Rat %d", what, got, want)
+			}
+		}
+	}
+	if got, want := fractionalVar(x), fractionalVar(ref); got != want {
+		t.Fatalf("%T: fractionalVar %d, big.Rat %d", x, got, want)
+	}
+	if got, want := firstFraction(x), firstFraction(ref); got != want {
+		t.Fatalf("%T: firstFraction %d, big.Rat %d", x, got, want)
+	}
+}
+
+// TestVertexMatchesBigRat: branch and bound decides on float64 and
+// word-sized vertices directly; every decision must be the one the
+// *big.Rat value of the same vertex gives. Values cover halves, noise
+// around integers, negatives, the edges of float64's integer range and
+// of int64, and denominators past 2⁵³.
+func TestVertexMatchesBigRat(t *testing.T) {
+	rng := rand.New(rand.NewSource(53))
+	floats := []float64{0, math.Copysign(0, -1), 0.5, 1.5, 2.5, -0.5, -1.5, -2.5, 1e-7, 1 - 1e-7, 3 + 1e-6, 3 + 2e-6,
+		1 << 52, 1<<52 + 0.5, 1 << 53, 1<<53 + 2, 1 << 62, 1<<62 - 512, 1 << 63, 1 << 64, 1e300,
+		-(1 << 52), -(1<<52 + 0.5), -(1 << 62), -(1 << 63), -(1 << 64), -1e300, math.SmallestNonzeroFloat64}
+	for range 2000 {
+		v := rng.NormFloat64() * math.Pow(2, float64(rng.Intn(70)))
+		if rng.Intn(3) == 0 {
+			v = math.Round(v) + float64(rng.Intn(5))/4
+		}
+		floats = append(floats, v)
+	}
+	ref := make(ratVertex, len(floats))
+	for i, v := range floats {
+		ref[i] = new(big.Rat).SetFloat64(v)
+	}
+	for i := range floats {
+		sameDecisions(t, floatVertex(floats[i:i+1]), ref[i:i+1])
+	}
+	sameDecisions(t, floatVertex(floats), ref)
+
+	words := []wordRat{{0, 1}, {1, 2}, {-1, 2}, {3, 2}, {-3, 2}, {5, 2}, {7, 3}, {-7, 3}, {1, math.MaxInt64},
+		{math.MaxInt64, 1}, {math.MinInt64, 1}, {math.MaxInt64, 2}, {math.MinInt64 + 1, 2}, {math.MinInt64 + 1, math.MaxInt64 - 1},
+		{1<<53 + 1, 2}, {1 << 53, 1<<53 + 1}, {-(1 << 53), 3}, {(1<<53 + 1) * 3, 1 << 54}, {math.MaxInt64 - 1, math.MaxInt64}}
+	for range 2000 {
+		den := int64(1)
+		if rng.Intn(4) != 0 {
+			den = 1 + rng.Int63n(int64(1)<<uint(1+rng.Intn(62)))
+		}
+		num := rng.Int63n(int64(1)<<uint(1+rng.Intn(62))) - rng.Int63n(int64(1)<<uint(1+rng.Intn(62)))
+		if g := int64(gcd64(abs64(num), uint64(den))); g > 1 {
+			num, den = num/g, den/g // lowest terms, as wordArith keeps them
+		}
+		words = append(words, wordRat{num, den})
+	}
+	ref = make(ratVertex, len(words))
+	for i, w := range words {
+		if gcd64(abs64(w.num), uint64(w.den)) != 1 {
+			t.Fatalf("%v is not in lowest terms", w)
+		}
+		ref[i] = big.NewRat(w.num, w.den)
+	}
+	for i := range words {
+		sameDecisions(t, wordVertex(words[i:i+1]), ref[i:i+1])
+	}
+	sameDecisions(t, wordVertex(words), ref)
 }

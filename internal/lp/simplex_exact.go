@@ -28,13 +28,11 @@ type exactTableau[T any] struct {
 // errOverflow aborts a solve whose arithmetic has overflowed.
 var errOverflow = errors.New("lp: exact arithmetic overflowed its word size")
 
-// newExactTableau builds the Phase-I tableau for p in cells backed by *buf.
-// Rows are normalized to non-negative RHS; LE rows receive slacks (basic
-// when possible), GE rows a surplus plus artificial, EQ rows an artificial.
-func newExactTableau[T any](p *Problem, ar exactArith[T], buf *[]T) *exactTableau[T] {
-	m := len(p.Rows)
-	rels := make([]Rel, m) // relation of each row once its RHS is non-negative
-	slacks, arts := 0, 0
+// rowRelations returns each row's relation once its RHS is made
+// non-negative, and how many slack and artificial columns those relations
+// take; it sizes ws's column marks for p.
+func rowRelations(p *Problem, ws *Workspace) (rels []Rel, slacks, arts int) {
+	rels = reuse(&ws.rels, len(p.Rows))
 	for i, r := range p.Rows {
 		rels[i] = r.Rel
 		if r.RHS < 0 && r.Rel != EQ {
@@ -47,6 +45,37 @@ func newExactTableau[T any](p *Problem, ar exactArith[T], buf *[]T) *exactTablea
 			arts++
 		}
 	}
+	if len(ws.mark) < p.NumVars {
+		ws.mark = make([]uint32, p.NumVars)
+	}
+	return rels, slacks, arts
+}
+
+// structColumns returns the distinct variables r names, in order of first
+// appearance, in ws's scratch memory.
+func structColumns(ws *Workspace, r Row) []int {
+	if ws.gen++; ws.gen == 0 {
+		clear(ws.mark)
+		ws.gen = 1
+	}
+	cols := ws.cols[:0]
+	for _, e := range r.Entries {
+		if ws.mark[e.Var] != ws.gen {
+			ws.mark[e.Var] = ws.gen
+			cols = append(cols, e.Var)
+		}
+	}
+	ws.cols = cols
+	return cols
+}
+
+// newExactTableau builds the Phase-I tableau for p in cells backed by *buf,
+// with its other memory in ws. Rows are normalized to non-negative RHS; LE
+// rows receive slacks (basic when possible), GE rows a surplus plus
+// artificial, EQ rows an artificial.
+func newExactTableau[T any](p *Problem, ar exactArith[T], buf *[]T, ws *Workspace) *exactTableau[T] {
+	m := len(p.Rows)
+	rels, slacks, arts := rowRelations(p, ws)
 	t := &exactTableau[T]{
 		ar:       ar,
 		zero:     ar.fromInt(0),
@@ -54,8 +83,9 @@ func newExactTableau[T any](p *Problem, ar exactArith[T], buf *[]T) *exactTablea
 		n:        p.NumVars,
 		artStart: p.NumVars + slacks,
 		cols:     p.NumVars + slacks + arts,
-		basis:    make([]int, m),
+		basis:    reuse(&ws.basis, m),
 		rows:     make([][]T, m),
+		nzBuf:    ws.nz,
 	}
 	width := t.cols + 1
 	cells := reuse(buf, (m+1)*width) // one backing array: obj, then the rows
@@ -63,6 +93,13 @@ func newExactTableau[T any](p *Problem, ar exactArith[T], buf *[]T) *exactTablea
 		cells[i] = t.zero
 	}
 	t.obj = cells[:width:width]
+	// Phase-I reduced costs: minimize w = Σ artificials. With artificials
+	// basic, obj[j] = c_j − Σ T[i][j] over the rows i whose basic variable
+	// is artificial, folded row by row as each is built, over its non-zero
+	// cells only: a zero cell subtracts nothing.
+	for j := t.artStart; j < t.cols; j++ {
+		t.obj[j] = t.one
+	}
 	slackIdx, artIdx := p.NumVars, t.artStart
 	for i, r := range p.Rows {
 		row := cells[(i+1)*width : (i+2)*width : (i+2)*width]
@@ -78,31 +115,26 @@ func newExactTableau[T any](p *Problem, ar exactArith[T], buf *[]T) *exactTablea
 		if neg {
 			row[t.cols] = ar.sub(t.zero, row[t.cols])
 		}
+		t.rows[i] = row
 		switch rels[i] {
 		case LE:
 			row[slackIdx], t.basis[i] = t.one, slackIdx
 			slackIdx++
+			continue
 		case GE:
 			row[slackIdx] = ar.fromInt(-1)
+			t.obj[slackIdx] = ar.sub(t.obj[slackIdx], row[slackIdx])
 			slackIdx++
-			fallthrough
-		case EQ:
-			row[artIdx], t.basis[i] = t.one, artIdx
-			artIdx++
 		}
-		t.rows[i] = row
-	}
-	// Phase-I reduced costs: minimize w = Σ artificials. With artificials
-	// basic, obj[j] = c_j - Σ_{i basic-artificial} T[i][j].
-	for j := t.artStart; j < t.cols; j++ {
-		t.obj[j] = t.one
-	}
-	for i, b := range t.basis {
-		if b >= t.artStart {
-			for j, v := range t.rows[i] {
-				t.obj[j] = ar.sub(t.obj[j], v)
+		row[artIdx], t.basis[i] = t.one, artIdx
+		for _, j := range structColumns(ws, r) {
+			if ar.sign(row[j]) != 0 {
+				t.obj[j] = ar.sub(t.obj[j], row[j])
 			}
 		}
+		t.obj[artIdx] = ar.sub(t.obj[artIdx], row[artIdx])
+		t.obj[t.cols] = ar.sub(t.obj[t.cols], row[t.cols])
+		artIdx++
 	}
 	return t
 }
@@ -279,10 +311,12 @@ func (t *exactTableau[T]) extract() []*big.Rat {
 }
 
 // solveExact runs the two-phase simplex on p over ar, with its tableau in
-// cells backed by *buf. The result is valid only if ar has not overflowed
-// by the time it returns.
-func solveExact[T any](p *Problem, ar exactArith[T], buf *[]T) (*Solution, error) {
-	t := newExactTableau(p, ar, buf)
+// cells backed by *buf and its other memory in ws, and returns the solved
+// tableau. The result is valid only if ar has not overflowed by the time
+// it returns.
+func solveExact[T any](p *Problem, ar exactArith[T], buf *[]T, ws *Workspace) (*exactTableau[T], error) {
+	t := newExactTableau(p, ar, buf, ws)
+	defer func() { ws.nz = t.nzBuf }()
 	if err := t.optimize(true); err != nil {
 		return nil, err
 	}
@@ -291,15 +325,22 @@ func solveExact[T any](p *Problem, ar exactArith[T], buf *[]T) (*Solution, error
 		return nil, &Infeasible{}
 	}
 	t.driveOutArtificials()
-	objVal := new(big.Rat)
 	if len(p.Objective) > 0 {
 		t.setObjective(p.Objective)
 		if err := t.optimize(false); err != nil {
 			return nil, err
 		}
-		objVal.Neg(ar.rat(t.obj[t.cols]))
 	}
-	return &Solution{X: t.extract(), Pivots: t.pivots, Objective: objVal}, nil
+	return t, nil
+}
+
+// solution is the solved tableau as an exported Solution.
+func (t *exactTableau[T]) solution(p *Problem) *Solution {
+	objVal := new(big.Rat)
+	if len(p.Objective) > 0 {
+		objVal.Neg(t.ar.rat(t.obj[t.cols]))
+	}
+	return &Solution{X: t.extract(), Pivots: t.pivots, Objective: objVal}
 }
 
 // SolveRational finds an exact rational solution of p, minimizing the
@@ -311,20 +352,46 @@ func solveExact[T any](p *Problem, ar exactArith[T], buf *[]T) (*Solution, error
 // are exact, so the pivot sequence and the vertex do not depend on which
 // one finished.
 func SolveRational(p *Problem) (*Solution, error) {
-	return solveRational(p, new(workspace))
-}
-
-// solveRational is SolveRational with its word-sized tableau in ws.
-func solveRational(p *Problem, ws *workspace) (*Solution, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
+	ws := new(Workspace)
 	word := &wordArith{}
-	sol, err := solveExact[wordRat](p, word, &ws.words)
+	t, err := solveExact[wordRat](p, word, &ws.words, ws)
 	if word.overflow {
-		return solveExact(p, bigArith{}, new([]*big.Rat))
+		return SolveBigRat(p)
 	}
-	return sol, err
+	if err != nil {
+		return nil, err
+	}
+	return t.solution(p), nil
+}
+
+// relaxRational is SolveRational with its tableau in ws, returning the
+// vertex in the arithmetic that solved it.
+func relaxRational(p *Problem, ws *Workspace) (relaxation, error) {
+	word := &wordArith{}
+	t, err := solveExact[wordRat](p, word, &ws.words, ws)
+	if word.overflow {
+		bt, err := solveExact(p, bigArith{}, new([]*big.Rat), ws)
+		if err != nil {
+			return relaxation{restart: true}, err
+		}
+		return relaxation{x: ratVertex(bt.extract()), pivots: bt.pivots, restart: true}, nil
+	}
+	if err != nil {
+		return relaxation{}, err
+	}
+	x := reuse(&ws.xw, t.n)
+	for j := range x {
+		x[j] = t.zero
+	}
+	for i, b := range t.basis {
+		if b < t.n {
+			x[b] = t.rows[i][t.cols]
+		}
+	}
+	return relaxation{x: wordVertex(x), pivots: t.pivots}, nil
 }
 
 // SolveBigRat is SolveRational on math/big throughout: the reference the
@@ -333,5 +400,9 @@ func SolveBigRat(p *Problem) (*Solution, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
-	return solveExact(p, bigArith{}, new([]*big.Rat))
+	t, err := solveExact(p, bigArith{}, new([]*big.Rat), new(Workspace))
+	if err != nil {
+		return nil, err
+	}
+	return t.solution(p), nil
 }

@@ -28,34 +28,28 @@ const (
 )
 
 // newFloatTableau builds the Phase-I tableau for p, with the column layout
-// of newExactTableau, in cells backed by *buf.
-func newFloatTableau(p *Problem, buf *[]float64) *floatTableau {
+// of newExactTableau, in ws's cells.
+func newFloatTableau(p *Problem, ws *Workspace) *floatTableau {
 	m := len(p.Rows)
-	rels := make([]Rel, m) // relation of each row once its RHS is non-negative
-	slacks, arts := 0, 0
-	for i, r := range p.Rows {
-		rels[i] = r.Rel
-		if r.RHS < 0 && r.Rel != EQ {
-			rels[i] = LE + GE - r.Rel // negating a row swaps LE and GE
-		}
-		if rels[i] != EQ {
-			slacks++
-		}
-		if rels[i] != LE {
-			arts++
-		}
-	}
+	rels, slacks, arts := rowRelations(p, ws)
 	t := &floatTableau{
 		n:        p.NumVars,
 		artStart: p.NumVars + slacks,
 		cols:     p.NumVars + slacks + arts,
-		basis:    make([]int, m),
-		rows:     make([][]float64, m),
+		basis:    reuse(&ws.basis, m),
+		rows:     reuse(&ws.floatRows, m),
+		nzBuf:    ws.nz,
 	}
 	width := t.cols + 1
-	cells := reuse(buf, (m+1)*width) // one backing array: obj, then the rows
+	cells := reuse(&ws.floats, (m+1)*width) // one backing array: obj, then the rows
 	clear(cells)
 	t.obj = cells[:width:width]
+	// Phase-I reduced costs: obj[j] = c_j − Σ T[i][j] over the rows i
+	// whose basic variable is artificial, folded row by row as each is
+	// built, over its non-zero cells only: a zero cell subtracts nothing.
+	for j := t.artStart; j < t.cols; j++ {
+		t.obj[j] = 1
+	}
 	slackIdx, artIdx := p.NumVars, t.artStart
 	for i, r := range p.Rows {
 		row := cells[(i+1)*width : (i+2)*width : (i+2)*width]
@@ -67,29 +61,26 @@ func newFloatTableau(p *Problem, buf *[]float64) *floatTableau {
 			row[e.Var] += float64(sign * float64(e.Coef)) // no FMA: see eliminateFloat
 		}
 		row[t.cols] = sign * float64(r.RHS)
+		t.rows[i] = row
 		switch rels[i] {
 		case LE:
 			row[slackIdx], t.basis[i] = 1, slackIdx
 			slackIdx++
+			continue
 		case GE:
 			row[slackIdx] = -1
+			t.obj[slackIdx] -= row[slackIdx]
 			slackIdx++
-			fallthrough
-		case EQ:
-			row[artIdx], t.basis[i] = 1, artIdx
-			artIdx++
 		}
-		t.rows[i] = row
-	}
-	for j := t.artStart; j < t.cols; j++ {
-		t.obj[j] = 1
-	}
-	for i, b := range t.basis {
-		if b >= t.artStart {
-			for j := 0; j <= t.cols; j++ {
-				t.obj[j] -= t.rows[i][j]
+		row[artIdx], t.basis[i] = 1, artIdx
+		for _, j := range structColumns(ws, r) {
+			if row[j] != 0 {
+				t.obj[j] -= row[j]
 			}
 		}
+		t.obj[artIdx] -= row[artIdx]
+		t.obj[t.cols] -= row[t.cols]
+		artIdx++
 	}
 	return t
 }
@@ -268,29 +259,47 @@ func (t *floatTableau) setObjective(obj []Entry) {
 	}
 }
 
-func (t *floatTableau) extract() []float64 {
-	x := make([]float64, t.n)
-	for i, b := range t.basis {
-		if b < t.n {
-			x[b] = t.rows[i][t.cols]
-		}
-	}
-	return x
-}
-
 // SolveFloat finds a float64 solution of p, minimizing the objective if one
 // is set. The caller is responsible for exact verification of any integer
 // rounding of the result.
 func SolveFloat(p *Problem) (*Solution, error) {
-	return solveFloat(p, new(workspace))
-}
-
-// solveFloat is SolveFloat with its tableau in ws.
-func solveFloat(p *Problem, ws *workspace) (*Solution, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
-	t := newFloatTableau(p, &ws.floats)
+	ws := new(Workspace)
+	t, err := solveFloat(p, ws)
+	if err != nil {
+		return nil, err
+	}
+	x, err := t.extract(ws)
+	if err != nil {
+		return nil, err
+	}
+	sol := &Solution{X: make([]*big.Rat, len(x)), Pivots: t.pivots, Objective: new(big.Rat)}
+	if len(p.Objective) > 0 {
+		sol.Objective.SetFloat64(-t.obj[t.cols])
+	}
+	for i, v := range x {
+		sol.X[i] = new(big.Rat).SetFloat64(v)
+	}
+	return sol, nil
+}
+
+// relaxFloat solves p in float64 with its tableau in ws.
+func relaxFloat(p *Problem, ws *Workspace) (relaxation, error) {
+	t, err := solveFloat(p, ws)
+	if err != nil {
+		return relaxation{}, err
+	}
+	x, err := t.extract(ws)
+	return relaxation{x: x, pivots: t.pivots}, err
+}
+
+// solveFloat runs the two-phase simplex on p in float64 with its tableau
+// in ws and returns the solved tableau.
+func solveFloat(p *Problem, ws *Workspace) (*floatTableau, error) {
+	t := newFloatTableau(p, ws)
+	defer func() { ws.nz = t.nzBuf }()
 	if err := t.optimize(true); err != nil {
 		return nil, err
 	}
@@ -298,25 +307,32 @@ func solveFloat(p *Problem, ws *workspace) (*Solution, error) {
 		return nil, &Infeasible{}
 	}
 	t.driveOutArtificials()
-	objVal := 0.0
 	if len(p.Objective) > 0 {
 		t.setObjective(p.Objective)
 		if err := t.optimize(false); err != nil {
 			return nil, err
 		}
-		objVal = -t.obj[t.cols]
 	}
-	x := t.extract()
-	sol := &Solution{X: make([]*big.Rat, len(x)), Pivots: t.pivots, Objective: new(big.Rat).SetFloat64(objVal)}
+	return t, nil
+}
+
+// extract returns the structural solution vector in ws's cells, with
+// values within fEps below zero read as zero.
+func (t *floatTableau) extract(ws *Workspace) (floatVertex, error) {
+	x := reuse(&ws.xf, t.n)
+	clear(x)
+	for i, b := range t.basis {
+		if b < t.n {
+			x[b] = t.rows[i][t.cols]
+		}
+	}
 	for i, v := range x {
 		if v < 0 && v > -fEps {
-			v = 0
+			x[i] = 0
 		}
-		r := new(big.Rat).SetFloat64(v)
-		if r == nil {
+		if math.IsInf(v, 0) || math.IsNaN(v) {
 			return nil, fmt.Errorf("lp: non-finite solution value for x%d", i)
 		}
-		sol.X[i] = r
 	}
-	return sol, nil
+	return x, nil
 }

@@ -9,7 +9,8 @@ import (
 )
 
 // densePivot is floatTableau.pivot eliminating over every column of every
-// row: the reference the sparse pivot is held to.
+// row: the reference the sparse pivot is held to. Its products are
+// rounded before the subtraction, as eliminateFloat's are.
 func densePivot(t *floatTableau, r, jc int) {
 	pr := t.rows[r]
 	if pv := pr[jc]; pv != 1 {
@@ -28,13 +29,13 @@ func densePivot(t *floatTableau, r, jc int) {
 			continue
 		}
 		for j := 0; j <= t.cols; j++ {
-			row[j] -= f * pr[j]
+			row[j] -= float64(f * pr[j])
 		}
 		row[jc] = 0
 	}
 	if f := t.obj[jc]; f != 0 {
 		for j := 0; j <= t.cols; j++ {
-			t.obj[j] -= f * pr[j]
+			t.obj[j] -= float64(f * pr[j])
 		}
 		t.obj[jc] = 0
 	}
@@ -77,7 +78,7 @@ func TestSparsePivotMatchesDense(t *testing.T) {
 		} else {
 			p = randomMixed(rng, i%4 == 1)
 		}
-		sparse, dense := newFloatTableau(p, new([]float64)), newFloatTableau(p, new([]float64))
+		sparse, dense := newFloatTableau(p, new(Workspace)), newFloatTableau(p, new(Workspace))
 		blandAfter := 60*(len(sparse.rows)+1) + sparse.cols
 		for iter := 0; iter < 5000; iter++ {
 			bland := iter >= blandAfter
@@ -99,5 +100,73 @@ func TestSparsePivotMatchesDense(t *testing.T) {
 	}
 	if pivots < 1000 {
 		t.Fatalf("only %d pivots compared", pivots)
+	}
+}
+
+// phaseIReference is the Phase-I cost row as a dense sweep computes it:
+// c_j, then each row whose basic variable is artificial subtracted from
+// it over every column, in row order.
+func phaseIReference[T any](rows [][]T, basis []int, artStart, cols int, one T, sub func(a, b T) T) []T {
+	obj := make([]T, cols+1)
+	for j := range obj {
+		obj[j] = sub(one, one) // zero in T
+	}
+	for j := artStart; j < cols; j++ {
+		obj[j] = one
+	}
+	for i, b := range basis {
+		if b >= artStart {
+			for j, v := range rows[i] {
+				obj[j] = sub(obj[j], v)
+			}
+		}
+	}
+	return obj
+}
+
+// TestPhaseIFoldMatchesDense builds tableaus for mixed problems whose
+// rows name a variable twice (sometimes cancelling to a zero cell) and
+// whose coefficients are past float64's integer range, so that the order
+// in which rows are subtracted shows in the rounding. The Phase-I cost
+// row folded from the artificial rows' non-zero cells must equal the
+// dense sweep's bit for bit (and value for value on word rationals).
+func TestPhaseIFoldMatchesDense(t *testing.T) {
+	rng := rand.New(rand.NewSource(47))
+	for i := 0; i < 300; i++ {
+		p := randomMixed(rng, i%2 == 0)
+		for r := range p.Rows {
+			row := &p.Rows[r]
+			for k := range row.Entries {
+				if i%3 == 0 {
+					row.Entries[k].Coef *= 1<<52 + int64(rng.Intn(1<<20))
+				}
+			}
+			if len(row.Entries) > 0 && rng.Intn(2) == 0 {
+				e := row.Entries[rng.Intn(len(row.Entries))]
+				if rng.Intn(2) == 0 {
+					e.Coef = -e.Coef // the cell cancels to zero
+				}
+				row.Entries = append(row.Entries, e)
+			}
+		}
+		ws := new(Workspace)
+		ft := newFloatTableau(p, ws)
+		want := phaseIReference(ft.rows, ft.basis, ft.artStart, ft.cols, 1.0, func(a, b float64) float64 { return a - b })
+		for j := range want {
+			if math.Float64bits(ft.obj[j]) != math.Float64bits(want[j]) {
+				t.Fatalf("problem %d, float column %d: folded %v, dense %v", i, j, ft.obj[j], want[j])
+			}
+		}
+		if i%3 == 0 {
+			continue // past the word arithmetic's small values; the float case is the one that rounds
+		}
+		word := &wordArith{}
+		et := newExactTableau[wordRat](p, word, new([]wordRat), ws)
+		wantW := phaseIReference(et.rows, et.basis, et.artStart, et.cols, wordRat{1, 1}, word.sub)
+		for j := range wantW {
+			if et.obj[j] != wantW[j] {
+				t.Fatalf("problem %d, word column %d: folded %v, dense %v", i, j, et.obj[j], wantW[j])
+			}
+		}
 	}
 }

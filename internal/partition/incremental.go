@@ -1,6 +1,8 @@
 package partition
 
 import (
+	"slices"
+
 	"github.com/dsl-repro/hydra/internal/pred"
 )
 
@@ -30,12 +32,15 @@ func OptimalIncremental(space []pred.Set, cons []pred.DNF, maxBlocks int) ([]Reg
 		return nil, nil
 	}
 	regions := []Region{{Blocks: []Block{root}, Label: newLabel(len(cons))}}
+	var next []Region // the other of two region lists, used in turn
+	var rels []pred.Relation
 	totalBlocks := 1
 	for j, c := range cons {
-		next := make([]Region, 0, 2*len(regions)) // each region splits in at most two
+		terms := termRestrictions(c, len(space))
+		next = next[:0]
 		totalBlocks = 0
 		for _, r := range regions {
-			in, out := splitBlocks(r.Blocks, c.Terms)
+			in, out := splitBlocks(r.Blocks, terms, &rels)
 			if len(in) > 32 {
 				in = coalesce(in)
 			}
@@ -56,34 +61,90 @@ func OptimalIncremental(space []pred.Set, cons []pred.DNF, maxBlocks int) ([]Reg
 		if maxBlocks > 0 && totalBlocks > maxBlocks {
 			return nil, &ErrTooManyBlocks{Blocks: maxBlocks}
 		}
-		regions = next
+		regions, next = next, regions
 	}
 	sortByRep(regions)
 	return regions, nil
+}
+
+// restriction is a conjunct's constraint on one dimension.
+type restriction struct {
+	dim int
+	set pred.Set
+}
+
+// termRestrictions lists, for each term of c, its restrictions on the
+// first n dimensions in dimension order.
+func termRestrictions(c pred.DNF, n int) [][]restriction {
+	out := make([][]restriction, len(c.Terms))
+	for i, t := range c.Terms {
+		for dim := range n {
+			if s, ok := t.Restriction(dim); ok {
+				out[i] = append(out[i], restriction{dim, s})
+			}
+		}
+	}
+	return out
 }
 
 // splitBlocks partitions the union of blocks into the part inside the DNF
 // (union of the conjuncts) and the part outside, keeping both sides as
 // disjoint block lists. Terms are applied sequentially: each term claims
 // its intersection with the remaining outside part, so overlapping
-// disjuncts never double-count.
-func splitBlocks(blocks []Block, terms []pred.Conjunct) (in, out []Block) {
+// disjuncts never double-count. A block that lies wholly on one side is
+// shared, not copied, and so is the whole list when every block of it
+// does. rels is scratch memory.
+func splitBlocks(blocks []Block, terms [][]restriction, rels *[]pred.Relation) (in, out []Block) {
 	rem := blocks
 	for _, t := range terms {
 		if len(rem) == 0 {
 			break
 		}
-		var nextRem []Block
+		var count [3]int // blocks per relation
+		placed := (*rels)[:0]
 		for _, b := range rem {
-			inter, ok, frags := subtractConjunct(b, t)
-			if ok {
-				in = append(in, inter)
+			rel := place(b, t)
+			placed = append(placed, rel)
+			count[rel]++
+		}
+		*rels = placed
+		switch {
+		case count[pred.Disjoint] == len(rem):
+			continue // rem stays outside whole
+		case count[pred.Inside] == len(rem) && in == nil:
+			return rem, nil
+		}
+		in = slices.Grow(in, count[pred.Inside]+count[pred.Split])
+		nextRem := make([]Block, 0, count[pred.Disjoint]+count[pred.Split]*len(t))
+		for i, b := range rem {
+			switch placed[i] {
+			case pred.Disjoint:
+				nextRem = append(nextRem, b)
+			case pred.Inside:
+				in = append(in, b)
+			default:
+				inter, ok, frags := subtractConjunct(b, t, nextRem)
+				if ok {
+					in = append(in, inter)
+				}
+				nextRem = frags
 			}
-			nextRem = append(nextRem, frags...)
 		}
 		rem = nextRem
 	}
 	return in, rem
+}
+
+// place tells how subtractConjunct splits b against t: at the first
+// dimension b does not lie wholly inside, Disjoint puts all of b outside
+// and Split cuts it; with none, b is Inside.
+func place(b Block, t []restriction) pred.Relation {
+	for _, r := range t {
+		if rel := b.Dims[r.dim].Classify(r.set); rel != pred.Inside {
+			return rel
+		}
+	}
+	return pred.Inside
 }
 
 // coalesce reduces a disjoint block list by repeatedly merging blocks that
@@ -141,33 +202,31 @@ func appendInt64(buf []byte, v int64) []byte {
 		byte(u>>32), byte(u>>40), byte(u>>48), byte(u>>56))
 }
 
-// subtractConjunct splits block b against conjunct t: it returns b∩t (ok
-// reports whether it is non-empty) and the fragments of b∖t. The
-// subtraction peels one constrained dimension at a time, so it emits at
-// most one fragment per dimension t constrains — linear, not exponential,
-// fragmentation.
-func subtractConjunct(b Block, t pred.Conjunct) (inter Block, ok bool, frags []Block) {
-	cur := b
-	for dim := range b.Dims {
-		restr, constrained := t.Restriction(dim)
-		if !constrained {
+// subtractConjunct splits a block b that place reports Split against
+// conjunct t: it appends the fragments of b∖t to frags and returns b∩t
+// (ok reports whether it is non-empty). The subtraction peels one
+// constrained dimension at a time, so it emits at most one fragment per
+// dimension t constrains — linear, not exponential, fragmentation. Dims
+// are copied only where a dimension really splits.
+func subtractConjunct(b Block, t []restriction, frags []Block) (inter Block, ok bool, _ []Block) {
+	cur, owned := b, false // owned: cur.Dims is this call's own copy
+	for _, r := range t {
+		d := cur.Dims[r.dim]
+		switch d.Classify(r.set) {
+		case pred.Inside:
 			continue
-		}
-		inside := cur.Dims[dim].Intersect(restr)
-		if inside.Empty() {
+		case pred.Disjoint:
 			// Nothing of cur lies inside t; all of cur stays outside.
 			return Block{}, false, append(frags, cur)
 		}
-		outside := cur.Dims[dim].Subtract(restr)
-		if !outside.Empty() {
-			frag := Block{Dims: append([]pred.Set(nil), cur.Dims...)}
-			frag.Dims[dim] = outside
-			frags = append(frags, frag)
-		}
+		frag := Block{Dims: slices.Clone(cur.Dims)}
+		frag.Dims[r.dim] = d.Subtract(r.set)
+		frags = append(frags, frag)
 		// Continue narrowing along the inside part.
-		narrowed := Block{Dims: append([]pred.Set(nil), cur.Dims...)}
-		narrowed.Dims[dim] = inside
-		cur = narrowed
+		if !owned {
+			cur, owned = Block{Dims: slices.Clone(cur.Dims)}, true
+		}
+		cur.Dims[r.dim] = d.Intersect(r.set)
 	}
 	return cur, true, frags
 }

@@ -59,7 +59,11 @@ func TestCoalescePreservesPointSet(t *testing.T) {
 func TestSubtractConjunct(t *testing.T) {
 	b := Block{Dims: []pred.Set{pred.Range(0, 99), pred.Range(0, 99)}}
 	tconj := pred.NewConjunct().With(0, pred.Range(10, 19)).With(1, pred.Range(20, 29))
-	inter, ok, frags := subtractConjunct(b, tconj)
+	terms := termRestrictions(pred.DNF{Terms: []pred.Conjunct{tconj}}, 2)
+	if got := place(b, terms[0]); got != pred.Split {
+		t.Fatalf("place = %v, want Split", got)
+	}
+	inter, ok, frags := subtractConjunct(b, terms[0], nil)
 	if !ok {
 		t.Fatal("intersection should exist")
 	}
@@ -86,7 +90,11 @@ func TestSubtractConjunct(t *testing.T) {
 func TestSubtractConjunctMiss(t *testing.T) {
 	b := Block{Dims: []pred.Set{pred.Range(0, 9)}}
 	tconj := pred.NewConjunct().With(0, pred.Range(50, 60))
-	_, ok, frags := subtractConjunct(b, tconj)
+	terms := termRestrictions(pred.DNF{Terms: []pred.Conjunct{tconj}}, 1)
+	if got := place(b, terms[0]); got != pred.Disjoint {
+		t.Fatalf("place = %v, want Disjoint", got)
+	}
+	_, ok, frags := subtractConjunct(b, terms[0], nil)
 	if ok {
 		t.Fatal("no intersection expected")
 	}

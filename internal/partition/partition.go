@@ -15,6 +15,7 @@
 package partition
 
 import (
+	"cmp"
 	"fmt"
 	"math/big"
 	"slices"
@@ -92,21 +93,30 @@ type Region struct {
 // Rep returns the lexicographically smallest representative point across
 // the region's blocks, the deterministic spot where the summary generator
 // places the region's tuple mass.
-func (r Region) Rep() []int64 {
-	best := r.Blocks[0].Rep()
+func (r Region) Rep() []int64 { return r.RepBlock().Rep() }
+
+// RepBlock returns the block whose representative point is the region's:
+// the block with the lexicographically smallest corner. Blocks are
+// disjoint, so no two share a corner.
+func (r Region) RepBlock() Block {
+	best := r.Blocks[0]
 	for _, b := range r.Blocks[1:] {
-		for i, s := range b.Dims {
-			if v := s.Min(); v != best[i] {
-				if v < best[i] { // b's corner is smaller: take the rest of it
-					for k := i; k < len(best); k++ {
-						best[k] = b.Dims[k].Min()
-					}
-				}
-				break
-			}
+		if compareCorners(b, best) < 0 {
+			best = b
 		}
 	}
 	return best
+}
+
+// compareCorners compares the representative points of a and b
+// lexicographically without building them.
+func compareCorners(a, b Block) int {
+	for i, s := range a.Dims {
+		if c := cmp.Compare(s.Min(), b.Dims[i].Min()); c != 0 {
+			return c
+		}
+	}
+	return 0
 }
 
 // Contains reports whether the point lies inside the region.
@@ -252,18 +262,18 @@ func OptimalCapped(space []pred.Set, cons []pred.DNF, maxBlocks int) ([]Region, 
 // sortByRep puts regions in the deterministic output order: ascending by
 // representative point, compared lexicographically (stable across runs and
 // platforms). Regions are disjoint, so no two share a representative and
-// the order is total. Each representative is computed once, not once per
-// comparison.
+// the order is total. Each region's representative block is found once,
+// not once per comparison.
 func sortByRep(regions []Region) {
 	type keyed struct {
-		rep []int64
+		rep Block
 		r   Region
 	}
 	ks := make([]keyed, len(regions))
 	for i, r := range regions {
-		ks[i] = keyed{r.Rep(), r}
+		ks[i] = keyed{r.RepBlock(), r}
 	}
-	slices.SortFunc(ks, func(a, b keyed) int { return slices.Compare(a.rep, b.rep) })
+	slices.SortFunc(ks, func(a, b keyed) int { return compareCorners(a.rep, b.rep) })
 	for i, k := range ks {
 		regions[i] = k.r
 	}

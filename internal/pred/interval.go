@@ -225,7 +225,66 @@ func (s Set) Union(o Set) Set {
 
 // Subtract returns s \ o.
 func (s Set) Subtract(o Set) Set {
-	return s.Intersect(o.Complement())
+	var out []Interval
+	j := 0
+	for _, iv := range s.ivs {
+		// Walk iv left to right: cur is its first point not yet placed.
+		for cur := iv.Lo; cur <= iv.Hi; {
+			for j < len(o.ivs) && o.ivs[j].Hi < cur {
+				j++
+			}
+			if j == len(o.ivs) || o.ivs[j].Lo > iv.Hi {
+				out = append(out, Interval{cur, iv.Hi})
+				break
+			}
+			if o.ivs[j].Lo > cur {
+				out = append(out, Interval{cur, o.ivs[j].Lo - 1})
+			}
+			cur = o.ivs[j].Hi + 1
+		}
+	}
+	return Set{ivs: out}
+}
+
+// Relation is how a set lies against another.
+type Relation int8
+
+const (
+	Disjoint Relation = iota // no point in common (an empty set too)
+	Inside                   // non-empty, and every point inside the other
+	Split                    // some points inside, some outside
+)
+
+// Classify reports how s lies against o without allocating: Disjoint when
+// s ∩ o is empty, Inside when s \ o is empty and s is not, Split
+// otherwise.
+func (s Set) Classify(o Set) Relation {
+	in, out := false, false
+	j := 0
+	for _, iv := range s.ivs {
+		// Walk iv as Subtract does, noting what lies in and out of o.
+		for cur := iv.Lo; cur <= iv.Hi; {
+			for j < len(o.ivs) && o.ivs[j].Hi < cur {
+				j++
+			}
+			if j == len(o.ivs) || o.ivs[j].Lo > iv.Hi {
+				out = true
+				break
+			}
+			if o.ivs[j].Lo > cur {
+				out = true
+			}
+			in = true
+			cur = o.ivs[j].Hi + 1
+		}
+		if in && out {
+			return Split
+		}
+	}
+	if in {
+		return Inside
+	}
+	return Disjoint
 }
 
 // Complement returns the domain-wide complement of s.

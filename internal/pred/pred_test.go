@@ -269,3 +269,63 @@ func TestTrueDNF(t *testing.T) {
 		t.Fatal("empty DNF must be false")
 	}
 }
+
+// Property: Classify agrees with Intersect and Subtract (Disjoint iff
+// the intersection is empty, Inside iff the difference is empty and the
+// set is not), and Subtract returns exactly the intervals of s ∩ ¬o, the
+// form it had when it went through the domain complement. Sets include
+// the empty set, the full domain and half-lines.
+func TestQuickClassifyAgreesWithIntersectSubtract(t *testing.T) {
+	pick := func(rng *rand.Rand) Set {
+		switch rng.Intn(8) {
+		case 0:
+			return Set{}
+		case 1:
+			return FullSet()
+		case 2:
+			return AtLeast(int64(rng.Intn(200) - 100))
+		case 3:
+			return AtMost(int64(rng.Intn(200) - 100))
+		}
+		return randSet(rng)
+	}
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		s, o := pick(rng), pick(rng)
+		inter, diff := s.Intersect(o), s.Subtract(o)
+		want := Split
+		switch {
+		case inter.Empty():
+			want = Disjoint
+		case diff.Empty():
+			want = Inside
+		}
+		if got := s.Classify(o); got != want {
+			t.Logf("%v against %v: %d, want %d", s, o, got, want)
+			return false
+		}
+		ref := s.Intersect(o.Complement())
+		if len(diff.Intervals()) != len(ref.Intervals()) {
+			return false
+		}
+		for i, iv := range diff.Intervals() {
+			if iv != ref.Intervals()[i] {
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestClassifyAllocatesNothing: classifying a block dimension against a
+// restriction is the partitioner's inner test and must not allocate.
+func TestClassifyAllocatesNothing(t *testing.T) {
+	s := NewSet(Interval{0, 9}, Interval{20, 29}, Interval{40, 49})
+	o := NewSet(Interval{5, 24}, Interval{45, 60})
+	if allocs := testing.AllocsPerRun(100, func() { _ = s.Classify(o) }); allocs != 0 {
+		t.Fatalf("Classify allocates %v objects", allocs)
+	}
+}
