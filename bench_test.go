@@ -667,17 +667,25 @@ func BenchmarkAblation_JointVsSequential(b *testing.B) {
 		b.Fatal(err)
 	}
 	order, _ := e.schema.TopoOrder()
-	run := func(b *testing.B, opts core.Options) {
+	run := func(b *testing.B, solve func(*core.Formulation) (*core.ViewSolution, error)) {
 		for i := 0; i < b.N; i++ {
 			for _, t := range order {
-				if _, err := core.FormulateAndSolve(views[t.Name], opts); err != nil {
+				f, err := core.FormulateWith(views[t.Name], core.RegionStrategy)
+				if err == nil {
+					_, err = solve(f)
+				}
+				if err != nil {
 					b.Fatal(err)
 				}
 			}
 		}
 	}
-	b.Run("Sequential", func(b *testing.B) { run(b, core.Options{}) })
-	b.Run("Joint", func(b *testing.B) { run(b, core.Options{Joint: true}) })
+	b.Run("Sequential", func(b *testing.B) {
+		run(b, func(f *core.Formulation) (*core.ViewSolution, error) { return f.SolveSequential(core.Options{}) })
+	})
+	b.Run("Joint", func(b *testing.B) {
+		run(b, func(f *core.Formulation) (*core.ViewSolution, error) { return f.Solve(core.Options{}) })
+	})
 }
 
 // BenchmarkAblation_DecompositionPolicy compares the adaptive

@@ -1,6 +1,6 @@
 // Command hydra is the end-to-end regeneration driver: it takes a schema
 // and a cardinality-constraint workload (both JSON), builds the database
-// summary, and can validate, materialize, or sample tuples from it.
+// summary, and can validate, materialize, serve, or scan it.
 //
 // Subcommands:
 //
@@ -11,8 +11,7 @@
 //	orchestrate -summary summary.json -dir out/ [-shards N] [-parallel P] [-compress gzip]
 //	            [-retries R] [-runners http://a,http://b] [-verify-only] ...
 //	serve       -summary summary.json [-addr :8372] [-max-streams N] [-rate-limit R]
-//	generate    -summary summary.json -table T [-n 10] [-from 1]
-//	demo        (runs the paper's Figure 1 scenario end to end)
+//	scan        -table T (-summary summary.json | -dir out/ | -remote URLs) [-range A:B] ...
 //
 // Materialization runs on the parallel sharded engine (internal/matgen):
 // output bytes are identical for any -workers count, and the -shard i/N
@@ -54,7 +53,6 @@ import (
 	hydra "github.com/dsl-repro/hydra"
 	"github.com/dsl-repro/hydra/internal/faultinject"
 	"github.com/dsl-repro/hydra/internal/obs"
-	"github.com/dsl-repro/hydra/internal/pred"
 	"github.com/dsl-repro/hydra/internal/summary"
 	"github.com/dsl-repro/hydra/internal/trace"
 )
@@ -84,10 +82,6 @@ func main() {
 		err = cmdFaultProxy(os.Args[2:])
 	case "traces":
 		err = cmdTraces(os.Args[2:])
-	case "generate":
-		err = cmdGenerate(os.Args[2:])
-	case "demo":
-		err = cmdDemo(os.Args[2:])
 	case "-h", "--help", "help":
 		usage()
 	default:
@@ -124,8 +118,6 @@ usage:
   hydra faultproxy  -upstream http://host:port [-listen 127.0.0.1:0] [-seed S] [-rate 0.3]
                     [-faults refuse,500,503,cut,stall,corrupt] [-flap down/period] [-exempt-health]
   hydra traces      -addr http://127.0.0.1:8373 [-id traceid] [-n 20]
-  hydra generate    -summary summary.json -table T [-n 10] [-from 1]
-  hydra demo
 `)
 }
 
@@ -937,121 +929,5 @@ func cmdFaultProxy(args []string) error {
 	if err := srv.Serve(ln); err != nil && !errors.Is(err, http.ErrServerClosed) {
 		return err
 	}
-	return nil
-}
-
-func cmdGenerate(args []string) error {
-	fs := flag.NewFlagSet("generate", flag.ExitOnError)
-	sumPath := fs.String("summary", "", "summary JSON")
-	table := fs.String("table", "", "relation to generate")
-	n := fs.Int64("n", 10, "number of tuples")
-	from := fs.Int64("from", 1, "first primary key")
-	fs.Parse(args)
-	if *sumPath == "" || *table == "" {
-		return fmt.Errorf("generate: -summary and -table are required")
-	}
-	sum, err := summary.Load(*sumPath)
-	if err != nil {
-		return err
-	}
-	// The unified read path serves the row sample too; `hydra scan` is
-	// the full-featured version of this verb.
-	if *from < 1 {
-		*from = 1
-	}
-	src := hydra.NewSummarySource(sum)
-	info, err := src.Table(*table)
-	if err != nil {
-		return err
-	}
-	fmt.Println(strings.Join(info.Cols, "\t"))
-	if *n <= 0 {
-		return nil
-	}
-	sc, err := src.Scan(context.Background(), hydra.ScanSpec{
-		Table: *table, StartPK: *from, EndPK: *from + *n - 1,
-	})
-	if err != nil {
-		return err
-	}
-	defer sc.Close()
-	cells := make([]string, len(info.Cols))
-	for sc.Next() {
-		b := sc.Batch()
-		for i := 0; i < b.N; i++ {
-			for c := range b.Cols {
-				cells[c] = strconv.FormatInt(b.Cols[c][i], 10)
-			}
-			fmt.Println(strings.Join(cells, "\t"))
-		}
-	}
-	return sc.Err()
-}
-
-// cmdDemo runs the paper's Figure 1 toy scenario end to end, printing the
-// derived summary (the paper's Figure 5) and the CC validation report.
-func cmdDemo(args []string) error {
-	s := hydra.MustSchema(
-		&hydra.Table{Name: "S", Cols: []hydra.Column{
-			{Name: "A", Min: 0, Max: 100}, {Name: "B", Min: 0, Max: 50},
-		}, RowCount: 700},
-		&hydra.Table{Name: "T", Cols: []hydra.Column{{Name: "C", Min: 0, Max: 10}}, RowCount: 1500},
-		&hydra.Table{Name: "R", FKs: []hydra.ForeignKey{
-			{FKCol: "S_fk", Ref: "S"}, {FKCol: "T_fk", Ref: "T"},
-		}, RowCount: 80000},
-	)
-	sa := hydra.AttrRef{Table: "S", Col: "A"}
-	tc := hydra.AttrRef{Table: "T", Col: "C"}
-	rangeDNF := func(attr int, lo, hi int64) pred.DNF {
-		return pred.DNF{Terms: []pred.Conjunct{pred.NewConjunct().With(attr, pred.Range(lo, hi))}}
-	}
-	joinPred := pred.DNF{Terms: []pred.Conjunct{
-		pred.NewConjunct().With(0, pred.Range(20, 59)).With(1, pred.Range(2, 2)),
-	}}
-	w := &hydra.Workload{Name: "figure1", CCs: []hydra.CC{
-		{Root: "R", Pred: pred.True(), Count: 80000, Name: "|R|"},
-		{Root: "S", Pred: pred.True(), Count: 700, Name: "|S|"},
-		{Root: "T", Pred: pred.True(), Count: 1500, Name: "|T|"},
-		{Root: "S", Attrs: []hydra.AttrRef{sa}, Pred: rangeDNF(0, 20, 59), Count: 400, Name: "|σ(S)|"},
-		{Root: "T", Attrs: []hydra.AttrRef{tc}, Pred: rangeDNF(0, 2, 2), Count: 900, Name: "|σ(T)|"},
-		{Root: "R", Attrs: []hydra.AttrRef{sa}, Pred: rangeDNF(0, 20, 59), Count: 50000, Name: "|R⋈σ(S)|"},
-		{Root: "R", Attrs: []hydra.AttrRef{sa, tc}, Pred: joinPred, Count: 30000, Name: "|R⋈σ(S)⋈σ(T)|"},
-	}}
-	res, err := hydra.Regenerate(s, w, hydra.Config{})
-	if err != nil {
-		return err
-	}
-	fmt.Println("database summary (cf. paper Figure 5):")
-	names := []string{"R", "S", "T"}
-	for _, name := range names {
-		rs := res.Summary.Relations[name]
-		fmt.Printf("  %s (|%s| = %d):\n", name, name, rs.Total)
-		cols := append(append([]string{}, rs.Cols...), rs.FKCols...)
-		fmt.Printf("    %-28s %s\n", strings.Join(cols, " "), "count")
-		for _, row := range rs.Rows {
-			vals := make([]string, 0, len(row.Vals)+len(row.FKs))
-			for _, v := range row.Vals {
-				vals = append(vals, fmt.Sprintf("%d", v))
-			}
-			for _, v := range row.FKs {
-				vals = append(vals, fmt.Sprintf("%d", v))
-			}
-			fmt.Printf("    %-28s %d\n", strings.Join(vals, " "), row.Count)
-		}
-	}
-	reports, err := res.Evaluate(w)
-	if err != nil {
-		return err
-	}
-	fmt.Println("\nvolumetric validation:")
-	for _, r := range reports {
-		status := "exact"
-		if r.RelErr != 0 {
-			status = fmt.Sprintf("rel err %+.4f", r.RelErr)
-		}
-		fmt.Printf("  %-16s want %8d  got %8d  %s\n", r.Name, r.Want, r.Got, status)
-	}
-	fmt.Printf("\nsummary built in %v; %d summary rows for %d data tuples\n",
-		res.BuildTime.Round(time.Millisecond), res.Summary.NumRows(), 80000+700+1500)
 	return nil
 }

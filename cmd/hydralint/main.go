@@ -1,19 +1,17 @@
-// Command hydralint runs Hydra's static-analysis suite — the six
+// Command hydralint runs Hydra's static-analysis suite — the seven
 // analyzers in internal/analysis/hydralint that enforce the repo's
-// determinism, hot-path, observability, span-lifecycle, context, and
-// sentinel-error invariants.
+// determinism, hot-path, observability, span-lifecycle, context,
+// sentinel-error and float-rounding invariants.
 //
-// Standalone:
-//
-//	hydralint ./...                 # human-readable findings, exit 1 if any
-//	hydralint -json ./...           # machine-readable report for CI diffing
-//	hydralint -tests ./...          # include in-package _test.go files
-//	hydralint -c determinism,errcmp # run a subset of analyzers
-//
-// Through the toolchain (the go command drives the vettool protocol):
+// It is a vet tool: the go command loads every package, test files
+// and external test packages included, and hands hydralint one
+// compilation unit at a time (the -V/-flags/.cfg protocol):
 //
 //	go build -o hydralint ./cmd/hydralint
 //	go vet -vettool=$PWD/hydralint ./...
+//
+// Analyzer flags are spelled -<analyzer>.<flag>, for example
+// `go vet -vettool=$PWD/hydralint -floatfma.pkgs=internal/lp ./...`.
 package main
 
 import (
@@ -22,8 +20,6 @@ import (
 	"os"
 	"strings"
 
-	"github.com/dsl-repro/hydra/internal/analysis"
-	"github.com/dsl-repro/hydra/internal/analysis/checker"
 	"github.com/dsl-repro/hydra/internal/analysis/hydralint"
 	"github.com/dsl-repro/hydra/internal/analysis/unitchecker"
 )
@@ -36,9 +32,6 @@ func run() int {
 	analyzers := hydralint.Suite()
 
 	fs := flag.NewFlagSet("hydralint", flag.ExitOnError)
-	jsonOut := fs.Bool("json", false, "emit findings as JSON (count, per-analyzer counts, sorted findings)")
-	tests := fs.Bool("tests", false, "also check in-package _test.go files")
-	only := fs.String("c", "", "comma-separated analyzer subset to run (default: all)")
 	version := fs.String("V", "", "version handshake for the go command (go vet -vettool)")
 	flagsHandshake := fs.Bool("flags", false, "print flag descriptions as JSON (go vet handshake)")
 	for _, a := range analyzers {
@@ -47,7 +40,7 @@ func run() int {
 		})
 	}
 	fs.Usage = func() {
-		fmt.Fprintf(os.Stderr, "usage: hydralint [flags] [packages]\n\nanalyzers:\n")
+		fmt.Fprintf(os.Stderr, "usage: go vet -vettool=$PWD/hydralint [flags] [packages]\n\nanalyzers:\n")
 		for _, a := range analyzers {
 			fmt.Fprintf(os.Stderr, "  %-14s %s\n", a.Name, strings.SplitN(a.Doc, "\n", 2)[0])
 		}
@@ -66,60 +59,18 @@ func run() int {
 		unitchecker.PrintFlags(os.Stdout, analyzers)
 		return 0
 	}
-	if *only != "" {
-		analyzers = selectAnalyzers(analyzers, *only)
-		if len(analyzers) == 0 {
-			fmt.Fprintf(os.Stderr, "hydralint: -c %q selects no analyzers\n", *only)
-			return 2
-		}
-	}
-
 	args := fs.Args()
-	if unitchecker.IsVetRun(args) {
-		n, err := unitchecker.Run(args[len(args)-1], analyzers)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "hydralint: %v\n", err)
-			return 1
-		}
-		if n > 0 {
-			return 2
-		}
-		return 0
-	}
-
-	if len(args) == 0 {
-		args = []string{"."}
-	}
-	findings, err := checker.Run(args, analyzers, checker.Options{Tests: *tests})
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "hydralint: %v\n", err)
+	if !unitchecker.IsVetRun(args) {
+		fs.Usage()
 		return 2
 	}
-	wd, _ := os.Getwd()
-	if *jsonOut {
-		if err := checker.PrintJSON(os.Stdout, findings, wd); err != nil {
-			fmt.Fprintf(os.Stderr, "hydralint: %v\n", err)
-			return 2
-		}
-	} else {
-		checker.Print(os.Stdout, findings, wd)
-	}
-	if len(findings) > 0 {
+	n, err := unitchecker.Run(args[len(args)-1], analyzers)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "hydralint: %v\n", err)
 		return 1
 	}
+	if n > 0 {
+		return 2
+	}
 	return 0
-}
-
-func selectAnalyzers(all []*analysis.Analyzer, names string) []*analysis.Analyzer {
-	want := map[string]bool{}
-	for _, n := range strings.Split(names, ",") {
-		want[strings.TrimSpace(n)] = true
-	}
-	var out []*analysis.Analyzer
-	for _, a := range all {
-		if want[a.Name] {
-			out = append(out, a)
-		}
-	}
-	return out
 }

@@ -427,9 +427,11 @@ func TestSolverPathPinned(t *testing.T) {
 		"JOB-30":       {pivots: 1051, nodes: 58, vars: 2537, rows: 492},
 	}
 	for _, in := range pinnedInputs(t) {
-		if got := solveViews(t, in); got != want[in.name] {
-			t.Errorf("%s: solver path %+v, want %+v", in.name, got, want[in.name])
-		}
+		t.Run(in.name, func(t *testing.T) {
+			if got := solveViews(t, in); got != want[in.name] {
+				t.Errorf("%s: solver path %+v, want %+v", in.name, got, want[in.name])
+			}
+		})
 	}
 }
 

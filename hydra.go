@@ -33,7 +33,6 @@ import (
 
 	"github.com/dsl-repro/hydra/internal/cc"
 	"github.com/dsl-repro/hydra/internal/core"
-	"github.com/dsl-repro/hydra/internal/lp"
 	"github.com/dsl-repro/hydra/internal/preprocess"
 	"github.com/dsl-repro/hydra/internal/schema"
 	"github.com/dsl-repro/hydra/internal/summary"
@@ -70,26 +69,8 @@ func NewSchema(tables ...*Table) (*Schema, error) { return schema.New(tables...)
 // MustSchema is NewSchema that panics on error.
 func MustSchema(tables ...*Table) *Schema { return schema.MustNew(tables...) }
 
-// SolverBackend selects the LP arithmetic.
-type SolverBackend = lp.Backend
-
-const (
-	// SolverAuto picks exact rational arithmetic for small systems and
-	// float64 (with exact verification) for large ones.
-	SolverAuto = lp.Auto
-	// SolverRational forces exact arithmetic everywhere.
-	SolverRational = lp.Rational
-	// SolverFloat forces float64 relaxations.
-	SolverFloat = lp.Float
-)
-
 // Config tunes Regenerate.
 type Config struct {
-	// Backend selects the LP solver arithmetic (SolverAuto by default).
-	Backend SolverBackend
-	// MaxNodes bounds branch and bound per view (a sensible default when
-	// zero).
-	MaxNodes int
 	// Strict disables the soft (L1-minimizing) fallback for inconsistent
 	// CC sets; Regenerate then fails instead of producing a best-effort
 	// summary.
@@ -144,7 +125,7 @@ func RegenerateContext(ctx context.Context, s *Schema, w *Workload, cfg Config) 
 	if err != nil {
 		return nil, fmt.Errorf("hydra: %w", err)
 	}
-	opts := core.Options{Backend: cfg.Backend, MaxNodes: cfg.MaxNodes, NoSoftFallback: cfg.Strict}
+	opts := core.Options{NoSoftFallback: cfg.Strict}
 	order, err := s.TopoOrder()
 	if err != nil {
 		return nil, err

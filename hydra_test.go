@@ -205,19 +205,6 @@ func TestFigure1JoinByGeneration(t *testing.T) {
 	}
 }
 
-func TestFigure1Backends(t *testing.T) {
-	for _, backend := range []hydra.SolverBackend{hydra.SolverAuto, hydra.SolverRational, hydra.SolverFloat} {
-		res := regenerateFigure1(t, hydra.Config{Backend: backend})
-		reports, err := res.Evaluate(figure1Workload())
-		if err != nil {
-			t.Fatal(err)
-		}
-		if m := summary.MaxAbsErr(reports); m != 0 {
-			t.Errorf("backend %v: max |relerr| = %v, want 0", backend, m)
-		}
-	}
-}
-
 func TestSummarySaveLoadRoundTrip(t *testing.T) {
 	res := regenerateFigure1(t, hydra.Config{})
 	path := filepath.Join(t.TempDir(), "fig1.summary.json")

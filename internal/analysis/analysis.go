@@ -4,9 +4,10 @@
 // suite. The shipped library stays stdlib-only (that is itself one of
 // the invariants hydralint protects), so rather than vendoring x/tools
 // the repo carries this minimal framework: an analyzer is a named Run
-// function over one type-checked package, and the drivers in
-// checker (standalone, `hydralint ./...`) and unitchecker
-// (`go vet -vettool=hydralint`) feed it packages.
+// function over one type-checked package, and the one driver,
+// unitchecker (`go vet -vettool=hydralint`), feeds it packages that
+// ParseFiles and TypeCheck load; analysistest loads its corpora with
+// the same two.
 //
 // The API deliberately mirrors x/tools so the analyzers would port to
 // the real framework by changing one import path.
@@ -16,23 +17,25 @@ import (
 	"flag"
 	"fmt"
 	"go/ast"
+	"go/parser"
 	"go/token"
 	"go/types"
+	"path/filepath"
 	"strings"
 )
 
 // Analyzer describes one static check: a name, documentation, optional
 // flags, and the Run function applied to each package.
 type Analyzer struct {
-	// Name identifies the analyzer in diagnostics, flags (-name.flag),
-	// and the -c analyzer selection. It must be a valid identifier.
+	// Name identifies the analyzer in diagnostics and flags
+	// (-name.flag). It must be a valid identifier.
 	Name string
 
 	// Doc is the analyzer's documentation: a one-line summary,
 	// optionally followed by a blank line and details.
 	Doc string
 
-	// Flags holds analyzer-specific flags, registered by the drivers
+	// Flags holds analyzer-specific flags, registered by the driver
 	// under the -name.flag namespace.
 	Flags flag.FlagSet
 
@@ -69,9 +72,8 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 }
 
 // InTestFile reports whether pos lies in a _test.go file. Analyzers
-// whose invariants only bind production code filter with this, so the
-// standalone checker and `go vet` (which type-checks test variants)
-// agree on the finding set.
+// whose invariants only bind production code filter with this, since
+// `go vet` type-checks each package's test variants too.
 func (p *Pass) InTestFile(pos token.Pos) bool {
 	return strings.HasSuffix(p.Fset.File(pos).Name(), "_test.go")
 }
@@ -149,4 +151,41 @@ func IsPkgFunc(info *types.Info, call *ast.CallExpr, path, name string) bool {
 	}
 	p := PkgPathOf(o)
 	return p == path || strings.HasSuffix(p, "/"+path)
+}
+
+// ParseFiles parses the named files (relative names resolved against
+// dir) with comments, as the analyzers need directive comments.
+func ParseFiles(fset *token.FileSet, dir string, names []string) ([]*ast.File, error) {
+	fs := make([]*ast.File, 0, len(names))
+	for _, name := range names {
+		path := name
+		if !filepath.IsAbs(path) {
+			path = filepath.Join(dir, name)
+		}
+		f, err := parser.ParseFile(fset, path, nil, parser.ParseComments|parser.SkipObjectResolution)
+		if err != nil {
+			return nil, err
+		}
+		fs = append(fs, f)
+	}
+	return fs, nil
+}
+
+// TypeCheck type-checks one package's files with the given importer,
+// returning the package and full type info.
+func TypeCheck(fset *token.FileSet, path string, files []*ast.File, imp types.Importer) (*types.Package, *types.Info, error) {
+	info := &types.Info{
+		Types:      make(map[ast.Expr]types.TypeAndValue),
+		Defs:       make(map[*ast.Ident]types.Object),
+		Uses:       make(map[*ast.Ident]types.Object),
+		Selections: make(map[*ast.SelectorExpr]*types.Selection),
+		Implicits:  make(map[ast.Node]types.Object),
+		Scopes:     make(map[ast.Node]*types.Scope),
+	}
+	conf := types.Config{Importer: imp}
+	pkg, err := conf.Check(path, fset, files, info)
+	if err != nil {
+		return nil, nil, err
+	}
+	return pkg, info, nil
 }

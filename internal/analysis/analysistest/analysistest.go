@@ -35,7 +35,6 @@ import (
 	"testing"
 
 	"github.com/dsl-repro/hydra/internal/analysis"
-	"github.com/dsl-repro/hydra/internal/analysis/checker"
 )
 
 // Run analyzes each named corpus package under testdata/src and
@@ -97,11 +96,11 @@ func (ld *loader) load(name string) (*corpusPkg, error) {
 	if len(names) == 0 {
 		return nil, fmt.Errorf("no .go files in %s", dir)
 	}
-	files, err := checker.ParseFiles(ld.fset, dir, names)
+	files, err := analysis.ParseFiles(ld.fset, dir, names)
 	if err != nil {
 		return nil, err
 	}
-	pkg, info, err := checker.TypeCheck(ld.fset, name, files, importerFunc(ld.resolve))
+	pkg, info, err := analysis.TypeCheck(ld.fset, name, files, importerFunc(ld.resolve))
 	if err != nil {
 		return nil, err
 	}

@@ -16,9 +16,8 @@
 //	//hydra:hotpath — opts the function IN to the hotpath analyzer's
 //	    allocation-source checks, complementing its AllocsPerRun pin.
 //
-// Run it standalone (`hydralint ./...`), as machine-readable JSON
-// (`hydralint -json ./...`), or through the toolchain
-// (`go vet -vettool=$(which hydralint) ./...`).
+// Run it through the toolchain:
+// `go build -o hydralint ./cmd/hydralint && go vet -vettool=$PWD/hydralint ./...`.
 package hydralint
 
 import (
@@ -41,13 +40,13 @@ func Suite() []*analysis.Analyzer {
 }
 
 // pkgPath strips the test-variant suffix `go vet` appends to package
-// paths ("pkg [pkg.test]"), so path matching agrees between the
-// standalone driver and the vettool protocol.
+// paths ("pkg [pkg.test]") and the _test of an external test package,
+// so a package's tests are in the scope of the package they test.
 func pkgPath(path string) string {
 	if i := strings.Index(path, " ["); i >= 0 {
-		return path[:i]
+		path = path[:i]
 	}
-	return path
+	return strings.TrimSuffix(path, "_test")
 }
 
 // pathMatches reports whether the package path equals pat or ends in

@@ -3,12 +3,12 @@
 // per compilation unit with a JSON config file describing the
 // package's sources and the export data of everything it imports,
 // plus the -V=full and -flags handshakes it uses for build caching
-// and flag validation. This lets the same analyzers run as
+// and flag validation. It is hydralint's one driver:
 //
 //	go vet -vettool=$(which hydralint) ./...
 //
 // with the toolchain handling package loading, caching, and test
-// variants.
+// variants (in-package _test.go files and external _test packages).
 package unitchecker
 
 import (
@@ -24,7 +24,6 @@ import (
 	"strings"
 
 	"github.com/dsl-repro/hydra/internal/analysis"
-	"github.com/dsl-repro/hydra/internal/analysis/checker"
 )
 
 // Config mirrors the JSON the go command writes for each vet unit.
@@ -122,7 +121,7 @@ func Run(cfgPath string, analyzers []*analysis.Analyzer) (int, error) {
 	}
 
 	fset := token.NewFileSet()
-	files, err := checker.ParseFiles(fset, cfg.Dir, cfg.GoFiles)
+	files, err := analysis.ParseFiles(fset, cfg.Dir, cfg.GoFiles)
 	if err != nil {
 		if cfg.SucceedOnTypecheckFailure {
 			return 0, nil
@@ -139,7 +138,7 @@ func Run(cfgPath string, analyzers []*analysis.Analyzer) (int, error) {
 		}
 		return os.Open(file)
 	})
-	pkg, info, err := checker.TypeCheck(fset, cfg.ImportPath, files, imp)
+	pkg, info, err := analysis.TypeCheck(fset, cfg.ImportPath, files, imp)
 	if err != nil {
 		if cfg.SucceedOnTypecheckFailure {
 			return 0, nil

@@ -193,8 +193,13 @@ func personAttrIs(t *testing.T, f *Formulation, attr int, col string) bool {
 
 func TestSequentialMatchesJointOnCCs(t *testing.T) {
 	v := multiSubViewView(t)
-	for _, opts := range []Options{{Joint: true}, {}} {
-		sol, err := FormulateAndSolve(v, opts)
+	for _, joint := range []bool{true, false} {
+		f := Formulate(v)
+		solve := f.SolveSequential
+		if joint {
+			solve = f.Solve
+		}
+		sol, err := solve(Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -226,11 +231,11 @@ func TestSequentialMatchesJointOnCCs(t *testing.T) {
 				if got == vcc.Count {
 					satisfied = true
 				} else {
-					t.Errorf("joint=%v cc %d (%s): got %d want %d", opts.Joint, ci, vcc.Name, got, vcc.Count)
+					t.Errorf("joint=%v cc %d (%s): got %d want %d", joint, ci, vcc.Name, got, vcc.Count)
 				}
 			}
 			if !satisfied {
-				t.Errorf("joint=%v cc %d not satisfied in any covering sub-view", opts.Joint, ci)
+				t.Errorf("joint=%v cc %d not satisfied in any covering sub-view", joint, ci)
 			}
 		}
 	}
@@ -375,12 +380,12 @@ func TestSolveStrictInfeasible(t *testing.T) {
 	v := personView(t)
 	v.CCs[0].Count = 100000 // cc1 asks for more than Total
 	v.Total = 500
-	_, err := FormulateAndSolve(v, Options{NoSoftFallback: true, Joint: true})
+	_, err := Formulate(v).Solve(Options{NoSoftFallback: true})
 	if err == nil {
 		t.Fatal("strict mode must surface infeasibility")
 	}
 	// Soft mode produces a best-effort solution.
-	sol, err := FormulateAndSolve(v, Options{Joint: true})
+	sol, err := Formulate(v).Solve(Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -9,6 +9,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"os"
 	"slices"
 	"sort"
 	"sync"
@@ -25,16 +26,9 @@ import (
 type Options struct {
 	// Backend selects the LP arithmetic (lp.Auto by default).
 	Backend lp.Backend
-	// MaxNodes bounds branch and bound (lp.DefaultMaxNodes when 0).
-	MaxNodes int
 	// NoSoftFallback disables the L1 soft solve on infeasible input;
 	// FormulateAndSolve then returns the infeasibility error instead.
 	NoSoftFallback bool
-	// Joint forces the single joint LP per view instead of the default
-	// sequential (per-sub-view) decomposition. Kept for the
-	// joint-vs-sequential ablation; results are equivalent, the joint
-	// solve is just slower on wide views.
-	Joint bool
 
 	// ws is the tableau memory of a SolveViews worker, lent to each view
 	// it solves; nil has a solve take one from workspaces.
@@ -135,6 +129,17 @@ type Formulation struct {
 }
 
 // svEdge is a clique-tree edge in preorder positions.
+//
+// Its cells are a partition Π_S of dom(S), S the separator, and the
+// consistency rows equate the child's and the parent's mass per cell.
+// That is sound only if every region on either side projects into one
+// cell: a region straddling two cells would count toward both. Today's
+// Π_S is the product, per attribute of S, of the atoms sharedAtoms cuts
+// at the boundaries of every conjunct of the view (allConjuncts), which
+// the marker constraints make every region respect. It is one valid
+// choice, and finer than needed: the coarsest valid Π_S is Algorithm 1
+// (partition.OptimalIncremental) run on S against the S-projections of
+// the two endpoint cliques' conjuncts only.
 type svEdge struct {
 	child, parent int
 	sep           []int
@@ -599,13 +604,13 @@ func (f *Formulation) Solve(opts Options) (*ViewSolution, error) {
 
 func (f *Formulation) solveVector(opts Options) ([]int64, error) {
 	ws, done := opts.workspace()
-	sol, err := lp.SolveInteger(f.Problem, lp.IntOptions{Backend: opts.Backend, MaxNodes: opts.MaxNodes, Workspace: ws})
+	sol, err := lp.SolveInteger(f.Problem, lp.IntOptions{Backend: opts.Backend, Workspace: ws})
 	done()
 	if err == nil {
 		f.Stats.Nodes, f.Stats.Pivots = sol.Nodes, sol.Pivots
 		return sol.X, nil
 	}
-	if errors.Is(err, lp.ErrNodeLimit) && sol != nil && sol.Exact {
+	if (errors.Is(err, lp.ErrNodeLimit) || errors.Is(err, lp.ErrSearchExhausted)) && sol.Exact {
 		f.Stats.Nodes, f.Stats.Pivots = sol.Nodes, sol.Pivots
 		return sol.X, nil
 	}
@@ -622,15 +627,17 @@ func (f *Formulation) solveVector(opts Options) ([]int64, error) {
 }
 
 // FormulateAndSolve is the one-call convenience wrapper: region
-// partitioning plus the default sequential solving path (joint when
-// opts.Joint is set).
+// partitioning plus the sequential (per-sub-view) solving path.
 func FormulateAndSolve(v *preprocess.View, opts Options) (*ViewSolution, error) {
+	elapsed := stopwatch()
 	f, err := FormulateWith(v, RegionStrategy)
 	if err != nil {
 		return nil, err
 	}
-	if opts.Joint {
-		return f.Solve(opts)
+	formulate := elapsed()
+	sol, err := f.SolveSequential(opts)
+	if traceSequential && err == nil {
+		fmt.Fprintln(os.Stderr, viewTrace(sol, formulate))
 	}
-	return f.SolveSequential(opts)
+	return sol, err
 }

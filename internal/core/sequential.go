@@ -8,8 +8,8 @@ import (
 	"github.com/dsl-repro/hydra/internal/lp"
 )
 
-// traceSequential enables per-group solver tracing to stderr when the
-// HYDRA_TRACE environment variable is non-empty.
+// traceSequential enables per-group and per-view solver tracing to
+// stderr when the HYDRA_TRACE environment variable is non-empty.
 var traceSequential = os.Getenv("HYDRA_TRACE") != ""
 
 // SolveSequential solves the view's sub-views along the clique tree
@@ -212,13 +212,9 @@ func (f *Formulation) solveGroup(ms []int, parentEdge map[int]svEdge, counts [][
 	// fractional vertices and branch and bound burns its budget there.
 	// Failing fast and letting the caller merge groups converges much
 	// faster and is exact by construction.
-	maxNodes := opts.MaxNodes
-	if maxNodes == 0 {
-		// Small budget per group: exhaustion is a signal to merge, not to
-		// search deeper.
-		maxNodes = 256
-	}
-	return lp.SolveInteger(prob, lp.IntOptions{Backend: opts.Backend, MaxNodes: maxNodes, Workspace: ws})
+	// Small budget per group: exhaustion is a signal to merge, not to
+	// search deeper.
+	return lp.SolveInteger(prob, lp.IntOptions{Backend: opts.Backend, MaxNodes: 256, Workspace: ws})
 }
 
 func localIndex(clique []int) map[int]int {
@@ -249,4 +245,17 @@ func groupTrace(view string, pass, root, members, vars int, sol *lp.IntSolution,
 	}
 	return fmt.Sprintf("[hydra-trace] view=%s pass=%d group=%d members=%d vars=%d cols=%d arith=%s nodes=%d pivots=%d restarts=%d escalations=%d %s in %v",
 		view, pass, root, members, vars, s.Cols, s.Arith, s.Nodes, s.Pivots, s.Restarts, s.Escalations, status, d.Round(time.Microsecond))
+}
+
+// viewTrace is the HYDRA_TRACE line of one solved view, printed after its
+// group lines: the view's size (CCs, attributes, sub-views, chordal fill
+// edges), its LP (variables, rows, CC rows, consistency rows), how the
+// solve went (group merges, soft fallback, joint fallback) and the time
+// formulating and solving took.
+func viewTrace(sol *ViewSolution, formulate time.Duration) string {
+	st := sol.Stats
+	return fmt.Sprintf("[hydra-trace] view=%s ccs=%d attrs=%d subviews=%d fill=%d vars=%d rows=%d cc_rows=%d cons_rows=%d merges=%d soft=%t fallback=%t formulate=%v solve=%v",
+		sol.View.Table.Name, len(sol.View.CCs), len(sol.View.Attrs), st.SubViews, st.FillEdges,
+		st.Vars, st.Rows, st.CCRows, st.ConsistencyRows, st.SequentialMerges, st.Soft, st.SequentialFallback,
+		formulate.Round(time.Microsecond), st.SolveTime.Round(time.Microsecond))
 }

@@ -26,7 +26,6 @@ import (
 
 	"github.com/dsl-repro/hydra/internal/cc"
 	"github.com/dsl-repro/hydra/internal/core"
-	"github.com/dsl-repro/hydra/internal/lp"
 	"github.com/dsl-repro/hydra/internal/partition"
 	"github.com/dsl-repro/hydra/internal/pred"
 	"github.com/dsl-repro/hydra/internal/preprocess"
@@ -52,11 +51,6 @@ func (e *ErrSolverCapacity) Error() string {
 
 // Options configures the baseline.
 type Options struct {
-	// MaxCells caps enumerable grid cells per sub-view (DefaultMaxCells
-	// when 0).
-	MaxCells int64
-	// Backend selects LP arithmetic (lp.Auto default).
-	Backend lp.Backend
 	// Seed drives the sampling instantiation.
 	Seed int64
 }
@@ -103,10 +97,6 @@ type Result struct {
 // then the shared referential-repair and relation-extraction tail.
 func Regenerate(s *schema.Schema, w *cc.Workload, opts Options) (*Result, error) {
 	start := time.Now()
-	maxCells := opts.MaxCells
-	if maxCells == 0 {
-		maxCells = DefaultMaxCells
-	}
 	if err := w.Validate(s); err != nil {
 		return nil, err
 	}
@@ -126,7 +116,7 @@ func Regenerate(s *schema.Schema, w *cc.Workload, opts Options) (*Result, error)
 	for _, t := range order {
 		v := views[t.Name]
 		res.TotalVars.Add(res.TotalVars, GridVars(v))
-		f, err := core.FormulateWith(v, GridStrategy(t.Name, maxCells))
+		f, err := core.FormulateWith(v, GridStrategy(t.Name, DefaultMaxCells))
 		if err != nil {
 			var cap *ErrSolverCapacity
 			if errors.As(err, &cap) {
@@ -134,7 +124,7 @@ func Regenerate(s *schema.Schema, w *cc.Workload, opts Options) (*Result, error)
 			}
 			return nil, err
 		}
-		sol, err := f.SolveSequential(core.Options{Backend: opts.Backend})
+		sol, err := f.SolveSequential(core.Options{})
 		if err != nil {
 			return nil, err
 		}

@@ -54,6 +54,13 @@ const DefaultMaxNodes = 4000
 // callers surface the violations as relative CC error instead of failing.
 var ErrNodeLimit = errors.New("lp: branch-and-bound node limit exceeded")
 
+// ErrSearchExhausted reports that branch and bound explored its whole
+// tree within the node budget without an exactly verified solution: every
+// branch was pruned or ended in an integral vertex whose rounding violates
+// a row. The accompanying solution is the last rounded vertex, as with
+// ErrNodeLimit.
+var ErrSearchExhausted = errors.New("lp: branch-and-bound search exhausted")
+
 // IntSolution is an integer solution plus diagnostics.
 type IntSolution struct {
 	X      []int64
@@ -305,9 +312,11 @@ func RoundSolution(x []*big.Rat) []int64 {
 // SolveInteger finds a non-negative integer solution of p via depth-first
 // branch and bound over LP relaxations, exploring the floor branch first
 // (Hydra's systems are feasible, so diving almost always succeeds
-// immediately). The returned solution is exactly verified; if the node
+// immediately). The returned solution is exactly verified. If the node
 // budget runs out, the best-effort rounded relaxation is returned together
-// with ErrNodeLimit and Exact=false.
+// with ErrNodeLimit; if the tree empties first, with ErrSearchExhausted.
+// An infeasible root returns *Infeasible with the solution's counters
+// (and no X).
 //
 // Each relaxation's vertex is decided on in the arithmetic that solved it
 // (float64, word-sized rationals, or math/big after an overflow), with
@@ -408,13 +417,16 @@ func SolveInteger(p *Problem, opts IntOptions) (*IntSolution, error) {
 		stack = pushBranches(stack, extra, idx, sol.x.floor(idx))
 	}
 
-	if len(stack) == 0 && lastRounded == nil {
-		return nil, &Infeasible{}
+	if len(stack) > 0 {
+		if lastRounded == nil {
+			lastRounded = make([]int64, p.NumVars)
+		}
+		return done(lastRounded), fmt.Errorf("%w after %d nodes", ErrNodeLimit, res.Nodes)
 	}
 	if lastRounded == nil {
-		lastRounded = make([]int64, p.NumVars)
+		return res, &Infeasible{}
 	}
-	return done(lastRounded), fmt.Errorf("%w after %d nodes", ErrNodeLimit, res.Nodes)
+	return done(lastRounded), fmt.Errorf("%w after %d nodes", ErrSearchExhausted, res.Nodes)
 }
 
 // pushBranches pushes the ceil branch then the floor branch so the floor

@@ -3,6 +3,7 @@ package lp
 import (
 	"crypto/sha256"
 	"encoding/hex"
+	"errors"
 	"fmt"
 	"math"
 	"math/big"
@@ -20,7 +21,8 @@ var solveExactSeeds = [][]byte{
 	{7, 6, 40, 0, 0, 100, 3, 5, 7, 11, 13, 2, 4, 6, 0, 99, 7, 3, 5, 2, 9, 1, 8, 4, 0, 50, 1, 2, 3, 4, 5, 6, 7, 8, 0, 60, 9, 7, 5, 3, 1, 2, 4, 6},
 }
 
-// intOutcome renders everything SolveInteger reports.
+// intOutcome renders everything SolveInteger reports (an infeasible
+// problem reports its counters too, with no X).
 func intOutcome(sol *IntSolution, err error) string {
 	if sol == nil {
 		return fmt.Sprintf("err=%v", err)
@@ -31,15 +33,16 @@ func intOutcome(sol *IntSolution, err error) string {
 // TestSolveIntegerFloatPinned pins what branch and bound over float64
 // relaxations returns on FuzzSolveExact's seeds, as cut before the float
 // pivot eliminated over the pivot row's non-zeros only and before nodes
-// shared one tableau's memory: neither may move a vertex.
+// shared one tableau's memory: neither may move a vertex. The last seed's
+// tree empties after 15 of 4 000 nodes, an exhausted search.
 func TestSolveIntegerFloatPinned(t *testing.T) {
 	want := []string{
 		"x=[0] nodes=1 pivots=0 exact=true err=<nil>",
 		"x=[10 0 20 50] nodes=1 pivots=4 exact=true err=<nil>",
-		"err=lp: infeasible",
-		"err=lp: infeasible",
-		"err=lp: infeasible",
-		"x=[4 0 3 0 5 0 2 0] nodes=15 pivots=53 exact=false err=lp: branch-and-bound node limit exceeded after 15 nodes",
+		"x=[] nodes=1 pivots=0 exact=false err=lp: infeasible",
+		"x=[] nodes=1 pivots=0 exact=false err=lp: infeasible",
+		"x=[] nodes=1 pivots=0 exact=false err=lp: infeasible",
+		"x=[4 0 3 0 5 0 2 0] nodes=15 pivots=53 exact=false err=lp: branch-and-bound search exhausted after 15 nodes",
 	}
 	for i, seed := range solveExactSeeds {
 		got := intOutcome(SolveInteger(problemFromBytes(seed), IntOptions{Backend: Float}))
@@ -66,7 +69,10 @@ func TestSolveIntegerRandomPinned(t *testing.T) {
 			fmt.Fprintf(h, "%d/%d soft %+v %v\n", i, b, soft, err)
 		}
 	}
-	const want = "5d190865db2a1763968ef7b38cac142159b575d0c52562e1bdb147992b8867bf"
+	// Re-cut when an exhausted tree got its own sentinel and an infeasible
+	// root kept its counters; rendered the old way, the outcomes still
+	// hash to 5d190865…, so no vertex moved.
+	const want = "d1cb7afba75dce543d3a90114ee3aba225780b68412ca40a333f9436b0671329"
 	if got := hex.EncodeToString(h.Sum(nil)); got != want {
 		t.Errorf("outcome digest %s, want %s", got, want)
 	}
@@ -122,25 +128,48 @@ func TestSolveIntegerAllocsPerNode(t *testing.T) {
 	}
 }
 
-// TestIntSolutionCounters: the solver-path counters HYDRA_TRACE prints.
-// Below float64's resolution a float vertex rounds to integers that do
-// not verify, so both nodes escalate to exact arithmetic; chained
-// denominators overflow every node's word-sized solve, which restarts on
-// math/big; twin columns merge before any relaxation.
+// TestIntSolutionCounters: the solver-path counters HYDRA_TRACE prints,
+// and the error each outcome ends with. Below float64's resolution a
+// float vertex rounds to integers that do not verify, so both nodes
+// escalate to exact arithmetic; chained denominators overflow every
+// node's word-sized solve, which restarts on math/big; twin columns merge
+// before any relaxation. A tree that empties before the node budget is an
+// exhausted search (2x = 1 branches to x ≤ 0 and x ≥ 1, both infeasible),
+// not a node limit; the same tree cut at two nodes is one. An infeasible
+// root keeps its counters.
 func TestIntSolutionCounters(t *testing.T) {
 	below := &Problem{NumVars: 3}
 	below.AddRow(Row{Entries: []Entry{{0, 2}, {1, 2}, {2, 1}}, Rel: EQ, RHS: 4e17 + 1, Name: "r"})
+	half := &Problem{NumVars: 1}
+	half.AddRow(Row{Entries: []Entry{{0, 2}}, Rel: EQ, RHS: 1, Name: "r"})
+	negative := &Problem{NumVars: 2}
+	negative.AddEq([]int{0, 1}, -1, "r")
+	infeasible := func(err error) bool {
+		var inf *Infeasible
+		return errors.As(err, &inf)
+	}
+	is := func(target error) func(error) bool {
+		return func(err error) bool { return errors.Is(err, target) }
+	}
 	for _, tc := range []struct {
-		name string
-		p    *Problem
-		b    Backend
-		want IntSolution
+		name     string
+		p        *Problem
+		b        Backend
+		maxNodes int
+		want     IntSolution
+		wantErr  func(error) bool
 	}{
-		{"below float resolution", below, Float, IntSolution{Nodes: 2, Pivots: 5, Exact: true, Cols: 2, Arith: Float, Escalations: 2}},
-		{"below float resolution", below, Auto, IntSolution{Nodes: 2, Pivots: 3, Exact: true, Cols: 2, Arith: Rational}},
-		{"chained denominators", overflowProblems()["chained denominators"], Rational, IntSolution{Nodes: 3, Pivots: 6, Cols: 6, Arith: Rational, Restarts: 3}},
+		{"below float resolution", below, Float, 0, IntSolution{Nodes: 2, Pivots: 5, Exact: true, Cols: 2, Arith: Float, Escalations: 2}, is(nil)},
+		{"below float resolution", below, Auto, 0, IntSolution{Nodes: 2, Pivots: 3, Exact: true, Cols: 2, Arith: Rational}, is(nil)},
+		{"chained denominators", overflowProblems()["chained denominators"], Rational, 0, IntSolution{Nodes: 3, Pivots: 6, Cols: 6, Arith: Rational, Restarts: 3}, is(ErrSearchExhausted)},
+		{"2x = 1", half, Auto, 0, IntSolution{Nodes: 3, Pivots: 1, Cols: 1, Arith: Rational}, is(ErrSearchExhausted)},
+		{"2x = 1, two nodes", half, Auto, 2, IntSolution{Nodes: 2, Pivots: 1, Cols: 1, Arith: Rational}, is(ErrNodeLimit)},
+		{"x + y = -1", negative, Auto, 0, IntSolution{Nodes: 1, Cols: 1, Arith: Rational}, infeasible},
 	} {
-		sol, _ := SolveInteger(tc.p, IntOptions{Backend: tc.b})
+		sol, err := SolveInteger(tc.p, IntOptions{Backend: tc.b, MaxNodes: tc.maxNodes})
+		if !tc.wantErr(err) {
+			t.Errorf("%s, %v: unexpected error %v", tc.name, tc.b, err)
+		}
 		if sol == nil {
 			t.Fatalf("%s, %v: no solution", tc.name, tc.b)
 		}

@@ -41,10 +41,6 @@ type RunnerOptions struct {
 	// heterogeneous fleet; the local plan's per-shard split of *this*
 	// machine's cores is meaningless remotely.
 	Workers int
-	// SkipSummaryCheck drops the summary-digest guard from job
-	// requests. Only for fleets that manage summary identity some other
-	// way.
-	SkipSummaryCheck bool
 	// Fleet tunes the resilience substrate under the runner: background
 	// /healthz probing, per-member circuit breakers, jittered retry
 	// backoff, and the shared retry budget. The zero value means
@@ -147,13 +143,11 @@ func (r *RemoteRunner) jobRequest(sum *summary.Summary, job orchestrate.ShardJob
 	if req.Shards == 0 {
 		req.Shards = 1
 	}
-	if !r.opts.SkipSummaryCheck {
-		digest, err := r.digestFor(sum)
-		if err != nil {
-			return nil, err
-		}
-		req.SummaryDigest = digest
+	digest, err := r.digestFor(sum)
+	if err != nil {
+		return nil, err
 	}
+	req.SummaryDigest = digest
 	return req, nil
 }
 
