@@ -52,6 +52,7 @@ import (
 
 	hydra "github.com/dsl-repro/hydra"
 	"github.com/dsl-repro/hydra/internal/faultinject"
+	"github.com/dsl-repro/hydra/internal/format"
 	"github.com/dsl-repro/hydra/internal/obs"
 	"github.com/dsl-repro/hydra/internal/summary"
 	"github.com/dsl-repro/hydra/internal/trace"
@@ -314,7 +315,7 @@ func cmdOrchestrate(args []string) error {
 	fs := flag.NewFlagSet("orchestrate", flag.ExitOnError)
 	sumPath := fs.String("summary", "", "summary JSON")
 	dir := fs.String("dir", "hydra_db", "output directory shared by all shards")
-	format := fs.String("format", "heap", "output format: "+strings.Join(hydra.MaterializeFormats(), "|"))
+	format := fs.String("format", "heap", "output format: "+strings.Join(format.FileNames(), "|"))
 	shards := fs.Int("shards", 1, "split each table into N verified pieces")
 	parallel := fs.Int("parallel", 0, "shards running at once (0 = min(shards, GOMAXPROCS))")
 	workers := fs.Int("workers", 0, "encode workers per shard (0 = GOMAXPROCS split across the parallel shards)")
@@ -523,7 +524,7 @@ func cmdScan(args []string) error {
 	rng := fs.String("range", "", "pk range A:B, 1-based inclusive; either side may be omitted")
 	where := fs.String("where", "", "row filter: AND of column comparisons, e.g. 'A >= 20 AND B IN (1,5)'")
 	shardSpec := fs.String("shard", "", "scan only piece i/N of the range, 1-based (e.g. 2/4)")
-	format := fs.String("format", "csv", "output encoding: csv|jsonl|sql|heap|spans")
+	format := fs.String("format", "csv", "output encoding: "+strings.Join(format.FileNames(), "|"))
 	batch := fs.Int("batch", 0, "rows per batch (0 = default)")
 	rateLimit := fs.Float64("rate", 0, "cap the scan at rows/s (0 = unlimited)")
 	spread := fs.Bool("fkspread", false, "spread FKs round-robin within referenced spans (must match -dir materialization)")

@@ -98,6 +98,9 @@ func (f *Formulation) SolveSequential(opts Options) (*ViewSolution, error) {
 				}
 				fmt.Fprintln(os.Stderr, groupTrace(f.View.Table.Name, pass, root, len(ms), nv, sol, err, gElapsed()))
 			}
+			if sol != nil {
+				pivotsTotal += sol.Pivots // a failed group's solve pivoted too
+			}
 			if err != nil || !sol.Exact {
 				failedAt = root
 				break
@@ -109,7 +112,6 @@ func (f *Formulation) SolveSequential(opts Options) (*ViewSolution, error) {
 				base += len(f.regions[m])
 			}
 			nodesTotal += sol.Nodes
-			pivotsTotal += sol.Pivots
 		}
 		if failedAt == -1 {
 			break // all groups solved

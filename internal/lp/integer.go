@@ -106,7 +106,8 @@ func relaxBackend(p *Problem, b Backend) Backend {
 }
 
 // relaxation is one LP relaxation's outcome: its vertex in the arithmetic
-// that solved it, the pivots that took, and whether a word-sized exact
+// that solved it, the pivots that took — counted when the relaxation
+// fails too, infeasible or otherwise — and whether a word-sized exact
 // solve overflowed and was redone on math/big.
 type relaxation struct {
 	x       vertex
@@ -364,6 +365,7 @@ func SolveInteger(p *Problem, opts IntOptions) (*IntSolution, error) {
 		if sol.restart {
 			res.Restarts++
 		}
+		res.Pivots += sol.pivots
 		if err != nil {
 			var inf *Infeasible
 			if errors.As(err, &inf) {
@@ -371,7 +373,6 @@ func SolveInteger(p *Problem, opts IntOptions) (*IntSolution, error) {
 			}
 			return nil, err
 		}
-		res.Pivots += sol.pivots
 
 		idx := fractionalVar(sol.x)
 		if idx == -1 {
@@ -388,8 +389,8 @@ func SolveInteger(p *Problem, opts IntOptions) (*IntSolution, error) {
 				if rsol.restart {
 					res.Restarts++
 				}
+				res.Pivots += rsol.pivots
 				if rerr == nil {
-					res.Pivots += rsol.pivots
 					ridx := fractionalVar(rsol.x)
 					if ridx == -1 {
 						rx := roundVertex(rsol.x)

@@ -34,15 +34,17 @@ func intOutcome(sol *IntSolution, err error) string {
 // relaxations returns on FuzzSolveExact's seeds, as cut before the float
 // pivot eliminated over the pivot row's non-zeros only and before nodes
 // shared one tableau's memory: neither may move a vertex. The last seed's
-// tree empties after 15 of 4 000 nodes, an exhausted search.
+// tree empties after 15 of 4 000 nodes, an exhausted search. Pivots count
+// the relaxations found infeasible too (seeds 2 to 5 moved when they
+// began to).
 func TestSolveIntegerFloatPinned(t *testing.T) {
 	want := []string{
 		"x=[0] nodes=1 pivots=0 exact=true err=<nil>",
 		"x=[10 0 20 50] nodes=1 pivots=4 exact=true err=<nil>",
-		"x=[] nodes=1 pivots=0 exact=false err=lp: infeasible",
-		"x=[] nodes=1 pivots=0 exact=false err=lp: infeasible",
-		"x=[] nodes=1 pivots=0 exact=false err=lp: infeasible",
-		"x=[4 0 3 0 5 0 2 0] nodes=15 pivots=53 exact=false err=lp: branch-and-bound search exhausted after 15 nodes",
+		"x=[] nodes=1 pivots=1 exact=false err=lp: infeasible",
+		"x=[] nodes=1 pivots=1 exact=false err=lp: infeasible",
+		"x=[] nodes=1 pivots=3 exact=false err=lp: infeasible",
+		"x=[4 0 3 0 5 0 2 0] nodes=15 pivots=122 exact=false err=lp: branch-and-bound search exhausted after 15 nodes",
 	}
 	for i, seed := range solveExactSeeds {
 		got := intOutcome(SolveInteger(problemFromBytes(seed), IntOptions{Backend: Float}))
@@ -70,9 +72,11 @@ func TestSolveIntegerRandomPinned(t *testing.T) {
 		}
 	}
 	// Re-cut when an exhausted tree got its own sentinel and an infeasible
-	// root kept its counters; rendered the old way, the outcomes still
-	// hash to 5d190865…, so no vertex moved.
-	const want = "d1cb7afba75dce543d3a90114ee3aba225780b68412ca40a333f9436b0671329"
+	// root kept its counters (rendered the old way, the outcomes hashed to
+	// 5d190865…), and again when pivots began to count infeasible
+	// relaxations: rendered without pivots, the outcomes hash to 843bebec…
+	// on both sides of that change, so no vertex moved.
+	const want = "cef6427d32748789607e92184526cdfb00ed7a8d97dd0c31b1a777ae94bfd5c6"
 	if got := hex.EncodeToString(h.Sum(nil)); got != want {
 		t.Errorf("outcome digest %s, want %s", got, want)
 	}
@@ -136,7 +140,8 @@ func TestSolveIntegerAllocsPerNode(t *testing.T) {
 // before any relaxation. A tree that empties before the node budget is an
 // exhausted search (2x = 1 branches to x ≤ 0 and x ≥ 1, both infeasible),
 // not a node limit; the same tree cut at two nodes is one. An infeasible
-// root keeps its counters.
+// root keeps its counters, and the pivots of every relaxation count,
+// infeasible ones included.
 func TestIntSolutionCounters(t *testing.T) {
 	below := &Problem{NumVars: 3}
 	below.AddRow(Row{Entries: []Entry{{0, 2}, {1, 2}, {2, 1}}, Rel: EQ, RHS: 4e17 + 1, Name: "r"})
@@ -161,9 +166,9 @@ func TestIntSolutionCounters(t *testing.T) {
 	}{
 		{"below float resolution", below, Float, 0, IntSolution{Nodes: 2, Pivots: 5, Exact: true, Cols: 2, Arith: Float, Escalations: 2}, is(nil)},
 		{"below float resolution", below, Auto, 0, IntSolution{Nodes: 2, Pivots: 3, Exact: true, Cols: 2, Arith: Rational}, is(nil)},
-		{"chained denominators", overflowProblems()["chained denominators"], Rational, 0, IntSolution{Nodes: 3, Pivots: 6, Cols: 6, Arith: Rational, Restarts: 3}, is(ErrSearchExhausted)},
-		{"2x = 1", half, Auto, 0, IntSolution{Nodes: 3, Pivots: 1, Cols: 1, Arith: Rational}, is(ErrSearchExhausted)},
-		{"2x = 1, two nodes", half, Auto, 2, IntSolution{Nodes: 2, Pivots: 1, Cols: 1, Arith: Rational}, is(ErrNodeLimit)},
+		{"chained denominators", overflowProblems()["chained denominators"], Rational, 0, IntSolution{Nodes: 3, Pivots: 17, Cols: 6, Arith: Rational, Restarts: 3}, is(ErrSearchExhausted)},
+		{"2x = 1", half, Auto, 0, IntSolution{Nodes: 3, Pivots: 3, Cols: 1, Arith: Rational}, is(ErrSearchExhausted)},
+		{"2x = 1, two nodes", half, Auto, 2, IntSolution{Nodes: 2, Pivots: 2, Cols: 1, Arith: Rational}, is(ErrNodeLimit)},
 		{"x + y = -1", negative, Auto, 0, IntSolution{Nodes: 1, Cols: 1, Arith: Rational}, infeasible},
 	} {
 		sol, err := SolveInteger(tc.p, IntOptions{Backend: tc.b, MaxNodes: tc.maxNodes})

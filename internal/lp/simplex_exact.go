@@ -312,23 +312,23 @@ func (t *exactTableau[T]) extract() []*big.Rat {
 
 // solveExact runs the two-phase simplex on p over ar, with its tableau in
 // cells backed by *buf and its other memory in ws, and returns the solved
-// tableau. The result is valid only if ar has not overflowed by the time
-// it returns.
+// tableau — on an error too, for the pivots it took. The result is valid
+// only if ar has not overflowed by the time it returns.
 func solveExact[T any](p *Problem, ar exactArith[T], buf *[]T, ws *Workspace) (*exactTableau[T], error) {
 	t := newExactTableau(p, ar, buf, ws)
 	defer func() { ws.nz = t.nzBuf }()
 	if err := t.optimize(true); err != nil {
-		return nil, err
+		return t, err
 	}
 	// Phase-I objective value is -obj[cols].
 	if ar.sign(t.obj[t.cols]) < 0 {
-		return nil, &Infeasible{}
+		return t, &Infeasible{}
 	}
 	t.driveOutArtificials()
 	if len(p.Objective) > 0 {
 		t.setObjective(p.Objective)
 		if err := t.optimize(false); err != nil {
-			return nil, err
+			return t, err
 		}
 	}
 	return t, nil
@@ -375,12 +375,12 @@ func relaxRational(p *Problem, ws *Workspace) (relaxation, error) {
 	if word.overflow {
 		bt, err := solveExact(p, bigArith{}, new([]*big.Rat), ws)
 		if err != nil {
-			return relaxation{restart: true}, err
+			return relaxation{pivots: bt.pivots, restart: true}, err
 		}
 		return relaxation{x: ratVertex(bt.extract()), pivots: bt.pivots, restart: true}, nil
 	}
 	if err != nil {
-		return relaxation{}, err
+		return relaxation{pivots: t.pivots}, err
 	}
 	x := reuse(&ws.xw, t.n)
 	for j := range x {

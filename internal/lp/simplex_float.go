@@ -289,28 +289,29 @@ func SolveFloat(p *Problem) (*Solution, error) {
 func relaxFloat(p *Problem, ws *Workspace) (relaxation, error) {
 	t, err := solveFloat(p, ws)
 	if err != nil {
-		return relaxation{}, err
+		return relaxation{pivots: t.pivots}, err
 	}
 	x, err := t.extract(ws)
 	return relaxation{x: x, pivots: t.pivots}, err
 }
 
 // solveFloat runs the two-phase simplex on p in float64 with its tableau
-// in ws and returns the solved tableau.
+// in ws and returns the solved tableau — on an error too, for the pivots
+// it took.
 func solveFloat(p *Problem, ws *Workspace) (*floatTableau, error) {
 	t := newFloatTableau(p, ws)
 	defer func() { ws.nz = t.nzBuf }()
 	if err := t.optimize(true); err != nil {
-		return nil, err
+		return t, err
 	}
 	if -t.obj[t.cols] > fFeasTol {
-		return nil, &Infeasible{}
+		return t, &Infeasible{}
 	}
 	t.driveOutArtificials()
 	if len(p.Objective) > 0 {
 		t.setObjective(p.Objective)
 		if err := t.optimize(false); err != nil {
-			return nil, err
+			return t, err
 		}
 	}
 	return t, nil

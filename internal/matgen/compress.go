@@ -4,28 +4,32 @@ import (
 	"compress/gzip"
 	"fmt"
 	"io"
-	"sort"
-	"strings"
 	"sync"
 )
 
-// Compressor wraps a sink's byte stream in a compression codec without
+// Compressor wraps a format's byte stream in a compression codec without
 // giving up matgen's determinism contract. The engine compresses each
 // deterministic chunk — plus one frame for the header and one for the
 // footer — into an independent, self-terminating member of the codec's
 // stream format, inside the encode workers so members compress
-// concurrently. Because chunk boundaries depend only on (BatchRows, sink
-// alignment, shard range) and never on the worker count, the framed
-// output is byte-identical for any -workers value, and concatenating
-// compressed shard parts in shard order yields a valid multi-member
-// stream whose decompression is the whole-table file.
+// concurrently. Because chunk boundaries depend only on (BatchRows,
+// format alignment) and never on the worker count, the framed output is
+// byte-identical for any -workers value, and concatenating compressed
+// shard parts in shard order yields a valid multi-member stream whose
+// decompression is the whole-table file.
+//
+// The codec is gzip or none; the interface is what the engine, the
+// directory scan and this package's tests' failing fake need of it.
 type Compressor interface {
 	// Name is the codec name used by Options.Compress and the CLI
 	// -compress flag.
 	Name() string
-	// Ext is the file suffix appended after the sink extension and part
-	// suffix, e.g. ".gz".
+	// Ext is the file suffix appended after the format's extension and
+	// part suffix, e.g. ".gz".
 	Ext() string
+	// ContentType is the media type of a compressed stream: the codec is
+	// part of the payload, not a transfer encoding.
+	ContentType() string
 	// AppendFrame appends one compressed frame containing exactly src to
 	// dst and returns it. Frames must be self-terminating: a decoder of
 	// the concatenated frames recovers the concatenated sources. The
@@ -36,56 +40,20 @@ type Compressor interface {
 	NewReader(r io.Reader) (io.ReadCloser, error)
 }
 
-var (
-	compMu   sync.RWMutex
-	compReg  = map[string]Compressor{}
-	compName []string
-)
-
-// RegisterCompressor makes a codec selectable by Options.Compress. It
-// panics on a duplicate or empty name. gzip is built in; a zstd
-// implementation (external dependency) plugs in through the same
-// interface.
-func RegisterCompressor(c Compressor) {
-	compMu.Lock()
-	defer compMu.Unlock()
-	name := c.Name()
-	if name == "" {
-		panic("matgen: compressor with empty name")
-	}
-	if _, dup := compReg[name]; dup {
-		panic("matgen: duplicate compressor " + name)
-	}
-	compReg[name] = c
-	compName = append(compName, name)
-	sort.Strings(compName)
-}
-
-// CompressorNames lists the registered codec names, sorted.
-func CompressorNames() []string {
-	compMu.RLock()
-	defer compMu.RUnlock()
-	return append([]string(nil), compName...)
-}
+// CompressorNames lists the codec names Options.Compress takes besides
+// "" and "none".
+func CompressorNames() []string { return []string{"gzip"} }
 
 // CompressorFor resolves a codec by name; "" and "none" mean no
 // compression (nil, nil).
 func CompressorFor(name string) (Compressor, error) {
-	if name == "" || name == "none" {
+	switch name {
+	case "", "none":
 		return nil, nil
+	case "gzip":
+		return gzipCompressor{}, nil
 	}
-	compMu.RLock()
-	defer compMu.RUnlock()
-	c, ok := compReg[name]
-	if !ok {
-		return nil, fmt.Errorf("matgen: unknown compression %q (have %s; others via RegisterCompressor)",
-			name, strings.Join(compName, ", "))
-	}
-	return c, nil
-}
-
-func init() {
-	RegisterCompressor(gzipCompressor{})
+	return nil, fmt.Errorf("matgen: unknown compression %q (have gzip)", name)
 }
 
 // --- gzip ---
@@ -109,8 +77,9 @@ var gzipPool = sync.Pool{
 	New: func() any { return gzip.NewWriter(io.Discard) },
 }
 
-func (gzipCompressor) Name() string { return "gzip" }
-func (gzipCompressor) Ext() string  { return ".gz" }
+func (gzipCompressor) Name() string        { return "gzip" }
+func (gzipCompressor) Ext() string         { return ".gz" }
+func (gzipCompressor) ContentType() string { return "application/gzip" }
 
 func (gzipCompressor) AppendFrame(dst, src []byte) ([]byte, error) {
 	aw := &appendSliceWriter{b: dst}

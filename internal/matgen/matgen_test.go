@@ -8,6 +8,7 @@ import (
 	"strings"
 	"testing"
 
+	"github.com/dsl-repro/hydra/internal/format"
 	"github.com/dsl-repro/hydra/internal/summary"
 )
 
@@ -35,18 +36,15 @@ func testSummary() *summary.Summary {
 	return &summary.Summary{Relations: map[string]*summary.RelationSummary{"S": sRel, "T": tRel}}
 }
 
-func fileFormats() []string {
-	var out []string
-	for _, name := range SinkNames() {
-		s, err := sinkFor(name)
-		if err != nil {
-			panic(err)
-		}
-		if s.Ext() != "" {
-			out = append(out, name)
-		}
+func fileFormats() []string { return format.FileNames() }
+
+// formatFor resolves a format name, which the test knows to exist.
+func formatFor(name string) *format.Format {
+	f, err := format.ByName(name)
+	if err != nil {
+		panic(err)
 	}
-	return out
+	return f
 }
 
 func readDirFiles(t *testing.T, dir string) map[string][]byte {
@@ -124,13 +122,6 @@ func TestShardsConcatenate(t *testing.T) {
 	const shards = 3
 	for _, format := range fileFormats() {
 		t.Run(format, func(t *testing.T) {
-			if format == "spans" {
-				// A spans frame is a whole run, clipped where the table was
-				// split: parts concatenate into a valid stream of the same
-				// rows, not the same bytes (internal/scan pins the rows, in
-				// TestSpansShardsConcatenate).
-				t.Skip("spans frames are clipped at shard boundaries")
-			}
 			whole := t.TempDir()
 			if _, err := Materialize(sum, Options{Dir: whole, Format: format, Workers: 2, BatchRows: 128}); err != nil {
 				t.Fatal(err)
@@ -197,6 +188,7 @@ func TestCSVAndSQLShape(t *testing.T) {
 	if !strings.Contains(text, "BEGIN;\n") || !strings.HasSuffix(text, "COMMIT;\n") {
 		t.Fatal("sql missing transaction wrapper")
 	}
+	const sqlRowsPerStmt = 500
 	wantStmts := (1513 + sqlRowsPerStmt - 1) / sqlRowsPerStmt
 	if got := strings.Count(text, "INSERT INTO T (T_pk,C) VALUES\n"); got != wantStmts {
 		t.Fatalf("sql INSERT count = %d, want %d", got, wantStmts)

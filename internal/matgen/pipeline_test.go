@@ -2,6 +2,7 @@ package matgen
 
 import (
 	"bytes"
+	"context"
 	"crypto/sha256"
 	"errors"
 	"fmt"
@@ -13,6 +14,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/dsl-repro/hydra/internal/format"
 	"github.com/dsl-repro/hydra/internal/summary"
 	"github.com/dsl-repro/hydra/internal/tuplegen"
 )
@@ -20,14 +22,15 @@ import (
 // failingCompressor counts AppendFrame calls and fails permanently from
 // failAt on — a stand-in for a mid-run write/compress failure that lets
 // the tests observe how much work the pipeline performs after the first
-// error.
+// error. It reaches the engine through materialize.
 type failingCompressor struct {
 	calls  atomic.Int64
 	failAt int64
 }
 
-func (f *failingCompressor) Name() string { return "testfail" }
-func (f *failingCompressor) Ext() string  { return ".tf" }
+func (f *failingCompressor) Name() string        { return "testfail" }
+func (f *failingCompressor) Ext() string         { return ".tf" }
+func (f *failingCompressor) ContentType() string { return "" }
 
 func (f *failingCompressor) AppendFrame(dst, src []byte) ([]byte, error) {
 	if f.calls.Add(1) >= f.failAt {
@@ -42,7 +45,10 @@ func (f *failingCompressor) NewReader(r io.Reader) (io.ReadCloser, error) {
 
 var failComp = &failingCompressor{}
 
-func init() { RegisterCompressor(failComp) }
+// materializeFailing is Materialize of opts as csv through failComp.
+func materializeFailing(sum *summary.Summary, opts Options) (*Report, error) {
+	return materialize(context.Background(), sum, opts, format.CSV, failComp)
+}
 
 // bigSummary is one relation with enough rows to split into many small
 // chunks, so a prompt stop is distinguishable from a full drain.
@@ -66,9 +72,8 @@ func TestErrorStopsPipelinePromptly(t *testing.T) {
 	failComp.calls.Store(0)
 	failComp.failAt = 3
 	dir := t.TempDir()
-	_, err := Materialize(bigSummary(rows), Options{
-		Dir: dir, Format: "csv", Compress: "testfail",
-		Workers: 4, BatchRows: batch,
+	_, err := materializeFailing(bigSummary(rows), Options{
+		Dir: dir, Workers: 4, BatchRows: batch,
 	})
 	if err == nil {
 		t.Fatal("expected the synthetic failure to surface")
@@ -274,9 +279,8 @@ func TestErrorCancelsSiblingTables(t *testing.T) {
 				failComp.failAt = tc.failAt
 				dir := t.TempDir()
 				start := time.Now()
-				_, err := Materialize(tc.sum, Options{
-					Dir: dir, Format: "csv", Compress: "testfail",
-					Workers: workers, BatchRows: manyBatchRows,
+				_, err := materializeFailing(tc.sum, Options{
+					Dir: dir, Workers: workers, BatchRows: manyBatchRows,
 				})
 				if err == nil {
 					t.Fatal("expected failure")
@@ -302,15 +306,17 @@ func TestErrorCancelsSiblingTables(t *testing.T) {
 
 // sparseSink emits output for only the first 128 rows of a relation, so
 // every later chunk encodes to zero bytes — the shape of a filtering or
-// sampling custom sink.
+// sampling format. It reaches the engine through materialize.
 type sparseSink struct{}
 
-func (sparseSink) Name() string                  { return "sparsetest" }
-func (sparseSink) Ext() string                   { return ".sp" }
-func (sparseSink) Align(int) (int, error)        { return 1, nil }
-func (sparseSink) Header(Layout) ([]byte, error) { return nil, nil }
-func (sparseSink) Footer(Layout) ([]byte, error) { return nil, nil }
-func (sparseSink) NewEncoder(Layout) Encoder     { return sparseEncoder{} }
+func (sparseSink) Name() string                            { return "sparsetest" }
+func (sparseSink) Ext() string                             { return ".sp" }
+func (sparseSink) ContentType() string                     { return "" }
+func (sparseSink) Writes() bool                            { return true }
+func (sparseSink) Align(format.Layout) (int, error)        { return 1, nil }
+func (sparseSink) Header(format.Layout) ([]byte, error)    { return nil, nil }
+func (sparseSink) Footer(format.Layout) ([]byte, error)    { return nil, nil }
+func (sparseSink) NewEncoder(format.Layout) format.Encoder { return sparseEncoder{} }
 
 type sparseEncoder struct{}
 
@@ -330,10 +336,10 @@ func TestEmptyChunksStayDeterministic(t *testing.T) {
 	var got []byte
 	for _, workers := range []int{1, 8} {
 		dir := t.TempDir()
-		rep, err := Materialize(sum, Options{
-			Dir: dir, Sink: sparseSink{}, Compress: "gzip",
-			Workers: workers, BatchRows: 64, NoManifest: true,
-		})
+		gz, _ := CompressorFor("gzip")
+		rep, err := materialize(context.Background(), sum, Options{
+			Dir: dir, Workers: workers, BatchRows: 64, NoManifest: true,
+		}, sparseSink{}, gz)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -393,13 +399,10 @@ func TestEncoderSteadyStateAllocs(t *testing.T) {
 			if cols == nil {
 				cols = g.ColNames()
 			}
-			l := Layout{Table: rs.Table, Cols: cols, TotalRows: g.NumRows(), Idx: proj}
-			for _, name := range SinkNames() {
-				s, err := sinkFor(name)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if CheckLayout(s, l) != nil {
+			l := format.Layout{Table: rs.Table, Cols: cols, TotalRows: g.NumRows(), Idx: proj}
+			for _, name := range format.Names() {
+				s := formatFor(name)
+				if _, err := s.Align(l); err != nil {
 					continue // spans without the pk first
 				}
 				enc := s.NewEncoder(l)

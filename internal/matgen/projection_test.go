@@ -5,6 +5,8 @@ import (
 	"context"
 	"fmt"
 	"testing"
+
+	"github.com/dsl-repro/hydra/internal/format"
 )
 
 // TestProjectionDeterminism extends the worker-count contract to
@@ -15,15 +17,14 @@ import (
 func TestProjectionDeterminism(t *testing.T) {
 	sum := testSummary()
 	cols := []string{"t_fk", "A"} // reordered, no pk
-	for _, format := range fileFormats() {
-		t.Run(format, func(t *testing.T) {
-			sink, _ := sinkFor(format)
-			if CheckLayout(sink, Layout{Table: "S", Cols: cols}) != nil {
+	for _, fm := range fileFormats() {
+		t.Run(fm, func(t *testing.T) {
+			if _, err := formatFor(fm).Align(format.Layout{Table: "S", Cols: cols}); err != nil {
 				// The format cannot express this layout: the run must fail
 				// before it writes a file no reader could open.
 				dir := t.TempDir()
-				if _, err := Materialize(sum, Options{Dir: dir, Format: format, Tables: []string{"S"}, Columns: cols}); err == nil {
-					t.Fatalf("%s materialized a layout it declares it cannot carry", format)
+				if _, err := Materialize(sum, Options{Dir: dir, Format: fm, Tables: []string{"S"}, Columns: cols}); err == nil {
+					t.Fatalf("%s materialized a layout it declares it cannot carry", fm)
 				}
 				if files := readDirFiles(t, dir); len(files) != 0 {
 					t.Fatalf("rejected run left files behind: %v", files)
@@ -34,7 +35,7 @@ func TestProjectionDeterminism(t *testing.T) {
 			for _, workers := range []int{1, 8} {
 				dir := t.TempDir()
 				if _, err := Materialize(sum, Options{
-					Dir: dir, Format: format, Workers: workers,
+					Dir: dir, Format: fm, Workers: workers,
 					BatchRows: 64, Tables: []string{"S"}, Columns: cols,
 				}); err != nil {
 					t.Fatal(err)
@@ -55,7 +56,7 @@ func TestProjectionDeterminism(t *testing.T) {
 			const shards = 3
 			for i := 0; i < shards; i++ {
 				if _, err := Materialize(sum, Options{
-					Dir: dir, Format: format, Workers: 4, Shards: shards, Shard: i,
+					Dir: dir, Format: fm, Workers: 4, Shards: shards, Shard: i,
 					BatchRows: 64, Tables: []string{"S"}, Columns: cols,
 				}); err != nil {
 					t.Fatal(err)
@@ -63,8 +64,7 @@ func TestProjectionDeterminism(t *testing.T) {
 			}
 			var cat []byte
 			for i := 0; i < shards; i++ {
-				sink, _ := sinkFor(format)
-				name := fmt.Sprintf("S%s.part-%03d-of-%03d", sink.Ext(), i, shards)
+				name := fmt.Sprintf("S%s.part-%03d-of-%03d", formatFor(fm).Ext(), i, shards)
 				cat = append(cat, readDirFiles(t, dir)[name]...)
 			}
 			for name, b := range whole {

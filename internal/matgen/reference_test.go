@@ -7,7 +7,7 @@ import (
 	"strings"
 	"testing"
 
-	"github.com/dsl-repro/hydra/internal/storage"
+	"github.com/dsl-repro/hydra/internal/format"
 	"github.com/dsl-repro/hydra/internal/tuplegen"
 )
 
@@ -16,10 +16,12 @@ import (
 // is specified: value by value, every row framed on its own. It shares no
 // code with the encoders — strconv, encoding/json and encoding/binary
 // only — so it is the independent statement of the formats' bytes.
-func referenceBody(t *testing.T, format string, l Layout, first int64, rows [][]int64) []byte {
+func referenceBody(t *testing.T, name string, l format.Layout, first int64, rows [][]int64) []byte {
 	t.Helper()
+	// The sql format's statement size and the heap format's page size.
+	const sqlRowsPerStmt, pageSize = 500, 8192
 	var dst []byte
-	switch format {
+	switch name {
 	case "csv":
 		for _, row := range rows {
 			for c, v := range row {
@@ -67,17 +69,17 @@ func referenceBody(t *testing.T, format string, l Layout, first int64, rows [][]
 			}
 		}
 	case "heap":
-		perPage := storage.PageSize / (8 * len(l.Cols))
+		perPage := pageSize / (8 * len(l.Cols))
 		for i, row := range rows {
 			for _, v := range row {
 				dst = binary.LittleEndian.AppendUint64(dst, uint64(v))
 			}
 			if abs := first + int64(i) - l.StartRow; (abs+1)%int64(perPage) == 0 {
-				dst = append(dst, make([]byte, storage.PageSize-perPage*8*len(l.Cols))...)
+				dst = append(dst, make([]byte, pageSize-perPage*8*len(l.Cols))...)
 			}
 		}
 	default:
-		t.Fatalf("no reference for format %q", format)
+		t.Fatalf("no reference for format %q", name)
 	}
 	return dst
 }
@@ -136,14 +138,11 @@ func TestSpanPathMatchesReference(t *testing.T) {
 				}
 				n := g.NumRows()
 				for _, first := range []int64{0, 300} {
-					l := Layout{Table: table, Cols: cols, TotalRows: n - first, Idx: proj, StartRow: first}
+					l := format.Layout{Table: table, Cols: cols, TotalRows: n - first, Idx: proj, StartRow: first}
 					rows := referenceRows(g, proj, first, n)
 					for _, name := range []string{"csv", "jsonl", "sql", "heap"} {
-						s, err := sinkFor(name)
-						if err != nil {
-							t.Fatal(err)
-						}
-						align, err := s.Align(len(cols))
+						s := formatFor(name)
+						align, err := s.Align(l)
 						if err != nil {
 							t.Fatal(err)
 						}

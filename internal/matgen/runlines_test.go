@@ -8,13 +8,15 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+
+	"github.com/dsl-repro/hydra/internal/format"
 )
 
 // TestRunLinesStep steps a line a pk at a time across digit growth and
 // carry chains, and refuses to step past math.MaxInt64 or from a
 // negative pk.
 func TestRunLinesStep(t *testing.T) {
-	var r RunLines
+	var r format.RunLines
 	for _, start := range []int64{0, 1, 7, 9, 42, 99, 100, 987, 999999999999999998} {
 		r.Reset([]byte("<"), start, []byte(">\n"))
 		for v := start; v < start+1200; v++ {
@@ -34,13 +36,15 @@ func TestRunLinesStep(t *testing.T) {
 }
 
 // TestRunLinesBlocks: a block of a hundred starts at a pk that ends in
-// 00 once the run has had hundredsAfter lines, one of ten at a pk that
+// 00 once the run has had 400 lines, one of ten at a pk that
 // ends in 0 once it has had two; both only where the block's last pk is
 // an int64, it fits the room and the line is narrow enough. A block
 // built for one run serves the next with the same bytes around the pk at
 // once.
 func TestRunLinesBlocks(t *testing.T) {
-	wide := "," + strings.Repeat("7", maxBlockBytes/blockRows) + "\n"
+	// A line of a hundredth of the 64 KiB cap on a block's bytes is too
+	// wide for a block of a hundred.
+	wide := "," + strings.Repeat("7", 1<<16/100) + "\n"
 	for _, tc := range []struct {
 		pk, steps, room int64
 		after           string
@@ -54,7 +58,7 @@ func TestRunLinesBlocks(t *testing.T) {
 		{math.MaxInt64 - 97, 200, 1000, ",5\n", 10},
 		{400, 400, 1000, wide, 10},
 	} {
-		var r RunLines
+		var r format.RunLines
 		r.Reset(nil, tc.pk-tc.steps, []byte(tc.after))
 		for range tc.steps {
 			r.Step()
@@ -64,7 +68,7 @@ func TestRunLinesBlocks(t *testing.T) {
 				tc.pk, tc.steps, tc.room, len(tc.after), got, tc.want)
 		}
 	}
-	var r RunLines
+	var r format.RunLines
 	r.Reset(nil, 1, []byte(",5\n"))
 	r.AppendRun(nil, 1000)
 	for _, tc := range []struct {
@@ -78,7 +82,7 @@ func TestRunLinesBlocks(t *testing.T) {
 	}
 	r.Repeat([]byte("5,6\n"))
 	r.AppendRun(nil, 1000)
-	if !bytes.Equal(r.Block(1000), bytes.Repeat([]byte("5,6\n"), blockRows)) {
+	if !bytes.Equal(r.Block(1000), bytes.Repeat([]byte("5,6\n"), 100)) {
 		t.Errorf("a line without a pk does not repeat a block")
 	}
 }
@@ -133,7 +137,7 @@ func FuzzRunLines(f *testing.F) {
 		}
 		start = min(start, math.MaxInt64-(rows-1))
 
-		var r RunLines
+		var r format.RunLines
 		for pass, tail := range [][]byte{after, other} {
 			want := strconvLines(before, start, rows, tail)
 			var got []byte

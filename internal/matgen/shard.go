@@ -25,16 +25,17 @@ type Range struct {
 func (r Range) Rows() int64 { return r.Hi - r.Lo }
 
 // shardRange computes shard i of n over total rows, with interior
-// boundaries aligned down to align so every piece starts and ends on an
-// encoding boundary of the sink. The partition depends only on
-// (total, n, align) — never on which shard asks or how many workers run —
-// which is what lets K machines generate pieces that concatenate, in
-// shard order, into byte-identical whole-table output.
-func shardRange(total int64, shard, n, align int) Range {
-	lo := alignDown(SplitPoint(total, shard, n), align)
+// boundaries moved to the nearest multiple of step — the table's chunk
+// rows — so every piece starts and ends on a chunk boundary of the whole
+// table. The partition depends only on (total, n, step) — never on which
+// shard asks or how many workers run — which is what lets K machines
+// generate pieces that concatenate, in shard order, into byte-identical
+// whole-table output.
+func shardRange(total int64, shard, n, step int) Range {
+	lo := alignNear(SplitPoint(total, shard, n), total, step)
 	hi := total
 	if shard != n-1 {
-		hi = alignDown(SplitPoint(total, shard+1, n), align)
+		hi = alignNear(SplitPoint(total, shard+1, n), total, step)
 	}
 	if hi < lo {
 		hi = lo
@@ -52,16 +53,22 @@ func SplitPoint(total int64, i, n int) int64 {
 	return int64(q)
 }
 
-func alignDown(x int64, a int) int64 { return x - x%int64(a) }
+// alignNear is the multiple of step nearest x (0 ≤ x ≤ total) that is
+// at most total, the lower one on a tie.
+func alignNear(x, total int64, step int) int64 {
+	s := int64(step)
+	down := x - x%s
+	if 2*(x-down) > s && down <= total-s {
+		return down + s
+	}
+	return down
+}
 
 // chunkRows picks the per-chunk row count handed to one worker: the
-// configured batch size rounded up to the sink's alignment, so every
+// configured batch size rounded up to the format's alignment, so every
 // chunk starts on an encoding boundary.
-func chunkRows(batchRows, align int) int64 {
-	if batchRows < align {
-		return int64(align)
-	}
-	return int64((batchRows + align - 1) / align * align)
+func chunkRows(batchRows, align int) int {
+	return (max(batchRows, align) + align - 1) / align * align
 }
 
 // Manifest is the per-shard JSON document written next to the output

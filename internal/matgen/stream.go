@@ -1,12 +1,14 @@
 package matgen
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
 	"io"
 	"time"
 
+	"github.com/dsl-repro/hydra/internal/format"
 	"github.com/dsl-repro/hydra/internal/pred"
 	"github.com/dsl-repro/hydra/internal/rate"
 	"github.com/dsl-repro/hydra/internal/summary"
@@ -14,8 +16,8 @@ import (
 )
 
 // ErrStream marks a stream request the caller got wrong — unknown
-// table, shard out of range, misaligned offset or limit, a sink with no
-// byte stream. A serving layer maps errors.Is(err, ErrStream) to a
+// table, shard out of range, misaligned offset or limit, a format with
+// no byte stream. A serving layer maps errors.Is(err, ErrStream) to a
 // client error; anything else is a generation failure.
 var ErrStream = errors.New("matgen: invalid stream request")
 
@@ -35,8 +37,8 @@ var ErrFilter = fmt.Errorf("%w: invalid filter", ErrStream)
 type StreamOptions struct {
 	// Table names the relation to scan. Required.
 	Table string
-	// Format names the sink ("heap" when empty). The sink must produce a
-	// byte stream; "discard" is rejected.
+	// Format is the stream's format ("heap" when empty). It must write
+	// bytes; "discard" is rejected.
 	Format string
 	// Compress names the output codec ("gzip"; "" or "none" disables).
 	Compress string
@@ -45,13 +47,13 @@ type StreamOptions struct {
 	Shards int
 	Shard  int
 	// Offset skips this many rows into the shard's range — the resume
-	// cursor. It must be a multiple of the sink's alignment. A stream
+	// cursor. It must be a multiple of the format's alignment. A stream
 	// resumed at an offset on the chunk grid (see Align and ChunkRows in
 	// the report) is byte-identical to the suffix of the original
 	// stream, compressed output included.
 	Offset int64
 	// Limit caps the scanned rows (0 = the rest of the shard). Unless it
-	// reaches the shard's end it must be a multiple of the sink's
+	// reaches the shard's end it must be a multiple of the format's
 	// alignment, so a follow-up stream can resume exactly where this one
 	// stopped.
 	Limit int64
@@ -79,7 +81,7 @@ type StreamOptions struct {
 	// emitted, so a filtered stream has no predeclared row count and
 	// simply ends when its range is exhausted. Filtered streams require
 	// an alignment-1 format (csv, jsonl, spans): page- and
-	// statement-structured sinks cannot carry row gaps.
+	// statement-structured formats cannot carry row gaps.
 	Filter pred.Filter
 }
 
@@ -102,7 +104,7 @@ type StreamReport struct {
 	// when the request carried a projection. Remote readers decode
 	// against this list.
 	Cols []string `json:"cols,omitempty"`
-	// Align is the sink's row alignment: valid offsets and limits are
+	// Align is the format's row alignment: valid offsets and limits are
 	// its multiples.
 	Align int `json:"align"`
 	// ChunkRows is the chunk grid step anchored at the shard range's
@@ -148,16 +150,12 @@ func planStream(sum *summary.Summary, opts StreamOptions) (*streamPlan, error) {
 			return nil, fmt.Errorf("%w: %v", ErrStream, err)
 		}
 	}
-	format := opts.Format
-	if format == "" {
-		format = "heap"
-	}
-	sink, err := sinkFor(format)
+	f, err := format.ByName(cmp.Or(opts.Format, "heap"))
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrStream, err)
 	}
-	if sink.Ext() == "" {
-		return nil, fmt.Errorf("%w: format %q produces no byte stream", ErrStream, sink.Name())
+	if !f.Writes() {
+		return nil, fmt.Errorf("%w: format %q produces no byte stream", ErrStream, f.Name())
 	}
 	comp, err := CompressorFor(opts.Compress)
 	if err != nil {
@@ -167,8 +165,8 @@ func planStream(sum *summary.Summary, opts StreamOptions) (*streamPlan, error) {
 	if !ok {
 		return nil, fmt.Errorf("%w: summary has no relation %q", ErrStream, opts.Table)
 	}
-	t, err := newTableTask(rs, sink, comp, Options{
-		Format: format, Shards: opts.Shards, Shard: opts.Shard,
+	t, err := newTableTask(rs, f, comp, Options{
+		Shards: opts.Shards, Shard: opts.Shard,
 		BatchRows: opts.BatchRows, FKSpread: opts.FKSpread,
 		Columns: opts.Columns,
 	})
@@ -180,14 +178,14 @@ func planStream(sum *summary.Summary, opts StreamOptions) (*streamPlan, error) {
 	case opts.Offset < 0 || opts.Offset > t.rng.Rows():
 		return nil, fmt.Errorf("%w: offset %d outside shard rows [0, %d]", ErrStream, opts.Offset, t.rng.Rows())
 	case opts.Offset%align != 0:
-		return nil, fmt.Errorf("%w: offset %d not a multiple of the %s alignment %d", ErrStream, opts.Offset, sink.Name(), align)
+		return nil, fmt.Errorf("%w: offset %d not a multiple of the %s alignment %d", ErrStream, opts.Offset, f.Name(), align)
 	case opts.Limit < 0:
 		return nil, fmt.Errorf("%w: limit %d out of range", ErrStream, opts.Limit)
 	}
 	p := &streamPlan{t: t, start: t.rng.Lo + opts.Offset, end: t.rng.Hi}
 	if opts.Limit > 0 && p.start+opts.Limit < t.rng.Hi {
 		if opts.Limit%align != 0 {
-			return nil, fmt.Errorf("%w: limit %d not a multiple of the %s alignment %d", ErrStream, opts.Limit, sink.Name(), align)
+			return nil, fmt.Errorf("%w: limit %d not a multiple of the %s alignment %d", ErrStream, opts.Limit, f.Name(), align)
 		}
 		p.end = p.start + opts.Limit
 	}
@@ -195,7 +193,7 @@ func planStream(sum *summary.Summary, opts StreamOptions) (*streamPlan, error) {
 	t.footer = t.footer && p.end == t.rng.Hi
 	if !opts.Filter.Empty() {
 		if align != 1 {
-			return nil, fmt.Errorf("%w: format %q (alignment %d) cannot carry filtered row streams", ErrFilter, sink.Name(), align)
+			return nil, fmt.Errorf("%w: format %q (alignment %d) cannot carry filtered row streams", ErrFilter, f.Name(), align)
 		}
 		conj, err := opts.Filter.Bind(t.g.ColNames())
 		if err != nil {
@@ -255,6 +253,17 @@ func PlanStream(sum *summary.Summary, opts StreamOptions) (*StreamPlan, error) {
 // Info returns the plan's geometry — rows, start row, alignment, chunk
 // grid — with the size fields zero until Run produces the bytes.
 func (sp *StreamPlan) Info() *StreamReport { return sp.p.report(sp.opts) }
+
+// ContentType is the media type of the planned stream: the codec's when
+// compressed — the bytes are the compressed file, not a transfer
+// encoding of it — else the format's.
+func (sp *StreamPlan) ContentType() string {
+	t := sp.p.t
+	if t.comp != nil {
+		return t.comp.ContentType()
+	}
+	return t.sink.ContentType()
+}
 
 // StreamInfo validates a stream request and returns its geometry
 // without generating a byte.

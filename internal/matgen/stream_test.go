@@ -74,8 +74,7 @@ func TestStreamMatchesMaterialize(t *testing.T) {
 					if comp != nil {
 						ext = comp.Ext()
 					}
-					sink, _ := sinkFor(format)
-					want, err := os.ReadFile(partPath(dir, table, sink.Ext(), 1, 3) + ext)
+					want, err := os.ReadFile(partPath(dir, table, formatFor(format).Ext(), 1, 3) + ext)
 					if err != nil {
 						t.Fatal(err)
 					}

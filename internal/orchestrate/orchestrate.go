@@ -17,6 +17,7 @@
 package orchestrate
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
@@ -24,6 +25,7 @@ import (
 	"sync"
 	"time"
 
+	"github.com/dsl-repro/hydra/internal/format"
 	"github.com/dsl-repro/hydra/internal/matgen"
 	"github.com/dsl-repro/hydra/internal/obs"
 	"github.com/dsl-repro/hydra/internal/resilience"
@@ -51,8 +53,8 @@ var (
 type Options struct {
 	// Dir is the output directory shared by every shard.
 	Dir string
-	// Format names the matgen sink ("heap", "csv", "jsonl", "sql").
-	// Sinks that produce no files cannot be orchestrated: there would be
+	// Format is the output format ("heap" when empty), one that writes
+	// files (format.FileNames): a run of one that writes none would leave
 	// nothing to verify.
 	Format string
 	// Compress names the output codec ("gzip"; "" disables).
@@ -176,12 +178,12 @@ func NewPlan(opts Options) (*Plan, error) {
 	if opts.Dir == "" {
 		return nil, errors.New("orchestrate: Dir is required")
 	}
-	format := opts.Format
-	if format == "" {
-		format = "heap"
+	f, err := format.ByName(cmp.Or(opts.Format, "heap"))
+	if err != nil {
+		return nil, fmt.Errorf("orchestrate: %w", err)
 	}
-	if format == "discard" {
-		return nil, errors.New("orchestrate: discard sink leaves nothing to verify; use matgen directly")
+	if !f.Writes() {
+		return nil, fmt.Errorf("orchestrate: format %q leaves nothing to verify; use matgen directly", f.Name())
 	}
 	parallel := opts.Parallel
 	if parallel == 0 {
@@ -216,7 +218,7 @@ func NewPlan(opts Options) (*Plan, error) {
 	for i := 0; i < opts.Shards; i++ {
 		p.Jobs = append(p.Jobs, ShardJob{Shard: i, Opts: matgen.Options{
 			Dir:       opts.Dir,
-			Format:    format,
+			Format:    f.Name(),
 			Compress:  opts.Compress,
 			Workers:   workers,
 			Shards:    opts.Shards,

@@ -2,17 +2,13 @@ package scan
 
 import (
 	"bufio"
-	"bytes"
 	"cmp"
 	"context"
 	"crypto/sha256"
-	"encoding/binary"
 	"encoding/hex"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
-	"math"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -22,10 +18,10 @@ import (
 	"sync"
 	"time"
 
+	"github.com/dsl-repro/hydra/internal/format"
 	"github.com/dsl-repro/hydra/internal/matgen"
 	"github.com/dsl-repro/hydra/internal/obs"
 	"github.com/dsl-repro/hydra/internal/pred"
-	"github.com/dsl-repro/hydra/internal/storage"
 	"github.com/dsl-repro/hydra/internal/summary"
 	"github.com/dsl-repro/hydra/internal/trace"
 	"github.com/dsl-repro/hydra/internal/tuplegen"
@@ -73,9 +69,9 @@ var (
 // DirSource scans a materialized shard directory — the output of
 // Materialize or Orchestrate — by decoding the part files against their
 // manifests, and Verify proves such a directory whole: it is the one
-// reader of what the directory means. Formats csv, jsonl, heap, and
-// spans scan (plus any of them gzip-compressed); sql is verified, never
-// scanned (see scannable).
+// reader of what the directory means. Every format internal/format
+// calls scannable scans, plain or gzip-compressed — csv, jsonl, heap and
+// spans; sql is verified, never scanned.
 //
 // Checksums are verified lazily, once: a part is hashed against the
 // manifest's size and SHA-256 before the first row this source decodes
@@ -99,26 +95,13 @@ var (
 // newline, and where the layout has the pk column the first row decoded
 // must be the row asked for.
 //
-// Rows are read a run at a time, the mirror image of how every encoder
-// writes a summary run: a constant tail stamped with an incrementing pk.
-// A run's first row is parsed cell by cell; the following rows are
-// accepted by comparing them with the bytes the encoder writes next
-// (the pk plus one, in canonical decimal or little-endian for heap, and
-// the same tail) — csv and jsonl through matgen.RunLines, the type their
-// encoders write runs with, ten lines per compare once a run is under
-// way and a hundred once it is long — so the result is exactly a
-// row-at-a-time decode, and a row that differs is parsed in full as the
-// first of the next run. A
-// layout without the pk forms runs of byte-identical rows only; a spans
-// part's frames are its runs. A spread-FK part, whose FKs change every
-// row, reads as runs of one, at what parsing it costs (see pacer).
+// Rows are read a run at a time by the format's run reader
+// (format.RunReader), the mirror image of how its encoder writes a
+// summary run, so the result is exactly a row-at-a-time decode.
 type DirSource struct {
 	dir    string
-	format string
+	format *format.Format
 	comp   matgen.Compressor
-	// lines: chunks are runs of text lines read as written (csv or jsonl,
-	// uncompressed), so a chunk offset can be checked to follow a newline.
-	lines  bool
 	shards int          // the split's width
 	held   map[int]bool // the shards whose manifests the directory holds
 	stale  error        // a part file of another split width: only Verify minds
@@ -293,19 +276,21 @@ func OpenDir(dir string) (*DirSource, error) {
 		return nil, fmt.Errorf("scan: %w: %s holds no shard manifests; materialize first", ErrManifestMissing, dir)
 	}
 	first := manifests[0]
-	s := &DirSource{dir: dir, format: first.Format, shards: first.Shards, held: map[int]bool{},
+	s := &DirSource{dir: dir, shards: first.Shards, held: map[int]bool{},
 		tables: map[string]*dirTable{}, m: metricsForBackend("dir")}
+	if s.format, err = format.ByName(first.Format); err != nil {
+		return nil, fmt.Errorf("scan: %w: %s: %v", matgen.ErrManifestInconsistent, dir, err)
+	}
 	if s.comp, err = matgen.CompressorFor(first.Compression); err != nil {
 		return nil, err
 	}
-	s.lines = s.comp == nil && (s.format == "csv" || s.format == "jsonl")
 	for _, m := range manifests {
 		if m.Shards != first.Shards {
 			return nil, fmt.Errorf("scan: %w: %s mixes split widths %d and %d", ErrStaleArtifacts, dir, m.Shards, first.Shards)
 		}
-		if m.Format != s.format || m.Compression != first.Compression {
+		if m.Format != first.Format || m.Compression != first.Compression {
 			return nil, fmt.Errorf("scan: %w: %s mixes materialization runs (%s+%s vs %s+%s)",
-				matgen.ErrManifestInconsistent, dir, m.Format, m.Compression, s.format, first.Compression)
+				matgen.ErrManifestInconsistent, dir, m.Format, m.Compression, first.Format, first.Compression)
 		}
 		s.held[m.Shard] = true
 		for _, tr := range m.Tables {
@@ -420,7 +405,7 @@ func (s *DirSource) Verify(ctx context.Context, sum *summary.Summary, tables []s
 			return nil, fmt.Errorf("scan: %w: the manifests carry %d tables, expected %d", matgen.ErrManifestInconsistent, len(names), len(want))
 		}
 	}
-	rep := &VerifyReport{Shards: s.shards, Format: s.format}
+	rep := &VerifyReport{Shards: s.shards, Format: s.format.Name()}
 	if s.comp != nil {
 		rep.Compression = s.comp.Name()
 	}
@@ -501,8 +486,8 @@ func (s *DirSource) Table(name string) (*TableInfo, error) {
 // conforming scan requires the spec to match how the directory was
 // generated.
 func (s *DirSource) Scan(ctx context.Context, spec Spec) (*Scan, error) {
-	if !scannable[s.format] {
-		return nil, fmt.Errorf("%w: %s holds %s parts, which are written to be loaded, not scanned", ErrSpec, s.dir, s.format)
+	if !s.format.Scannable() {
+		return nil, fmt.Errorf("%w: %s holds %s parts, which are written to be loaded, not scanned", ErrSpec, s.dir, s.format.Name())
 	}
 	t, ok := s.tables[spec.Table]
 	if !ok {
@@ -558,16 +543,15 @@ func (s *DirSource) Close() error { return nil }
 // whole parts never even opened when the next admissible key lies
 // beyond them).
 type dirRuns struct {
-	src    *DirSource
-	t      *dirTable
-	end    int64 // the scan's range ends at row end
-	pkSet  pred.Set
-	hasPK  bool
-	noPK   bool  // the layout has no pk column: a run's Start is where it was read
-	parsed int64 // runs read since the counter was last added to: parsed, but for spans
+	src   *DirSource
+	t     *dirTable
+	end   int64 // the scan's range ends at row end
+	pkSet pred.Set
+	hasPK bool
+	noPK  bool // the layout has no pk column: a run's Start is where it was read
 
 	pi      int // index of the open part, -1 before the first open
-	rr      runReader
+	rr      format.RunReader
 	closers []io.Closer
 	bufs    []*bufio.Reader // the open part's read buffers, from readerPool
 	pos     int64           // absolute row the scan reads next, and the open reader yields next
@@ -582,7 +566,7 @@ func (f *dirRuns) run(ctx context.Context, max int64) (*tuplegen.Span, error) {
 		}
 	}
 	abs := f.pos
-	sp, err := f.rr.run(min(max, f.partEnd-abs))
+	sp, err := f.rr.Run(min(max, f.partEnd-abs))
 	if err != nil {
 		return nil, fmt.Errorf("scan: %s: row %d: %w", f.where(abs), abs, err)
 	}
@@ -600,7 +584,6 @@ func (f *dirRuns) run(ctx context.Context, max int64) (*tuplegen.Span, error) {
 		sp.Start = abs + 1 // the run is where it was read
 	}
 	f.pos += sp.N
-	f.parsed++
 	return sp, nil
 }
 
@@ -638,7 +621,7 @@ func (f *dirRuns) skip(abs int64) error {
 	if k == 0 {
 		return nil
 	}
-	if err := f.rr.skip(k); err != nil {
+	if err := f.rr.Skip(k); err != nil {
 		return fmt.Errorf("scan: %s: skipping to row %d: %w", f.where(abs), abs, err)
 	}
 	mDirSkippedRows.Add(k)
@@ -697,7 +680,7 @@ func (f *dirRuns) openAt(ctx context.Context, abs int64) error {
 	// look. (A compressed chunk is a codec member and a spans chunk a
 	// frame, whose readers check magic and CRC themselves; a heap page is
 	// left to the pk check on the first row.)
-	afterLine := f.src.lines && off > 0
+	afterLine := f.src.comp == nil && f.src.format.Lines() && off > 0
 	seekTo := off
 	if afterLine {
 		seekTo--
@@ -719,7 +702,8 @@ func (f *dirRuns) openAt(ctx context.Context, abs int64) error {
 		f.closers = append(f.closers, zr)
 		br = f.buffer(zr)
 	}
-	rr, err := newRunReader(f.src.format, br, f.t.info.Cols, f.t.pkCol, chunkStart, end-chunkStart, p.header)
+	rr, err := f.src.format.NewRunReader(br, format.Part{
+		Cols: f.t.info.Cols, PKCol: f.t.pkCol, Start: chunkStart, Rows: end - chunkStart, Header: p.header})
 	if err != nil {
 		return failAt(err)
 	}
@@ -730,13 +714,13 @@ func (f *dirRuns) openAt(ctx context.Context, abs int64) error {
 	return nil
 }
 
-// close closes the open part and adds the runs parsed from it to the
+// close closes the open part and adds the rows its reader parsed to the
 // parsed-rows counter: once per part opened, not once per run.
 func (f *dirRuns) close() error {
-	if f.src.format != "spans" {
-		mDirParsedRows.Add(f.parsed)
+	if f.rr != nil {
+		mDirParsedRows.Add(f.rr.Close())
+		f.rr = nil
 	}
-	f.parsed = 0
 	var first error
 	for i := len(f.closers) - 1; i >= 0; i-- {
 		if err := f.closers[i].Close(); first == nil {
@@ -749,57 +733,7 @@ func (f *dirRuns) close() error {
 		readerPool.Put(br)
 	}
 	f.bufs = f.bufs[:0]
-	if l, ok := f.rr.(*lineRuns); ok {
-		runLinesPool.Put(l.pred)
-	}
-	f.rr = nil
 	return first
-}
-
-// runReader reads one part file's rows a run at a time. run returns the
-// next rows, at most max (≥ 1) of them — a spans part's frame is already
-// decoded and comes whole — as one span in span order: the pk first (as
-// Start; a layout without one leaves it to the caller), then the
-// layout's other columns in file order, as Vals — so the pk need not be
-// the file's first column. The span is the reader's own, valid until
-// the next call, and the caller may advance it in place. skip steps over
-// k rows without producing them, cheaper than reading them where the
-// format allows.
-type runReader interface {
-	run(max int64) (*tuplegen.Span, error)
-	skip(k int64) error
-}
-
-// scannable holds the formats newRunReader reads. sql has no reader: its
-// parts are statements to load into a database, which OpenDir opens and
-// Verify proves like any other, and Scan refuses.
-var scannable = map[string]bool{"csv": true, "jsonl": true, "heap": true, "spans": true}
-
-// newRunReader builds the reader for rows [start, start+rows) of a part,
-// br positioned at the first of them — or, with header, at the csv
-// header line or heap header page before it. pkCol is the pk's position
-// in cols, -1 when the layout has none.
-func newRunReader(format string, br *bufio.Reader, cols []string, pkCol int, start, rows int64, header bool) (runReader, error) {
-	switch format {
-	case "csv", "jsonl":
-		l := &lineRuns{runTemplate: newRunTemplate(len(cols), pkCol), br: br, format: format,
-			pred: runLinesPool.Get().(*matgen.RunLines)}
-		if format == "jsonl" {
-			l.json = newJSONLRow(cols)
-		} else if header {
-			if err := skipLines(br, 1); err != nil {
-				return nil, fmt.Errorf("reading csv header: %w", err)
-			}
-		}
-		return l, nil
-	case "heap":
-		return newHeapRuns(br, len(cols), pkCol, header)
-	case "spans":
-		dec := newSpanDecoder(len(cols), start, start+rows, false)
-		dec.br = br
-		return &spansRuns{dec: dec}, nil
-	}
-	return nil, fmt.Errorf("%w: format %q is not scannable", ErrSpec, format)
 }
 
 // spanCol is file column c's position in span order: the pk first, then
@@ -812,488 +746,4 @@ func spanCol(c, pkCol int) int {
 		return c + 1
 	}
 	return c
-}
-
-// pacer spares a reader the prediction on parts where it keeps missing.
-// After the k-th run in a row that ended at its first row, the next
-// 2^k-1 rows (63 at most) are parsed without a prediction, and a run of
-// more rows starts over: a part of single-row runs — a spread-FK part,
-// whose FKs change every row — costs what parsing it costs, while a
-// stray single-row run among long ones costs one more parsed row.
-type pacer struct{ misses, rest int }
-
-// try reports whether to predict after the row just parsed.
-func (p *pacer) try() bool {
-	if p.rest > 0 {
-		p.rest--
-		return false
-	}
-	return true
-}
-
-// record takes the length of a run that was predicted.
-func (p *pacer) record(n int64) {
-	if n > 1 {
-		p.misses = 0
-		return
-	}
-	p.misses = min(p.misses+1, 6)
-	p.rest = 1<<p.misses - 1
-}
-
-// runTemplate is the row a run starts with, as parsed (file order), and
-// the run in span order, whose Vals alias the row unless the pk sits
-// between other columns.
-type runTemplate struct {
-	row   []int64
-	sp    tuplegen.Span
-	pkCol int
-}
-
-func newRunTemplate(ncols, pkCol int) runTemplate {
-	t := runTemplate{row: make([]int64, ncols), pkCol: pkCol}
-	switch pkCol {
-	case -1:
-		t.sp.Vals = t.row
-	case 0:
-		t.sp.Vals = t.row[1:]
-	default:
-		t.sp.Vals = make([]int64, ncols-1)
-	}
-	return t
-}
-
-// span presents the run of n rows that starts with t.row in span order.
-func (t *runTemplate) span(n int64) *tuplegen.Span {
-	if t.pkCol > 0 {
-		copy(t.sp.Vals[copy(t.sp.Vals, t.row[:t.pkCol]):], t.row[t.pkCol+1:])
-	}
-	if t.pkCol >= 0 {
-		t.sp.Start = t.row[t.pkCol]
-	}
-	t.sp.N = n
-	return &t.sp
-}
-
-// --- csv and jsonl ---
-
-// lineRuns reads a csv or jsonl part a run at a time. A run's first row
-// is parsed cell by cell; the rows after it are accepted against pred,
-// the lines the encoder writes next in a run (matgen.RunLines, the type
-// the encoders write them with), straight out of the read buffer's
-// window: one line per compare until the run has accepted one, then ten
-// from each pk that ends in 0 and, once the run has had 400 lines, a
-// hundred from each pk that ends in 00. The first byte that differs ends
-// the run — a block that differs is walked again a line at a time to
-// find the exact last row — and that line is parsed in full as the first
-// row of the next run (pace decides when a part of single-row runs is
-// worth predicting again).
-type lineRuns struct {
-	runTemplate
-	br     *bufio.Reader
-	format string
-	json   *jsonlRow // nil: csv
-	pred   *matgen.RunLines
-	pace   pacer
-}
-
-// runLinesPool recycles the predicted lines of closed line readers: a
-// block is a hundred lines, and a fresh one per open would be most of
-// what a ranged scan allocates.
-var runLinesPool = sync.Pool{New: func() any { return new(matgen.RunLines) }}
-
-func (l *lineRuns) run(max int64) (*tuplegen.Span, error) {
-	line, err := l.br.ReadSlice('\n')
-	if err != nil {
-		if errors.Is(err, bufio.ErrBufferFull) {
-			return nil, fmt.Errorf("%s row longer than %d bytes", l.format, l.br.Size())
-		}
-		if !errors.Is(err, io.EOF) || len(line) == 0 {
-			return nil, err
-		}
-		// A final row without its newline is still a row.
-	}
-	lo, hi := -1, -1
-	if l.json != nil {
-		line, lo, hi, err = l.json.parse(line, &l.runTemplate)
-	} else {
-		lo, hi, err = l.parseCSV(line)
-	}
-	if err != nil {
-		return nil, err
-	}
-	return l.span(l.extend(line, lo, hi, max)), nil
-}
-
-// extend accepts the lines after a run's first, line (its pk's digits at
-// line[lo:hi], lo < 0 without a pk), that are byte for byte what the
-// encoder writes next, and returns the run's length: at most max rows in
-// all. It walks the read buffer's window in place and hands the accepted
-// bytes back once per refill and once at the end.
-//
-//hydra:hotpath
-func (l *lineRuns) extend(line []byte, lo, hi int, max int64) int64 {
-	if max == 1 || !l.pace.try() {
-		return 1
-	}
-	p := l.pred
-	if lo < 0 {
-		p.Repeat(line)
-	} else {
-		p.ResetLine(line, lo, hi, l.row[l.pkCol])
-	}
-	win, _ := l.br.Peek(l.br.Buffered())
-	off, n := 0, int64(1)
-	for n < max && p.Step() {
-		// A block of lines at once where the run has one, refilling the
-		// window for it.
-		if blk := p.Block(max - n); blk != nil {
-			if len(win)-off < len(blk) && len(blk) <= l.br.Size() {
-				l.br.Discard(off)
-				off = 0
-				_, _ = l.br.Peek(len(blk)) // short only where the part ends, which the lines below find
-				win, _ = l.br.Peek(l.br.Buffered())
-			}
-			if len(win)-off >= len(blk) && bytes.Equal(win[off:off+len(blk)], blk) {
-				off += len(blk)
-				n += p.EndBlock(blk)
-				continue
-			}
-			// One of its lines differs, or the part ends first: the lines
-			// below find where.
-		}
-		b := p.Line()
-		if len(win)-off < len(b) {
-			l.br.Discard(off)
-			off = 0
-			if _, err := l.br.Peek(len(b)); err != nil {
-				break
-			}
-			win, _ = l.br.Peek(l.br.Buffered())
-		}
-		if !bytes.Equal(win[off:off+len(b)], b) {
-			break
-		}
-		off += len(b)
-		n++
-	}
-	l.br.Discard(off)
-	l.pace.record(n)
-	return n
-}
-
-func (l *lineRuns) skip(k int64) error { return skipLines(l.br, k) }
-
-// skipLines discards k lines of any length — how both line formats step
-// over rows. Newlines are counted a window at a time; only the window
-// holding the k-th is walked line by line.
-func skipLines(br *bufio.Reader, k int64) error {
-	for k > 0 {
-		if _, err := br.Peek(1); err != nil { // fills an empty buffer
-			return err
-		}
-		win, _ := br.Peek(min(br.Buffered(), 4096))
-		if n := int64(bytes.Count(win, []byte{'\n'})); n < k {
-			k -= n
-			br.Discard(len(win))
-			continue
-		}
-		i := 0
-		for ; k > 0; k-- {
-			i += bytes.IndexByte(win[i:], '\n') + 1
-		}
-		br.Discard(i)
-	}
-	return nil
-}
-
-// parseCSV decodes one line straight out of the read buffer — no line
-// copy, no per-cell string, no allocation, one pass over the bytes — and
-// returns where the pk's digits lie in it (-1 without a pk). The line
-// after it is predicted from its own bytes, the same cells around the
-// pk's, so a run whose lines end in \r\n reads as fast as one whose
-// lines end in \n.
-func (l *lineRuns) parseCSV(line []byte) (lo, hi int, err error) {
-	lo, hi = -1, -1
-	body := trimEOL(line)
-	for i, at := 0, 0; i < len(l.row); i++ {
-		// Up to 18 digits cannot overflow; anything else — a sign, more
-		// digits, none — takes the general parser.
-		u, end := digits(body, at)
-		v := int64(u)
-		if end == at || end-at > 18 {
-			w, n, perr := parseIntPrefix(body[at:])
-			if perr != nil {
-				return lo, hi, csvRowError(body, len(l.row))
-			}
-			v, end = w, at+n
-		}
-		if last := i == len(l.row)-1; last != (end == len(body)) || !last && body[end] != ',' {
-			return lo, hi, csvRowError(body, len(l.row))
-		}
-		l.row[i] = v
-		if i == l.pkCol {
-			lo, hi = at, end
-		}
-		at = end + 1
-	}
-	return lo, hi, nil
-}
-
-// csvRowError names what is wrong with a csv line parseCSV refused,
-// walking it cell by cell.
-func csvRowError(body []byte, ncols int) error {
-	for i := 0; i < ncols; i++ {
-		cell := body
-		if j := bytes.IndexByte(body, ','); i < ncols-1 {
-			if j < 0 {
-				return fmt.Errorf("csv row has %d of %d columns", i+1, ncols)
-			}
-			cell, body = body[:j], body[j+1:]
-		} else if j >= 0 {
-			return fmt.Errorf("csv row has more than %d columns", ncols)
-		}
-		if _, err := parseInt(cell); err != nil {
-			return fmt.Errorf("csv cell %d: parsing %q: %w", i, cell, err)
-		}
-	}
-	return errors.New("csv row refused") // unreachable: parseCSV and this walk accept the same lines
-}
-
-var (
-	errIntSyntax = errors.New("invalid syntax")
-	errIntRange  = errors.New("value out of range")
-)
-
-// parseInt is strconv.ParseInt(string(b), 10, 64) without the string:
-// an optional sign, then decimal digits only, overflow-checked.
-func parseInt(b []byte) (int64, error) {
-	v, n, err := parseIntPrefix(b)
-	if err == nil && n < len(b) {
-		return 0, errIntSyntax
-	}
-	return v, err
-}
-
-// digits reads the decimal digits b holds from at on: their value,
-// exact for up to 19 of them, and where they end.
-func digits(b []byte, at int) (uint64, int) {
-	var u uint64
-	for ; at < len(b) && b[at]-'0' <= 9; at++ {
-		u = u*10 + uint64(b[at]-'0')
-	}
-	return u, at
-}
-
-// parseIntPrefix parses the integer b starts with — an optional sign,
-// then decimal digits — and returns the number of bytes it spans.
-func parseIntPrefix(b []byte) (int64, int, error) {
-	i, neg := 0, false
-	if len(b) > 0 && (b[0] == '-' || b[0] == '+') {
-		i, neg = 1, b[0] == '-'
-	}
-	const minMagnitude = 1 << 63 // |math.MinInt64|
-	var u uint64
-	start := i
-	for ; i < len(b); i++ {
-		d := b[i] - '0' // wraps far above 9 for bytes below '0'
-		if d > 9 {
-			break
-		}
-		if u > minMagnitude/10 {
-			return 0, i, errIntRange
-		}
-		if u = u*10 + uint64(d); u > minMagnitude {
-			return 0, i, errIntRange
-		}
-	}
-	switch {
-	case i == start:
-		return 0, i, errIntSyntax
-	case neg:
-		return -int64(u), i, nil // u == 1<<63 wraps to MinInt64, as it should
-	case u == minMagnitude:
-		return 0, i, errIntRange
-	}
-	return int64(u), i, nil
-}
-
-func trimEOL(s []byte) []byte {
-	if n := len(s); n > 0 && s[n-1] == '\n' {
-		s = s[:n-1]
-	}
-	if n := len(s); n > 0 && s[n-1] == '\r' {
-		s = s[:n-1]
-	}
-	return s
-}
-
-// jsonlRow parses jsonl lines: one object holding every column once,
-// each value a JSON integer. null, fractions, exponents and strings are
-// refused — the encoder writes none of them.
-type jsonlRow struct {
-	cols []string
-	keys [][]byte // the encoder's quoted keys, each with its ':'
-	raw  map[string]json.RawMessage
-	line []byte // scratch: the canonical rendering of the parsed row
-}
-
-func newJSONLRow(cols []string) *jsonlRow {
-	j := &jsonlRow{cols: cols, keys: make([][]byte, len(cols)), raw: make(map[string]json.RawMessage, len(cols))}
-	for c, name := range cols {
-		q, _ := json.Marshal(name)
-		j.keys[c] = append(q, ':')
-	}
-	return j
-}
-
-// parse decodes line into t.row and returns the line a run of it is
-// predicted from — how the jsonl encoder writes the row — with the pk's
-// digits at [lo, hi) (-1 without a pk). Any other spelling of a row
-// (spacing, key order, escapes) is read the same and just does not
-// extend a run.
-func (j *jsonlRow) parse(line []byte, t *runTemplate) (canon []byte, lo, hi int, err error) {
-	clear(j.raw)
-	if err := json.Unmarshal(line, &j.raw); err != nil {
-		return nil, 0, 0, fmt.Errorf("jsonl row: %w", err)
-	}
-	if len(j.raw) != len(j.cols) {
-		return nil, 0, 0, fmt.Errorf("jsonl row has %d of %d columns", len(j.raw), len(j.cols))
-	}
-	for c, name := range j.cols {
-		raw, ok := j.raw[name]
-		if !ok {
-			return nil, 0, 0, fmt.Errorf("jsonl row lacks column %q", name)
-		}
-		v, err := parseInt(raw)
-		if err != nil {
-			return nil, 0, 0, fmt.Errorf("jsonl column %q holds %s, not an int64", name, raw)
-		}
-		t.row[c] = v
-	}
-	b := append(j.line[:0], '{')
-	lo, hi = -1, -1
-	for c, v := range t.row {
-		if c > 0 {
-			b = append(b, ',')
-		}
-		b = append(b, j.keys[c]...)
-		if c == t.pkCol {
-			lo = len(b)
-		}
-		b = strconv.AppendInt(b, v, 10)
-		if c == t.pkCol {
-			hi = len(b)
-		}
-	}
-	j.line = append(b, '}', '\n')
-	return j.line, lo, hi, nil
-}
-
-// --- heap (internal/storage page format) ---
-
-// heapRuns reads a heap part a run at a time: a run's first row is
-// decoded, and every row after it accepted with one compare against the
-// same bytes with the pk slot stepped — the slot the heap encoder
-// patches per row.
-type heapRuns struct {
-	runTemplate
-	br      *bufio.Reader
-	width   int // bytes per row
-	perPage int
-	pagePad int
-	inPage  int
-	pred    []byte
-	pace    pacer
-}
-
-func newHeapRuns(br *bufio.Reader, ncols, pkCol int, header bool) (*heapRuns, error) {
-	perPage, err := storage.RowsPerPage(ncols)
-	if err != nil {
-		return nil, err
-	}
-	if header {
-		// Shard 0 starts with the header page; its contents were already
-		// interpreted via the manifest, so it is skipped, not parsed.
-		if _, err := br.Discard(storage.PageSize); err != nil {
-			return nil, fmt.Errorf("skipping heap header page: %w", err)
-		}
-	}
-	return &heapRuns{
-		runTemplate: newRunTemplate(ncols, pkCol), br: br,
-		width: 8 * ncols, perPage: perPage, pagePad: storage.PageSize - perPage*8*ncols,
-	}, nil
-}
-
-func (h *heapRuns) run(max int64) (*tuplegen.Span, error) {
-	b, err := h.br.Peek(h.width)
-	if err != nil {
-		if len(b) > 0 && errors.Is(err, io.EOF) {
-			err = io.ErrUnexpectedEOF
-		}
-		return nil, err
-	}
-	for i := range h.row {
-		h.row[i] = int64(binary.LittleEndian.Uint64(b[8*i:]))
-	}
-	n, err := h.extend(b, max)
-	if err != nil {
-		return nil, err
-	}
-	return h.span(n), nil
-}
-
-// extend consumes the run's first row, first, and accepts the rows
-// after it that are byte for byte the prediction, stepping over page
-// padding as it comes, and returns the run's length: at most max rows in
-// all.
-//
-//hydra:hotpath
-func (h *heapRuns) extend(first []byte, max int64) (int64, error) {
-	predict := max > 1 && h.pace.try()
-	if predict {
-		h.pred = append(h.pred[:0], first...)
-	}
-	for n := int64(1); ; n++ {
-		h.br.Discard(h.width)
-		if h.inPage++; h.inPage == h.perPage {
-			h.inPage = 0
-			if _, err := h.br.Discard(h.pagePad); err != nil {
-				return n, err
-			}
-		}
-		if !predict {
-			return n, nil
-		}
-		if n == max || !h.predict(n) {
-			h.pace.record(n)
-			return n, nil
-		}
-	}
-}
-
-// predict reports whether the next row is the one after the run's
-// n-th: the first row's bytes with the pk slot stepped n times.
-//
-//hydra:hotpath
-func (h *heapRuns) predict(n int64) bool {
-	if h.pkCol >= 0 {
-		pk := h.row[h.pkCol] + n - 1 // the last accepted row's
-		if pk == math.MaxInt64 {
-			return false
-		}
-		binary.LittleEndian.PutUint64(h.pred[8*h.pkCol:], uint64(pk+1))
-	}
-	b, err := h.br.Peek(h.width)
-	return err == nil && bytes.Equal(b, h.pred)
-}
-
-// skip is arithmetic: k rows and the padding of every page boundary
-// crossed on the way are one discard.
-func (h *heapRuns) skip(k int64) error {
-	to := int64(h.inPage) + k
-	n := k*int64(h.width) + to/int64(h.perPage)*int64(h.pagePad)
-	h.inPage = int(to % int64(h.perPage))
-	_, err := h.br.Discard(int(n))
-	return err
 }

@@ -16,14 +16,21 @@ import (
 	"strings"
 	"testing"
 
+	"github.com/dsl-repro/hydra/internal/format"
 	"github.com/dsl-repro/hydra/internal/matgen"
-	"github.com/dsl-repro/hydra/internal/storage"
 	"github.com/dsl-repro/hydra/internal/summary"
 	"github.com/dsl-repro/hydra/internal/tuplegen"
 )
 
+// heapPageSize is the heap format's page size, and heapRowsPerPage the
+// rows of ncols columns a page holds: its geometry, stated apart from
+// its code.
+const heapPageSize = 8192
+
+func heapRowsPerPage(ncols int) int { return heapPageSize / (8 * ncols) }
+
 // fileRows expands a run into its rows in file order — the inverse of
-// the span order a runReader presents.
+// the span order a run reader presents.
 func fileRows(sp tuplegen.Span, ncols, pkCol int) [][]int64 {
 	out := make([][]int64, sp.N)
 	for i := range out {
@@ -44,13 +51,17 @@ func fileRows(sp tuplegen.Span, ncols, pkCol int) [][]int64 {
 // bytes, asking for at most maxRun rows a call: every row in file order,
 // every run's length, and the error that ended it (io.EOF at a clean
 // end). A reader that yields more rows than data has bytes is broken.
-func readRuns(format string, data []byte, cols []string, pkCol, size int, header bool, maxRun int64) (rows [][]int64, runs []int64, err error) {
-	rr, err := newRunReader(format, bufio.NewReaderSize(bytes.NewReader(data), size), cols, pkCol, 0, 0, header)
+func readRuns(name string, data []byte, cols []string, pkCol, size int, header bool, maxRun int64) (rows [][]int64, runs []int64, err error) {
+	f, err := format.ByName(name)
+	if err != nil {
+		return nil, nil, err
+	}
+	rr, err := f.NewRunReader(bufio.NewReaderSize(bytes.NewReader(data), size), format.Part{Cols: cols, PKCol: pkCol, Header: header})
 	if err != nil {
 		return nil, nil, fmt.Errorf("no reader: %v", err) // not a clean end, even at EOF
 	}
 	for {
-		sp, err := rr.run(maxRun)
+		sp, err := rr.Run(maxRun)
 		if err != nil {
 			return rows, runs, err
 		}
@@ -70,16 +81,13 @@ func readRuns(format string, data []byte, cols []string, pkCol, size int, header
 func refDecode(format string, data []byte, cols []string, header bool) ([][]int64, error) {
 	var rows [][]int64
 	if format == "heap" {
-		perPage, err := storage.RowsPerPage(len(cols))
-		if err != nil {
-			return nil, err
-		}
-		width, pad := 8*len(cols), storage.PageSize-perPage*8*len(cols)
+		perPage := heapRowsPerPage(len(cols))
+		width, pad := 8*len(cols), heapPageSize-perPage*8*len(cols)
 		if header {
-			if len(data) < storage.PageSize {
+			if len(data) < heapPageSize {
 				return nil, errors.New("short header page")
 			}
-			data = data[storage.PageSize:]
+			data = data[heapPageSize:]
 		}
 		for inPage := 0; len(data) > 0; {
 			if len(data) < width {
@@ -227,8 +235,9 @@ func TestCSVReaderRows(t *testing.T) {
 	}
 }
 
-// TestParseIntMatchesStrconv: the in-place parser agrees with the
-// strconv call it replaced, value and verdict, on the boundary cases.
+// TestParseIntMatchesStrconv: the csv reader's in-place integer parser
+// agrees with the strconv call it replaced, value and verdict, on the
+// boundary cases, each a one-cell line.
 func TestParseIntMatchesStrconv(t *testing.T) {
 	for _, s := range []string{
 		"0", "-0", "+7", "007", "-1", "12345678901234567",
@@ -236,13 +245,14 @@ func TestParseIntMatchesStrconv(t *testing.T) {
 		"922337203685477580", "9223372036854775800", "9223372036854775810", "18446744073709551616",
 		"", "-", "+", "1_000", " 1", "1 ", "0x10", "1e3", "--1", "１",
 	} {
-		got, gerr := parseInt([]byte(s))
+		rows, _, gerr := readRuns("csv", []byte(s+"\n"), testCols(1, -1), -1, 4096, false, 1)
+		ok := len(rows) == 1 && errors.Is(gerr, io.EOF)
 		want, werr := strconv.ParseInt(s, 10, 64)
-		if (gerr == nil) != (werr == nil) || (werr == nil && got != want) {
-			t.Errorf("parseInt(%q) = %d, %v; strconv says %d, %v", s, got, gerr, want, werr)
+		if ok != (werr == nil) || ok && rows[0][0] != want {
+			t.Errorf("csv cell %q read as %v, %v; strconv says %d, %v", s, rows, gerr, want, werr)
 		}
-		if werr != nil && errors.Is(werr, strconv.ErrRange) != errors.Is(gerr, errIntRange) {
-			t.Errorf("parseInt(%q): %v; strconv says %v", s, gerr, werr)
+		if werr != nil && errors.Is(werr, strconv.ErrRange) != strings.Contains(gerr.Error(), "value out of range") {
+			t.Errorf("csv cell %q: %v; strconv says %v", s, gerr, werr)
 		}
 	}
 }
@@ -269,13 +279,14 @@ func TestCSVReaderAllocs(t *testing.T) {
 			for pk := 1; pk <= runs*int(tc.per); pk++ {
 				sb.WriteString(tc.line(pk, (pk-1)/int(tc.per)))
 			}
-			rr, err := newRunReader("csv", bufio.NewReaderSize(strings.NewReader(sb.String()), 1<<16), testCols(4, tc.pkCol), tc.pkCol, 0, 0, false)
+			rr, err := format.CSV.NewRunReader(bufio.NewReaderSize(strings.NewReader(sb.String()), 1<<16),
+				format.Part{Cols: testCols(4, tc.pkCol), PKCol: tc.pkCol})
 			if err != nil {
 				t.Fatal(err)
 			}
 			var last *tuplegen.Span
 			allocs := testing.AllocsPerRun(runs-1, func() {
-				if last, err = rr.run(math.MaxInt64); err != nil {
+				if last, err = rr.Run(math.MaxInt64); err != nil {
 					t.Fatal(err)
 				}
 				if last.N != tc.per {
@@ -304,7 +315,7 @@ func TestDirRuns(t *testing.T) {
 		return sb.String()
 	}
 	heapRows := func(ncols, pkCol int, rows ...int64) string {
-		perPage, _ := storage.RowsPerPage(ncols)
+		perPage := heapRowsPerPage(ncols)
 		var b []byte
 		for i, pk := range rows {
 			for c := 0; c < ncols; c++ {
@@ -315,7 +326,7 @@ func TestDirRuns(t *testing.T) {
 				b = binary.LittleEndian.AppendUint64(b, uint64(v))
 			}
 			if (i+1)%perPage == 0 {
-				b = append(b, make([]byte, storage.PageSize-perPage*8*ncols)...)
+				b = append(b, make([]byte, heapPageSize-perPage*8*ncols)...)
 			}
 		}
 		return string(b)
@@ -395,34 +406,6 @@ func TestDirRuns(t *testing.T) {
 	}
 }
 
-// TestPacer: over rows that never continue a run, predictions thin out
-// to one in 64 rows; a run of two rows brings them back at once.
-func TestPacer(t *testing.T) {
-	var p pacer
-	tries, last := 0, 0
-	for row := 0; row < 6400; row++ {
-		if p.try() {
-			if row-last > 64 {
-				t.Fatalf("rows %d to %d parsed without a prediction", last, row)
-			}
-			tries, last = tries+1, row
-			p.record(1)
-		}
-	}
-	if tries > 6+6400/64 {
-		t.Fatalf("%d predictions over 6400 single-row runs", tries)
-	}
-	for p.rest > 0 {
-		p.try()
-	}
-	if p.record(2); !p.try() {
-		t.Fatal("a run of two rows did not bring predictions back")
-	}
-	if p.record(1); p.try() {
-		t.Fatal("the first miss after a run rests no row")
-	}
-}
-
 // largestPKs formats line for the k+1 pks up to math.MaxInt64.
 func largestPKs(line string, k int64) string {
 	var sb strings.Builder
@@ -493,14 +476,14 @@ func dirDecodeSeeds(t testing.TB) []dirDecodeSeed {
 	seeds = append(seeds, blockEdgeSeeds()...)
 
 	// A layout of three columns leaves padding at the end of every heap page.
-	perPage, _ := storage.RowsPerPage(3)
+	perPage := heapRowsPerPage(3)
 	var heap []byte
 	for pk := int64(1); pk <= int64(perPage)+5; pk++ {
 		for _, v := range []int64{pk, 5, 6} {
 			heap = binary.LittleEndian.AppendUint64(heap, uint64(v))
 		}
 		if pk == int64(perPage) {
-			heap = append(heap, make([]byte, storage.PageSize-perPage*24)...)
+			heap = append(heap, make([]byte, heapPageSize-perPage*24)...)
 		}
 	}
 	seeds = append(seeds, dirDecodeSeed{data: heap, format: 2, pk: 1, ncols: 2})
@@ -521,7 +504,7 @@ func dirDecodeSeeds(t testing.TB) []dirDecodeSeed {
 			t.Fatal(err)
 		}
 		if format == "heap" {
-			data = data[storage.PageSize : storage.PageSize+70*16] // the rows, without the header and footer pages
+			data = data[heapPageSize : heapPageSize+70*16] // the rows, without the header and footer pages
 		}
 		seeds = append(seeds, dirDecodeSeed{data: data, format: uint8(code), pk: 1, ncols: 1, header: format == "csv", buf: 100})
 	}

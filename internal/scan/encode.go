@@ -5,7 +5,7 @@ import (
 	"io"
 	"slices"
 
-	"github.com/dsl-repro/hydra/internal/matgen"
+	"github.com/dsl-repro/hydra/internal/format"
 	"github.com/dsl-repro/hydra/internal/tuplegen"
 )
 
@@ -26,19 +26,16 @@ import (
 //
 // It returns the number of rows encoded; the scan is left at its end
 // (or at the failure point), with Close still the caller's job.
-func EncodeScan(w io.Writer, sc *Scan, format string) (int64, error) {
-	sink, err := matgen.SinkFor(format)
+func EncodeScan(w io.Writer, sc *Scan, name string) (int64, error) {
+	f, err := format.ByName(name)
 	if err != nil {
 		return 0, fmt.Errorf("%w: %v", ErrSpec, err)
 	}
-	if sink.Ext() == "" {
-		return 0, fmt.Errorf("%w: format %q produces no byte stream", ErrSpec, format)
+	if !f.Writes() {
+		return 0, fmt.Errorf("%w: format %q produces no byte stream", ErrSpec, name)
 	}
-	l := matgen.Layout{Table: sc.Table(), Cols: sc.Cols(), TotalRows: sc.NumRows(), StartRow: sc.StartRow()}
-	if err := matgen.CheckLayout(sink, l); err != nil {
-		return 0, fmt.Errorf("%w: %v", ErrSpec, err)
-	}
-	align, err := sink.Align(len(l.Cols))
+	l := format.Layout{Table: sc.Table(), Cols: sc.Cols(), TotalRows: sc.NumRows(), StartRow: sc.StartRow()}
+	align, err := f.Align(l)
 	if err != nil {
 		return 0, fmt.Errorf("%w: %v", ErrSpec, err)
 	}
@@ -46,9 +43,9 @@ func EncodeScan(w io.Writer, sc *Scan, format string) (int64, error) {
 		// Page- and statement-structured formats derive their geometry
 		// from contiguous row offsets; a filtered scan's row stream has
 		// gaps, so those formats cannot represent it.
-		return 0, fmt.Errorf("%w: format %q (alignment %d) cannot encode filtered scans", ErrSpec, format, align)
+		return 0, fmt.Errorf("%w: format %q (alignment %d) cannot encode filtered scans", ErrSpec, name, align)
 	}
-	hdr, err := sink.Header(l)
+	hdr, err := f.Header(l)
 	if err != nil {
 		return 0, err
 	}
@@ -64,7 +61,7 @@ func EncodeScan(w io.Writer, sc *Scan, format string) (int64, error) {
 	for c := range l.Idx {
 		l.Idx[c] = spanCol(c, pkCol)
 	}
-	enc := sink.NewEncoder(l)
+	enc := f.NewEncoder(l)
 	row := make([]int64, 1+slices.Max(l.Idx)) // a run's first row in span order
 	sp := tuplegen.Span{Vals: row[1:]}
 	var rows int64
@@ -94,7 +91,7 @@ func EncodeScan(w io.Writer, sc *Scan, format string) (int64, error) {
 	if err := sc.Err(); err != nil {
 		return rows, err
 	}
-	ftr, err := sink.Footer(l)
+	ftr, err := f.Footer(l)
 	if err != nil {
 		return rows, err
 	}

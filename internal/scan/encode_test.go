@@ -11,6 +11,7 @@ import (
 	"strings"
 	"testing"
 
+	"github.com/dsl-repro/hydra/internal/format"
 	"github.com/dsl-repro/hydra/internal/matgen"
 	"github.com/dsl-repro/hydra/internal/pred"
 	"github.com/dsl-repro/hydra/internal/summary"
@@ -205,8 +206,8 @@ func TestProjectedSpansStreamMatchesCSV(t *testing.T) {
 				}
 				want = append(want, row)
 			}
-			d := newSpanDecoder(len(cols), 0, int64(len(want)), false)
-			d.read(bytes.NewReader(stream("spans")))
+			d := format.NewSpanDecoder(len(cols), 0, int64(len(want)), false)
+			d.Read(bytes.NewReader(stream("spans")))
 			got := decodeAll(t, d)
 			if len(got) != len(want) {
 				t.Fatalf("%v spread=%v: spans decode to %d rows, csv holds %d", cols, spread, len(got), len(want))

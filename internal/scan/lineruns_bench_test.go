@@ -5,6 +5,8 @@ import (
 	"bytes"
 	"fmt"
 	"testing"
+
+	"github.com/dsl-repro/hydra/internal/format"
 )
 
 // BenchmarkLineRuns drains synthetic csv parts of 200 000 rows whose
@@ -27,13 +29,13 @@ func BenchmarkLineRuns(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				br.Reset(bytes.NewReader(data))
-				rr, err := newRunReader("csv", br, cols, 0, 0, rows, false)
+				rr, err := format.CSV.NewRunReader(br, format.Part{Cols: cols, PKCol: 0, Rows: rows})
 				if err != nil {
 					b.Fatal(err)
 				}
 				var n int64
 				for n < rows {
-					sp, err := rr.run(batch - n%batch)
+					sp, err := rr.Run(batch - n%batch)
 					if err != nil {
 						b.Fatal(err)
 					}

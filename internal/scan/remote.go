@@ -14,6 +14,7 @@ import (
 	"sync"
 	"time"
 
+	"github.com/dsl-repro/hydra/internal/format"
 	"github.com/dsl-repro/hydra/internal/matgen"
 	"github.com/dsl-repro/hydra/internal/obs"
 	"github.com/dsl-repro/hydra/internal/resilience"
@@ -185,7 +186,7 @@ func statusError(resp *http.Response) error {
 	if !resilience.IsPermanent(err) {
 		return err
 	}
-	if strings.Contains(err.Error(), `unknown format "spans"`) {
+	if strings.Contains(err.Error(), fmt.Sprintf("unknown format %q", format.Spans.Name())) {
 		err = fmt.Errorf("fleet member predates format=spans; upgrade `hydra serve` (%w)", err)
 	}
 	return fmt.Errorf("%w: %w", ErrSpec, err)
@@ -220,7 +221,7 @@ func (s *RemoteSource) Table(name string) (*TableInfo, error) {
 // the geometry had gone stale.
 func (s *RemoteSource) fetchGeometry(ctx context.Context, name string) (geometry, error) {
 	var rep matgen.StreamReport
-	path := "/v1/tables/" + url.PathEscape(name) + "?format=spans&info=1"
+	path := "/v1/tables/" + url.PathEscape(name) + "?format=" + format.Spans.Name() + "&info=1"
 	digest, err := s.getJSON(ctx, path, &rep)
 	if err != nil {
 		return geometry{}, err
@@ -294,7 +295,7 @@ func (s *RemoteSource) plan(ctx context.Context, spec Spec) (*resolved, *remoteR
 		f := &remoteRuns{
 			src: s, spec: spec,
 			digest: g.digest, unconfirmed: remembered,
-			dec: newSpanDecoder(len(g.info.Cols), r.lo, r.hi, r.filtered),
+			dec: format.NewSpanDecoder(len(g.info.Cols), r.lo, r.hi, r.filtered),
 		}
 		if r.filtered {
 			// The filter travels to the server in canonical encoding and
@@ -337,7 +338,7 @@ type remoteRuns struct {
 	spec Spec
 
 	body   io.ReadCloser
-	dec    *spanDecoder
+	dec    *format.SpanDecoder
 	digest string // summary digest of the scan's geometry, which every stream must carry
 	fails  int
 	// unconfirmed holds while the geometry is a remembered one whose
@@ -361,15 +362,15 @@ type remoteRuns struct {
 // truncation surfaces as ErrUnexpectedEOF and resumes like any death.
 func (f *remoteRuns) run(ctx context.Context, _ int64) (*tuplegen.Span, error) {
 	for {
-		if f.dec.pos >= f.dec.end {
+		if f.dec.Pos() >= f.dec.End() {
 			return nil, io.EOF // the last run received reached the range's end
 		}
 		if f.body == nil {
-			if err := f.openAt(ctx, f.dec.pos); err != nil {
+			if err := f.openAt(ctx, f.dec.Pos()); err != nil {
 				return nil, err
 			}
 		}
-		sp, err := f.dec.next()
+		sp, err := f.dec.Next()
 		if err == nil {
 			f.fails = 0 // a decoded run is progress
 			f.rowsRead += sp.N
@@ -431,7 +432,7 @@ func (f *remoteRuns) openOn(ctx context.Context, member *resilience.Member, abs 
 		trace.Str("member", srv), trace.Int("offset", abs))
 	defer func() { asp.Fail(err); asp.End() }()
 	q := url.Values{}
-	q.Set("format", "spans")
+	q.Set("format", format.Spans.Name())
 	if f.filterEnc != "" {
 		q.Set("filter", f.filterEnc)
 	}
@@ -439,7 +440,7 @@ func (f *remoteRuns) openOn(ctx context.Context, member *resilience.Member, abs 
 		q.Set("fkspread", "1")
 	}
 	q.Set("offset", strconv.FormatInt(abs, 10))
-	q.Set("limit", strconv.FormatInt(f.dec.end-abs, 10))
+	q.Set("limit", strconv.FormatInt(f.dec.End()-abs, 10))
 	u := srv + "/v1/tables/" + url.PathEscape(f.spec.Table) + "?" + q.Encode()
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, u, nil)
 	if err != nil {
@@ -493,7 +494,7 @@ func (f *remoteRuns) openOn(ctx context.Context, member *resilience.Member, abs 
 		}
 	}
 	f.body = resp.Body
-	f.dec.read(resp.Body)
+	f.dec.Read(resp.Body)
 	// Do records this open's time-to-first-byte as the member's latency
 	// observation; rows/s follows when the stream ends (endStream).
 	f.member, f.openedAt, f.rowsRead = member, time.Now(), 0

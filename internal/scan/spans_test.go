@@ -7,31 +7,22 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
-	"os"
-	"path/filepath"
 	"slices"
 	"strings"
 	"testing"
 
-	"github.com/dsl-repro/hydra/internal/matgen"
+	"github.com/dsl-repro/hydra/internal/format"
 	"github.com/dsl-repro/hydra/internal/tuplegen"
 )
 
-func spansEncoder(t testing.TB) matgen.Encoder {
-	t.Helper()
-	sink, err := matgen.SinkFor("spans")
-	if err != nil {
-		t.Fatal(err)
-	}
-	return sink.NewEncoder(matgen.Layout{})
-}
+func spansEncoder(testing.TB) format.Encoder { return format.Spans.NewEncoder(format.Layout{}) }
 
-// rawFrame wraps body the way the spans sink does — length prefix and a
-// valid CRC — so a test can hand the decoder well-sealed nonsense.
+// rawFrame wraps body the way the spans encoder does — length prefix and
+// a valid CRC-32C — so a test can hand the decoder well-sealed nonsense.
 func rawFrame(body []byte) []byte {
 	out := binary.AppendUvarint(nil, uint64(len(body)))
 	out = append(out, body...)
-	return binary.LittleEndian.AppendUint32(out, crc32.Checksum(out, castagnoli))
+	return binary.LittleEndian.AppendUint32(out, crc32.Checksum(out, crc32.MakeTable(crc32.Castagnoli)))
 }
 
 // rawBody renders the header fields, the tail values, and the spread
@@ -69,11 +60,11 @@ func spanRows(sp tuplegen.Span) [][]int64 {
 
 // decodeAll drains a decoder into rows, failing the test on any error
 // but the clean end of stream.
-func decodeAll(t *testing.T, d *spanDecoder) [][]int64 {
+func decodeAll(t *testing.T, d *format.SpanDecoder) [][]int64 {
 	t.Helper()
 	var rows [][]int64
 	for {
-		sp, err := d.next()
+		sp, err := d.Next()
 		if errors.Is(err, io.EOF) {
 			return rows
 		}
@@ -84,7 +75,7 @@ func decodeAll(t *testing.T, d *spanDecoder) [][]int64 {
 	}
 }
 
-// TestSpanFrameRoundTrip: what the spans sink writes for any range of
+// TestSpanFrameRoundTrip: what the spans encoder writes for any range of
 // the fixture, spread on and off, decodes back to the generator's rows.
 func TestSpanFrameRoundTrip(t *testing.T) {
 	sum := testSummary()
@@ -98,8 +89,8 @@ func TestSpanFrameRoundTrip(t *testing.T) {
 			for sp, ok := it.Next(); ok; sp, ok = it.Next() {
 				wire = enc.AppendSpan(wire, sp)
 			}
-			d := newSpanDecoder(g.NumCols(), rng[0]-1, rng[0]-1+rng[1], false)
-			d.read(bytes.NewReader(wire))
+			d := format.NewSpanDecoder(g.NumCols(), rng[0]-1, rng[0]-1+rng[1], false)
+			d.Read(bytes.NewReader(wire))
 			rows := decodeAll(t, d)
 			if int64(len(rows)) != rng[1] {
 				t.Fatalf("spread=%v %v: decoded %d rows", spread, rng, len(rows))
@@ -161,16 +152,16 @@ func TestSpanDecoderRejects(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			d := newSpanDecoder(3, 0, 100, tc.gaps)
-			d.read(bytes.NewReader(tc.stream))
+			d := format.NewSpanDecoder(3, 0, 100, tc.gaps)
+			d.Read(bytes.NewReader(tc.stream))
 			var err error
 			for err == nil {
-				_, err = d.next()
+				_, err = d.Next()
 			}
 			switch {
 			case tc.want == "" && !errors.Is(err, io.ErrUnexpectedEOF):
 				t.Fatalf("err = %v, want unexpected EOF", err)
-			case tc.want != "" && (!errors.Is(err, errSpanFrame) || !strings.Contains(err.Error(), tc.want)):
+			case tc.want != "" && (!errors.Is(err, format.ErrSpanFrame) || !strings.Contains(err.Error(), tc.want)):
 				t.Fatalf("err = %v, want a refused frame mentioning %q", err, tc.want)
 			}
 		})
@@ -180,12 +171,12 @@ func TestSpanDecoderRejects(t *testing.T) {
 	// a delivered run; only the boundary between frames reads as EOF.
 	two := append(bytes.Clone(good), frame(11, 5, 3, []int64{-1, 1 << 40}, []uint64{9})...)
 	for cut := 0; cut <= len(two); cut++ {
-		d := newSpanDecoder(3, 0, 100, false)
-		d.read(bytes.NewReader(two[:cut]))
+		d := format.NewSpanDecoder(3, 0, 100, false)
+		d.Read(bytes.NewReader(two[:cut]))
 		var err error
 		runs := 0
 		for ; err == nil; runs++ {
-			_, err = d.next()
+			_, err = d.Next()
 		}
 		want, wantRuns := io.ErrUnexpectedEOF, 0
 		if cut == 0 || cut == len(good) || cut == len(two) {
@@ -212,9 +203,9 @@ func TestSpanFrameDetectsDamage(t *testing.T) {
 		Start: 3002, N: 2500, Off: 17, Vals: []int64{-8, 0}, FKs: []int64{901}, FKSpans: []int64{613},
 	})
 	try := func(what string, damaged []byte) {
-		d := newSpanDecoder(4, 3001, 5501, false)
-		d.read(bytes.NewReader(damaged))
-		if sp, err := d.next(); err == nil {
+		d := format.NewSpanDecoder(4, 3001, 5501, false)
+		d.Read(bytes.NewReader(damaged))
+		if sp, err := d.Next(); err == nil {
 			t.Fatalf("%s: decoder delivered %+v", what, sp)
 		}
 	}
@@ -255,9 +246,9 @@ func FuzzSpanFrames(f *testing.F) {
 			sp.FKSpans = []int64{span}
 		}
 		wire := enc.AppendSpan(nil, sp)
-		d := newSpanDecoder(4, start-1, start-1+n, false)
-		d.read(bytes.NewReader(wire))
-		got, err := d.next()
+		d := format.NewSpanDecoder(4, start-1, start-1+n, false)
+		d.Read(bytes.NewReader(wire))
+		got, err := d.Next()
 		if err != nil {
 			t.Fatalf("decoding the encoder's own frame for %+v: %v", sp, err)
 		}
@@ -268,7 +259,7 @@ func FuzzSpanFrames(f *testing.F) {
 		if !slices.EqualFunc(spanRows(sp), spanRows(*got), slices.Equal[[]int64]) {
 			t.Fatalf("%+v decoded to %+v: rows differ", sp, got)
 		}
-		if _, err := d.next(); err != io.EOF {
+		if _, err := d.Next(); err != io.EOF {
 			t.Fatalf("after the only frame: %v, want io.EOF", err)
 		}
 
@@ -280,10 +271,10 @@ func FuzzSpanFrames(f *testing.F) {
 				torn = append(torn, x)
 			}
 		}
-		d = newSpanDecoder(4, start-1, start-1+n, true)
-		d.read(bytes.NewReader(torn))
+		d = format.NewSpanDecoder(4, start-1, start-1+n, true)
+		d.Read(bytes.NewReader(torn))
 		for {
-			sp, err := d.next()
+			sp, err := d.Next()
 			if err != nil {
 				return
 			}
@@ -292,71 +283,4 @@ func FuzzSpanFrames(f *testing.F) {
 			}
 		}
 	})
-}
-
-// TestSpansShardsConcatenate is the spans form of the shard contract:
-// frames are clipped at shard boundaries, so parts do not concatenate
-// to the single-shard file's bytes — they concatenate to a valid stream
-// of exactly the same rows.
-func TestSpansShardsConcatenate(t *testing.T) {
-	sum := testSummary()
-	for _, spread := range []bool{false, true} {
-		for _, compress := range []string{"", "gzip"} {
-			whole, parts := t.TempDir(), t.TempDir()
-			opts := matgen.Options{Dir: whole, Format: "spans", Compress: compress, Workers: 2, BatchRows: 128, FKSpread: spread}
-			if _, err := matgen.Materialize(sum, opts); err != nil {
-				t.Fatal(err)
-			}
-			const shards = 3
-			opts.Dir, opts.Shards = parts, shards
-			for opts.Shard = 0; opts.Shard < shards; opts.Shard++ {
-				if _, err := matgen.Materialize(sum, opts); err != nil {
-					t.Fatal(err)
-				}
-			}
-			comp, err := matgen.CompressorFor(compress)
-			if err != nil {
-				t.Fatal(err)
-			}
-			ext := ".spans"
-			if comp != nil {
-				ext += comp.Ext()
-			}
-			for table, rs := range sum.Relations {
-				var cat []byte
-				for i := 0; i < shards; i++ {
-					name := table + ".spans" + fmt.Sprintf(".part-%03d-of-%03d", i, shards) + strings.TrimPrefix(ext, ".spans")
-					b, err := os.ReadFile(filepath.Join(parts, name))
-					if err != nil {
-						t.Fatal(err)
-					}
-					cat = append(cat, b...)
-				}
-				one, err := os.ReadFile(filepath.Join(whole, table+ext))
-				if err != nil {
-					t.Fatal(err)
-				}
-				ncols := 1 + len(rs.Cols) + len(rs.FKCols)
-				decode := func(b []byte) [][]int64 {
-					var r io.Reader = bytes.NewReader(b)
-					if comp != nil {
-						zr, err := comp.NewReader(r)
-						if err != nil {
-							t.Fatal(err)
-						}
-						defer zr.Close()
-						r = zr
-					}
-					d := newSpanDecoder(ncols, 0, rs.Total, false)
-					d.read(r)
-					return decodeAll(t, d)
-				}
-				got, want := decode(cat), decode(one)
-				if int64(len(want)) != rs.Total || !slices.EqualFunc(got, want, slices.Equal[[]int64]) {
-					t.Fatalf("%s spread=%v %q: concatenated parts decode to %d rows, whole file to %d (of %d)",
-						table, spread, compress, len(got), len(want), rs.Total)
-				}
-			}
-		}
-	}
 }

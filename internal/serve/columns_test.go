@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/dsl-repro/hydra/internal/format"
 	"github.com/dsl-repro/hydra/internal/matgen"
 )
 
@@ -66,9 +67,9 @@ func TestTableStreamColumns(t *testing.T) {
 	}
 }
 
-func mustSink(t *testing.T, name string) matgen.Sink {
+func mustSink(t *testing.T, name string) *format.Format {
 	t.Helper()
-	s, err := matgen.SinkFor(name)
+	s, err := format.ByName(name)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -71,12 +71,12 @@ import (
 	"log/slog"
 	"math"
 	"net/http"
-	"sort"
 	"strconv"
 	"strings"
 	"sync/atomic"
 	"time"
 
+	"github.com/dsl-repro/hydra/internal/format"
 	"github.com/dsl-repro/hydra/internal/matgen"
 	"github.com/dsl-repro/hydra/internal/obs"
 	"github.com/dsl-repro/hydra/internal/rate"
@@ -450,7 +450,8 @@ type SummaryInfo struct {
 	// Relations maps table name to full-relation cardinality.
 	Relations map[string]int64 `json:"relations"`
 	TotalRows int64            `json:"total_rows"`
-	// Formats and Compressors list what the tables endpoint accepts.
+	// Formats and Compressors list what the tables endpoint accepts:
+	// every format that writes bytes, and every codec.
 	Formats     []string `json:"formats"`
 	Compressors []string `json:"compressors"`
 	MaxStreams  int      `json:"max_streams,omitempty"`
@@ -461,6 +462,7 @@ func (s *Server) handleSummary(w http.ResponseWriter, r *http.Request) {
 	info := SummaryInfo{
 		Digest:      s.digest,
 		Relations:   make(map[string]int64, len(s.sum.Relations)),
+		Formats:     format.FileNames(),
 		Compressors: matgen.CompressorNames(),
 		MaxStreams:  s.opts.MaxStreams,
 		RateLimit:   s.opts.RateLimit,
@@ -469,13 +471,6 @@ func (s *Server) handleSummary(w http.ResponseWriter, r *http.Request) {
 		info.Relations[name] = rs.Total
 		info.TotalRows += rs.Total
 	}
-	// Only streamable formats: discard has no byte stream to serve.
-	for _, name := range matgen.SinkNames() {
-		if name != "discard" {
-			info.Formats = append(info.Formats, name)
-		}
-	}
-	sort.Strings(info.Formats)
 	writeJSON(w, http.StatusOK, info)
 }
 

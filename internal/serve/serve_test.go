@@ -15,6 +15,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/dsl-repro/hydra/internal/format"
 	"github.com/dsl-repro/hydra/internal/matgen"
 	"github.com/dsl-repro/hydra/internal/obs"
 	"github.com/dsl-repro/hydra/internal/summary"
@@ -70,16 +71,9 @@ func get(t *testing.T, url string) (*http.Response, []byte) {
 	return resp, body
 }
 
-// fileFormats lists the servable formats (every sink that writes files).
-func fileFormats() []string {
-	var out []string
-	for _, name := range matgen.SinkNames() {
-		if name != "discard" {
-			out = append(out, name)
-		}
-	}
-	return out
-}
+// fileFormats lists the servable formats (every format that writes
+// files).
+func fileFormats() []string { return format.FileNames() }
 
 func compressName(c string) string {
 	if c == "" {
@@ -237,7 +231,8 @@ func TestTableStreamErrors(t *testing.T) {
 // is almost all empty pieces. The first holds no row (only the csv
 // header shard 0 writes), and the last exactly the table's last row —
 // not, as a 64-bit product of rows and piece index once made it, every
-// row.
+// row. Shards split on the chunk grid, so the stream asks for one-row
+// chunks.
 func TestTableStreamShardOfHugeN(t *testing.T) {
 	ts := newTestServer(t, testSummary(), Options{})
 	const n = "4611686018427387904" // 2^62
@@ -246,7 +241,7 @@ func TestTableStreamShardOfHugeN(t *testing.T) {
 		"2/" + n:    "",
 		n + "/" + n: "8208,61,15,1\n",
 	} {
-		resp, body := get(t, ts.URL+"/v1/tables/S?format=csv&shard="+shard)
+		resp, body := get(t, ts.URL+"/v1/tables/S?format=csv&batch=1&shard="+shard)
 		if resp.StatusCode != http.StatusOK {
 			t.Fatalf("shard=%s: %s (%s)", shard, resp.Status, body)
 		}

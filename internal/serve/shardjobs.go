@@ -8,10 +8,10 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
-	"slices"
 	"strconv"
 	"time"
 
+	"github.com/dsl-repro/hydra/internal/format"
 	"github.com/dsl-repro/hydra/internal/matgen"
 	"github.com/dsl-repro/hydra/internal/rate"
 	"github.com/dsl-repro/hydra/internal/trace"
@@ -22,8 +22,8 @@ import (
 // server owns the output directory (a per-request temp dir); the caller
 // gets the artifacts back as a bundle, never a server path.
 type ShardJobRequest struct {
-	// Format names the matgen sink; required ("heap", "csv", "jsonl",
-	// "sql" — file-producing sinks only).
+	// Format is the output format; required, and one that writes files
+	// (format.FileNames: "csv", "heap", "jsonl", "spans" or "sql").
 	Format string `json:"format"`
 	// Compress names the output codec ("gzip"; empty disables).
 	Compress string `json:"compress,omitempty"`
@@ -70,7 +70,7 @@ func (s *Server) handleShardJob(w http.ResponseWriter, r *http.Request) {
 			http.StatusConflict)
 		return
 	}
-	if req.Format == "" || !slices.Contains(matgen.SinkNames(), req.Format) || req.Format == "discard" {
+	if f, err := format.ByName(req.Format); err != nil || !f.Writes() {
 		http.Error(w, fmt.Sprintf("serve: job format %q not servable", req.Format), http.StatusBadRequest)
 		return
 	}

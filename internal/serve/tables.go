@@ -116,7 +116,7 @@ func (s *Server) handleTable(w http.ResponseWriter, r *http.Request) {
 	defer func() { s.m.streamSec.ObserveSince(t0) }()
 
 	h := w.Header()
-	h.Set("Content-Type", contentType(info.Format, info.Compression))
+	h.Set("Content-Type", plan.ContentType())
 	h.Set(HeaderRows, strconv.FormatInt(info.Rows, 10))
 	h.Set(HeaderStartRow, strconv.FormatInt(info.StartRow, 10))
 	h.Set(HeaderTotalRows, strconv.FormatInt(info.TotalRows, 10))
@@ -270,28 +270,6 @@ func streamOptionsFromQuery(table string, q url.Values) (*matgen.StreamOptions, 
 		opts.BatchRows = n
 	}
 	return opts, nil
-}
-
-// contentType maps the stream's format/codec to a media type. The codec
-// is part of the payload (the bytes are the .gz file), deliberately not
-// a transfer encoding: transparent decompression would break the
-// byte-identity with materialized part files.
-func contentType(format, compression string) string {
-	if compression == "gzip" {
-		return "application/gzip"
-	}
-	switch format {
-	case "csv":
-		return "text/csv; charset=utf-8"
-	case "jsonl":
-		return "application/x-ndjson"
-	case "sql":
-		return "application/sql; charset=utf-8"
-	case "spans":
-		return "application/vnd.hydra.spans"
-	default:
-		return "application/octet-stream"
-	}
 }
 
 // flushWriter pushes every chunk to the client as soon as it is

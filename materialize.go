@@ -1,6 +1,7 @@
 package hydra
 
 import (
+	"github.com/dsl-repro/hydra/internal/format"
 	"github.com/dsl-repro/hydra/internal/matgen"
 )
 
@@ -18,16 +19,6 @@ type (
 	// MaterializeReport aggregates what one Materialize run produced,
 	// including pre-compression RawBytes for capacity planning.
 	MaterializeReport = matgen.Report
-	// MaterializeSink is the pluggable format interface; custom sinks go
-	// in MaterializeOptions.Sink or matgen.RegisterSink. A sink
-	// manufactures one MaterializeEncoder per worker per table.
-	MaterializeSink = matgen.Sink
-	// MaterializeEncoder is the per-worker encoder a sink builds with
-	// NewEncoder: it takes summary-row runs (AppendSpan), renders each
-	// run's constant columns once and stamps them per row, and carries
-	// layout-derived constants and scratch buffers so the steady-state
-	// encode path allocates nothing.
-	MaterializeEncoder = matgen.Encoder
 )
 
 // Materialize generates the summary's relations into the configured sink
@@ -37,9 +28,10 @@ func Materialize(s *Summary, opts MaterializeOptions) (*MaterializeReport, error
 	return matgen.Materialize(s, opts)
 }
 
-// MaterializeFormats lists the built-in and registered sink format names.
-func MaterializeFormats() []string { return matgen.SinkNames() }
+// MaterializeFormats lists the output format names, sorted. The set is
+// fixed: csv, discard, heap, jsonl, spans and sql.
+func MaterializeFormats() []string { return format.Names() }
 
-// MaterializeCompressors lists the registered output codec names (gzip
-// built in; others via matgen.RegisterCompressor).
+// MaterializeCompressors lists the output codec names: gzip, the one
+// codec.
 func MaterializeCompressors() []string { return matgen.CompressorNames() }
