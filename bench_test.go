@@ -625,9 +625,9 @@ func BenchmarkAblation_AlignVsSampling(b *testing.B) {
 
 // BenchmarkAblation_RationalVsFloat compares the simplex backends on the
 // relaxation of one mid-size feasibility system, after the column presolve
-// SolveInteger applies: the exact solver on each of its two arithmetics
-// (word-sized rationals, and the math/big it restarts on after an overflow)
-// and the float64 twin.
+// SolveInteger applies: the exact solver on each of its two tableaus (the
+// fraction-free one on machine words, and the math/big one it restarts on
+// after an overflow) and the float64 twin.
 func BenchmarkAblation_RationalVsFloat(b *testing.B) {
 	prob := &lp.Problem{NumVars: 120}
 	hidden := make([]int64, 120)

@@ -20,7 +20,7 @@
 //	core        per-view LP formulation and solving
 //	summary     align/merge, referential consistency, relation summaries
 //	tuplegen    dynamic tuple generation (the engine-side "datagen" scan)
-//	matgen      parallel sharded materialization into pluggable sinks
+//	matgen      parallel sharded materialization into a fixed set of formats
 //	serve       the HTTP data plane and fleet runner
 //	scan        the unified Source/Scan read path over summaries,
 //	            materialized directories, and serve fleets

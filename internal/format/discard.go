@@ -13,4 +13,6 @@ var Discard = &Format{
 
 type discardEncoder struct{}
 
-func (discardEncoder) AppendSpan(dst []byte, _ tuplegen.Span) []byte { return dst }
+func (discardEncoder) AppendSpan(dst []byte, sp tuplegen.Span) ([]byte, error) {
+	return dst, checkSpan(&sp)
+}

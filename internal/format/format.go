@@ -14,7 +14,9 @@ package format
 
 import (
 	"bufio"
+	"errors"
 	"fmt"
+	"math"
 	"slices"
 	"strings"
 
@@ -191,8 +193,22 @@ type Encoder interface {
 	// absolute 0-based row sp.Start-1; position-dependent formats count
 	// page and statement boundaries from the Layout's StartRow. The span
 	// is passed by value so iteration stays allocation-free across the
-	// interface boundary.
-	AppendSpan(dst []byte, sp tuplegen.Span) []byte
+	// interface boundary. A span that is no run of table rows, one of no
+	// rows or with a pk outside [1, MaxInt64], is refused with ErrSpan,
+	// and dst returned as it was.
+	AppendSpan(dst []byte, sp tuplegen.Span) ([]byte, error)
+}
+
+// ErrSpan reports a span that no encoder writes: a table's pks number its
+// rows from 1.
+var ErrSpan = errors.New("format: span is not a run of table rows")
+
+// checkSpan is every encoder's refusal of a span it cannot write.
+func checkSpan(sp *tuplegen.Span) error {
+	if sp.N < 1 || sp.Start < 1 || sp.N-1 > math.MaxInt64-sp.Start {
+		return fmt.Errorf("%w: %d rows from pk %d", ErrSpan, sp.N, sp.Start)
+	}
+	return nil
 }
 
 // RunReader reads one part's rows a run at a time, the mirror image of

@@ -3,6 +3,7 @@ package format
 import (
 	"bufio"
 	"bytes"
+	"errors"
 	"fmt"
 	"math"
 	"math/rand/v2"
@@ -40,6 +41,32 @@ func TestPacer(t *testing.T) {
 	}
 }
 
+// TestEncodersRefuseNonRows: every encoder refuses, with ErrSpan and
+// without writing, a span of no rows or one reaching outside the pks
+// [1, MaxInt64], and writes the span that ends at MaxInt64.
+func TestEncodersRefuseNonRows(t *testing.T) {
+	l := Layout{Table: "T", Cols: []string{"T_pk", "v"}, TotalRows: math.MaxInt64}
+	for _, f := range all {
+		for _, c := range []struct {
+			start, n int64
+			ok       bool
+		}{
+			{1, 1, true}, {math.MaxInt64, 1, true}, {math.MaxInt64 - 9, 10, true},
+			{0, 1, false}, {-17, 3, false}, {math.MinInt64, 2, false}, {1, 0, false}, {5, -1, false},
+			{math.MaxInt64, 2, false}, {math.MaxInt64 - 9, 11, false}, {2, math.MaxInt64, false},
+		} {
+			dst := []byte("kept")
+			got, err := f.NewEncoder(l).AppendSpan(dst, tuplegen.Span{Start: c.start, N: c.n, Vals: []int64{7}})
+			switch {
+			case c.ok && err != nil:
+				t.Errorf("%s: %d rows from pk %d: %v", f.Name(), c.n, c.start, err)
+			case !c.ok && (!errors.Is(err, ErrSpan) || string(got) != "kept"):
+				t.Errorf("%s: %d rows from pk %d: wrote %q, err %v", f.Name(), c.n, c.start, got, err)
+			}
+		}
+	}
+}
+
 // roundTrip is one FuzzFormatRoundTrip input, drawn from a seed: runs
 // tiling rows [start, start+total) of table T, in span order, and the
 // layout they are written in.
@@ -56,7 +83,8 @@ type roundTrip struct {
 // column (at = 0), a middle one (1) or absent (2); spans keeps span
 // order. The first pk is 1, just below a power of ten (so lines cross
 // the block edges …99 → …100), anywhere below a million (so a heap file
-// starts mid-page of its table), or such that the last is math.MaxInt64.
+// starts mid-page of its table), such that the last is math.MaxInt64, or
+// below 1 (no table row, which every encoder refuses).
 func newRoundTrip(f *Format, seed int64, at, from int) roundTrip {
 	rng := rand.New(rand.NewPCG(uint64(seed), 7))
 	nv, nf := rng.IntN(3), rng.IntN(3)
@@ -91,8 +119,10 @@ func newRoundTrip(f *Format, seed int64, at, from int) roundTrip {
 		start = int64(math.Pow10(2+rng.IntN(5))) - 1 - rng.Int64N(99)
 	case 2:
 		start = 1 + rng.Int64N(1_000_000)
-	default:
+	case 3:
 		start = math.MaxInt64 - total + 1
+	default:
+		start = -rng.Int64N(1000)
 	}
 	values := []int64{-1, 0, 5, 1 << 40, math.MinInt64, rng.Int64()}
 	rt := roundTrip{pkCol: pkCol}
@@ -126,8 +156,8 @@ func newRoundTrip(f *Format, seed int64, at, from int) roundTrip {
 }
 
 // encode writes the runs as one file of the format: header, every run
-// through the encoder, footer.
-func (rt *roundTrip) encode(t *testing.T, f *Format) []byte {
+// through the encoder, footer. It returns the first error of AppendSpan.
+func (rt *roundTrip) encode(t *testing.T, f *Format) ([]byte, error) {
 	if _, err := f.Align(rt.l); err != nil {
 		t.Fatal(err)
 	}
@@ -137,13 +167,15 @@ func (rt *roundTrip) encode(t *testing.T, f *Format) []byte {
 	}
 	enc := f.NewEncoder(rt.l)
 	for _, sp := range rt.runs {
-		file = enc.AppendSpan(file, sp)
+		if file, err = enc.AppendSpan(file, sp); err != nil {
+			return file, err
+		}
 	}
 	footer, err := f.Footer(rt.l)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return append(file, footer...)
+	return append(file, footer...), nil
 }
 
 // fileRows expands runs into rows in file order: column c of a row is
@@ -182,7 +214,8 @@ func sameSpan(a, b tuplegen.Span) bool {
 // reads back as the same rows — asked for at most a random number of
 // rows a run — and, for spans, as the same runs. code picks the format
 // (csv, jsonl, heap, spans), shape the pk's place (shape%3) and the
-// first pk (shape/3%4; see newRoundTrip).
+// first pk (shape/3%5; see newRoundTrip). Runs that start below pk 1 must
+// be refused with ErrSpan instead.
 func FuzzFormatRoundTrip(f *testing.F) {
 	formats := []*Format{CSV, JSONL, Heap, Spans}
 	for code := range len(formats) {
@@ -190,10 +223,24 @@ func FuzzFormatRoundTrip(f *testing.F) {
 			f.Add(int64(12*code+shape+1), uint8(code), uint8(shape))
 		}
 	}
+	for code := range len(formats) {
+		for at := range 3 {
+			f.Add(int64(12*len(formats)+3*code+at+1), uint8(code), uint8(12+at))
+		}
+	}
 	f.Fuzz(func(t *testing.T, seed int64, code, shape uint8) {
 		fm := formats[int(code)%len(formats)]
-		rt := newRoundTrip(fm, seed, int(shape)%3, int(shape)/3%4)
-		file := rt.encode(t, fm)
+		rt := newRoundTrip(fm, seed, int(shape)%3, int(shape)/3%5)
+		file, err := rt.encode(t, fm)
+		if rt.runs[0].Start < 1 {
+			if !errors.Is(err, ErrSpan) {
+				t.Fatalf("%s %v: a run from pk %d encoded, err %v", fm.Name(), rt.l.Cols, rt.runs[0].Start, err)
+			}
+			return
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
 		rr, err := fm.NewRunReader(bufio.NewReaderSize(bytes.NewReader(file), 1<<16), Part{
 			Cols: rt.l.Cols, PKCol: rt.pkCol, Start: rt.l.StartRow, Rows: rt.l.TotalRows, Header: true})
 		if err != nil {

@@ -123,7 +123,10 @@ type heapEncoder struct {
 // column at a time.
 //
 //hydra:hotpath
-func (e *heapEncoder) AppendSpan(dst []byte, sp tuplegen.Span) []byte {
+func (e *heapEncoder) AppendSpan(dst []byte, sp tuplegen.Span) ([]byte, error) {
+	if err := checkSpan(&sp); err != nil {
+		return dst, err
+	}
 	w := e.width
 	inPage := int((sp.Start - 1 - e.startRow) % int64(e.perPage))
 	for i := int64(0); i < sp.N; {
@@ -154,7 +157,7 @@ func (e *heapEncoder) AppendSpan(dst []byte, sp tuplegen.Span) []byte {
 			inPage = 0
 		}
 	}
-	return dst
+	return dst, nil
 }
 
 // heapRuns reads a heap part a run at a time: a run's first row is

@@ -86,7 +86,10 @@ func newLineEncoder(l Layout, open string, keyed bool, end string) *lineEncoder 
 }
 
 //hydra:hotpath
-func (e *lineEncoder) AppendSpan(dst []byte, sp tuplegen.Span) []byte {
+func (e *lineEncoder) AppendSpan(dst []byte, sp tuplegen.Span) ([]byte, error) {
+	if err := checkSpan(&sp); err != nil {
+		return dst, err
+	}
 	k := slices.IndexFunc(e.idx, sp.Spreads) // the first column that spreads
 	whole := k < 0
 	if whole {
@@ -117,7 +120,7 @@ func (e *lineEncoder) AppendSpan(dst []byte, sp tuplegen.Span) []byte {
 		i += n
 		dst = e.endStatement(dst, row+i-1)
 		if i == sp.N {
-			return dst
+			return dst, nil
 		}
 		e.lines.Step()
 		dst = append(e.appendPrologue(dst, row+i), e.lines.Line()...)

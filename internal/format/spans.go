@@ -74,13 +74,16 @@ type spansEncoder struct {
 // the laid-out tail instead: one frame for the run, or one per row where
 // a laid-out FK spreads. Runs that the projection makes equal are not
 // merged, so projected frame boundaries are the summary's.
-func (e *spansEncoder) AppendSpan(dst []byte, sp tuplegen.Span) []byte {
+func (e *spansEncoder) AppendSpan(dst []byte, sp tuplegen.Span) ([]byte, error) {
+	if err := checkSpan(&sp); err != nil {
+		return dst, err
+	}
 	if e.idx == nil {
 		fkSpans := sp.FKSpans // written only where some FK spreads
 		if !slices.ContainsFunc(fkSpans, func(s int64) bool { return s > 1 }) {
 			fkSpans = nil
 		}
-		return e.appendFrame(dst, sp.Start, sp.N, sp.Off, sp.Vals, sp.FKs, fkSpans)
+		return e.appendFrame(dst, sp.Start, sp.N, sp.Off, sp.Vals, sp.FKs, fkSpans), nil
 	}
 	tail := e.idx[1:]
 	frames, n := int64(1), sp.N
@@ -94,7 +97,7 @@ func (e *spansEncoder) AppendSpan(dst []byte, sp tuplegen.Span) []byte {
 		}
 		dst = e.appendFrame(dst, sp.Start+i, n, 0, e.vals, nil, nil)
 	}
-	return dst
+	return dst, nil
 }
 
 //hydra:hotpath

@@ -1,11 +1,13 @@
 package lp
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"math"
 	"math/big"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -75,39 +77,136 @@ func randomMixed(rng *rand.Rand, feasible bool) *Problem {
 }
 
 // scaleRows multiplies each row of p, right-hand side included, by its own
-// factor in [smallBound, 2·smallBound): the same polytope, but a tableau
-// whose unpivoted rows and reduced costs are past subMul's small path.
+// factor in [reduceBound, 2·reduceBound): the same polytope, but pivots on
+// elements past the reduction bound, off the small path on which
+// denominators stay below it and no row is reduced. A row's denominator
+// collects the factors of the rows combined into it, and often needs more
+// than a word although every cell fits one in lowest terms.
 func scaleRows(rng *rand.Rand, p *Problem) {
 	for i := range p.Rows {
-		s := smallBound + rng.Int63n(smallBound)
-		for j := range p.Rows[i].Entries {
-			p.Rows[i].Entries[j].Coef *= s
-		}
-		p.Rows[i].RHS *= s
+		scaleRow(&p.Rows[i], reduceBound+rng.Int63n(reduceBound))
 	}
 }
 
+// scaleAll is scaleRows with one factor for every row: no row's
+// denominator collects more than that factor's divisors.
+func scaleAll(rng *rand.Rand, p *Problem) {
+	s := reduceBound + rng.Int63n(reduceBound)
+	for i := range p.Rows {
+		scaleRow(&p.Rows[i], s)
+	}
+}
+
+func scaleRow(r *Row, s int64) {
+	for j := range r.Entries {
+		r.Entries[j].Coef *= s
+	}
+	r.RHS *= s
+}
+
+// widthTableau is the math/big tableau recording whether a row it passes
+// through, written as the word tableau holds it (in lowest terms over one
+// denominator), has a numerator or denominator at or past wordLimit.
+type widthTableau struct {
+	*bigTableau
+	wide bool
+}
+
+func (t *widthTableau) check(row []*big.Rat) {
+	limit := big.NewInt(wordLimit)
+	den := big.NewInt(1)
+	for _, v := range row {
+		g := new(big.Int).GCD(nil, nil, den, v.Denom())
+		den.Mul(den, g.Quo(v.Denom(), g))
+	}
+	if den.Cmp(limit) >= 0 {
+		t.wide = true
+	}
+	for _, v := range row {
+		n := new(big.Int).Quo(den, v.Denom())
+		if n.Mul(n, v.Num()).CmpAbs(limit) >= 0 {
+			t.wide = true
+		}
+	}
+}
+
+func (t *widthTableau) checkAll() {
+	for _, row := range t.rows {
+		t.check(row)
+	}
+	t.check(t.obj)
+}
+
+func (t *widthTableau) pivot(r, jc int) {
+	t.bigTableau.pivot(r, jc)
+	t.checkAll()
+}
+
+// setObjective is bigTableau.setObjective, checking the reduced-cost row
+// after each elimination, as the word tableau builds it.
+func (t *widthTableau) setObjective(obj []Entry) {
+	for j := range t.obj {
+		t.obj[j] = ratZero
+	}
+	for _, e := range obj {
+		t.obj[e.Var] = new(big.Rat).Add(t.obj[e.Var], big.NewRat(e.Coef, 1))
+	}
+	t.check(t.obj)
+	for i, b := range t.basis {
+		if t.obj[b].Sign() != 0 {
+			eliminateBig(t.obj, t.rows[i], t.nonZeros(t.rows[i]), b)
+			t.check(t.obj)
+		}
+	}
+}
+
+// needsWide reports whether the exact simplex on p passes through a row
+// that no word tableau can hold: the word tableau must overflow exactly
+// then. (Tableau construction is checked once built; the Phase-I sums it
+// folds are checked only through their final values.)
+func needsWide(p *Problem) bool {
+	t := &widthTableau{bigTableau: newBigTableau(p, new(Workspace))}
+	t.checkAll()
+	runExact(t, p)
+	return t.wide
+}
+
+// TestWordMatchesBigRat holds the word tableau to the math/big one on
+// random mixed problems: the same verdict, vertex, objective and pivots.
+// The word tableau overflows exactly where a row in lowest terms over one
+// denominator needs a value past wordLimit; that happens only with a
+// factor per row, where SolveRational's restart is compared instead and
+// both paths must occur.
 func TestWordMatchesBigRat(t *testing.T) {
 	for _, arm := range []struct {
-		name   string
-		scaled bool
-	}{{"single-digit", false}, {"rows scaled past the small path", true}} {
+		name       string
+		scale      func(*rand.Rand, *Problem)
+		mayRestart bool
+	}{
+		{"single-digit", nil, false},
+		{"rows scaled past the small path", scaleRows, true},
+		{"rows scaled by one factor", scaleAll, false},
+	} {
 		t.Run(arm.name, func(t *testing.T) {
 			rng := rand.New(rand.NewSource(14))
 			verdicts := map[string]int{}
 			for i := 0; i < 600; i++ {
 				p := randomMixed(rng, i%3 != 0)
-				if arm.scaled {
-					scaleRows(rng, p)
+				if arm.scale != nil {
+					arm.scale(rng, p)
 				}
-				word := &wordArith{}
 				var got *Solution
-				tab, gotErr := solveExact(p, word, new([]wordRat), new(Workspace))
-				if gotErr == nil {
-					got = tab.solution(p)
-				}
-				if word.overflow {
-					t.Fatalf("problem %d overflowed the word arithmetic", i)
+				tab, gotErr := solveWord(p, new(Workspace))
+				switch {
+				case tab.overflow && !arm.mayRestart:
+					t.Fatalf("problem %d overflowed the word tableau", i)
+				case tab.overflow != needsWide(p):
+					t.Fatalf("problem %d: word tableau overflowed %v, a row needs more than a word %v", i, tab.overflow, !tab.overflow)
+				case tab.overflow:
+					verdicts["restarted"]++
+					got, gotErr = SolveRational(p)
+				case gotErr == nil:
+					got = solution(tab, p)
 				}
 				want, wantErr := SolveBigRat(p)
 				sameOutcome(t, fmt.Sprintf("problem %d", i), got, gotErr, want, wantErr)
@@ -124,6 +223,9 @@ func TestWordMatchesBigRat(t *testing.T) {
 			if verdicts["solved"] < 100 || verdicts["infeasible"] < 100 {
 				t.Fatalf("generator is lopsided: %v", verdicts)
 			}
+			if arm.mayRestart && (verdicts["restarted"] < 100 || verdicts["restarted"] > 500) {
+				t.Fatalf("want both word solves and restarts: %v", verdicts)
+			}
 		})
 	}
 }
@@ -131,19 +233,21 @@ func TestWordMatchesBigRat(t *testing.T) {
 // chainPrimes multiply up to about 2^80.
 var chainPrimes = []int64{65521, 65519, 65497, 65479, 65449}
 
-// overflowProblems are built so that some intermediate of the simplex
-// cannot be held in an int64 numerator or denominator.
+// overflowProblems are built so that some row of the word tableau, in
+// lowest terms, has a value at or past wordLimit. In the last two every
+// cell of every tableau the simplex passes through fits a word in lowest
+// terms; only a row's common denominator or its numerators over it do not.
 func overflowProblems() map[string]*Problem {
 	out := map[string]*Problem{}
 
-	// Eliminating x0 multiplies two coefficients near 2^62.
+	// The Phase-I reduced costs sum two coefficients near 2^62.
 	big62 := &Problem{NumVars: 3}
 	big62.AddRow(Row{Entries: []Entry{{0, 1<<62 - 1}, {1, 1<<62 - 3}, {2, 1}}, Rel: EQ, RHS: 1<<62 + 7})
 	big62.AddRow(Row{Entries: []Entry{{0, 1<<61 + 1}, {1, 5}, {2, 1<<62 - 5}}, Rel: EQ, RHS: 1 << 62})
 	big62.AddRow(Row{Entries: []Entry{{0, 1}, {1, 1}, {2, 1}}, Rel: LE, RHS: 3})
 	out["coefficients near 2^62"] = big62
 
-	// A right-hand side at the edge of the range, scaled by a pivot.
+	// A right-hand side at the edge of the range.
 	edge := &Problem{NumVars: 2}
 	edge.AddRow(Row{Entries: []Entry{{0, -1}, {1, -1}}, Rel: LE, RHS: math.MinInt64 + 1})
 	edge.AddRow(Row{Entries: []Entry{{0, 3}, {1, -7}}, Rel: EQ, RHS: 5})
@@ -163,14 +267,72 @@ func overflowProblems() map[string]*Problem {
 		chain.AddRow(Row{Entries: []Entry{{i + 1, prime}, {i, -1}}, Rel: EQ, RHS: 0})
 	}
 	out["chained denominators"] = chain
+
+	// The sum row's denominator reaches p0·p1·p2·p3 ≈ 2^64 (the product
+	// a·D_i) while each of its cells is −1/p_k, 1 or 5.
+	out["denominator product past 2^62"] = sumOverPivots(chainPrimes[:4])
+
+	// x0 enters through p0·x0 ≤ 0 and x0 + y = 2^50 becomes y − s0/p0 =
+	// 2^50, over p0: the scaled numerator a·N_i = p0·2^50 ≈ 2^66.
+	scaled := &Problem{NumVars: 2}
+	scaled.AddRow(Row{Entries: []Entry{{0, chainPrimes[0]}}, Rel: LE, RHS: 0})
+	scaled.AddEq([]int{0, 1}, 1<<50, "sum")
+	out["scaled numerator past 2^62"] = scaled
+
 	return out
+}
+
+// sumOverPivots is x_k enters degenerately through p_k·x_k ≤ 0, one pivot
+// row over p_k per prime, and x_0 + … + x_{k-1} + y = 5 ends as
+// y − Σ s_k/p_k = 5, over the product of the primes.
+func sumOverPivots(primes []int64) *Problem {
+	p := &Problem{NumVars: len(primes) + 1}
+	vars := make([]int, 0, len(primes)+1)
+	for k, prime := range primes {
+		p.AddRow(Row{Entries: []Entry{{k, prime}}, Rel: LE, RHS: 0})
+		vars = append(vars, k)
+	}
+	p.AddEq(append(vars, len(primes)), 5, "sum")
+	return p
+}
+
+// TestWordHoldsRowsThatFit: rows whose products, or whose values before
+// reduction, pass wordLimit stay in words when they fit in lowest terms.
+func TestWordHoldsRowsThatFit(t *testing.T) {
+	// x0 enters through x0 − 2^40·x1 ≤ 1, an integral pivot row. Its
+	// multiple b·N_r subtracted from 2^22·x0 − (2^62−1)·x1 ≥ 2^22 is −2^62
+	// in column x1, and the cell it leaves there is 1; the reduced-cost
+	// row's is −1.
+	product := &Problem{NumVars: 2}
+	product.AddRow(Row{Entries: []Entry{{0, 1}, {1, -1 << 40}}, Rel: LE, RHS: 1})
+	product.AddRow(Row{Entries: []Entry{{0, 1 << 22}, {1, -(1<<62 - 1)}}, Rel: GE, RHS: 1 << 22})
+
+	// The sum row's denominator passes reduceBound at the second pivot,
+	// where reducing finds no common factor, and still fits a word at
+	// 1031·1033·1039·1049 ≈ 2^40.
+	bound := sumOverPivots([]int64{1031, 1033, 1039, 1049})
+
+	for name, p := range map[string]*Problem{"product b·N_r past 2^62": product, "past the reduction bound": bound} {
+		tab, err := solveWord(p, new(Workspace))
+		if tab.overflow || err != nil {
+			t.Fatalf("%s: overflow %v, err %v", name, tab.overflow, err)
+		}
+		want, wantErr := SolveBigRat(p)
+		sameOutcome(t, name, solution(tab, p), err, want, wantErr)
+	}
+	tab, _ := solveWord(bound, new(Workspace))
+	if most := slices.Max(tab.den); most < reduceBound {
+		t.Fatalf("largest denominator %d is below the reduction bound", most)
+	}
 }
 
 func TestOverflowFallsBackToBigRat(t *testing.T) {
 	for name, p := range overflowProblems() {
-		word := &wordArith{}
-		if _, err := solveExact(p, word, new([]wordRat), new(Workspace)); !word.overflow {
-			t.Errorf("%s: word arithmetic did not overflow (err %v)", name, err)
+		if tab, err := solveWord(p, new(Workspace)); !tab.overflow {
+			t.Errorf("%s: word tableau did not overflow (err %v)", name, err)
+		}
+		if !needsWide(p) {
+			t.Errorf("%s: every row fits a word in lowest terms", name)
 		}
 		got, gotErr := SolveRational(p)
 		want, wantErr := SolveBigRat(p)
@@ -193,42 +355,24 @@ func TestOverflowFallsBackToBigRat(t *testing.T) {
 	}
 }
 
+// TestWordArithEdges pins the word-sized helpers the tableau and its
+// vertices are built on at the edges of the int64 range: abs64, mag,
+// gcd64, lowest and cmpFrac.
 func TestWordArithEdges(t *testing.T) {
 	const min, max = math.MinInt64, math.MaxInt64
-	w := func(n, d int64) wordRat { return wordRat{n, d} }
-	add, sub, mul, quo := (*wordArith).add, (*wordArith).sub, (*wordArith).mul, (*wordArith).quo
 	for _, c := range []struct {
-		name     string
-		op       func(k *wordArith, a, b wordRat) wordRat
-		a, b     wordRat
-		want     wordRat
-		overflow bool
+		v        int64
+		abs, mag uint64
 	}{
-		{"max+1", add, w(max, 1), w(1, 1), w(0, 1), true},
-		{"min+(-1)", add, w(min, 1), w(-1, 1), w(0, 1), true},
-		{"min+max", add, w(min, 1), w(max, 1), w(-1, 1), false},
-		{"0-min", sub, w(0, 1), w(min, 1), w(0, 1), true},
-		{"-1-min", sub, w(-1, 1), w(min, 1), w(max, 1), false},
-		{"min-1", sub, w(min, 1), w(1, 1), w(0, 1), true},
-		{"-1*min", mul, w(-1, 1), w(min, 1), w(0, 1), true},
-		{"1*min", mul, w(1, 1), w(min, 1), w(min, 1), false},
-		{"2^32*-2^31", mul, w(1<<32, 1), w(-1<<31, 1), w(min, 1), false},
-		{"2^32*2^31", mul, w(1<<32, 1), w(1<<31, 1), w(0, 1), true},
-		{"min/2 * 2", mul, w(min, 1), w(1, 2), w(min/2, 1), false},
-		{"cross-cancel", mul, w(max, 3), w(3, max), w(1, 1), false},
-		{"1/min", quo, w(1, 1), w(min, 1), w(0, 1), true},
-		{"min/min", quo, w(min, 1), w(min, 1), w(0, 1), true},
-		{"min/-1", quo, w(min, 1), w(-1, 1), w(0, 1), true},
-		{"max/-max", quo, w(max, 1), w(-max, 1), w(-1, 1), false},
-		{"-6/4 / 3/-1", quo, w(-3, 2), w(-3, 1), w(1, 2), false},
-		{"1/3+1/6", add, w(1, 3), w(1, 6), w(1, 2), false},
-		{"1/3-1/3", sub, w(1, 3), w(1, 3), w(0, 1), false},
-		{"-1/2-1/2", sub, w(-1, 2), w(1, 2), w(-1, 1), false},
-		{"1/max+1/(max-1)", add, w(1, max), w(1, max-1), w(0, 1), true},
+		{0, 0, 0}, {1, 1, 1}, {-1, 1, 0}, {max, max, max},
+		{min, 1 << 63, max}, {min + 1, max, max - 1},
+		{-reduceBound, reduceBound, reduceBound - 1},
 	} {
-		k := &wordArith{}
-		if got := c.op(k, c.a, c.b); got != c.want || k.overflow != c.overflow {
-			t.Errorf("%s: got %v overflow=%v, want %v overflow=%v", c.name, got, k.overflow, c.want, c.overflow)
+		if got := abs64(c.v); got != c.abs {
+			t.Errorf("abs64(%d) = %d, want %d", c.v, got, c.abs)
+		}
+		if got := mag(c.v); got != c.mag {
+			t.Errorf("mag(%d) = %d, want %d", c.v, got, c.mag)
 		}
 	}
 
@@ -244,7 +388,20 @@ func TestWordArithEdges(t *testing.T) {
 		}
 	}
 
-	k := &wordArith{}
+	w := func(n, d int64) wordRat { return wordRat{n, d} }
+	for _, c := range []struct {
+		n, d int64
+		want wordRat
+	}{
+		{0, 7, w(0, 1)}, {6, 4, w(3, 2)}, {-6, 4, w(-3, 2)}, {5, 1, w(5, 1)},
+		{min, 2, w(min/2, 1)}, {min, 3, w(min, 3)}, {max, max, w(1, 1)},
+		{-max, max - 1, w(-max, max-1)}, {3 * 5 * 7, 5 * 7 * 11, w(3, 11)},
+	} {
+		if got := lowest(c.n, c.d); got != c.want {
+			t.Errorf("lowest(%d, %d) = %v, want %v", c.n, c.d, got, c.want)
+		}
+	}
+
 	for _, c := range []struct {
 		a, b wordRat
 		want int
@@ -254,96 +411,186 @@ func TestWordArithEdges(t *testing.T) {
 		{w(max, max-1), w(max-1, max-2), -1}, {w(min, max), w(min+1, max-1), 1},
 		{w(min, 1), w(max, 1), -1}, {w(max, 2), w(max, 3), 1},
 	} {
-		if got := k.cmp(c.a, c.b); got != c.want {
-			t.Errorf("cmp(%v, %v) = %d, want %d", c.a, c.b, got, c.want)
+		if got := cmpFrac(c.a.num, c.a.den, c.b.num, c.b.den); got != c.want {
+			t.Errorf("cmpFrac(%v, %v) = %d, want %d", c.a, c.b, got, c.want)
 		}
-		if want := k.rat(c.a).Cmp(k.rat(c.b)); want != c.want {
+		if want := big.NewRat(c.a.num, c.a.den).Cmp(big.NewRat(c.b.num, c.b.den)); want != c.want {
 			t.Errorf("table is wrong: big.Rat says cmp(%v, %v) = %d", c.a, c.b, want)
 		}
 	}
-	if k.overflow {
-		t.Error("cmp latched overflow")
-	}
 }
 
-// wordOf converts r to a wordRat, reporting false when a part does not fit
-// int64.
-func wordOf(r *big.Rat) (wordRat, bool) {
-	if !r.Num().IsInt64() || !r.Denom().IsInt64() {
-		return wordRat{}, false
+// rowOpFromBytes decodes fuzzer input into one elimination: a width byte,
+// a pivot column byte, the eliminated row's denominator, then the pivot
+// row's cells and the eliminated row's. Each value is a shift byte and the
+// eight bytes of a little-endian word, shifted right so that small values
+// are as common as full-width ones, then brought below wordLimit in
+// magnitude. A zero pivot element reads as 1.
+func rowOpFromBytes(data []byte) (pr, row []int64, den int64, jc int) {
+	var buf [9]byte
+	next := func() int64 {
+		n := copy(buf[:], data)
+		data = data[n:]
+		clear(buf[n:])
+		v := int64(binary.LittleEndian.Uint64(buf[1:])) >> (buf[0] % 64)
+		buf = [9]byte{}
+		return v % wordLimit
 	}
-	return wordRat{r.Num().Int64(), r.Denom().Int64()}, true
+	w := 1 + int(next()%8+8)%8
+	jc = int(next()%int64(w)+int64(w)) % w
+	if den = int64(abs64(next()) % wordLimit); den == 0 {
+		den = 1
+	}
+	pr, row = make([]int64, w), make([]int64, w)
+	for j := range pr {
+		pr[j] = next()
+	}
+	for j := range row {
+		row[j] = next()
+	}
+	if pr[jc] == 0 {
+		pr[jc] = 1
+	}
+	return pr, row, den, jc
 }
 
-// FuzzWordArith checks each wordArith operation against math/big: the
-// result is the exact rational in lowest terms, or overflow is latched. It
-// also checks that subMul's small path returns what the checked path it
-// bypasses returns, overflow included. An input is three (num, den) pairs,
-// normalized to lowest terms with den > 0 (den 0 reads as 1); a pair that
-// does not fit a wordRat then (MinInt64/-1) is skipped.
+// rowOpBytes encodes an elimination for rowOpFromBytes, unshifted.
+func rowOpBytes(pr, row []int64, den int64, jc int) []byte {
+	var out []byte
+	for _, v := range append([]int64{int64(len(pr) - 1), int64(jc), den}, append(pr, row...)...) {
+		out = binary.LittleEndian.AppendUint64(append(out, 0), uint64(v))
+	}
+	return out
+}
+
+// elimOverflows is when eliminating row over den by the normalized pivot
+// row pr over pd must latch overflow: when the result row
+// a·row − b·pr over a·den, with f = row[jc], g = gcd(|f|, pd), a = pd/g
+// and b = f/g, has in lowest terms a value at or past wordLimit, all on
+// math/big.
+func elimOverflows(pr []int64, pd int64, row []int64, den int64, jc int) bool {
+	if row[jc] == 0 {
+		return false
+	}
+	f, d := big.NewInt(row[jc]), big.NewInt(pd)
+	g := new(big.Int).GCD(nil, nil, new(big.Int).Abs(f), d)
+	a, b := new(big.Int).Quo(d, g), new(big.Int).Quo(f, g)
+	vals := []*big.Int{new(big.Int).Mul(a, big.NewInt(den))}
+	common := new(big.Int).Set(vals[0])
+	for j := range row {
+		v := new(big.Int).Mul(a, big.NewInt(row[j]))
+		v.Sub(v, new(big.Int).Mul(b, big.NewInt(pr[j])))
+		vals = append(vals, v)
+		common.GCD(nil, nil, common, v)
+	}
+	limit := big.NewInt(wordLimit)
+	for _, v := range vals {
+		if new(big.Int).Quo(v, common).CmpAbs(limit) >= 0 {
+			return true
+		}
+	}
+	return false
+}
+
+// FuzzWordArith holds one row operation of the word tableau, normalize
+// then eliminate, to math/big: the pivot row it normalizes is pr/pr[jc] in
+// lowest terms, every value it leaves is the exact
+// row[j]/den − (row[jc]/den)·(pr[j]/pr[jc]) in bounds, in lowest terms
+// when the denominator passes reduceBound, and overflow latches exactly
+// when elimOverflows says the result does not fit in lowest terms. On the
+// same values it checks the word helpers lowest, gcd64 and cmpFrac.
 func FuzzWordArith(f *testing.F) {
-	const b, min, max = smallBound, math.MinInt64, math.MaxInt64
-	for _, s := range [][6]int64{
-		{b - 1, 1, b - 1, 1, b - 1, 1}, // integers at the small path's edge
-		{-b, 1, -b, 1, -b, 1},          // -B still takes the small path
-		{-(b - 1), 1, b - 1, 1, -(b - 1), 1},
-		{b, 1, 1, 1, 1, 1}, // +B takes the checked path
-		{1, 1, -b - 1, 1, 1, 1},
-		{1, b - 1, 1, b - 1, -1, b - 1}, // largest small denominators
-		{b - 1, b - 2, -(b - 3), b - 1, b - 5, b - 2},
-		{1, b, 1, 1, 1, 1}, // denominator B: checked
-		{1, 3, 1, 2, 1, b},
-		{6, 35, 2, 5, 3, 7},         // cancels to 0 on the small path
-		{6 * b, 35, 2 * b, 5, 3, 7}, // cancels to 0 on the checked path
-		{1, 6, 1, 2, 1, 3},          // cancels to 0 over a common denominator
-		{min, 1, 1, 1, 1, 1},
-		{min + 1, 1, -1, 1, 1, 1},
-		{min, 1, min, -1, 1, 1}, // MinInt64/-1 does not fit: skipped
-		{max, 1, -1, 1, 1, 1},
-		{max, 1, 1, max, max, 1},
-		{1, max, 1, max - 1, 1, max - 2},
-		{min + 1, max, max, min + 1, max - 1, 1},
-		{0, 0, 0, 0, 0, 0},
+	const lim = wordLimit - 1
+	for _, s := range []struct {
+		pr, row []int64
+		den     int64
+		jc      int
+	}{
+		{[]int64{1, 2, 0, 5}, []int64{3, 1, 4, 7}, 1, 0},                             // integral pivot row: a = 1
+		{[]int64{3, 1, 2, 7}, []int64{2, 5, 1, 9}, 1, 0},                             // a = 3, b = 2
+		{[]int64{-4, 2, 0, 6}, []int64{6, 1, 3, 0}, 5, 0},                            // negative pivot, reduced by 2
+		{[]int64{1 << 21, 1 << 22, 0, 3 << 21}, []int64{7, 1, 2, 3}, 1, 0},           // normalize reduces to 1
+		{[]int64{3, 1, 2, 0}, []int64{5, 10, 15, 20}, 1<<20 - 1, 0},                  // a = 3 takes den past reduceBound: 5 divides out
+		{[]int64{1031, 1, 0, 1}, []int64{1033, 1, 1, 5}, 1033, 0},                    // passes reduceBound, nothing to divide
+		{[]int64{3, 1, 0, 1}, []int64{1, 1, 1, 1}, 1 << 61, 0},                       // a·den past the limit, in lowest terms too
+		{[]int64{5, 1, 0, 1}, []int64{1, lim / 4, 1, 1}, 1, 0},                       // a·row past the limit, in lowest terms too
+		{[]int64{1, 1 << 40, 0, 1}, []int64{1 << 22, 5, 0, 1}, 1, 0},                 // b·pr past the limit, result 5 − 2^62 within
+		{[]int64{1, -1 << 40, 0, 1}, []int64{1 << 22, -lim, 0, 1}, 1, 0},             // b·pr past, result −1 within
+		{[]int64{1, lim, 0, 1}, []int64{1, lim, 0, 1}, 1, 0},                         // at the limit, exact: 0
+		{[]int64{-1, lim, -lim, 1}, []int64{-lim, lim, 1, -1}, 1, 0},                 // results past the limit
+		{[]int64{7, 0, 0, 0}, []int64{0, 1, 2, 3}, 9, 0},                             // nothing to eliminate
+		{[]int64{2, 4, 6, 8}, []int64{5, 1, 2, 3}, 7, 3},                             // pivot column last
+		{[]int64{3, 1, 0, 0}, []int64{2, 4, 8, 16}, 1 << 61, 0},                      // a·den past the limit, fits once reduced by 2
+		{[]int64{1, 1, 0, 0}, []int64{2, -(lim - 1), 0, 4}, 2, 0},                    // a result at the limit, fits once reduced by 2
+		{[]int64{6, 4, 2, 0}, []int64{1, 1, 1, 1}, 1, 0},                             // normalize reduces to 3
+		{[]int64{-3, 1, 2, 0}, []int64{-2, 0, 0, 5}, 11, 0},                          // negative pivot, a = 3
+		{[]int64{lim, 1, 0, 0}, []int64{1, 0, 0, 1}, 1, 0},                           // pivot element at the limit
+		{[]int64{1, 0, 0, 0, 0, 0, 0, 5}, []int64{2, 3, 5, 7, 11, 13, 17, 19}, 1, 0}, // widest row
+		{[]int64{5}, []int64{3}, 7, 0},                                               // one column
 	} {
-		f.Add(s[0], s[1], s[2], s[3], s[4], s[5])
+		f.Add(rowOpBytes(s.pr, s.row, s.den, s.jc))
 	}
-	f.Fuzz(func(t *testing.T, an, ad, fn, fd, pn, pd int64) {
-		var w [3]wordRat
-		var r [3]*big.Rat
-		for i, nd := range [3][2]int64{{an, ad}, {fn, fd}, {pn, pd}} {
-			if nd[1] == 0 {
-				nd[1] = 1
+	f.Fuzz(func(t *testing.T, data []byte) {
+		raw, row, den, jc := rowOpFromBytes(data)
+		want := make([]*big.Rat, len(row))
+		fv := big.NewRat(row[jc], den)
+		for j := range row {
+			q := big.NewRat(raw[j], raw[jc])
+			want[j] = q.Sub(big.NewRat(row[j], den), q.Mul(q, fv))
+		}
+
+		pr := slices.Clone(raw)
+		pd := normalize(pr, jc)
+		if pd < 1 || pd >= wordLimit || pr[jc] != pd {
+			t.Fatalf("normalize(%v, %d) = %v over %d", raw, jc, pr, pd)
+		}
+		g := uint64(pd)
+		for j := range pr {
+			if abs64(pr[j]) >= wordLimit || big.NewRat(pr[j], pd).Cmp(big.NewRat(raw[j], raw[jc])) != 0 {
+				t.Fatalf("normalize(%v, %d) = %v over %d", raw, jc, pr, pd)
 			}
-			r[i] = big.NewRat(nd[0], nd[1])
-			var ok bool
-			if w[i], ok = wordOf(r[i]); !ok {
-				t.Skip()
+			g = gcd64(abs64(pr[j]), g)
+		}
+		if g != 1 {
+			t.Fatalf("normalize(%v, %d) = %v over %d, not in lowest terms", raw, jc, pr, pd)
+		}
+
+		for j, v := range row {
+			r, p := big.NewRat(v, den), big.NewRat(pr[j], pd)
+			if got := lowest(v, den); got.num != r.Num().Int64() || got.den != r.Denom().Int64() {
+				t.Fatalf("lowest(%d, %d) = %v, want %v", v, den, got, r)
+			}
+			x, y := new(big.Int).SetUint64(abs64(v)), new(big.Int).SetUint64(abs64(raw[j]))
+			if got, want := gcd64(abs64(v), abs64(raw[j])), x.GCD(nil, nil, x, y); got != want.Uint64() {
+				t.Fatalf("gcd64(%d, %d) = %d, want %v", abs64(v), abs64(raw[j]), got, want)
+			}
+			if got, want := cmpFrac(v, den, pr[j], pd), r.Cmp(p); got != want {
+				t.Fatalf("cmpFrac(%d/%d, %d/%d) = %d, want %d", v, den, pr[j], pd, got, want)
 			}
 		}
-		a, fr, p := w[0], w[1], w[2]
-		check := func(name string, op func(k *wordArith) wordRat, want *big.Rat) {
-			k := &wordArith{}
-			got := op(k)
-			if k.overflow {
-				return
-			}
-			if ww, ok := wordOf(want); !ok || got != ww {
-				t.Fatalf("%s(%v, %v, %v) = %v, want %v", name, a, fr, p, got, want)
-			}
+
+		wt := &wordTableau{}
+		nz, prMax := wt.nonZeros(pr)
+		got, gotDen := slices.Clone(row), den
+		wt.eliminate(got, &gotDen, pr, pd, nz, prMax, jc)
+		if latch := elimOverflows(pr, pd, row, den, jc); wt.overflow != latch {
+			t.Fatalf("eliminate(%v/%d by %v/%d at %d): overflow %v, want %v", row, den, pr, pd, jc, wt.overflow, latch)
 		}
-		prod := new(big.Rat).Mul(r[1], r[2])
-		check("subMul", func(k *wordArith) wordRat { return k.subMul(a, fr, p) }, prod.Sub(r[0], prod))
-		check("add", func(k *wordArith) wordRat { return k.add(a, fr) }, new(big.Rat).Add(r[0], r[1]))
-		check("sub", func(k *wordArith) wordRat { return k.sub(a, fr) }, new(big.Rat).Sub(r[0], r[1]))
-		check("mul", func(k *wordArith) wordRat { return k.mul(a, fr) }, new(big.Rat).Mul(r[0], r[1]))
-		if fr.num != 0 {
-			check("quo", func(k *wordArith) wordRat { return k.quo(a, fr) }, new(big.Rat).Quo(r[0], r[1]))
+		if wt.overflow {
+			return
 		}
-		small, checked := &wordArith{}, &wordArith{}
-		got, want := small.subMul(a, fr, p), checked.addSub(a, checked.mul(fr, p), subOK)
-		if got != want || small.overflow != checked.overflow {
-			t.Fatalf("subMul(%v, %v, %v) = %v overflow=%v, checked path %v overflow=%v",
-				a, fr, p, got, small.overflow, want, checked.overflow)
+		if gotDen < 1 || gotDen >= wordLimit || got[jc] != 0 {
+			t.Fatalf("eliminate(%v/%d by %v/%d at %d) = %v/%d", row, den, pr, pd, jc, got, gotDen)
+		}
+		g = uint64(gotDen)
+		for j, v := range got {
+			if abs64(v) >= wordLimit || big.NewRat(v, gotDen).Cmp(want[j]) != 0 {
+				t.Fatalf("eliminate(%v/%d by %v/%d at %d) = %v/%d, want %v", row, den, pr, pd, jc, got, gotDen, want)
+			}
+			g = gcd64(abs64(v), g)
+		}
+		if gotDen != den && gotDen >= reduceBound && g != 1 {
+			t.Fatalf("eliminate(%v/%d by %v/%d at %d) = %v/%d, not reduced", row, den, pr, pd, jc, got, gotDen)
 		}
 	})
 }
@@ -403,7 +650,7 @@ func FuzzSolveExact(f *testing.F) {
 }
 
 // BenchmarkSolveExact is the arithmetic rung: the same exact simplex, same
-// pivots, on word-sized and on math/big rationals.
+// pivots, on the fraction-free word tableau and on math/big rationals.
 func BenchmarkSolveExact(b *testing.B) {
 	p, _ := randomFeasible(rand.New(rand.NewSource(7)), 120, 14)
 	for _, arm := range []struct {

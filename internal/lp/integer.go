@@ -23,15 +23,15 @@ const (
 
 // autoRatCells is the tableau-size threshold (rows × columns) below which
 // Auto uses the exact rational backend directly. On a Hydra-shaped 0/1
-// system (BenchmarkAblation_RationalVsFloat) an exact solve on word-sized
-// rationals costs about 2.2× a float64 one, and about 17× that if it has
-// to fall back to math/big; where vertices are fractional and every entry
-// carries a denominator (BenchmarkSolveExact) the word path is about 20×
-// faster than math/big (medians of five runs on a 2-vCPU x86-64 VM). The
-// threshold predates the word path and is kept because moving it changes
-// which backend solves which LP, and with that the vertices and every
-// summary digest; larger systems run in float64 and every integer answer
-// is re-verified exactly before acceptance.
+// system (BenchmarkAblation_RationalVsFloat) an exact solve on the
+// fraction-free word tableau costs about what a float64 one does (0.93×),
+// and about 26× that if it has to fall back to math/big; where vertices
+// are fractional and rows carry denominators (BenchmarkSolveExact) the
+// word path is about 64× faster than math/big (medians of five runs on a
+// 2-vCPU x86-64 VM). The threshold predates the word path and is kept
+// because moving it changes which backend solves which LP, and with that
+// the vertices and every summary digest; larger systems run in float64
+// and every integer answer is re-verified exactly before acceptance.
 const autoRatCells = 20_000
 
 // IntOptions configures SolveInteger.
@@ -131,7 +131,9 @@ func relax(p *Problem, b Backend, ws *Workspace) (relaxation, error) {
 type Workspace struct {
 	floats    []float64
 	floatRows [][]float64
-	words     []wordRat
+	nums      []int64
+	wordRows  [][]int64
+	dens      []int64
 	basis     []int
 	rels      []Rel
 	nz        []int

@@ -252,7 +252,7 @@ func TestVertexMatchesBigRat(t *testing.T) {
 		}
 		num := rng.Int63n(int64(1)<<uint(1+rng.Intn(62))) - rng.Int63n(int64(1)<<uint(1+rng.Intn(62)))
 		if g := int64(gcd64(abs64(num), uint64(den))); g > 1 {
-			num, den = num/g, den/g // lowest terms, as wordArith keeps them
+			num, den = num/g, den/g // lowest terms, as wordTableau.vertex gives them
 		}
 		words = append(words, wordRat{num, den})
 	}

@@ -5,8 +5,9 @@
 //
 //   - a dense simplex solver over exact rational arithmetic, Phase I
 //     feasibility + Phase II optimization, with Dantzig pricing and a
-//     Bland's-rule anti-cycling fallback; it runs on word-sized rationals
-//     and restarts a solve on math/big.Rat if an intermediate overflows;
+//     Bland's-rule anti-cycling fallback; it runs on a fraction-free
+//     tableau of machine words (int64 numerators over one denominator per
+//     row) and restarts a solve on math/big.Rat if a value outgrows them;
 //   - a float64 twin for large instances where exactness is not required;
 //   - a branch-and-bound layer that produces non-negative *integer*
 //     solutions (SolveInteger), the form every Hydra LP needs;

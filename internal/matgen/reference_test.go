@@ -154,7 +154,7 @@ func TestSpanPathMatchesReference(t *testing.T) {
 							for lo := first; lo < n; lo += chunk {
 								it := g.Spans(lo+1, min(chunk, n-lo))
 								for sp, ok := it.Next(); ok; sp, ok = it.Next() {
-									got = enc.AppendSpan(got, sp)
+									got = appendSpan(t, enc, got, sp)
 								}
 							}
 							if string(got) != string(want) {

@@ -325,7 +325,9 @@ func (sp *StreamPlan) Run(ctx context.Context, w io.Writer) (*StreamReport, erro
 				return rep, err
 			}
 			t0 := time.Now()
-			*buf = encodeChunk(t, enc, (*buf)[:0], lo, hi, p.filt)
+			if *buf, err = encodeChunk(t, enc, (*buf)[:0], lo, hi, p.filt); err != nil {
+				return rep, err
+			}
 			enc0 := time.Since(t0)
 			mEncodeSeconds.AddDuration(enc0)
 			rep.EncodeSeconds += enc0.Seconds()

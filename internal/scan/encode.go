@@ -78,7 +78,10 @@ func EncodeScan(w io.Writer, sc *Scan, name string) (int64, error) {
 				row[l.Idx[c]] = col[i]
 			}
 			sp.Start, sp.N = row[0], int64(j-i)
-			buf = enc.AppendSpan(buf, sp)
+			var err error
+			if buf, err = enc.AppendSpan(buf, sp); err != nil {
+				return rows, err
+			}
 			i = j
 		}
 		if len(buf) > 0 {

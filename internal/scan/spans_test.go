@@ -17,6 +17,16 @@ import (
 
 func spansEncoder(testing.TB) format.Encoder { return format.Spans.NewEncoder(format.Layout{}) }
 
+// appendSpan is enc.AppendSpan of a span the test knows to be writable.
+func appendSpan(t testing.TB, enc format.Encoder, dst []byte, sp tuplegen.Span) []byte {
+	t.Helper()
+	dst, err := enc.AppendSpan(dst, sp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return dst
+}
+
 // rawFrame wraps body the way the spans encoder does — length prefix and
 // a valid CRC-32C — so a test can hand the decoder well-sealed nonsense.
 func rawFrame(body []byte) []byte {
@@ -87,7 +97,7 @@ func TestSpanFrameRoundTrip(t *testing.T) {
 			var wire []byte
 			it := g.Spans(rng[0], rng[1])
 			for sp, ok := it.Next(); ok; sp, ok = it.Next() {
-				wire = enc.AppendSpan(wire, sp)
+				wire = appendSpan(t, enc, wire, sp)
 			}
 			d := format.NewSpanDecoder(g.NumCols(), rng[0]-1, rng[0]-1+rng[1], false)
 			d.Read(bytes.NewReader(wire))
@@ -199,7 +209,7 @@ func TestSpanDecoderRejects(t *testing.T) {
 // proxy's corrupt fault writes) gets a run delivered.
 func TestSpanFrameDetectsDamage(t *testing.T) {
 	enc := spansEncoder(t)
-	wire := enc.AppendSpan(nil, tuplegen.Span{
+	wire := appendSpan(t, enc, nil, tuplegen.Span{
 		Start: 3002, N: 2500, Off: 17, Vals: []int64{-8, 0}, FKs: []int64{901}, FKSpans: []int64{613},
 	})
 	try := func(what string, damaged []byte) {
@@ -245,14 +255,14 @@ func FuzzSpanFrames(f *testing.F) {
 		if span >= 1 {
 			sp.FKSpans = []int64{span}
 		}
-		wire := enc.AppendSpan(nil, sp)
+		wire := appendSpan(t, enc, nil, sp)
 		d := format.NewSpanDecoder(4, start-1, start-1+n, false)
 		d.Read(bytes.NewReader(wire))
 		got, err := d.Next()
 		if err != nil {
 			t.Fatalf("decoding the encoder's own frame for %+v: %v", sp, err)
 		}
-		if again := enc.AppendSpan(nil, *got); !bytes.Equal(again, wire) {
+		if again := appendSpan(t, enc, nil, *got); !bytes.Equal(again, wire) {
 			t.Fatalf("not a fixed point: %+v → %x → %+v → %x", sp, wire, got, again)
 		}
 		sp.N, got.N = min(n, 64), min(n, 64)

@@ -21,7 +21,7 @@ type (
 	MaterializeReport = matgen.Report
 )
 
-// Materialize generates the summary's relations into the configured sink
+// Materialize generates the summary's relations as files in opts.Format
 // using a deterministic sharded worker pool — the static regeneration
 // path at scale (§2's "materialized database", industrialized).
 func Materialize(s *Summary, opts MaterializeOptions) (*MaterializeReport, error) {
