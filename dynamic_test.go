@@ -19,6 +19,7 @@ import (
 	"github.com/dsl-repro/hydra/internal/preprocess"
 	"github.com/dsl-repro/hydra/internal/scan"
 	"github.com/dsl-repro/hydra/internal/serve"
+	"github.com/dsl-repro/hydra/internal/summary"
 	"github.com/dsl-repro/hydra/internal/workload/job"
 	"github.com/dsl-repro/hydra/internal/workload/tpcds"
 )
@@ -380,9 +381,10 @@ func buildPinnedInputs() ([]pinnedInput, error) {
 // rows.
 type solverPath struct{ pivots, nodes, vars, rows int }
 
-// solveViews runs the views of in through core.SolveViews, as Regenerate
-// does, and sums their solver stats.
-func solveViews(t testing.TB, in pinnedInput) solverPath {
+// solvedViews runs the views of in through core.SolveViews with no
+// per-view continuation and returns the views and their solutions, keyed
+// by table name.
+func solvedViews(t testing.TB, in pinnedInput) (map[string]*preprocess.View, map[string]*core.ViewSolution) {
 	t.Helper()
 	views, err := preprocess.BuildViews(in.s, in.w)
 	if err != nil {
@@ -396,10 +398,22 @@ func solveViews(t testing.TB, in pinnedInput) solverPath {
 	for i, tab := range order {
 		ordered[i] = views[tab.Name]
 	}
-	sols, err := core.SolveViews(context.Background(), ordered, core.Options{})
+	solved, err := core.SolveViews(context.Background(), ordered, core.Options{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
+	sols := make(map[string]*core.ViewSolution, len(order))
+	for i, tab := range order {
+		sols[tab.Name] = solved[i]
+	}
+	return views, sols
+}
+
+// solveViews runs the views of in through core.SolveViews, as Regenerate
+// does, and sums their solver stats.
+func solveViews(t testing.TB, in pinnedInput) solverPath {
+	t.Helper()
+	_, sols := solvedViews(t, in)
 	var sp solverPath
 	for _, sol := range sols {
 		sp.pivots += sol.Stats.Pivots
@@ -418,13 +432,18 @@ func solveViews(t testing.TB, in pinnedInput) solverPath {
 func TestSolverPathPinned(t *testing.T) {
 	// Cut before the vertex decisions of branch and bound left *big.Rat
 	// and tableau memory outlived one SolveInteger call; the sums are the
-	// benchmark's traced counts (lp.pivots 4 574, lp.bb_nodes 678,
+	// benchmark's traced counts (lp.pivots 4 180, lp.bb_nodes 584,
 	// core.lp_vars 7 566, core.lp_rows 2 681). Pivots were re-cut when the
 	// groups found infeasible began to count theirs (Σ 4 385 before).
+	// Pivots and nodes were re-cut again when a merge pass began to keep
+	// the groups it did not touch instead of solving them again; vars and
+	// rows did not move. Before → after: WLs-90 789 → 557 pivots, 250 →
+	// 180 nodes; WLc-55 1 425 → 1 344, 186 → 174; WLc-55-x1e11 1 309 →
+	// 1 228, 184 → 172; JOB-30 unchanged (Σ 4 574 → 4 180, 678 → 584).
 	want := map[string]solverPath{
-		"WLs-90":       {pivots: 789, nodes: 250, vars: 651, rows: 551},
-		"WLc-55":       {pivots: 1425, nodes: 186, vars: 2189, rows: 819},
-		"WLc-55-x1e11": {pivots: 1309, nodes: 184, vars: 2189, rows: 819},
+		"WLs-90":       {pivots: 557, nodes: 180, vars: 651, rows: 551},
+		"WLc-55":       {pivots: 1344, nodes: 174, vars: 2189, rows: 819},
+		"WLc-55-x1e11": {pivots: 1228, nodes: 172, vars: 2189, rows: 819},
 		"JOB-30":       {pivots: 1051, nodes: 58, vars: 2537, rows: 492},
 	}
 	for _, in := range pinnedInputs(t) {
@@ -459,6 +478,35 @@ func TestRegeneratePinnedDigests(t *testing.T) {
 		}
 		if d != digests[in.name] {
 			t.Errorf("%s: summary digest %s, want %s", in.name, d, digests[in.name])
+		}
+	}
+}
+
+// TestPipelinedSummaryMatchesBuild: Regenerate aligns each view on the
+// worker that solved it and then assembles the summary; summary.Build
+// over core.SolveViews' solutions does the same steps one after another.
+// Both give one digest on each of the four summarize inputs.
+func TestPipelinedSummaryMatchesBuild(t *testing.T) {
+	for _, in := range pinnedInputs(t) {
+		res, err := hydra.Regenerate(in.s, in.w, hydra.Config{})
+		if err != nil {
+			t.Fatalf("%s: %v", in.name, err)
+		}
+		views, sols := solvedViews(t, in)
+		sum, err := summary.Build(in.s, views, sols)
+		if err != nil {
+			t.Fatalf("%s: %v", in.name, err)
+		}
+		pipelined, err := serve.SummaryDigest(res.Summary)
+		if err != nil {
+			t.Fatal(err)
+		}
+		serial, err := serve.SummaryDigest(sum)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if pipelined != serial {
+			t.Errorf("%s: Regenerate's summary digest %s, summary.Build's %s", in.name, pipelined, serial)
 		}
 	}
 }

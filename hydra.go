@@ -110,7 +110,9 @@ func Regenerate(s *Schema, w *Workload, cfg Config) (*Result, error) {
 // progress — so a timed-out regeneration returns the context's error
 // promptly instead of finishing a run nobody will read.
 //
-// The per-view LPs are solved concurrently on GOMAXPROCS workers. The
+// The per-view LPs are solved concurrently on GOMAXPROCS workers, and
+// each worker aligns and merges the views it solved into view summaries
+// (summary.BuildView) before the summary is assembled from them. The
 // summary does not depend on the worker count, and when views fail the
 // error is the one of the first failing view in topological order.
 func RegenerateContext(ctx context.Context, s *Schema, w *Workload, cfg Config) (*Result, error) {
@@ -134,18 +136,24 @@ func RegenerateContext(ctx context.Context, s *Schema, w *Workload, cfg Config) 
 	for i, t := range order {
 		ordered[i] = views[t.Name]
 	}
-	solved, err := core.SolveViews(ctx, ordered, opts)
+	built := make([]*summary.ViewSummary, len(ordered))
+	solved, err := core.SolveViews(ctx, ordered, opts, func(i int, sol *core.ViewSolution) (err error) {
+		built[i], err = summary.BuildView(ordered[i], sol)
+		return err
+	})
 	if err != nil {
 		return nil, fmt.Errorf("hydra: %w", err)
 	}
-	sols := make(map[string]*core.ViewSolution, len(views))
+	vsums := make(map[string]*summary.ViewSummary, len(order))
+	stats := make(map[string]core.ViewStats, len(order))
 	res := &Result{Views: views}
 	for i, t := range order {
-		sols[t.Name] = solved[i]
+		vsums[t.Name] = built[i]
+		stats[t.Name] = solved[i].Stats
 		res.TotalVars += solved[i].Stats.Vars
 		res.SolveTime += solved[i].Stats.SolveTime
 	}
-	sum, err := summary.Build(s, views, sols)
+	sum, err := summary.BuildFromViewSummaries(s, views, vsums, stats)
 	if err != nil {
 		return nil, fmt.Errorf("hydra: %w", err)
 	}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"maps"
 	"slices"
 	"testing"
 
@@ -428,6 +429,84 @@ func chainView(t *testing.T) *preprocess.View {
 		t.Fatal(err)
 	}
 	return views["G"]
+}
+
+// branchView builds a view whose clique tree has two branches under the
+// root {x,a}: {a,c} alone, and {x,y} with its children {y,d} and {y,b}.
+// The root's and {x,y}'s LPs have twin regions, whose mass goes to the
+// first of them, so {x,y} alone leaves y ∈ [3,5] empty while {y,b} needs
+// 30 tuples there: {y,b} fails and the pass merges it into {x,y}'s group.
+// The merge changes the y marginals {y,d} read, and nothing the {a,c}
+// branch reads.
+func branchView(t *testing.T) *preprocess.View {
+	t.Helper()
+	var cols []schema.Column
+	for _, c := range []string{"x", "a", "c", "y", "d", "b"} {
+		cols = append(cols, schema.Column{Name: c, Min: 0, Max: 9})
+	}
+	s := schema.MustNew(&schema.Table{Name: "W", Cols: cols, RowCount: 100})
+	pair := func(c1, c2 string, r1, r2 pred.Interval, n int64) cc.CC {
+		return cc.CC{Root: "W", Attrs: []schema.AttrRef{{Table: "W", Col: c1}, {Table: "W", Col: c2}},
+			Pred:  pred.DNF{Terms: []pred.Conjunct{pred.NewConjunct().With(0, pred.Range(r1.Lo, r1.Hi)).With(1, pred.Range(r2.Lo, r2.Hi))}},
+			Count: n, Name: c1 + c2 + fmt.Sprint(r1.Lo)}
+	}
+	lo, hi := pred.Interval{Lo: 0, Hi: 4}, pred.Interval{Lo: 5, Hi: 9}
+	w := &cc.Workload{CCs: []cc.CC{
+		{Root: "W", Pred: pred.True(), Count: 100, Name: "total"},
+		pair("x", "a", hi, lo, 50),
+		pair("a", "c", lo, lo, 20),
+		pair("x", "y", lo, pred.Interval{Lo: 0, Hi: 5}, 40),
+		pair("y", "b", pred.Interval{Lo: 0, Hi: 2}, lo, 30),
+		pair("y", "b", pred.Interval{Lo: 3, Hi: 5}, lo, 30),
+		pair("y", "b", pred.Interval{Lo: 6, Hi: 9}, lo, 30),
+		pair("y", "d", pred.Interval{Lo: 6, Hi: 9}, lo, 10),
+	}}
+	views, err := preprocess.BuildViews(s, w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return views["W"]
+}
+
+// TestSequentialKeepsUntouchedBranch: the pass after a merge solves only
+// the merged group; the root and the other branch keep their solutions,
+// and the counts the view ends with satisfy its joint LP exactly.
+func TestSequentialKeepsUntouchedBranch(t *testing.T) {
+	f := Formulate(branchView(t))
+	// Sub-views in merge order: {x,a}, {x,y}, {a,c}, {y,d}, {y,b}.
+	parent := map[int]int{}
+	for _, e := range f.edges {
+		parent[e.child] = e.parent
+	}
+	if want := map[int]int{1: 0, 2: 0, 3: 1, 4: 1}; !maps.Equal(parent, want) || !slices.Equal(f.cliques[2], []int{1, 2}) || !slices.Equal(f.cliques[4], []int{3, 5}) {
+		t.Fatalf("clique tree %v with parents %v; want {a,c} (2) and {x,y} (1) under the root, {y,d} (3) and {y,b} (4) under {x,y}", f.cliques, parent)
+	}
+	sol, err := f.SolveSequential(Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := sol.Stats
+	if st.SequentialFallback || st.SequentialMerges != 1 || st.SequentialPasses != 2 {
+		t.Fatalf("merges=%d passes=%d fallback=%t; want one merge of {y,b} into {x,y}", st.SequentialMerges, st.SequentialPasses, st.SequentialFallback)
+	}
+	// Pass 1 holds four groups: the root and {a,c} keep their solutions,
+	// the merged group and {y,d}, which reads it, are solved again.
+	if st.KeptGroups != 2 {
+		t.Fatalf("kept %d groups in pass 1, want the root and {a,c}", st.KeptGroups)
+	}
+	x := make([]int64, f.numVars)
+	for si, sv := range sol.SubViews {
+		count := map[string]int64{}
+		for _, r := range sv.Rows {
+			count[fmt.Sprint(r.Rep)] = r.Count
+		}
+		for ri, r := range f.regions[si] {
+			x[f.varBase[si]+ri] = count[fmt.Sprint(r.Rep())]
+		}
+	}
+	if viol := f.Problem().CheckInt(x); viol != "" {
+		t.Fatalf("the counts break the joint LP: %s", viol)
+	}
 }
 
 // The LP of a sequential group must not depend on map iteration order: the

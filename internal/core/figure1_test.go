@@ -59,7 +59,7 @@ func TestFigure1Backends(t *testing.T) {
 	}
 
 	for _, backend := range []lp.Backend{lp.Auto, lp.Rational, lp.Float} {
-		solved, err := core.SolveViews(context.Background(), ordered, core.Options{Backend: backend})
+		solved, err := core.SolveViews(context.Background(), ordered, core.Options{Backend: backend}, nil)
 		if err != nil {
 			t.Fatalf("backend %v: %v", backend, err)
 		}

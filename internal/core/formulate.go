@@ -9,6 +9,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"math/bits"
 	"os"
 	"slices"
 	"sort"
@@ -93,6 +94,12 @@ type ViewStats struct {
 	// SequentialMerges counts sub-view group fusions performed by the
 	// sequential solver before it converged.
 	SequentialMerges int
+	// SequentialPasses counts the sequential solver's passes over the
+	// groups (one more than its merges once it converges).
+	SequentialPasses int
+	// KeptGroups counts the groups a pass carried over from an earlier
+	// one instead of solving them again, summed over passes.
+	KeptGroups int
 }
 
 // ViewSolution is the complete solved view: its sub-views in merge order
@@ -109,8 +116,7 @@ type ViewSolution struct {
 // Formulation is the intermediate LP form, exposed so the experiment
 // harness can report complexity (Fig. 12/13) without solving.
 type Formulation struct {
-	View    *preprocess.View
-	Problem *lp.Problem
+	View *preprocess.View
 	// cliques[i] lists view-attr ids of sub-view i, sorted; order follows
 	// the clique-tree preorder.
 	cliques [][]int
@@ -118,14 +124,50 @@ type Formulation struct {
 	// contiguously per sub-view starting at varBase[i].
 	regions [][]partition.Region
 	varBase []int
-	// ccBits[i] maps position j of sub-view i's label bitset to the
-	// index of the ViewCC it encodes, or -1 for marker constraints.
-	ccBits [][]int
+	numVars int
+	// ccRows[i] are sub-view i's CC rows, one per in-scope CC in label-bit
+	// order; every LP of the view, joint or group, is assembled from them.
+	ccRows [][]ccRow
 	// edges lists clique-tree edges as (child, parent) positions in
 	// preorder, with the shared attributes (separator) and its atom cells.
 	edges []svEdge
 	atoms map[int][]pred.Interval
-	Stats ViewStats
+	// problem is the joint LP, built by Problem on first use.
+	problem *lp.Problem
+	Stats   ViewStats
+}
+
+// ccRow is one CC row of a sub-view: the index of the ViewCC it encodes
+// and the sub-view's regions (local indices, ascending) whose label
+// carries the CC.
+type ccRow struct {
+	cc      int
+	regions []int
+}
+
+// labelRows makes a sub-view's CC rows in one pass over its region labels:
+// each region joins the row of every CC bit its label sets. ccIdx maps a
+// label bit to the CC it encodes, or -1 for marker constraints.
+func labelRows(regions []partition.Region, ccIdx []int) []ccRow {
+	var rows []ccRow
+	at := make([]int, len(ccIdx)) // label bit → its row, or -1
+	for bit, ci := range ccIdx {
+		at[bit] = -1
+		if ci != -1 {
+			at[bit] = len(rows)
+			rows = append(rows, ccRow{cc: ci})
+		}
+	}
+	for ri, r := range regions {
+		for w, word := range r.Label {
+			for ; word != 0; word &= word - 1 {
+				if bit := w*64 + bits.TrailingZeros64(word); bit < len(at) && at[bit] != -1 {
+					rows[at[bit]].regions = append(rows[at[bit]].regions, ri)
+				}
+			}
+		}
+	}
+	return rows
 }
 
 // svEdge is a clique-tree edge in preorder positions.
@@ -154,17 +196,16 @@ type sepCell struct {
 	child, parent []int
 }
 
-// balance is the cell's child mass minus its parent mass as row entries,
-// given the variable id of each side's first region.
-func (c sepCell) balance(childBase, parentBase int) []lp.Entry {
-	entries := make([]lp.Entry, 0, len(c.child)+len(c.parent))
+// appendBalance appends the cell's child mass minus its parent mass as
+// row entries, given the variable id of each side's first region.
+func (c sepCell) appendBalance(dst []lp.Entry, childBase, parentBase int) []lp.Entry {
 	for _, ri := range c.child {
-		entries = append(entries, lp.Entry{Var: childBase + ri, Coef: 1})
+		dst = append(dst, lp.Entry{Var: childBase + ri, Coef: 1})
 	}
 	for _, ri := range c.parent {
-		entries = append(entries, lp.Entry{Var: parentBase + ri, Coef: -1})
+		dst = append(dst, lp.Entry{Var: parentBase + ri, Coef: -1})
 	}
-	return entries
+	return dst
 }
 
 // Strategy partitions one sub-view's domain into labeled regions. Hydra
@@ -262,13 +303,13 @@ func subViewInputs(v *preprocess.View) ([]SubViewInput, decomposed, map[int][]pr
 	// painful we TRY the merged form under a budget proportional to that
 	// floor and keep whichever side succeeds.
 	if MergeFloorThreshold > 0 {
-		if floor := regionFloor(cliques, occur, atoms); floor > MergeFloorThreshold {
+		if floor := regionFloor(cliques, occur, atoms); floor > int64(MergeFloorThreshold) {
 			comps := g.Components()
-			budget := 4 * floor
-			if budget > partition.DefaultMaxBlocks {
-				budget = partition.DefaultMaxBlocks
+			budget := int64(partition.DefaultMaxBlocks)
+			if floor < budget/4 {
+				budget = 4 * floor
 			}
-			if mergedComponentsViable(v, ccAttrs, comps, budget) {
+			if mergedComponentsViable(v, ccAttrs, comps, int(budget)) {
 				tree = forestDecomposed(comps)
 				cliques = comps
 				occur, atoms = sharedAtoms(v, cliques)
@@ -305,9 +346,12 @@ func subViewInputs(v *preprocess.View) ([]SubViewInput, decomposed, map[int][]pr
 }
 
 // FormulateWith is Formulate parameterized by the partitioning strategy.
+// It partitions every sub-view and makes its CC rows and the consistency
+// cells of its clique-tree edge; the joint LP is built from those only if
+// Problem, Solve or SolveSequential's joint fallback asks for it.
 func FormulateWith(v *preprocess.View, strat Strategy) (*Formulation, error) {
 	inputs, tree, atoms := subViewInputs(v)
-	f := &Formulation{View: v, Problem: &lp.Problem{}, atoms: atoms}
+	f := &Formulation{View: v, atoms: atoms}
 	f.Stats.FillEdges = tree.fill
 	f.Stats.SubViews = len(inputs)
 
@@ -317,47 +361,25 @@ func FormulateWith(v *preprocess.View, strat Strategy) (*Formulation, error) {
 	}
 	f.cliques = cliques
 
-	// Partition each sub-view.
+	// Partition each sub-view. A CC is encoded in every sub-view covering
+	// it (§4: "every CC that is within its scope"); redundant copies stay
+	// consistent through the marginal rows.
 	for _, in := range inputs {
 		regions, err := strat(in.Space, in.Cons)
 		if err != nil {
 			return nil, fmt.Errorf("core: view %s sub-view %v: %w", v.Table.Name, in.Attrs, err)
 		}
-		f.varBase = append(f.varBase, f.Problem.NumVars)
-		f.Problem.NumVars += len(regions)
+		f.varBase = append(f.varBase, f.numVars)
+		f.numVars += len(regions)
 		f.regions = append(f.regions, regions)
-		f.ccBits = append(f.ccBits, in.CCIdx)
+		rows := labelRows(regions, in.CCIdx)
+		f.ccRows = append(f.ccRows, rows)
+		f.Stats.CCRows += len(rows)
 	}
-	f.Stats.Vars = f.Problem.NumVars
+	f.Stats.Vars = f.numVars
 
-	// CC rows: a CC is encoded in every sub-view covering it (§4: "every
-	// CC that is within its scope"); redundant copies stay consistent
-	// through the marginal rows below.
-	for si := range cliques {
-		for bit, ci := range f.ccBits[si] {
-			if ci == -1 {
-				continue
-			}
-			var vars []int
-			for ri, r := range f.regions[si] {
-				if r.Label.Has(bit) {
-					vars = append(vars, f.varBase[si]+ri)
-				}
-			}
-			f.Problem.AddEq(vars, v.CCs[ci].Count, fmt.Sprintf("%s@sv%d", v.CCs[ci].Name, si))
-			f.Stats.CCRows++
-		}
-	}
-	// Per-sub-view totals.
-	for si := range cliques {
-		vars := make([]int, len(f.regions[si]))
-		for ri := range vars {
-			vars[ri] = f.varBase[si] + ri
-		}
-		f.Problem.AddEq(vars, v.Total, fmt.Sprintf("total@sv%d", si))
-	}
-	// Consistency rows along clique-tree edges: equate atom-cell marginals
-	// over the separator.
+	// Consistency cells along clique-tree edges: atom-cell marginals over
+	// the separator.
 	for oi, ci := range tree.t.Order {
 		pi := tree.t.Parent[ci]
 		if pi == -1 {
@@ -372,14 +394,47 @@ func FormulateWith(v *preprocess.View, strat Strategy) (*Formulation, error) {
 		}
 		e := svEdge{child: childPos, parent: parentPos, sep: sep, cells: f.sepCells(childPos, parentPos, sep)}
 		f.edges = append(f.edges, e)
-		for _, c := range e.cells {
-			f.Problem.AddRow(lp.Row{Entries: c.balance(f.varBase[childPos], f.varBase[parentPos]), Rel: lp.EQ, RHS: 0,
-				Name: fmt.Sprintf("cons@sv%d~sv%d:%x", childPos, parentPos, c.key)})
-			f.Stats.ConsistencyRows++
+		f.Stats.ConsistencyRows += len(e.cells)
+	}
+	// CC rows, one total per sub-view, consistency rows.
+	f.Stats.Rows = f.Stats.CCRows + len(cliques) + f.Stats.ConsistencyRows
+	return f, nil
+}
+
+// Problem returns the view's joint LP: every sub-view's CC rows, then its
+// total, then the consistency rows of every clique-tree edge. It is built
+// on first use; the sequential solver reads it only when it falls back to
+// the joint solve.
+func (f *Formulation) Problem() *lp.Problem {
+	if f.problem != nil {
+		return f.problem
+	}
+	v := f.View
+	p := &lp.Problem{NumVars: f.numVars, Rows: make([]lp.Row, 0, f.Stats.Rows)}
+	for si, rows := range f.ccRows {
+		for _, r := range rows {
+			entries := make([]lp.Entry, len(r.regions))
+			for i, ri := range r.regions {
+				entries[i] = lp.Entry{Var: f.varBase[si] + ri, Coef: 1}
+			}
+			p.AddRow(lp.Row{Entries: entries, Rel: lp.EQ, RHS: v.CCs[r.cc].Count, Name: fmt.Sprintf("%s@sv%d", v.CCs[r.cc].Name, si)})
 		}
 	}
-	f.Stats.Rows = len(f.Problem.Rows)
-	return f, nil
+	for si := range f.cliques {
+		vars := make([]int, len(f.regions[si]))
+		for ri := range vars {
+			vars[ri] = f.varBase[si] + ri
+		}
+		p.AddEq(vars, v.Total, fmt.Sprintf("total@sv%d", si))
+	}
+	for _, e := range f.edges {
+		for _, c := range e.cells {
+			p.AddRow(lp.Row{Entries: c.appendBalance(nil, f.varBase[e.child], f.varBase[e.parent]), Rel: lp.EQ, RHS: 0,
+				Name: fmt.Sprintf("cons@sv%d~sv%d:%x", e.child, e.parent, c.key)})
+		}
+	}
+	f.problem = p
+	return p
 }
 
 // sepCells buckets both ends of a clique-tree edge by atom cell over sep.
@@ -544,15 +599,16 @@ func mergedComponentsViable(v *preprocess.View, ccAttrs, comps [][]int, budget i
 
 // regionFloor lower-bounds the total region count of a decomposition: each
 // clique needs at least one region per combination of consistency atoms
-// over its shared dimensions.
-func regionFloor(cliques [][]int, occur []int, atoms map[int][]pred.Interval) int {
+// over its shared dimensions. The count saturates at 2⁴⁰, so it is an
+// int64 on every architecture.
+func regionFloor(cliques [][]int, occur []int, atoms map[int][]pred.Interval) int64 {
 	const cap = 1 << 40
-	total := 0
+	var total int64
 	for _, cl := range cliques {
-		f := 1
+		var f int64 = 1
 		for _, a := range cl {
 			if occur[a] > 1 {
-				f *= len(atoms[a])
+				f *= int64(len(atoms[a]))
 				if f > cap {
 					return cap
 				}
@@ -604,7 +660,7 @@ func (f *Formulation) Solve(opts Options) (*ViewSolution, error) {
 
 func (f *Formulation) solveVector(opts Options) ([]int64, error) {
 	ws, done := opts.workspace()
-	sol, err := lp.SolveInteger(f.Problem, lp.IntOptions{Backend: opts.Backend, Workspace: ws})
+	sol, err := lp.SolveInteger(f.Problem(), lp.IntOptions{Backend: opts.Backend, Workspace: ws})
 	done()
 	if err == nil {
 		f.Stats.Nodes, f.Stats.Pivots = sol.Nodes, sol.Pivots
@@ -617,7 +673,7 @@ func (f *Formulation) solveVector(opts Options) ([]int64, error) {
 	if opts.NoSoftFallback {
 		return nil, fmt.Errorf("core: view %s: %w", f.View.Table.Name, err)
 	}
-	soft, serr := lp.SolveSoft(f.Problem, opts.Backend)
+	soft, serr := lp.SolveSoft(f.Problem(), opts.Backend)
 	if serr != nil {
 		return nil, fmt.Errorf("core: view %s: hard solve failed (%v) and soft solve failed: %w", f.View.Table.Name, err, serr)
 	}

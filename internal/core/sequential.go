@@ -1,8 +1,10 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"os"
+	"slices"
 	"time"
 
 	"github.com/dsl-repro/hydra/internal/lp"
@@ -25,6 +27,12 @@ var traceSequential = os.Getenv("HYDRA_TRACE") != ""
 // into a single group, which is exactly the joint LP; in practice groups
 // stay tiny and wide fact views solve in milliseconds instead of minutes.
 // The trade-off is measured by BenchmarkAblation_JointVsSequential.
+//
+// A pass keeps the solution of a group whose members did not change and
+// whose parent group (the one it reads separator marginals from) still
+// holds the solution it read: the group's LP is the same as when it was
+// solved, and so is its vertex. Only the groups a merge touched, and the
+// ones below them, are solved again.
 func (f *Formulation) SolveSequential(opts Options) (*ViewSolution, error) {
 	elapsed := stopwatch()
 	n := len(f.cliques)
@@ -34,13 +42,16 @@ func (f *Formulation) SolveSequential(opts Options) (*ViewSolution, error) {
 	}
 
 	// Parent edge per sub-view position (preorder ⇒ parent solved first).
-	parentEdge := make(map[int]svEdge, len(f.edges))
-	for _, e := range f.edges {
-		parentEdge[e.child] = e
+	parentEdge := make([]*svEdge, n)
+	for i := range f.edges {
+		parentEdge[f.edges[i].child] = &f.edges[i]
 	}
 
 	// group[i] is the group root of sub-view i (union-find with path
 	// halving; roots are the smallest preorder position in the group).
+	// Groups only ever fuse a group with its parent's, so each is a
+	// connected subtree whose root is its top: only the root has a parent
+	// outside the group, and that parent's group has a smaller root.
 	group := make([]int, n)
 	for i := range group {
 		group[i] = i
@@ -52,19 +63,22 @@ func (f *Formulation) SolveSequential(opts Options) (*ViewSolution, error) {
 		}
 		return i
 	}
-	union := func(a, b int) {
-		ra, rb := find(a), find(b)
-		if ra > rb {
-			ra, rb = rb, ra
-		}
-		group[rb] = ra
-	}
 
+	// solved[r] numbers the solution group r holds (0: none), and read[r]
+	// is the number of the parent group's solution it was solved against.
+	solved, read := make([]int, n), make([]int, n)
+	serial := 0
 	nodesTotal, pivotsTotal := 0, 0
 	counts := make([][]int64, n)
-	// One tableau memory for every group and merge pass of the view.
+	members := make([][]int, n)
+	// One tableau memory and one row buffer for every group and merge
+	// pass of the view.
 	ws, done := opts.workspace()
 	defer done()
+	b := groupLP{base: make([]int, n)}
+	for i := range b.base {
+		b.base[i] = -1
+	}
 
 	const maxPasses = 64 // ≥ n merges can never be needed; belt and braces
 	for pass := 0; ; pass++ {
@@ -78,31 +92,44 @@ func (f *Formulation) SolveSequential(opts Options) (*ViewSolution, error) {
 			vs.Stats.SequentialFallback = true
 			return vs, nil
 		}
-		members := make(map[int][]int, n)
+		f.Stats.SequentialPasses++
+		for i := range members {
+			members[i] = members[i][:0]
+		}
 		for i := 0; i < n; i++ {
 			r := find(i)
 			members[r] = append(members[r], i)
 		}
 		failedAt := -1
-		for root := 0; root < n && failedAt == -1; root++ {
-			ms, ok := members[root]
-			if !ok {
+		var failure error
+		for root := 0; root < n; root++ {
+			ms := members[root]
+			if len(ms) == 0 {
+				continue
+			}
+			in := 0 // the parent group's solution this group reads
+			if e := parentEdge[root]; e != nil {
+				in = solved[find(e.parent)]
+			}
+			if solved[root] != 0 && read[root] == in {
+				f.Stats.KeptGroups++
 				continue
 			}
 			gElapsed := stopwatch()
-			sol, err := f.solveGroup(ms, parentEdge, counts, opts, ws)
+			sol, err := f.solveGroup(&b, ms, parentEdge, counts, opts, ws)
 			if traceSequential {
-				nv := 0
-				for _, m := range ms {
-					nv += len(f.regions[m])
-				}
-				fmt.Fprintln(os.Stderr, groupTrace(f.View.Table.Name, pass, root, len(ms), nv, sol, err, gElapsed()))
+				fmt.Fprintln(os.Stderr, groupTrace(f.View.Table.Name, pass, root, len(ms), b.prob.NumVars, sol, err, gElapsed()))
 			}
 			if sol != nil {
 				pivotsTotal += sol.Pivots // a failed group's solve pivoted too
 			}
-			if err != nil || !sol.Exact {
+			if err == nil && !sol.Exact {
+				err = errInexact
+			}
+			if err != nil {
+				solved[root] = 0
 				failedAt = root
+				failure = fmt.Errorf("core: view %s pass %d group %d: %w", f.View.Table.Name, pass, root, err)
 				break
 			}
 			// Scatter the group solution into per-sub-view counts.
@@ -112,6 +139,8 @@ func (f *Formulation) SolveSequential(opts Options) (*ViewSolution, error) {
 				base += len(f.regions[m])
 			}
 			nodesTotal += sol.Nodes
+			serial++
+			solved[root], read[root] = serial, in
 		}
 		if failedAt == -1 {
 			break // all groups solved
@@ -120,16 +149,19 @@ func (f *Formulation) SolveSequential(opts Options) (*ViewSolution, error) {
 		// failing root group (no parent edge) means the CC system itself
 		// is infeasible at view level: defer to the joint path, whose
 		// soft fallback produces the best-effort answer.
-		e, ok := parentEdge[failedAt]
-		if !ok || find(e.parent) == find(failedAt) {
+		e := parentEdge[failedAt]
+		if e == nil || find(e.parent) == find(failedAt) {
 			vs, jerr := f.Solve(opts)
 			if jerr != nil {
-				return nil, fmt.Errorf("core: view %s: sequential and joint solving failed: %w", f.View.Table.Name, jerr)
+				return nil, fmt.Errorf("%w; joint solving failed: %w", failure, jerr)
 			}
 			vs.Stats.SequentialFallback = true
 			return vs, nil
 		}
-		union(e.parent, failedAt)
+		// The parent's group gains members: its solution no longer holds.
+		pr := find(e.parent)
+		group[failedAt] = pr
+		solved[pr] = 0
 		f.Stats.SequentialMerges++
 	}
 
@@ -146,66 +178,97 @@ func (f *Formulation) SolveSequential(opts Options) (*ViewSolution, error) {
 		}
 		vs.SubViews = append(vs.SubViews, sv)
 	}
-	vs.Stats = f.Stats
 	return vs, nil
+}
+
+// errInexact is the failure of a group whose branch and bound stopped on
+// an assignment that does not satisfy its rows exactly.
+var errInexact = errors.New("no exact integer solution within the node budget")
+
+// groupLP is the LP of one sequential group, assembled in buffers that
+// the view's groups and passes reuse: every row's entries are a window of
+// one entry slice.
+type groupLP struct {
+	prob    lp.Problem
+	entries []lp.Entry
+	base    []int // base[m]: variable id of member m's first region; -1 outside the group
+}
+
+// row closes the row whose entries were appended since from.
+func (b *groupLP) row(from int, rhs int64) {
+	b.prob.Rows = append(b.prob.Rows, lp.Row{Entries: b.entries[from:len(b.entries):len(b.entries)], Rel: lp.EQ, RHS: rhs})
 }
 
 // solveGroup formulates and solves the LP of one group: per-member CC rows
 // and totals, internal consistency rows for tree edges within the group,
 // pinned separator marginals for edges whose parent lies outside (always
-// already solved, by preorder).
-func (f *Formulation) solveGroup(ms []int, parentEdge map[int]svEdge, counts [][]int64, opts Options, ws *lp.Workspace) (*lp.IntSolution, error) {
-	inGroup := make(map[int]bool, len(ms))
-	base := make(map[int]int, len(ms))
-	nv := 0
+// already solved, by preorder). The rows carry no names; a failure is
+// named by view, pass and group.
+func (f *Formulation) solveGroup(b *groupLP, ms []int, parentEdge []*svEdge, counts [][]int64, opts Options, ws *lp.Workspace) (*lp.IntSolution, error) {
+	nv, nrows, nentries := 0, 0, 0
 	for _, m := range ms {
-		inGroup[m] = true
-		base[m] = nv
+		b.base[m] = nv
 		nv += len(f.regions[m])
+		nrows += len(f.ccRows[m]) + 1
+		for _, r := range f.ccRows[m] {
+			nentries += len(r.regions)
+		}
+		nentries += len(f.regions[m])
+		if e := parentEdge[m]; e != nil {
+			nrows += len(e.cells)
+			for _, c := range e.cells {
+				nentries += len(c.child) + len(c.parent)
+			}
+		}
 	}
-	prob := &lp.Problem{NumVars: nv}
+	defer func() {
+		for _, m := range ms {
+			b.base[m] = -1
+		}
+	}()
+	// The rows are windows of b.entries, so it must not grow while they
+	// are made: size it first.
+	b.prob = lp.Problem{NumVars: nv, Rows: slices.Grow(b.prob.Rows[:0], nrows)}
+	b.entries = slices.Grow(b.entries[:0], nentries)
 
 	for _, m := range ms {
+		base := b.base[m]
 		// CC rows.
-		for bit, ci := range f.ccBits[m] {
-			if ci == -1 {
-				continue
+		for _, r := range f.ccRows[m] {
+			from := len(b.entries)
+			for _, ri := range r.regions {
+				b.entries = append(b.entries, lp.Entry{Var: base + ri, Coef: 1})
 			}
-			var vars []int
-			for ri, r := range f.regions[m] {
-				if r.Label.Has(bit) {
-					vars = append(vars, base[m]+ri)
-				}
-			}
-			prob.AddEq(vars, f.View.CCs[ci].Count, fmt.Sprintf("%s@sv%d", f.View.CCs[ci].Name, m))
+			b.row(from, f.View.CCs[r.cc].Count)
 		}
 		// Total row.
-		all := make([]int, len(f.regions[m]))
-		for ri := range all {
-			all[ri] = base[m] + ri
+		from := len(b.entries)
+		for ri := range f.regions[m] {
+			b.entries = append(b.entries, lp.Entry{Var: base + ri, Coef: 1})
 		}
-		prob.AddEq(all, f.View.Total, fmt.Sprintf("total@sv%d", m))
+		b.row(from, f.View.Total)
 		// Separator rows toward the parent.
-		e, ok := parentEdge[m]
-		if !ok {
+		e := parentEdge[m]
+		if e == nil {
 			continue
 		}
 		for _, c := range e.cells {
-			if inGroup[e.parent] {
+			from := len(b.entries)
+			if pb := b.base[e.parent]; pb != -1 {
 				// Internal edge: equate marginals between the two members.
-				prob.AddRow(lp.Row{Entries: c.balance(base[m], base[e.parent]), Rel: lp.EQ, RHS: 0, Name: fmt.Sprintf("cons@sv%d~sv%d", m, e.parent)})
-			} else {
-				// External edge: the parent is solved; pin the marginals.
-				var msum int64
-				for _, ri := range c.parent {
-					msum += counts[e.parent][ri]
-				}
-				vars := make([]int, len(c.child))
-				for i, ri := range c.child {
-					vars[i] = base[m] + ri
-				}
-				prob.AddEq(vars, msum, fmt.Sprintf("sep@sv%d:%x", m, c.key))
+				b.entries = c.appendBalance(b.entries, base, pb)
+				b.row(from, 0)
+				continue
 			}
+			// External edge: the parent is solved; pin the marginals.
+			var msum int64
+			for _, ri := range c.parent {
+				msum += counts[e.parent][ri]
+			}
+			for _, ri := range c.child {
+				b.entries = append(b.entries, lp.Entry{Var: base + ri, Coef: 1})
+			}
+			b.row(from, msum)
 		}
 	}
 	// Deliberately no speculative constraints from outside the group:
@@ -216,7 +279,7 @@ func (f *Formulation) solveGroup(ms []int, parentEdge map[int]svEdge, counts [][
 	// faster and is exact by construction.
 	// Small budget per group: exhaustion is a signal to merge, not to
 	// search deeper.
-	return lp.SolveInteger(prob, lp.IntOptions{Backend: opts.Backend, MaxNodes: 256, Workspace: ws})
+	return lp.SolveInteger(&b.prob, lp.IntOptions{Backend: opts.Backend, MaxNodes: 256, Workspace: ws})
 }
 
 func localIndex(clique []int) map[int]int {
@@ -227,12 +290,13 @@ func localIndex(clique []int) map[int]int {
 	return out
 }
 
-// groupTrace is the HYDRA_TRACE line of one solved group: its size, the
-// columns left once twin variables merge, the arithmetic its relaxations
-// ran in, the branch-and-bound nodes and simplex pivots its solve took,
-// how many exact relaxations restarted on math/big after a word overflow
-// and how many float ones escalated to exact arithmetic, how it ended and
-// how long it took to the microsecond — most groups solve in well under a
+// groupTrace is the HYDRA_TRACE line of one group a pass solved (a group
+// kept from an earlier pass prints none): its size, the columns left once
+// twin variables merge, the arithmetic its relaxations ran in, the
+// branch-and-bound nodes and simplex pivots its solve took, how many
+// exact relaxations restarted on math/big after a word overflow and how
+// many float ones escalated to exact arithmetic, how it ended and how long
+// it took to the microsecond — most groups solve in well under a
 // millisecond.
 func groupTrace(view string, pass, root, members, vars int, sol *lp.IntSolution, err error, d time.Duration) string {
 	status := "ok"
@@ -252,12 +316,12 @@ func groupTrace(view string, pass, root, members, vars int, sol *lp.IntSolution,
 // viewTrace is the HYDRA_TRACE line of one solved view, printed after its
 // group lines: the view's size (CCs, attributes, sub-views, chordal fill
 // edges), its LP (variables, rows, CC rows, consistency rows), how the
-// solve went (group merges, soft fallback, joint fallback) and the time
-// formulating and solving took.
+// solve went (group merges, passes, groups kept from an earlier pass, soft
+// fallback, joint fallback) and the time formulating and solving took.
 func viewTrace(sol *ViewSolution, formulate time.Duration) string {
 	st := sol.Stats
-	return fmt.Sprintf("[hydra-trace] view=%s ccs=%d attrs=%d subviews=%d fill=%d vars=%d rows=%d cc_rows=%d cons_rows=%d merges=%d soft=%t fallback=%t formulate=%v solve=%v",
+	return fmt.Sprintf("[hydra-trace] view=%s ccs=%d attrs=%d subviews=%d fill=%d vars=%d rows=%d cc_rows=%d cons_rows=%d merges=%d passes=%d kept=%d soft=%t fallback=%t formulate=%v solve=%v",
 		sol.View.Table.Name, len(sol.View.CCs), len(sol.View.Attrs), st.SubViews, st.FillEdges,
-		st.Vars, st.Rows, st.CCRows, st.ConsistencyRows, st.SequentialMerges, st.Soft, st.SequentialFallback,
+		st.Vars, st.Rows, st.CCRows, st.ConsistencyRows, st.SequentialMerges, st.SequentialPasses, st.KeptGroups, st.Soft, st.SequentialFallback,
 		formulate.Round(time.Microsecond), st.SolveTime.Round(time.Microsecond))
 }

@@ -35,15 +35,15 @@ func TestGroupTrace(t *testing.T) {
 
 // TestViewTrace: a HYDRA_TRACE view line carries what the view is (CCs,
 // attributes, sub-views, fill edges), its LP (variables, rows, CC rows,
-// consistency rows), how its solve went (merges, soft, joint fallback) and
-// both times to the microsecond.
+// consistency rows), how its solve went (merges, passes, kept groups, soft,
+// joint fallback) and both times to the microsecond.
 func TestViewTrace(t *testing.T) {
 	v := multiSubViewView(t)
 	sol := &ViewSolution{View: v, Stats: ViewStats{
 		Vars: 12, Rows: 9, CCRows: 4, ConsistencyRows: 3, SubViews: 2, FillEdges: 1,
-		SolveTime: 830*time.Microsecond + 200, SequentialMerges: 1, Soft: true,
+		SolveTime: 830*time.Microsecond + 200, SequentialMerges: 1, SequentialPasses: 2, KeptGroups: 1, Soft: true,
 	}}
-	want := fmt.Sprintf("[hydra-trace] view=%s ccs=%d attrs=%d subviews=2 fill=1 vars=12 rows=9 cc_rows=4 cons_rows=3 merges=1 soft=true fallback=false formulate=1.25ms solve=830µs",
+	want := fmt.Sprintf("[hydra-trace] view=%s ccs=%d attrs=%d subviews=2 fill=1 vars=12 rows=9 cc_rows=4 cons_rows=3 merges=1 passes=2 kept=1 soft=true fallback=false formulate=1.25ms solve=830µs",
 		v.Table.Name, len(v.CCs), len(v.Attrs))
 	if got := viewTrace(sol, 1250*time.Microsecond+300); got != want {
 		t.Errorf("got  %s\nwant %s", got, want)

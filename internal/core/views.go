@@ -18,6 +18,13 @@ import (
 // solutions, and with them every summary built from them, are the same at
 // any worker count.
 //
+// If then is not nil, the worker that solved view i calls then(i, sol)
+// right after, before it takes another view, so that per-view work on
+// the solution (the summary's align and merge) runs beside the other
+// views' solves instead of after all of them. Calls for different views
+// may run concurrently; an error from then fails view i as a solve error
+// would.
+//
 // Views are dispatched largest first (by CC count, ties in input order),
 // so the view that bounds the wall time starts at once; dispatch order
 // changes nothing else. If views fail, the error returned is the one of
@@ -26,7 +33,7 @@ import (
 // is observed before each view; workers take no new view once ctx is
 // done, and SolveViews returns ctx's error after the views in flight
 // finish.
-func SolveViews(ctx context.Context, views []*preprocess.View, opts Options) ([]*ViewSolution, error) {
+func SolveViews(ctx context.Context, views []*preprocess.View, opts Options, then func(i int, sol *ViewSolution) error) ([]*ViewSolution, error) {
 	sols := make([]*ViewSolution, len(views))
 	errs := make([]error, len(views))
 	order := make([]int, len(views))
@@ -51,7 +58,11 @@ func SolveViews(ctx context.Context, views []*preprocess.View, opts Options) ([]
 			if int64(i) > firstFailed.Load() {
 				continue
 			}
-			if sols[i], errs[i] = FormulateAndSolve(views[i], opts); errs[i] != nil {
+			sols[i], errs[i] = FormulateAndSolve(views[i], opts)
+			if errs[i] == nil && then != nil {
+				errs[i] = then(i, sols[i])
+			}
+			if errs[i] != nil {
 				lowerTo(&firstFailed, int64(i))
 			}
 		}

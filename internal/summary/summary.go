@@ -21,7 +21,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"slices"
-	"sort"
+	"strings"
 
 	"github.com/dsl-repro/hydra/internal/core"
 	"github.com/dsl-repro/hydra/internal/preprocess"
@@ -85,18 +85,31 @@ type Summary struct {
 	Stats map[string]core.ViewStats
 }
 
-func valKey(vals []int64) string {
-	buf := make([]byte, 8*len(vals))
-	for i, v := range vals {
-		binary.LittleEndian.PutUint64(buf[i*8:], uint64(v))
+// appendKey appends the map key of vals to dst: each value as 8 bytes,
+// little-endian. Lookups convert the result in the index expression
+// (m[string(key)]), which allocates nothing, so keys are built in a
+// reused buffer and a string is allocated only when a key is inserted.
+func appendKey(dst []byte, vals []int64) []byte {
+	for _, v := range vals {
+		dst = binary.LittleEndian.AppendUint64(dst, uint64(v))
 	}
-	return string(buf)
+	return dst
+}
+
+// appendKeyAt is appendKey over vals[pos[0]], vals[pos[1]], ….
+func appendKeyAt(dst []byte, vals []int64, pos []int) []byte {
+	for _, p := range pos {
+		dst = binary.LittleEndian.AppendUint64(dst, uint64(vals[p]))
+	}
+	return dst
 }
 
 func (vs *ViewSummary) reindex() {
 	vs.index = make(map[string]int, len(vs.Rows))
+	var key []byte
 	for i, r := range vs.Rows {
-		vs.index[valKey(r.Vals)] = i
+		key = appendKey(key[:0], r.Vals)
+		vs.index[string(key)] = i
 	}
 }
 
@@ -105,7 +118,8 @@ func (vs *ViewSummary) Find(vals []int64) int {
 	if vs.index == nil {
 		vs.reindex()
 	}
-	if i, ok := vs.index[valKey(vals)]; ok {
+	var buf [128]byte
+	if i, ok := vs.index[string(appendKey(buf[:0], vals))]; ok {
 		return i
 	}
 	return -1
@@ -125,12 +139,13 @@ func (vs *ViewSummary) append(r ViewRow) {
 	if vs.index == nil {
 		vs.reindex()
 	}
-	vs.index[valKey(r.Vals)] = len(vs.Rows)
+	vs.index[string(appendKey(nil, r.Vals))] = len(vs.Rows)
 	vs.Rows = append(vs.Rows, r)
 }
 
 // Build runs tasks (1)–(4) over the solved views. sols and views are keyed
-// by table name; every table in the schema must have a view solution.
+// by table name; every table in the schema must have a view solution. It
+// is BuildView per view, then BuildFromViewSummaries.
 //
 //hydra:nondeterministic views are summarized independently into maps keyed by name; order picks only which failing view an error names
 func Build(s *schema.Schema, views map[string]*preprocess.View, sols map[string]*core.ViewSolution) (*Summary, error) {
@@ -138,10 +153,9 @@ func Build(s *schema.Schema, views map[string]*preprocess.View, sols map[string]
 	stats := make(map[string]core.ViewStats, len(sols))
 	// Tasks 1 + 2: align, merge, instantiate.
 	for name, sol := range sols {
-		v := views[name]
-		vs, err := buildViewSummary(v, sol)
+		vs, err := BuildView(views[name], sol)
 		if err != nil {
-			return nil, fmt.Errorf("summary: view %s: %w", name, err)
+			return nil, err
 		}
 		vsums[name] = vs
 		stats[name] = sol.Stats
@@ -234,27 +248,57 @@ func BuildFromViewSummaries(s *schema.Schema, views map[string]*preprocess.View,
 	return sum, nil
 }
 
-// buildViewSummary performs §5.1's ordered align-and-merge over the
-// sub-view solutions, then instantiates concrete rows. Sub-views arrive in
-// RIP order, so each one's overlap with the accumulated attributes is its
-// clique-tree separator, and the consistency LP rows guarantee matching
-// per-value masses on that overlap.
-func buildViewSummary(v *preprocess.View, sol *core.ViewSolution) (*ViewSummary, error) {
+// BuildView runs tasks (1) and (2) for one view: §5.1's ordered
+// align-and-merge over the sub-view solutions, then the instantiation of
+// concrete rows. Sub-views arrive in RIP order, so each one's overlap with
+// the accumulated attributes is its clique-tree separator, and the
+// consistency LP rows guarantee matching per-value masses on that overlap.
+// It reads only v and sol, so views can be built concurrently.
+func BuildView(v *preprocess.View, sol *core.ViewSolution) (*ViewSummary, error) {
 	type accRow struct {
 		vals  []int64
 		count int64
 	}
 	var accAttrs []int
 	var acc []accRow
+	// Grouping state, reused from one sub-view to the next and by the
+	// final de-duplication: the key buffer, each key's group, the keys,
+	// both sides' rows per group, and the groups in key order.
+	var key []byte
+	at := map[string]int{}
+	var keys []string
+	var groupsA, groupsB [][]int
+	var byKey []int
+	group := func(k []byte) int {
+		if g, ok := at[string(k)]; ok {
+			return g
+		}
+		g, ks := len(keys), string(k)
+		at[ks] = g
+		keys = append(keys, ks)
+		groupsA, groupsB = appendEmpty(groupsA), appendEmpty(groupsB)
+		return g
+	}
 
-	for _, sv := range sol.SubViews {
-		svRows := make([]accRow, len(sv.Rows))
+	// Memory the merge steps reuse: the rows of the sub-view being merged,
+	// and two generations of merged rows and their values; step k writes
+	// generation k%2 while it reads what step k−1 wrote in the other.
+	var svBuf []accRow
+	var rowGen [2][]accRow
+	var valGen [2][]int64
+
+	for k, sv := range sol.SubViews {
+		if cap(svBuf) < len(sv.Rows) {
+			svBuf = make([]accRow, len(sv.Rows))
+		}
+		svRows := svBuf[:len(sv.Rows)]
 		for i, r := range sv.Rows {
 			svRows[i] = accRow{vals: r.Rep, count: r.Count}
 		}
 		if accAttrs == nil {
 			accAttrs = append(accAttrs, sv.Attrs...)
 			acc = svRows
+			svBuf = nil // acc holds it now
 			continue
 		}
 		// Positions of shared attributes on both sides.
@@ -274,41 +318,46 @@ func buildViewSummary(v *preprocess.View, sol *core.ViewSolution) (*ViewSummary,
 				newPos = append(newPos, i)
 			}
 		}
-		key := func(vals []int64, pos []int) string {
-			k := make([]int64, len(pos))
-			for i, p := range pos {
-				k[i] = vals[p]
-			}
-			return valKey(k)
-		}
 		// Solution sorting (§5.1.2 step 1): group both sides by shared
-		// values.
-		groupsA := map[string][]int{}
+		// values; groups are merged in key order.
+		clear(at)
+		keys, groupsA, groupsB = keys[:0], groupsA[:0], groupsB[:0]
 		for i, r := range acc {
-			gk := key(r.vals, sharedAcc)
-			groupsA[gk] = append(groupsA[gk], i)
+			key = appendKeyAt(key[:0], r.vals, sharedAcc)
+			g := group(key)
+			groupsA[g] = append(groupsA[g], i)
 		}
-		groupsB := map[string][]int{}
 		for i, r := range svRows {
-			gk := key(r.vals, sharedSv)
-			groupsB[gk] = append(groupsB[gk], i)
+			key = appendKeyAt(key[:0], r.vals, sharedSv)
+			g := group(key)
+			groupsB[g] = append(groupsB[g], i)
 		}
-		keys := make([]string, 0, len(groupsA)+len(groupsB))
-		for k := range groupsA {
-			keys = append(keys, k)
+		byKey = byKey[:0]
+		for g := range keys {
+			byKey = append(byKey, g)
 		}
-		for k := range groupsB {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
-		keys = slices.Compact(keys)
+		slices.SortFunc(byKey, func(a, b int) int { return strings.Compare(keys[a], keys[b]) })
 
+		// Every step of the merge below uses up a row of one side or of
+		// both, so it makes at most len(acc)+len(svRows) rows; their
+		// values are windows of one slab.
+		gen := k % 2
+		width := len(accAttrs) + len(newPos)
+		if need := (len(acc) + len(svRows)) * width; cap(valGen[gen]) < need {
+			valGen[gen] = make([]int64, need)
+		}
+		slab := valGen[gen][:cap(valGen[gen])]
+		newRow := func() []int64 {
+			r := slab[:width:width]
+			slab = slab[width:]
+			return r
+		}
 		// Row splitting (§5.1.2 step 2) + position-based merge (§5.1.3):
 		// within each shared-value group, split rows so counts pair up,
 		// then join pairs positionally.
-		var merged []accRow
-		for _, gk := range keys {
-			ia, ib := groupsA[gk], groupsB[gk]
+		merged := rowGen[gen][:0]
+		for _, g := range byKey {
+			ia, ib := groupsA[g], groupsB[g]
 			ai, bi := 0, 0
 			var aRem, bRem int64
 			if len(ia) > 0 {
@@ -324,10 +373,10 @@ func buildViewSummary(v *preprocess.View, sol *core.ViewSolution) (*ViewSummary,
 				}
 				src := acc[ia[ai]]
 				ext := svRows[ib[bi]]
-				vals := make([]int64, 0, len(src.vals)+len(newPos))
-				vals = append(vals, src.vals...)
-				for _, p := range newPos {
-					vals = append(vals, ext.vals[p])
+				vals := newRow()
+				n := copy(vals, src.vals)
+				for j, p := range newPos {
+					vals[n+j] = ext.vals[p]
 				}
 				merged = append(merged, accRow{vals: vals, count: take})
 				aRem -= take
@@ -351,10 +400,10 @@ func buildViewSummary(v *preprocess.View, sol *core.ViewSolution) (*ViewSummary,
 			for ai < len(ia) {
 				src := acc[ia[ai]]
 				cnt := aRem
-				vals := make([]int64, 0, len(src.vals)+len(newPos))
-				vals = append(vals, src.vals...)
-				for _, p := range newPos {
-					vals = append(vals, v.Domains[sv.Attrs[p]].Min())
+				vals := newRow()
+				n := copy(vals, src.vals)
+				for j, p := range newPos {
+					vals[n+j] = v.Domains[sv.Attrs[p]].Min()
 				}
 				merged = append(merged, accRow{vals: vals, count: cnt})
 				ai++
@@ -365,7 +414,7 @@ func buildViewSummary(v *preprocess.View, sol *core.ViewSolution) (*ViewSummary,
 			for bi < len(ib) {
 				ext := svRows[ib[bi]]
 				cnt := bRem
-				vals := make([]int64, len(accAttrs), len(accAttrs)+len(newPos))
+				vals := newRow()
 				for i, a := range accAttrs {
 					vals[i] = v.Domains[a].Min()
 				}
@@ -373,8 +422,8 @@ func buildViewSummary(v *preprocess.View, sol *core.ViewSolution) (*ViewSummary,
 				for si, p := range sharedSv {
 					vals[sharedAcc[si]] = gvals[p]
 				}
-				for _, p := range newPos {
-					vals = append(vals, gvals[p])
+				for j, p := range newPos {
+					vals[len(accAttrs)+j] = gvals[p]
 				}
 				merged = append(merged, accRow{vals: vals, count: cnt})
 				bi++
@@ -384,7 +433,7 @@ func buildViewSummary(v *preprocess.View, sol *core.ViewSolution) (*ViewSummary,
 			}
 		}
 		accAttrs = append(accAttrs, newAttrs...)
-		acc = merged
+		acc, rowGen[gen] = merged, merged
 	}
 
 	// Re-order values into canonical view attribute order and merge
@@ -406,38 +455,59 @@ func buildViewSummary(v *preprocess.View, sol *core.ViewSolution) (*ViewSummary,
 	for i := range v.Attrs {
 		p, ok := attrAt[i]
 		if !ok {
-			return nil, fmt.Errorf("attribute %d missing from merged sub-views", i)
+			return nil, fmt.Errorf("summary: view %s: attribute %d missing from merged sub-views", v.Table.Name, i)
 		}
 		pos[i] = p
 	}
-	dedup := map[string]int{}
+	// keys[j] is the key of row j; the index reuses them once the rows
+	// are sorted.
+	clear(at)
+	keys = keys[:0]
+	slab := make([]int64, len(acc)*len(pos))
+	var rows []ViewRow
 	for _, r := range acc {
 		if r.count <= 0 {
 			continue
 		}
-		vals := make([]int64, len(pos))
+		key = appendKeyAt(key[:0], r.vals, pos)
+		if j, ok := at[string(key)]; ok {
+			rows[j].Count += r.count
+			continue
+		}
+		ks := string(key)
+		at[ks] = len(rows)
+		keys = append(keys, ks)
+		vals := slab[:len(pos):len(pos)]
+		slab = slab[len(pos):]
 		for i, p := range pos {
 			vals[i] = r.vals[p]
 		}
-		k := valKey(vals)
-		if j, ok := dedup[k]; ok {
-			vs.Rows[j].Count += r.count
-		} else {
-			dedup[k] = len(vs.Rows)
-			vs.Rows = append(vs.Rows, ViewRow{Vals: vals, Count: r.count})
-		}
+		rows = append(rows, ViewRow{Vals: vals, Count: r.count})
 	}
-	sort.Slice(vs.Rows, func(i, j int) bool {
-		a, b := vs.Rows[i].Vals, vs.Rows[j].Vals
-		for x := range a {
-			if a[x] != b[x] {
-				return a[x] < b[x]
-			}
-		}
-		return false
-	})
-	vs.reindex()
+	// Rows are distinct, so sorting them by value is a total order.
+	byVals := make([]int, len(rows))
+	for j := range byVals {
+		byVals[j] = j
+	}
+	slices.SortFunc(byVals, func(a, b int) int { return slices.Compare(rows[a].Vals, rows[b].Vals) })
+	vs.Rows = make([]ViewRow, len(rows))
+	vs.index = make(map[string]int, len(rows))
+	for i, j := range byVals {
+		vs.Rows[i] = rows[j]
+		vs.index[keys[j]] = i
+	}
 	return vs, nil
+}
+
+// appendEmpty extends groups by one empty group, reusing the memory of
+// a group an earlier round left there.
+func appendEmpty(groups [][]int) [][]int {
+	if len(groups) < cap(groups) {
+		groups = groups[:len(groups)+1]
+		groups[len(groups)-1] = groups[len(groups)-1][:0]
+		return groups
+	}
+	return append(groups, nil)
 }
 
 // SizeBytes estimates the serialized footprint of the summary — the

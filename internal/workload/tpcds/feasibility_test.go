@@ -40,12 +40,12 @@ func TestWLsFormulationFeasible(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := lp.SolveSoft(f.Problem, lp.Auto)
+	res, err := lp.SolveSoft(f.Problem(), lp.Auto)
 	if err != nil {
 		t.Fatal(err)
 	}
 	bad := 0
-	for i, r := range f.Problem.Rows {
+	for i, r := range f.Problem().Rows {
 		if res.Residuals[i] != 0 {
 			bad++
 			if bad <= 25 {
@@ -53,7 +53,7 @@ func TestWLsFormulationFeasible(t *testing.T) {
 			}
 		}
 	}
-	t.Logf("total violated rows: %d / %d, totalAbs %d", bad, len(f.Problem.Rows), res.TotalAbs)
+	t.Logf("total violated rows: %d / %d, totalAbs %d", bad, len(f.Problem().Rows), res.TotalAbs)
 	if res.TotalAbs != 0 {
 		t.Fatalf("WLs store_sales formulation must be feasible; violation mass %d", res.TotalAbs)
 	}
