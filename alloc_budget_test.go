@@ -10,8 +10,10 @@ import (
 )
 
 // regenerateAllocs returns the bytes and objects one warm Regenerate of in
-// allocates on one worker, averaged over five calls.
-func regenerateAllocs(t *testing.T, in pinnedInput) (bytes, objects float64) {
+// allocates on one worker, averaged over five calls. With collect, two
+// garbage collections run before each call: memory a solve keeps for
+// the next must outlive them.
+func regenerateAllocs(t *testing.T, in pinnedInput, collect bool) (bytes, objects float64) {
 	t.Helper()
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	run := func() {
@@ -21,49 +23,70 @@ func regenerateAllocs(t *testing.T, in pinnedInput) (bytes, objects float64) {
 	}
 	run()
 	const n = 5
-	var before, after runtime.MemStats
+	var before, after, gcBefore, gcAfter runtime.MemStats
+	var gcBytes, gcObjects uint64 // what the collections themselves allocate
 	runtime.ReadMemStats(&before)
 	for range n {
+		if collect {
+			runtime.ReadMemStats(&gcBefore)
+			runtime.GC()
+			runtime.GC()
+			runtime.ReadMemStats(&gcAfter)
+			gcBytes += gcAfter.TotalAlloc - gcBefore.TotalAlloc
+			gcObjects += gcAfter.Mallocs - gcBefore.Mallocs
+		}
 		run()
 	}
 	runtime.ReadMemStats(&after)
-	return float64(after.TotalAlloc-before.TotalAlloc) / n, float64(after.Mallocs-before.Mallocs) / n
+	return float64(after.TotalAlloc-before.TotalAlloc-gcBytes) / n, float64(after.Mallocs-before.Mallocs-gcObjects) / n
 }
 
 // TestRegenerateAllocationBudget pins what one warm Regenerate of each
 // summarize input allocates, with about 20 % headroom over what it was
-// measured at (go1.24, amd64): the partitioner copies only the block
-// dimensions that split, branch and bound decides on native vertices,
-// tableaus are built in memory earlier solves left behind, group LPs are
-// assembled in reused buffers without row names, and the summary looks
-// its keys up through reused buffers and keeps row values in slabs.
-// Together the four stay under half of what a pass allocated before
-// those changes (44.9 MB, 481 k objects). The race detector's sync.Pool
-// drops items at random, so the test is built without it.
+// measured at (go1.24, amd64): the partitioner keeps its blocks in slabs
+// a run takes from a free list and builds its regions once, branch and
+// bound decides on native vertices, tableaus and column classes are built
+// in memory earlier solves left behind, group LPs are assembled in reused
+// buffers without row names, and the summary looks its keys up through
+// reused buffers and keeps row values in slabs. A pass over the four
+// allocates at most 10 MB in 100 k objects (15.8 MB in 148 k before the
+// partitioner used slabs and solve memory outlived a collection), and
+// about as much when garbage collections run between the calls: solve
+// and partition memory is kept in free lists a collection does not
+// empty. The race detector's sync.Pool drops items at random, so the
+// test is built without it.
 func TestRegenerateAllocationBudget(t *testing.T) {
-	// Lowered when group LPs and summary keys stopped allocating per row;
-	// the budgets before were 3.7/7.5/7.5/5.8 MB and 52/70/70/50 k
-	// objects, over 3.09/6.20/6.19/4.83 MB and 43.1/58.0/57.9/41.1 k.
+	// Lowered when partition blocks moved into slabs and solve memory
+	// into free lists; the budgets before were 2.8/5.7/5.7/4.7 MB and
+	// 33.5/50.5/50.5/43 k objects, over 2.32/4.77/4.76/3.92 MB and
+	// 28.0/42.2/42.1/35.7 k.
 	budget := map[string]struct{ bytes, objects float64 }{
-		// measured: 2.32 MB, 28.0 k objects
-		"WLs-90": {2.8e6, 33.5e3},
-		// measured: 4.77 MB, 42.2 k
-		"WLc-55": {5.7e6, 50.5e3},
-		// measured: 4.76 MB, 42.1 k
-		"WLc-55-x1e11": {5.7e6, 50.5e3},
-		// measured: 3.92 MB, 35.7 k
-		"JOB-30": {4.7e6, 43e3},
+		// measured: 1.81 MB, 17.2 k objects
+		"WLs-90": {2.2e6, 20.6e3},
+		// measured: 2.40 MB, 14.8 k
+		"WLc-55": {2.9e6, 17.8e3},
+		// measured: 2.39 MB, 14.7 k
+		"WLc-55-x1e11": {2.9e6, 17.8e3},
+		// measured: 1.82 MB, 5.9 k
+		"JOB-30": {2.2e6, 7.1e3},
 	}
-	var bytes, objects float64
+	var bytes, objects, gcBytes, gcObjects float64
 	for _, in := range pinnedInputs(t) {
-		b, o := regenerateAllocs(t, in)
+		b, o := regenerateAllocs(t, in, false)
 		bytes += b
 		objects += o
 		if want := budget[in.name]; b > want.bytes || o > want.objects {
 			t.Errorf("%s: %.2f MB in %.1f k objects; budget %.2f MB, %.1f k", in.name, b/1e6, o/1e3, want.bytes/1e6, want.objects/1e3)
 		}
+		b, o = regenerateAllocs(t, in, true)
+		gcBytes += b
+		gcObjects += o
 	}
-	if bytes > 44.9e6/2 || objects > 481e3/2 {
-		t.Errorf("a pass allocates %.1f MB in %.0f k objects; want at most half of 44.9 MB and 481 k", bytes/1e6, objects/1e3)
+	if bytes > 10e6 || objects > 100e3 {
+		t.Errorf("a pass allocates %.1f MB in %.0f k objects; want at most 10 MB and 100 k", bytes/1e6, objects/1e3)
+	}
+	if gcBytes > 1.05*bytes || gcObjects > 1.05*objects {
+		t.Errorf("with two collections before each call a pass allocates %.2f MB in %.1f k objects, over 5 %% more than %.2f MB in %.1f k without",
+			gcBytes/1e6, gcObjects/1e3, bytes/1e6, objects/1e3)
 	}
 }

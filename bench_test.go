@@ -21,6 +21,7 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -711,7 +712,7 @@ func BenchmarkAblation_DecompositionPolicy(b *testing.B) {
 		}
 	}
 	b.Run("Adaptive", func(b *testing.B) { run(b, 20_000) })
-	b.Run("PaperCliques", func(b *testing.B) { run(b, 1<<40) })
+	b.Run("PaperCliques", func(b *testing.B) { run(b, math.MaxInt) })
 }
 
 // BenchmarkAblation_FKSpread compares first-row FK assignment (the

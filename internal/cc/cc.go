@@ -64,13 +64,23 @@ func (c *CC) String() string {
 // exists, every attribute exists on its table, every referenced table is in
 // the root's transitive FK closure, and the count is non-negative.
 func (c *CC) Validate(s *schema.Schema) error {
-	root, ok := s.Table(c.Root)
+	return c.validate(s, map[string]map[string]bool{})
+}
+
+// validate is Validate with the FK closures of the roots checked so far,
+// by root name; it adds c's root's.
+func (c *CC) validate(s *schema.Schema, closures map[string]map[string]bool) error {
+	closure, ok := closures[c.Root]
 	if !ok {
-		return fmt.Errorf("cc %s: unknown root table %q", c.Name, c.Root)
-	}
-	closure := map[string]bool{c.Root: true}
-	for _, t := range s.TransitiveRefs(root) {
-		closure[t.Name] = true
+		root, ok := s.Table(c.Root)
+		if !ok {
+			return fmt.Errorf("cc %s: unknown root table %q", c.Name, c.Root)
+		}
+		closure = map[string]bool{c.Root: true}
+		for _, t := range s.TransitiveRefs(root) {
+			closure[t.Name] = true
+		}
+		closures[c.Root] = closure
 	}
 	for _, a := range c.Attrs {
 		if !closure[a.Table] {
@@ -101,10 +111,12 @@ type Workload struct {
 	CCs  []CC
 }
 
-// Validate validates every CC.
+// Validate validates every CC, as CC.Validate does, and builds each
+// root's FK closure once.
 func (w *Workload) Validate(s *schema.Schema) error {
+	closures := map[string]map[string]bool{}
 	for i := range w.CCs {
-		if err := w.CCs[i].Validate(s); err != nil {
+		if err := w.CCs[i].validate(s, closures); err != nil {
 			return err
 		}
 	}

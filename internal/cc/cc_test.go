@@ -109,3 +109,34 @@ func TestWorkloadValidate(t *testing.T) {
 		t.Fatal("workload with bad CC must fail validation")
 	}
 }
+
+// TestWorkloadValidateMatchesEachCC: a workload validates to the error of
+// its first failing CC, as each CC's own Validate reports it, also when
+// earlier CCs of the same root were valid and their closure is reused.
+func TestWorkloadValidateMatchesEachCC(t *testing.T) {
+	s := toySchema()
+	ok := []CC{
+		selCC("R", schema.AttrRef{Table: "S", Col: "A"}, 0, 10, 5, "join"),
+		selCC("S", schema.AttrRef{Table: "S", Col: "A"}, 0, 10, 5, "local"),
+		{Root: "R", Pred: pred.True(), Count: 80000, Name: "size"},
+	}
+	bad := []CC{
+		{Root: "Z", Pred: pred.True(), Name: "unknownRoot"},
+		selCC("S", schema.AttrRef{Table: "R", Col: "x"}, 0, 1, 1, "outsideClosure"),
+		selCC("R", schema.AttrRef{Table: "S", Col: "missing"}, 0, 1, 1, "unknownCol"),
+		{Root: "R", Pred: pred.True(), Count: -1, Name: "negCount"},
+	}
+	if err := (&Workload{CCs: ok}).Validate(s); err != nil {
+		t.Fatal(err)
+	}
+	for _, b := range bad {
+		for at := range len(ok) + 1 {
+			ccs := append(append(append([]CC(nil), ok[:at]...), b), ok[at:]...)
+			ccs = append(ccs, bad...)
+			got, want := (&Workload{CCs: ccs}).Validate(s), b.Validate(s)
+			if got == nil || want == nil || got.Error() != want.Error() {
+				t.Errorf("%s at %d: workload error %v, CC error %v", b.Name, at, got, want)
+			}
+		}
+	}
+}

@@ -1,8 +1,10 @@
 package core
 
 import (
+	"bytes"
 	"fmt"
 	"maps"
+	"math/rand"
 	"slices"
 	"testing"
 
@@ -57,6 +59,15 @@ func TestFormulatePersonMatchesPaper(t *testing.T) {
 	if f.Stats.CCRows != 2 || f.Stats.Rows != 3 {
 		t.Fatalf("ccRows=%d rows=%d, want 2/3", f.Stats.CCRows, f.Stats.Rows)
 	}
+}
+
+// localIndex maps each attribute of clique to its position.
+func localIndex(clique []int) map[int]int {
+	out := make(map[int]int, len(clique))
+	for i, a := range clique {
+		out[a] = i
+	}
+	return out
 }
 
 func checkPersonSolution(t *testing.T, sol *ViewSolution) {
@@ -544,6 +555,34 @@ func TestSolveSequentialDeterministic(t *testing.T) {
 						call, si, ri, r.Rep, r.Count, want[ri].Rep, want[ri].Count)
 				}
 			}
+		}
+	}
+}
+
+// TestSortByKeyIsStableBytewise: the radix sort of cell keys orders
+// elements as a stable sort comparing their keys bytewise does, on keys
+// of one to three atom indices, some of them -1 (0xFF bytes) and some
+// past a byte.
+func TestSortByKeyIsStableBytewise(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for range 300 {
+		w, n := 4*(1+rng.Intn(3)), rng.Intn(200)
+		keys := make([]byte, 0, w*n)
+		for range n * w / 4 {
+			ai := rng.Intn(6) - 1
+			if rng.Intn(8) == 0 {
+				ai = rng.Intn(1 << 17)
+			}
+			keys = append(keys, byte(ai), byte(ai>>8), byte(ai>>16), byte(ai>>24))
+		}
+		order := make([]int, n)
+		for i := range order {
+			order[i] = i
+		}
+		want := slices.Clone(order)
+		slices.SortStableFunc(want, func(a, b int) int { return bytes.Compare(keys[a*w:(a+1)*w], keys[b*w:(b+1)*w]) })
+		if got := sortByKey(order, keys, w); !slices.Equal(got, want) {
+			t.Fatalf("w=%d n=%d: order %v, want %v", w, n, got, want)
 		}
 	}
 }

@@ -7,15 +7,15 @@
 package core
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"math/bits"
 	"os"
 	"slices"
-	"sort"
-	"sync"
 	"time"
 
+	"github.com/dsl-repro/hydra/internal/freelist"
 	"github.com/dsl-repro/hydra/internal/lp"
 	"github.com/dsl-repro/hydra/internal/partition"
 	"github.com/dsl-repro/hydra/internal/pred"
@@ -31,26 +31,39 @@ type Options struct {
 	// FormulateAndSolve then returns the infeasibility error instead.
 	NoSoftFallback bool
 
-	// ws is the tableau memory of a SolveViews worker, lent to each view
-	// it solves; nil has a solve take one from workspaces.
-	ws *lp.Workspace
+	// mem is the solve memory of a SolveViews worker, lent to each view
+	// it solves; nil has a solve take one from the free list.
+	mem *solveMemory
 }
 
-// workspaces hold the tableau memory of finished solves. A solve, or a
-// SolveViews worker, takes one for all its LPs and puts it back when done,
-// so concurrent solves each have their own, and each builds its tableaus
-// in the cells an earlier one left behind: a tableau is allocated once
-// per size it grows to, not once per LP, view and call.
-var workspaces = sync.Pool{New: func() any { return new(lp.Workspace) }}
+// solveMemory is what the LPs of a solve reuse from one to the next: the
+// tableau memory, and the buffers group LPs are assembled in.
+type solveMemory struct {
+	ws    lp.Workspace
+	group groupLP
+}
 
-// workspace returns the tableau memory a solve under opts uses, and the
+// maxKeptTableau is the most tableau memory, in bytes, a finished solve's
+// memory may hold and still be kept for the next solve. It sits below one
+// float tableau of WLc-131's store_sales view (over 100 MB), so a
+// workload that needs one does not hold it for the life of the process.
+const maxKeptTableau = 64 << 20
+
+// memories hold the memory of finished solves. A solve, or a SolveViews
+// worker, takes one for all its LPs and puts it back when done, so
+// concurrent solves each have their own, and each builds its tableaus in
+// the cells an earlier one left behind: a tableau is allocated once per
+// size it grows to, not once per LP, view and call.
+var memories = freelist.New(func(m *solveMemory) int { return m.ws.Bytes() }, maxKeptTableau)
+
+// memory returns the solve memory a solve under opts uses, and the
 // function that gives it back.
-func (opts Options) workspace() (*lp.Workspace, func()) {
-	if opts.ws != nil {
-		return opts.ws, func() {}
+func (opts Options) memory() (*solveMemory, func()) {
+	if opts.mem != nil {
+		return opts.mem, func() {}
 	}
-	ws := workspaces.Get().(*lp.Workspace)
-	return ws, func() { workspaces.Put(ws) }
+	m := memories.Get()
+	return m, func() { memories.Put(m) }
 }
 
 // RegionCount is one populated region of a sub-view solution.
@@ -145,9 +158,10 @@ type ccRow struct {
 	regions []int
 }
 
-// labelRows makes a sub-view's CC rows in one pass over its region labels:
-// each region joins the row of every CC bit its label sets. ccIdx maps a
-// label bit to the CC it encodes, or -1 for marker constraints.
+// labelRows makes a sub-view's CC rows from its region labels: each
+// region joins the row of every CC bit its label sets. ccIdx maps a label
+// bit to the CC it encodes, or -1 for marker constraints. The rows'
+// regions are windows of one array, sized by a first pass.
 func labelRows(regions []partition.Region, ccIdx []int) []ccRow {
 	var rows []ccRow
 	at := make([]int, len(ccIdx)) // label bit → its row, or -1
@@ -158,14 +172,36 @@ func labelRows(regions []partition.Region, ccIdx []int) []ccRow {
 			rows = append(rows, ccRow{cc: ci})
 		}
 	}
-	for ri, r := range regions {
+	// each calls fn(row) for every CC row region r joins.
+	each := func(r partition.Region, fn func(row int)) {
 		for w, word := range r.Label {
 			for ; word != 0; word &= word - 1 {
 				if bit := w*64 + bits.TrailingZeros64(word); bit < len(at) && at[bit] != -1 {
-					rows[at[bit]].regions = append(rows[at[bit]].regions, ri)
+					fn(at[bit])
 				}
 			}
 		}
+	}
+	end := make([]int, len(rows)) // end[i]: where row i's window ends, once filled
+	for _, r := range regions {
+		each(r, func(row int) { end[row]++ })
+	}
+	total := 0
+	for i, n := range end {
+		total += n
+		end[i] = total - n // where row i's window starts, while it fills
+	}
+	members := make([]int, total)
+	for ri, r := range regions {
+		each(r, func(row int) {
+			members[end[row]] = ri
+			end[row]++
+		})
+	}
+	from := 0
+	for i := range rows {
+		rows[i].regions = members[from:end[i]:end[i]]
+		from = end[i]
 	}
 	return rows
 }
@@ -192,7 +228,7 @@ type svEdge struct {
 // local to their sub-view) of the child and of the parent that fall in it.
 // Consistency means the two sides carry equal mass.
 type sepCell struct {
-	key           string
+	key           []byte
 	child, parent []int
 }
 
@@ -437,53 +473,102 @@ func (f *Formulation) Problem() *lp.Problem {
 	return p
 }
 
-// sepCells buckets both ends of a clique-tree edge by atom cell over sep.
+// sepCells buckets both ends of a clique-tree edge by atom cell over sep,
+// in key order. The cells' keys and regions are windows of a few arrays
+// per edge.
 func (f *Formulation) sepCells(child, parent int, sep []int) []sepCell {
-	childCells, parentCells := f.cellGroups(child, sep), f.cellGroups(parent, sep)
-	keys := make([]string, 0, len(childCells)+len(parentCells))
-	for k := range childCells {
-		keys = append(keys, k)
-	}
-	for k := range parentCells {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	keys = slices.Compact(keys)
-	cells := make([]sepCell, len(keys))
-	for i, k := range keys {
-		cells[i] = sepCell{key: k}
-		if c, ok := childCells[k]; ok {
-			cells[i].child = *c
+	w := 4 * len(sep)
+	ckeys, corder := f.cellKeys(child, sep)
+	pkeys, porder := f.cellKeys(parent, sep)
+	ckey := func(i int) []byte { return ckeys[corder[i]*w : (corder[i]+1)*w] }
+	pkey := func(j int) []byte { return pkeys[porder[j]*w : (porder[j]+1)*w] }
+	members := make([]int, 0, len(corder)+len(porder))
+	// window returns the members appended since from.
+	window := func(from int) []int { return members[from:len(members):len(members)] }
+	var cells []sepCell
+	for i, j := 0, 0; i < len(corder) || j < len(porder); {
+		var key []byte
+		switch {
+		case j == len(porder):
+			key = ckey(i)
+		case i == len(corder):
+			key = pkey(j)
+		default:
+			key = ckey(i)
+			if k := pkey(j); bytes.Compare(k, key) < 0 {
+				key = k
+			}
 		}
-		if c, ok := parentCells[k]; ok {
-			cells[i].parent = *c
+		c := sepCell{key: key}
+		from := len(members)
+		for ; i < len(corder) && bytes.Equal(ckey(i), key); i++ {
+			members = append(members, corder[i])
 		}
+		c.child = window(from)
+		from = len(members)
+		for ; j < len(porder) && bytes.Equal(pkey(j), key); j++ {
+			members = append(members, porder[j])
+		}
+		c.parent = window(from)
+		cells = append(cells, c)
 	}
 	return cells
 }
 
-// cellGroups buckets sub-view si's regions (local indices) by their
-// atom-cell key over the separator dims (view-attr ids). Cells are held
-// by pointer so that adding a region to a known cell is a lookup, which
-// does not copy the key.
-func (f *Formulation) cellGroups(si int, sep []int) map[string]*[]int {
-	local := localIndex(f.cliques[si])
-	out := map[string]*[]int{}
-	key := make([]byte, 0, len(sep)*4)
-	for ri, r := range f.regions[si] {
-		rep := r.RepBlock()
-		key = key[:0]
-		for _, a := range sep {
-			ai := atomIndex(f.atoms[a], rep.Dims[local[a]].Min())
-			key = append(key, byte(ai), byte(ai>>8), byte(ai>>16), byte(ai>>24))
-		}
-		if cell, ok := out[string(key)]; ok {
-			*cell = append(*cell, ri)
-		} else {
-			out[string(key)] = &[]int{ri}
+// cellKeys keys sub-view si's regions by atom cell over the separator
+// dims (view-attr ids): region ri's key is keys[ri·4·len(sep):], four
+// bytes of atom index per dim. order lists the regions by key, and
+// regions of one cell in index order.
+func (f *Formulation) cellKeys(si int, sep []int) (keys []byte, order []int) {
+	regions := f.regions[si]
+	dims := make([]int, len(sep)) // the sub-view dimension of each separator attr
+	for k, a := range sep {
+		dims[k], _ = slices.BinarySearch(f.cliques[si], a)
+	}
+	keys = make([]byte, 0, 4*len(sep)*len(regions))
+	for _, r := range regions {
+		rep := r.Rep()
+		for k, a := range sep {
+			ai := atomIndex(f.atoms[a], rep[dims[k]])
+			keys = append(keys, byte(ai), byte(ai>>8), byte(ai>>16), byte(ai>>24))
 		}
 	}
-	return out
+	order = make([]int, len(regions))
+	for i := range order {
+		order[i] = i
+	}
+	return keys, sortByKey(order, keys, 4*len(sep))
+}
+
+// sortByKey orders order by key, element i's key being keys[i·w:(i+1)·w]
+// compared bytewise, and keeps elements with equal keys in their order.
+// It is a least-significant-byte radix sort that skips the byte positions
+// where every key holds the same byte: most of a cell key's bytes are the
+// zero high bytes of small atom indices.
+func sortByKey(order []int, keys []byte, w int) []int {
+	if len(order) < 2 {
+		return order
+	}
+	buf := make([]int, len(order))
+	for b := w - 1; b >= 0; b-- {
+		var at [257]int // at[c+1]: elements whose byte is c; then where they go
+		for _, i := range order {
+			at[int(keys[i*w+b])+1]++
+		}
+		if at[int(keys[order[0]*w+b])+1] == len(order) {
+			continue
+		}
+		for c := 1; c < len(at); c++ {
+			at[c] += at[c-1]
+		}
+		for _, i := range order {
+			c := keys[i*w+b]
+			buf[at[c]] = i
+			at[c]++
+		}
+		order, buf = buf, order
+	}
+	return order
 }
 
 func atomIndex(atoms []pred.Interval, v int64) int {
@@ -659,8 +744,8 @@ func (f *Formulation) Solve(opts Options) (*ViewSolution, error) {
 }
 
 func (f *Formulation) solveVector(opts Options) ([]int64, error) {
-	ws, done := opts.workspace()
-	sol, err := lp.SolveInteger(f.Problem(), lp.IntOptions{Backend: opts.Backend, Workspace: ws})
+	mem, done := opts.memory()
+	sol, err := lp.SolveInteger(f.Problem(), lp.IntOptions{Backend: opts.Backend, Workspace: &mem.ws})
 	done()
 	if err == nil {
 		f.Stats.Nodes, f.Stats.Pivots = sol.Nodes, sol.Pivots

@@ -73,9 +73,10 @@ func (f *Formulation) SolveSequential(opts Options) (*ViewSolution, error) {
 	members := make([][]int, n)
 	// One tableau memory and one row buffer for every group and merge
 	// pass of the view.
-	ws, done := opts.workspace()
+	mem, done := opts.memory()
 	defer done()
-	b := groupLP{base: make([]int, n)}
+	b := &mem.group
+	b.base = slices.Grow(b.base[:0], n)[:n]
 	for i := range b.base {
 		b.base[i] = -1
 	}
@@ -116,7 +117,7 @@ func (f *Formulation) SolveSequential(opts Options) (*ViewSolution, error) {
 				continue
 			}
 			gElapsed := stopwatch()
-			sol, err := f.solveGroup(&b, ms, parentEdge, counts, opts, ws)
+			sol, err := f.solveGroup(b, ms, parentEdge, counts, opts, &mem.ws)
 			if traceSequential {
 				fmt.Fprintln(os.Stderr, groupTrace(f.View.Table.Name, pass, root, len(ms), b.prob.NumVars, sol, err, gElapsed()))
 			}
@@ -280,14 +281,6 @@ func (f *Formulation) solveGroup(b *groupLP, ms []int, parentEdge []*svEdge, cou
 	// Small budget per group: exhaustion is a signal to merge, not to
 	// search deeper.
 	return lp.SolveInteger(&b.prob, lp.IntOptions{Backend: opts.Backend, MaxNodes: 256, Workspace: ws})
-}
-
-func localIndex(clique []int) map[int]int {
-	out := make(map[int]int, len(clique))
-	for i, a := range clique {
-		out[a] = i
-	}
-	return out
 }
 
 // groupTrace is the HYDRA_TRACE line of one group a pass solved (a group

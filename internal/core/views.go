@@ -8,7 +8,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"github.com/dsl-repro/hydra/internal/lp"
 	"github.com/dsl-repro/hydra/internal/preprocess"
 )
 
@@ -47,8 +46,8 @@ func SolveViews(ctx context.Context, views []*preprocess.View, opts Options, the
 	firstFailed.Store(int64(len(views)))
 	work := func() {
 		opts := opts
-		opts.ws = workspaces.Get().(*lp.Workspace)
-		defer workspaces.Put(opts.ws)
+		opts.mem = memories.Get()
+		defer memories.Put(opts.mem)
 		for ctx.Err() == nil {
 			k := int(next.Add(1) - 1)
 			if k >= len(order) {

@@ -147,6 +147,26 @@ type Workspace struct {
 	xw []wordRat
 	// Rows of the current branch-and-bound node.
 	rows []Row
+
+	// dedupColumns' memory: the reduced problem, its rows, entries and
+	// objective; the column transpose; the class tables.
+	reduced      Problem
+	dedupRows    []Row
+	dedupEntries []Entry
+	dedupObj     []Entry
+	colEntries   []colEntry
+	colStart     []int
+	colNext      []int
+	classOf      []int
+	rep          []int
+	classTable   []int
+	isRep        []bool
+}
+
+// Bytes is the memory the workspace holds in its tableau cells, the
+// part of it that grows with the largest tableau it has built.
+func (ws *Workspace) Bytes() int {
+	return 8 * (cap(ws.floats) + cap(ws.nums))
 }
 
 // reuse returns n cells backed by *buf, growing it when it is too short.
@@ -159,6 +179,17 @@ func reuse[T any](buf *[]T, n int) []T {
 	}
 	*buf = (*buf)[:n]
 	return *buf
+}
+
+// zeroed is reuse with every cell zero: cells it has just allocated are
+// zero already, and only reused ones are cleared.
+func zeroed[T any](buf *[]T, n int) []T {
+	if cap(*buf) < n {
+		return reuse(buf, n)
+	}
+	cells := reuse(buf, n)
+	clear(cells)
+	return cells
 }
 
 // vertex is a relaxation's solution in the arithmetic that produced it.
@@ -341,11 +372,12 @@ func SolveInteger(p *Problem, opts IntOptions) (*IntSolution, error) {
 	// problem does not contain); deduplication both shrinks the tableau
 	// and removes the degeneracy that stalls simplex pricing.
 	orig := p
-	p, expand := DedupColumns(p)
+	d := ws.dedupColumns(p)
+	p = d.reduced
 	backend := relaxBackend(p, opts.Backend)
 	res := &IntSolution{Cols: p.NumVars, Arith: backend}
 	done := func(x []int64) *IntSolution {
-		res.X = expand(x)
+		res.X = d.expand(x)
 		res.Exact = orig.CheckInt(res.X) == ""
 		return res
 	}

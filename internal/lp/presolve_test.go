@@ -141,7 +141,7 @@ func TestColumnClassesMatchSortedSignatures(t *testing.T) {
 				p.Objective = append(p.Objective, Entry{Var: v, Coef: pat[m]})
 			}
 		}
-		gotClass, gotRep := columnClasses(p)
+		gotClass, gotRep := new(Workspace).columnClasses(p)
 		wantClass, wantRep := classesBySortedSignature(p)
 		if !slices.Equal(gotClass, wantClass) || !slices.Equal(gotRep, wantRep) {
 			t.Fatalf("problem %d: classes %v reps %v, sorted signatures give %v %v", i, gotClass, gotRep, wantClass, wantRep)

@@ -255,8 +255,7 @@ func newWordTableau(p *Problem, ws *Workspace) *wordTableau {
 		nzBuf:        ws.nz,
 	}
 	width := t.cols + 1
-	cells := reuse(&ws.nums, (m+1)*width) // one backing array: obj, then the rows
-	clear(cells)
+	cells := zeroed(&ws.nums, (m+1)*width) // one backing array: obj, then the rows
 	t.obj = cells[:width:width]
 	// Every value the construction reads or writes is or-ed into mags, so
 	// mags ≥ wordLimit iff one of them is out of range. Until the first

@@ -41,8 +41,7 @@ func newFloatTableau(p *Problem, ws *Workspace) *floatTableau {
 		nzBuf:    ws.nz,
 	}
 	width := t.cols + 1
-	cells := reuse(&ws.floats, (m+1)*width) // one backing array: obj, then the rows
-	clear(cells)
+	cells := zeroed(&ws.floats, (m+1)*width) // one backing array: obj, then the rows
 	t.obj = cells[:width:width]
 	// Phase-I reduced costs: obj[j] = c_j − Σ T[i][j] over the rows i
 	// whose basic variable is artificial, folded row by row as each is
@@ -320,8 +319,7 @@ func solveFloat(p *Problem, ws *Workspace) (*floatTableau, error) {
 // extract returns the structural solution vector in ws's cells, with
 // values within fEps below zero read as zero.
 func (t *floatTableau) extract(ws *Workspace) (floatVertex, error) {
-	x := reuse(&ws.xf, t.n)
-	clear(x)
+	x := zeroed(&ws.xf, t.n)
 	for i, b := range t.basis {
 		if b < t.n {
 			x[b] = t.rows[i][t.cols]

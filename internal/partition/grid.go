@@ -95,7 +95,7 @@ func (g *Grid) CellRegions(cons []pred.DNF, maxCells int64) []Region {
 				lbl.set(j)
 			}
 		}
-		out[i] = Region{Blocks: []Block{b}, Label: lbl}
+		out[i] = Region{Blocks: []Block{b}, Label: lbl, corner: rep}
 	}
 	return out
 }

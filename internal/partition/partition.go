@@ -88,17 +88,33 @@ func (l Label) key() string {
 type Region struct {
 	Blocks []Block
 	Label  Label
+
+	// corner is the region's representative point and repBlock the index
+	// of the block it is the corner of, when the partitioner that made
+	// the region found them (OptimalIncremental and Grid do); nil has Rep
+	// and RepBlock search the blocks.
+	corner   []int64
+	repBlock int
 }
 
 // Rep returns the lexicographically smallest representative point across
 // the region's blocks, the deterministic spot where the summary generator
-// places the region's tuple mass.
-func (r Region) Rep() []int64 { return r.RepBlock().Rep() }
+// places the region's tuple mass. A region OptimalIncremental or Grid
+// made returns the corner it carries, which the caller must not modify.
+func (r Region) Rep() []int64 {
+	if r.corner != nil {
+		return r.corner
+	}
+	return r.RepBlock().Rep()
+}
 
 // RepBlock returns the block whose representative point is the region's:
 // the block with the lexicographically smallest corner. Blocks are
 // disjoint, so no two share a corner.
 func (r Region) RepBlock() Block {
+	if r.corner != nil {
+		return r.Blocks[r.repBlock]
+	}
 	best := r.Blocks[0]
 	for _, b := range r.Blocks[1:] {
 		if compareCorners(b, best) < 0 {
@@ -262,21 +278,27 @@ func OptimalCapped(space []pred.Set, cons []pred.DNF, maxBlocks int) ([]Region, 
 // sortByRep puts regions in the deterministic output order: ascending by
 // representative point, compared lexicographically (stable across runs and
 // platforms). Regions are disjoint, so no two share a representative and
-// the order is total. Each region's representative block is found once,
-// not once per comparison.
+// the order is total. Each region's corner is found once, into one array,
+// and the region carries it.
 func sortByRep(regions []Region) {
-	type keyed struct {
-		rep Block
-		r   Region
+	if len(regions) == 0 {
+		return
 	}
-	ks := make([]keyed, len(regions))
-	for i, r := range regions {
-		ks[i] = keyed{r.RepBlock(), r}
+	n := len(regions[0].Blocks[0].Dims)
+	corners := make([]int64, len(regions)*n)
+	for i := range regions {
+		r := &regions[i]
+		r.corner = corners[i*n : (i+1)*n : (i+1)*n]
+		for k, b := range r.Blocks {
+			if k == 0 || compareCorners(b, r.Blocks[r.repBlock]) < 0 {
+				r.repBlock = k
+			}
+		}
+		for d, s := range r.Blocks[r.repBlock].Dims {
+			r.corner[d] = s.Min()
+		}
 	}
-	slices.SortFunc(ks, func(a, b keyed) int { return compareCorners(a.rep, b.rep) })
-	for i, k := range ks {
-		regions[i] = k.r
-	}
+	slices.SortFunc(regions, func(a, b Region) int { return slices.Compare(a.corner, b.corner) })
 }
 
 // Atoms computes the atomic intervals ("split points" union, §4.1

@@ -198,52 +198,90 @@ func (s Set) Count() int64 {
 }
 
 // Intersect returns s ∩ o.
-func (s Set) Intersect(o Set) Set {
-	var out []Interval
+func (s Set) Intersect(o Set) Set { return Set{ivs: AppendIntersect(nil, s.ivs, o.ivs)} }
+
+// Union returns s ∪ o.
+func (s Set) Union(o Set) Set { return Set{ivs: AppendUnion(nil, s.ivs, o.ivs)} }
+
+// Subtract returns s \ o.
+func (s Set) Subtract(o Set) Set { return Set{ivs: AppendSubtract(nil, s.ivs, o.ivs)} }
+
+// Classify reports how s lies against o without allocating: Disjoint when
+// s ∩ o is empty, Inside when s \ o is empty and s is not, Split
+// otherwise.
+func (s Set) Classify(o Set) Relation { return Classify(s.ivs, o.ivs) }
+
+// Sorted returns the set of ivs without copying them. ivs must be in a
+// Set's form — non-empty intervals, sorted, disjoint and non-adjacent, as
+// a Set's Intervals and the Append functions below give them — and must
+// not be modified afterwards. It lets a caller keep many sets' intervals
+// in one array.
+func Sorted(ivs []Interval) Set { return Set{ivs: ivs} }
+
+// The functions below compute on interval lists in a Set's form (a Set's
+// Intervals) and append the result, in the same form, to dst: a caller
+// that keeps many sets' intervals in one array grows it in place instead
+// of allocating a set per operation. dst must not overlap a or b beyond
+// its length.
+
+// AppendIntersect appends a ∩ b to dst.
+func AppendIntersect(dst, a, b []Interval) []Interval {
 	i, j := 0, 0
-	for i < len(s.ivs) && j < len(o.ivs) {
-		iv := s.ivs[i].Intersect(o.ivs[j])
+	for i < len(a) && j < len(b) {
+		iv := a[i].Intersect(b[j])
 		if !iv.Empty() {
-			out = append(out, iv)
+			dst = append(dst, iv)
 		}
-		if s.ivs[i].Hi < o.ivs[j].Hi {
+		if a[i].Hi < b[j].Hi {
 			i++
 		} else {
 			j++
 		}
 	}
-	return Set{ivs: out}
+	return dst
 }
 
-// Union returns s ∪ o.
-func (s Set) Union(o Set) Set {
-	all := make([]Interval, 0, len(s.ivs)+len(o.ivs))
-	all = append(all, s.ivs...)
-	all = append(all, o.ivs...)
-	return NewSet(all...)
+// AppendUnion appends a ∪ b to dst.
+func AppendUnion(dst, a, b []Interval) []Interval {
+	from := len(dst)
+	i, j := 0, 0
+	for i < len(a) || j < len(b) {
+		var iv Interval
+		if j == len(b) || (i < len(a) && a[i].Lo <= b[j].Lo) {
+			iv, i = a[i], i+1
+		} else {
+			iv, j = b[j], j+1
+		}
+		// Merge iv into the last interval when they overlap or touch.
+		if n := len(dst); n > from && iv.Lo <= dst[n-1].Hi+1 {
+			dst[n-1].Hi = max(dst[n-1].Hi, iv.Hi)
+			continue
+		}
+		dst = append(dst, iv)
+	}
+	return dst
 }
 
-// Subtract returns s \ o.
-func (s Set) Subtract(o Set) Set {
-	var out []Interval
+// AppendSubtract appends a \ b to dst.
+func AppendSubtract(dst, a, b []Interval) []Interval {
 	j := 0
-	for _, iv := range s.ivs {
+	for _, iv := range a {
 		// Walk iv left to right: cur is its first point not yet placed.
 		for cur := iv.Lo; cur <= iv.Hi; {
-			for j < len(o.ivs) && o.ivs[j].Hi < cur {
+			for j < len(b) && b[j].Hi < cur {
 				j++
 			}
-			if j == len(o.ivs) || o.ivs[j].Lo > iv.Hi {
-				out = append(out, Interval{cur, iv.Hi})
+			if j == len(b) || b[j].Lo > iv.Hi {
+				dst = append(dst, Interval{cur, iv.Hi})
 				break
 			}
-			if o.ivs[j].Lo > cur {
-				out = append(out, Interval{cur, o.ivs[j].Lo - 1})
+			if b[j].Lo > cur {
+				dst = append(dst, Interval{cur, b[j].Lo - 1})
 			}
-			cur = o.ivs[j].Hi + 1
+			cur = b[j].Hi + 1
 		}
 	}
-	return Set{ivs: out}
+	return dst
 }
 
 // Relation is how a set lies against another.
@@ -255,27 +293,25 @@ const (
 	Split                    // some points inside, some outside
 )
 
-// Classify reports how s lies against o without allocating: Disjoint when
-// s ∩ o is empty, Inside when s \ o is empty and s is not, Split
-// otherwise.
-func (s Set) Classify(o Set) Relation {
+// Classify reports how a lies against b, as Set.Classify does.
+func Classify(a, b []Interval) Relation {
 	in, out := false, false
 	j := 0
-	for _, iv := range s.ivs {
-		// Walk iv as Subtract does, noting what lies in and out of o.
+	for _, iv := range a {
+		// Walk iv as AppendSubtract does, noting what lies in and out of b.
 		for cur := iv.Lo; cur <= iv.Hi; {
-			for j < len(o.ivs) && o.ivs[j].Hi < cur {
+			for j < len(b) && b[j].Hi < cur {
 				j++
 			}
-			if j == len(o.ivs) || o.ivs[j].Lo > iv.Hi {
+			if j == len(b) || b[j].Lo > iv.Hi {
 				out = true
 				break
 			}
-			if o.ivs[j].Lo > cur {
+			if b[j].Lo > cur {
 				out = true
 			}
 			in = true
-			cur = o.ivs[j].Hi + 1
+			cur = b[j].Hi + 1
 		}
 		if in && out {
 			return Split

@@ -329,3 +329,30 @@ func TestClassifyAllocatesNothing(t *testing.T) {
 		t.Fatalf("Classify allocates %v objects", allocs)
 	}
 }
+
+// TestAppendOpsLeaveDstPrefix: the Append functions write after what dst
+// holds and never merge into it, even when dst's last interval touches
+// the result's first, and they give what the Set methods give; the union
+// is the one NewSet normalizes from both sides' intervals.
+func TestAppendOpsLeaveDstPrefix(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	ops := []struct {
+		name string
+		fn   func(dst, a, b []Interval) []Interval
+		want func(a, b Set) Set
+	}{
+		{"intersect", AppendIntersect, Set.Intersect},
+		{"union", AppendUnion, func(a, b Set) Set { return NewSet(append(append([]Interval(nil), a.ivs...), b.ivs...)...) }},
+		{"subtract", AppendSubtract, Set.Subtract},
+	}
+	for range 500 {
+		a, b := randSet(rng), randSet(rng)
+		prefix := []Interval{{-1000, -101}} // touches any interval starting at -100
+		for _, op := range ops {
+			got := op.fn(append([]Interval(nil), prefix...), a.ivs, b.ivs)
+			if got[0] != prefix[0] || !Sorted(got[1:]).Equal(op.want(a, b)) {
+				t.Fatalf("%s of %v and %v after %v: %v, want %v", op.name, a, b, prefix, got, op.want(a, b))
+			}
+		}
+	}
+}

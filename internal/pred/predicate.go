@@ -68,6 +68,17 @@ func (c Conjunct) Eval(point []int64) bool {
 	return true
 }
 
+// EvalAt is Eval of the conjunct with every attribute a read from
+// point[at[a]]: Eval of Remap's copy without making it.
+func (c Conjunct) EvalAt(point []int64, at []int) bool {
+	for attr, s := range c.Cols {
+		if !s.Contains(point[at[attr]]) {
+			return false
+		}
+	}
+	return true
+}
+
 // Attrs returns the attributes the conjunct constrains, sorted.
 func (c Conjunct) Attrs() []int {
 	out := make([]int, 0, len(c.Cols))
@@ -150,6 +161,18 @@ func (p DNF) Or(q DNF) DNF {
 func (p DNF) Eval(point []int64) bool {
 	for _, c := range p.Terms {
 		if c.Eval(point) {
+			return true
+		}
+	}
+	return false
+}
+
+// EvalAt reports whether the point satisfies the predicate with every
+// attribute a read from point[at[a]], as Eval of the predicate remapped
+// through at does.
+func (p DNF) EvalAt(point []int64, at []int) bool {
+	for _, c := range p.Terms {
+		if c.EvalAt(point, at) {
 			return true
 		}
 	}

@@ -38,6 +38,7 @@ func relErr(want, got int64) float64 {
 // attribute values.
 func Evaluate(s *Summary, views map[string]*preprocess.View, w *cc.Workload) ([]CCReport, error) {
 	out := make([]CCReport, 0, len(w.CCs))
+	var at []int // at[id]: the view position of the CC's attribute id
 	for i := range w.CCs {
 		c := &w.CCs[i]
 		v, ok := views[c.Root]
@@ -52,17 +53,16 @@ func Evaluate(s *Summary, views map[string]*preprocess.View, w *cc.Workload) ([]
 		if c.IsSize() {
 			got = vs.Total()
 		} else {
-			remap := make(map[int]int, len(c.Attrs))
-			for id, a := range c.Attrs {
+			at = at[:0]
+			for _, a := range c.Attrs {
 				p, ok := v.Index[a]
 				if !ok {
 					return nil, fmt.Errorf("summary: evaluate %s: attr %s not in view", c.Name, a)
 				}
-				remap[id] = p
+				at = append(at, p)
 			}
-			p := c.Pred.Remap(remap)
 			for _, r := range vs.Rows {
-				if p.Eval(r.Vals) {
+				if c.Pred.EvalAt(r.Vals, at) {
 					got += r.Count
 				}
 			}
