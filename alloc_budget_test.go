@@ -44,31 +44,31 @@ func regenerateAllocs(t *testing.T, in pinnedInput, collect bool) (bytes, object
 // TestRegenerateAllocationBudget pins what one warm Regenerate of each
 // summarize input allocates, with about 20 % headroom over what it was
 // measured at (go1.24, amd64): the partitioner keeps its blocks in slabs
-// a run takes from a free list and builds its regions once, branch and
-// bound decides on native vertices, tableaus and column classes are built
-// in memory earlier solves left behind, group LPs are assembled in reused
-// buffers without row names, and the summary looks its keys up through
-// reused buffers and keeps row values in slabs. A pass over the four
-// allocates at most 10 MB in 100 k objects (15.8 MB in 148 k before the
-// partitioner used slabs and solve memory outlived a collection), and
-// about as much when garbage collections run between the calls: solve
-// and partition memory is kept in free lists a collection does not
-// empty. The race detector's sync.Pool drops items at random, so the
-// test is built without it.
+// a run takes from a free list and returns regions that carry only their
+// label and corner, branch and bound decides on native vertices, tableaus
+// and column classes are built in memory earlier solves left behind,
+// group LPs are assembled in reused buffers without row names, and the
+// summary looks its keys up through reused buffers and keeps row values
+// in slabs. A pass over the four allocates at most 8 MB in 61 k objects
+// (8.5 MB in 52.7 k while regions still carried their blocks, 15.8 MB in
+// 148 k before the partitioner used slabs and solve memory outlived a
+// collection), and about as much when garbage collections run between
+// the calls: solve and partition memory is kept in free lists a
+// collection does not empty. The race detector's sync.Pool drops items
+// at random, so the test is built without it.
 func TestRegenerateAllocationBudget(t *testing.T) {
-	// Lowered when partition blocks moved into slabs and solve memory
-	// into free lists; the budgets before were 2.8/5.7/5.7/4.7 MB and
-	// 33.5/50.5/50.5/43 k objects, over 2.32/4.77/4.76/3.92 MB and
-	// 28.0/42.2/42.1/35.7 k.
+	// Lowered when regions stopped carrying their blocks; the budgets
+	// before were 2.2/2.9/2.9/2.2 MB and 20.6/17.8/17.8/7.1 k objects,
+	// over 1.82/2.43/2.42/1.85 MB and 17.2/14.8/14.8/5.9 k.
 	budget := map[string]struct{ bytes, objects float64 }{
-		// measured: 1.81 MB, 17.2 k objects
-		"WLs-90": {2.2e6, 20.6e3},
-		// measured: 2.40 MB, 14.8 k
-		"WLc-55": {2.9e6, 17.8e3},
-		// measured: 2.39 MB, 14.7 k
-		"WLc-55-x1e11": {2.9e6, 17.8e3},
-		// measured: 1.82 MB, 5.9 k
-		"JOB-30": {2.2e6, 7.1e3},
+		// measured: 1.67 MB, 16.7 k objects
+		"WLs-90": {2.0e6, 20.0e3},
+		// measured: 1.91 MB, 14.3 k
+		"WLc-55": {2.3e6, 17.1e3},
+		// measured: 1.90 MB, 14.2 k
+		"WLc-55-x1e11": {2.3e6, 17.1e3},
+		// measured: 1.14 MB, 5.8 k
+		"JOB-30": {1.4e6, 6.9e3},
 	}
 	var bytes, objects, gcBytes, gcObjects float64
 	for _, in := range pinnedInputs(t) {
@@ -82,8 +82,8 @@ func TestRegenerateAllocationBudget(t *testing.T) {
 		gcBytes += b
 		gcObjects += o
 	}
-	if bytes > 10e6 || objects > 100e3 {
-		t.Errorf("a pass allocates %.1f MB in %.0f k objects; want at most 10 MB and 100 k", bytes/1e6, objects/1e3)
+	if bytes > 8e6 || objects > 61e3 {
+		t.Errorf("a pass allocates %.1f MB in %.0f k objects; want at most 8 MB and 61 k", bytes/1e6, objects/1e3)
 	}
 	if gcBytes > 1.05*bytes || gcObjects > 1.05*objects {
 		t.Errorf("with two collections before each call a pass allocates %.2f MB in %.1f k objects, over 5 %% more than %.2f MB in %.1f k without",

@@ -13,15 +13,13 @@
 //
 // The ablation suite isolates: region vs grid partitioning, deterministic
 // alignment vs sampling instantiation, rational vs float simplex, joint vs
-// sequential LP solving, adaptive decomposition vs literal-paper cliques,
-// FK spread, and tuple-lookup strategy.
+// sequential LP solving, FK spread, and tuple-lookup strategy.
 package hydra_test
 
 import (
 	"context"
 	"fmt"
 	"io"
-	"math"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -687,32 +685,6 @@ func BenchmarkAblation_JointVsSequential(b *testing.B) {
 	b.Run("Joint", func(b *testing.B) {
 		run(b, func(f *core.Formulation) (*core.ViewSolution, error) { return f.Solve(core.Options{}) })
 	})
-}
-
-// BenchmarkAblation_DecompositionPolicy compares the adaptive
-// component-merge policy against the literal-paper maximal-clique
-// decomposition on the overlapping complex workload.
-func BenchmarkAblation_DecompositionPolicy(b *testing.B) {
-	e := getEnv(b)
-	views, err := preprocess.BuildViews(e.schema, e.wlc)
-	if err != nil {
-		b.Fatal(err)
-	}
-	v := views["item"]
-	run := func(b *testing.B, threshold int) {
-		old := core.MergeFloorThreshold
-		core.MergeFloorThreshold = threshold
-		defer func() { core.MergeFloorThreshold = old }()
-		for i := 0; i < b.N; i++ {
-			f, err := core.FormulateWith(v, core.RegionStrategy)
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.ReportMetric(float64(f.Stats.Vars), "vars")
-		}
-	}
-	b.Run("Adaptive", func(b *testing.B) { run(b, 20_000) })
-	b.Run("PaperCliques", func(b *testing.B) { run(b, math.MaxInt) })
 }
 
 // BenchmarkAblation_FKSpread compares first-row FK assignment (the

@@ -68,7 +68,6 @@ func (opts Options) memory() (*solveMemory, func()) {
 
 // RegionCount is one populated region of a sub-view solution.
 type RegionCount struct {
-	Region partition.Region
 	// Rep is the region's representative point, aligned with the owning
 	// SubViewSolution's Attrs.
 	Rep []int64
@@ -289,71 +288,42 @@ type SubViewInput struct {
 	CCIdx []int
 }
 
-// MergeFloorThreshold controls the adaptive decomposition policy: the
-// maximal-clique decomposition guarantees at least ∏ atoms(d) regions per
-// clique over its shared dimensions d (every consistency cell needs its
-// own variable). When that floor, summed over cliques, exceeds this
-// threshold, the decomposition is costing more than it saves and the view
-// is re-decomposed into the connected components of its view-graph
-// instead: components share no attributes, so no marker atoms and no
-// consistency rows are needed at all, and the region count collapses back
-// to the number of distinct constraint-satisfaction labels.
-//
-// The paper's workloads (few, lightly-overlapping CCs per view) sit far
-// below the threshold and use the §3.2 decomposition unchanged; densely
-// overlapping workloads trigger the merge. Exposed as a variable so the
-// decomposition-policy ablation bench can force either behaviour.
-var MergeFloorThreshold = 20_000
-
 // SubViewInputs decomposes the view and returns the per-sub-view
 // partitioning inputs in merge order.
 func SubViewInputs(v *preprocess.View) []SubViewInput {
-	inputs, _, _ := subViewInputs(v)
+	inputs, _, _, _ := subViewInputs(v)
 	return inputs
 }
 
-func subViewInputs(v *preprocess.View) ([]SubViewInput, decomposed, map[int][]pred.Interval) {
-	n := len(v.Attrs)
-	g := viewgraph.New(n)
+// subViewInputs decomposes the view-graph of v into its maximal cliques
+// (viewgraph.Decompose) and returns each clique's partitioning input in
+// clique-tree preorder; the parent of each, as a position in that order
+// (-1 for a root); the fill edges the chordal completion added; and the
+// atoms of every attribute more than one clique holds.
+func subViewInputs(v *preprocess.View) (inputs []SubViewInput, parent []int, fill int, atoms map[int][]pred.Interval) {
+	g := viewgraph.New(len(v.Attrs))
 	ccAttrs := make([][]int, len(v.CCs)) // each CC's attributes, sorted
 	for ci, vcc := range v.CCs {
 		ccAttrs[ci] = vcc.Pred.Attrs()
 		g.AddClique(ccAttrs[ci])
 	}
-	tree := vgDecompose(g)
+	tree, fill := viewgraph.Decompose(g)
 
 	// Order cliques by the RIP merge order.
-	cliques := make([][]int, 0, len(tree.t.Cliques))
-	for _, ci := range tree.t.Order {
-		cliques = append(cliques, tree.t.Cliques[ci])
-	}
-
-	// Shared attributes and their atoms.
-	occur, atoms := sharedAtoms(v, cliques)
-
-	// Adaptive policy. The maximal-clique decomposition pays a region
-	// floor of ∏ atoms(d) per clique over shared dimensions; merging a
-	// connected component into one sub-view avoids all markers but pays
-	// the label product of its (near-)independent constraints, which can
-	// be exponential. Neither dominates, so when the clique floor is
-	// painful we TRY the merged form under a budget proportional to that
-	// floor and keep whichever side succeeds.
-	if MergeFloorThreshold > 0 {
-		if floor := regionFloor(cliques, occur, atoms); floor > int64(MergeFloorThreshold) {
-			comps := g.Components()
-			budget := int64(partition.DefaultMaxBlocks)
-			if floor < budget/4 {
-				budget = 4 * floor
-			}
-			if mergedComponentsViable(v, ccAttrs, comps, int(budget)) {
-				tree = forestDecomposed(comps)
-				cliques = comps
-				occur, atoms = sharedAtoms(v, cliques)
-			}
+	pos := make([]int, len(tree.Cliques)) // clique index → position in Order
+	cliques := make([][]int, len(tree.Order))
+	parent = make([]int, len(tree.Order))
+	for i, ci := range tree.Order {
+		pos[ci] = i
+		cliques[i] = tree.Cliques[ci]
+		parent[i] = -1
+		if pi := tree.Parent[ci]; pi != -1 {
+			parent[i] = pos[pi] // a parent precedes its children
 		}
 	}
+	atoms = sharedAtoms(v, cliques)
 
-	inputs := make([]SubViewInput, 0, len(cliques))
+	inputs = make([]SubViewInput, 0, len(cliques))
 	for _, cl := range cliques {
 		in := SubViewInput{Attrs: cl}
 		local := make(map[int]int, len(cl))
@@ -378,7 +348,7 @@ func subViewInputs(v *preprocess.View) ([]SubViewInput, decomposed, map[int][]pr
 		}
 		inputs = append(inputs, in)
 	}
-	return inputs, tree, atoms
+	return inputs, parent, fill, atoms
 }
 
 // FormulateWith is Formulate parameterized by the partitioning strategy.
@@ -386,9 +356,9 @@ func subViewInputs(v *preprocess.View) ([]SubViewInput, decomposed, map[int][]pr
 // cells of its clique-tree edge; the joint LP is built from those only if
 // Problem, Solve or SolveSequential's joint fallback asks for it.
 func FormulateWith(v *preprocess.View, strat Strategy) (*Formulation, error) {
-	inputs, tree, atoms := subViewInputs(v)
+	inputs, parent, fill, atoms := subViewInputs(v)
 	f := &Formulation{View: v, atoms: atoms}
-	f.Stats.FillEdges = tree.fill
+	f.Stats.FillEdges = fill
 	f.Stats.SubViews = len(inputs)
 
 	cliques := make([][]int, len(inputs))
@@ -416,19 +386,15 @@ func FormulateWith(v *preprocess.View, strat Strategy) (*Formulation, error) {
 
 	// Consistency cells along clique-tree edges: atom-cell marginals over
 	// the separator.
-	for oi, ci := range tree.t.Order {
-		pi := tree.t.Parent[ci]
-		if pi == -1 {
+	for child, par := range parent {
+		if par == -1 {
 			continue
 		}
-		// Positions within f's ordered slices.
-		childPos := oi
-		parentPos := tree.orderPos[pi]
-		sep := viewgraph.Intersect(tree.t.Cliques[ci], tree.t.Cliques[pi])
+		sep := viewgraph.Intersect(cliques[child], cliques[par])
 		if len(sep) == 0 {
 			continue
 		}
-		e := svEdge{child: childPos, parent: parentPos, sep: sep, cells: f.sepCells(childPos, parentPos, sep)}
+		e := svEdge{child: child, parent: par, sep: sep, cells: f.sepCells(child, par, sep)}
 		f.edges = append(f.edges, e)
 		f.Stats.ConsistencyRows += len(e.cells)
 	}
@@ -601,39 +567,10 @@ func coveredBy(attrs, clique []int) bool {
 	return true
 }
 
-type decomposed struct {
-	t        *viewgraph.CliqueTree
-	fill     int
-	orderPos map[int]int // clique index → position in Order
-}
-
-func vgDecompose(g *viewgraph.Graph) decomposed {
-	peo, fill := g.Chordalize()
-	cliques := viewgraph.MaxCliques(g, peo)
-	t := viewgraph.NewCliqueTree(cliques)
-	pos := make(map[int]int, len(t.Order))
-	for i, ci := range t.Order {
-		pos[ci] = i
-	}
-	return decomposed{t: t, fill: fill, orderPos: pos}
-}
-
-// forestDecomposed wraps attribute components as a decomposition with no
-// tree edges (components share nothing).
-func forestDecomposed(comps [][]int) decomposed {
-	t := &viewgraph.CliqueTree{Cliques: comps, Parent: make([]int, len(comps))}
-	pos := make(map[int]int, len(comps))
-	for i := range comps {
-		t.Parent[i] = -1
-		t.Order = append(t.Order, i)
-		pos[i] = i
-	}
-	return decomposed{t: t, orderPos: pos}
-}
-
-// sharedAtoms computes attribute occurrence counts across sub-views and
-// the consistency atoms of every shared attribute.
-func sharedAtoms(v *preprocess.View, cliques [][]int) ([]int, map[int][]pred.Interval) {
+// sharedAtoms returns the consistency atoms of every attribute more
+// than one clique holds: the attribute's domain cut at the boundaries of
+// every conjunct of the view.
+func sharedAtoms(v *preprocess.View, cliques [][]int) map[int][]pred.Interval {
 	occur := make([]int, len(v.Attrs))
 	for _, c := range cliques {
 		for _, a := range c {
@@ -645,66 +582,12 @@ func sharedAtoms(v *preprocess.View, cliques [][]int) ([]int, map[int][]pred.Int
 		allConjuncts = append(allConjuncts, vcc.Pred.Terms...)
 	}
 	atoms := make(map[int][]pred.Interval)
-	for a := range occur {
-		if occur[a] > 1 {
+	for a, n := range occur {
+		if n > 1 {
 			atoms[a] = partition.Atoms(v.Domains[a], allConjuncts, a)
 		}
 	}
-	return occur, atoms
-}
-
-// mergedComponentsViable trial-partitions each connected component as a
-// single sub-view under a block budget, reporting whether every component
-// stays within it. The trial duplicates the later real partitioning work,
-// but only on views whose clique decomposition is already known to be
-// expensive.
-func mergedComponentsViable(v *preprocess.View, ccAttrs, comps [][]int, budget int) bool {
-	for _, comp := range comps {
-		local := make(map[int]int, len(comp))
-		space := make([]pred.Set, len(comp))
-		for i, a := range comp {
-			local[a] = i
-			space[i] = v.Domains[a]
-		}
-		var cons []pred.DNF
-		for ci, vcc := range v.CCs {
-			if coveredBy(ccAttrs[ci], comp) {
-				cons = append(cons, vcc.Pred.Remap(local))
-			}
-		}
-		if len(cons) == 0 {
-			continue
-		}
-		if _, err := partition.OptimalIncremental(space, cons, budget); err != nil {
-			return false
-		}
-	}
-	return true
-}
-
-// regionFloor lower-bounds the total region count of a decomposition: each
-// clique needs at least one region per combination of consistency atoms
-// over its shared dimensions. The count saturates at 2⁴⁰, so it is an
-// int64 on every architecture.
-func regionFloor(cliques [][]int, occur []int, atoms map[int][]pred.Interval) int64 {
-	const cap = 1 << 40
-	var total int64
-	for _, cl := range cliques {
-		var f int64 = 1
-		for _, a := range cl {
-			if occur[a] > 1 {
-				f *= int64(len(atoms[a]))
-				if f > cap {
-					return cap
-				}
-			}
-		}
-		total += f
-		if total > cap {
-			return cap
-		}
-	}
-	return total
+	return atoms
 }
 
 // stopwatch starts timing and returns the reader of the elapsed time.
@@ -727,20 +610,27 @@ func (f *Formulation) Solve(opts Options) (*ViewSolution, error) {
 	}
 	f.Stats.SolveTime = elapsed()
 
+	counts := make([][]int64, len(f.regions))
+	for si, regions := range f.regions {
+		counts[si] = x[f.varBase[si] : f.varBase[si]+len(regions)]
+	}
+	return f.solution(counts), nil
+}
+
+// solution makes the view's solution from each sub-view's region counts,
+// dropping the regions that hold no tuples.
+func (f *Formulation) solution(counts [][]int64) *ViewSolution {
 	vs := &ViewSolution{View: f.View, Stats: f.Stats}
 	for si, cl := range f.cliques {
 		sv := SubViewSolution{Attrs: cl, AllRegions: len(f.regions[si])}
 		for ri, r := range f.regions[si] {
-			cnt := x[f.varBase[si]+ri]
-			if cnt <= 0 {
-				continue
+			if c := counts[si][ri]; c > 0 {
+				sv.Rows = append(sv.Rows, RegionCount{Rep: r.Rep(), Count: c})
 			}
-			sv.Rows = append(sv.Rows, RegionCount{Region: r, Rep: r.Rep(), Count: cnt})
 		}
 		vs.SubViews = append(vs.SubViews, sv)
 	}
-	vs.Stats = f.Stats
-	return vs, nil
+	return vs
 }
 
 func (f *Formulation) solveVector(opts Options) ([]int64, error) {

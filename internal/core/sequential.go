@@ -38,7 +38,7 @@ func (f *Formulation) SolveSequential(opts Options) (*ViewSolution, error) {
 	n := len(f.cliques)
 	if n == 0 {
 		f.Stats.SolveTime = elapsed()
-		return &ViewSolution{View: f.View, Stats: f.Stats}, nil
+		return f.solution(nil), nil
 	}
 
 	// Parent edge per sub-view position (preorder ⇒ parent solved first).
@@ -169,17 +169,7 @@ func (f *Formulation) SolveSequential(opts Options) (*ViewSolution, error) {
 	f.Stats.SolveTime = elapsed()
 	f.Stats.Nodes = nodesTotal
 	f.Stats.Pivots = pivotsTotal
-	vs := &ViewSolution{View: f.View, Stats: f.Stats}
-	for si, cl := range f.cliques {
-		sv := SubViewSolution{Attrs: cl, AllRegions: len(f.regions[si])}
-		for ri, r := range f.regions[si] {
-			if counts[si][ri] > 0 {
-				sv.Rows = append(sv.Rows, RegionCount{Region: r, Rep: r.Rep(), Count: counts[si][ri]})
-			}
-		}
-		vs.SubViews = append(vs.SubViews, sv)
-	}
-	return vs, nil
+	return f.solution(counts), nil
 }
 
 // errInexact is the failure of a group whose branch and bound stopped on

@@ -66,3 +66,35 @@ func TestConfigDefaults(t *testing.T) {
 		t.Fatalf("defaults wrong: %+v", c)
 	}
 }
+
+// TestFig12Pinned pins Figure 12 at the default configuration (SF 0.2,
+// seed 42, WLc-131): the LP variables of each charted relation under
+// region partitioning, and the grid cells DataSynth would need. Both
+// move only when the formulation's decomposition, marker atoms or
+// partitioning do.
+func TestFig12Pinned(t *testing.T) {
+	env, err := NewEnv(Config{Dir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tab, err := Fig12(env)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := [][3]string{ // relation, Hydra regions, DataSynth grid cells
+		{"catalog_sales", "3099", "4869"},
+		{"store_sales", "8028", "10578"},
+		{"web_sales", "516", "611"},
+		{"item", "8", "16"},
+		{"customer", "16", "26"},
+		{"date_dim", "8", "18"},
+	}
+	if len(tab.Rows) != len(want) {
+		t.Fatalf("%d rows, want %d", len(tab.Rows), len(want))
+	}
+	for i, row := range tab.Rows {
+		if got := [3]string{row[0], row[1], row[2]}; got != want[i] {
+			t.Errorf("row %d: %v, want %v", i, got, want[i])
+		}
+	}
+}

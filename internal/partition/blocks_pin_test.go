@@ -170,7 +170,8 @@ func randTermsDNF(rng *rand.Rand, nDims int) pred.DNF {
 }
 
 // TestOptimalIncrementalMatchesFrozen pins OptimalIncremental's regions,
-// block lists and budget decisions to the frozen copy above on seeded
+// the block lists its run leaves in them (optimalIncrementalBlocks) and
+// its budget decisions to the frozen copy above on seeded
 // random inputs: DNFs of one to three terms over non-convex sets, with
 // MarkerDNFs families over the atoms they induce (as the formulator
 // injects them), at no budget, at the largest block total the input
@@ -203,19 +204,33 @@ func TestOptimalIncrementalMatchesFrozen(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := OptimalIncremental(space, cons, 0)
+		got, err := optimalIncrementalBlocks(space, cons, 0)
 		if err != nil {
 			t.Fatalf("input %d: %v", i, err)
 		}
 		if err := sameRegions(got, want); err != nil {
 			t.Fatalf("input %d: %v", i, err)
 		}
+		// OptimalIncremental returns the same labels and corners, and no
+		// blocks.
+		plain, err := OptimalIncremental(space, cons, 0)
+		if err != nil {
+			t.Fatalf("input %d: %v", i, err)
+		}
+		if len(plain) != len(got) {
+			t.Fatalf("input %d: %d regions, %d with blocks", i, len(plain), len(got))
+		}
+		for k, r := range plain {
+			if !slices.Equal(r.Label, got[k].Label) || !slices.Equal(r.Rep(), got[k].Rep()) || r.Blocks != nil {
+				t.Fatalf("input %d region %d: label %v corner %v blocks %d, want %v %v 0", i, k, r.Label, r.Rep(), len(r.Blocks), got[k].Label, got[k].Rep())
+			}
+		}
 		for _, budget := range []int{peak, peak - 1} {
 			if budget <= 0 {
 				continue
 			}
 			_, _, wantErr := frozenOptimalIncremental(space, cons, budget)
-			got, gotErr := OptimalIncremental(space, cons, budget)
+			got, gotErr := optimalIncrementalBlocks(space, cons, budget)
 			var tooMany *ErrTooManyBlocks
 			if (gotErr == nil) != (wantErr == nil) || (gotErr != nil && !errors.As(gotErr, &tooMany)) {
 				t.Fatalf("input %d, budget %d: error %v, frozen %v", i, budget, gotErr, wantErr)

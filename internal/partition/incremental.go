@@ -27,27 +27,41 @@ import (
 // the two agree.
 //
 // The run keeps its blocks in a few pointer-free slabs (see slab) that
-// it takes from a pool and gives back; the regions it returns are built
-// once, at the end, from a handful of arrays of their own, and share no
-// memory with the slabs or with another call's regions.
+// it takes from a pool and gives back. The regions it returns carry their
+// label and corner, not their blocks; they are built once, at the end,
+// from a few arrays of their own, and share no memory with the slabs or
+// with another call's regions.
 //
 // maxBlocks caps the total block count across regions (0 = unlimited).
 func OptimalIncremental(space []pred.Set, cons []pred.DNF, maxBlocks int) ([]Region, error) {
+	r, err := run(space, cons, maxBlocks)
+	if r == nil {
+		return nil, err
+	}
+	defer slabs.Put(r)
+	return r.regions(), nil
+}
+
+// run splits space by every constraint of cons in turn on a slab from
+// the pool, and returns the slab, its regions in cur, for the caller to
+// read and put back. It returns nil for an empty space, and when the
+// regions pass maxBlocks blocks.
+func run(space []pred.Set, cons []pred.DNF, maxBlocks int) (*slab, error) {
 	for _, s := range space {
 		if s.Empty() {
 			return nil, nil
 		}
 	}
 	r := slabs.Get()
-	defer slabs.Put(r)
 	r.reset(space, len(cons))
 	for j, c := range cons {
 		r.setTerms(c)
 		if total := r.step(j); maxBlocks > 0 && total > maxBlocks {
+			slabs.Put(r)
 			return nil, &ErrTooManyBlocks{Blocks: maxBlocks}
 		}
 	}
-	return r.regions(), nil
+	return r, nil
 }
 
 // maxKeptSlab is the most memory, in bytes, a finished run's slab may
@@ -117,11 +131,10 @@ type slab struct {
 	spareDims []span
 	liveIvs   int
 
-	// regions' scratch: each region's corner and the index of the block
-	// it is the corner of, and the regions in corner order.
-	corners  []int64
-	repBlock []int
-	order    []int32
+	// regions' scratch: each region's corner, and the regions of cur in
+	// corner order.
+	corners []int64
+	order   []int32
 }
 
 // restriction is a conjunct's constraint on one dimension.
@@ -438,26 +451,20 @@ func (r *slab) compact() {
 	r.liveIvs = len(ivs)
 }
 
-// regions builds the run's result: the regions of cur in corner order,
-// each with its blocks, label and corner, carved from one array per
-// kind.
+// regions builds the run's result: the regions of cur in corner order
+// (order lists them by their index in cur), each with its label and
+// corner, carved from one array per kind.
 func (r *slab) regions() []Region {
 	n, refs := r.n, r.cur.regs
 	// Each region's corner: its lexicographically smallest block corner.
 	corners := reuse(&r.corners, len(refs)*n)
-	repBlock := reuse(&r.repBlock, len(refs))
-	nIvs := 0
 	for i, ref := range refs {
 		c := corners[i*n : (i+1)*n]
 		for k, b := range r.cur.ids[ref.from:ref.to] {
 			if k == 0 || r.cornerBelow(b, c) {
-				repBlock[i] = k
 				for d := range n {
 					c[d] = r.set(b, d)[0].Lo
 				}
-			}
-			for d := range n {
-				nIvs += len(r.set(b, d))
 			}
 		}
 	}
@@ -469,32 +476,15 @@ func (r *slab) regions() []Region {
 		return slices.Compare(corners[int(a)*n:int(a+1)*n], corners[int(b)*n:int(b+1)*n])
 	})
 
-	blocks := len(r.cur.ids)
 	out := make([]Region, len(refs))
-	outBlocks := make([]Block, blocks)
-	sets := make([]pred.Set, blocks*n)
-	ivs := make([]pred.Interval, 0, nIvs)
 	labels := make([]uint64, len(refs)*r.w)
 	outCorners := make([]int64, len(refs)*n)
 	for pos, i := range order {
-		ref := r.cur.regs[i]
-		bs := outBlocks[: ref.to-ref.from : ref.to-ref.from]
-		outBlocks = outBlocks[len(bs):]
-		for k, b := range r.cur.ids[ref.from:ref.to] {
-			dims := sets[:n:n]
-			sets = sets[n:]
-			for d := range n {
-				from := len(ivs)
-				ivs = append(ivs, r.set(b, d)...)
-				dims[d] = pred.Sorted(ivs[from:len(ivs):len(ivs)])
-			}
-			bs[k] = Block{Dims: dims}
-		}
 		lbl := labels[pos*r.w : (pos+1)*r.w : (pos+1)*r.w]
 		copy(lbl, r.cur.labels[int(i)*r.w:])
 		corner := outCorners[pos*n : (pos+1)*n : (pos+1)*n]
 		copy(corner, corners[int(i)*n:])
-		out[pos] = Region{Blocks: bs, Label: lbl, corner: corner, repBlock: repBlock[i]}
+		out[pos] = Region{Label: lbl, corner: corner}
 	}
 	return out
 }

@@ -87,6 +87,29 @@ func (r *slab) blocks(ids []int32) []Block {
 	return out
 }
 
+// optimalIncrementalBlocks is OptimalIncremental with each region's
+// blocks, read from the same run's slab: the blocks the run left in the
+// region, in the run's order, their intervals copied as they are.
+func optimalIncrementalBlocks(space []pred.Set, cons []pred.DNF, maxBlocks int) ([]Region, error) {
+	r, err := run(space, cons, maxBlocks)
+	if r == nil {
+		return nil, err
+	}
+	defer slabs.Put(r)
+	regions := r.regions()
+	for pos, i := range r.order {
+		ref := r.cur.regs[i]
+		for _, k := range r.cur.ids[ref.from:ref.to] {
+			b := Block{Dims: make([]pred.Set, r.n)}
+			for d := range r.n {
+				b.Dims[d] = pred.Sorted(slices.Clone(r.set(k, d)))
+			}
+			regions[pos].Blocks = append(regions[pos].Blocks, b)
+		}
+	}
+	return regions, nil
+}
+
 // term1 is the slab's restrictions of a one-term constraint.
 func term1(r *slab, c pred.Conjunct) []restriction {
 	r.setTerms(pred.DNF{Terms: []pred.Conjunct{c}})
@@ -272,7 +295,7 @@ func TestOptimalIncrementalRunsShareNothing(t *testing.T) {
 		inputs[i] = in
 	}
 	run := func(in input) ([]Region, regionSnapshot) {
-		regions, err := OptimalIncremental(in.space, in.cons, 0)
+		regions, err := optimalIncrementalBlocks(in.space, in.cons, 0)
 		if err != nil {
 			t.Error(err)
 		}
@@ -339,7 +362,7 @@ func TestQuickIncrementalPartitionProperties(t *testing.T) {
 		for i := 0; i < 1+rng.Intn(5); i++ {
 			cons = append(cons, randDNF(rng, nDims))
 		}
-		regions, err := OptimalIncremental(space, cons, 0)
+		regions, err := optimalIncrementalBlocks(space, cons, 0)
 		if err != nil {
 			return false
 		}

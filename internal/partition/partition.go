@@ -15,9 +15,7 @@
 package partition
 
 import (
-	"cmp"
 	"fmt"
-	"math/big"
 	"slices"
 	"sort"
 
@@ -50,16 +48,6 @@ func (b Block) Empty() bool {
 	return false
 }
 
-// Points returns the number of points in the block, saturating at
-// math.MaxInt64.
-func (b Block) Points() *big.Int {
-	total := big.NewInt(1)
-	for _, s := range b.Dims {
-		total.Mul(total, big.NewInt(s.Count()))
-	}
-	return total
-}
-
 func (b Block) String() string {
 	return fmt.Sprintf("%v", b.Dims)
 }
@@ -86,71 +74,21 @@ func (l Label) key() string {
 // Region is a maximal set of blocks whose points satisfy exactly the same
 // constraints; one LP variable is created per region.
 type Region struct {
+	// Blocks are the region's blocks. Only the reference Optimal and
+	// Grid.CellRegions set them; OptimalIncremental's regions carry their
+	// label and corner alone, which is all the formulator reads.
 	Blocks []Block
 	Label  Label
 
-	// corner is the region's representative point and repBlock the index
-	// of the block it is the corner of, when the partitioner that made
-	// the region found them (OptimalIncremental and Grid do); nil has Rep
-	// and RepBlock search the blocks.
-	corner   []int64
-	repBlock int
+	// corner is the region's representative point.
+	corner []int64
 }
 
-// Rep returns the lexicographically smallest representative point across
-// the region's blocks, the deterministic spot where the summary generator
-// places the region's tuple mass. A region OptimalIncremental or Grid
-// made returns the corner it carries, which the caller must not modify.
-func (r Region) Rep() []int64 {
-	if r.corner != nil {
-		return r.corner
-	}
-	return r.RepBlock().Rep()
-}
-
-// RepBlock returns the block whose representative point is the region's:
-// the block with the lexicographically smallest corner. Blocks are
-// disjoint, so no two share a corner.
-func (r Region) RepBlock() Block {
-	if r.corner != nil {
-		return r.Blocks[r.repBlock]
-	}
-	best := r.Blocks[0]
-	for _, b := range r.Blocks[1:] {
-		if compareCorners(b, best) < 0 {
-			best = b
-		}
-	}
-	return best
-}
-
-// compareCorners compares the representative points of a and b
-// lexicographically without building them.
-func compareCorners(a, b Block) int {
-	for i, s := range a.Dims {
-		if c := cmp.Compare(s.Min(), b.Dims[i].Min()); c != 0 {
-			return c
-		}
-	}
-	return 0
-}
-
-// Contains reports whether the point lies inside the region.
-func (r Region) Contains(pt []int64) bool {
-	for _, b := range r.Blocks {
-		in := true
-		for i, s := range b.Dims {
-			if !s.Contains(pt[i]) {
-				in = false
-				break
-			}
-		}
-		if in {
-			return true
-		}
-	}
-	return false
-}
+// Rep returns the region's representative point, the lexicographically
+// smallest corner of its blocks: the deterministic spot where the summary
+// generator places the region's tuple mass. The caller must not modify
+// it.
+func (r Region) Rep() []int64 { return r.corner }
 
 // ErrTooManyBlocks reports that refinement exceeded the block budget: the
 // constraint set genuinely requires a partition too fine to enumerate
@@ -262,8 +200,11 @@ func OptimalCapped(space []pred.Set, cons []pred.DNF, maxBlocks int) ([]Region, 
 		k := lbl.key()
 		if r, ok := byLabel[k]; ok {
 			r.Blocks = append(r.Blocks, b)
+			if slices.Compare(rep, r.corner) < 0 {
+				r.corner = rep
+			}
 		} else {
-			byLabel[k] = &Region{Blocks: []Block{b}, Label: lbl}
+			byLabel[k] = &Region{Blocks: []Block{b}, Label: lbl, corner: rep}
 			order = append(order, k)
 		}
 	}
@@ -271,34 +212,10 @@ func OptimalCapped(space []pred.Set, cons []pred.DNF, maxBlocks int) ([]Region, 
 	for _, k := range order {
 		out = append(out, *byLabel[k])
 	}
-	sortByRep(out)
+	// The deterministic output order: ascending by representative point.
+	// Regions are disjoint, so no two share one and the order is total.
+	slices.SortFunc(out, func(a, b Region) int { return slices.Compare(a.corner, b.corner) })
 	return out, nil
-}
-
-// sortByRep puts regions in the deterministic output order: ascending by
-// representative point, compared lexicographically (stable across runs and
-// platforms). Regions are disjoint, so no two share a representative and
-// the order is total. Each region's corner is found once, into one array,
-// and the region carries it.
-func sortByRep(regions []Region) {
-	if len(regions) == 0 {
-		return
-	}
-	n := len(regions[0].Blocks[0].Dims)
-	corners := make([]int64, len(regions)*n)
-	for i := range regions {
-		r := &regions[i]
-		r.corner = corners[i*n : (i+1)*n : (i+1)*n]
-		for k, b := range r.Blocks {
-			if k == 0 || compareCorners(b, r.Blocks[r.repBlock]) < 0 {
-				r.repBlock = k
-			}
-		}
-		for d, s := range r.Blocks[r.repBlock].Dims {
-			r.corner[d] = s.Min()
-		}
-	}
-	slices.SortFunc(regions, func(a, b Region) int { return slices.Compare(a.corner, b.corner) })
 }
 
 // Atoms computes the atomic intervals ("split points" union, §4.1

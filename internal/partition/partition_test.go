@@ -2,11 +2,43 @@ package partition
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
 	"github.com/dsl-repro/hydra/internal/pred"
 )
+
+// RepBlock returns the block whose corner is the region's representative
+// point: the block with the lexicographically smallest corner. Blocks are
+// disjoint, so no two share a corner.
+func (r Region) RepBlock() Block {
+	best := r.Blocks[0]
+	for _, b := range r.Blocks[1:] {
+		if slices.Compare(b.Rep(), best.Rep()) < 0 {
+			best = b
+		}
+	}
+	return best
+}
+
+// Contains reports whether the point lies inside one of the region's
+// blocks.
+func (r Region) Contains(pt []int64) bool {
+	for _, b := range r.Blocks {
+		in := true
+		for i, s := range b.Dims {
+			if !s.Contains(pt[i]) {
+				in = false
+				break
+			}
+		}
+		if in {
+			return true
+		}
+	}
+	return false
+}
 
 // personSpace and personCCs encode the §3.2 "Person" example:
 //
@@ -280,7 +312,7 @@ func TestQuickIncrementalEquivalence(t *testing.T) {
 		}
 		cons = append(cons, pred.True())
 		ref := Optimal(space, cons)
-		inc, err := OptimalIncremental(space, cons, 0)
+		inc, err := optimalIncrementalBlocks(space, cons, 0)
 		if err != nil {
 			return false
 		}

@@ -52,9 +52,6 @@ func (iv Interval) Intersect(o Interval) Interval {
 	return Interval{max64(iv.Lo, o.Lo), min64(iv.Hi, o.Hi)}
 }
 
-// Overlaps reports whether the two intervals share at least one point.
-func (iv Interval) Overlaps(o Interval) bool { return !iv.Intersect(o).Empty() }
-
 func (iv Interval) String() string {
 	if iv.Empty() {
 		return "∅"

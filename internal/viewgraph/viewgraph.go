@@ -50,16 +50,6 @@ func (g *Graph) AddClique(vs []int) {
 // HasEdge reports whether (u, v) is an edge.
 func (g *Graph) HasEdge(u, v int) bool { return g.adj[u][v] }
 
-// Neighbors returns the sorted neighbor list of v.
-func (g *Graph) Neighbors(v int) []int {
-	out := make([]int, 0, len(g.adj[v]))
-	for u := range g.adj[v] {
-		out = append(out, u)
-	}
-	sort.Ints(out)
-	return out
-}
-
 // Clone returns a deep copy.
 func (g *Graph) Clone() *Graph {
 	c := New(g.N)
@@ -69,36 +59,6 @@ func (g *Graph) Clone() *Graph {
 		}
 	}
 	return c
-}
-
-// Components returns the connected components of the graph as sorted
-// vertex lists, in order of smallest vertex. Isolated vertices form
-// singleton components.
-func (g *Graph) Components() [][]int {
-	seen := make([]bool, g.N)
-	var out [][]int
-	for v := 0; v < g.N; v++ {
-		if seen[v] {
-			continue
-		}
-		comp := []int{}
-		queue := []int{v}
-		seen[v] = true
-		for len(queue) > 0 {
-			u := queue[0]
-			queue = queue[1:]
-			comp = append(comp, u)
-			for w := range g.adj[u] {
-				if !seen[w] {
-					seen[w] = true
-					queue = append(queue, w)
-				}
-			}
-		}
-		sort.Ints(comp)
-		out = append(out, comp)
-	}
-	return out
 }
 
 // Chordalize makes the graph chordal in place by running the elimination
@@ -391,13 +351,11 @@ func VerifyMergeOrder(g *Graph, cliques [][]int, order []int) error {
 	return nil
 }
 
-// Decompose runs the full §3.2 pipeline on a view-graph: chordalize,
-// extract maximal cliques, and compute an RIP merge order. The returned
-// tree's Order field is the sub-view processing order.
-func Decompose(g *Graph) *CliqueTree {
-	peo, _ := g.Chordalize()
-	// Reverse: MaxCliques wants elimination positions; our PEO already is
-	// the elimination order.
-	cliques := MaxCliques(g, peo)
-	return NewCliqueTree(cliques)
+// Decompose runs the full §3.2 pipeline on a view-graph: chordalize (in
+// place), extract maximal cliques, and compute an RIP merge order. The
+// returned tree's Order field is the sub-view processing order; fill is
+// the number of edges the chordal completion added.
+func Decompose(g *Graph) (tree *CliqueTree, fill int) {
+	peo, fill := g.Chordalize()
+	return NewCliqueTree(MaxCliques(g, peo)), fill
 }

@@ -97,7 +97,7 @@ func TestVerifyMergeOrderAcceptsDecompose(t *testing.T) {
 	g.AddClique([]int{1, 2})
 	g.AddClique([]int{2, 3, 4})
 	g.AddEdge(4, 5)
-	tree := Decompose(g)
+	tree, _ := Decompose(g)
 	if err := VerifyMergeOrder(g, tree.Cliques, tree.Order); err != nil {
 		t.Fatalf("Decompose order must satisfy the separator condition: %v", err)
 	}
@@ -143,7 +143,7 @@ func TestQuickDecompose(t *testing.T) {
 			}
 		}
 		orig := g.Clone()
-		tree := Decompose(g)
+		tree, _ := Decompose(g)
 		// (a) every original edge inside some clique
 		for _, e := range edges {
 			found := false
