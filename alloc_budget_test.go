@@ -49,26 +49,31 @@ func regenerateAllocs(t *testing.T, in pinnedInput, collect bool) (bytes, object
 // and column classes are built in memory earlier solves left behind,
 // group LPs are assembled in reused buffers without row names, and the
 // summary looks its keys up through reused buffers and keeps row values
-// in slabs. A pass over the four allocates at most 8 MB in 61 k objects
-// (8.5 MB in 52.7 k while regions still carried their blocks, 15.8 MB in
-// 148 k before the partitioner used slabs and solve memory outlived a
-// collection), and about as much when garbage collections run between
+// in slabs, and chordalization reuses one neighbor list. A pass over the
+// four allocates at most 7.8 MB in 54 k objects (51 k objects while
+// chordalization allocated per elimination step, 8.5 MB in 52.7 k while
+// regions still carried their blocks, 15.8 MB in 148 k before the
+// partitioner used slabs and solve memory outlived a collection), and
+// about as much when garbage collections run between
 // the calls: solve and partition memory is kept in free lists a
 // collection does not empty. The race detector's sync.Pool drops items
 // at random, so the test is built without it.
 func TestRegenerateAllocationBudget(t *testing.T) {
-	// Lowered when regions stopped carrying their blocks; the budgets
-	// before were 2.2/2.9/2.9/2.2 MB and 20.6/17.8/17.8/7.1 k objects,
-	// over 1.82/2.43/2.42/1.85 MB and 17.2/14.8/14.8/5.9 k.
+	// Lowered when chordalization stopped allocating per elimination
+	// step; the budgets before were 2.0/2.3/2.3/1.4 MB and
+	// 20.0/17.1/17.1/6.9 k objects, over 1.67/1.91/1.90/1.14 MB and
+	// 16.7/14.3/14.2/5.8 k. Lowered before that when regions stopped
+	// carrying their blocks, from 2.2/2.9/2.9/2.2 MB and
+	// 20.6/17.8/17.8/7.1 k.
 	budget := map[string]struct{ bytes, objects float64 }{
-		// measured: 1.67 MB, 16.7 k objects
-		"WLs-90": {2.0e6, 20.0e3},
-		// measured: 1.91 MB, 14.3 k
-		"WLc-55": {2.3e6, 17.1e3},
-		// measured: 1.90 MB, 14.2 k
-		"WLc-55-x1e11": {2.3e6, 17.1e3},
-		// measured: 1.14 MB, 5.8 k
-		"JOB-30": {1.4e6, 6.9e3},
+		// measured: 1.66 MB, 15.3 k objects
+		"WLs-90": {2.0e6, 18.4e3},
+		// measured: 1.87 MB, 12.2 k
+		"WLc-55": {2.25e6, 14.6e3},
+		// measured: 1.86 MB, 12.1 k
+		"WLc-55-x1e11": {2.25e6, 14.5e3},
+		// measured: 1.14 MB, 5.6 k
+		"JOB-30": {1.37e6, 6.7e3},
 	}
 	var bytes, objects, gcBytes, gcObjects float64
 	for _, in := range pinnedInputs(t) {
@@ -82,8 +87,8 @@ func TestRegenerateAllocationBudget(t *testing.T) {
 		gcBytes += b
 		gcObjects += o
 	}
-	if bytes > 8e6 || objects > 61e3 {
-		t.Errorf("a pass allocates %.1f MB in %.0f k objects; want at most 8 MB and 61 k", bytes/1e6, objects/1e3)
+	if bytes > 7.8e6 || objects > 54e3 {
+		t.Errorf("a pass allocates %.1f MB in %.0f k objects; want at most 7.8 MB and 54 k", bytes/1e6, objects/1e3)
 	}
 	if gcBytes > 1.05*bytes || gcObjects > 1.05*objects {
 		t.Errorf("with two collections before each call a pass allocates %.2f MB in %.1f k objects, over 5 %% more than %.2f MB in %.1f k without",

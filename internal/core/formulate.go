@@ -143,7 +143,8 @@ type Formulation struct {
 	// edges lists clique-tree edges as (child, parent) positions in
 	// preorder, with the shared attributes (separator) and its atom cells.
 	edges []svEdge
-	atoms map[int][]pred.Interval
+	// markers[i][d] to markers[i][d+1] are sub-view i's marker bits on dim d.
+	markers [][]int
 	// problem is the joint LP, built by Problem on first use.
 	problem *lp.Problem
 	Stats   ViewStats
@@ -213,10 +214,11 @@ func labelRows(regions []partition.Region, ccIdx []int) []ccRow {
 // cell: a region straddling two cells would count toward both. Today's
 // Π_S is the product, per attribute of S, of the atoms sharedAtoms cuts
 // at the boundaries of every conjunct of the view (allConjuncts), which
-// the marker constraints make every region respect. It is one valid
-// choice, and finer than needed: the coarsest valid Π_S is Algorithm 1
-// (partition.OptimalIncremental) run on S against the S-projections of
-// the two endpoint cliques' conjuncts only.
+// the marker constraints make every region respect. It is finer than
+// needed, and the two endpoints' conjuncts alone are too coarse: a merged
+// row takes each attribute from the first clique in preorder holding it,
+// so a conjunct of clique D restricted to the separator attributes D got
+// from one clique O must cut every edge on the path from O to D.
 type svEdge struct {
 	child, parent int
 	sep           []int
@@ -298,9 +300,9 @@ func SubViewInputs(v *preprocess.View) []SubViewInput {
 // subViewInputs decomposes the view-graph of v into its maximal cliques
 // (viewgraph.Decompose) and returns each clique's partitioning input in
 // clique-tree preorder; the parent of each, as a position in that order
-// (-1 for a root); the fill edges the chordal completion added; and the
-// atoms of every attribute more than one clique holds.
-func subViewInputs(v *preprocess.View) (inputs []SubViewInput, parent []int, fill int, atoms map[int][]pred.Interval) {
+// (-1 for a root); the fill edges the chordal completion added; and where
+// each clique's marker atoms sit in its labels (Formulation.markers).
+func subViewInputs(v *preprocess.View) (inputs []SubViewInput, parent []int, fill int, markers [][]int) {
 	g := viewgraph.New(len(v.Attrs))
 	ccAttrs := make([][]int, len(v.CCs)) // each CC's attributes, sorted
 	for ci, vcc := range v.CCs {
@@ -313,17 +315,18 @@ func subViewInputs(v *preprocess.View) (inputs []SubViewInput, parent []int, fil
 	pos := make([]int, len(tree.Cliques)) // clique index → position in Order
 	cliques := make([][]int, len(tree.Order))
 	parent = make([]int, len(tree.Order))
+	width := 0 // the markers' bounds: one more per clique than its attributes
 	for i, ci := range tree.Order {
 		pos[ci] = i
 		cliques[i] = tree.Cliques[ci]
+		width += len(cliques[i]) + 1
 		parent[i] = -1
 		if pi := tree.Parent[ci]; pi != -1 {
 			parent[i] = pos[pi] // a parent precedes its children
 		}
 	}
-	atoms = sharedAtoms(v, cliques)
-
-	inputs = make([]SubViewInput, 0, len(cliques))
+	atoms, bounds := sharedAtoms(v, cliques), make([]int, 0, width)
+	inputs, markers = make([]SubViewInput, 0, len(cliques)), make([][]int, 0, len(cliques))
 	for _, cl := range cliques {
 		in := SubViewInput{Attrs: cl}
 		local := make(map[int]int, len(cl))
@@ -338,17 +341,17 @@ func subViewInputs(v *preprocess.View) (inputs []SubViewInput, parent []int, fil
 				in.CCIdx = append(in.CCIdx, ci)
 			}
 		}
+		bounds = append(bounds, len(in.Cons))
 		for i, a := range cl {
-			if ats, ok := atoms[a]; ok {
-				for _, m := range partition.MarkerDNFs(i, ats) {
-					in.Cons = append(in.Cons, m)
-					in.CCIdx = append(in.CCIdx, -1)
-				}
+			for _, m := range partition.MarkerDNFs(i, atoms[a]) {
+				in.Cons = append(in.Cons, m)
+				in.CCIdx = append(in.CCIdx, -1)
 			}
+			bounds = append(bounds, len(in.Cons))
 		}
-		inputs = append(inputs, in)
+		inputs, markers = append(inputs, in), append(markers, bounds[len(bounds)-len(cl)-1:])
 	}
-	return inputs, parent, fill, atoms
+	return inputs, parent, fill, markers
 }
 
 // FormulateWith is Formulate parameterized by the partitioning strategy.
@@ -356,8 +359,8 @@ func subViewInputs(v *preprocess.View) (inputs []SubViewInput, parent []int, fil
 // cells of its clique-tree edge; the joint LP is built from those only if
 // Problem, Solve or SolveSequential's joint fallback asks for it.
 func FormulateWith(v *preprocess.View, strat Strategy) (*Formulation, error) {
-	inputs, parent, fill, atoms := subViewInputs(v)
-	f := &Formulation{View: v, atoms: atoms}
+	inputs, parent, fill, markers := subViewInputs(v)
+	f := &Formulation{View: v, markers: markers}
 	f.Stats.FillEdges = fill
 	f.Stats.SubViews = len(inputs)
 
@@ -483,19 +486,18 @@ func (f *Formulation) sepCells(child, parent int, sep []int) []sepCell {
 
 // cellKeys keys sub-view si's regions by atom cell over the separator
 // dims (view-attr ids): region ri's key is keys[ri·4·len(sep):], four
-// bytes of atom index per dim. order lists the regions by key, and
-// regions of one cell in index order.
+// bytes of atom index per dim, from its label's marker bits. order lists
+// the regions by key, and regions of one cell in index order.
 func (f *Formulation) cellKeys(si int, sep []int) (keys []byte, order []int) {
-	regions := f.regions[si]
+	regions, marks := f.regions[si], f.markers[si]
 	dims := make([]int, len(sep)) // the sub-view dimension of each separator attr
 	for k, a := range sep {
 		dims[k], _ = slices.BinarySearch(f.cliques[si], a)
 	}
 	keys = make([]byte, 0, 4*len(sep)*len(regions))
 	for _, r := range regions {
-		rep := r.Rep()
-		for k, a := range sep {
-			ai := atomIndex(f.atoms[a], rep[dims[k]])
+		for _, d := range dims {
+			ai := markerAtom(r.Label, marks[d], marks[d+1])
 			keys = append(keys, byte(ai), byte(ai>>8), byte(ai>>16), byte(ai>>24))
 		}
 	}
@@ -537,17 +539,15 @@ func sortByKey(order []int, keys []byte, w int) []int {
 	return order
 }
 
-func atomIndex(atoms []pred.Interval, v int64) int {
-	lo, hi := 0, len(atoms)-1
-	for lo <= hi {
-		mid := (lo + hi) / 2
-		switch {
-		case v < atoms[mid].Lo:
-			hi = mid - 1
-		case v > atoms[mid].Hi:
-			lo = mid + 1
-		default:
-			return mid
+// markerAtom is the first bit in [from, to) that label sets, counted from
+// from (the region's atom on the dimension whose markers those are), or -1.
+func markerAtom(label partition.Label, from, to int) int {
+	for b := from; b < to; b += 64 - b%64 {
+		if word := label[b/64] >> (b % 64); word != 0 {
+			if b += bits.TrailingZeros64(word); b < to {
+				return b - from
+			}
+			return -1
 		}
 	}
 	return -1

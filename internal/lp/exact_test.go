@@ -167,7 +167,7 @@ func (t *widthTableau) setObjective(obj []Entry) {
 func needsWide(p *Problem) bool {
 	t := &widthTableau{bigTableau: newBigTableau(p, new(Workspace))}
 	t.checkAll()
-	runExact(t, p)
+	twoPhase(t, p)
 	return t.wide
 }
 

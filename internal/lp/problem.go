@@ -8,7 +8,7 @@
 //     Bland's-rule anti-cycling fallback; it runs on a fraction-free
 //     tableau of machine words (int64 numerators over one denominator per
 //     row) and restarts a solve on math/big.Rat if a value outgrows them;
-//   - a float64 twin for large instances where exactness is not required;
+//   - the same driver on float64, for instances too large to solve exactly;
 //   - a branch-and-bound layer that produces non-negative *integer*
 //     solutions (SolveInteger), the form every Hydra LP needs;
 //   - a soft mode (SolveSoft) that minimizes the L1 violation when a user

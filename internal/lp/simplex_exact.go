@@ -7,25 +7,26 @@ import (
 	"math/bits"
 )
 
-// exactTableau is a dense simplex tableau in exact arithmetic: the
+// tableau is a dense simplex tableau: the floatTableau on float64, the
 // fraction-free wordTableau, or the bigTableau on math/big that a word
 // solve restarts on once a value outgrows its words. The two-phase driver
-// (optimize, driveOutArtificials, runExact) is written once against this
-// interface, and both tableaus decide on exact values, so they take the
-// same pivots to the same vertex.
+// (optimize, driveOutArtificials, twoPhase) is written once against this
+// interface. The word and big tableaus decide on exact values, so they
+// take the same pivots to the same vertex; the float tableau decides with
+// tolerances (fEps, fFeasTol) and breaks ratio ties its own way.
 //
 // Column layout: [0,n) structural variables, [n, artStart) slack/surplus
 // variables, [artStart, cols) artificial variables; one extra RHS column.
-type exactTableau interface {
+type tableau interface {
 	shape() *tableauShape
 	// entering picks the entering column among the first limit, or -1 at
 	// the optimum: the most negative reduced cost, the first of equals
 	// (Dantzig), or under Bland's rule the first negative one.
 	entering(limit int, bland bool) int
 	// ratioTestRow returns the leaving row for entering column jc, or -1
-	// if the column is unbounded. Ties break on the smallest basic
-	// variable index (Bland-compatible).
-	ratioTestRow(jc int) int
+	// if the column is unbounded. The exact tableaus ignore bland: their
+	// ties break on the smallest basic variable index (Bland-compatible).
+	ratioTestRow(jc int, bland bool) int
 	// pivot performs the simplex pivot on (row r, column jc). The pivot
 	// element may be negative when the row's RHS is zero (degenerate
 	// artificial eviction); at zero level that is still a valid basis
@@ -50,7 +51,7 @@ type exactTableau interface {
 	overflowed() bool
 }
 
-// tableauShape is the part of an exact tableau the driver reads directly.
+// tableauShape is the part of a tableau the driver reads directly.
 type tableauShape struct {
 	basis    []int // basic variable per row
 	n        int   // structural variables
@@ -63,29 +64,6 @@ func (s *tableauShape) shape() *tableauShape { return s }
 
 // errOverflow aborts a solve whose arithmetic has overflowed.
 var errOverflow = errors.New("lp: exact arithmetic overflowed its word size")
-
-// rowRelations returns each row's relation once its RHS is made
-// non-negative, and how many slack and artificial columns those relations
-// take; it sizes ws's column marks for p.
-func rowRelations(p *Problem, ws *Workspace) (rels []Rel, slacks, arts int) {
-	rels = reuse(&ws.rels, len(p.Rows))
-	for i, r := range p.Rows {
-		rels[i] = r.Rel
-		if r.RHS < 0 && r.Rel != EQ {
-			rels[i] = LE + GE - r.Rel // negating a row swaps LE and GE
-		}
-		if rels[i] != EQ {
-			slacks++
-		}
-		if rels[i] != LE {
-			arts++
-		}
-	}
-	if len(ws.mark) < p.NumVars {
-		ws.mark = make([]uint32, p.NumVars)
-	}
-	return rels, slacks, arts
-}
 
 // structColumns returns the distinct variables r names, in order of first
 // appearance, in ws's scratch memory.
@@ -107,9 +85,26 @@ func structColumns(ws *Workspace, r Row) []int {
 
 // newShape lays out the Phase-I tableau of p: LE rows receive slacks
 // (basic when possible), GE rows a surplus plus artificial, EQ rows an
-// artificial, once each row is normalized to a non-negative RHS.
+// artificial, once each row is normalized to a non-negative RHS. It
+// returns each row's relation after that, and sizes ws's column marks.
 func newShape(p *Problem, ws *Workspace) (s tableauShape, rels []Rel) {
-	rels, slacks, arts := rowRelations(p, ws)
+	rels = reuse(&ws.rels, len(p.Rows))
+	var slacks, arts int
+	for i, r := range p.Rows {
+		rels[i] = r.Rel
+		if r.RHS < 0 && r.Rel != EQ {
+			rels[i] = LE + GE - r.Rel // negating a row swaps LE and GE
+		}
+		if rels[i] != EQ {
+			slacks++
+		}
+		if rels[i] != LE {
+			arts++
+		}
+	}
+	if len(ws.mark) < p.NumVars {
+		ws.mark = make([]uint32, p.NumVars)
+	}
 	return tableauShape{
 		basis:    reuse(&ws.basis, len(p.Rows)),
 		n:        p.NumVars,
@@ -122,7 +117,7 @@ func newShape(p *Problem, ws *Workspace) (s tableauShape, rels []Rel) {
 // optimum). allowArtificial controls whether artificial columns may enter
 // (false in Phase II). It uses Dantzig pricing and switches to Bland's rule
 // after blandAfter pivots to guarantee termination.
-func optimize(t exactTableau, allowArtificial bool) error {
+func optimize(t tableau, allowArtificial bool) error {
 	s := t.shape()
 	m := len(s.basis)
 	blandAfter := 60*(m+1) + s.cols
@@ -138,11 +133,12 @@ func optimize(t exactTableau, allowArtificial bool) error {
 		if s.pivots > maxPivots {
 			return fmt.Errorf("lp: pivot limit exceeded (%d pivots)", s.pivots)
 		}
-		jc := t.entering(limit, iter >= blandAfter)
+		bland := iter >= blandAfter
+		jc := t.entering(limit, bland)
 		if jc == -1 {
 			return nil // optimal
 		}
-		r := t.ratioTestRow(jc)
+		r := t.ratioTestRow(jc, bland)
 		if r == -1 {
 			return fmt.Errorf("lp: unbounded (column %d)", jc)
 		}
@@ -153,7 +149,7 @@ func optimize(t exactTableau, allowArtificial bool) error {
 // driveOutArtificials removes artificial variables left basic at level zero
 // after Phase I, pivoting them out where possible and discarding redundant
 // rows otherwise.
-func driveOutArtificials(t exactTableau) {
+func driveOutArtificials(t tableau) {
 	s := t.shape()
 	for i, b := range s.basis {
 		// Basic artificial at zero: pivot on the first structural/slack
@@ -169,9 +165,9 @@ func driveOutArtificials(t exactTableau) {
 	t.dropArtificialRows()
 }
 
-// runExact runs the two-phase simplex on t, the Phase-I tableau of p. The
+// twoPhase runs the two-phase simplex on t, the Phase-I tableau of p. The
 // outcome is valid only if t has not overflowed by the time it returns.
-func runExact(t exactTableau, p *Problem) error {
+func twoPhase(t tableau, p *Problem) error {
 	if err := optimize(t, true); err != nil {
 		return err
 	}
@@ -187,7 +183,7 @@ func runExact(t exactTableau, p *Problem) error {
 }
 
 // extract returns the structural solution vector of a solved tableau.
-func extract(t exactTableau) []*big.Rat {
+func extract(t tableau) []*big.Rat {
 	s := t.shape()
 	x := make([]*big.Rat, s.n)
 	for j := range x {
@@ -202,7 +198,7 @@ func extract(t exactTableau) []*big.Rat {
 }
 
 // solution is a solved tableau as an exported Solution.
-func solution(t exactTableau, p *Problem) *Solution {
+func solution(t tableau, p *Problem) *Solution {
 	objVal := new(big.Rat)
 	if len(p.Objective) > 0 {
 		objVal.Neg(t.rhs(-1))
@@ -338,7 +334,7 @@ func (t *wordTableau) entering(limit int, bland bool) int {
 
 // ratioTestRow compares rows[i][cols]/rows[i][jc] across rows: each row's
 // denominator cancels from its ratio.
-func (t *wordTableau) ratioTestRow(jc int) int {
+func (t *wordTableau) ratioTestRow(jc int, _ bool) int {
 	best := -1
 	for i, row := range t.rows {
 		if row[jc] <= 0 {
@@ -591,7 +587,7 @@ func (t *wordTableau) vertex(ws *Workspace) wordVertex {
 // it took. The outcome is valid only if the tableau has not overflowed.
 func solveWord(p *Problem, ws *Workspace) (*wordTableau, error) {
 	t := newWordTableau(p, ws)
-	err := runExact(t, p)
+	err := twoPhase(t, p)
 	ws.nz = t.nzBuf
 	return t, err
 }
@@ -687,7 +683,7 @@ func (t *bigTableau) entering(limit int, bland bool) int {
 	return jc
 }
 
-func (t *bigTableau) ratioTestRow(jc int) int {
+func (t *bigTableau) ratioTestRow(jc int, _ bool) int {
 	best := -1
 	var bestRatio *big.Rat
 	for i, row := range t.rows {
@@ -788,7 +784,7 @@ func (t *bigTableau) setObjective(obj []Entry) {
 // solveBig is solveWord on math/big.
 func solveBig(p *Problem, ws *Workspace) (*bigTableau, error) {
 	t := newBigTableau(p, ws)
-	return t, runExact(t, p)
+	return t, twoPhase(t, p)
 }
 
 // SolveRational finds an exact rational solution of p, minimizing the

@@ -6,19 +6,14 @@ import (
 	"math/big"
 )
 
-// floatTableau mirrors exactTableau over float64 arithmetic. It trades
-// exactness for speed on large instances; every integer answer produced
-// through it is re-verified exactly by Problem.CheckInt before Hydra
-// accepts it.
+// floatTableau is the tableau on float64 arithmetic. It trades exactness
+// for speed on large instances; every integer answer produced through it
+// is re-verified exactly by Problem.CheckInt before Hydra accepts it.
 type floatTableau struct {
-	rows     [][]float64
-	obj      []float64
-	basis    []int
-	n        int
-	cols     int
-	artStart int
-	pivots   int
-	nzBuf    []int // scratch behind pivot's non-zero column list
+	tableauShape
+	rows  [][]float64
+	obj   []float64
+	nzBuf []int // scratch behind pivot's non-zero column list
 }
 
 const (
@@ -28,17 +23,14 @@ const (
 )
 
 // newFloatTableau builds the Phase-I tableau for p, with the column layout
-// of newExactTableau, in ws's cells.
+// of newShape, in ws's cells.
 func newFloatTableau(p *Problem, ws *Workspace) *floatTableau {
 	m := len(p.Rows)
-	rels, slacks, arts := rowRelations(p, ws)
+	s, rels := newShape(p, ws)
 	t := &floatTableau{
-		n:        p.NumVars,
-		artStart: p.NumVars + slacks,
-		cols:     p.NumVars + slacks + arts,
-		basis:    reuse(&ws.basis, m),
-		rows:     reuse(&ws.floatRows, m),
-		nzBuf:    ws.nz,
+		tableauShape: s,
+		rows:         reuse(&ws.floatRows, m),
+		nzBuf:        ws.nz,
 	}
 	width := t.cols + 1
 	cells := zeroed(&ws.floats, (m+1)*width) // one backing array: obj, then the rows
@@ -85,7 +77,7 @@ func newFloatTableau(p *Problem, ws *Workspace) *floatTableau {
 }
 
 // pivot performs the simplex pivot on (row r, column jc). Elimination runs
-// over the pivot row's non-zero columns only, as exactTableau.pivot does:
+// over the pivot row's non-zero columns only, as wordTableau.pivot does:
 // where pr[j] is zero, row[j] − f·pr[j] is row[j] up to the sign of a
 // zero, and nothing downstream tells the two zeros apart.
 func (t *floatTableau) pivot(r, jc int) {
@@ -132,6 +124,16 @@ func eliminateFloat(row, pr []float64, nz []int, jc int) {
 	row[jc] = 0
 }
 
+func (t *floatTableau) overflowed() bool       { return false }
+func (t *floatTableau) phaseIInfeasible() bool { return -t.obj[t.cols] > fFeasTol }
+
+func (t *floatTableau) rhs(i int) *big.Rat {
+	if i == -1 {
+		return new(big.Rat).SetFloat64(t.obj[t.cols])
+	}
+	return new(big.Rat).SetFloat64(t.rows[i][t.cols])
+}
+
 // ratioTestRow picks the leaving row. During Dantzig pricing, ties break
 // on the largest pivot element — this both improves numerical stability
 // and substantially reduces degenerate stalling on Hydra's highly
@@ -164,31 +166,6 @@ func (t *floatTableau) ratioTestRow(jc int, bland bool) int {
 	return best
 }
 
-func (t *floatTableau) optimize(allowArtificial bool) error {
-	m := len(t.rows)
-	blandAfter := 60*(m+1) + t.cols
-	maxPivots := 400*(m+1) + 8*t.cols + 20000
-	limit := t.cols
-	if !allowArtificial {
-		limit = t.artStart
-	}
-	for iter := 0; ; iter++ {
-		if t.pivots > maxPivots {
-			return fmt.Errorf("lp: pivot limit exceeded (%d pivots)", t.pivots)
-		}
-		bland := iter >= blandAfter
-		jc := t.entering(limit, bland)
-		if jc == -1 {
-			return nil
-		}
-		r := t.ratioTestRow(jc, bland)
-		if r == -1 {
-			return fmt.Errorf("lp: unbounded (column %d)", jc)
-		}
-		t.pivot(r, jc)
-	}
-}
-
 // entering picks the entering column among the first limit, or -1 at the
 // optimum: the most negative reduced cost (Dantzig), or under Bland's rule
 // the first negative one.
@@ -212,32 +189,25 @@ func (t *floatTableau) entering(limit int, bland bool) int {
 	return -1
 }
 
-func (t *floatTableau) driveOutArtificials() {
-	keep := t.rows[:0]
-	keepBasis := t.basis[:0]
-	for i := 0; i < len(t.rows); i++ {
-		if t.basis[i] < t.artStart {
-			keep = append(keep, t.rows[i])
-			keepBasis = append(keepBasis, t.basis[i])
-			continue
+// firstNonZero reads cells within fEps of zero as zero.
+func (t *floatTableau) firstNonZero(i, limit int) int {
+	for j, v := range t.rows[i][:limit] {
+		if math.Abs(v) > fEps {
+			return j
 		}
-		row := t.rows[i]
-		jc := -1
-		for j := 0; j < t.artStart; j++ {
-			if math.Abs(row[j]) > fEps {
-				jc = j
-				break
-			}
-		}
-		if jc == -1 {
-			continue
-		}
-		t.pivot(i, jc)
-		keep = append(keep, t.rows[i])
-		keepBasis = append(keepBasis, t.basis[i])
 	}
-	t.rows = keep
-	t.basis = keepBasis
+	return -1
+}
+
+func (t *floatTableau) dropArtificialRows() {
+	keep := 0
+	for i, b := range t.basis {
+		if b < t.artStart {
+			t.rows[keep], t.basis[keep] = t.rows[i], b
+			keep++
+		}
+	}
+	t.rows, t.basis = t.rows[:keep], t.basis[:keep]
 }
 
 func (t *floatTableau) setObjective(obj []Entry) {
@@ -299,21 +269,9 @@ func relaxFloat(p *Problem, ws *Workspace) (relaxation, error) {
 // it took.
 func solveFloat(p *Problem, ws *Workspace) (*floatTableau, error) {
 	t := newFloatTableau(p, ws)
-	defer func() { ws.nz = t.nzBuf }()
-	if err := t.optimize(true); err != nil {
-		return t, err
-	}
-	if -t.obj[t.cols] > fFeasTol {
-		return t, &Infeasible{}
-	}
-	t.driveOutArtificials()
-	if len(p.Objective) > 0 {
-		t.setObjective(p.Objective)
-		if err := t.optimize(false); err != nil {
-			return t, err
-		}
-	}
-	return t, nil
+	err := twoPhase(t, p)
+	ws.nz = t.nzBuf
+	return t, err
 }
 
 // extract returns the structural solution vector in ws's cells, with

@@ -72,6 +72,7 @@ func (g *Graph) Chordalize() (order []int, fill int) {
 		alive[i] = true
 	}
 	order = make([]int, 0, g.N)
+	var nb []int // one vertex's live neighbors, reused across the elimination
 	for len(order) < g.N {
 		// Pick the live vertex whose elimination needs the fewest fill
 		// edges; ties break on index for determinism.
@@ -80,7 +81,8 @@ func (g *Graph) Chordalize() (order []int, fill int) {
 			if !alive[v] {
 				continue
 			}
-			f := work.fillCount(v, alive)
+			nb = work.liveNeighbors(nb[:0], v, alive)
+			f := work.fillCount(nb)
 			if best == -1 || f < bestFill {
 				best, bestFill = v, f
 			}
@@ -88,7 +90,7 @@ func (g *Graph) Chordalize() (order []int, fill int) {
 		v := best
 		// Connect v's live neighborhood into a clique, recording fill
 		// edges in both the working and the output graph.
-		nb := work.liveNeighbors(v, alive)
+		nb = work.liveNeighbors(nb[:0], v, alive)
 		for i := 0; i < len(nb); i++ {
 			for j := i + 1; j < len(nb); j++ {
 				if !work.adj[nb[i]][nb[j]] {
@@ -104,19 +106,19 @@ func (g *Graph) Chordalize() (order []int, fill int) {
 	return order, fill
 }
 
-func (g *Graph) liveNeighbors(v int, alive []bool) []int {
-	var out []int
+// liveNeighbors appends v's live neighbors to dst, in no set order: the
+// elimination only counts and adds the pairs among them.
+func (g *Graph) liveNeighbors(dst []int, v int, alive []bool) []int {
 	for u := range g.adj[v] {
 		if alive[u] {
-			out = append(out, u)
+			dst = append(dst, u)
 		}
 	}
-	sort.Ints(out)
-	return out
+	return dst
 }
 
-func (g *Graph) fillCount(v int, alive []bool) int {
-	nb := g.liveNeighbors(v, alive)
+// fillCount counts the pairs of nb that are not adjacent.
+func (g *Graph) fillCount(nb []int) int {
 	missing := 0
 	for i := 0; i < len(nb); i++ {
 		for j := i + 1; j < len(nb); j++ {
