@@ -646,7 +646,125 @@ func FuzzSolveExact(f *testing.F) {
 		got, gotErr := SolveRational(p)
 		want, wantErr := SolveBigRat(p)
 		sameOutcome(t, fmt.Sprintf("%+v", *p), got, gotErr, want, wantErr)
+		if len(p.Objective) == 0 {
+			phaseIVertex(t, fmt.Sprintf("%+v", *p), p)
+		}
 	})
+}
+
+// cloneWord copies a word tableau, cells and all.
+func cloneWord(t *wordTableau) *wordTableau {
+	c := *t
+	c.basis = slices.Clone(t.basis)
+	c.rows = make([][]int64, len(t.rows))
+	for i, row := range t.rows {
+		c.rows[i] = slices.Clone(row)
+	}
+	c.den, c.obj = slices.Clone(t.den), slices.Clone(t.obj)
+	c.nzBuf, c.wide = nil, nil
+	return &c
+}
+
+// cloneBig copies a math/big tableau; its cells are immutable, so the
+// copy shares them.
+func cloneBig(t *bigTableau) *bigTableau {
+	c := *t
+	c.basis = slices.Clone(t.basis)
+	c.rows = make([][]*big.Rat, len(t.rows))
+	for i, row := range t.rows {
+		c.rows[i] = slices.Clone(row)
+	}
+	c.obj, c.nzBuf = slices.Clone(t.obj), nil
+	return &c
+}
+
+// evictionKeepsVertex applies driveOutArtificials to ev, a copy of tab,
+// which twoPhase solved without an objective, and fails unless the
+// structural vertex is identical and the pivots did not fall. It returns
+// the eviction's pivots and the redundant rows it dropped.
+func evictionKeepsVertex(t *testing.T, what string, tab, ev tableau) (pivots, dropped int) {
+	t.Helper()
+	s, e := tab.shape(), ev.shape()
+	rows := len(e.basis)
+	driveOutArtificials(ev)
+	if ev.overflowed() {
+		return 0, 0 // a word eviction past a word; math/big is checked too
+	}
+	if e.pivots < s.pivots {
+		t.Fatalf("%s: %T: %d pivots after eviction, %d before", what, tab, e.pivots, s.pivots)
+	}
+	x, y := extract(tab), extract(ev)
+	for j := range x {
+		if x[j].Cmp(y[j]) != 0 {
+			t.Fatalf("%s: %T: x%d = %v at Phase I's basis, %v after eviction", what, tab, j, x[j], y[j])
+		}
+	}
+	return e.pivots - s.pivots, rows - len(e.basis)
+}
+
+// phaseIVertex solves p, which has no objective, on the word and the
+// math/big tableau, and holds the vertex each ends at to the one evicting
+// its basic artificials gives (see evictionKeepsVertex). It returns the
+// pivots the evictions took and the rows they dropped.
+func phaseIVertex(t *testing.T, what string, p *Problem) (pivots, dropped int) {
+	t.Helper()
+	if wt, err := solveWord(p, new(Workspace)); err == nil && !wt.overflow {
+		pivots, dropped = evictionKeepsVertex(t, what, wt, cloneWord(wt))
+	}
+	if bt, err := solveBig(p, new(Workspace)); err == nil {
+		n, d := evictionKeepsVertex(t, what, bt, cloneBig(bt))
+		pivots, dropped = pivots+n, dropped+d
+	}
+	return pivots, dropped
+}
+
+// TestPhaseIVertexIsTheVertex: a relaxation without an objective ends at
+// Phase I's feasible basis, where artificials may still be basic at level
+// zero. Evicting them is degenerate in exact arithmetic, so the vertex
+// must be the one the eviction would leave, on Hydra-shaped 0/1 systems
+// (with duplicated rows too, whose artificials cannot be evicted and whose
+// rows are dropped) and on mixed problems with their objectives removed.
+func TestPhaseIVertexIsTheVertex(t *testing.T) {
+	rng := rand.New(rand.NewSource(67))
+	for _, family := range []struct {
+		name string
+		draw func() *Problem
+	}{
+		{"0/1", func() *Problem {
+			p, _ := randomFeasible(rng, 4+rng.Intn(40), 2+rng.Intn(10))
+			return p
+		}},
+		{"0/1 with duplicated rows", func() *Problem {
+			p, _ := randomFeasible(rng, 4+rng.Intn(40), 2+rng.Intn(10))
+			for _, i := range rng.Perm(len(p.Rows))[:1+rng.Intn(len(p.Rows))] {
+				p.AddRow(p.Rows[i])
+			}
+			return p
+		}},
+		{"0/1 with branching rows through the hidden point", func() *Problem {
+			p, hidden := randomFeasible(rng, 4+rng.Intn(40), 2+rng.Intn(10))
+			for range 1 + rng.Intn(6) {
+				j := rng.Intn(p.NumVars)
+				p.AddRow(Row{Entries: []Entry{{j, 1}}, Rel: LE + Rel(rng.Intn(2)), RHS: hidden[j]})
+			}
+			return p
+		}},
+		{"mixed", func() *Problem {
+			p := randomMixed(rng, true)
+			p.Objective = nil
+			return p
+		}},
+	} {
+		var pivots, dropped int
+		for i := range 300 {
+			n, d := phaseIVertex(t, fmt.Sprintf("%s problem %d", family.name, i), family.draw())
+			pivots, dropped = pivots+n, dropped+d
+		}
+		t.Logf("%s: evictions took %d pivots and dropped %d rows", family.name, pivots, dropped)
+		if pivots == 0 {
+			t.Errorf("%s: no eviction pivoted", family.name)
+		}
+	}
 }
 
 // BenchmarkSolveExact is the arithmetic rung: the same exact simplex, same

@@ -120,7 +120,8 @@ func TestNegativeRHSNormalization(t *testing.T) {
 }
 
 func TestRedundantRows(t *testing.T) {
-	// Duplicate constraints must not break Phase I or artificial eviction.
+	// Duplicate constraints must not break Phase I, which ends with an
+	// artificial basic at zero in the redundant row.
 	p := &Problem{NumVars: 3}
 	p.AddRow(eq([]int{0, 1}, 5, "a"))
 	p.AddRow(eq([]int{0, 1}, 5, "a-dup"))

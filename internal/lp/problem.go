@@ -5,7 +5,9 @@
 //
 //   - a dense simplex solver over exact rational arithmetic, Phase I
 //     feasibility + Phase II optimization, with Dantzig pricing and a
-//     Bland's-rule anti-cycling fallback; it runs on a fraction-free
+//     Bland's-rule anti-cycling fallback; a problem without an objective
+//     (every Hydra LP but SolveSoft's) ends at Phase I's feasible basis,
+//     with no artificials driven out; it runs on a fraction-free
 //     tableau of machine words (int64 numerators over one denominator per
 //     row) and restarts a solve on math/big.Rat if a value outgrows them;
 //   - the same driver on float64, for instances too large to solve exactly;

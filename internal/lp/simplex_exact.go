@@ -11,9 +11,10 @@ import (
 // fraction-free wordTableau, or the bigTableau on math/big that a word
 // solve restarts on once a value outgrows its words. The two-phase driver
 // (optimize, driveOutArtificials, twoPhase) is written once against this
-// interface. The word and big tableaus decide on exact values, so they
-// take the same pivots to the same vertex; the float tableau decides with
-// tolerances (fEps, fFeasTol) and breaks ratio ties its own way.
+// interface; a problem without an objective stops after Phase I. The word
+// and big tableaus decide on exact values, so they take the same pivots to
+// the same vertex; the float tableau decides with tolerances (fEps,
+// fFeasTol) and breaks ratio ties its own way.
 //
 // Column layout: [0,n) structural variables, [n, artStart) slack/surplus
 // variables, [artStart, cols) artificial variables; one extra RHS column.
@@ -28,9 +29,9 @@ type tableau interface {
 	// ties break on the smallest basic variable index (Bland-compatible).
 	ratioTestRow(jc int, bland bool) int
 	// pivot performs the simplex pivot on (row r, column jc). The pivot
-	// element may be negative when the row's RHS is zero (degenerate
-	// artificial eviction); at zero level that is still a valid basis
-	// change.
+	// element may be negative when the row's RHS is zero: the degenerate
+	// eviction of an artificial before Phase II, at zero level still a
+	// valid basis change.
 	pivot(r, jc int)
 	// firstNonZero is the first column below limit where row i is
 	// non-zero, or -1.
@@ -146,9 +147,9 @@ func optimize(t tableau, allowArtificial bool) error {
 	}
 }
 
-// driveOutArtificials removes artificial variables left basic at level zero
-// after Phase I, pivoting them out where possible and discarding redundant
-// rows otherwise.
+// driveOutArtificials prepares Phase II: it removes the artificial
+// variables Phase I left basic at level zero, pivoting them out where
+// possible and discarding redundant rows otherwise.
 func driveOutArtificials(t tableau) {
 	s := t.shape()
 	for i, b := range s.basis {
@@ -167,6 +168,11 @@ func driveOutArtificials(t tableau) {
 
 // twoPhase runs the two-phase simplex on t, the Phase-I tableau of p. The
 // outcome is valid only if t has not overflowed by the time it returns.
+//
+// A problem without an objective ends at Phase I's feasible basis: the
+// artificials still basic there sit at level zero, so evicting them would
+// not move the vertex, and only Phase II, whose pricing must not let them
+// enter, needs them gone.
 func twoPhase(t tableau, p *Problem) error {
 	if err := optimize(t, true); err != nil {
 		return err
@@ -174,12 +180,12 @@ func twoPhase(t tableau, p *Problem) error {
 	if t.phaseIInfeasible() {
 		return &Infeasible{}
 	}
-	driveOutArtificials(t)
-	if len(p.Objective) > 0 {
-		t.setObjective(p.Objective)
-		return optimize(t, false)
+	if len(p.Objective) == 0 {
+		return nil
 	}
-	return nil
+	driveOutArtificials(t)
+	t.setObjective(p.Objective)
+	return optimize(t, false)
 }
 
 // extract returns the structural solution vector of a solved tableau.
