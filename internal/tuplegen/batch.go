@@ -14,7 +14,9 @@ import (
 // disappear entirely, and FillSpan writes each constant segment with
 // wide stores — once per run: a batch remembers, per column, the stretch
 // of its memory that already holds one value, and a refill with that
-// value stores only what lies outside it.
+// value stores only what lies outside it. The pk is stored on every fill,
+// sixteen values per unrolled pass; a spread FK is one period stored the
+// same way, then copied.
 //
 // The columns are read-only to everyone but the batch's filler: a scan
 // hands the same batch (and the values its memory holds) from one fill to
@@ -262,10 +264,35 @@ func (h *held) cut(lo, hi int) {
 
 // fillPK writes the pks start, start+1, ... into col. start comes by
 // value so the loop keeps it in a register instead of reloading it from
-// the span on every store.
+// the span on every store. Each pass stores sixteen values into a
+// 16-element reslice at constant indices: no bounds check, one add per
+// value off one register and one loop branch per sixteen stores, so the
+// stores, not the loop's bookkeeping, set its pace wherever the linker
+// places it. A plain loop stores the last len(col)%16.
 //
 //hydra:hotpath
 func fillPK(col []int64, start int64) {
+	for len(col) >= 16 {
+		c := col[:16:16]
+		c[0] = start
+		c[1] = start + 1
+		c[2] = start + 2
+		c[3] = start + 3
+		c[4] = start + 4
+		c[5] = start + 5
+		c[6] = start + 6
+		c[7] = start + 7
+		c[8] = start + 8
+		c[9] = start + 9
+		c[10] = start + 10
+		c[11] = start + 11
+		c[12] = start + 12
+		c[13] = start + 13
+		c[14] = start + 14
+		c[15] = start + 15
+		col = col[16:]
+		start += 16
+	}
 	for i := range col {
 		col[i] = start + int64(i)
 	}
@@ -286,16 +313,21 @@ func fillConst(col []int64, v int64) {
 }
 
 // fillCycle writes the spread-FK sawtooth of a run whose first tuple sits
-// at offset off of its summary row: element i is fk+(off+i)%span. The
-// phase is one division per run; after that a counter wraps at span.
+// at offset off >= 0 of its summary row: element i is fk+(off+i)%span. The
+// phase p = off%span is one division per run. fillPK writes the first
+// period in at most two ascending segments, fk+p … fk+span-1 then
+// fk … fk+p-1. Then, as fillConst does for a period of one, each copy
+// doubles the filled prefix — a whole number of periods — so memmove's
+// wide stores write the rest.
 //
 //hydra:hotpath
 func fillCycle(col []int64, fk, span, off int64) {
-	p := off % span
-	for i := range col {
-		col[i] = fk + p
-		if p++; p == span {
-			p = 0
-		}
+	p, n := off%span, int64(len(col))
+	head := int(min(n, span-p))
+	fillPK(col[:head], fk+p)
+	k := int(min(n, span))
+	fillPK(col[head:k], fk)
+	for ; k < len(col); k *= 2 {
+		copy(col[k:], col[:k])
 	}
 }

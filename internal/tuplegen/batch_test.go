@@ -426,8 +426,10 @@ func TestBatchEveryPKMatchesRow(t *testing.T) {
 // BenchmarkFillSpan measures the fill kernel alone on 8 192-row
 // batches of a 15-column layout (pk, twelve values, two FKs), the width
 // of the widest benchmark relations. const (every column but the pk a
-// constant) and spread (both FKs cycling) fill one run into a batch that
-// remembers nothing, so every value is stored; recycled continues one
+// constant), spread (both FKs cycling) and spread-short (both FKs cycling
+// with periods of 2 and 3, where a period's fill is the most small
+// copies) fill one run into a batch that remembers nothing, so every
+// value is stored; recycled continues one
 // run through batch after batch, as a scan of a long run does, so only
 // the pk is; short fills 8 192 one-row runs whose FKs change every row,
 // where remembering what a column holds cannot pay.
@@ -445,7 +447,7 @@ func BenchmarkFillSpan(b *testing.B) {
 	for _, tc := range []struct {
 		name    string
 		fkSpans []int64
-	}{{"const", nil}, {"spread", []int64{7, 1000}}} {
+	}{{"const", nil}, {"spread", []int64{7, 1000}}, {"spread-short", []int64{2, 3}}} {
 		sp := Span{Start: 1, N: rows, Vals: vals, FKs: []int64{5, 9}, FKSpans: tc.fkSpans, Off: 3}
 		b.Run(tc.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
