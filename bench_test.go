@@ -695,10 +695,12 @@ func BenchmarkAblation_FKSpread(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	src := hydra.NewSummarySource(res.Summary)
 	run := func(b *testing.B, spread bool) {
+		in := *res.Summary
+		in.FKSpread = spread
+		src := hydra.NewSummarySource(&in)
 		for i := 0; i < b.N; i++ {
-			sc, err := src.Scan(context.Background(), hydra.ScanSpec{Table: "store_sales", Columns: []string{"ss_item_sk"}, FKSpread: spread})
+			sc, err := src.Scan(context.Background(), hydra.ScanSpec{Table: "store_sales", Columns: []string{"ss_item_sk"}})
 			if err != nil {
 				b.Fatal(err)
 			}

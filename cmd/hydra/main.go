@@ -4,10 +4,10 @@
 //
 // Subcommands:
 //
-//	summarize   -schema s.json -workload w.json -out summary.json
+//	summarize   -schema s.json -workload w.json -out summary.json [-fkspread]
 //	validate    -schema s.json -workload w.json -summary summary.json
 //	materialize -summary summary.json -dir out/ [-format heap|csv|jsonl|sql|spans|discard]
-//	            [-workers K] [-shards N] [-shard i/N] [-compress gzip] [-tables a,b] [-fkspread]
+//	            [-workers K] [-shards N] [-shard i/N] [-compress gzip] [-tables a,b]
 //	orchestrate -summary summary.json -dir out/ [-shards N] [-parallel P] [-compress gzip]
 //	            [-retries R] [-runners http://a,http://b] [-verify-only] ...
 //	serve       -summary summary.json [-addr :8372] [-max-streams N] [-rate-limit R]
@@ -100,18 +100,18 @@ func usage() {
 	fmt.Fprint(os.Stderr, `hydra — workload-dependent database regeneration (EDBT 2018)
 
 usage:
-  hydra summarize   -schema s.json -workload w.json -out summary.json
+  hydra summarize   -schema s.json -workload w.json -out summary.json [-fkspread]
   hydra validate    -schema s.json -workload w.json -summary summary.json
   hydra materialize -summary summary.json -dir out/ [-format heap|csv|jsonl|sql|spans|discard]
-                    [-workers K] [-shards N] [-shard i/N] [-compress gzip] [-tables a,b] [-fkspread]
+                    [-workers K] [-shards N] [-shard i/N] [-compress gzip] [-tables a,b]
   hydra orchestrate -summary summary.json -dir out/ [-format ...] [-shards N] [-parallel P]
-                    [-workers K] [-compress gzip] [-retries R] [-tables a,b] [-fkspread]
+                    [-workers K] [-compress gzip] [-retries R] [-tables a,b]
                     [-runners http://a,http://b] [-verify-only]
   hydra serve       -summary summary.json [-addr 127.0.0.1:8372] [-max-streams N]
                     [-rate-limit rows/s] [-workers K] [-debug-addr 127.0.0.1:8373] [-log-streams]
   hydra scan        -table T (-summary summary.json | -dir out/ | -remote http://a,http://b)
                     [-columns a,b] [-range A:B] [-where 'A >= 20 AND B IN (1,5)'] [-shard i/N]
-                    [-format csv|jsonl|sql|heap|spans] [-batch N] [-rate rows/s] [-fkspread]
+                    [-format csv|jsonl|sql|heap|spans] [-batch N] [-rate rows/s]
                     [-timeout d] [-o file]
   hydra loadgen     (-summary summary.json | -dir out/ | -remote http://a,http://b)
                     [-c 8] [-d 10s] [-rows-per-request 10000] [-tables a,b] [-batch N]
@@ -155,6 +155,7 @@ func cmdSummarize(args []string) error {
 	workloadPath := fs.String("workload", "", "workload JSON")
 	out := fs.String("out", "summary.json", "output summary path")
 	strict := fs.Bool("strict", false, "fail on inconsistent CCs instead of best effort")
+	spread := fs.Bool("fkspread", false, "spread FKs round-robin within referenced spans in every database regenerated from this summary (part of its digest)")
 	timeout := fs.Duration("timeout", 0, "abort regeneration after this long (0 = none)")
 	fs.Parse(args)
 	if *schemaPath == "" || *workloadPath == "" {
@@ -170,6 +171,7 @@ func cmdSummarize(args []string) error {
 	if err != nil {
 		return err
 	}
+	res.Summary.FKSpread = *spread
 	if err := res.Summary.Save(*out); err != nil {
 		return err
 	}
@@ -228,7 +230,6 @@ func cmdMaterialize(args []string) error {
 	shardSpec := fs.String("shard", "", "generate only piece i/N, 1-based (e.g. -shard 2/4), for multi-machine runs")
 	compress := fs.String("compress", "", "output codec: "+strings.Join(hydra.MaterializeCompressors(), "|")+" (default none)")
 	tables := fs.String("tables", "", "comma-separated subset of relations (default all)")
-	spread := fs.Bool("fkspread", false, "spread FKs round-robin within referenced spans")
 	rateLimit := fs.Float64("rate-limit", 0, "cap emission at rows/s (0 = unlimited) — the load-generation knob")
 	fs.Parse(args)
 	if *sumPath == "" {
@@ -244,7 +245,6 @@ func cmdMaterialize(args []string) error {
 		Compress:  *compress,
 		Workers:   *workers,
 		Shards:    *shards,
-		FKSpread:  *spread,
 		RateLimit: *rateLimit,
 	}
 	if *tables != "" {
@@ -322,7 +322,6 @@ func cmdOrchestrate(args []string) error {
 	compress := fs.String("compress", "", "output codec: "+strings.Join(hydra.MaterializeCompressors(), "|")+" (default none)")
 	retries := fs.Int("retries", 0, "re-runs per failed shard (0 = default 2, negative = none)")
 	tables := fs.String("tables", "", "comma-separated subset of relations (default all)")
-	spread := fs.Bool("fkspread", false, "spread FKs round-robin within referenced spans")
 	runners := fs.String("runners", "", "comma-separated serve URLs; shards execute on this fleet instead of in-process")
 	verifyOnly := fs.Bool("verify-only", false, "skip generation; verify the manifests and files already in -dir")
 	timeout := fs.Duration("timeout", 0, "abort the whole orchestration after this long (0 = none)")
@@ -364,7 +363,6 @@ func cmdOrchestrate(args []string) error {
 		Parallel: *parallel,
 		Workers:  *workers,
 		Retries:  *retries,
-		FKSpread: *spread,
 		Tables:   tableSubset,
 	}
 	if *runners != "" {
@@ -527,7 +525,6 @@ func cmdScan(args []string) error {
 	format := fs.String("format", "csv", "output encoding: "+strings.Join(format.FileNames(), "|"))
 	batch := fs.Int("batch", 0, "rows per batch (0 = default)")
 	rateLimit := fs.Float64("rate", 0, "cap the scan at rows/s (0 = unlimited)")
-	spread := fs.Bool("fkspread", false, "spread FKs round-robin within referenced spans (must match -dir materialization)")
 	timeout := fs.Duration("timeout", 0, "abort the scan after this long (0 = none)")
 	outPath := fs.String("o", "", "output file (default stdout)")
 	fs.Parse(args)
@@ -538,7 +535,6 @@ func cmdScan(args []string) error {
 		Table:     *table,
 		BatchRows: *batch,
 		RateLimit: *rateLimit,
-		FKSpread:  *spread,
 	}
 	if *columns != "" {
 		for _, name := range strings.Split(*columns, ",") {

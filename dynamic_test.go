@@ -197,7 +197,9 @@ func TestFKSpreadPreservesJoins(t *testing.T) {
 		t.Fatal(err)
 	}
 	plain := engine.FromSummary(res.Summary)
-	spread := materializedDB(t, res.Summary, hydra.MaterializeOptions{Format: "heap", FKSpread: true})
+	in := *res.Summary
+	in.FKSpread = true
+	spread := materializedDB(t, &in, hydra.MaterializeOptions{Format: "heap"})
 	_, plainSum, err := engine.AggregateScan(plain, "store_sales", "ss_item_sk")
 	if err != nil {
 		t.Fatal(err)

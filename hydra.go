@@ -55,7 +55,8 @@ type (
 	Workload = cc.Workload
 
 	// Summary is the scale-independent database summary; Generator
-	// produces tuples from one relation summary.
+	// produces tuples from one relation summary. Its FK-spread setting is
+	// part of the document and its digest: a summary names one database.
 	Summary         = summary.Summary
 	RelationSummary = summary.RelationSummary
 	ViewSummary     = summary.ViewSummary

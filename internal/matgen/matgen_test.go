@@ -79,9 +79,11 @@ func TestWorkerCountDeterminism(t *testing.T) {
 				var manifest []byte
 				for _, workers := range []int{1, 8} {
 					dir := t.TempDir()
-					rep, err := Materialize(sum, Options{
+					in := *sum
+					in.FKSpread = spread
+					rep, err := Materialize(&in, Options{
 						Dir: dir, Format: format, Workers: workers,
-						BatchRows: 64, FKSpread: spread,
+						BatchRows: 64,
 					})
 					if err != nil {
 						t.Fatal(err)

@@ -59,8 +59,6 @@ type StreamOptions struct {
 	Limit int64
 	// BatchRows overrides DefaultBatchRows.
 	BatchRows int
-	// FKSpread enables tuplegen's spread-FK extension.
-	FKSpread bool
 	// RateLimit paces this stream in rows per second (0 = unlimited).
 	RateLimit float64
 	// Columns projects the stream onto a subset of columns, in the order
@@ -165,10 +163,9 @@ func planStream(sum *summary.Summary, opts StreamOptions) (*streamPlan, error) {
 	if !ok {
 		return nil, fmt.Errorf("%w: summary has no relation %q", ErrStream, opts.Table)
 	}
-	t, err := newTableTask(rs, f, comp, Options{
+	t, err := newTableTask(rs, sum.FKSpread, f, comp, Options{
 		Shards: opts.Shards, Shard: opts.Shard,
-		BatchRows: opts.BatchRows, FKSpread: opts.FKSpread,
-		Columns: opts.Columns,
+		BatchRows: opts.BatchRows, Columns: opts.Columns,
 	})
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrStream, err)

@@ -71,8 +71,6 @@ type Options struct {
 	Tables []string
 	// BatchRows overrides matgen's batch granularity.
 	BatchRows int
-	// FKSpread enables tuplegen's spread-FK extension.
-	FKSpread bool
 	// Retries is how many times a failed shard is re-run before the job
 	// gives up; negative means no retries. Zero means DefaultRetries.
 	Retries int
@@ -225,7 +223,6 @@ func NewPlan(opts Options) (*Plan, error) {
 			Shard:     i,
 			Tables:    opts.Tables,
 			BatchRows: opts.BatchRows,
-			FKSpread:  opts.FKSpread,
 		}})
 	}
 	return p, nil

@@ -64,9 +64,18 @@ type capturedBatch struct {
 // drain runs one scan to completion and deep-copies its batch sequence.
 func drain(t *testing.T, src scan.Source, spec scan.Spec) []capturedBatch {
 	t.Helper()
-	sc, err := src.Scan(context.Background(), spec)
+	out, err := tryDrain(src, spec)
 	if err != nil {
 		t.Fatalf("scan: %v", err)
+	}
+	return out
+}
+
+// tryDrain is drain for a scan that may fail.
+func tryDrain(src scan.Source, spec scan.Spec) ([]capturedBatch, error) {
+	sc, err := src.Scan(context.Background(), spec)
+	if err != nil {
+		return nil, err
 	}
 	defer sc.Close()
 	var out []capturedBatch
@@ -78,10 +87,7 @@ func drain(t *testing.T, src scan.Source, spec scan.Spec) []capturedBatch {
 		}
 		out = append(out, cb)
 	}
-	if err := sc.Err(); err != nil {
-		t.Fatalf("scan err: %v", err)
-	}
-	return out
+	return out, sc.Err()
 }
 
 func diffBatches(t *testing.T, name string, got, want []capturedBatch) {
@@ -143,14 +149,15 @@ func memCopy(t *testing.T, src scan.Source) *scan.MemSource {
 	return mem
 }
 
-// materializeDir produces one scannable directory.
-func materializeDir(t *testing.T, sum *summary.Summary, format, compress string, shards int, spread bool) string {
+// materializeDir produces one scannable directory, its FKs spread when
+// the summary's are.
+func materializeDir(t *testing.T, sum *summary.Summary, format, compress string, shards int) string {
 	t.Helper()
 	dir := t.TempDir()
 	for i := 0; i < shards; i++ {
 		if _, err := matgen.Materialize(sum, matgen.Options{
 			Dir: dir, Format: format, Compress: compress,
-			Shards: shards, Shard: i, Workers: 2, BatchRows: 512, FKSpread: spread,
+			Shards: shards, Shard: i, Workers: 2, BatchRows: 512,
 		}); err != nil {
 			t.Fatal(err)
 		}
@@ -159,24 +166,11 @@ func materializeDir(t *testing.T, sum *summary.Summary, format, compress string,
 }
 
 // TestConformance is the acceptance matrix: every spec against every
-// backend, with the summary source as the reference.
+// backend, with the summary source as the reference, for a plain and a
+// spread summary.
 func TestConformance(t *testing.T) {
-	sum := testSummary()
-	ref := scan.NewSummarySource(sum)
-
-	// One fleet shared by all remote cases.
-	srv, err := serve.NewServer(sum, serve.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ts1 := httptest.NewServer(srv)
-	defer ts1.Close()
-	ts2 := httptest.NewServer(srv)
-	defer ts2.Close()
-	remote, err := scan.NewRemoteSource([]string{ts1.URL, ts2.URL}, scan.RemoteOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	spreadSum := *testSummary()
+	spreadSum.FKSpread = true
 
 	specs := []scan.Spec{
 		{Table: "T"},
@@ -199,35 +193,38 @@ func TestConformance(t *testing.T) {
 		{Table: "S", Columns: []string{"t_fk", "B"}, BatchRows: 500, Filter: pred.Col("A").In(20, 60).And(pred.Col("B").Eq(15))}, // pk-less projection + filter on a projected-out column
 	}
 
-	for _, spread := range []bool{false, true} {
-		// Directory backends must be materialized with the same FK layout
-		// the spec asks the generating backends for.
+	for _, sum := range []*summary.Summary{testSummary(), &spreadSum} {
+		ref := scan.NewSummarySource(sum)
+		// One fleet per summary, shared by all its remote cases.
+		srv, err := serve.NewServer(sum, serve.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ts1 := httptest.NewServer(srv)
+		defer ts1.Close()
+		ts2 := httptest.NewServer(srv)
+		defer ts2.Close()
+		remote, err := scan.NewRemoteSource([]string{ts1.URL, ts2.URL}, scan.RemoteOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer remote.Close()
+		// Every directory is materialized from the same summary, so it
+		// holds the same FK layout the generating backends produce.
 		dirs := map[string]string{
-			"dir/csv":      materializeDir(t, sum, "csv", "", 1, spread),
-			"dir/csv+gzip": materializeDir(t, sum, "csv", "gzip", 3, spread),
-			"dir/jsonl":    materializeDir(t, sum, "jsonl", "", 2, spread),
-			"dir/heap":     materializeDir(t, sum, "heap", "", 3, spread),
+			"dir/csv":      materializeDir(t, sum, "csv", "", 1),
+			"dir/csv+gzip": materializeDir(t, sum, "csv", "gzip", 3),
+			"dir/jsonl":    materializeDir(t, sum, "jsonl", "", 2),
+			"dir/heap":     materializeDir(t, sum, "heap", "", 3),
 			// Frames are clipped at chunk (512-row) and shard boundaries,
 			// so these also scan across runs split mid-way.
-			"dir/spans":      materializeDir(t, sum, "spans", "", 3, spread),
-			"dir/spans+gzip": materializeDir(t, sum, "spans", "gzip", 2, spread),
+			"dir/spans":      materializeDir(t, sum, "spans", "", 3),
+			"dir/spans+gzip": materializeDir(t, sum, "spans", "gzip", 2),
 		}
-		// The in-memory copy holds whatever FKs the source it was read
-		// from served: the summary's first-row ones, or a spread directory's.
-		var mem *scan.MemSource
-		if spread {
-			heap, err := scan.OpenDir(dirs["dir/heap"])
-			if err != nil {
-				t.Fatal(err)
-			}
-			mem = memCopy(t, heap)
-		} else {
-			mem = memCopy(t, ref)
-		}
+		mem := memCopy(t, ref)
 		for _, spec := range specs {
-			spec.FKSpread = spread
 			want := drain(t, ref, spec)
-			name := fmt.Sprintf("spread=%v/%s", spread, specName(spec))
+			name := fmt.Sprintf("spread=%v/%s", sum.FKSpread, specName(spec))
 			t.Run(name, func(t *testing.T) {
 				for label, dir := range dirs {
 					src, err := scan.OpenDir(dir)
@@ -250,11 +247,12 @@ func TestConformance(t *testing.T) {
 	// struck from its manifests — the one-chunk case of the same code,
 	// which is also what a directory written before the index looks like.
 	t.Run("dir/ranged", func(t *testing.T) {
+		ref := scan.NewSummarySource(&spreadSum)
 		for _, format := range []string{"csv", "jsonl", "heap", "spans"} {
 			for _, compress := range []string{"", "gzip"} {
 				for _, shards := range []int{1, 3} {
 					label := fmt.Sprintf("%s+%s/%d", format, compress, shards)
-					dir := materializeDir(t, sum, format, compress, shards, true)
+					dir := materializeDir(t, &spreadSum, format, compress, shards)
 					starts := chunkEdgeRows(t, dir, "S")
 					if len(starts) < 3*8208/512 {
 						t.Fatalf("%s: only %d ranged starts; the index is missing or coarse", label, len(starts))
@@ -335,7 +333,7 @@ func diffRanged(t *testing.T, label, dir string, ref scan.Source, starts []int64
 	}
 	defer src.Close()
 	for _, row := range starts {
-		spec := scan.Spec{Table: "S", StartPK: row + 1, EndPK: row + 700, BatchRows: 300, FKSpread: true}
+		spec := scan.Spec{Table: "S", StartPK: row + 1, EndPK: row + 700, BatchRows: 300}
 		diffBatches(t, fmt.Sprintf("%s from row %d", label, row), drain(t, src, spec), drain(t, ref, spec))
 	}
 }
@@ -508,29 +506,33 @@ func (h *cutOnceHandler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 // — on a frame boundary or inside a frame — resumes to exactly the
 // uninterrupted batch sequence, filtered or not, spread or not.
 func TestRemoteResumeAtEveryByte(t *testing.T) {
-	sum := testSummary()
-	srv, err := serve.NewServer(sum, serve.Options{BatchRows: 1024})
-	if err != nil {
-		t.Fatal(err)
-	}
-	h := &cutOnceHandler{inner: srv}
-	ts := httptest.NewServer(h)
-	defer ts.Close()
-	remote, err := scan.NewRemoteSource([]string{ts.URL}, scan.RemoteOptions{
-		Fleet: resilience.Options{ProbeInterval: -1, BreakerThreshold: -1},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer remote.Close()
-	ref := scan.NewSummarySource(sum)
-	for name, spec := range map[string]scan.Spec{
-		"plain":    {Table: "S", BatchRows: 700, Columns: []string{"t_fk", "B"}},
-		"spread":   {Table: "S", BatchRows: 700, FKSpread: true},
-		"filtered": {Table: "S", BatchRows: 700, FKSpread: true, Filter: pred.Col("t_fk").In(100, 260)},
+	spread := *testSummary()
+	spread.FKSpread = true
+	for name, tc := range map[string]struct {
+		sum  *summary.Summary
+		spec scan.Spec
+	}{
+		"plain":    {testSummary(), scan.Spec{Table: "S", BatchRows: 700, Columns: []string{"t_fk", "B"}}},
+		"spread":   {&spread, scan.Spec{Table: "S", BatchRows: 700}},
+		"filtered": {&spread, scan.Spec{Table: "S", BatchRows: 700, Filter: pred.Col("t_fk").In(100, 260)}},
 	} {
 		t.Run(name, func(t *testing.T) {
-			want := drain(t, ref, spec)
+			srv, err := serve.NewServer(tc.sum, serve.Options{BatchRows: 1024})
+			if err != nil {
+				t.Fatal(err)
+			}
+			h := &cutOnceHandler{inner: srv}
+			ts := httptest.NewServer(h)
+			defer ts.Close()
+			remote, err := scan.NewRemoteSource([]string{ts.URL}, scan.RemoteOptions{
+				Fleet: resilience.Options{ProbeInterval: -1, BreakerThreshold: -1},
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer remote.Close()
+			spec := tc.spec
+			want := drain(t, scan.NewSummarySource(tc.sum), spec)
 			diffBatches(t, "uninterrupted", drain(t, remote, spec), want)
 			size := h.size.Load()
 			if size < 100 {
@@ -577,29 +579,34 @@ func TestRemoteOldMemberNamed(t *testing.T) {
 // on the grid allocates nothing — no per-row, per-frame or per-batch
 // garbage — with and without a projection, spread FKs and a filter.
 func TestRemoteFillAllocs(t *testing.T) {
-	// Server chunks as small as the client's batches: every measured
-	// batch decodes at least one frame of its own.
-	srv, err := serve.NewServer(testSummary(), serve.Options{BatchRows: 16})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ts := httptest.NewServer(srv)
-	defer ts.Close()
-	// No background probes: AllocsPerRun counts the whole process.
-	remote, err := scan.NewRemoteSource([]string{ts.URL}, scan.RemoteOptions{
-		Fleet: resilience.Options{ProbeInterval: -1},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer remote.Close()
-	for name, spec := range map[string]scan.Spec{
-		"plain":     {Table: "S", BatchRows: 16},
-		"projected": {Table: "S", BatchRows: 16, Columns: []string{"t_fk", "A"}, FKSpread: true},
-		"filtered":  {Table: "S", BatchRows: 16, FKSpread: true, Filter: pred.Col("A").Eq(20)},
+	spread := *testSummary()
+	spread.FKSpread = true
+	for name, tc := range map[string]struct {
+		sum  *summary.Summary
+		spec scan.Spec
+	}{
+		"plain":     {testSummary(), scan.Spec{Table: "S", BatchRows: 16}},
+		"projected": {&spread, scan.Spec{Table: "S", BatchRows: 16, Columns: []string{"t_fk", "A"}}},
+		"filtered":  {&spread, scan.Spec{Table: "S", BatchRows: 16, Filter: pred.Col("A").Eq(20)}},
 	} {
 		t.Run(name, func(t *testing.T) {
-			sc, err := remote.Scan(context.Background(), spec)
+			// Server chunks as small as the client's batches: every measured
+			// batch decodes at least one frame of its own.
+			srv, err := serve.NewServer(tc.sum, serve.Options{BatchRows: 16})
+			if err != nil {
+				t.Fatal(err)
+			}
+			ts := httptest.NewServer(srv)
+			defer ts.Close()
+			// No background probes: AllocsPerRun counts the whole process.
+			remote, err := scan.NewRemoteSource([]string{ts.URL}, scan.RemoteOptions{
+				Fleet: resilience.Options{ProbeInterval: -1},
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer remote.Close()
+			sc, err := remote.Scan(context.Background(), tc.spec)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -645,6 +652,39 @@ func (w *headerStripWriter) Write(p []byte) (int, error) {
 
 func (h *filterStrippingHandler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	h.inner.ServeHTTP(&headerStripWriter{ResponseWriter: w, name: "X-Hydra-Filter"}, r)
+}
+
+// TestRemoteDigestRequired: a tables answer that names no summary is
+// refused — the geometry answer, or a stream whose geometry did name
+// one — since the digest is all that tells a spread database from a
+// plain one of the same geometry. The scan fails as a spec error that
+// names the upgrade.
+func TestRemoteDigestRequired(t *testing.T) {
+	srv, err := serve.NewServer(testSummary(), serve.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, streamsOnly := range map[string]bool{"geometry": false, "stream": true} {
+		t.Run(name, func(t *testing.T) {
+			old := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+				if streamsOnly && strings.Contains(r.URL.RawQuery, "info=1") {
+					srv.ServeHTTP(w, r)
+					return
+				}
+				srv.ServeHTTP(&headerStripWriter{ResponseWriter: w, name: serve.HeaderDigest}, r)
+			}))
+			defer old.Close()
+			remote, err := scan.NewRemoteSource([]string{old.URL}, scan.RemoteOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer remote.Close()
+			_, err = remote.Scan(context.Background(), scan.Spec{Table: "S"})
+			if !errors.Is(err, scan.ErrSpec) || !strings.Contains(err.Error(), "upgrade `hydra serve`") {
+				t.Fatalf("err = %v, want a spec error naming the upgrade", err)
+			}
+		})
+	}
 }
 
 // TestRemoteFilterEchoRequired proves the downgrade guard: a filtered
@@ -793,7 +833,7 @@ func TestDirChecksumLazyVerify(t *testing.T) {
 	}
 
 	t.Run("corrupt before the first touch", func(t *testing.T) {
-		dir := materializeDir(t, sum, "csv", "", 3, false)
+		dir := materializeDir(t, sum, "csv", "", 3)
 		src, err := scan.OpenDir(dir)
 		if err != nil {
 			t.Fatal(err)
@@ -822,7 +862,7 @@ func TestDirChecksumLazyVerify(t *testing.T) {
 	})
 
 	t.Run("hashed once, and again when the file changes", func(t *testing.T) {
-		dir := materializeDir(t, sum, "csv", "", 1, false)
+		dir := materializeDir(t, sum, "csv", "", 1)
 		src, err := scan.OpenDir(dir)
 		if err != nil {
 			t.Fatal(err)
@@ -943,7 +983,7 @@ func TestDirChecksumLazyVerify(t *testing.T) {
 	})
 
 	t.Run("concurrent first scans hash once", func(t *testing.T) {
-		dir := materializeDir(t, sum, "csv", "", 1, false)
+		dir := materializeDir(t, sum, "csv", "", 1)
 		src, err := scan.OpenDir(dir)
 		if err != nil {
 			t.Fatal(err)
@@ -1006,7 +1046,7 @@ func TestDirIndexCheckedNotTrusted(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			dir := materializeDir(t, sum, tc.format, tc.compress, 1, false)
+			dir := materializeDir(t, sum, tc.format, tc.compress, 1)
 			var bad int64
 			rewriteManifests(t, dir, func(tr *matgen.TableReport) {
 				if tr.Table == "S" {
@@ -1031,7 +1071,7 @@ func TestDirIndexCheckedNotTrusted(t *testing.T) {
 	}
 
 	// An index that does not even fit its part never gets that far.
-	dir := materializeDir(t, sum, "csv", "", 1, false)
+	dir := materializeDir(t, sum, "csv", "", 1)
 	rewriteManifests(t, dir, func(tr *matgen.TableReport) {
 		tr.Offsets = tr.Offsets[:len(tr.Offsets)-1]
 	})
@@ -1151,8 +1191,6 @@ func TestDirProjectedMaterialization(t *testing.T) {
 // parses one row per piece. A spread-FK part changes its FKs every row and reads
 // row by row; a spans part parses nothing.
 func TestDirRunsCrossChunks(t *testing.T) {
-	sum := testSummary()
-	ref := scan.NewSummarySource(sum)
 	cases := []struct {
 		format, compress string
 		shards           int
@@ -1171,17 +1209,19 @@ func TestDirRunsCrossChunks(t *testing.T) {
 	}
 	for _, tc := range cases {
 		label := fmt.Sprintf("%s+%s/%d/spread=%v/%s", tc.format, tc.compress, tc.shards, tc.spread, tc.table)
-		src, err := scan.OpenDir(materializeDir(t, sum, tc.format, tc.compress, tc.shards, tc.spread))
+		sum := testSummary()
+		sum.FKSpread = tc.spread
+		src, err := scan.OpenDir(materializeDir(t, sum, tc.format, tc.compress, tc.shards))
 		if err != nil {
 			t.Fatal(err)
 		}
-		spec := scan.Spec{Table: tc.table, FKSpread: tc.spread}
+		spec := scan.Spec{Table: tc.table}
 		before := dirParsedRows()
 		got := drain(t, src, spec)
 		if parsed := dirParsedRows() - before; parsed != tc.parsed {
 			t.Errorf("%s: parsed %d rows, want %d", label, parsed, tc.parsed)
 		}
-		diffBatches(t, label, got, drain(t, ref, spec))
+		diffBatches(t, label, got, drain(t, scan.NewSummarySource(sum), spec))
 	}
 }
 
@@ -1191,7 +1231,7 @@ func TestDirRunsCrossChunks(t *testing.T) {
 func TestDirJSONLRefusesNonIntegers(t *testing.T) {
 	sum := testSummary()
 	for _, bad := range []string{"null", "1.50", "1e10", `"12"`} {
-		dir := materializeDir(t, sum, "jsonl", "", 1, false)
+		dir := materializeDir(t, sum, "jsonl", "", 1)
 		path := dir + "/T.jsonl"
 		b, err := os.ReadFile(path)
 		if err != nil {
@@ -1252,43 +1292,77 @@ func TestScanRateLimit(t *testing.T) {
 // stream confirms or finds stale, or fetched afresh — so members loaded
 // with a different database are refused and the scan either completes
 // entirely against the geometry's database or fails — a result mixing
-// the two is the one forbidden outcome.
+// the two is the one forbidden outcome. In the second fleet the other
+// member serves the same summary with FK spread on, and streams are
+// torn mid-table so scans resume across members: the geometry is
+// identical, and only the digest refuses the splice.
 func TestRemoteMixedFleetNeverSplices(t *testing.T) {
 	sumA := testSummary()
 	sumB := testSummary()
 	sumB.Relations["S"].Rows[0].Count += 100 // a different database
 	sumB.Relations["S"].Total += 100
-	srvA, err := serve.NewServer(sumA, serve.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	srvB, err := serve.NewServer(sumB, serve.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	tsA := httptest.NewServer(srvA)
-	defer tsA.Close()
-	tsB := httptest.NewServer(srvB)
-	defer tsB.Close()
-
-	// Round-robin sends consecutive requests to different members, so
-	// the member a geometry came from and the one a stream opens on keep
-	// differing: every trial exercises the cross-server path the digest
-	// pin guards.
-	remote, err := scan.NewRemoteSource([]string{tsA.URL, tsB.URL}, scan.RemoteOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	spec := scan.Spec{Table: "S", BatchRows: 1000}
-	wantA := drain(t, scan.NewSummarySource(sumA), spec)
-	wantB := drain(t, scan.NewSummarySource(sumB), spec)
-	for trial := 0; trial < 4; trial++ {
-		got := drain(t, remote, spec) // drain fails the test on scan errors
-		if matchesBatches(got, wantA) || matchesBatches(got, wantB) {
-			continue
-		}
-		t.Fatalf("trial %d: mixed fleet produced a scan matching neither database (%d batches)",
-			trial, len(got))
+	spreadA := *sumA
+	spreadA.FKSpread = true
+	for _, tc := range []struct {
+		name  string
+		other *summary.Summary
+		tear  bool
+	}{{"count", sumB, false}, {"spread", &spreadA, true}} {
+		t.Run(tc.name, func(t *testing.T) {
+			var urls []string
+			var torn []*truncatingHandler
+			for _, sum := range []*summary.Summary{sumA, tc.other} {
+				// 1024-row chunks cut S into frames enough that a torn
+				// stream dies mid-table.
+				srv, err := serve.NewServer(sum, serve.Options{BatchRows: 1024})
+				if err != nil {
+					t.Fatal(err)
+				}
+				var h http.Handler = srv
+				if tc.tear {
+					th := &truncatingHandler{inner: srv, limit: 100}
+					torn = append(torn, th)
+					h = th
+				}
+				ts := httptest.NewServer(h)
+				defer ts.Close()
+				urls = append(urls, ts.URL)
+			}
+			// Round-robin sends consecutive requests to different members, so
+			// the member a geometry came from and the one a stream opens on keep
+			// differing: every trial exercises the cross-server path the digest
+			// pin guards.
+			remote, err := scan.NewRemoteSource(urls, scan.RemoteOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer remote.Close()
+			spec := scan.Spec{Table: "S", BatchRows: 1000}
+			wantA := drain(t, scan.NewSummarySource(sumA), spec)
+			wantB := drain(t, scan.NewSummarySource(tc.other), spec)
+			if matchesBatches(wantA, wantB) {
+				t.Fatal("the two databases scan alike; the test would prove nothing")
+			}
+			for trial := 0; trial < 8; trial++ {
+				got, err := tryDrain(remote, spec)
+				if err != nil && tc.tear {
+					continue // refusing to splice may use up the attempts
+				}
+				if err != nil {
+					t.Fatalf("trial %d: %v", trial, err)
+				}
+				if matchesBatches(got, wantA) || matchesBatches(got, wantB) {
+					continue
+				}
+				t.Fatalf("trial %d: mixed fleet produced a scan matching neither database (%d batches)",
+					trial, len(got))
+			}
+			for _, th := range torn {
+				if th.cuts.Load() == 0 {
+					t.Fatal("a member tore no stream: no scan resumed across members")
+				}
+			}
+		})
 	}
 }
 
@@ -1382,7 +1456,7 @@ func TestDirMixedProjectionRefused(t *testing.T) {
 func TestDirVerifyStampsParts(t *testing.T) {
 	sum := testSummary()
 	ctx := context.Background()
-	dir := materializeDir(t, sum, "csv", "gzip", 3, false)
+	dir := materializeDir(t, sum, "csv", "gzip", 3)
 	src, err := scan.OpenDir(dir)
 	if err != nil {
 		t.Fatal(err)
@@ -1446,7 +1520,7 @@ func TestDirVerifyStampsParts(t *testing.T) {
 // written to be loaded, never read back.
 func TestDirSQLVerifiedNotScanned(t *testing.T) {
 	sum := testSummary()
-	src, err := scan.OpenDir(materializeDir(t, sum, "sql", "", 2, false))
+	src, err := scan.OpenDir(materializeDir(t, sum, "sql", "", 2))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -481,10 +481,7 @@ func (s *DirSource) Table(name string) (*TableInfo, error) {
 	return &info, nil
 }
 
-// Scan implements Source. Spec.FKSpread is ignored: the directory's
-// bytes already fixed the FK layout at materialization time, so a
-// conforming scan requires the spec to match how the directory was
-// generated.
+// Scan implements Source.
 func (s *DirSource) Scan(ctx context.Context, spec Spec) (*Scan, error) {
 	if !s.format.Scannable() {
 		return nil, fmt.Errorf("%w: %s holds %s parts, which are written to be loaded, not scanned", ErrSpec, s.dir, s.format.Name())

@@ -102,12 +102,12 @@ var encodeScanDigests = map[string]string{
 
 // memSourceOf reads the summary's relations, spread or not, into a
 // MemSource: the same rows from a source that has no runs.
-func memSourceOf(t *testing.T, sum *summary.Summary, spread bool) *MemSource {
+func memSourceOf(t *testing.T, sum *summary.Summary) *MemSource {
 	t.Helper()
 	src := NewSummarySource(sum)
 	var tables []MemTable
 	for _, name := range []string{"S", "T"} {
-		sc, err := src.Scan(context.Background(), Spec{Table: name, FKSpread: spread})
+		sc, err := src.Scan(context.Background(), Spec{Table: name})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -155,13 +155,14 @@ func TestEncodeScanPinned(t *testing.T) {
 	sum := testSummary()
 	var got []string
 	for _, spread := range []bool{false, true} {
-		mem := memSourceOf(t, sum, spread)
+		in := *sum
+		in.FKSpread = spread
+		mem := memSourceOf(t, &in)
 		for _, tc := range encodeScanSpecs {
 			spec := tc.spec
-			spec.FKSpread = spread
 			for _, format := range []string{"csv", "jsonl", "sql", "heap", "spans"} {
 				key := fmt.Sprintf("%s/%s/spread=%v", tc.name, format, spread)
-				d := encodeScanDigest(t, NewSummarySource(sum), spec, format)
+				d := encodeScanDigest(t, NewSummarySource(&in), spec, format)
 				if m := encodeScanDigest(t, mem, spec, format); m != d {
 					t.Errorf("%s: summary source %s, mem source %s", key, d, m)
 				}
@@ -184,10 +185,12 @@ func TestProjectedSpansStreamMatchesCSV(t *testing.T) {
 	sum := testSummary()
 	for _, cols := range [][]string{{"S_pk", "t_fk"}, {"S_pk", "B", "A"}, {"S_pk"}} {
 		for _, spread := range []bool{false, true} {
+			in := *sum
+			in.FKSpread = spread
 			stream := func(format string) []byte {
 				var buf bytes.Buffer
-				if _, err := matgen.Stream(context.Background(), sum, matgen.StreamOptions{
-					Table: "S", Format: format, Columns: cols, FKSpread: spread, BatchRows: 1000,
+				if _, err := matgen.Stream(context.Background(), &in, matgen.StreamOptions{
+					Table: "S", Format: format, Columns: cols, BatchRows: 1000,
 				}, &buf); err != nil {
 					t.Fatal(err)
 				}

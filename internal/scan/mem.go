@@ -84,8 +84,7 @@ func (s *MemSource) Table(name string) (*TableInfo, error) {
 	return &info, nil
 }
 
-// Scan implements Source. Spec.FKSpread is ignored: the columns hold
-// whatever FKs they hold.
+// Scan implements Source.
 func (s *MemSource) Scan(ctx context.Context, spec Spec) (*Scan, error) {
 	info, err := s.Table(spec.Table)
 	if err != nil {

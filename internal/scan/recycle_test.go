@@ -44,7 +44,7 @@ func wideSummary() *summary.Summary {
 // csv directory, and a one-member fleet.
 func recycleBackends(t *testing.T, sum *summary.Summary) map[string]scan.Source {
 	t.Helper()
-	dir, err := scan.OpenDir(materializeDir(t, sum, "csv", "", 1, false))
+	dir, err := scan.OpenDir(materializeDir(t, sum, "csv", "", 1))
 	if err != nil {
 		t.Fatal(err)
 	}

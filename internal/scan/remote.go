@@ -95,7 +95,7 @@ type RemoteSource struct {
 	m      *backendMetrics
 
 	mu  sync.Mutex
-	geo map[string]geometry // by table: its last info=1 answer that named a digest
+	geo map[string]geometry // by table: its last info=1 answer
 }
 
 // geometry is one info=1 answer: a table's natural layout and the digest
@@ -138,9 +138,11 @@ const headerDigest = "X-Hydra-Summary-Digest"
 // headerFilter is serve's applied-filter echo header (serve.HeaderFilter).
 const headerFilter = "X-Hydra-Filter"
 
+// errNoDigest answers a tables response that names no summary; not retried.
+var errNoDigest = resilience.Permanent(fmt.Errorf("%w: fleet member sent no %s; upgrade `hydra serve`", ErrSpec, headerDigest))
+
 // getJSON fetches one JSON document through the fleet, returning the
-// answering server's summary digest header (empty on servers that
-// predate it).
+// answering server's summary digest header (empty when it sent none).
 func (s *RemoteSource) getJSON(ctx context.Context, path string, v any) (digest string, err error) {
 	err = s.Tracker().Do(ctx, s.policy, func(ctx context.Context, m *resilience.Member) (err error) {
 		digest, err = s.getJSONOn(ctx, m, path, v)
@@ -216,9 +218,9 @@ func (s *RemoteSource) Table(name string) (*TableInfo, error) {
 	return &info, nil
 }
 
-// fetchGeometry asks the fleet for a table's geometry and remembers an
-// answer that names its summary: without a digest, no stream could tell
-// the geometry had gone stale.
+// fetchGeometry asks the fleet for a table's geometry and remembers it.
+// The answer must name its summary: only the digest tells two databases
+// of one geometry (a spread summary and its plain copy) apart.
 func (s *RemoteSource) fetchGeometry(ctx context.Context, name string) (geometry, error) {
 	var rep matgen.StreamReport
 	path := "/v1/tables/" + url.PathEscape(name) + "?format=" + format.Spans.Name() + "&info=1"
@@ -229,12 +231,13 @@ func (s *RemoteSource) fetchGeometry(ctx context.Context, name string) (geometry
 	if len(rep.Cols) == 0 {
 		return geometry{}, fmt.Errorf("scan: fleet server predates column reporting; upgrade `hydra serve`")
 	}
-	g := geometry{info: TableInfo{Table: name, Cols: rep.Cols, Rows: rep.TotalRows}, digest: digest}
-	if digest != "" {
-		s.mu.Lock()
-		s.geo[name] = g
-		s.mu.Unlock()
+	if digest == "" {
+		return geometry{}, errNoDigest
 	}
+	g := geometry{info: TableInfo{Table: name, Cols: rep.Cols, Rows: rep.TotalRows}, digest: digest}
+	s.mu.Lock()
+	s.geo[name] = g
+	s.mu.Unlock()
 	return g, nil
 }
 
@@ -436,9 +439,6 @@ func (f *remoteRuns) openOn(ctx context.Context, member *resilience.Member, abs 
 	if f.filterEnc != "" {
 		q.Set("filter", f.filterEnc)
 	}
-	if f.spec.FKSpread {
-		q.Set("fkspread", "1")
-	}
 	q.Set("offset", strconv.FormatInt(abs, 10))
 	q.Set("limit", strconv.FormatInt(f.dec.End()-abs, 10))
 	u := srv + "/v1/tables/" + url.PathEscape(f.spec.Table) + "?" + q.Encode()
@@ -466,10 +466,11 @@ func (f *remoteRuns) openOn(ctx context.Context, member *resilience.Member, abs 
 		}
 		return err
 	}
-	if d := resp.Header.Get(headerDigest); d != "" && d != f.digest {
+	if d := resp.Header.Get(headerDigest); d != f.digest {
 		switch {
-		case f.digest == "":
-			f.digest = d // the geometry named no summary: the first stream pins one
+		case d == "":
+			resp.Body.Close()
+			return errNoDigest
 		case f.unconfirmed:
 			// The member answered well, for another summary than the
 			// remembered geometry's: the memory is stale, not the member

@@ -82,7 +82,7 @@ func TestRemoteWarmScanIsOneRequest(t *testing.T) {
 		"plain":     {Table: "S", BatchRows: 777},
 		"projected": {Table: "S", Columns: []string{"t_fk", "B"}},
 		"filtered":  {Table: "S", Filter: pred.Col("A").Eq(20)},
-		"spread":    {Table: "S", FKSpread: true, StartPK: 100, EndPK: 5000},
+		"ranged":    {Table: "S", StartPK: 100, EndPK: 5000},
 	} {
 		remembered := remotePlans("remembered")
 		want := drain(t, ref, spec)

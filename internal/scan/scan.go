@@ -120,10 +120,6 @@ type Spec struct {
 	// client-side, identically for every backend: each batch is released
 	// only once its own emission time has elapsed.
 	RateLimit float64
-	// FKSpread enables tuplegen's spread-FK extension. It must match how
-	// a directory was materialized for DirSource scans to agree with the
-	// other backends.
-	FKSpread bool
 	// Filter restricts the scan to rows matching a conjunction of
 	// per-column constraints (the zero value matches everything). It is
 	// evaluated as early as each backend allows — whole tuplegen spans

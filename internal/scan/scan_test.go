@@ -202,9 +202,11 @@ func TestScanCancel(t *testing.T) {
 }
 
 func TestProjectionOrderAndValues(t *testing.T) {
-	src := NewSummarySource(testSummary())
+	in := *testSummary()
+	in.FKSpread = true
+	src := NewSummarySource(&in)
 	sc, err := src.Scan(context.Background(), Spec{
-		Table: "S", Columns: []string{"t_fk", "S_pk"}, StartPK: 3000, EndPK: 3010, FKSpread: true,
+		Table: "S", Columns: []string{"t_fk", "S_pk"}, StartPK: 3000, EndPK: 3010,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -239,6 +241,7 @@ func TestProjectionOrderAndValues(t *testing.T) {
 // projection drops.
 func TestStreamProjectedFilteredMatchesEncodeScan(t *testing.T) {
 	sum := testSummary()
+	sum.FKSpread = true
 	filter := pred.Col("A").Eq(20).And(pred.Col("t_fk").In(100, 700))
 	for _, tc := range []struct {
 		format string
@@ -251,12 +254,12 @@ func TestStreamProjectedFilteredMatchesEncodeScan(t *testing.T) {
 			var stream bytes.Buffer
 			if _, err := matgen.Stream(context.Background(), sum, matgen.StreamOptions{
 				Table: "S", Format: tc.format, Columns: tc.cols, Filter: filter,
-				Limit: limit, FKSpread: true, BatchRows: 300,
+				Limit: limit, BatchRows: 300,
 			}, &stream); err != nil {
 				t.Fatal(err)
 			}
 			sc, err := NewSummarySource(sum).Scan(context.Background(), Spec{
-				Table: "S", Columns: tc.cols, Filter: filter, EndPK: limit, FKSpread: true,
+				Table: "S", Columns: tc.cols, Filter: filter, EndPK: limit,
 			})
 			if err != nil {
 				t.Fatal(err)

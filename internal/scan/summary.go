@@ -51,7 +51,7 @@ func (s *SummarySource) Scan(ctx context.Context, spec Spec) (*Scan, error) {
 		return nil, err
 	}
 	g := tuplegen.New(s.sum.Relations[spec.Table])
-	g.SetFKSpread(spec.FKSpread)
+	g.SetFKSpread(s.sum.FKSpread)
 	// info.Cols is the generator's tuple order, which is span order, so the
 	// resolved projection and the bound filter (nil unfiltered) index runs
 	// directly.

@@ -136,7 +136,6 @@ func (r *RemoteRunner) jobRequest(sum *summary.Summary, job orchestrate.ShardJob
 		Shard:     job.Opts.Shard,
 		Tables:    job.Opts.Tables,
 		BatchRows: job.Opts.BatchRows,
-		FKSpread:  job.Opts.FKSpread,
 		Workers:   r.opts.Workers,
 		RateLimit: job.Opts.RateLimit,
 	}

@@ -23,8 +23,8 @@
 //	       uvarint(len(body)) body crc32c-LE(length bytes + body)
 //	       body = uvarint Start, N, Off; zigzag varint x (cols-1) for
 //	              the constant values then the base FKs; uvarint k and
-//	              k uvarint FK spans (k = 0, or the FK count under
-//	              fkspread=1: FK c of tuple i is base+(Off+i)%span)
+//	              k uvarint FK spans (k = 0, or the FK count for a
+//	              spread summary: FK c of tuple i is base+(Off+i)%span)
 //	     — dozens of bytes for thousands of rows, alignment 1, so any
 //	     offset/limit is valid and rate= still paces by the rows a
 //	     frame stands for. A client must bound len by the column count
@@ -38,6 +38,7 @@
 //	     and columns= must keep the pk first or the request is a 400.
 //	GET  /v1/tables/{table}?...&info=1 returns the stream's geometry
 //	     (rows, alignment, chunk grid) as JSON without generating.
+//	     Besides these and batch=N, any query parameter is a 400.
 //	POST /v1/shardjobs executes one full matgen ShardJob — the unit the
 //	     orchestrator schedules — and streams back the artifact bundle
 //	     (part files + manifest) as a tar stream whose contents carry

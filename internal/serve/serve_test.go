@@ -228,6 +228,29 @@ func TestTableStreamErrors(t *testing.T) {
 	}
 }
 
+// TestTableStreamUnknownParams: the tables endpoint refuses a query
+// parameter it does not read, naming the first unknown key in sorted
+// order, rather than streaming as if it were absent — and accepts every
+// one it does read.
+func TestTableStreamUnknownParams(t *testing.T) {
+	ts := newTestServer(t, testSummary(), Options{})
+	for query, unknown := range map[string]string{
+		"format=csv&fkspread=1":          "fkspread",
+		"format=csv&colums=S_pk,A":       "colums",
+		"zz=1&format=csv&aa=2&limit=10":  "aa",
+		"format=spans&info=1&Format=csv": "Format",
+	} {
+		resp, body := get(t, ts.URL+"/v1/tables/S?"+query)
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(body), fmt.Sprintf("%q", unknown)) {
+			t.Errorf("GET ?%s = %s (%s), want 400 naming %q", query, resp.Status, body, unknown)
+		}
+	}
+	known := "format=csv&compress=gzip&columns=S_pk,A&filter=A%3D20&shard=1/1&offset=0&limit=10&rate=100000&batch=10&info=1"
+	if resp, body := get(t, ts.URL+"/v1/tables/S?"+known); resp.StatusCode != http.StatusOK {
+		t.Errorf("GET ?%s = %s (%s), want 200", known, resp.Status, body)
+	}
+}
+
 // TestTableStreamShardOfHugeN: split into 2^62 pieces, the 8 208-row S
 // is almost all empty pieces. The first holds no row (only the csv
 // header shard 0 writes), and the last exactly the table's last row —

@@ -34,8 +34,6 @@ type ShardJobRequest struct {
 	Tables []string `json:"tables,omitempty"`
 	// BatchRows overrides the batch granularity (0 = server default).
 	BatchRows int `json:"batch_rows,omitempty"`
-	// FKSpread enables tuplegen's spread-FK extension.
-	FKSpread bool `json:"fkspread,omitempty"`
 	// Workers is the encode worker count (0 = server default).
 	Workers int `json:"workers,omitempty"`
 	// RateLimit paces the job in rows/s, capped by the server's limit.
@@ -130,7 +128,6 @@ func (s *Server) handleShardJob(w http.ResponseWriter, r *http.Request) {
 		Shard:     req.Shard,
 		Tables:    req.Tables,
 		BatchRows: batchRows,
-		FKSpread:  req.FKSpread,
 		RateLimit: s.capRate(req.RateLimit),
 	})
 	if err != nil {

@@ -7,8 +7,10 @@ import (
 	"fmt"
 	"io"
 	"log/slog"
+	"maps"
 	"net/http"
 	"net/url"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -203,13 +205,18 @@ func (s *Server) logStream(r *http.Request, info *matgen.StreamReport, bytes int
 
 // streamOptionsFromQuery maps the endpoint's table and query parameters
 // onto matgen.StreamOptions. Validation beyond syntax lives in matgen,
-// which tags client mistakes with ErrStream.
+// which tags client mistakes with ErrStream. Unknown keys are refused,
+// the first in sorted order named: ignoring one would change the rows.
 func streamOptionsFromQuery(table string, q url.Values) (*matgen.StreamOptions, error) {
+	for _, k := range slices.Sorted(maps.Keys(q)) {
+		if !slices.Contains([]string{"format", "compress", "columns", "filter", "shard", "offset", "limit", "rate", "batch", "info"}, k) {
+			return nil, fmt.Errorf("unknown query parameter %q", k)
+		}
+	}
 	opts := &matgen.StreamOptions{
 		Table:    table,
 		Format:   q.Get("format"),
 		Compress: q.Get("compress"),
-		FKSpread: q.Get("fkspread") == "1",
 	}
 	if opts.Format == "" {
 		opts.Format = "csv"

@@ -20,7 +20,7 @@
 //	dir://path/to/materialized       part-file decode
 //	remote://host:port,host:port     serve fleet (http:// assumed)
 //
-// with optional ?fkspread=1 and ?batch=N parameters after the path.
+// with an optional ?batch=N parameter after the path.
 // remote DSNs additionally accept fleet-resilience parameters:
 // ?attempts=N caps failover attempts per request, ?probe=DUR sets the
 // background health-probe cadence (?probe=off disables probing), and
@@ -80,9 +80,8 @@ func (d Driver) OpenConnector(dsn string) (driver.Connector, error) {
 // connector holds the one Source behind a sql.DB. Sources are safe for
 // concurrent scans, so every connection shares it.
 type connector struct {
-	src      scan.Source
-	fkspread bool
-	batch    int
+	src   scan.Source
+	batch int
 }
 
 func (c *connector) open(dsn string) error {
@@ -98,7 +97,6 @@ func (c *connector) open(dsn string) error {
 		if err != nil {
 			return fmt.Errorf("sqldriver: DSN parameters %q: %v", query, err)
 		}
-		c.fkspread = q.Get("fkspread") == "1"
 		if v := q.Get("batch"); v != "" {
 			n, err := strconv.Atoi(v)
 			if err != nil || n < 1 {
@@ -253,7 +251,7 @@ func (cn *conn) specFor(query string) (scan.Spec, error) {
 	if m == nil {
 		return scan.Spec{}, fmt.Errorf("sqldriver: want SELECT cols FROM table [WHERE conjunction], got %q", query)
 	}
-	spec := scan.Spec{Table: m[2], FKSpread: cn.c.fkspread, BatchRows: cn.c.batch}
+	spec := scan.Spec{Table: m[2], BatchRows: cn.c.batch}
 	if cols := strings.TrimSpace(m[1]); cols != "*" {
 		for _, col := range strings.Split(cols, ",") {
 			col = strings.TrimSpace(col)

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
 
 	"github.com/dsl-repro/hydra/internal/fsx"
 )
@@ -20,6 +21,8 @@ type summaryJSON struct {
 	Relations map[string]*RelationSummary `json:"relations"`
 	Views     map[string]*ViewSummary     `json:"views"`
 	Extra     map[string]int64            `json:"extra_tuples"`
+	// omitempty: a plain summary keeps the bytes and digest it had.
+	FKSpread bool `json:"fk_spread,omitempty"`
 }
 
 const formatVersion = 1
@@ -33,6 +36,7 @@ func (s *Summary) WriteTo(w io.Writer) (int64, error) {
 		Relations: s.Relations,
 		Views:     s.Views,
 		Extra:     s.Extra,
+		FKSpread:  s.FKSpread,
 	}
 	if err := enc.Encode(&doc); err != nil {
 		return 0, fmt.Errorf("summary: encode: %w", err)
@@ -59,16 +63,19 @@ func Read(r io.Reader) (*Summary, error) {
 		Relations: doc.Relations,
 		Views:     doc.Views,
 		Extra:     doc.Extra,
-		Stats:     nil,
+		FKSpread:  doc.FKSpread,
 	}
 	if s.Relations == nil {
 		return nil, fmt.Errorf("summary: document has no relations")
 	}
 	for name, rs := range s.Relations {
 		var total int64
-		for _, row := range rs.Rows {
+		for i, row := range rs.Rows {
 			if row.Count < 0 {
 				return nil, fmt.Errorf("summary: relation %s has negative count", name)
+			}
+			if s.FKSpread && (len(row.FKSpans) != len(row.FKs) || slices.ContainsFunc(row.FKSpans, func(n int64) bool { return n < 1 })) {
+				return nil, fmt.Errorf("summary: spread relation %s row %d needs one FK span >= 1 per FK, has %v", name, i, row.FKSpans)
 			}
 			total += row.Count
 		}

@@ -59,7 +59,7 @@ type RelRow struct {
 	// first row); the spread-FK extension distributes tuples round-robin
 	// across [FKs[i], FKs[i]+FKSpans[i]), which is volumetrically
 	// identical (all targets carry the same attribute values) but avoids
-	// pathological fan-in. See tuplegen.Generator.SetFKSpread.
+	// pathological fan-in. Summary.FKSpread selects the extension.
 	FKSpans []int64
 }
 
@@ -83,6 +83,9 @@ type Summary struct {
 	Extra map[string]int64
 	// Stats carries the per-view LP metrics accumulated upstream.
 	Stats map[string]core.ViewStats
+	// FKSpread selects the spread-FK extension (RelRow.FKSpans) for every
+	// tuple; it is serialized, so one digest names one database.
+	FKSpread bool
 }
 
 // appendKey appends the map key of vals to dst: each value as 8 bytes,

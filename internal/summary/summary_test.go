@@ -198,6 +198,14 @@ func TestSerializationRejectsCorrupt(t *testing.T) {
 	if _, err := Read(&buf); err == nil {
 		t.Fatal("garbage must be rejected")
 	}
+	// A spread summary gives every row one FK span >= 1 per FK.
+	for spans, ok := range map[string]bool{"[3]": true, "null": false, "[3,3]": false, "[0]": false} {
+		buf.Reset()
+		buf.WriteString(`{"version":1,"fk_spread":true,"relations":{"R":{"Table":"R","FKCols":["S_fk"],"Rows":[{"FKs":[1],"FKSpans":` + spans + `,"Count":5}],"Total":5}}}`)
+		if _, err := Read(&buf); (err == nil) != ok {
+			t.Fatalf("spread row with FK spans %s: err = %v", spans, err)
+		}
+	}
 }
 
 func TestErrorCDF(t *testing.T) {

@@ -30,8 +30,9 @@ type Generator struct {
 // are distributed round-robin across all referenced rows holding that
 // combination. Join cardinalities are identical either way — every target
 // in the span carries the same attribute values — but spreading removes
-// the all-tuples-hit-one-row fan-in, which matters for hash-join build
-// sides and index stress. Measured by BenchmarkAblation_FKSpread.
+// the all-tuples-hit-one-row fan-in for hash-join build sides and index
+// stress (BenchmarkAblation_FKSpread). Generators built from a summary
+// set it from Summary.FKSpread.
 func (g *Generator) SetFKSpread(on bool) { g.spread = on }
 
 // New builds a generator over a relation summary.

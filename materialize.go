@@ -12,9 +12,9 @@ import (
 type (
 	// MaterializeOptions tunes Materialize: output directory and format
 	// (heap, csv, jsonl, sql, discard), worker count, the shard piece to
-	// generate, table subset, and the FK-spread toggle. Output bytes are
-	// identical for every worker count, and shard pieces concatenate into
-	// byte-identical whole-table files.
+	// generate, and table subset. Output bytes are identical for every
+	// worker count, and shard pieces concatenate into byte-identical
+	// whole-table files. Whether FKs spread is the summary's setting.
 	MaterializeOptions = matgen.Options
 	// MaterializeReport aggregates what one Materialize run produced,
 	// including pre-compression RawBytes for capacity planning.

@@ -8,8 +8,8 @@ package hydra
 //
 // The DSN picks the backend exactly like `hydra scan` flags do —
 // summary://path (in-process regeneration), dir://path (materialized
-// part files), remote://host:port,host:port (a serve fleet) — with
-// optional ?fkspread=1 and ?batch=N parameters. Statements are
+// part files), remote://host:port,host:port (a serve fleet) — with an
+// optional ?batch=N parameter (FK spread is the summary's). Statements are
 // single-table SELECTs; the projection and the WHERE conjunction (the
 // ParseWhere grammar) both push down to the backend, so a selective
 // query on a fleet moves only its matching rows over the network. The
