@@ -103,7 +103,7 @@ usage:
   hydra summarize   -schema s.json -workload w.json -out summary.json [-fkspread]
   hydra validate    -schema s.json -workload w.json -summary summary.json
   hydra materialize -summary summary.json -dir out/ [-format heap|csv|jsonl|sql|spans|discard]
-                    [-workers K] [-shards N] [-shard i/N] [-compress gzip] [-tables a,b]
+                    [-workers K] [-shard i/N] [-compress gzip] [-tables a,b]
   hydra orchestrate -summary summary.json -dir out/ [-format ...] [-shards N] [-parallel P]
                     [-workers K] [-compress gzip] [-retries R] [-tables a,b]
                     [-runners http://a,http://b] [-verify-only]
@@ -226,8 +226,7 @@ func cmdMaterialize(args []string) error {
 	dir := fs.String("dir", "hydra_db", "output directory")
 	format := fs.String("format", "heap", "output format: "+strings.Join(hydra.MaterializeFormats(), "|"))
 	workers := fs.Int("workers", 0, "parallel workers (0 = GOMAXPROCS); output is byte-identical for any count")
-	shards := fs.Int("shards", 1, "split each table into N concatenable pieces (all generated locally unless -shard is given)")
-	shardSpec := fs.String("shard", "", "generate only piece i/N, 1-based (e.g. -shard 2/4), for multi-machine runs")
+	shardSpec := fs.String("shard", "", "generate only piece i/N, 1-based (e.g. -shard 2/4), for multi-machine runs; orchestrate -shards N runs all N")
 	compress := fs.String("compress", "", "output codec: "+strings.Join(hydra.MaterializeCompressors(), "|")+" (default none)")
 	tables := fs.String("tables", "", "comma-separated subset of relations (default all)")
 	rateLimit := fs.Float64("rate-limit", 0, "cap emission at rows/s (0 = unlimited) — the load-generation knob")
@@ -244,7 +243,6 @@ func cmdMaterialize(args []string) error {
 		Format:    *format,
 		Compress:  *compress,
 		Workers:   *workers,
-		Shards:    *shards,
 		RateLimit: *rateLimit,
 	}
 	if *tables != "" {
@@ -252,9 +250,6 @@ func cmdMaterialize(args []string) error {
 			opts.Tables = append(opts.Tables, strings.TrimSpace(name))
 		}
 	}
-	// -shard i/N pins one piece; plain -shards N generates all N pieces
-	// locally (handy for verifying that parts concatenate).
-	pieces := []int{0}
 	if *shardSpec != "" {
 		var i, n int
 		var tail string
@@ -262,43 +257,28 @@ func cmdMaterialize(args []string) error {
 		if !errors.Is(err, io.EOF) || cnt != 2 || i < 1 || n < 1 || i > n {
 			return fmt.Errorf("materialize: -shard wants i/N with 1 <= i <= N, got %q", *shardSpec)
 		}
-		if *shards != 1 && *shards != n {
-			return fmt.Errorf("materialize: -shards %d conflicts with -shard %s", *shards, *shardSpec)
-		}
-		opts.Shards, pieces = n, []int{i - 1}
-	} else if opts.Shards > 1 {
-		pieces = pieces[:0]
-		for i := 0; i < opts.Shards; i++ {
-			pieces = append(pieces, i)
-		}
+		opts.Shard, opts.Shards = i-1, n
 	}
-	var total int64
-	var elapsed time.Duration
-	for _, piece := range pieces {
-		opts.Shard = piece
-		rep, err := hydra.Materialize(sum, opts)
-		if err != nil {
-			return err
-		}
-		for _, tr := range rep.Tables {
-			where := tr.Path
-			if where == "" {
-				where = "(discarded)"
-			}
-			raw := ""
-			if tr.RawBytes > 0 && tr.RawBytes != tr.Bytes {
-				raw = fmt.Sprintf(" (%.1f MB raw)", float64(tr.RawBytes)/1e6)
-			}
-			fmt.Printf("  %-24s %12d rows %10.1f MB%s  %s\n",
-				tr.Table, tr.Rows, float64(tr.Bytes)/1e6, raw, where)
-		}
-		if rep.ManifestPath != "" {
-			fmt.Printf("  shard %d/%d manifest: %s\n", rep.Shard+1, rep.Shards, rep.ManifestPath)
-		}
-		total += rep.Rows
-		elapsed += rep.Elapsed
+	rep, err := hydra.Materialize(sum, opts)
+	if err != nil {
+		return err
 	}
-	fmt.Printf("materialized %s\n", rowStats(total, elapsed, *format))
+	for _, tr := range rep.Tables {
+		where := tr.Path
+		if where == "" {
+			where = "(discarded)"
+		}
+		raw := ""
+		if tr.RawBytes > 0 && tr.RawBytes != tr.Bytes {
+			raw = fmt.Sprintf(" (%.1f MB raw)", float64(tr.RawBytes)/1e6)
+		}
+		fmt.Printf("  %-24s %12d rows %10.1f MB%s  %s\n",
+			tr.Table, tr.Rows, float64(tr.Bytes)/1e6, raw, where)
+	}
+	if rep.ManifestPath != "" {
+		fmt.Printf("  shard %d/%d manifest: %s\n", rep.Shard+1, rep.Shards, rep.ManifestPath)
+	}
+	fmt.Printf("materialized %s\n", rowStats(rep.Rows, rep.Elapsed, *format))
 	return nil
 }
 
@@ -426,7 +406,7 @@ func cmdServe(args []string) error {
 	rateLimit := fs.Float64("rate-limit", 0, "per-stream rows/s cap (0 = unlimited); clients may request lower, never higher")
 	workers := fs.Int("workers", 0, "encode workers per shard job when the request leaves it unset (0 = GOMAXPROCS)")
 	debugAddr := fs.String("debug-addr", "", "second listener with /debug/pprof/* and /metrics (e.g. 127.0.0.1:8373); empty disables")
-	logStreams := fs.Bool("log-streams", false, "log one structured line per completed table stream to stderr")
+	logStreams := fs.Bool("log-streams", false, "also log one line per completed table stream (failures are always logged) to stderr")
 	drainTimeout := fs.Duration("drain-timeout", 30*time.Second, "graceful drain bound after SIGTERM: in-flight streams get this long before force-close")
 	writeTimeout := fs.Duration("write-timeout", time.Minute, "per-chunk write deadline; a client that stops reading for this long loses its stream (0 = none)")
 	fs.Parse(args)
@@ -475,13 +455,16 @@ func cmdServe(args []string) error {
 		MaxStreams:   *maxStreams,
 		RateLimit:    *rateLimit,
 		Workers:      *workers,
-		Log:          log.New(os.Stderr, "", log.LstdFlags),
 		DrainTimeout: *drainTimeout,
 		WriteTimeout: *writeTimeout,
 	}
+	// One log: failures always, one record per completed stream only
+	// under -log-streams.
+	level := slog.LevelWarn
 	if *logStreams {
-		opts.Logger = slog.New(slog.NewTextHandler(os.Stderr, nil))
+		level = slog.LevelInfo
 	}
+	opts.Logger = slog.New(slog.NewTextHandler(os.Stderr, &slog.HandlerOptions{Level: level}))
 	return hydra.Serve(ctx, *addr, sum, opts)
 }
 

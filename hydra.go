@@ -55,8 +55,9 @@ type (
 	Workload = cc.Workload
 
 	// Summary is the scale-independent database summary; Generator
-	// produces tuples from one relation summary. Its FK-spread setting is
-	// part of the document and its digest: a summary names one database.
+	// produces tuples from one relation summary. A summary names exactly
+	// one database: its FK-spread setting is part of the document, and so
+	// of its digest.
 	Summary         = summary.Summary
 	RelationSummary = summary.RelationSummary
 	ViewSummary     = summary.ViewSummary

@@ -98,18 +98,6 @@ func Directive(fd *ast.FuncDecl, name string) bool {
 	return false
 }
 
-// EnclosingFunc returns the innermost function declaration in file
-// whose body spans pos, or nil. File-scope code (var initializers) has
-// no enclosing function.
-func EnclosingFunc(file *ast.File, pos token.Pos) *ast.FuncDecl {
-	for _, d := range file.Decls {
-		if fd, ok := d.(*ast.FuncDecl); ok && fd.Pos() <= pos && pos < fd.End() {
-			return fd
-		}
-	}
-	return nil
-}
-
 // CalleeObject resolves the called function or method of a call
 // expression to its types.Object, looking through parentheses. It
 // returns nil for calls through function values, built-ins, and type

@@ -339,7 +339,7 @@ func toySummary() *summary.Summary {
 func heapDir(t *testing.T, sum *summary.Summary) string {
 	t.Helper()
 	dir := t.TempDir()
-	if _, err := matgen.Materialize(sum, matgen.Options{Dir: dir, Format: "heap", Workers: 2, BatchRows: 700}); err != nil {
+	if _, err := matgen.Materialize(sum, matgen.Options{Dir: dir, Format: "heap", Workers: 2}); err != nil {
 		t.Fatal(err)
 	}
 	return dir

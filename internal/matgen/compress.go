@@ -12,8 +12,8 @@ import (
 // deterministic chunk — plus one frame for the header and one for the
 // footer — into an independent, self-terminating member of the codec's
 // stream format, inside the encode workers so members compress
-// concurrently. Because chunk boundaries depend only on (BatchRows,
-// format alignment) and never on the worker count, the framed output is
+// concurrently. Because chunk boundaries depend only on (codec, format
+// alignment) and never on the worker count, the framed output is
 // byte-identical for any -workers value, and concatenating compressed
 // shard parts in shard order yields a valid multi-member stream whose
 // decompression is the whole-table file.

@@ -31,7 +31,7 @@ func gunzip(t *testing.T, b []byte) []byte {
 
 // TestCompressedWorkerCountDeterminism extends the headline guarantee to
 // compressed output: because chunks are framed as independent gzip
-// members on chunk boundaries that depend only on (BatchRows, alignment,
+// members on chunk boundaries that depend only on (grid, alignment,
 // range), the compressed bytes must be identical for any worker count.
 func TestCompressedWorkerCountDeterminism(t *testing.T) {
 	sum := testSummary()
@@ -41,10 +41,10 @@ func TestCompressedWorkerCountDeterminism(t *testing.T) {
 			var manifest []byte
 			for _, workers := range []int{1, 8} {
 				dir := t.TempDir()
-				rep, err := Materialize(sum, Options{
+				rep, err := materializeGrid(sum, Options{
 					Dir: dir, Format: format, Compress: "gzip",
-					Workers: workers, BatchRows: 64,
-				})
+					Workers: workers,
+				}, 64)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -79,11 +79,11 @@ func TestCompressedWorkerCountDeterminism(t *testing.T) {
 func TestCompressedRoundTrip(t *testing.T) {
 	sum := testSummary()
 	plain := t.TempDir()
-	if _, err := Materialize(sum, Options{Dir: plain, Format: "csv", Workers: 2, BatchRows: 64}); err != nil {
+	if _, err := materializeGrid(sum, Options{Dir: plain, Format: "csv", Workers: 2}, 64); err != nil {
 		t.Fatal(err)
 	}
 	packed := t.TempDir()
-	rep, err := Materialize(sum, Options{Dir: packed, Format: "csv", Compress: "gzip", Workers: 2, BatchRows: 64})
+	rep, err := materializeGrid(sum, Options{Dir: packed, Format: "csv", Compress: "gzip", Workers: 2}, 64)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,15 +113,15 @@ func TestCompressedShardsConcatenate(t *testing.T) {
 	for _, format := range []string{"csv", "heap"} {
 		t.Run(format, func(t *testing.T) {
 			whole := t.TempDir()
-			if _, err := Materialize(sum, Options{Dir: whole, Format: format, Workers: 2, BatchRows: 128}); err != nil {
+			if _, err := materializeGrid(sum, Options{Dir: whole, Format: format, Workers: 2}, 128); err != nil {
 				t.Fatal(err)
 			}
 			parts := t.TempDir()
 			for i := 0; i < shards; i++ {
-				if _, err := Materialize(sum, Options{
+				if _, err := materializeGrid(sum, Options{
 					Dir: parts, Format: format, Compress: "gzip",
-					Workers: 3, Shards: shards, Shard: i, BatchRows: 128,
-				}); err != nil {
+					Workers: 3, Shards: shards, Shard: i,
+				}, 128); err != nil {
 					t.Fatal(err)
 				}
 			}

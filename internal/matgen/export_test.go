@@ -1,6 +1,14 @@
 package matgen
 
-import "sync/atomic"
+import (
+	"cmp"
+	"context"
+	"io"
+	"sync/atomic"
+
+	"github.com/dsl-repro/hydra/internal/format"
+	"github.com/dsl-repro/hydra/internal/summary"
+)
 
 // inFlightHighWater runs fn with testHookInFlight counting the chunks a
 // pool worker has taken and their collector has not yet written and
@@ -16,4 +24,28 @@ func inFlightHighWater(fn func()) int64 {
 	defer func() { testHookInFlight = nil }()
 	fn()
 	return high.Load()
+}
+
+// materializeGrid is Materialize on a chunk grid of grid rows (before
+// alignment) instead of the codec's own, so that small test tables
+// split into many chunks, shards and codec members.
+func materializeGrid(sum *summary.Summary, opts Options, grid int) (*Report, error) {
+	f, err := format.ByName(cmp.Or(opts.Format, "heap"))
+	if err != nil {
+		return nil, err
+	}
+	comp, err := CompressorFor(opts.Compress)
+	if err != nil {
+		return nil, err
+	}
+	return materialize(context.Background(), sum, opts, f, comp, grid)
+}
+
+// streamGrid is Stream on a chunk grid of grid rows.
+func streamGrid(ctx context.Context, sum *summary.Summary, opts StreamOptions, w io.Writer, grid int) (*StreamReport, error) {
+	p, err := planStream(sum, opts, grid)
+	if err != nil {
+		return nil, err
+	}
+	return (&StreamPlan{p: p, opts: opts}).Run(ctx, w)
 }

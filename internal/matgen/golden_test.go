@@ -78,7 +78,7 @@ func goldenConfigs() []goldenConfig {
 // generated by the pre-rewrite stateless-AppendBatch encoders, so a pass
 // here proves the encoder pipeline rewrite changed zero output bytes —
 // including gzip member framing, which also pins the chunk-boundary
-// layout (BatchRows x alignment). Compressed goldens additionally depend
+// layout (a 256-row grid × alignment). Compressed goldens additionally depend
 // on the Go toolchain's gzip output staying stable (CI pins the Go
 // version). Regenerate with `go test ./internal/matgen -run Golden -update`.
 func TestGoldenOutputBytes(t *testing.T) {
@@ -92,11 +92,11 @@ func TestGoldenOutputBytes(t *testing.T) {
 			}
 			in := *sum
 			in.FKSpread = cfg.spread
-			if _, err := Materialize(&in, Options{
+			if _, err := materializeGrid(&in, Options{
 				Dir: dir, Format: cfg.format, Compress: cfg.compress,
-				Workers: 3, BatchRows: 256, NoManifest: true,
+				Workers: 3, NoManifest: true,
 				Tables: tables, Columns: cfg.cols,
-			}); err != nil {
+			}, 256); err != nil {
 				t.Fatal(err)
 			}
 			got := readDirFiles(t, dir)
@@ -169,11 +169,10 @@ func TestGoldenShardsConcatenate(t *testing.T) {
 		t.Run(cfg.name, func(t *testing.T) {
 			dir := t.TempDir()
 			for i := 0; i < shards; i++ {
-				if _, err := Materialize(sum, Options{
+				if _, err := materializeGrid(sum, Options{
 					Dir: dir, Format: cfg.format, Compress: cfg.compress,
-					Workers: 2, BatchRows: 256,
-					Shards: shards, Shard: i, NoManifest: true,
-				}); err != nil {
+					Workers: 2, Shards: shards, Shard: i, NoManifest: true,
+				}, 256); err != nil {
 					t.Fatal(err)
 				}
 			}

@@ -33,10 +33,10 @@ func TestManifestChunkIndex(t *testing.T) {
 			for _, workers := range []int{1, 8} {
 				t.Run(fmt.Sprintf("csv+%s/shard%d/w%d", compress, shard, workers), func(t *testing.T) {
 					dir := t.TempDir()
-					rep, err := Materialize(sum, Options{
+					rep, err := materializeGrid(sum, Options{
 						Dir: dir, Format: "csv", Compress: compress, Workers: workers,
-						Shards: 2, Shard: shard, BatchRows: 64, Tables: []string{"S"},
-					})
+						Shards: 2, Shard: shard, Tables: []string{"S"},
+					}, 64)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -121,7 +121,7 @@ func TestReadManifestRefusesBadIndex(t *testing.T) {
 func FuzzReadManifest(f *testing.F) {
 	dir := f.TempDir()
 	for _, compress := range []string{"", "gzip"} {
-		rep, err := Materialize(testSummary(), Options{Dir: dir, Format: "csv", Compress: compress, Workers: 1, BatchRows: 1024})
+		rep, err := materializeGrid(testSummary(), Options{Dir: dir, Format: "csv", Compress: compress, Workers: 1}, 1024)
 		if err != nil {
 			f.Fatal(err)
 		}

@@ -109,19 +109,24 @@ func metricsForWorker(k int) workerMetrics {
 	}
 }
 
-// DefaultBatchRows is the generator batch granularity when Options leaves
-// BatchRows zero: big enough to amortize the prefix walk and channel
-// hand-off, small enough to stay cache-resident.
-const DefaultBatchRows = 8192
+// PlainChunkRows is the chunk size of uncompressed output, before it is
+// rounded up to the format's alignment: big enough to amortize a
+// chunk's hand-off between worker and collector, small enough for its
+// buffer to stay cache-resident.
+const PlainChunkRows = 8192
 
-// CompressChunkRows caps the per-chunk row count of compressed runs.
-// Each chunk is one independent codec member compressed inside a worker,
-// so the cap is what lets compression scale across workers even for
-// tables no bigger than a few default batches. Like every chunking
-// input it is independent of the worker count, so compressed output
-// stays byte-identical for any -workers value; it does shape the member
-// framing, so changing it (or BatchRows below it) changes compressed —
-// never decompressed — bytes.
+// CompressChunkRows is the chunk size of compressed output. Each chunk
+// is one independent codec member compressed inside a worker, so the
+// smaller grid is what lets compression scale across workers even for
+// tables no bigger than a few plain chunks.
+//
+// The two sizes are the chunk grid, and nothing else sets it: like the
+// format's alignment, they are independent of the worker count and the
+// shard a run writes, so a part file or stream is a pure function of
+// (summary, table, format, codec, shard). The grid fixes codec member
+// framing, the manifest's chunk index, stream resume points and shard
+// split points; changing either size changes compressed — never
+// decompressed — bytes.
 const CompressChunkRows = 2048
 
 // Options tunes Materialize.
@@ -159,8 +164,6 @@ type Options struct {
 	// per projection; projected output is its own byte-stable format,
 	// not a substring of the full-width one.
 	Columns []string
-	// BatchRows overrides DefaultBatchRows.
-	BatchRows int
 	// NoManifest suppresses the per-shard JSON manifest.
 	NoManifest bool
 	// RateLimit caps the whole run's emit rate in rows per second
@@ -254,7 +257,7 @@ func MaterializeContext(ctx context.Context, sum *summary.Summary, opts Options)
 	if err != nil {
 		return nil, err
 	}
-	return materialize(ctx, sum, opts, f, comp)
+	return materialize(ctx, sum, opts, f, comp, 0)
 }
 
 // sink is what the engine asks of a format: a *format.Format, or a
@@ -271,9 +274,11 @@ type sink interface {
 }
 
 // materialize is MaterializeContext with the format and codec resolved.
+// grid is the chunk size before alignment, 0 for the codec's own (see
+// newTableTask); only this package's tests pass another.
 //
 //hydra:nondeterministic wall-clock feeds Report timings and obs metrics only, never output bytes
-func materialize(ctx context.Context, sum *summary.Summary, opts Options, sink sink, comp Compressor) (*Report, error) {
+func materialize(ctx context.Context, sum *summary.Summary, opts Options, sink sink, comp Compressor, grid int) (*Report, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -288,12 +293,6 @@ func materialize(ctx context.Context, sum *summary.Summary, opts Options, sink s
 	}
 	if opts.Workers < 1 {
 		return nil, fmt.Errorf("matgen: workers %d out of range", opts.Workers)
-	}
-	if opts.BatchRows == 0 {
-		opts.BatchRows = DefaultBatchRows
-	}
-	if opts.BatchRows < 1 {
-		return nil, fmt.Errorf("matgen: batch rows %d out of range", opts.BatchRows)
 	}
 	lim, err := newRunLimiter(opts.RateLimit)
 	if err != nil {
@@ -321,7 +320,7 @@ func materialize(ctx context.Context, sum *summary.Summary, opts Options, sink s
 	start := time.Now()
 	tasks := make([]*tableTask, len(tables))
 	for i, name := range tables {
-		t, err := newTableTask(sum.Relations[name], sum.FKSpread, sink, comp, opts)
+		t, err := newTableTask(sum.Relations[name], sum.FKSpread, sink, comp, opts, grid)
 		if err != nil {
 			return nil, fmt.Errorf("matgen: %s: %w", name, err)
 		}
@@ -519,7 +518,10 @@ type tableTask struct {
 
 // newTableTask resolves one relation's layout (projected when
 // Options.Columns is set), alignment, chunk geometry and shard range.
-func newTableTask(rs *summary.RelationSummary, spread bool, sink sink, comp Compressor, opts Options) (*tableTask, error) {
+// The chunk grid is CompressChunkRows under a codec and PlainChunkRows
+// otherwise, rounded up to the alignment; a nonzero grid replaces
+// either, for tests that need many chunks from a small table.
+func newTableTask(rs *summary.RelationSummary, spread bool, sink sink, comp Compressor, opts Options, grid int) (*tableTask, error) {
 	g := tuplegen.New(rs)
 	g.SetFKSpread(spread)
 	proj, err := g.Project(opts.Columns)
@@ -539,11 +541,13 @@ func newTableTask(rs *summary.RelationSummary, spread bool, sink sink, comp Comp
 	if err != nil {
 		return nil, err
 	}
-	chunkBatch := opts.BatchRows
-	if comp != nil && chunkBatch > CompressChunkRows {
-		chunkBatch = CompressChunkRows
+	if grid == 0 {
+		grid = PlainChunkRows
+		if comp != nil {
+			grid = CompressChunkRows
+		}
 	}
-	cRows := chunkRows(chunkBatch, align)
+	cRows := chunkRows(grid, align)
 	// Shards split the table on the chunk grid, which is a multiple of
 	// the alignment: a piece's chunks are the whole table's, so its frames,
 	// compressed members and spans runs are too.

@@ -81,10 +81,9 @@ func TestWorkerCountDeterminism(t *testing.T) {
 					dir := t.TempDir()
 					in := *sum
 					in.FKSpread = spread
-					rep, err := Materialize(&in, Options{
+					rep, err := materializeGrid(&in, Options{
 						Dir: dir, Format: format, Workers: workers,
-						BatchRows: 64,
-					})
+					}, 64)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -125,15 +124,15 @@ func TestShardsConcatenate(t *testing.T) {
 	for _, format := range fileFormats() {
 		t.Run(format, func(t *testing.T) {
 			whole := t.TempDir()
-			if _, err := Materialize(sum, Options{Dir: whole, Format: format, Workers: 2, BatchRows: 128}); err != nil {
+			if _, err := materializeGrid(sum, Options{Dir: whole, Format: format, Workers: 2}, 128); err != nil {
 				t.Fatal(err)
 			}
 			parts := t.TempDir()
 			for i := 0; i < shards; i++ {
-				rep, err := Materialize(sum, Options{
+				rep, err := materializeGrid(sum, Options{
 					Dir: parts, Format: format, Workers: 3,
-					Shards: shards, Shard: i, BatchRows: 128,
-				})
+					Shards: shards, Shard: i,
+				}, 128)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -249,11 +248,48 @@ func TestOptionValidation(t *testing.T) {
 		{Format: "discard", Shards: 2, Shard: 5},
 		{Format: "discard", Workers: -1},
 		{Format: "discard", Tables: []string{"nope"}},
-		{Format: "discard", BatchRows: -3},
 	}
 	for i, opts := range cases {
 		if _, err := Materialize(sum, opts); err == nil {
 			t.Fatalf("case %d (%+v): expected error", i, opts)
+		}
+	}
+}
+
+// TestChunkGridFromCodec: the chunk grid is a function of codec and
+// format alone — 8192 rows, or 2048 under a codec, rounded up to the
+// alignment — in a stream's geometry, a manifest's chunk index and the
+// shard split points alike. The sizes are literals: every compressed
+// file and manifest written so far was cut on them.
+func TestChunkGridFromCodec(t *testing.T) {
+	sum := testSummary()
+	for _, fm := range fileFormats() {
+		for _, compress := range []string{"", "gzip"} {
+			grid := 8192
+			if compress != "" {
+				grid = 2048
+			}
+			sp, err := PlanStream(sum, StreamOptions{Table: "S", Format: fm, Compress: compress, Shards: 3, Shard: 2})
+			if err != nil {
+				t.Fatal(err)
+			}
+			info := sp.Info()
+			want := int64(chunkRows(grid, info.Align))
+			if info.ChunkRows != want {
+				t.Errorf("%s+%s: stream chunk rows %d, want %d", fm, compressName(compress), info.ChunkRows, want)
+			}
+			rep, err := Materialize(sum, Options{
+				Dir: t.TempDir(), Format: fm, Compress: compress,
+				Shards: 3, Shard: 2, Tables: []string{"S"},
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			tr := rep.Tables[0]
+			if tr.ChunkRows != want || tr.StartRow != info.StartRow || tr.StartRow%want != 0 {
+				t.Errorf("%s+%s: part starts at row %d with chunk rows %d; stream starts at %d, grid %d",
+					fm, compressName(compress), tr.StartRow, tr.ChunkRows, info.StartRow, want)
+			}
 		}
 	}
 }

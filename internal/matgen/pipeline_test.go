@@ -45,9 +45,10 @@ func (f *failingCompressor) NewReader(r io.Reader) (io.ReadCloser, error) {
 
 var failComp = &failingCompressor{}
 
-// materializeFailing is Materialize of opts as csv through failComp.
-func materializeFailing(sum *summary.Summary, opts Options) (*Report, error) {
-	return materialize(context.Background(), sum, opts, format.CSV, failComp)
+// materializeFailing is Materialize of opts as csv through failComp, on
+// a chunk grid of grid rows.
+func materializeFailing(sum *summary.Summary, opts Options, grid int) (*Report, error) {
+	return materialize(context.Background(), sum, opts, format.CSV, failComp, grid)
 }
 
 // bigSummary is one relation with enough rows to split into many small
@@ -67,14 +68,12 @@ func bigSummary(rows int64) *summary.Summary {
 // remaining chunk into the void.
 func TestErrorStopsPipelinePromptly(t *testing.T) {
 	const rows = 200_000
-	const batch = 64
-	totalChunks := int64((rows + batch - 1) / batch)
+	const grid = 64
+	totalChunks := int64((rows + grid - 1) / grid)
 	failComp.calls.Store(0)
 	failComp.failAt = 3
 	dir := t.TempDir()
-	_, err := materializeFailing(bigSummary(rows), Options{
-		Dir: dir, Workers: 4, BatchRows: batch,
-	})
+	_, err := materializeFailing(bigSummary(rows), Options{Dir: dir, Workers: 4}, grid)
 	if err == nil {
 		t.Fatal("expected the synthetic failure to surface")
 	}
@@ -116,9 +115,9 @@ func manyRelations(n int, rows int64) *summary.Summary {
 
 // Chunk geometry of the many-relation tests: 32 relations of 16 chunks.
 const (
-	manyTables    = 32
-	manyChunks    = 16
-	manyBatchRows = 64
+	manyTables = 32
+	manyChunks = 16
+	manyGrid   = 64
 )
 
 // waitGoroutines fails the test unless the goroutine count falls back
@@ -158,16 +157,16 @@ func dirHashes(t *testing.T, dir string) map[string][sha256.Size]byte {
 // limit keeps the collectors behind the encoders, so every dispatcher
 // would run ahead as far as it is let.
 func TestInFlightChunksBoundedByWorkers(t *testing.T) {
-	sum := manyRelations(manyTables, manyChunks*manyBatchRows)
+	sum := manyRelations(manyTables, manyChunks*manyGrid)
 	var want map[string][sha256.Size]byte
 	for _, workers := range []int{1, 2, 4} {
 		dir := t.TempDir()
 		var err error
 		high := inFlightHighWater(func() {
-			_, err = Materialize(sum, Options{
-				Dir: dir, Format: "csv", Workers: workers, BatchRows: manyBatchRows,
+			_, err = materializeGrid(sum, Options{
+				Dir: dir, Format: "csv", Workers: workers,
 				NoManifest: true, RateLimit: 400_000,
-			})
+			}, manyGrid)
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -268,9 +267,9 @@ func TestErrorCancelsSiblingTables(t *testing.T) {
 		frames, failAt int64
 	}{
 		// Every frame fails, whichever table gets there first.
-		{"", two, 2 * (100_000/manyBatchRows + 2), 1},
+		{"", two, 2 * (100_000/manyGrid + 2), 1},
 		// The failure strikes mid-run, with chunks of many tables in flight.
-		{"many-tables/", manyRelations(manyTables, manyChunks*manyBatchRows), manyFrames, manyFrames / 4},
+		{"many-tables/", manyRelations(manyTables, manyChunks*manyGrid), manyFrames, manyFrames / 4},
 	} {
 		for _, workers := range []int{1, 4} {
 			t.Run(fmt.Sprintf("%sworkers=%d", tc.prefix, workers), func(t *testing.T) {
@@ -279,9 +278,7 @@ func TestErrorCancelsSiblingTables(t *testing.T) {
 				failComp.failAt = tc.failAt
 				dir := t.TempDir()
 				start := time.Now()
-				_, err := materializeFailing(tc.sum, Options{
-					Dir: dir, Workers: workers, BatchRows: manyBatchRows,
-				})
+				_, err := materializeFailing(tc.sum, Options{Dir: dir, Workers: workers}, manyGrid)
 				if err == nil {
 					t.Fatal("expected failure")
 				}
@@ -348,8 +345,8 @@ func TestEmptyChunksStayDeterministic(t *testing.T) {
 		dir := t.TempDir()
 		gz, _ := CompressorFor("gzip")
 		rep, err := materialize(context.Background(), sum, Options{
-			Dir: dir, Workers: workers, BatchRows: 64, NoManifest: true,
-		}, sparseSink{}, gz)
+			Dir: dir, Workers: workers, NoManifest: true,
+		}, sparseSink{}, gz, 64)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -34,10 +34,10 @@ func TestProjectionDeterminism(t *testing.T) {
 			var whole map[string][]byte
 			for _, workers := range []int{1, 8} {
 				dir := t.TempDir()
-				if _, err := Materialize(sum, Options{
+				if _, err := materializeGrid(sum, Options{
 					Dir: dir, Format: fm, Workers: workers,
-					BatchRows: 64, Tables: []string{"S"}, Columns: cols,
-				}); err != nil {
+					Tables: []string{"S"}, Columns: cols,
+				}, 64); err != nil {
 					t.Fatal(err)
 				}
 				files := readDirFiles(t, dir)
@@ -55,10 +55,10 @@ func TestProjectionDeterminism(t *testing.T) {
 			dir := t.TempDir()
 			const shards = 3
 			for i := 0; i < shards; i++ {
-				if _, err := Materialize(sum, Options{
+				if _, err := materializeGrid(sum, Options{
 					Dir: dir, Format: fm, Workers: 4, Shards: shards, Shard: i,
-					BatchRows: 64, Tables: []string{"S"}, Columns: cols,
-				}); err != nil {
+					Tables: []string{"S"}, Columns: cols,
+				}, 64); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -92,9 +92,9 @@ func TestStreamProjection(t *testing.T) {
 	want := readDirFiles(t, dir)["S.csv"]
 
 	var whole bytes.Buffer
-	rep, err := Stream(context.Background(), sum, StreamOptions{
-		Table: "S", Format: "csv", Columns: cols, BatchRows: 512,
-	}, &whole)
+	rep, err := streamGrid(context.Background(), sum, StreamOptions{
+		Table: "S", Format: "csv", Columns: cols,
+	}, &whole, 512)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,14 +108,14 @@ func TestStreamProjection(t *testing.T) {
 	// Resume at a grid offset: prefix+suffix must equal the whole stream.
 	off := rep.ChunkRows * 2
 	var prefix, suffix bytes.Buffer
-	if _, err := Stream(context.Background(), sum, StreamOptions{
-		Table: "S", Format: "csv", Columns: cols, BatchRows: 512, Limit: off,
-	}, &prefix); err != nil {
+	if _, err := streamGrid(context.Background(), sum, StreamOptions{
+		Table: "S", Format: "csv", Columns: cols, Limit: off,
+	}, &prefix, 512); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Stream(context.Background(), sum, StreamOptions{
-		Table: "S", Format: "csv", Columns: cols, BatchRows: 512, Offset: off,
-	}, &suffix); err != nil {
+	if _, err := streamGrid(context.Background(), sum, StreamOptions{
+		Table: "S", Format: "csv", Columns: cols, Offset: off,
+	}, &suffix, 512); err != nil {
 		t.Fatal(err)
 	}
 	if got := append(prefix.Bytes(), suffix.Bytes()...); !bytes.Equal(got, want) {

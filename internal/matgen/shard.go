@@ -65,10 +65,10 @@ func alignNear(x, total int64, step int) int64 {
 }
 
 // chunkRows picks the per-chunk row count handed to one worker: the
-// configured batch size rounded up to the format's alignment, so every
+// grid's chunk size rounded up to the format's alignment, so every
 // chunk starts on an encoding boundary.
-func chunkRows(batchRows, align int) int {
-	return (max(batchRows, align) + align - 1) / align * align
+func chunkRows(grid, align int) int {
+	return (max(grid, align) + align - 1) / align * align
 }
 
 // Manifest is the per-shard JSON document written next to the output

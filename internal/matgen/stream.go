@@ -57,8 +57,6 @@ type StreamOptions struct {
 	// alignment, so a follow-up stream can resume exactly where this one
 	// stopped.
 	Limit int64
-	// BatchRows overrides DefaultBatchRows.
-	BatchRows int
 	// RateLimit paces this stream in rows per second (0 = unlimited).
 	RateLimit float64
 	// Columns projects the stream onto a subset of columns, in the order
@@ -84,7 +82,7 @@ type StreamOptions struct {
 }
 
 // StreamReport describes one stream: its geometry (known before any
-// byte is produced — StreamInfo returns it without generating) and, once
+// byte is produced — StreamPlan.Info returns it without generating) and, once
 // streamed, the emitted sizes.
 type StreamReport struct {
 	Table       string `json:"table"`
@@ -109,7 +107,7 @@ type StreamReport struct {
 	// start; resuming on the grid reproduces compressed framing exactly.
 	ChunkRows int64 `json:"chunk_rows"`
 	// Bytes is the stream size as written (post-compression); RawBytes
-	// the encoded size before compression. Zero in StreamInfo results.
+	// the encoded size before compression. Zero in StreamPlan.Info results.
 	Bytes    int64 `json:"bytes,omitempty"`
 	RawBytes int64 `json:"raw_bytes,omitempty"`
 	// Stage timings for this stream, filled by Run: wall seconds spent
@@ -130,18 +128,14 @@ type streamPlan struct {
 	filt       *tuplegen.SpanFilter // nil = unfiltered
 }
 
-func planStream(sum *summary.Summary, opts StreamOptions) (*streamPlan, error) {
+// planStream resolves a stream request on the chunk grid grid (0 for
+// the codec's own, as in materialize).
+func planStream(sum *summary.Summary, opts StreamOptions, grid int) (*streamPlan, error) {
 	if opts.Shards == 0 {
 		opts.Shards = 1
 	}
 	if opts.Shards < 1 || opts.Shard < 0 || opts.Shard >= opts.Shards {
 		return nil, fmt.Errorf("%w: shard %d of %d out of range", ErrStream, opts.Shard, opts.Shards)
-	}
-	if opts.BatchRows == 0 {
-		opts.BatchRows = DefaultBatchRows
-	}
-	if opts.BatchRows < 1 {
-		return nil, fmt.Errorf("%w: batch rows %d out of range", ErrStream, opts.BatchRows)
 	}
 	if opts.RateLimit != 0 {
 		if err := rate.Validate(opts.RateLimit); err != nil {
@@ -164,9 +158,8 @@ func planStream(sum *summary.Summary, opts StreamOptions) (*streamPlan, error) {
 		return nil, fmt.Errorf("%w: summary has no relation %q", ErrStream, opts.Table)
 	}
 	t, err := newTableTask(rs, sum.FKSpread, f, comp, Options{
-		Shards: opts.Shards, Shard: opts.Shard,
-		BatchRows: opts.BatchRows, Columns: opts.Columns,
-	})
+		Shards: opts.Shards, Shard: opts.Shard, Columns: opts.Columns,
+	}, grid)
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrStream, err)
 	}
@@ -240,7 +233,7 @@ type StreamPlan struct {
 // a byte. Invalid requests fail here, wrapped in ErrStream, before a
 // serving layer has committed any response.
 func PlanStream(sum *summary.Summary, opts StreamOptions) (*StreamPlan, error) {
-	p, err := planStream(sum, opts)
+	p, err := planStream(sum, opts, 0)
 	if err != nil {
 		return nil, err
 	}
@@ -260,16 +253,6 @@ func (sp *StreamPlan) ContentType() string {
 		return t.comp.ContentType()
 	}
 	return t.sink.ContentType()
-}
-
-// StreamInfo validates a stream request and returns its geometry
-// without generating a byte.
-func StreamInfo(sum *summary.Summary, opts StreamOptions) (*StreamReport, error) {
-	sp, err := PlanStream(sum, opts)
-	if err != nil {
-		return nil, err
-	}
-	return sp.Info(), nil
 }
 
 // Stream encodes one relation range scan into w: the resumable,

@@ -11,14 +11,16 @@ import (
 	"testing"
 	"time"
 
+	"github.com/dsl-repro/hydra/internal/format"
 	"github.com/dsl-repro/hydra/internal/summary"
 )
 
-// streamBytes runs one Stream call and returns its output.
+// streamBytes runs one Stream call on a 128-row chunk grid and returns
+// its output.
 func streamBytes(t *testing.T, opts StreamOptions) ([]byte, *StreamReport) {
 	t.Helper()
 	var buf bytes.Buffer
-	rep, err := Stream(context.Background(), testSummary(), opts, &buf)
+	rep, err := streamGrid(context.Background(), testSummary(), opts, &buf, 128)
 	if err != nil {
 		t.Fatalf("stream %+v: %v", opts, err)
 	}
@@ -38,9 +40,9 @@ func TestStreamMatchesMaterialize(t *testing.T) {
 			t.Run(format+"/"+compressName(compress), func(t *testing.T) {
 				// Whole table, single shard.
 				dir := t.TempDir()
-				rep, err := Materialize(sum, Options{
-					Dir: dir, Format: format, Compress: compress, Workers: 2, BatchRows: 128,
-				})
+				rep, err := materializeGrid(sum, Options{
+					Dir: dir, Format: format, Compress: compress, Workers: 2,
+				}, 128)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -50,7 +52,7 @@ func TestStreamMatchesMaterialize(t *testing.T) {
 						t.Fatal(err)
 					}
 					got, srep := streamBytes(t, StreamOptions{
-						Table: tr.Table, Format: format, Compress: compress, BatchRows: 128,
+						Table: tr.Table, Format: format, Compress: compress,
 					})
 					if !bytes.Equal(got, want) {
 						t.Fatalf("%s: stream != materialized file (%d vs %d bytes)", tr.Table, len(got), len(want))
@@ -62,10 +64,10 @@ func TestStreamMatchesMaterialize(t *testing.T) {
 
 				// Shard pieces of a 3-way split.
 				dir = t.TempDir()
-				if _, err := Materialize(sum, Options{
-					Dir: dir, Format: format, Compress: compress, Workers: 2, BatchRows: 128,
+				if _, err := materializeGrid(sum, Options{
+					Dir: dir, Format: format, Compress: compress, Workers: 2,
 					Shards: 3, Shard: 1,
-				}); err != nil {
+				}, 128); err != nil {
 					t.Fatal(err)
 				}
 				for _, table := range []string{"S", "T"} {
@@ -79,7 +81,7 @@ func TestStreamMatchesMaterialize(t *testing.T) {
 						t.Fatal(err)
 					}
 					got, _ := streamBytes(t, StreamOptions{
-						Table: table, Format: format, Compress: compress, BatchRows: 128,
+						Table: table, Format: format, Compress: compress,
 						Shards: 3, Shard: 1,
 					})
 					if !bytes.Equal(got, want) {
@@ -106,7 +108,7 @@ func TestStreamResumeSplice(t *testing.T) {
 	for _, compress := range []string{"", "gzip"} {
 		for _, format := range fileFormats() {
 			t.Run(format+"/"+compressName(compress), func(t *testing.T) {
-				base := StreamOptions{Table: "S", Format: format, Compress: compress, BatchRows: 128}
+				base := StreamOptions{Table: "S", Format: format, Compress: compress}
 				full, rep := streamBytes(t, base)
 				// Split on the chunk grid so compressed members reframe
 				// identically; the grid is a multiple of the alignment.
@@ -134,7 +136,7 @@ func TestStreamResumeSplice(t *testing.T) {
 
 	// Off-grid (but aligned) splits still splice byte-identically for
 	// uncompressed output, where no member framing exists.
-	base := StreamOptions{Table: "S", Format: "csv", BatchRows: 128}
+	base := StreamOptions{Table: "S", Format: "csv"}
 	full, _ := streamBytes(t, base)
 	head, tail := base, base
 	head.Limit, tail.Offset = 37, 37
@@ -146,7 +148,7 @@ func TestStreamResumeSplice(t *testing.T) {
 
 	// An off-grid compressed splice reframes members, so the compressed
 	// bytes differ — but the decompressed assembly must not.
-	gz := StreamOptions{Table: "S", Format: "csv", Compress: "gzip", BatchRows: 128}
+	gz := StreamOptions{Table: "S", Format: "csv", Compress: "gzip"}
 	gzFull, _ := streamBytes(t, gz)
 	gzHead, gzTail := gz, gz
 	gzHead.Limit, gzTail.Offset = 37, 37
@@ -175,10 +177,11 @@ func TestStreamResumeSplice(t *testing.T) {
 func TestStreamValidation(t *testing.T) {
 	sum := testSummary()
 	heapAlign := func() int64 {
-		info, err := StreamInfo(sum, StreamOptions{Table: "S", Format: "heap"})
+		sp, err := PlanStream(sum, StreamOptions{Table: "S", Format: "heap"})
 		if err != nil {
 			t.Fatal(err)
 		}
+		info := sp.Info()
 		if info.Align < 2 {
 			t.Fatalf("heap align = %d, fixture cannot exercise misalignment", info.Align)
 		}
@@ -204,8 +207,8 @@ func TestStreamValidation(t *testing.T) {
 		} else if buf.Len() != 0 {
 			t.Errorf("%s: wrote %d bytes before failing", name, buf.Len())
 		}
-		if _, err := StreamInfo(sum, opts); !errors.Is(err, ErrStream) {
-			t.Errorf("%s: StreamInfo err = %v, want ErrStream", name, err)
+		if _, err := PlanStream(sum, opts); !errors.Is(err, ErrStream) {
+			t.Errorf("%s: PlanStream err = %v, want ErrStream", name, err)
 		}
 	}
 }
@@ -225,12 +228,12 @@ func TestPlanStreamCostIndependentOfRows(t *testing.T) {
 			Total: rows,
 		}
 		sum := &summary.Summary{Relations: map[string]*summary.RelationSummary{"R": rel}}
-		opts := StreamOptions{Table: "R", Format: "csv", BatchRows: 1}
+		opts := StreamOptions{Table: "R", Format: "csv"}
 		const plans = 20
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
 		for i := 0; i < plans; i++ {
-			if _, err := PlanStream(sum, opts); err != nil {
+			if _, err := planStream(sum, opts, 1); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -251,9 +254,9 @@ func TestStreamRateLimit(t *testing.T) {
 	const perSec = 8000.0 // ~1s for the 8208-row fixture
 	var buf bytes.Buffer
 	start := time.Now()
-	rep, err := Stream(context.Background(), testSummary(), StreamOptions{
-		Table: "S", Format: "csv", BatchRows: 128, RateLimit: perSec,
-	}, &buf)
+	rep, err := streamGrid(context.Background(), testSummary(), StreamOptions{
+		Table: "S", Format: "csv", RateLimit: perSec,
+	}, &buf, 128)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -274,7 +277,7 @@ func TestStreamCancellation(t *testing.T) {
 		}
 		return len(p), nil
 	})
-	_, err := Stream(ctx, testSummary(), StreamOptions{Table: "S", Format: "csv", BatchRows: 128}, w)
+	_, err := streamGrid(ctx, testSummary(), StreamOptions{Table: "S", Format: "csv"}, w, 128)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -294,16 +297,16 @@ func TestMaterializeRateLimit(t *testing.T) {
 	}
 	perSec := float64(totalRows) // target ~1s per run, well past the burst tolerance
 	baseline := t.TempDir()
-	if _, err := Materialize(sum, Options{Dir: baseline, Format: "csv", Workers: 2, BatchRows: 128}); err != nil {
+	if _, err := materializeGrid(sum, Options{Dir: baseline, Format: "csv", Workers: 2}, 128); err != nil {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{1, 4} {
 		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
 			dir := t.TempDir()
 			start := time.Now()
-			rep, err := Materialize(sum, Options{
-				Dir: dir, Format: "csv", Workers: workers, BatchRows: 128, RateLimit: perSec,
-			})
+			rep, err := materializeGrid(sum, Options{
+				Dir: dir, Format: "csv", Workers: workers, RateLimit: perSec,
+			}, 128)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -334,12 +337,12 @@ func TestMaterializeRateLimit(t *testing.T) {
 // many tables sharing the pool's chunk budget.
 func TestMaterializeContextCancel(t *testing.T) {
 	for _, tc := range []struct {
-		prefix    string
-		sum       *summary.Summary
-		batchRows int
+		prefix string
+		sum    *summary.Summary
+		grid   int
 	}{
 		{"", testSummary(), 128},
-		{"many-tables/", manyRelations(manyTables, manyChunks*manyBatchRows), manyBatchRows},
+		{"many-tables/", manyRelations(manyTables, manyChunks*manyGrid), manyGrid},
 	} {
 		for _, workers := range []int{1, 4} {
 			t.Run(fmt.Sprintf("%sworkers=%d", tc.prefix, workers), func(t *testing.T) {
@@ -353,9 +356,9 @@ func TestMaterializeContextCancel(t *testing.T) {
 				start := time.Now()
 				// A tight rate limit keeps the run alive long enough that the
 				// cancellation strikes mid-flight.
-				_, err := MaterializeContext(ctx, tc.sum, Options{
-					Dir: dir, Format: "csv", Workers: workers, BatchRows: tc.batchRows, RateLimit: 500,
-				})
+				_, err := materialize(ctx, tc.sum, Options{
+					Dir: dir, Format: "csv", Workers: workers, RateLimit: 500,
+				}, format.CSV, nil, tc.grid)
 				if !errors.Is(err, context.Canceled) {
 					t.Fatalf("err = %v, want context.Canceled", err)
 				}

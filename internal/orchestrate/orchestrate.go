@@ -69,8 +69,6 @@ type Options struct {
 	Workers int
 	// Tables restricts the job to a subset of relations (all when nil).
 	Tables []string
-	// BatchRows overrides matgen's batch granularity.
-	BatchRows int
 	// Retries is how many times a failed shard is re-run before the job
 	// gives up; negative means no retries. Zero means DefaultRetries.
 	Retries int
@@ -215,14 +213,13 @@ func NewPlan(opts Options) (*Plan, error) {
 	p := &Plan{Shards: opts.Shards, Parallel: parallel, Retries: retries, Backoff: backoff}
 	for i := 0; i < opts.Shards; i++ {
 		p.Jobs = append(p.Jobs, ShardJob{Shard: i, Opts: matgen.Options{
-			Dir:       opts.Dir,
-			Format:    f.Name(),
-			Compress:  opts.Compress,
-			Workers:   workers,
-			Shards:    opts.Shards,
-			Shard:     i,
-			Tables:    opts.Tables,
-			BatchRows: opts.BatchRows,
+			Dir:      opts.Dir,
+			Format:   f.Name(),
+			Compress: opts.Compress,
+			Workers:  workers,
+			Shards:   opts.Shards,
+			Shard:    i,
+			Tables:   opts.Tables,
 		}})
 	}
 	return p, nil

@@ -48,7 +48,7 @@ func TestRunEndToEnd(t *testing.T) {
 	sum := testSummary()
 	dir := t.TempDir()
 	res, err := Run(context.Background(), sum, Options{
-		Dir: dir, Format: "csv", Compress: "gzip", Shards: 4, BatchRows: 128,
+		Dir: dir, Format: "csv", Compress: "gzip", Shards: 4,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -69,7 +69,7 @@ func TestRunEndToEnd(t *testing.T) {
 	}
 
 	plain := t.TempDir()
-	plainRep, err := matgen.Materialize(sum, matgen.Options{Dir: plain, Format: "csv", Workers: 2, BatchRows: 128})
+	plainRep, err := matgen.Materialize(sum, matgen.Options{Dir: plain, Format: "csv", Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -228,7 +228,7 @@ func TestLocalRunnerCancellation(t *testing.T) {
 		cancel()
 	}()
 	job := ShardJob{Opts: matgen.Options{
-		Dir: dir, Format: "csv", Workers: 2, Shards: 1, BatchRows: 128, RateLimit: 500,
+		Dir: dir, Format: "csv", Workers: 2, Shards: 1, RateLimit: 500,
 	}}
 	if _, err := (LocalRunner{}).Run(ctx, sum, job); !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
@@ -271,7 +271,7 @@ func runVerified(t *testing.T) (string, *summary.Summary) {
 	sum := testSummary()
 	dir := t.TempDir()
 	if _, err := Run(context.Background(), sum, Options{
-		Dir: dir, Format: "csv", Compress: "gzip", Shards: 3, BatchRows: 128,
+		Dir: dir, Format: "csv", Compress: "gzip", Shards: 3,
 	}); err != nil {
 		t.Fatal(err)
 	}
@@ -404,7 +404,7 @@ func TestVerifyFailureModes(t *testing.T) {
 		dir, sum := runVerified(t)
 		if _, err := matgen.Materialize(sum, matgen.Options{
 			Dir: dir, Format: "csv", Compress: "gzip", Workers: 2,
-			Shards: 2, Shard: 0, BatchRows: 128,
+			Shards: 2, Shard: 0,
 		}); err != nil {
 			t.Fatal(err)
 		}
@@ -470,7 +470,7 @@ func TestVerifyShippedDirectory(t *testing.T) {
 	for i, dir := range machines {
 		if _, err := matgen.Materialize(sum, matgen.Options{
 			Dir: dir, Format: "jsonl", Compress: "gzip", Workers: 2,
-			Shards: shards, Shard: i, BatchRows: 128,
+			Shards: shards, Shard: i,
 		}); err != nil {
 			t.Fatal(err)
 		}

@@ -55,6 +55,21 @@ func testSummary() *summary.Summary {
 	return &summary.Summary{Relations: map[string]*summary.RelationSummary{"S": sRel, "T": tRel}}
 }
 
+// longSummary is testSummary with every run eight times as long: S has
+// 65 664 rows and T 12 104, so both span several chunks of the 8 192-row
+// grid the engine writes and serves uncompressed output on, and a spans
+// stream of S is eleven frames.
+func longSummary() *summary.Summary {
+	sum := testSummary()
+	for _, rs := range sum.Relations {
+		for i := range rs.Rows {
+			rs.Rows[i].Count *= 8
+		}
+		rs.Total *= 8
+	}
+	return sum
+}
+
 // capturedBatch is one batch deep-copied out of a scan.
 type capturedBatch struct {
 	start int64
@@ -157,7 +172,7 @@ func materializeDir(t *testing.T, sum *summary.Summary, format, compress string,
 	for i := 0; i < shards; i++ {
 		if _, err := matgen.Materialize(sum, matgen.Options{
 			Dir: dir, Format: format, Compress: compress,
-			Shards: shards, Shard: i, Workers: 2, BatchRows: 512,
+			Shards: shards, Shard: i, Workers: 2,
 		}); err != nil {
 			t.Fatal(err)
 		}
@@ -216,8 +231,9 @@ func TestConformance(t *testing.T) {
 			"dir/csv+gzip": materializeDir(t, sum, "csv", "gzip", 3),
 			"dir/jsonl":    materializeDir(t, sum, "jsonl", "", 2),
 			"dir/heap":     materializeDir(t, sum, "heap", "", 3),
-			// Frames are clipped at chunk (512-row) and shard boundaries,
-			// so these also scan across runs split mid-way.
+			// Frames are clipped at chunk (8 192-row, or 2 048 compressed)
+			// and shard boundaries, so these also scan across runs split
+			// mid-way.
 			"dir/spans":      materializeDir(t, sum, "spans", "", 3),
 			"dir/spans+gzip": materializeDir(t, sum, "spans", "gzip", 2),
 		}
@@ -247,14 +263,16 @@ func TestConformance(t *testing.T) {
 	// struck from its manifests — the one-chunk case of the same code,
 	// which is also what a directory written before the index looks like.
 	t.Run("dir/ranged", func(t *testing.T) {
-		ref := scan.NewSummarySource(&spreadSum)
+		long := longSummary()
+		long.FKSpread = true
+		ref := scan.NewSummarySource(long)
 		for _, format := range []string{"csv", "jsonl", "heap", "spans"} {
 			for _, compress := range []string{"", "gzip"} {
 				for _, shards := range []int{1, 3} {
 					label := fmt.Sprintf("%s+%s/%d", format, compress, shards)
-					dir := materializeDir(t, &spreadSum, format, compress, shards)
+					dir := materializeDir(t, long, format, compress, shards)
 					starts := chunkEdgeRows(t, dir, "S")
-					if len(starts) < 3*8208/512 {
+					if len(starts) < 3*int(long.Relations["S"].Total/8192) {
 						t.Fatalf("%s: only %d ranged starts; the index is missing or coarse", label, len(starts))
 					}
 					diffRanged(t, label, dir, ref, starts)
@@ -402,16 +420,17 @@ func (h *truncatingHandler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 }
 
 // flakyFleet is a two-member fleet over sum that tears two of every
-// three streams after 100 bytes, whichever member they land on. The
-// server encodes in 256-row chunks so a table is dozens of frames, not
-// three.
+// three streams after 30 bytes, two frames or so, whichever member they
+// land on. A scan of longSummary's S (eleven frames, 177 bytes; 109
+// under B=15) thus takes exactly three streams, the last one whole, so
+// every scan starts on a stream that tears.
 func flakyFleet(t *testing.T, sum *summary.Summary) (*scan.RemoteSource, *truncatingHandler) {
 	t.Helper()
-	srv, err := serve.NewServer(sum, serve.Options{BatchRows: 256})
+	srv, err := serve.NewServer(sum, serve.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	h := &truncatingHandler{inner: srv, limit: 100}
+	h := &truncatingHandler{inner: srv, limit: 30}
 	var urls []string
 	for i := 0; i < 2; i++ {
 		ts := httptest.NewServer(h)
@@ -435,7 +454,7 @@ func remoteResumes() int64 {
 // members keep dying mid-stream, the scan still delivers the exact
 // reference batch sequence — and streams did die.
 func TestRemoteResumeMidTable(t *testing.T) {
-	sum := testSummary()
+	sum := longSummary()
 	remote, flaky := flakyFleet(t, sum)
 	spec := scan.Spec{Table: "S", BatchRows: 500, Columns: []string{"S_pk", "A", "B"}}
 	want := drain(t, scan.NewSummarySource(sum), spec)
@@ -453,7 +472,7 @@ func TestRemoteResumeMidTable(t *testing.T) {
 // a projection that leaves the pk out changes nothing, the run's
 // position travels in the frame.
 func TestRemoteResumeFiltered(t *testing.T) {
-	sum := testSummary()
+	sum := longSummary()
 	remote, flaky := flakyFleet(t, sum)
 	ref := scan.NewSummarySource(sum)
 	for name, spec := range map[string]scan.Spec{
@@ -506,18 +525,18 @@ func (h *cutOnceHandler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 // — on a frame boundary or inside a frame — resumes to exactly the
 // uninterrupted batch sequence, filtered or not, spread or not.
 func TestRemoteResumeAtEveryByte(t *testing.T) {
-	spread := *testSummary()
+	spread := *longSummary()
 	spread.FKSpread = true
 	for name, tc := range map[string]struct {
 		sum  *summary.Summary
 		spec scan.Spec
 	}{
-		"plain":    {testSummary(), scan.Spec{Table: "S", BatchRows: 700, Columns: []string{"t_fk", "B"}}},
+		"plain":    {longSummary(), scan.Spec{Table: "S", BatchRows: 700, Columns: []string{"t_fk", "B"}}},
 		"spread":   {&spread, scan.Spec{Table: "S", BatchRows: 700}},
 		"filtered": {&spread, scan.Spec{Table: "S", BatchRows: 700, Filter: pred.Col("t_fk").In(100, 260)}},
 	} {
 		t.Run(name, func(t *testing.T) {
-			srv, err := serve.NewServer(tc.sum, serve.Options{BatchRows: 1024})
+			srv, err := serve.NewServer(tc.sum, serve.Options{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -574,25 +593,42 @@ func TestRemoteOldMemberNamed(t *testing.T) {
 	}
 }
 
+// shortRunsSummary is testSummary with S cut into 16-row runs, its three
+// summary rows in turn: a spans stream of it is one frame per 16 rows,
+// whatever the server's chunk grid.
+func shortRunsSummary() *summary.Summary {
+	sum := testSummary()
+	s := sum.Relations["S"]
+	rows := s.Rows
+	s.Rows = nil
+	for i := 0; i < 600; i++ {
+		r := rows[i%len(rows)]
+		r.Count = 16
+		s.Rows = append(s.Rows, r)
+	}
+	s.Total = 600 * 16
+	return sum
+}
+
 // TestRemoteFillAllocs pins the point of shipping runs instead of rows:
 // once the stream is open and the batch has its capacity, placing runs
 // on the grid allocates nothing — no per-row, per-frame or per-batch
 // garbage — with and without a projection, spread FKs and a filter.
 func TestRemoteFillAllocs(t *testing.T) {
-	spread := *testSummary()
+	spread := *shortRunsSummary()
 	spread.FKSpread = true
 	for name, tc := range map[string]struct {
 		sum  *summary.Summary
 		spec scan.Spec
 	}{
-		"plain":     {testSummary(), scan.Spec{Table: "S", BatchRows: 16}},
+		"plain":     {shortRunsSummary(), scan.Spec{Table: "S", BatchRows: 16}},
 		"projected": {&spread, scan.Spec{Table: "S", BatchRows: 16, Columns: []string{"t_fk", "A"}}},
 		"filtered":  {&spread, scan.Spec{Table: "S", BatchRows: 16, Filter: pred.Col("A").Eq(20)}},
 	} {
 		t.Run(name, func(t *testing.T) {
-			// Server chunks as small as the client's batches: every measured
-			// batch decodes at least one frame of its own.
-			srv, err := serve.NewServer(tc.sum, serve.Options{BatchRows: 16})
+			// Runs as short as the client's batches: every measured batch
+			// decodes at least one frame of its own.
+			srv, err := serve.NewServer(tc.sum, serve.Options{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -1023,9 +1059,10 @@ func TestDirChecksumLazyVerify(t *testing.T) {
 // bytes must fail the scan that seeks by it, naming part and offset —
 // whatever the format — and never deliver rows from the wrong place.
 func TestDirIndexCheckedNotTrusted(t *testing.T) {
-	sum := testSummary()
-	// All scans start at row 1300, in chunk 2 of S (512-row chunks).
-	spec := scan.Spec{Table: "S", StartPK: 1301, EndPK: 1400}
+	sum := longSummary()
+	// All scans start at row 10 000, in chunk 1 of S (8 192-row chunks,
+	// 2 048 compressed).
+	spec := scan.Spec{Table: "S", StartPK: 10001, EndPK: 10100}
 	cases := []struct {
 		name, format, compress string
 		shift                  func(t *testing.T, dir string, off int64) int64
@@ -1039,7 +1076,7 @@ func TestDirIndexCheckedNotTrusted(t *testing.T) {
 				t.Fatal(err)
 			}
 			return int64(strings.IndexByte(string(b[off:]), '\n') + 1)
-		}, "found pk 1302, want 1301"},
+		}, "found pk 10002, want 10001"},
 		{"heap next page", "heap", "", func(*testing.T, string, int64) int64 { return 8192 }, "found pk"},
 		{"spans mid-frame", "spans", "", func(*testing.T, string, int64) int64 { return 1 }, "bad spans frame"},
 		{"gzip mid-member", "csv", "gzip", func(*testing.T, string, int64) int64 { return 1 }, "gzip"},
@@ -1198,24 +1235,32 @@ func TestDirRunsCrossChunks(t *testing.T) {
 		table            string
 		parsed           int64
 	}{
-		{"csv", "", 1, false, "T", 2}, // runs of 900 and 613 rows, in 512-row chunks
-		{"csv", "", 3, false, "T", 4}, // parts split at 504 and 1008
-		{"csv", "gzip", 3, false, "T", 4},
+		// T's runs are 7 200 and 4 904 rows, scanned as one batch: the
+		// second crosses the chunk boundary at row 8 192.
+		{"csv", "", 1, false, "T", 2},
+		{"csv", "", 3, false, "T", 3},     // parts split at 0 and 8 192
+		{"csv", "gzip", 3, false, "T", 4}, // at 4 096 and 8 192, in 2 048-row members
 		{"jsonl", "", 1, false, "T", 2},
 		{"heap", "", 1, false, "T", 2},
-		{"csv", "", 1, false, "S", 4}, // three runs, the last split by the 8192-row batch
-		{"csv", "", 1, true, "S", 8208},
+		// S's three runs, of 24 008, 20 000 and 21 656 rows, in 10 000-row
+		// batches: each is cut by two batch edges, and by none of the
+		// chunk edges at multiples of 8 192.
+		{"csv", "", 1, false, "S", 9},
+		{"csv", "", 1, true, "S", 65664},
 		{"spans", "", 3, false, "T", 0},
 	}
 	for _, tc := range cases {
 		label := fmt.Sprintf("%s+%s/%d/spread=%v/%s", tc.format, tc.compress, tc.shards, tc.spread, tc.table)
-		sum := testSummary()
+		sum := longSummary()
 		sum.FKSpread = tc.spread
 		src, err := scan.OpenDir(materializeDir(t, sum, tc.format, tc.compress, tc.shards))
 		if err != nil {
 			t.Fatal(err)
 		}
-		spec := scan.Spec{Table: tc.table}
+		spec := scan.Spec{Table: tc.table, BatchRows: 12104}
+		if tc.table == "S" {
+			spec.BatchRows = 10000
+		}
 		before := dirParsedRows()
 		got := drain(t, src, spec)
 		if parsed := dirParsedRows() - before; parsed != tc.parsed {
@@ -1297,8 +1342,8 @@ func TestScanRateLimit(t *testing.T) {
 // torn mid-table so scans resume across members: the geometry is
 // identical, and only the digest refuses the splice.
 func TestRemoteMixedFleetNeverSplices(t *testing.T) {
-	sumA := testSummary()
-	sumB := testSummary()
+	sumA := longSummary()
+	sumB := longSummary()
 	sumB.Relations["S"].Rows[0].Count += 100 // a different database
 	sumB.Relations["S"].Total += 100
 	spreadA := *sumA
@@ -1312,9 +1357,9 @@ func TestRemoteMixedFleetNeverSplices(t *testing.T) {
 			var urls []string
 			var torn []*truncatingHandler
 			for _, sum := range []*summary.Summary{sumA, tc.other} {
-				// 1024-row chunks cut S into frames enough that a torn
+				// S's eleven frames run past the 100-byte tear, so a torn
 				// stream dies mid-table.
-				srv, err := serve.NewServer(sum, serve.Options{BatchRows: 1024})
+				srv, err := serve.NewServer(sum, serve.Options{})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -1454,7 +1499,7 @@ func TestDirMixedProjectionRefused(t *testing.T) {
 // stamp (same file, size and mtime) fails the next Verify, and the
 // scans after that hash it again and fail too.
 func TestDirVerifyStampsParts(t *testing.T) {
-	sum := testSummary()
+	sum := longSummary() // T's middle part holds rows only on a long T
 	ctx := context.Background()
 	dir := materializeDir(t, sum, "csv", "gzip", 3)
 	src, err := scan.OpenDir(dir)

@@ -488,15 +488,15 @@ func dirDecodeSeeds(t testing.TB) []dirDecodeSeed {
 	}
 	seeds = append(seeds, dirDecodeSeed{data: heap, format: 2, pk: 1, ncols: 2})
 
-	// Parts the encoders wrote: a 70-row relation of two runs in 32-row
-	// chunks, its column named the way the fuzz names a layout's.
+	// Parts the encoders wrote: a 70-row relation of two runs, its column
+	// named the way the fuzz names a layout's.
 	sum := &summary.Summary{Relations: map[string]*summary.RelationSummary{"T": {
 		Table: "T", Cols: []string{"c1"}, Total: 70,
 		Rows: []summary.RelRow{{Vals: []int64{2}, Count: 40}, {Vals: []int64{7}, Count: 30}},
 	}}}
 	dir := t.TempDir()
 	for code, format := range []string{"csv", "jsonl", "heap"} {
-		if _, err := matgen.Materialize(sum, matgen.Options{Dir: dir, Format: format, Workers: 2, BatchRows: 32}); err != nil {
+		if _, err := matgen.Materialize(sum, matgen.Options{Dir: dir, Format: format, Workers: 2}); err != nil {
 			t.Fatal(err)
 		}
 		data, err := os.ReadFile(filepath.Join(dir, "T."+format))

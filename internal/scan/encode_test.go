@@ -190,7 +190,7 @@ func TestProjectedSpansStreamMatchesCSV(t *testing.T) {
 			stream := func(format string) []byte {
 				var buf bytes.Buffer
 				if _, err := matgen.Stream(context.Background(), &in, matgen.StreamOptions{
-					Table: "S", Format: format, Columns: cols, BatchRows: 1000,
+					Table: "S", Format: format, Columns: cols,
 				}, &buf); err != nil {
 					t.Fatal(err)
 				}

@@ -81,8 +81,8 @@ func metricsForBackend(backend string) *backendMetrics {
 }
 
 // DefaultBatchRows is the batch granularity when Spec leaves BatchRows
-// zero — the same default the materialization engine uses, big enough to
-// amortize per-batch overhead, small enough to stay cache-resident.
+// zero: big enough to amortize per-batch overhead, small enough to stay
+// cache-resident.
 const DefaultBatchRows = 8192
 
 // ErrSpec marks a scan request the caller got wrong — unknown table or

@@ -254,7 +254,7 @@ func TestStreamProjectedFilteredMatchesEncodeScan(t *testing.T) {
 			var stream bytes.Buffer
 			if _, err := matgen.Stream(context.Background(), sum, matgen.StreamOptions{
 				Table: "S", Format: tc.format, Columns: tc.cols, Filter: filter,
-				Limit: limit, BatchRows: 300,
+				Limit: limit,
 			}, &stream); err != nil {
 				t.Fatal(err)
 			}

@@ -135,7 +135,6 @@ func (r *RemoteRunner) jobRequest(sum *summary.Summary, job orchestrate.ShardJob
 		Shards:    job.Opts.Shards,
 		Shard:     job.Opts.Shard,
 		Tables:    job.Opts.Tables,
-		BatchRows: job.Opts.BatchRows,
 		Workers:   r.opts.Workers,
 		RateLimit: job.Opts.RateLimit,
 	}

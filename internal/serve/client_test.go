@@ -365,7 +365,7 @@ func TestShardJobReportFromManifest(t *testing.T) {
 	rep, err := runner.Run(context.Background(), sum, orchestrate.ShardJob{
 		Shard: 1,
 		Opts: matgen.Options{
-			Dir: dir, Format: "csv", Compress: "gzip", Shards: 3, Shard: 1, BatchRows: 128,
+			Dir: dir, Format: "csv", Compress: "gzip", Shards: 3, Shard: 1,
 		},
 	})
 	if err != nil {

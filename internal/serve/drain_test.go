@@ -89,14 +89,14 @@ func TestWaitIdle(t *testing.T) {
 		t.Fatalf("WaitIdle on idle server = %v", err)
 	}
 
-	// A rate-limited stream stays in flight for ~30s unless canceled.
-	// batch=25 keeps the pacing incremental (one 0.5s chunk at a time)
-	// instead of one whole-table batch that pays the wait up front.
-	resp, err := http.Get(ts.URL + "/v1/tables/T?format=csv&rate=50&batch=25")
+	// A rate-limited stream stays in flight for ~30s unless canceled:
+	// T's 1513 rows are one chunk, not due before then, while its csv
+	// header goes out at once.
+	resp, err := http.Get(ts.URL + "/v1/tables/T?format=csv&rate=50")
 	if err != nil {
 		t.Fatal(err)
 	}
-	buf := make([]byte, 64)
+	buf := make([]byte, len("T_pk,C\n"))
 	if _, err := io.ReadFull(resp.Body, buf); err != nil {
 		t.Fatalf("reading stream head: %v", err)
 	}

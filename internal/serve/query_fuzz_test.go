@@ -20,7 +20,7 @@ func FuzzStreamOptionsFromQuery(f *testing.F) {
 		{"S", ""},
 		{"S", "format=spans&offset=0&limit=100"},
 		{"S", "format=csv&offset=x&limit=y"},
-		{"T", "format=heap&shard=2/3&batch=512&rate=1000"},
+		{"T", "format=heap&shard=2/3&rate=1000"},
 		{"S", "format=spans&fkspread=1&filter=A%3D20%3A59%3BB%3D5&columns=S_pk,t_fk"},
 		{"S", "format=csv&compress=gzip&offset=-1&limit=3"},
 		{"nope", "format=jsonl&info=1"},

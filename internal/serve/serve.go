@@ -38,7 +38,8 @@
 //	     and columns= must keep the pk first or the request is a 400.
 //	GET  /v1/tables/{table}?...&info=1 returns the stream's geometry
 //	     (rows, alignment, chunk grid) as JSON without generating.
-//	     Besides these and batch=N, any query parameter is a 400.
+//	     Any other query parameter is a 400. The chunk grid is not one:
+//	     it follows from format and codec alone.
 //	POST /v1/shardjobs executes one full matgen ShardJob — the unit the
 //	     orchestrator schedules — and streams back the artifact bundle
 //	     (part files + manifest) as a tar stream whose contents carry
@@ -68,7 +69,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"log"
 	"log/slog"
 	"math"
 	"net/http"
@@ -98,16 +98,12 @@ type Options struct {
 	// Workers is the encode worker count for shard jobs whose request
 	// leaves workers unset; 0 means GOMAXPROCS.
 	Workers int
-	// BatchRows overrides matgen's batch granularity for requests that
-	// leave it unset.
-	BatchRows int
-	// Log receives per-request failures that can no longer reach the
-	// client (mid-stream errors). Nil disables logging.
-	Log *log.Logger
-	// Logger receives one structured record per completed table stream
-	// (table, rows, bytes, duration, outcome) — the log a fleet operator
-	// greps when a scraped histogram says something was slow. Nil
-	// disables structured logging.
+	// Logger receives one record per table stream (table, rows, bytes,
+	// duration, outcome; Info when complete, Error when aborted) — the
+	// log a fleet operator greps when a scraped histogram says something
+	// was slow — and an Error record for every shard job failure the
+	// client can no longer be told about. Its handler's level picks
+	// which appear. Nil disables logging.
 	Logger *slog.Logger
 	// Metrics is the registry the server records into and serves at
 	// GET /metrics; nil means obs.Default (which is what the engine
@@ -439,9 +435,10 @@ func (s *Server) capRate(requested float64) float64 {
 	return requested
 }
 
-func (s *Server) logf(format string, args ...any) {
-	if s.opts.Log != nil {
-		s.opts.Log.Printf(format, args...)
+// logError records a shard job failure the client may never see.
+func (s *Server) logError(msg string, args ...any) {
+	if s.opts.Logger != nil {
+		s.opts.Logger.Error(msg, args...)
 	}
 }
 

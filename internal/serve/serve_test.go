@@ -7,12 +7,14 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"log/slog"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -24,7 +26,7 @@ import (
 
 // testSummary mirrors matgen's fixture: two relations with FK spans,
 // small enough for exhaustive golden comparisons, large enough to spread
-// across shards and chunks at small batch sizes.
+// across shards and, compressed, across chunks.
 func testSummary() *summary.Summary {
 	tRel := &summary.RelationSummary{
 		Table: "T", Cols: []string{"C"},
@@ -169,9 +171,9 @@ func TestTableStreamResume(t *testing.T) {
 	ts := newTestServer(t, testSummary(), Options{})
 	for _, compress := range []string{"", "gzip"} {
 		t.Run(compressName(compress), func(t *testing.T) {
-			suffix := "&batch=128"
+			suffix := ""
 			if compress != "" {
-				suffix += "&compress=" + compress
+				suffix = "&compress=" + compress
 			}
 			base := ts.URL + "/v1/tables/S?format=csv" + suffix
 			resp, full := get(t, base)
@@ -183,7 +185,7 @@ func TestTableStreamResume(t *testing.T) {
 			if err := json.Unmarshal(infoBody, &info); err != nil {
 				t.Fatalf("info: %v (%s)", err, infoBody)
 			}
-			cut := 8 * info.ChunkRows
+			cut := info.ChunkRows
 			if cut >= info.Rows {
 				t.Fatalf("fixture too small: %d rows, chunk %d", info.Rows, info.ChunkRows)
 			}
@@ -216,8 +218,6 @@ func TestTableStreamErrors(t *testing.T) {
 		"NaN rate":          {"/v1/tables/S?rate=NaN", http.StatusBadRequest},
 		"Inf rate":          {"/v1/tables/S?rate=%2BInf", http.StatusBadRequest},
 		"denormal rate":     {"/v1/tables/S?rate=1e-300", http.StatusBadRequest},
-		"bad batch":         {"/v1/tables/S?batch=0", http.StatusBadRequest},
-		"batch too large":   {"/v1/tables/S?batch=65537", http.StatusBadRequest},
 		"wrong method":      {"/v1/shardjobs", http.StatusMethodNotAllowed},
 	}
 	for name, tc := range cases {
@@ -239,15 +239,40 @@ func TestTableStreamUnknownParams(t *testing.T) {
 		"format=csv&colums=S_pk,A":       "colums",
 		"zz=1&format=csv&aa=2&limit=10":  "aa",
 		"format=spans&info=1&Format=csv": "Format",
+		"format=csv&batch=128":           "batch",
 	} {
 		resp, body := get(t, ts.URL+"/v1/tables/S?"+query)
 		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(body), fmt.Sprintf("%q", unknown)) {
 			t.Errorf("GET ?%s = %s (%s), want 400 naming %q", query, resp.Status, body, unknown)
 		}
 	}
-	known := "format=csv&compress=gzip&columns=S_pk,A&filter=A%3D20&shard=1/1&offset=0&limit=10&rate=100000&batch=10&info=1"
+	known := "format=csv&compress=gzip&columns=S_pk,A&filter=A%3D20&shard=1/1&offset=0&limit=10&rate=100000&info=1"
 	if resp, body := get(t, ts.URL+"/v1/tables/S?"+known); resp.StatusCode != http.StatusOK {
 		t.Errorf("GET ?%s = %s (%s), want 200", known, resp.Status, body)
+	}
+}
+
+// TestShardJobUnknownFields: a shard job body with a field the server
+// does not read, such as a chunk grid it does not take, is a 400 naming
+// it, and the same body without it runs.
+func TestShardJobUnknownFields(t *testing.T) {
+	ts := newTestServer(t, testSummary(), Options{})
+	for body, want := range map[string]int{
+		`{"format":"csv","shards":1,"shard":0,"tables":["T"],"batch_rows":128}`: http.StatusBadRequest,
+		`{"format":"csv","shards":1,"shard":0,"tables":["T"]}`:                  http.StatusOK,
+	} {
+		resp, err := http.Post(ts.URL+"/v1/shardjobs", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode != want || want != http.StatusOK && !strings.Contains(string(got), `"batch_rows"`) {
+			t.Errorf("POST %s = %s (%.80q), want %d", body, resp.Status, got, want)
+		}
 	}
 }
 
@@ -255,19 +280,24 @@ func TestTableStreamUnknownParams(t *testing.T) {
 // is almost all empty pieces. The first holds no row (only the csv
 // header shard 0 writes), and the last exactly the table's last row —
 // not, as a 64-bit product of rows and piece index once made it, every
-// row. Shards split on the chunk grid, so the stream asks for one-row
-// chunks. Where an int is 32 bits the shard parser cannot hold 2^62, and
-// every such request is refused with a 400: a refusal, not a wrapped
-// split.
+// row. Shards split on the chunk grid, 8 192 rows for csv, so the last
+// piece is exactly rows [8192, 8208): the start point nearest ⌊8208·i/n⌋
+// rounds up to the grid. Where an int is 32 bits the shard parser cannot
+// hold 2^62, and every such request is refused with a 400: a refusal,
+// not a wrapped split.
 func TestTableStreamShardOfHugeN(t *testing.T) {
 	ts := newTestServer(t, testSummary(), Options{})
 	const n = "4611686018427387904" // 2^62
+	var last strings.Builder
+	for pk := 8193; pk <= 8208; pk++ {
+		fmt.Fprintf(&last, "%d,61,15,1\n", pk)
+	}
 	for shard, want := range map[string]string{
 		"1/" + n:    "S_pk,A,B,t_fk\n",
 		"2/" + n:    "",
-		n + "/" + n: "8208,61,15,1\n",
+		n + "/" + n: last.String(),
 	} {
-		resp, body := get(t, ts.URL+"/v1/tables/S?format=csv&batch=1&shard="+shard)
+		resp, body := get(t, ts.URL+"/v1/tables/S?format=csv&shard="+shard)
 		if strconv.IntSize == 32 {
 			if resp.StatusCode != http.StatusBadRequest {
 				t.Errorf("shard=%s with a 32-bit int: %s (%.60q), want 400", shard, resp.Status, body)
@@ -406,9 +436,9 @@ func TestMaxStreams(t *testing.T) {
 	if got := inFlight.Value(); got != 0 {
 		t.Fatalf("in-flight %d before any stream", got)
 	}
-	// rate+batch make the stream slow enough to hold its slot (~16s
-	// worth), while the first chunk arrives quickly (~0.2s).
-	slow, err := http.Get(ts.URL + "/v1/tables/S?format=csv&rate=500&batch=128")
+	// rate=500 holds the slot ~16s: S's first 8 192-row chunk is not
+	// due before then, while its csv header goes out at once.
+	slow, err := http.Get(ts.URL + "/v1/tables/S?format=csv&rate=500")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -416,7 +446,7 @@ func TestMaxStreams(t *testing.T) {
 	if slow.StatusCode != http.StatusOK {
 		t.Fatalf("slow stream: %s", slow.Status)
 	}
-	if _, err := io.ReadFull(slow.Body, make([]byte, 16)); err != nil {
+	if _, err := io.ReadFull(slow.Body, make([]byte, len("S_pk,A,B,t_fk\n"))); err != nil {
 		t.Fatal(err) // the stream is live and holding its slot
 	}
 	if got := inFlight.Value(); got != 1 {
@@ -512,17 +542,71 @@ func TestTableStreamRateLimit(t *testing.T) {
 	}
 	t.Run("client requested", func(t *testing.T) {
 		ts := newTestServer(t, sum, Options{})
-		const perSec = 1500.0 // T has 1513 rows: ~1s
-		got := timedGet(ts, "/v1/tables/T?format=csv&batch=128&rate=1500")
+		// T's 1513 rows are one chunk, released once its emission time
+		// (~1.5s) has all but the limiter's 50ms tolerance elapsed.
+		const perSec = 1000.0
+		got := timedGet(ts, "/v1/tables/T?format=csv&rate=1000")
 		if got < perSec*0.9 || got > perSec*1.1 {
 			t.Fatalf("observed %.0f rows/s, requested %.0f (±10%%)", got, perSec)
 		}
 	})
 	t.Run("server cap", func(t *testing.T) {
-		ts := newTestServer(t, sum, Options{RateLimit: 1500})
-		got := timedGet(ts, "/v1/tables/T?format=csv&batch=128&rate=1000000")
-		if got > 1500*1.1 {
-			t.Fatalf("observed %.0f rows/s past the 1500 cap", got)
+		ts := newTestServer(t, sum, Options{RateLimit: 1000})
+		got := timedGet(ts, "/v1/tables/T?format=csv&rate=1000000")
+		if got > 1000*1.1 {
+			t.Fatalf("observed %.0f rows/s past the 1000 cap", got)
 		}
 	})
+}
+
+// lockedBuffer is a log destination the test may read while the server
+// writes to it.
+type lockedBuffer struct {
+	mu  sync.Mutex
+	buf bytes.Buffer
+}
+
+func (b *lockedBuffer) Write(p []byte) (int, error) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.buf.Write(p)
+}
+
+func (b *lockedBuffer) String() string {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.buf.String()
+}
+
+// TestStreamLog: one logger takes the server's records, and its level
+// picks which appear. A completed stream is an Info record, which a
+// Warn-level handler drops; a stream its client abandons mid-way is an
+// Error record, which it keeps.
+func TestStreamLog(t *testing.T) {
+	var out lockedBuffer
+	logger := slog.New(slog.NewTextHandler(&out, &slog.HandlerOptions{Level: slog.LevelWarn}))
+	ts := newTestServer(t, testSummary(), Options{Logger: logger})
+	if resp, body := get(t, ts.URL+"/v1/tables/T?format=csv"); resp.StatusCode != http.StatusOK {
+		t.Fatalf("stream: %s (%s)", resp.Status, body)
+	}
+	if got := out.String(); got != "" {
+		t.Fatalf("a Warn-level log took a completed stream's record: %q", got)
+	}
+	slow, err := http.Get(ts.URL + "/v1/tables/S?format=csv&rate=500")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := io.ReadFull(slow.Body, make([]byte, len("S_pk,A,B,t_fk\n"))); err != nil {
+		t.Fatal(err)
+	}
+	slow.Body.Close()
+	for deadline := time.Now().Add(5 * time.Second); !strings.Contains(out.String(), "stream aborted"); {
+		if time.Now().After(deadline) {
+			t.Fatalf("no record of the abandoned stream: %q", out.String())
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+	if got := out.String(); !strings.Contains(got, "level=ERROR") || !strings.Contains(got, "table=S") {
+		t.Fatalf("abandoned stream's record = %q, want an ERROR naming table S", got)
+	}
 }

@@ -32,8 +32,6 @@ type ShardJobRequest struct {
 	Shard  int `json:"shard"`
 	// Tables restricts the job to a subset of relations (all when nil).
 	Tables []string `json:"tables,omitempty"`
-	// BatchRows overrides the batch granularity (0 = server default).
-	BatchRows int `json:"batch_rows,omitempty"`
 	// Workers is the encode worker count (0 = server default).
 	Workers int `json:"workers,omitempty"`
 	// RateLimit paces the job in rows/s, capped by the server's limit.
@@ -115,10 +113,6 @@ func (s *Server) handleShardJob(w http.ResponseWriter, r *http.Request) {
 	if workers == 0 {
 		workers = s.opts.Workers
 	}
-	batchRows := req.BatchRows
-	if batchRows == 0 {
-		batchRows = s.opts.BatchRows
-	}
 	rep, err := matgen.MaterializeContext(ctx, s.sum, matgen.Options{
 		Dir:       dir,
 		Format:    req.Format,
@@ -127,7 +121,6 @@ func (s *Server) handleShardJob(w http.ResponseWriter, r *http.Request) {
 		Shards:    req.Shards,
 		Shard:     req.Shard,
 		Tables:    req.Tables,
-		BatchRows: batchRows,
 		RateLimit: s.capRate(req.RateLimit),
 	})
 	if err != nil {
@@ -136,7 +129,7 @@ func (s *Server) handleShardJob(w http.ResponseWriter, r *http.Request) {
 		if r.Context().Err() != nil {
 			status = 499 // client closed request; nobody will read this
 		}
-		s.logf("serve: POST /v1/shardjobs shard %d/%d: %v", req.Shard+1, req.Shards, err)
+		s.logError("shard job failed", "shard", req.Shard+1, "shards", req.Shards, "error", err.Error())
 		http.Error(w, err.Error(), status)
 		return
 	}
@@ -153,16 +146,16 @@ func (s *Server) handleShardJob(w http.ResponseWriter, r *http.Request) {
 			continue
 		}
 		if err := addBundleFile(tw, tr.Path); err != nil {
-			s.logf("serve: POST /v1/shardjobs: bundle %s: %v", tr.Path, err)
+			s.logError("shard job bundle failed", "file", filepath.Base(tr.Path), "error", err.Error())
 			return
 		}
 	}
 	if err := addBundleFile(tw, rep.ManifestPath); err != nil {
-		s.logf("serve: POST /v1/shardjobs: bundle manifest: %v", err)
+		s.logError("shard job bundle failed", "file", filepath.Base(rep.ManifestPath), "error", err.Error())
 		return
 	}
 	if err := tw.Close(); err != nil {
-		s.logf("serve: POST /v1/shardjobs: close bundle: %v", err)
+		s.logError("shard job bundle failed", "error", err.Error())
 	}
 }
 

@@ -45,12 +45,6 @@ const (
 	TrailerSha256 = "X-Hydra-Sha256"
 )
 
-// maxQueryBatchRows bounds batch= on a table stream, at 8× the default
-// batch: a stream buffers a whole chunk of that many rows before its
-// first write, so an unbounded value would let one request claim a
-// member's memory.
-const maxQueryBatchRows = 8 * matgen.DefaultBatchRows
-
 // handleTable serves GET /v1/tables/{table}: a resumable, rate-limited
 // range scan streamed straight from the zero-allocation encode pipeline.
 // With info=1 it answers the stream's geometry as JSON instead — how a
@@ -67,9 +61,6 @@ func (s *Server) handleTable(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	opts.RateLimit = s.capRate(opts.RateLimit)
-	if opts.BatchRows == 0 {
-		opts.BatchRows = s.opts.BatchRows
-	}
 	plan, err := matgen.PlanStream(s.sum, *opts)
 	if err != nil {
 		if errors.Is(err, matgen.ErrFilter) {
@@ -150,7 +141,6 @@ func (s *Server) handleTable(w http.ResponseWriter, r *http.Request) {
 	sp.Fail(err)
 	s.logStream(r, info, fw.wrote, time.Since(t0), err, sp.TraceID())
 	if err != nil {
-		s.logf("serve: GET %s: %v", r.URL.Path, err)
 		if fw.wrote == 0 {
 			// Nothing was committed yet: fail with a real status so
 			// status-checking clients don't record an empty stream as
@@ -175,11 +165,15 @@ func (s *Server) rejectFilter(w http.ResponseWriter, err error) {
 	writeJSON(w, http.StatusBadRequest, map[string]string{"error": err.Error()})
 }
 
-// logStream emits one structured record per completed (or aborted)
-// table stream — the per-request detail the aggregated histograms
-// deliberately drop.
+// logStream emits one structured record per completed (Info) or aborted
+// (Error) table stream — the per-request detail the aggregated
+// histograms deliberately drop — when the logger's level takes it.
 func (s *Server) logStream(r *http.Request, info *matgen.StreamReport, bytes int64, d time.Duration, err error, traceID string) {
-	if s.opts.Logger == nil {
+	level, msg := slog.LevelInfo, "stream complete"
+	if err != nil {
+		level, msg = slog.LevelError, "stream aborted"
+	}
+	if s.opts.Logger == nil || !s.opts.Logger.Enabled(r.Context(), level) {
 		return
 	}
 	attrs := []any{
@@ -197,10 +191,8 @@ func (s *Server) logStream(r *http.Request, info *matgen.StreamReport, bytes int
 	}
 	if err != nil {
 		attrs = append(attrs, slog.String("error", err.Error()))
-		s.opts.Logger.Error("stream aborted", attrs...)
-		return
 	}
-	s.opts.Logger.Info("stream complete", attrs...)
+	s.opts.Logger.Log(r.Context(), level, msg, attrs...)
 }
 
 // streamOptionsFromQuery maps the endpoint's table and query parameters
@@ -209,7 +201,7 @@ func (s *Server) logStream(r *http.Request, info *matgen.StreamReport, bytes int
 // the first in sorted order named: ignoring one would change the rows.
 func streamOptionsFromQuery(table string, q url.Values) (*matgen.StreamOptions, error) {
 	for _, k := range slices.Sorted(maps.Keys(q)) {
-		if !slices.Contains([]string{"format", "compress", "columns", "filter", "shard", "offset", "limit", "rate", "batch", "info"}, k) {
+		if !slices.Contains([]string{"format", "compress", "columns", "filter", "shard", "offset", "limit", "rate", "info"}, k) {
 			return nil, fmt.Errorf("unknown query parameter %q", k)
 		}
 	}
@@ -268,13 +260,6 @@ func streamOptionsFromQuery(table string, q url.Values) (*matgen.StreamOptions, 
 			return nil, err
 		}
 		opts.RateLimit = f
-	}
-	if v := q.Get("batch"); v != "" {
-		n, err := strconv.Atoi(v)
-		if err != nil || n < 1 || n > maxQueryBatchRows {
-			return nil, fmt.Errorf("batch wants a row count in [1, %d], got %q", maxQueryBatchRows, v)
-		}
-		opts.BatchRows = n
 	}
 	return opts, nil
 }

@@ -20,7 +20,8 @@
 //	dir://path/to/materialized       part-file decode
 //	remote://host:port,host:port     serve fleet (http:// assumed)
 //
-// with an optional ?batch=N parameter after the path.
+// with an optional ?batch=N parameter after the path; any parameter
+// not named here fails Open.
 // remote DSNs additionally accept fleet-resilience parameters:
 // ?attempts=N caps failover attempts per request, ?probe=DUR sets the
 // background health-probe cadence (?probe=off disables probing), and
@@ -35,8 +36,10 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"maps"
 	"net/url"
 	"regexp"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -96,6 +99,12 @@ func (c *connector) open(dsn string) error {
 		q, err := url.ParseQuery(query)
 		if err != nil {
 			return fmt.Errorf("sqldriver: DSN parameters %q: %v", query, err)
+		}
+		// Ignoring a key would silently drop what the DSN asks for.
+		for _, k := range slices.Sorted(maps.Keys(q)) {
+			if !slices.Contains([]string{"batch", "attempts", "probe", "breaker"}, k) {
+				return fmt.Errorf("sqldriver: unknown DSN parameter %q", k)
+			}
 		}
 		if v := q.Get("batch"); v != "" {
 			n, err := strconv.Atoi(v)

@@ -308,4 +308,20 @@ func TestDriverFleetParams(t *testing.T) {
 			t.Errorf("%s: DSN %q accepted, want error", name, dsn)
 		}
 	}
+	// A key the driver does not read fails at open, named: FK spread is
+	// the summary's, not a parameter, and a misspelled key must not drop
+	// a setting.
+	for dsn, key := range map[string]string{
+		"summary://" + sumPath + "?fkspread=1": "fkspread",
+		"summary://" + sumPath + "?bach=4096":  "bach",
+	} {
+		bad, err := sql.Open("hydra", dsn)
+		if err == nil {
+			err = bad.Ping()
+			bad.Close()
+		}
+		if err == nil || !strings.Contains(err.Error(), `"`+key+`"`) {
+			t.Errorf("DSN %q: err = %v, want one naming %q", dsn, err, key)
+		}
+	}
 }

@@ -192,27 +192,6 @@ func (g *Gen) ConjFilter(tab *schema.Table, cols []int) pred.DNF {
 	return pred.DNF{Terms: []pred.Conjunct{conj}}
 }
 
-// DNFFilter builds a disjunction of nTerms conjuncts over randomly chosen
-// columns of tab — the richer predicate class Hydra supports (§1's
-// "expands the query scope to include DNF filter predicates").
-func (g *Gen) DNFFilter(tab *schema.Table, nTerms, maxColsPerTerm int) pred.DNF {
-	out := pred.DNF{}
-	for t := 0; t < nTerms; t++ {
-		nc := 1 + g.Rng.Intn(maxColsPerTerm)
-		if nc > len(tab.Cols) {
-			nc = len(tab.Cols)
-		}
-		perm := g.Rng.Perm(len(tab.Cols))[:nc]
-		conj := pred.NewConjunct()
-		for _, col := range perm {
-			lo, hi := g.poolRange(tab, col)
-			conj = conj.With(col, pred.Range(lo, hi))
-		}
-		out.Terms = append(out.Terms, conj)
-	}
-	return out
-}
-
 // Pick selects k distinct elements from n (indices), deterministically per
 // stream.
 func (g *Gen) Pick(n, k int) []int {

@@ -51,7 +51,7 @@ func TestMaterializeFacade(t *testing.T) {
 	for _, workers := range []int{1, 8} {
 		dir := t.TempDir()
 		rep, err := hydra.Materialize(res.Summary, hydra.MaterializeOptions{
-			Dir: dir, Format: "csv", Workers: workers, BatchRows: 512,
+			Dir: dir, Format: "csv", Workers: workers,
 		})
 		if err != nil {
 			t.Fatal(err)

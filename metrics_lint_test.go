@@ -23,7 +23,7 @@ func TestMetricsExpositionConformance(t *testing.T) {
 	res := regenerateFigure1(t, hydra.Config{})
 
 	if _, err := hydra.Materialize(res.Summary, hydra.MaterializeOptions{
-		Dir: t.TempDir(), Format: "csv", Workers: 2, BatchRows: 512,
+		Dir: t.TempDir(), Format: "csv", Workers: 2,
 	}); err != nil {
 		t.Fatal(err)
 	}

@@ -62,16 +62,15 @@ func TestServeDrainBounded(t *testing.T) {
 	base := "http://" + addr
 	waitHealthy(t, base)
 
-	// A stream the client starts and then sits on: rate=100 with 50-row
-	// batches keeps the 1500-row table in flight for ~15s, flushing a
-	// chunk every 0.5s (a whole-table batch would pay the rate wait up
-	// front and finish in one write).
-	resp, err := http.Get(base + "/v1/tables/T?format=csv&rate=100&batch=50")
+	// A stream the client starts and then sits on: at rate=100 the
+	// 1500-row table, one chunk, is not due for ~15s, while its csv
+	// header goes out at once.
+	resp, err := http.Get(base + "/v1/tables/T?format=csv&rate=100")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
-	head := make([]byte, 16)
+	head := make([]byte, len("T_pk,C\n"))
 	if _, err := io.ReadFull(resp.Body, head); err != nil {
 		t.Fatalf("stream head: %v", err)
 	}
@@ -111,13 +110,13 @@ func TestServeDrainGraceful(t *testing.T) {
 	base := "http://" + addr
 	waitHealthy(t, base)
 
-	// An in-flight stream that takes ~1s: 1500 rows at rate=1500, in
-	// 100-row batches so chunks flush incrementally.
-	resp, err := http.Get(base + "/v1/tables/T?format=csv&rate=1500&batch=100")
+	// An in-flight stream that takes ~1s: 1500 rows at rate=1500, one
+	// chunk, released once due; the csv header goes out at once.
+	resp, err := http.Get(base + "/v1/tables/T?format=csv&rate=1500")
 	if err != nil {
 		t.Fatal(err)
 	}
-	head := make([]byte, 16)
+	head := make([]byte, len("T_pk,C\n"))
 	if _, err := io.ReadFull(resp.Body, head); err != nil {
 		t.Fatalf("stream head: %v", err)
 	}
