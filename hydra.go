@@ -57,7 +57,8 @@ type (
 	// Summary is the scale-independent database summary; Generator
 	// produces tuples from one relation summary. A summary names exactly
 	// one database: its FK-spread setting is part of the document, and so
-	// of its digest.
+	// of its digest (Summary.Digest), which a fleet agrees on and every
+	// manifest of a materialized directory records.
 	Summary         = summary.Summary
 	RelationSummary = summary.RelationSummary
 	ViewSummary     = summary.ViewSummary

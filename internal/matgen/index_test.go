@@ -89,7 +89,7 @@ func TestReadManifestRefusesBadIndex(t *testing.T) {
 		"chunk size alone": func(tr *TableReport) { tr.Offsets = nil },
 	}
 	decode := func(tr TableReport) error {
-		b, err := json.Marshal(Manifest{Version: manifestVersion, Format: "csv", Shards: 1, Tables: []TableReport{tr}})
+		b, err := json.Marshal(Manifest{Version: manifestVersion, SummaryDigest: "d", Format: "csv", Shards: 1, Tables: []TableReport{tr}})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -131,10 +131,10 @@ func FuzzReadManifest(f *testing.F) {
 		}
 		f.Add(b)
 	}
-	f.Add([]byte(`{"version":1,"format":"csv","shards":1,"tables":[{"table":"S","rows":3,"bytes":9,"total_rows":3}]}`))
-	f.Add([]byte(`{"version":1,"tables":[{"table":"S","rows":3,"bytes":9,"chunk_rows":1,"offsets":[0,3,6]}]}`))
-	f.Add([]byte(`{"version":1,"tables":[{"table":"S","rows":9223372036854775807,"bytes":9,"chunk_rows":1,"offsets":[0,8]}]}`))
-	f.Add([]byte(`{"version":1,"tables":[{"rows":2,"bytes":-1,"chunk_rows":-9223372036854775808,"offsets":[0]}]}`))
+	f.Add([]byte(`{"version":2,"summary_digest":"d","format":"csv","shards":1,"tables":[{"table":"S","rows":3,"bytes":9,"total_rows":3}]}`))
+	f.Add([]byte(`{"version":2,"summary_digest":"d","tables":[{"table":"S","rows":3,"bytes":9,"chunk_rows":1,"offsets":[0,3,6]}]}`))
+	f.Add([]byte(`{"version":2,"summary_digest":"d","tables":[{"table":"S","rows":9223372036854775807,"bytes":9,"chunk_rows":1,"offsets":[0,8]}]}`))
+	f.Add([]byte(`{"version":2,"summary_digest":"d","tables":[{"rows":2,"bytes":-1,"chunk_rows":-9223372036854775808,"offsets":[0]}]}`))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		m, err := decodeManifest(bytes.NewReader(data))
 		if err != nil {

@@ -40,11 +40,8 @@ package matgen
 import (
 	"cmp"
 	"context"
-	"crypto/sha256"
-	"encoding/hex"
 	"errors"
 	"fmt"
-	"hash"
 	"io"
 	"os"
 	"path/filepath"
@@ -193,8 +190,10 @@ type TableReport struct {
 	// RawBytes is the encoded size before compression; equal to Bytes
 	// for uncompressed output and omitted then.
 	RawBytes int64 `json:"raw_bytes,omitempty"`
-	// Checksum is the hex SHA-256 of the file as written; verifiers
-	// re-hash the file and compare without decompressing.
+	// Checksum is the part checksum of the file as written: the hex
+	// SHA-256 of the SHA-256s of its 1 MiB blocks (see ChecksumBlock).
+	// Verifiers hash the blocks on every core and compare without
+	// decompressing. A report with a Path always carries one.
 	Checksum string `json:"checksum,omitempty"`
 	// TotalRows is the full-relation cardinality across all shards.
 	TotalRows int64 `json:"total_rows"`
@@ -348,9 +347,13 @@ func materialize(ctx context.Context, sum *summary.Summary, opts Options, sink s
 	}
 	rep.Elapsed = time.Since(start)
 	if needFiles && !opts.NoManifest {
+		digest, err := sum.Digest()
+		if err != nil {
+			return nil, err
+		}
 		m := &Manifest{
 			Version: manifestVersion, Format: rep.Format, Compression: rep.Compression,
-			Shard: rep.Shard, Shards: rep.Shards,
+			SummaryDigest: digest, Shard: rep.Shard, Shards: rep.Shards,
 			Tables: rep.Tables, Rows: rep.Rows, Bytes: rep.Bytes, RawBytes: rep.RawBytes,
 		}
 		path := ManifestPath(opts.Dir, opts.Shard, opts.Shards)
@@ -607,14 +610,14 @@ func (t *tableTask) writeEdge(w *frameWriter, footer bool) (int64, error) {
 func (t *tableTask) run(ctx context.Context, pl *pool) {
 	var out io.Writer = io.Discard
 	var file *os.File
-	var h hash.Hash
+	var h *Checksum
 	if t.tr.Path != "" {
 		var err error
 		if file, err = os.Create(t.tr.Path); err != nil {
 			t.err = err
 			return
 		}
-		h = sha256.New()
+		h = NewChecksum()
 		out = io.MultiWriter(file, h)
 	}
 	w := &frameWriter{w: out, comp: t.comp}
@@ -637,7 +640,7 @@ func (t *tableTask) run(ctx context.Context, pl *pool) {
 		t.tr.RawBytes = raw
 	}
 	if h != nil {
-		t.tr.Checksum = hex.EncodeToString(h.Sum(nil))
+		t.tr.Checksum = h.Sum()
 	}
 	// A format that wrote nothing for some chunk (a test's sampling fake,
 	// say) has no position to seek to there; its file is the one chunk at 0, and

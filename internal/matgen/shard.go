@@ -82,19 +82,25 @@ type Manifest struct {
 	// Compression is the output codec recorded at generation time; a
 	// verifier needs it to decompress parts, but checksums are over the
 	// file bytes as written so verification itself needs no decoder.
-	Compression string        `json:"compression,omitempty"`
-	Shard       int           `json:"shard"`
-	Shards      int           `json:"shards"`
-	Tables      []TableReport `json:"tables"`
-	Rows        int64         `json:"rows"`
-	Bytes       int64         `json:"bytes"`
+	Compression string `json:"compression,omitempty"`
+	// SummaryDigest names the summary the parts were regenerated from
+	// (summary.Summary.Digest): the one database they hold. Every
+	// manifest of a directory names the same one.
+	SummaryDigest string        `json:"summary_digest"`
+	Shard         int           `json:"shard"`
+	Shards        int           `json:"shards"`
+	Tables        []TableReport `json:"tables"`
+	Rows          int64         `json:"rows"`
+	Bytes         int64         `json:"bytes"`
 	// RawBytes is the shard's encoded size before compression (equal to
 	// Bytes for uncompressed output) — the number a capacity planner
 	// wants when deciding whether regenerating beats shipping.
 	RawBytes int64 `json:"raw_bytes,omitempty"`
 }
 
-const manifestVersion = 1
+// manifestVersion 2 defines TableReport.Checksum as a part checksum
+// (see ChecksumBlock) and adds SummaryDigest; version 1 is refused.
+const manifestVersion = 2
 
 // ManifestPath returns the manifest file name for one shard under dir.
 func ManifestPath(dir string, shard, shards int) string {
@@ -146,12 +152,22 @@ func decodeManifest(r io.Reader) (*Manifest, error) {
 	if err := json.NewDecoder(r).Decode(&m); err != nil {
 		return nil, err
 	}
-	if m.Version != manifestVersion {
+	switch {
+	case m.Version == 1:
+		return nil, errors.New("manifest version 1 records whole-file SHA-256s and no summary digest; re-materialize with a current build")
+	case m.Version != manifestVersion:
 		return nil, fmt.Errorf("unsupported manifest version %d", m.Version)
+	case m.SummaryDigest == "":
+		return nil, fmt.Errorf("%w: the manifest names no summary digest", ErrManifestInconsistent)
 	}
 	for i := range m.Tables {
-		if err := m.Tables[i].checkIndex(); err != nil {
-			return nil, fmt.Errorf("%w: %s: %v", ErrManifestInconsistent, m.Tables[i].Table, err)
+		tr := &m.Tables[i]
+		err := tr.checkIndex()
+		if err == nil && tr.Path != "" && tr.Checksum == "" {
+			err = errors.New("a part file without a checksum")
+		}
+		if err != nil {
+			return nil, fmt.Errorf("%w: %s: %v", ErrManifestInconsistent, tr.Table, err)
 		}
 	}
 	return &m, nil

@@ -4,9 +4,9 @@
 // across a worker set (an in-process pool today; the Runner interface is
 // the seam where remote executors slot in), retries failed shards, then
 // collects the per-shard JSON manifests and proves the result is whole:
-// row counts sum to the summary's cardinalities, shard row ranges tile
-// with no gaps or overlaps, and each output file re-hashes to the
-// checksum its manifest recorded.
+// row counts sum to the summary's cardinalities, the manifests name the
+// summary's digest, shard row ranges tile with no gaps or overlaps, and
+// each output file re-hashes to the checksum its manifest recorded.
 //
 // The verification side is deliberately independent of the generation
 // side: Verify needs only a directory of part files and manifests, so a

@@ -300,7 +300,7 @@ func rewriteManifest(t *testing.T, dir string, shard, shards int, mutate func(*m
 // from bit rot from a mis-planned split.
 func TestVerifyFailureModes(t *testing.T) {
 	sentinels := []error{ErrManifestMissing, ErrManifestInconsistent, ErrRangeOverlap,
-		ErrRangeGap, ErrRowCount, ErrTruncated, ErrChecksum, ErrStaleArtifacts}
+		ErrRangeGap, ErrRowCount, ErrTruncated, ErrChecksum, ErrStaleArtifacts, ErrSummaryDigest}
 	expectOnly := func(t *testing.T, err error, want error) {
 		t.Helper()
 		if err == nil {

@@ -26,6 +26,7 @@ var (
 	ErrTruncated            = scan.ErrTruncated
 	ErrChecksum             = scan.ErrChecksum
 	ErrStaleArtifacts       = scan.ErrStaleArtifacts
+	ErrSummaryDigest        = scan.ErrSummaryDigest
 )
 
 // VerifyOptions selects what to verify.
@@ -36,9 +37,9 @@ type VerifyOptions struct {
 	Dir string
 	// Shards is the expected split width; 0 takes the manifests' width.
 	Shards int
-	// Summary, when set, anchors the row-count check: every table's
-	// shard rows must sum to its cardinality, and every expected
-	// relation must be present.
+	// Summary, when set, anchors the check: every table's shard rows
+	// must sum to its cardinality, every expected relation must be
+	// present, and the manifests must name Summary's digest.
 	Summary *summary.Summary
 	// Tables is the expected table subset when Summary is set; nil means
 	// all of Summary's relations.
@@ -56,8 +57,9 @@ type (
 // (*scan.DirSource).Verify: all manifests present and mutually
 // consistent, of the width Shards asks for, every table's shard ranges
 // tiling [0, TotalRows) with rows summing to the summary's cardinality,
-// and every part file matching its recorded size and SHA-256. The first
-// failure is returned wrapped around its sentinel.
+// the manifests naming the summary's digest, and every part file
+// matching its recorded size and checksum, its blocks hashed on every
+// core. The first failure is returned wrapped around its sentinel.
 func Verify(opts VerifyOptions) (*VerifyReport, error) {
 	if opts.Dir == "" {
 		return nil, errors.New("orchestrate: verify: Dir is required")

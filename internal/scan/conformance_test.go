@@ -8,8 +8,6 @@ package scan_test
 import (
 	"bytes"
 	"context"
-	"crypto/sha256"
-	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -1287,10 +1285,12 @@ func TestDirJSONLRefusesNonIntegers(t *testing.T) {
 		if err := os.WriteFile(path, b, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		sum256 := sha256.Sum256(b)
+		c := matgen.NewChecksum()
+		c.Write(b)
+		sum := c.Sum()
 		rewriteManifests(t, dir, func(tr *matgen.TableReport) {
 			if tr.Table == "T" {
-				tr.Checksum = hex.EncodeToString(sum256[:])
+				tr.Checksum = sum
 			}
 		})
 		src, err := scan.OpenDir(dir)
@@ -1438,7 +1438,7 @@ func matchesBatches(got, want []capturedBatch) bool {
 // dirSentinels are the shard-directory failure classes; a directory
 // fault must wrap exactly one of them.
 var dirSentinels = []error{scan.ErrManifestMissing, matgen.ErrManifestInconsistent, scan.ErrRangeOverlap,
-	scan.ErrRangeGap, scan.ErrRowCount, scan.ErrTruncated, scan.ErrChecksum, scan.ErrStaleArtifacts}
+	scan.ErrRangeGap, scan.ErrRowCount, scan.ErrTruncated, scan.ErrChecksum, scan.ErrStaleArtifacts, scan.ErrSummaryDigest}
 
 // expectOnly fails t unless err wraps want and no other directory
 // sentinel.
@@ -1490,6 +1490,92 @@ func TestDirMixedProjectionRefused(t *testing.T) {
 		_, err := scan.OpenDir(dir)
 		expectOnly(t, err, scan.ErrStaleArtifacts)
 	})
+	t.Run("two summaries", func(t *testing.T) {
+		dir := t.TempDir()
+		materialize(t, dir, 0, 2, nil)
+		spread := *sum
+		spread.FKSpread = true
+		if _, err := matgen.Materialize(&spread, matgen.Options{
+			Dir: dir, Format: "csv", Shards: 2, Shard: 1, Tables: []string{"S"},
+		}); err != nil {
+			t.Fatal(err)
+		}
+		_, err := scan.OpenDir(dir)
+		expectOnly(t, err, matgen.ErrManifestInconsistent)
+		if !strings.Contains(err.Error(), "summaries") {
+			t.Fatalf("err = %v, want the two summaries named", err)
+		}
+	})
+}
+
+// TestDirVerifyNamesItsSummary: a directory reports the digest of the
+// summary it was regenerated from, and Verify against any other summary
+// fails with ErrSummaryDigest — even one of the same relations and
+// cardinalities, whose database differs only in its FK values.
+func TestDirVerifyNamesItsSummary(t *testing.T) {
+	plain := testSummary()
+	spread := testSummary()
+	spread.FKSpread = true
+	for _, tc := range []struct {
+		name      string
+		from, not *summary.Summary
+	}{{"plain", plain, spread}, {"spread", spread, plain}} {
+		src, err := scan.OpenDir(materializeDir(t, tc.from, "csv", "", 2))
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := tc.from.Digest()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if src.Digest() != want {
+			t.Fatalf("%s: Digest() = %s, want %s", tc.name, src.Digest(), want)
+		}
+		if _, err := src.Verify(context.Background(), tc.from, nil); err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		_, err = src.Verify(context.Background(), tc.not, nil)
+		expectOnly(t, err, scan.ErrSummaryDigest)
+	}
+}
+
+// TestDirChecksumEveryBlock: a part's checksum covers each of its 1 MiB
+// blocks — one flipped byte in the first, a middle or the last block of
+// a multi-block part fails both a scan and Verify with ErrChecksum.
+func TestDirChecksumEveryBlock(t *testing.T) {
+	sum := testSummary()
+	for _, rs := range sum.Relations {
+		for i := range rs.Rows {
+			rs.Rows[i].Count *= 40
+		}
+		rs.Total *= 40
+	}
+	ctx := context.Background()
+	dir := materializeDir(t, sum, "csv", "", 1)
+	path := dir + "/S.csv"
+	orig, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(orig) < 3*matgen.ChecksumBlock {
+		t.Fatalf("S.csv holds %d bytes, want at least three blocks", len(orig))
+	}
+	for _, at := range []int{10, len(orig) / 2, len(orig) - 3} {
+		bad := append([]byte(nil), orig...)
+		bad[at] ^= 1
+		if err := os.WriteFile(path, bad, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		src, err := scan.OpenDir(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := scanErr(t, ctx, src, scan.Spec{Table: "S", StartPK: 5, EndPK: 9}); !errors.Is(err, scan.ErrChecksum) {
+			t.Errorf("byte %d of %d flipped: scan err = %v, want ErrChecksum", at, len(orig), err)
+		}
+		_, err = src.Verify(ctx, sum, nil)
+		expectOnly(t, err, scan.ErrChecksum)
+	}
 }
 
 // TestDirVerifyStampsParts: Verify hashes every part whatever was hashed

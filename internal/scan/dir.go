@@ -4,8 +4,6 @@ import (
 	"bufio"
 	"cmp"
 	"context"
-	"crypto/sha256"
-	"encoding/hex"
 	"errors"
 	"fmt"
 	"io"
@@ -33,7 +31,7 @@ import (
 // hydra_scan_rows_total{backend="dir"} is the run prediction's miss rate.
 var (
 	mDirVerifyBytes = obs.Default.Counter("hydra_scan_dir_verify_bytes_total",
-		"part-file bytes hashed against the manifest's SHA-256, by a scan before it read them or by a whole-directory Verify")
+		"part-file bytes hashed against the manifest's checksum, by a scan before it read them or by a whole-directory Verify")
 	mDirSkippedRows = obs.Default.Counter("hydra_scan_dir_skipped_rows_total",
 		"rows a directory scan decoded past without delivering: the remainder after a chunk seek, and rows a pk restriction excludes")
 	mDirParsedRows = obs.Default.Counter("hydra_scan_dir_parsed_rows_total",
@@ -58,9 +56,12 @@ var (
 	// ErrTruncated: a part's size is not the bytes its manifest recorded
 	// (a torn copy or partial ship).
 	ErrTruncated = errors.New("shard file truncated or resized")
-	// ErrChecksum: a part's SHA-256 is not the one its manifest recorded
+	// ErrChecksum: a part's checksum is not the one its manifest recorded
 	// (bit rot or a wrong file).
 	ErrChecksum = errors.New("shard file checksum mismatch")
+	// ErrSummaryDigest: the manifests name another summary than the one
+	// the directory is verified against — another database.
+	ErrSummaryDigest = errors.New("summary digest mismatch")
 	// ErrStaleArtifacts: manifests or part files of another split width,
 	// which a `cat *.part-*` glob would mix in.
 	ErrStaleArtifacts = errors.New("stale artifacts from a different shard split")
@@ -74,7 +75,7 @@ var (
 // spans; sql is verified, never scanned.
 //
 // Checksums are verified lazily, once: a part is hashed against the
-// manifest's size and SHA-256 before the first row this source decodes
+// manifest's size and checksum before the first row this source decodes
 // from it, and again before the next row whenever the file opened has a
 // different size, mtime or identity than the one that was hashed — so a
 // scan never silently reads a corrupted, replaced or rewritten part,
@@ -82,7 +83,8 @@ var (
 // times is hashed once. What that stamp cannot see is a same-size
 // rewrite in place that lands within the filesystem's timestamp
 // granularity of the hash; Verify, which hashes every part, remains the
-// check to run after shipping or suspecting one.
+// check to run after shipping or suspecting one. A part's blocks hash on
+// every core (matgen.PartChecksum).
 //
 // A ranged scan does not read its way to its first row: the manifest's
 // chunk index (matgen.TableReport.Offsets) gives the byte offset of
@@ -100,6 +102,7 @@ var (
 // summary run, so the result is exactly a row-at-a-time decode.
 type DirSource struct {
 	dir    string
+	digest string // the summary digest every manifest names
 	format *format.Format
 	comp   matgen.Compressor
 	shards int          // the split's width
@@ -193,42 +196,27 @@ func (p *dirPart) verify(ctx context.Context, file *os.File, force bool) error {
 	return err
 }
 
-// hashBufs recycles hash's read buffers: a Verify hashes part after part.
-var hashBufs = sync.Pool{New: func() any { return new([1 << 20]byte) }}
-
 // hash checks file, whose fstat is fi, against the part's manifest entry:
-// its size first, then, reading it to its end, its SHA-256.
+// its size first, then its checksum. A cancelled scan (timeout, Ctrl-C)
+// stops hashing within a block.
 func (p *dirPart) hash(ctx context.Context, file *os.File, fi os.FileInfo) error {
 	if fi.Size() != p.bytes {
 		return fmt.Errorf("scan: %w: %s: %d bytes on disk, manifest recorded %d",
 			ErrTruncated, p.path, fi.Size(), p.bytes)
 	}
-	// The part can be large — read in bounded slices so a canceled scan
-	// (timeout, Ctrl-C) aborts between them instead of hashing to the end.
 	t0 := time.Now()
-	h := sha256.New()
-	buf := hashBufs.Get().(*[1 << 20]byte)
-	defer hashBufs.Put(buf)
-	var size int64
-	for {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		n, err := file.Read(buf[:])
-		h.Write(buf[:n])
-		size += int64(n)
-		if errors.Is(err, io.EOF) {
-			break
-		}
-		if err != nil {
-			return fmt.Errorf("scan: %s: %w", p.path, err)
-		}
+	got, err := matgen.PartChecksum(ctx, file, p.bytes)
+	if errors.Is(err, io.ErrUnexpectedEOF) {
+		err = fmt.Errorf("%w: shrank while hashed: %w", ErrTruncated, err)
 	}
-	mDirVerifyBytes.Add(size)
+	if err != nil {
+		return fmt.Errorf("scan: %s: %w", p.path, err)
+	}
+	mDirVerifyBytes.Add(p.bytes)
 	trace.FromContext(ctx).Event("verify", trace.Str("part", filepath.Base(p.path)),
-		trace.Int("bytes", size), trace.Dur("seconds", time.Since(t0)))
-	if got := hex.EncodeToString(h.Sum(nil)); p.checksum != "" && got != p.checksum {
-		return fmt.Errorf("scan: %w: %s: sha256 %s, manifest recorded %s — part is corrupt or tampered",
+		trace.Int("bytes", p.bytes), trace.Dur("seconds", time.Since(t0)))
+	if got != p.checksum {
+		return fmt.Errorf("scan: %w: %s: checksum %s, manifest recorded %s — part is corrupt or tampered",
 			ErrChecksum, p.path, got, p.checksum)
 	}
 	return nil
@@ -242,8 +230,9 @@ var splitNameRe = regexp.MustCompile(`^(manifest|.+\.part)-\d{3,}-of-(\d{3,})(\.
 
 // OpenDir opens a materialized directory: from one listing of it, it
 // reads every shard manifest present, checks they describe one
-// consistent run (format, codec, split width, each table's layout —
-// else matgen.ErrManifestInconsistent, or ErrStaleArtifacts for two widths),
+// consistent run (summary digest, format, codec, split width, each
+// table's layout — else matgen.ErrManifestInconsistent, or
+// ErrStaleArtifacts for two widths),
 // and indexes each table's parts. The directory may hold any subset of
 // a split's shards; scans fail only if they reach a row no present part
 // covers, and Verify demands the whole split.
@@ -276,7 +265,7 @@ func OpenDir(dir string) (*DirSource, error) {
 		return nil, fmt.Errorf("scan: %w: %s holds no shard manifests; materialize first", ErrManifestMissing, dir)
 	}
 	first := manifests[0]
-	s := &DirSource{dir: dir, shards: first.Shards, held: map[int]bool{},
+	s := &DirSource{dir: dir, digest: first.SummaryDigest, shards: first.Shards, held: map[int]bool{},
 		tables: map[string]*dirTable{}, m: metricsForBackend("dir")}
 	if s.format, err = format.ByName(first.Format); err != nil {
 		return nil, fmt.Errorf("scan: %w: %s: %v", matgen.ErrManifestInconsistent, dir, err)
@@ -287,6 +276,10 @@ func OpenDir(dir string) (*DirSource, error) {
 	for _, m := range manifests {
 		if m.Shards != first.Shards {
 			return nil, fmt.Errorf("scan: %w: %s mixes split widths %d and %d", ErrStaleArtifacts, dir, m.Shards, first.Shards)
+		}
+		if m.SummaryDigest != first.SummaryDigest {
+			return nil, fmt.Errorf("scan: %w: %s mixes the databases of summaries %s and %s",
+				matgen.ErrManifestInconsistent, dir, m.SummaryDigest, first.SummaryDigest)
 		}
 		if m.Format != first.Format || m.Compression != first.Compression {
 			return nil, fmt.Errorf("scan: %w: %s mixes materialization runs (%s+%s vs %s+%s)",
@@ -369,9 +362,10 @@ type TableCheck struct {
 // width, a manifest for every shard of the split, every table reported
 // by every shard with ranges that tile [0, TotalRows) — tables without a
 // row included — and every part file, hashed now whatever was hashed
-// before, the size and SHA-256 its manifest recorded. sum, when set,
+// before, the size and checksum its manifest recorded. sum, when set,
 // anchors the check: the directory holds exactly the relations of
-// tables (nil: all of sum's), each with sum's cardinality. Parts that
+// tables (nil: all of sum's), each with sum's cardinality, and was
+// regenerated from sum itself (ErrSummaryDigest otherwise). Parts that
 // hash clean are stamped as a scan stamps them, so the scans after a
 // Verify hash nothing it read. The first failure is returned wrapped
 // around its sentinel.
@@ -403,6 +397,13 @@ func (s *DirSource) Verify(ctx context.Context, sum *summary.Summary, tables []s
 		}
 		if len(names) != len(want) {
 			return nil, fmt.Errorf("scan: %w: the manifests carry %d tables, expected %d", matgen.ErrManifestInconsistent, len(names), len(want))
+		}
+		digest, err := sum.Digest()
+		if err != nil {
+			return nil, err
+		}
+		if digest != s.digest {
+			return nil, fmt.Errorf("scan: %w: %s holds the database of summary %s, not of %s", ErrSummaryDigest, s.dir, s.digest, digest)
 		}
 	}
 	rep := &VerifyReport{Shards: s.shards, Format: s.format.Name()}
@@ -463,6 +464,10 @@ func (t *dirTable) tile(shards int) (TableCheck, error) {
 	}
 	return check, nil
 }
+
+// Digest returns the digest of the summary the directory was
+// regenerated from, as its manifests name it.
+func (s *DirSource) Digest() string { return s.digest }
 
 // Shards returns the split width the directory's manifests describe.
 func (s *DirSource) Shards() int { return s.shards }
@@ -663,10 +668,8 @@ func (f *dirRuns) openAt(ctx context.Context, abs int64) error {
 		f.close()
 		return err
 	}
-	if p.checksum != "" {
-		if err := p.verify(ctx, file, false); err != nil {
-			return fail(err)
-		}
+	if err := p.verify(ctx, file, false); err != nil {
+		return fail(err)
 	}
 	ci := (abs - p.start) / p.chunkRows
 	off, chunkStart, end := p.offsets[ci], p.start+ci*p.chunkRows, p.start+p.rows

@@ -4,8 +4,6 @@ import (
 	"archive/tar"
 	"bytes"
 	"context"
-	"crypto/sha256"
-	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -157,7 +155,7 @@ func (r *RemoteRunner) digestFor(sum *summary.Summary) (string, error) {
 	if r.digSum == sum && r.digest != "" {
 		return r.digest, nil
 	}
-	digest, err := SummaryDigest(sum)
+	digest, err := sum.Digest()
 	if err != nil {
 		return "", err
 	}
@@ -224,7 +222,7 @@ func (r *RemoteRunner) runOn(ctx context.Context, srv string, req *ShardJobReque
 		if ferr != nil {
 			return nil, ferr
 		}
-		h := sha256.New()
+		h := matgen.NewChecksum()
 		n, cerr := io.Copy(io.MultiWriter(f, h), tr)
 		if werr := f.Close(); cerr == nil {
 			cerr = werr
@@ -232,7 +230,7 @@ func (r *RemoteRunner) runOn(ctx context.Context, srv string, req *ShardJobReque
 		if cerr != nil {
 			return nil, fmt.Errorf("artifact bundle: %s: %w", name, cerr)
 		}
-		files[name] = fileState{size: n, sum: hex.EncodeToString(h.Sum(nil))}
+		files[name] = fileState{size: n, sum: h.Sum()}
 	}
 
 	manifestName := filepath.Base(matgen.ManifestPath(dir, req.Shard, req.Shards))
@@ -284,18 +282,22 @@ func (r *RemoteRunner) runOn(ctx context.Context, srv string, req *ShardJobReque
 	return rep, nil
 }
 
-// fileState is one fetched bundle entry's observed size and SHA-256.
+// fileState is one fetched bundle entry's observed size and part
+// checksum.
 type fileState struct {
 	size int64
 	sum  string
 }
 
 // checkBundle proves the fetched artifacts are the job that was asked
-// for and arrived intact: the manifest must describe this exact shard,
-// every manifest-listed file must be present with its recorded size and
-// SHA-256 (re-hashed during download), and the bundle must carry
-// nothing else.
+// for and arrived intact: the manifest must describe this exact shard
+// of the requested summary, every manifest-listed file must be present
+// with its recorded size and checksum (hashed during download), and the
+// bundle must carry nothing else.
 func checkBundle(m *matgen.Manifest, req *ShardJobRequest, files map[string]fileState, manifestName string) error {
+	if m.SummaryDigest != req.SummaryDigest {
+		return fmt.Errorf("manifest names summary %s, requested %s", m.SummaryDigest, req.SummaryDigest)
+	}
 	if m.Shard != req.Shard || m.Shards != req.Shards {
 		return fmt.Errorf("manifest claims shard %d of %d, requested %d of %d",
 			m.Shard, m.Shards, req.Shard, req.Shards)
@@ -324,8 +326,8 @@ func checkBundle(m *matgen.Manifest, req *ShardJobRequest, files map[string]file
 		if got.size != tr.Bytes {
 			return fmt.Errorf("%s: %d bytes fetched, manifest recorded %d", name, got.size, tr.Bytes)
 		}
-		if tr.Checksum != "" && got.sum != tr.Checksum {
-			return fmt.Errorf("%s: sha256 %s, manifest recorded %s", name, got.sum, tr.Checksum)
+		if got.sum != tr.Checksum {
+			return fmt.Errorf("%s: checksum %s, manifest recorded %s", name, got.sum, tr.Checksum)
 		}
 	}
 	for name := range files {

@@ -473,3 +473,58 @@ func TestRemoteRunnerBreakerReadmission(t *testing.T) {
 	}
 	t.Fatalf("member was never re-admitted after recovery; last error: %v", lastErr)
 }
+
+// TestCheckBundle: a fetched bundle is accepted only when its manifest
+// names the job's summary and every part's checksum matches the bytes
+// fetched — a blank checksum included, which vouches for nothing.
+func TestCheckBundle(t *testing.T) {
+	sum := testSummary()
+	digest, err := sum.Digest()
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	rep, err := matgen.Materialize(sum, matgen.Options{Dir: dir, Format: "csv", Shards: 2, Shard: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	manifestName := filepath.Base(rep.ManifestPath)
+	files := map[string]fileState{}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range entries {
+		b, err := os.ReadFile(filepath.Join(dir, e.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		c := matgen.NewChecksum()
+		c.Write(b)
+		files[e.Name()] = fileState{size: int64(len(b)), sum: c.Sum()}
+	}
+	req := &ShardJobRequest{Format: "csv", Shards: 2, Shard: 1, SummaryDigest: digest}
+	check := func(mutate func(*matgen.Manifest)) error {
+		m, err := matgen.ReadManifest(rep.ManifestPath)
+		if err != nil {
+			t.Fatal(err)
+		}
+		mutate(m)
+		return checkBundle(m, req, files, manifestName)
+	}
+	if err := check(func(*matgen.Manifest) {}); err != nil {
+		t.Fatalf("intact bundle refused: %v", err)
+	}
+	for name, tc := range map[string]struct {
+		mutate func(*matgen.Manifest)
+		says   string
+	}{
+		"another summary": {func(m *matgen.Manifest) { m.SummaryDigest = strings.Repeat("0", len(digest)) }, "names summary"},
+		"other checksum":  {func(m *matgen.Manifest) { m.Tables[0].Checksum = strings.Repeat("0", len(digest)) }, "checksum"},
+		"blank checksum":  {func(m *matgen.Manifest) { m.Tables[0].Checksum = "" }, "checksum"},
+	} {
+		if err := check(tc.mutate); err == nil || !strings.Contains(err.Error(), tc.says) {
+			t.Errorf("%s: err = %v, want one naming the %s", name, err, tc.says)
+		}
+	}
+}

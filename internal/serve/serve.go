@@ -43,7 +43,7 @@
 //	POST /v1/shardjobs executes one full matgen ShardJob — the unit the
 //	     orchestrator schedules — and streams back the artifact bundle
 //	     (part files + manifest) as a tar stream whose contents carry
-//	     the manifest's SHA-256 checksums.
+//	     the manifest's part checksums and summary digest.
 //	GET  /v1/summary and GET /healthz describe the loaded summary
 //	     (including its digest) and liveness, for fleet management.
 //
@@ -64,8 +64,6 @@ package serve
 
 import (
 	"context"
-	"crypto/sha256"
-	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -254,7 +252,7 @@ func NewServer(sum *summary.Summary, opts Options) (*Server, error) {
 	if opts.MaxStreams < 0 {
 		return nil, fmt.Errorf("serve: max streams %d out of range", opts.MaxStreams)
 	}
-	digest, err := SummaryDigest(sum)
+	digest, err := sum.Digest()
 	if err != nil {
 		return nil, err
 	}
@@ -369,17 +367,8 @@ func (s *Server) WaitIdle(ctx context.Context) error {
 	}
 }
 
-// SummaryDigest returns the hex SHA-256 of the summary's canonical
-// serialization — the identity a fleet agrees on. A client embeds it in
-// job requests so a server loaded with a different summary refuses the
-// job instead of silently generating different data.
-func SummaryDigest(sum *summary.Summary) (string, error) {
-	h := sha256.New()
-	if _, err := sum.WriteTo(h); err != nil {
-		return "", fmt.Errorf("serve: digest: %w", err)
-	}
-	return hex.EncodeToString(h.Sum(nil)), nil
-}
+// SummaryDigest is sum.Digest(), the identity a fleet agrees on.
+func SummaryDigest(sum *summary.Summary) (string, error) { return sum.Digest() }
 
 // acquire takes a stream slot, answering 503 when the server is at
 // MaxStreams. The caller must release() iff acquire returned true.

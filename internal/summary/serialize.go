@@ -2,6 +2,8 @@ package summary
 
 import (
 	"bufio"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -45,6 +47,18 @@ func (s *Summary) WriteTo(w io.Writer) (int64, error) {
 		return 0, err
 	}
 	return 0, nil
+}
+
+// Digest returns the hex SHA-256 of the summary's canonical
+// serialization (WriteTo): the name of the one database the summary
+// regenerates. A fleet agrees on it, and a materialized directory's
+// manifests record it.
+func (s *Summary) Digest() (string, error) {
+	h := sha256.New()
+	if _, err := s.WriteTo(h); err != nil {
+		return "", fmt.Errorf("summary: digest: %w", err)
+	}
+	return hex.EncodeToString(h.Sum(nil)), nil
 }
 
 // Read deserializes a summary written by WriteTo.

@@ -30,8 +30,9 @@ type (
 
 // Orchestrate plans, runs, retries, and verifies an N-shard
 // materialization of the summary — the cluster-scale regeneration path:
-// every shard's manifest must tile the row space and every output file
-// must re-hash to its recorded checksum before the job reports success.
+// every shard's manifest must name the summary's digest and tile the row
+// space, and every output file must re-hash to its recorded checksum
+// before the job reports success.
 func Orchestrate(ctx context.Context, s *Summary, opts OrchestrateOptions) (*OrchestrateResult, error) {
 	return orchestrate.Run(ctx, s, opts)
 }
@@ -39,9 +40,10 @@ func Orchestrate(ctx context.Context, s *Summary, opts OrchestrateOptions) (*Orc
 // VerifyShards re-verifies a directory of shard outputs and manifests
 // (for example after shipping every machine's artifacts to one place):
 // it is OpenDirSource followed by the source's Verify method, which
-// hashes every part. A zero Shards takes the split width from the
-// manifests; a nil Summary skips the cardinality anchor and checks
-// internal consistency only.
+// hashes every part, each part's 1 MiB blocks on every core. A zero
+// Shards takes the split width from the manifests; a nil Summary skips
+// the cardinality and digest anchor and checks internal consistency
+// only.
 func VerifyShards(opts ShardVerifyOptions) (*ShardVerifyReport, error) {
 	return orchestrate.Verify(opts)
 }

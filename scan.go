@@ -46,11 +46,13 @@ type (
 	// regeneration).
 	SummarySource = scan.SummarySource
 	// DirSource scans a materialized shard directory. A part is hashed
-	// against its manifest's size and SHA-256 before the first row the
-	// source decodes from it, and again only when the file's size, mtime
-	// or identity has changed since; a ranged scan seeks to its first row
-	// by the manifest's chunk index instead of reading up to it. Its
-	// Verify method proves the whole directory and hashes every part.
+	// against its manifest's size and block checksum, its blocks on
+	// every core, before the first row the source decodes from it, and
+	// again only when the file's size, mtime or identity has changed
+	// since; a ranged scan seeks to its first row by the manifest's chunk
+	// index instead of reading up to it. Its Verify method proves the
+	// whole directory and hashes every part; Digest names the summary
+	// the directory was regenerated from.
 	DirSource = scan.DirSource
 	// RemoteSource scans a `hydra serve` fleet: it reads the summary's
 	// runs (format=spans) with the filter pushed to the server, projects
@@ -87,7 +89,7 @@ func NewSummarySource(s *Summary) *SummarySource { return scan.NewSummarySource(
 // OpenDirSource returns a Source over a materialized shard directory
 // (the output of Materialize or Orchestrate): part files are decoded
 // against their manifests. Integrity is checked lazily and once: a part
-// is hashed against its recorded size and SHA-256 before the first row
+// is hashed against its recorded size and checksum before the first row
 // this source decodes from it, and re-hashed before the next row
 // whenever the file opened differs in size, mtime or identity from the
 // one that was hashed; parts no scan reaches are never read. The
@@ -98,8 +100,8 @@ func NewSummarySource(s *Summary) *SummarySource { return scan.NewSummarySource(
 // manifest's chunk index (one byte offset per chunk the part was
 // written in) and skips less than a chunk; the index is validated when
 // the manifest is read and the landing checked when the scan gets
-// there, and a directory written before the index existed scans the
-// same, from each part's start.
+// there. Manifests of version 1, written before part checksums were
+// block hash lists, are refused: re-materialize such a directory.
 func OpenDirSource(dir string) (*DirSource, error) { return scan.OpenDir(dir) }
 
 // NewRemoteSource returns a Source over a fleet of regeneration servers
